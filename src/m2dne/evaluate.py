@@ -386,7 +386,8 @@ def trend_forecast_report(state: ModelState, net_full: TemporalNetwork,
     and forecast the remaining epochs.
 
     Returns (report, rows); rows are (epoch, predicted, observed) cumulative
-    counts for the suffix. The report carries the suffix RMSE.
+    counts for the suffix. The report carries the suffix RMSE and the
+    training-prefix sum of squared residuals at the fitted parameters.
     """
     series_full = compute_macro_series(net_full)
     T = len(series_full.epochs)
@@ -420,6 +421,8 @@ def trend_forecast_report(state: ModelState, net_full: TemporalNetwork,
     report = MetricReport(
         task="trend_forecast",
         metrics={"suffix_rmse": rmse, "horizon_epochs": int(horizon.size),
+                 "fit_sse": macro_mod.macro_loss(series_train, state.embeddings,
+                                                 edge_src, edge_dst, params),
                  "fitted_zeta": params.zeta, "fitted_gamma": params.gamma,
                  "fitted_theta": params.theta},
         config={"task": "trend_forecast", "train_fraction": float(train_fraction),

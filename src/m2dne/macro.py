@@ -9,6 +9,8 @@ with the linking rate r(t) = S(U) / t ** theta, where S(U) is the mean
 sigmoid(-||u_i - u_j||^2) over the training-window temporal edges. zeta is
 kept positive through a softplus reparameterization; the rate numerator is
 computed over training edges only so forecasts never touch held-out data.
+The three growth scalars are fitted by a Levenberg-Marquardt least-squares
+solve on the residuals pred - delta_e (Marquardt 1963).
 """
 
 from __future__ import annotations
@@ -20,7 +22,11 @@ import numpy as np
 from .graph import MacroSeries
 from .util import sigmoid, softplus
 
-FULL_NUMERATOR_LIMIT = 1_000_000
+# stopping rule of fit_params
+_GRAD_TOL = 1e-10
+_REL_DECREASE_TOL = 1e-15
+_MAX_DAMPING = 1e16
+_MAX_ITER = 200
 
 
 @dataclass
@@ -94,6 +100,21 @@ def macro_loss(series: MacroSeries, embeddings: np.ndarray,
     return float(np.sum((series.delta_e - pred) ** 2))
 
 
+def _residual_jacobian(S: float, n: np.ndarray, t: np.ndarray,
+                       d_obs: np.ndarray, params: MacroParams):
+    """Residuals pred - d_obs and their Jacobian with respect to
+    (zeta_raw, gamma, theta), one column per parameter."""
+    pred = _predict_series(S, n, t, params)
+    # an overflowed prediction gives inf/nan columns; its loss is not finite
+    # either, so the solver rejects that point before using them
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_n1 = np.where(n > 1.0, np.log(np.maximum(n - 1.0, 1e-300)), 0.0)
+        J = np.stack([pred * (float(sigmoid(params.zeta_raw)) / params.zeta),
+                      pred * log_n1,
+                      -pred * np.log(t)], axis=1)
+    return pred - d_obs, J
+
+
 def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
                          edge_src: np.ndarray, edge_dst: np.ndarray,
                          params: MacroParams):
@@ -109,20 +130,14 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
     M = edge_src.shape[0]
     S = float(sig.mean())
 
-    n = series.n[:-1]
-    t = series.epochs[:-1].astype(np.float64)
-    pred = _predict_series(S, n, t, params)
-    err = pred - series.delta_e
+    err, J = _residual_jacobian(S, series.n[:-1],
+                                series.epochs[:-1].astype(np.float64),
+                                series.delta_e, params)
     loss = float(np.sum(err ** 2))
+    d_zeta_raw, d_gamma, d_theta = (float(g) for g in 2.0 * (J.T @ err))
 
-    two_err_pred = 2.0 * err * pred
-    d_zeta = float(np.sum(two_err_pred) / params.zeta)
-    d_zeta_raw = d_zeta * float(sigmoid(params.zeta_raw))
-    log_n1 = np.where(n > 1.0, np.log(np.maximum(n - 1.0, 1e-300)), 0.0)
-    d_gamma = float(np.sum(two_err_pred * log_n1))
-    d_theta = float(np.sum(two_err_pred * (-np.log(t))))
-
-    d_S = float(np.sum(two_err_pred) / S) if S > 0 else 0.0
+    pred = err + series.delta_e
+    d_S = float(np.sum(2.0 * err * pred) / S) if S > 0 else 0.0
     dU = np.zeros_like(embeddings)
     per_edge = (d_S / M) * (sig * (1.0 - sig))[:, None] * (-2.0) * diff
     np.add.at(dU, edge_src, per_edge)
@@ -132,12 +147,17 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
 
 def fit_params(series: MacroSeries, embeddings: np.ndarray,
                edge_src: np.ndarray, edge_dst: np.ndarray,
-               init: MacroParams | None = None, max_iter: int = 200_000,
-               grad_tol: float = 1e-10) -> MacroParams:
-    """Fit (zeta, gamma, theta) by gradient descent with frozen embeddings.
+               init: MacroParams | None = None) -> MacroParams:
+    """Fit (zeta, gamma, theta) by Levenberg-Marquardt with frozen embeddings.
 
-    Plain descent with a multiplicative step adaptation: grow the step after
-    an accepted move, halve and retry after a rejected one.
+    Each iteration solves (J^T J + lam * diag(J^T J)) delta = -J^T r on the
+    residuals r = pred - delta_e, starting from ``init`` (default
+    (softplus(0), 1, 1)). A step is kept only if the loss is finite and
+    lower, after which lam shrinks tenfold; otherwise lam grows tenfold and
+    the step is retried. The solve stops when the gradient norm is at most
+    1e-10 * (1 + loss), when a kept step lowers the loss by a relative 1e-15
+    or less, when lam exceeds 1e16 (no step lowers the loss any more), or
+    after 200 iterations.
     """
     if len(series.delta_e) == 0:
         raise ValueError("cannot fit on a series without increments")
@@ -146,36 +166,32 @@ def fit_params(series: MacroSeries, embeddings: np.ndarray,
     t = series.epochs[:-1].astype(np.float64)
     d_obs = series.delta_e
 
-    def loss_grad(x):
-        p = MacroParams(*x)
-        pred = _predict_series(S, n, t, p)
-        err = pred - d_obs
-        tep = 2.0 * err * pred
-        log_n1 = np.where(n > 1.0, np.log(np.maximum(n - 1.0, 1e-300)), 0.0)
-        g = np.array([
-            np.sum(tep) / p.zeta * sigmoid(p.zeta_raw),
-            np.sum(tep * log_n1),
-            np.sum(tep * (-np.log(t))),
-        ])
-        return float(np.sum(err ** 2)), g
+    def loss_jac(x):
+        r, J = _residual_jacobian(S, n, t, d_obs, MacroParams(*x))
+        return float(np.sum(r ** 2)), r, J
 
     x = np.array([init.zeta_raw, init.gamma, init.theta]) if init \
         else np.array([0.0, 1.0, 1.0])
-    loss, g = loss_grad(x)
-    step = 1e-3 / (1.0 + float(np.linalg.norm(g)))
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol * (1.0 + loss) or loss <= 1e-22:
+    loss, r, J = loss_jac(x)
+    if not np.isfinite(loss):
+        raise ValueError("growth loss is not finite at the start point")
+    lam = 1e-3
+    for _ in range(_MAX_ITER):
+        A, g = J.T @ J, J.T @ r
+        if 2.0 * float(np.linalg.norm(g)) <= _GRAD_TOL * (1.0 + loss) \
+                or lam > _MAX_DAMPING:
             break
-        x_new = x - step * g
-        loss_new, g_new = loss_grad(x_new)
+        delta = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), -g,
+                                rcond=None)[0]
+        loss_new, r_new, J_new = loss_jac(x + delta)
         if np.isfinite(loss_new) and loss_new < loss:
-            x, loss, g = x_new, loss_new, g_new
-            step *= 1.2
-        else:
-            step *= 0.5
-            if step < 1e-18:
+            decrease = (loss - loss_new) / loss
+            x, loss, r, J = x + delta, loss_new, r_new, J_new
+            lam /= 10.0
+            if decrease < _REL_DECREASE_TOL:
                 break
+        else:
+            lam *= 10.0
     return MacroParams(*x)
 
 

@@ -207,7 +207,6 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
 # gradients are orders of magnitude steeper than the event-level ones, so
 # sharing the configured rate would only produce clip-bounded oscillation.
 _EPOCH_FITTED_GROUPS = {"zeta_raw": 0.0, "gamma": 0.0, "theta": 0.0}
-_MACRO_REFIT_ITERS = 5000
 
 
 def step(state: ModelState, batch: EventBatch, data: TrainData,
@@ -305,8 +304,7 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
         rate_scales = _EPOCH_FITTED_GROUPS
         state.macro = macro_mod.fit_params(data.series, state.embeddings,
                                            data.edge_src, data.edge_dst,
-                                           init=state.macro,
-                                           max_iter=_MACRO_REFIT_ITERS)
+                                           init=state.macro)
     for epoch in range(1, config.epochs + 1):
         micro_sum = 0.0
         for _ in range(steps_per_epoch):
@@ -318,8 +316,7 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
         if config.epsilon > 0.0:
             state.macro = macro_mod.fit_params(data.series, state.embeddings,
                                                data.edge_src, data.edge_dst,
-                                               init=state.macro,
-                                               max_iter=_MACRO_REFIT_ITERS)
+                                               init=state.macro)
             ma = macro_mod.macro_loss(data.series, state.embeddings,
                                       data.edge_src, data.edge_dst, state.macro)
         else:

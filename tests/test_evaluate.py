@@ -8,8 +8,8 @@ from m2dne.evaluate import (MetricReport, _auc_rank_sum, node_classification,
                             proximity, reconstruction_metrics, scale_prediction,
                             temporal_link_prediction, temporal_recommendation,
                             trend_forecast_report, write_forecast_csv)
-from m2dne.graph import LabelTable, split_by_time
-from m2dne.macro import MacroParams
+from m2dne.graph import LabelTable, compute_macro_series, split_by_time
+from m2dne.macro import MacroParams, macro_loss
 from m2dne.micro import AttentionParams
 from m2dne.train import ModelState
 from m2dne.util import substream
@@ -300,6 +300,17 @@ class TestTrendForecast:
         preds = [r[1] for r in rows]
         assert all(a <= b for a, b in zip(preds, preds[1:]))
         assert report.metrics["suffix_rmse"] <= 6.0
+
+    def test_fit_sse_reported_and_repeatable(self):
+        net, state = growth_law_net()
+        report, _ = trend_forecast_report(state, net, 0.75)
+        series = compute_macro_series(net).prefix(report.config["train_epochs"])
+        mask = net.time <= report.config["train_epochs"]
+        start_sse = macro_loss(series, state.embeddings, net.src[mask],
+                               net.dst[mask], MacroParams())
+        assert 0.0 <= report.metrics["fit_sse"] < start_sse
+        again, _ = trend_forecast_report(state, net, 0.75)
+        assert again.to_text() == report.to_text()
 
     def test_zero_horizon_empty_table(self, tmp_path):
         net, state = growth_law_net()

@@ -5,10 +5,11 @@ import pytest
 
 import _oracles as orc
 from m2dne.graph import MacroSeries
+from m2dne import macro as macro_mod
 from m2dne.macro import (MacroParams, edge_affinity, fit_params, forecast_scale,
                          linear_node_forecast, linking_rate, macro_loss,
                          macro_loss_and_grads, predicted_new_edges,
-                         _predict_series)
+                         _predict_series, _residual_jacobian)
 from m2dne.util import softplus
 
 
@@ -154,10 +155,76 @@ class TestFitParams:
         S = edge_affinity(U, src, dst)
         delta = _predict_series(S, n[:-1], np.arange(1, 20), true)
         series = make_series(n, delta)
-        fitted = fit_params(series, U, src, dst, max_iter=100_000)
+        fitted = fit_params(series, U, src, dst)
         assert fitted.zeta == pytest.approx(true.zeta, rel=0.02)
         assert fitted.gamma == pytest.approx(true.gamma, rel=0.02)
         assert fitted.theta == pytest.approx(true.theta, rel=0.02)
+
+    def _noisy_series(self):
+        U, src, dst = toy_edges(seed=12, V=20, M=60, d=4)
+        true = MacroParams(zeta_raw=0.3, gamma=1.2, theta=0.9)
+        n = 3.0 + 2.0 * np.arange(1, 31)
+        S = edge_affinity(U, src, dst)
+        delta = _predict_series(S, n[:-1], np.arange(1, 30), true)
+        rng = np.random.default_rng(5)
+        delta = delta * (1.0 + 0.1 * rng.standard_normal(delta.shape[0]))
+        return U, src, dst, make_series(n, delta)
+
+    def test_fitted_point_is_stationary(self):
+        U, src, dst, series = self._noisy_series()
+        fitted = fit_params(series, U, src, dst)
+        loss, _, dz, dg, dt = macro_loss_and_grads(series, U, src, dst, fitted)
+        assert loss > 1.0    # noisy: the optimum is not an exact fit
+        assert math.hypot(dz, dg, dt) <= macro_mod._GRAD_TOL * (1.0 + loss)
+
+    def test_fitted_point_is_local_minimum(self):
+        U, src, dst, series = self._noisy_series()
+        fitted = fit_params(series, U, src, dst)
+        best = macro_loss(series, U, src, dst, fitted)
+        x = np.array([fitted.zeta_raw, fitted.gamma, fitted.theta])
+        for k in range(3):
+            for h in (-1e-3, 1e-3):
+                probe = x.copy()
+                probe[k] += h
+                assert macro_loss(series, U, src, dst, MacroParams(*probe)) >= best
+
+    def test_jacobian_matches_central_differences(self):
+        U, src, dst, series = self._noisy_series()
+        S = edge_affinity(U, src, dst)
+        n, t = series.n[:-1], series.epochs[:-1].astype(np.float64)
+        x = np.array([0.2, 1.1, 0.8])
+        _, J = _residual_jacobian(S, n, t, series.delta_e, MacroParams(*x))
+        step = 1e-6
+        for k in range(3):
+            xp, xm = x.copy(), x.copy()
+            xp[k] += step
+            xm[k] -= step
+            rp, _ = _residual_jacobian(S, n, t, series.delta_e, MacroParams(*xp))
+            rm, _ = _residual_jacobian(S, n, t, series.delta_e, MacroParams(*xm))
+            assert np.allclose(J[:, k], (rp - rm) / (2 * step), rtol=1e-6,
+                               atol=1e-8)
+
+    def test_single_node_series_returns_start(self):
+        U, src, dst = toy_edges(seed=13)
+        series = make_series(np.ones(6), np.arange(1.0, 6.0))
+        start = MacroParams(0.5, 1.3, 0.7)
+        fitted = fit_params(series, U, src, dst, init=start)
+        assert (fitted.zeta_raw, fitted.gamma, fitted.theta) == \
+            (start.zeta_raw, start.gamma, start.theta)
+
+    def test_far_start_ends_finite_and_no_worse(self):
+        U, src, dst, series = self._noisy_series()
+        start = MacroParams(0.0, 6.0, -3.0)
+        fitted = fit_params(series, U, src, dst, init=start)
+        x = [fitted.zeta_raw, fitted.gamma, fitted.theta]
+        assert all(math.isfinite(v) for v in x)
+        assert macro_loss(series, U, src, dst, fitted) <= \
+            macro_loss(series, U, src, dst, start)
+
+    def test_non_finite_start_rejected(self):
+        U, src, dst, series = self._noisy_series()
+        with pytest.raises(ValueError):
+            fit_params(series, U, src, dst, init=MacroParams(0.0, 1e4, 1.0))
 
 
 class TestForecast:
