@@ -18,12 +18,13 @@ from .util import substream
 TRAIN_FIELDS = {
     "dim": int, "history": int, "negatives": int, "epsilon": float,
     "epochs": int, "batch_size": int, "learning_rate": float, "seed": int,
-    "deterministic": lambda s: str(s).lower() in ("1", "true", "yes", "on"),
-    "clamp_bound": float, "grad_clip": float,
+    "grad_clip": float,
 }
 
 
 def _read_config_file(path) -> dict:
+    """Typed ``key=value`` settings; an unknown key or a value that does not
+    parse fails naming the file, line and key."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -32,20 +33,24 @@ def _read_config_file(path) -> dict:
                 continue
             if "=" not in stripped:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, value = stripped.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
+            key, value = (part.strip() for part in stripped.split("=", 1))
+            name = key.replace("-", "_")
+            if name not in TRAIN_FIELDS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                out[name] = TRAIN_FIELDS[name](value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: bad value {value!r} "
+                                 f"for key {key!r}") from None
     return out
 
 
 def build_train_config(args) -> TrainConfig:
-    file_cfg = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    values = {}
-    for name, cast in TRAIN_FIELDS.items():
-        flag = getattr(args, name, None)
+    values = _read_config_file(args.config) if args.config else {}
+    for name in TRAIN_FIELDS:
+        flag = getattr(args, name)
         if flag is not None:
             values[name] = flag
-        elif name in file_cfg:
-            values[name] = cast(file_cfg[name])
     return TrainConfig(**values)
 
 
@@ -68,9 +73,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", dest="learning_rate", type=float,
                    default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--deterministic", action="store_const", const=True,
-                   default=None, help="sequential batches, one RNG stream")
-    p.add_argument("--clamp-bound", dest="clamp_bound", type=float, default=None)
     p.add_argument("--grad-clip", dest="grad_clip", type=float, default=None)
 
 

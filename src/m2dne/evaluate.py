@@ -54,12 +54,6 @@ class MetricReport:
             fh.write(self.to_text())
 
 
-def proximity(u_i: np.ndarray, u_j: np.ndarray) -> float:
-    """Negative squared distance; larger means a likelier edge."""
-    diff = np.asarray(u_i, dtype=np.float64) - np.asarray(u_j, dtype=np.float64)
-    return float(-np.dot(diff, diff))
-
-
 # ---------------------------------------------------------------------------
 # network reconstruction
 
@@ -115,7 +109,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     """Precision@K and AUC of ranking node pairs against the static edges.
 
     Ties in the ranking break by ascending (min id, max id) so reports are
-    deterministic.
+    reproducible.
     """
     V = embeddings.shape[0]
     total = V * (V - 1) // 2
@@ -318,8 +312,15 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
 # ---------------------------------------------------------------------------
 # scale prediction and trend forecast
 
-def _observed_n(series_full: MacroSeries, horizon: np.ndarray) -> np.ndarray:
-    return series_full.n[np.asarray(horizon, dtype=np.int64) - 1]
+def _future_nodes(n_mode: str, series_full: MacroSeries,
+                  series_train: MacroSeries, horizon: np.ndarray) -> np.ndarray:
+    """Cumulative node counts over the horizon: the observed ones, or a line
+    extrapolated from the training prefix."""
+    if n_mode == "observed":
+        return series_full.n[horizon - 1]
+    if n_mode == "linear":
+        return macro_mod.linear_node_forecast(series_train, horizon)
+    raise ValueError(f"unknown n_mode {n_mode!r}")
 
 
 def _count_affine_pairs(embeddings: np.ndarray, chunk: int = 512) -> int:
@@ -357,12 +358,7 @@ def scale_prediction(state: ModelState, net_full: TemporalNetwork,
     mask = net_full.time <= train_end
     edge_src, edge_dst = net_full.src[mask], net_full.dst[mask]
     horizon = np.arange(train_end + 1, t_next + 1, dtype=np.int64)
-    if n_mode == "observed":
-        n_future = _observed_n(series_full, horizon)
-    elif n_mode == "linear":
-        n_future = macro_mod.linear_node_forecast(series_train, horizon)
-    else:
-        raise ValueError(f"unknown n_mode {n_mode!r}")
+    n_future = _future_nodes(n_mode, series_full, series_train, horizon)
     forecast = macro_mod.forecast_scale(state.embeddings, state.macro,
                                         series_train, edge_src, edge_dst,
                                         horizon, n_future)
@@ -398,16 +394,11 @@ def trend_forecast_report(state: ModelState, net_full: TemporalNetwork,
     series_train = series_full.prefix(train_epochs)
     mask = net_full.time <= train_epochs
     edge_src, edge_dst = net_full.src[mask], net_full.dst[mask]
+    horizon = np.arange(train_epochs + 1, T + 1, dtype=np.int64)
+    n_future = _future_nodes(n_mode, series_full, series_train, horizon)
     params = macro_mod.fit_params(series_train, state.embeddings,
                                   edge_src, edge_dst)
-    horizon = np.arange(train_epochs + 1, T + 1, dtype=np.int64)
     if horizon.size:
-        if n_mode == "observed":
-            n_future = _observed_n(series_full, horizon)
-        elif n_mode == "linear":
-            n_future = macro_mod.linear_node_forecast(series_train, horizon)
-        else:
-            raise ValueError(f"unknown n_mode {n_mode!r}")
         forecast = macro_mod.forecast_scale(state.embeddings, params,
                                             series_train, edge_src, edge_dst,
                                             horizon, n_future)

@@ -23,13 +23,6 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class TemporalEvent:
-    source: int
-    target: int
-    time: int
-
-
-@dataclass(frozen=True)
 class TemporalNetwork:
     """Immutable, time-sorted event stream with id and epoch tables."""
 
@@ -49,17 +42,6 @@ class TemporalNetwork:
     @property
     def epoch_count(self) -> int:
         return len(self.raw_epochs)
-
-    @property
-    def raw_timestamp_count(self) -> int:
-        # Epochs are defined per distinct raw timestamp, so the two counts
-        # coincide; both are exposed because loaders elsewhere pre-bucket time.
-        return len(self.raw_epochs)
-
-    @property
-    def events(self) -> list[TemporalEvent]:
-        return [TemporalEvent(int(s), int(d), int(t))
-                for s, d, t in zip(self.src, self.dst, self.time)]
 
     def dense_id(self, raw: str) -> int:
         try:
@@ -185,64 +167,6 @@ def write_edge_list(net: TemporalNetwork, path) -> None:
             fh.write(line + "\n")
 
 
-class HistoryBuffer:
-    """Recency-bounded list of (neighbor, time) pairs for one node."""
-
-    __slots__ = ("owner", "capacity", "_entries")
-
-    def __init__(self, owner: int, capacity: int,
-                 entries: tuple[tuple[int, int], ...] = ()):
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.owner = owner
-        self.capacity = capacity
-        self._entries = deque(entries, maxlen=capacity)
-
-    @property
-    def entries(self) -> tuple[tuple[int, int], ...]:
-        return tuple(self._entries)
-
-    def append(self, neighbor: int, time: int) -> None:
-        self._entries.append((neighbor, time))
-
-    def snapshot(self) -> "HistoryBuffer":
-        return HistoryBuffer(self.owner, self.capacity, self.entries)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-def build_history_stream(net: TemporalNetwork, h: int):
-    """Yield (event, src_snapshot, dst_snapshot) in time order.
-
-    A snapshot holds the h most recent neighbors from events strictly before
-    the event's epoch: same-epoch events are flushed into the buffers only
-    once the epoch advances, so an event never conditions on itself or on
-    simultaneous events.
-    """
-    if h < 1:
-        raise ValueError("history capacity h must be >= 1")
-    buffers: dict[int, HistoryBuffer] = {}
-
-    def buffer(node: int) -> HistoryBuffer:
-        buf = buffers.get(node)
-        if buf is None:
-            buf = buffers[node] = HistoryBuffer(node, h)
-        return buf
-
-    pending: list[tuple[int, int, int]] = []
-    current_t = None
-    for s, d, t in zip(net.src.tolist(), net.dst.tolist(), net.time.tolist()):
-        if current_t is not None and t != current_t:
-            for ps, pd, pt in pending:
-                buffer(ps).append(pd, pt)
-                buffer(pd).append(ps, pt)
-            pending.clear()
-        current_t = t
-        yield TemporalEvent(s, d, t), buffer(s).snapshot(), buffer(d).snapshot()
-        pending.append((s, d, t))
-
-
 @dataclass(frozen=True)
 class SnapshotArrays:
     """Pre-event histories of every event, padded to capacity h.
@@ -261,7 +185,13 @@ class SnapshotArrays:
 
 
 def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
-    """Array-packed equivalent of :func:`build_history_stream`."""
+    """Pre-event histories of every event, in stream order.
+
+    A history holds the h most recent neighbors, oldest first, from events
+    strictly before the event's epoch: same-epoch events enter the buffers
+    only once the epoch advances, so an event never conditions on itself or
+    on simultaneous events.
+    """
     if h < 1:
         raise ValueError("history capacity h must be >= 1")
     E = len(net)

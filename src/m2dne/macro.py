@@ -46,20 +46,10 @@ class MacroParams:
 
 
 def edge_affinity(embeddings: np.ndarray, edge_src: np.ndarray,
-                  edge_dst: np.ndarray, max_edges: int | None = None,
-                  rng: np.random.Generator | None = None) -> float:
-    """Mean sigmoid(-squared distance) over the given temporal edges.
-
-    Above ``max_edges`` the mean is estimated on a uniform subsample (the
-    acceptance paths always use the full set).
-    """
+                  edge_dst: np.ndarray) -> float:
+    """Mean sigmoid(-squared distance) over the given temporal edges."""
     if edge_src.shape[0] == 0:
         raise ValueError("empty edge set")
-    if max_edges is not None and edge_src.shape[0] > max_edges:
-        if rng is None:
-            raise ValueError("subsampling requires an rng")
-        keep = rng.choice(edge_src.shape[0], size=max_edges, replace=False)
-        edge_src, edge_dst = edge_src[keep], edge_dst[keep]
     diff = embeddings[edge_src] - embeddings[edge_dst]
     return float(np.mean(sigmoid(-(diff ** 2).sum(axis=1))))
 

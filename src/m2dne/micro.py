@@ -1,11 +1,11 @@
-"""Temporal attention point process over edge-formation events.
+"""Parameters and negative sampling of the event-level model.
 
 The intensity of an event (i, j, t) combines a base similarity of the two
 endpoints with time-decayed influence from both endpoints' recent neighbors,
 weighted by a two-level (per-neighbor, per-neighborhood) attention mechanism.
-
-Functions here are scalar, per-event reference implementations; the vectorized
-training path lives in :mod:`m2dne.micrograd` and is tested against these.
+Its negative-sampling loss and gradients are computed by
+:mod:`m2dne.micrograd`; this module holds the attention parameters and the
+sampler that draws the corruption ids.
 """
 
 from __future__ import annotations
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import HistoryBuffer, TemporalNetwork
-from .util import log_sigmoid, sigmoid, softplus
-
-DEFAULT_CLAMP = 50.0
 NEGATIVE_EXPONENT = 0.75
 
 
@@ -43,196 +39,10 @@ class AttentionParams:
     def dim(self) -> int:
         return int(self.local_weight.shape[0])
 
-    def decay(self, node=None):
-        if node is None:
-            return softplus(self.decay_raw)
-        return float(softplus(self.decay_raw[node]))
-
     def copy(self) -> "AttentionParams":
         return AttentionParams(self.att_vector.copy(), self.local_weight.copy(),
                                self.s_weight.copy(), float(self.s_bias),
                                self.decay_raw.copy())
-
-
-def _entries(history) -> tuple:
-    if history is None:
-        return ()
-    if isinstance(history, HistoryBuffer):
-        return history.entries
-    return tuple((int(p), int(tp)) for p, tp in history)
-
-
-def similarity(u_i: np.ndarray, u_j: np.ndarray) -> float:
-    """Negative squared Euclidean distance; 0 iff the vectors coincide."""
-    u_i = np.asarray(u_i, dtype=np.float64)
-    u_j = np.asarray(u_j, dtype=np.float64)
-    if u_i.shape != u_j.shape:
-        raise ValueError(f"dimension mismatch: {u_i.shape} vs {u_j.shape}")
-    diff = u_i - u_j
-    return float(-np.dot(diff, diff))
-
-
-def time_decay(delta_i: float, dt: float) -> float:
-    """exp(-delta_i * dt) for dt >= 0; value in (0, 1]."""
-    if dt < 0:
-        raise ValueError(f"history must precede the event, got dt={dt}")
-    if delta_i <= 0:
-        raise ValueError(f"decay rate must be positive, got {delta_i}")
-    return float(np.exp(-delta_i * dt))
-
-
-def local_attention(center: int, history, embeddings: np.ndarray,
-                    params: AttentionParams, t: int) -> np.ndarray:
-    """Per-entry softmax weights over the center's history at time t."""
-    entries = _entries(history)
-    if not entries:
-        raise ValueError("local attention over an empty history")
-    d = params.dim
-    a1, a2 = params.att_vector[:d], params.att_vector[d:]
-    delta = params.decay(center)
-    wc = params.local_weight @ embeddings[center]
-    scores = np.empty(len(entries))
-    for k, (p, tp) in enumerate(entries):
-        if tp >= t:
-            raise ValueError(f"history entry at time {tp} not before event time {t}")
-        wp = params.local_weight @ embeddings[p]
-        scores[k] = sigmoid(time_decay(delta, t - tp) * (a1 @ wc + a2 @ wp))
-    ex = np.exp(scores - scores.max())
-    return ex / ex.sum()
-
-
-def aggregate_neighborhood(center: int, history, weights: np.ndarray,
-                           embeddings: np.ndarray,
-                           params: AttentionParams) -> np.ndarray:
-    """Attention-weighted sum of transformed neighbor embeddings, squashed."""
-    entries = _entries(history)
-    agg = np.zeros(params.dim)
-    for (p, _), w in zip(entries, weights):
-        agg += w * (params.local_weight @ embeddings[p])
-    return sigmoid(agg)
-
-
-def _side_score(center: int, history, embeddings: np.ndarray,
-                params: AttentionParams, t: int) -> float:
-    """Pre-softmax neighborhood score for one endpoint."""
-    entries = _entries(history)
-    weights = local_attention(center, history, embeddings, params, t)
-    agg = aggregate_neighborhood(center, history, weights, embeddings, params)
-    mean_dt = float(np.mean([t - tp for _, tp in entries]))
-    kbar = time_decay(params.decay(center), mean_dt)
-    return float(params.s_weight @ (kbar * agg) + params.s_bias)
-
-
-def global_attention(i: int, j: int, hist_i, hist_j, embeddings: np.ndarray,
-                     params: AttentionParams, t: int) -> float:
-    """Two-way softmax between the endpoints' neighborhood scores."""
-    if not _entries(hist_i) or not _entries(hist_j):
-        raise ValueError("global attention requires both histories non-empty")
-    bi = _side_score(i, hist_i, embeddings, params, t)
-    bj = _side_score(j, hist_j, embeddings, params, t)
-    return float(sigmoid(bi - bj))
-
-
-def intensity_raw(i: int, j: int, t: int, hist_i, hist_j,
-                  embeddings: np.ndarray, params: AttentionParams) -> float:
-    """Pre-transfer event intensity: base similarity plus two-way
-    attention-weighted, time-decayed neighbor influence.
-
-    An empty history contributes 0; with exactly one empty history the
-    neighborhood weight is pinned to the non-empty side.
-    """
-    V = embeddings.shape[0]
-    ent_i, ent_j = _entries(hist_i), _entries(hist_j)
-    for node in (i, j, *(p for p, _ in ent_i), *(q for q, _ in ent_j)):
-        if not 0 <= node < V:
-            raise ValueError(f"unknown node id {node}")
-    lam = similarity(embeddings[i], embeddings[j])
-    if not ent_i and not ent_j:
-        return lam
-    if ent_i and ent_j:
-        beta = global_attention(i, j, hist_i, hist_j, embeddings, params, t)
-    else:
-        beta = 1.0 if ent_i else 0.0
-    if ent_i:
-        alpha = local_attention(i, hist_i, embeddings, params, t)
-        delta = params.decay(i)
-        for (p, tp), a in zip(ent_i, alpha):
-            lam += beta * a * similarity(embeddings[p], embeddings[j]) \
-                * time_decay(delta, t - tp)
-    if ent_j:
-        alpha = local_attention(j, hist_j, embeddings, params, t)
-        delta = params.decay(j)
-        for (q, tq), a in zip(ent_j, alpha):
-            lam += (1.0 - beta) * a * similarity(embeddings[q], embeddings[i]) \
-                * time_decay(delta, t - tq)
-    return float(lam)
-
-
-def intensity(i: int, j: int, t: int, hist_i, hist_j, embeddings: np.ndarray,
-              params: AttentionParams, clamp_bound: float = DEFAULT_CLAMP) -> float:
-    """Positive event intensity: exp of the raw value, clamped to avoid overflow."""
-    raw = intensity_raw(i, j, t, hist_i, hist_j, embeddings, params)
-    return float(np.exp(np.clip(raw, -clamp_bound, clamp_bound)))
-
-
-def event_probability_full(i: int, j: int, t: int, histories,
-                           embeddings: np.ndarray, params: AttentionParams,
-                           clamp_bound: float = DEFAULT_CLAMP) -> float:
-    """Probability of (i, j, t) against all candidate pairings drawn from the
-    two endpoints' histories.
-
-    The normalizer enumerates one candidate per history entry, so it need not
-    include the positive pair and the value is not bounded by 1.
-    """
-    hist_i = histories.get(i)
-    hist_j = histories.get(j)
-    ent_i, ent_j = _entries(hist_i), _entries(hist_j)
-    if not ent_i and not ent_j:
-        raise ValueError("both histories empty: no candidate set")
-    num = intensity(i, j, t, hist_i, hist_j, embeddings, params, clamp_bound)
-    denom = 0.0
-    for i2, _ in ent_j:
-        denom += intensity(i2, j, t, histories.get(i2), hist_j,
-                           embeddings, params, clamp_bound)
-    for j2, _ in ent_i:
-        denom += intensity(i, j2, t, hist_i, histories.get(j2),
-                           embeddings, params, clamp_bound)
-    return num / denom
-
-
-def micro_loss_full(net: TemporalNetwork, embeddings: np.ndarray,
-                    params: AttentionParams, h: int,
-                    clamp_bound: float = DEFAULT_CLAMP) -> tuple[float, int]:
-    """Exact negative log-likelihood over the full event stream.
-
-    Events whose endpoints both lack history are skipped (their candidate set
-    is empty); the count of skipped events is returned alongside the loss.
-    Quadratic in history size; intended as a small-scale reference.
-    """
-    buffers: dict[int, HistoryBuffer] = {}
-    loss = 0.0
-    skipped = 0
-    pending: list[tuple[int, int, int]] = []
-    current_t = None
-    for s, d, t in zip(net.src.tolist(), net.dst.tolist(), net.time.tolist()):
-        if current_t is not None and t != current_t:
-            for ps, pd, pt in pending:
-                for node, other in ((ps, pd), (pd, ps)):
-                    if node not in buffers:
-                        buffers[node] = HistoryBuffer(node, h)
-                    buffers[node].append(other, pt)
-            pending.clear()
-        current_t = t
-        ent_s = buffers[s].entries if s in buffers else ()
-        ent_d = buffers[d].entries if d in buffers else ()
-        if not ent_s and not ent_d:
-            skipped += 1
-        else:
-            p = event_probability_full(s, d, t, buffers, embeddings, params,
-                                       clamp_bound)
-            loss -= float(np.log(p))
-        pending.append((s, d, t))
-    return loss, skipped
 
 
 class NegativeTable:
@@ -270,14 +80,6 @@ class NegativeTable:
         return out
 
 
-def sample_negatives(degrees: np.ndarray, k: int, rng: np.random.Generator,
-                     exclude: int | None = None) -> np.ndarray:
-    """One-shot convenience wrapper around :class:`NegativeTable`."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return NegativeTable(degrees).sample(k, rng, exclude=exclude)
-
-
 def draw_event_negatives(batch_src: np.ndarray, batch_dst: np.ndarray,
                          table: NegativeTable, k: int,
                          rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -295,25 +97,3 @@ def draw_event_negatives(batch_src: np.ndarray, batch_dst: np.ndarray,
         neg_src[b] = table.sample(k, rng, exclude=int(batch_dst[b]))
         neg_dst[b] = table.sample(k, rng, exclude=int(batch_src[b]))
     return neg_src, neg_dst
-
-
-def micro_loss_sampled_scalar(events, snaps_src, snaps_dst, neg_src, neg_dst,
-                              embeddings: np.ndarray,
-                              params: AttentionParams) -> float:
-    """Scalar-path negative-sampling loss; mirrors the vectorized engine.
-
-    ``events`` is a sequence of (i, j, t); snapshots are per-event histories;
-    negatives substitute the corrupted endpoint while keeping both histories.
-    """
-    loss = 0.0
-    for b, (i, j, t) in enumerate(events):
-        hi, hj = snaps_src[b], snaps_dst[b]
-        lam = intensity_raw(i, j, t, hi, hj, embeddings, params)
-        loss -= log_sigmoid(lam)
-        for i2 in np.atleast_1d(neg_src[b]):
-            lam_n = intensity_raw(int(i2), j, t, hi, hj, embeddings, params)
-            loss -= log_sigmoid(-lam_n)
-        for j2 in np.atleast_1d(neg_dst[b]):
-            lam_n = intensity_raw(i, int(j2), t, hi, hj, embeddings, params)
-            loss -= log_sigmoid(-lam_n)
-    return float(loss)

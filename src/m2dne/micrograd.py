@@ -10,9 +10,9 @@ true endpoint). Per-entry quantities are (B, C, h) arrays masked on padding;
 the three pair blocks are the positive (col 0 vs col 0), source-corrupted
 (col k vs col 0) and target-corrupted (col 0 vs col k) combinations.
 
-Everything here is checked against the scalar path in micro.py and against
-central finite differences; keep the forward caches and backward formulas in
-sync when touching either.
+Everything here is checked against the straight-line reference in
+``tests/_oracles.py`` and against central finite differences; keep the
+forward caches and backward formulas in sync when touching either.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .micro import AttentionParams, NegativeTable, draw_event_negatives
+from .graph import SnapshotArrays, TemporalNetwork
+from .micro import AttentionParams
 from .util import sigmoid, softplus
 
-GRAD_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
-               "s_bias", "decay_raw")
+# |score| above which a pair counts as a range hit; it feeds the stats only.
+RANGE_BOUND = 50.0
 
 
 @dataclass
@@ -41,6 +42,18 @@ class EventBatch:
     dst_hist_nodes: np.ndarray
     dst_hist_times: np.ndarray
     dst_len: np.ndarray
+
+    @classmethod
+    def take(cls, net: TemporalNetwork, snapshots: SnapshotArrays,
+             idx: np.ndarray) -> "EventBatch":
+        """Events ``idx`` of ``net`` with their pre-event history rows."""
+        return cls(src=net.src[idx], dst=net.dst[idx], t=net.time[idx],
+                   src_hist_nodes=snapshots.src_nodes[idx],
+                   src_hist_times=snapshots.src_times[idx],
+                   src_len=snapshots.src_len[idx],
+                   dst_hist_nodes=snapshots.dst_nodes[idx],
+                   dst_hist_times=snapshots.dst_times[idx],
+                   dst_len=snapshots.dst_len[idx])
 
     def __len__(self) -> int:
         return int(self.src.shape[0])
@@ -113,13 +126,12 @@ def _hist_vs_centers(side: _Side, other_centers_emb):
 
 def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
                          neg_dst: np.ndarray, embeddings: np.ndarray,
-                         params: AttentionParams, want_grads: bool = True,
-                         clamp_bound: float = 50.0):
+                         params: AttentionParams, want_grads: bool = True):
     """Negative-sampling loss of one batch and, optionally, its gradients.
 
     Returns (loss, grads-or-None, stats). ``grads`` maps every parameter
     group name to an array of the group's shape. ``stats["range_hits"]``
-    counts pair scores whose magnitude exceeded ``clamp_bound`` (the sampled
+    counts pair scores whose magnitude exceeded ``RANGE_BOUND`` (the sampled
     loss itself is evaluated unclamped through a stable log-sigmoid).
     """
     B = len(batch)
@@ -170,9 +182,9 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
                  + np.sum(softplus(lamJ)))
     stats = {
         "pairs": B * (1 + 2 * K),
-        "range_hits": int((np.abs(lam0) > clamp_bound).sum()
-                          + (np.abs(lamI) > clamp_bound).sum()
-                          + (np.abs(lamJ) > clamp_bound).sum()),
+        "range_hits": int((np.abs(lam0) > RANGE_BOUND).sum()
+                          + (np.abs(lamI) > RANGE_BOUND).sum()
+                          + (np.abs(lamJ) > RANGE_BOUND).sum()),
     }
     if not want_grads:
         return loss, None, stats
@@ -297,20 +309,3 @@ def _side_backward(side: _Side, params: AttentionParams, dU, grads):
     np.add.at(dU, side.centers, d_Wc @ W)
     np.add.at(dU, side.nodes, d_Wh @ W)
     np.add.at(grads["decay_raw"], side.centers, d_delta * sigmoid(side.raw_c))
-
-
-def micro_loss_sampled(batch: EventBatch, table: NegativeTable, k: int,
-                       rng: np.random.Generator, embeddings: np.ndarray,
-                       params: AttentionParams) -> float:
-    """Negative-sampling loss with internally drawn corruption ids.
-
-    Draw order is fixed (per event: K source replacements, then K target
-    replacements), so replaying with an identically seeded generator
-    reproduces the value exactly.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table, k, rng)
-    loss, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst, embeddings,
-                                      params, want_grads=False)
-    return loss

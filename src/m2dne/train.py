@@ -32,8 +32,6 @@ class TrainConfig:
     batch_size: int = 512
     learning_rate: float = 0.01
     seed: int = 42
-    deterministic: bool = True
-    clamp_bound: float = 50.0
     grad_clip: float = 30.0
 
     def __post_init__(self):
@@ -45,6 +43,8 @@ class TrainConfig:
             raise ValueError("negatives must be >= 0")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate < 0:
@@ -147,29 +147,7 @@ def sample_batch(data: TrainData, batch_size: int,
         raise ValueError("batch_size must be >= 1")
     idx = np.searchsorted(data.sample_cum, rng.random(batch_size), side="right")
     idx = np.minimum(idx, len(data.net) - 1)
-    net, snaps = data.net, data.snapshots
-    return EventBatch(
-        src=net.src[idx], dst=net.dst[idx], t=net.time[idx],
-        src_hist_nodes=snaps.src_nodes[idx], src_hist_times=snaps.src_times[idx],
-        src_len=snaps.src_len[idx],
-        dst_hist_nodes=snaps.dst_nodes[idx], dst_hist_times=snaps.dst_times[idx],
-        dst_len=snaps.dst_len[idx])
-
-
-def joint_loss(state: ModelState, batch: EventBatch, data: TrainData,
-               config: TrainConfig, rng: np.random.Generator) -> float:
-    """Sampled event loss plus epsilon times the scale-constraint loss."""
-    neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
-                                            config.negatives, rng)
-    micro, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst,
-                                       state.embeddings, state.attention,
-                                       want_grads=False,
-                                       clamp_bound=config.clamp_bound)
-    if config.epsilon == 0.0:
-        return micro
-    ma = macro_mod.macro_loss(data.series, state.embeddings, data.edge_src,
-                              data.edge_dst, state.macro)
-    return micro + config.epsilon * ma
+    return EventBatch.take(data.net, data.snapshots, idx)
 
 
 @dataclass
@@ -183,8 +161,7 @@ class StepResult:
 def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
                  data: TrainData, config: TrainConfig):
     micro, grads, stats = batch_loss_and_grads(
-        batch, neg_src, neg_dst, state.embeddings, state.attention,
-        clamp_bound=config.clamp_bound)
+        batch, neg_src, neg_dst, state.embeddings, state.attention)
     grads["zeta_raw"] = 0.0
     grads["gamma"] = 0.0
     grads["theta"] = 0.0
@@ -364,18 +341,11 @@ def gradient_check(state: ModelState, net: TemporalNetwork,
     """Compare analytic joint-loss gradients against central differences.
 
     The batch is the full event stream with negatives drawn once from the
-    seeded stream, so the loss is a deterministic function of the parameters.
+    seeded stream, so the loss is a fixed function of the parameters.
     Sized for small diagnostics (finite differences sweep every entry).
     """
     data = TrainData(net, config.history)
-    idx = np.arange(len(net))
-    snaps = data.snapshots
-    batch = EventBatch(
-        src=net.src[idx], dst=net.dst[idx], t=net.time[idx],
-        src_hist_nodes=snaps.src_nodes[idx], src_hist_times=snaps.src_times[idx],
-        src_len=snaps.src_len[idx],
-        dst_hist_nodes=snaps.dst_nodes[idx], dst_hist_times=snaps.dst_times[idx],
-        dst_len=snaps.dst_len[idx])
+    batch = EventBatch.take(net, data.snapshots, np.arange(len(net)))
     neg_rng = substream(config.seed, "negatives")
     neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
                                             config.negatives, neg_rng)

@@ -91,56 +91,47 @@ def intensity_raw_oracle(i, j, t, hist_i, hist_j, U, att, W, sw, sb, decay_raw):
     return lam
 
 
-def intensity_oracle(i, j, t, hist_i, hist_j, U, att, W, sw, sb, decay_raw,
-                     clamp=50.0):
-    raw = intensity_raw_oracle(i, j, t, hist_i, hist_j, U, att, W, sw, sb,
-                               decay_raw)
-    return math.exp(min(max(raw, -clamp), clamp))
+def history_oracle(events, h):
+    """Pre-event histories of (src, dst, epoch) triples in time order.
 
-
-def event_probability_oracle(i, j, t, histories, U, att, W, sw, sb, decay_raw):
-    hist_i = list(histories.get(i, ()))
-    hist_j = list(histories.get(j, ()))
-    num = intensity_oracle(i, j, t, hist_i, hist_j, U, att, W, sw, sb,
-                           decay_raw)
-    denom = 0.0
-    for i2, _ in hist_j:
-        denom += intensity_oracle(i2, j, t, list(histories.get(i2, ())),
-                                  hist_j, U, att, W, sw, sb, decay_raw)
-    for j2, _ in hist_i:
-        denom += intensity_oracle(i, j2, t, hist_i,
-                                  list(histories.get(j2, ())), U, att, W, sw,
-                                  sb, decay_raw)
-    return num / denom
-
-
-def micro_loss_full_oracle(events, h, U, att, W, sw, sb, decay_raw):
-    """Events are (src, dst, epoch) triples in time order; same-epoch events
-    enter the histories only once the epoch advances."""
+    Per event, the h most recent (neighbor, epoch) pairs of each endpoint,
+    oldest first; same-epoch events enter the histories only once the epoch
+    advances.
+    """
     histories = {}
     pending = []
     current_t = None
-    loss = 0.0
-    skipped = 0
+    out = []
     for s, d, t in events:
         if current_t is not None and t != current_t:
             for ps, pd, pt in pending:
-                histories.setdefault(ps, []).append((pd, pt))
-                histories.setdefault(pd, []).append((ps, pt))
-                if len(histories[ps]) > h:
-                    histories[ps] = histories[ps][-h:]
-                if len(histories[pd]) > h:
-                    histories[pd] = histories[pd][-h:]
+                for node, other in ((ps, pd), (pd, ps)):
+                    histories[node] = (histories.get(node, [])
+                                       + [(other, pt)])[-h:]
             pending = []
         current_t = t
-        if not histories.get(s) and not histories.get(d):
-            skipped += 1
-        else:
-            p = event_probability_oracle(s, d, t, histories, U, att, W, sw,
-                                         sb, decay_raw)
-            loss -= math.log(p)
+        out.append((list(histories.get(s, [])), list(histories.get(d, []))))
         pending.append((s, d, t))
-    return loss, skipped
+    return out
+
+
+def sampled_loss_oracle(events, hists, neg_src, neg_dst, U, att, W, sw, sb,
+                        decay_raw):
+    """Negative-sampling loss: -log sigmoid(lambda) per event plus
+    -log sigmoid(-lambda) per corruption, where a corruption substitutes one
+    endpoint and keeps both of the event's histories."""
+    args = (U, att, W, sw, sb, decay_raw)
+    loss = 0.0
+    for (i, j, t), (hist_i, hist_j), negs_i, negs_j in zip(events, hists,
+                                                          neg_src, neg_dst):
+        loss += _softplus(-intensity_raw_oracle(i, j, t, hist_i, hist_j, *args))
+        for i2 in negs_i:
+            loss += _softplus(intensity_raw_oracle(i2, j, t, hist_i, hist_j,
+                                                   *args))
+        for j2 in negs_j:
+            loss += _softplus(intensity_raw_oracle(i, j2, t, hist_i, hist_j,
+                                                   *args))
+    return loss
 
 
 def linking_rate_oracle(U, edges, t, theta):

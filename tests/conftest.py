@@ -1,3 +1,4 @@
+import math
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from m2dne.graph import TemporalNetwork  # noqa: E402
+from m2dne.micrograd import EventBatch, _Side, batch_loss_and_grads  # noqa: E402
 
 
 def net_from_events(events, node_count=None, weights=None, weighted=False):
@@ -33,6 +35,46 @@ def net_from_events(events, node_count=None, weights=None, weighted=False):
                            raw_ids=tuple(str(v) for v in range(node_count)),
                            raw_epochs=tuple(str(rt) for rt in distinct),
                            weighted=weighted)
+
+
+def _padded(hist):
+    """(1, h) node and time rows plus the length of one history."""
+    h = max(len(hist), 1)
+    nodes = np.zeros((1, h), dtype=np.int64)
+    times = np.zeros((1, h), dtype=np.int64)
+    for k, (p, tp) in enumerate(hist):
+        nodes[0, k], times[0, k] = p, tp
+    return nodes, times, np.array([len(hist)], dtype=np.int64)
+
+
+def one_event_batch(i, j, t, hist_i, hist_j):
+    """EventBatch of the event (i, j, t) with the given pre-event histories,
+    lists of (neighbor, time) pairs."""
+    return EventBatch(np.array([i]), np.array([j]), np.array([t]),
+                      *_padded(hist_i), *_padded(hist_j))
+
+
+def engine_score(i, j, t, hist_i, hist_j, U, P):
+    """The engine's score of (i, j, t), recovered from its one-event loss
+    softplus(-score)."""
+    none = np.zeros((1, 0), dtype=np.int64)
+    loss, _, _ = batch_loss_and_grads(one_event_batch(i, j, t, hist_i, hist_j),
+                                      none, none, U, P, want_grads=False)
+    return -math.log(math.expm1(loss))
+
+
+def engine_side(centers, hist, U, P, t):
+    """Engine forward caches of the given attention centers over one history
+    at time t (a batch of one row)."""
+    nodes, times, length = _padded(hist)
+    return _Side(np.array([centers]), nodes, times, length, np.array([t]),
+                 U, P)
+
+
+def oracle_args(U, P):
+    """Embeddings and attention parameters as the oracles take them."""
+    return (U.tolist(), P.att_vector.tolist(), P.local_weight.tolist(),
+            P.s_weight.tolist(), P.s_bias, P.decay_raw.tolist())
 
 
 def two_community_lines(seed=101, nodes=60, n_events=2000, within=0.9,

@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from conftest import net_from_events, two_community_lines
+from conftest import (engine_score, engine_side, net_from_events, oracle_args,
+                      two_community_lines)
 from m2dne.evaluate import (reconstruction_metrics, scale_prediction,
                             temporal_link_prediction, trend_forecast_report)
-from m2dne.graph import (HistoryBuffer, MacroSeries, parse_edge_list,
+from m2dne.graph import (MacroSeries, parse_edge_list, snapshot_arrays,
                          split_by_time)
 from m2dne.macro import (MacroParams, edge_affinity, fit_params, forecast_scale,
                          linking_rate, macro_loss, predicted_new_edges,
                          _predict_series)
-from m2dne.micro import (AttentionParams, event_probability_full,
-                         global_attention, intensity, intensity_raw,
-                         local_attention, micro_loss_full)
+from m2dne.micro import AttentionParams
+from m2dne.micrograd import EventBatch, _pair_beta, batch_loss_and_grads
 from m2dne.train import (TrainConfig, fit, gradient_check, init_state,
                          load_checkpoint, save_checkpoint)
 from m2dne.util import substream
@@ -150,20 +150,20 @@ def test_a4_attention_invariants():
                       for _ in range(m_i)]
             hist_j = [(int(rng.integers(V)), int(rng.integers(1, t)))
                       for _ in range(m_j)]
-            i, j = 0, 1
+            side_i = engine_side([0], hist_i, U, params, t)
+            side_j = engine_side([1], hist_j, U, params, t)
 
-            weights = local_attention(i, hist_i, U, params, t)
+            weights = side_i.alpha[0, 0, :m_i]
             assert abs(weights.sum() - 1.0) <= 1e-9
             assert np.all(weights > 0.0)
             # a singleton softmax is exactly 1 by definition
-            assert np.all(weights < 1.0) if len(hist_i) > 1 \
-                else weights[0] == 1.0
+            assert np.all(weights < 1.0) if m_i > 1 else weights[0] == 1.0
 
-            beta = global_attention(i, j, hist_i, hist_j, U, params, t)
-            beta_swapped = global_attention(j, i, hist_j, hist_i, U, params, t)
-            assert abs(beta + beta_swapped - 1.0) <= 1e-12
-
-            assert intensity(i, j, t, hist_i, hist_j, U, params) > 0.0
+            beta, _ = _pair_beta(side_i, side_i.btil[:, 0],
+                                 side_j, side_j.btil[:, 0])
+            beta_swapped, _ = _pair_beta(side_j, side_j.btil[:, 0],
+                                         side_i, side_i.btil[:, 0])
+            assert abs(beta[0] + beta_swapped[0] - 1.0) <= 1e-12
 
 
 def test_a5_oracle_equivalence():
@@ -176,31 +176,25 @@ def test_a5_oracle_equivalence():
                                  s_weight=rng.normal(0, 0.6, d),
                                  s_bias=float(rng.normal()),
                                  decay_raw=rng.normal(0, 0.6, V))
-        args = (U.tolist(), params.att_vector.tolist(),
-                params.local_weight.tolist(), params.s_weight.tolist(),
-                params.s_bias, params.decay_raw.tolist())
-
         hist_i = [(2, 1), (3, 3)]
         hist_j = [(0, 2), (2, 4)]
-        got = intensity_raw(0, 1, 5, hist_i, hist_j, U, params)
-        assert abs(got - orc.intensity_raw_oracle(0, 1, 5, hist_i, hist_j,
-                                                  *args)) <= 1e-10
-
-        histories = {0: HistoryBuffer(0, 2, ((1, 1), (2, 2))),
-                     1: HistoryBuffer(1, 2, ((0, 1), (3, 2))),
-                     2: HistoryBuffer(2, 2, ((0, 2),)),
-                     3: HistoryBuffer(3, 2, ((1, 2),))}
-        got = event_probability_full(0, 1, 4, histories, U, params)
-        want = orc.event_probability_oracle(
-            0, 1, 4, {k: list(v.entries) for k, v in histories.items()}, *args)
+        got = engine_score(0, 1, 5, hist_i, hist_j, U, params)
+        want = orc.intensity_raw_oracle(0, 1, 5, hist_i, hist_j,
+                                        *oracle_args(U, params))
         assert abs(got - want) <= 1e-10
 
         events = [(0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2), (0, 3, 3),
                   (1, 2, 4), (0, 1, 4), (2, 3, 5)]
         net = net_from_events(events, node_count=4)
-        got, got_skipped = micro_loss_full(net, U, params, h=2)
-        want, want_skipped = orc.micro_loss_full_oracle(events, 2, *args)
-        assert got_skipped == want_skipped
+        batch = EventBatch.take(net, snapshot_arrays(net, 2),
+                                np.arange(len(net)))
+        neg_src = (batch.dst[:, None] + [1, 2]) % V
+        neg_dst = (batch.src[:, None] + [1, 3]) % V
+        got, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, params,
+                                         want_grads=False)
+        want = orc.sampled_loss_oracle(events, orc.history_oracle(events, 2),
+                                       neg_src.tolist(), neg_dst.tolist(),
+                                       *oracle_args(U, params))
         assert abs(got - want) <= 1e-10
 
         edge_src = np.array([0, 1, 2, 0])
@@ -259,8 +253,7 @@ def test_a7_determinism_and_persistence(tmp_path):
         path = tmp_path / "edges.tsv"
         path.write_text(lines + "\n")
         net = parse_edge_list(path)
-        config = TrainConfig(dim=8, epochs=6, batch_size=64, seed=23,
-                             deterministic=True)
+        config = TrainConfig(dim=8, epochs=6, batch_size=64, seed=23)
 
         state1, trace1 = fit(net, config)
         state2, trace2 = fit(net, config)

@@ -10,8 +10,7 @@ DATA = Path(__file__).parent / "data"
 TOY_EDGES = str(DATA / "toy_edges.tsv")
 TOY_LABELS = str(DATA / "toy_labels.tsv")
 
-FAST = ["--dim", "4", "--epochs", "3", "--batch-size", "64", "--seed", "7",
-        "--deterministic"]
+FAST = ["--dim", "4", "--epochs", "3", "--batch-size", "64", "--seed", "7"]
 
 
 def train(tmp_path, name="m", extra=()):
@@ -73,6 +72,32 @@ class TestConfigFile:
         assert rc == 0
         assert load_checkpoint(ckpt).dim == 5
 
+    @pytest.mark.parametrize("line,key", [
+        ("learnig_rate = 9", "learnig_rate"),
+        ("deterministic = true", "deterministic"),
+    ])
+    def test_unknown_key_names_file_line_and_key(self, tmp_path, capsys,
+                                                 line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"dim = 6\n{line}\n")
+        rc = main(["train", "--edges", TOY_EDGES, "--config", str(cfg),
+                   "--out", str(tmp_path / "c.ckpt"),
+                   "--trace", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and repr(key) in err
+        assert not (tmp_path / "c.ckpt").exists()
+
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# widths\nepochs = 2\ndim = six\n")
+        rc = main(["train", "--edges", TOY_EDGES, "--config", str(cfg),
+                   "--out", str(tmp_path / "c.ckpt"),
+                   "--trace", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:3:" in err and "'dim'" in err and "'six'" in err
+
 
 class TestEvalCommand:
     def test_reconstruct_report_shape(self, tmp_path, capsys):
@@ -118,7 +143,7 @@ class TestEvalCommand:
     def test_golden_report(self, tmp_path, capsys):
         ckpt = str(tmp_path / "g.ckpt")
         rc = main(["train", "--edges", TOY_EDGES, "--dim", "8", "--epochs",
-                   "8", "--seed", "7", "--deterministic", "--out", ckpt,
+                   "8", "--seed", "7", "--out", ckpt,
                    "--trace", str(tmp_path / "g.csv")])
         assert rc == 0
         report = tmp_path / "report.txt"

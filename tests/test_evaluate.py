@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import net_from_events
-from m2dne.evaluate import (MetricReport, _auc_rank_sum, node_classification,
-                            proximity, reconstruction_metrics, scale_prediction,
-                            temporal_link_prediction, temporal_recommendation,
-                            trend_forecast_report, write_forecast_csv)
+from m2dne.evaluate import (MetricReport, _auc_rank_sum, _pair_scores,
+                            node_classification, reconstruction_metrics,
+                            scale_prediction, temporal_link_prediction,
+                            temporal_recommendation, trend_forecast_report,
+                            write_forecast_csv)
 from m2dne.graph import LabelTable, compute_macro_series, split_by_time
 from m2dne.macro import MacroParams, macro_loss
 from m2dne.micro import AttentionParams
@@ -27,21 +28,25 @@ def make_state(U, macro=None):
                       attention=att, macro=macro or MacroParams())
 
 
+def proximity(U, pairs):
+    """Reconstruction scores of the given (i, j) pairs."""
+    lo, hi = (np.array(side) for side in zip(*pairs))
+    return _pair_scores(np.asarray(U, dtype=np.float64), lo, hi, 1).tolist()
+
+
 class TestProximity:
     def test_identical_max(self):
-        u = np.array([1.0, 2.0])
-        assert proximity(u, u) == 0.0
+        assert proximity([[1.0, 2.0], [1.0, 2.0]], [(0, 1)]) == [0.0]
 
     def test_monotone_in_distance(self):
-        base = np.zeros(3)
-        near = np.array([0.1, 0.0, 0.0])
-        far = np.array([2.0, 0.0, 0.0])
-        assert proximity(base, near) > proximity(base, far)
+        U = [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0], [2.0, 0.0, 0.0]]
+        near, far = proximity(U, [(0, 1), (0, 2)])
+        assert near > far
 
     def test_hand_sorted_pairs(self):
         U = np.array([[0.0], [0.1], [1.0], [1.15], [3.0], [3.2]])
         pairs = [(0, 1), (2, 3), (4, 5), (1, 2), (0, 2), (1, 3)]
-        scores = [proximity(U[a], U[b]) for a, b in pairs]
+        scores = proximity(U, pairs)
         assert sorted(scores, reverse=True) == scores
 
 
@@ -320,6 +325,8 @@ class TestTrendForecast:
         write_forecast_csv(rows, out)
         assert out.read_text() == \
             "epoch,predicted_cumulative_edges,observed_cumulative_edges\n"
+        with pytest.raises(ValueError, match="n_mode"):
+            trend_forecast_report(state, net, 1.0, n_mode="bogus")
 
     def test_too_small_fraction_rejected(self):
         net, state = growth_law_net()

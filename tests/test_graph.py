@@ -3,10 +3,11 @@ import os
 import numpy as np
 import pytest
 
+import _oracles as orc
 from conftest import net_from_events
-from m2dne.graph import (HistoryBuffer, ParseError, build_history_stream,
-                         compute_macro_series, parse_edge_list, parse_labels,
-                         snapshot_arrays, split_by_time, write_edge_list)
+from m2dne.graph import (ParseError, compute_macro_series, parse_edge_list,
+                         parse_labels, snapshot_arrays, split_by_time,
+                         write_edge_list)
 
 
 class TestParseEdgeList:
@@ -75,31 +76,38 @@ class TestParseEdgeList:
         assert net.node_count == 986
         assert len(net) == 332334
         assert net.epoch_count == 526
-        assert net.raw_timestamp_count == 526
         train, test = split_by_time(net, 501)
         assert train.time.max() == 500
         assert len(train) + len(test) == len(net)
 
 
+def history_rows(net, h):
+    """Per event, the (src, dst) histories held by snapshot_arrays as tuples
+    of (neighbor, time) pairs."""
+    arrays = snapshot_arrays(net, h)
+
+    def entries(prefix, m):
+        k = int(getattr(arrays, prefix + "_len")[m])
+        return tuple(zip(getattr(arrays, prefix + "_nodes")[m, :k].tolist(),
+                         getattr(arrays, prefix + "_times")[m, :k].tolist()))
+
+    return [(entries("src", m), entries("dst", m)) for m in range(len(net))]
+
+
 class TestHistoryStream:
     def test_first_event_empty_buffers(self):
         net = net_from_events([(0, 1, 1)])
-        (_, snap_s, snap_d), = list(build_history_stream(net, h=2))
-        assert snap_s.entries == ()
-        assert snap_d.entries == ()
+        assert history_rows(net, h=2) == [((), ())]
 
     def test_h1_eviction(self):
         # node 0 meets 1, 2, 3 at t=1,2,3; before t=3 only the t=2 neighbor
         net = net_from_events([(0, 1, 1), (0, 2, 2), (0, 3, 3)])
-        snaps = [s.entries for _, s, _ in build_history_stream(net, h=1)]
-        assert snaps[2] == ((2, 2),)
+        assert history_rows(net, h=1)[2][0] == ((2, 2),)
 
     def test_four_node_hand_trace(self):
         events = [(0, 1, 1), (0, 2, 1), (1, 2, 2), (2, 3, 3), (0, 3, 3),
                   (3, 1, 4)]
         net = net_from_events(events)
-        got = [(s.entries, d.entries)
-               for _, s, d in build_history_stream(net, h=2)]
         expected = [
             ((), ()),
             ((), ()),                              # same epoch as the first
@@ -108,7 +116,7 @@ class TestHistoryStream:
             (((1, 1), (2, 1)), ()),
             (((2, 3), (0, 3)), ((0, 1), (2, 2))),  # capacity evicted (0, 1)
         ]
-        assert got == expected
+        assert history_rows(net, h=2) == expected
 
     def test_replay_is_pure(self):
         rng = np.random.default_rng(0)
@@ -116,9 +124,7 @@ class TestHistoryStream:
                   zip(rng.integers(0, 8, 60), rng.integers(8, 16, 60),
                       np.sort(rng.integers(1, 12, 60)))]
         net = net_from_events(events)
-        run1 = [(s.entries, d.entries) for _, s, d in build_history_stream(net, 3)]
-        run2 = [(s.entries, d.entries) for _, s, d in build_history_stream(net, 3)]
-        assert run1 == run2
+        assert history_rows(net, 3) == history_rows(net, 3)
 
     def test_snapshot_invariants(self):
         rng = np.random.default_rng(1)
@@ -127,10 +133,10 @@ class TestHistoryStream:
                       np.sort(rng.integers(1, 30, 200)))]
         events = [(a, b, t) for a, b, t in events if a != b]
         net = net_from_events(events, node_count=10)
-        for event, snap_s, snap_d in build_history_stream(net, 4):
-            for snap in (snap_s, snap_d):
-                assert len(snap) <= 4
-                assert all(tp < event.time for _, tp in snap.entries)
+        for t, rows in zip(net.time.tolist(), history_rows(net, 4)):
+            for entries in rows:
+                assert len(entries) <= 4
+                assert all(tp < t for _, tp in entries)
 
     def test_arrays_match_stream(self):
         rng = np.random.default_rng(2)
@@ -139,20 +145,16 @@ class TestHistoryStream:
                       np.sort(rng.integers(1, 25, 150)))]
         events = [(a, b, t) for a, b, t in events if a != b]
         net = net_from_events(events, node_count=12)
-        arrays = snapshot_arrays(net, 3)
-        for m, (_, snap_s, snap_d) in enumerate(build_history_stream(net, 3)):
-            for prefix, snap in (("src", snap_s), ("dst", snap_d)):
-                k = int(getattr(arrays, prefix + "_len")[m])
-                got = tuple(zip(getattr(arrays, prefix + "_nodes")[m, :k].tolist(),
-                                getattr(arrays, prefix + "_times")[m, :k].tolist()))
-                assert got == snap.entries
+        stream = list(zip(net.src.tolist(), net.dst.tolist(),
+                          net.time.tolist()))
+        want = [(tuple(hs), tuple(hd))
+                for hs, hd in orc.history_oracle(stream, 3)]
+        assert history_rows(net, 3) == want
 
     def test_capacity_validation(self):
         net = net_from_events([(0, 1, 1)])
         with pytest.raises(ValueError):
-            list(build_history_stream(net, 0))
-        with pytest.raises(ValueError):
-            HistoryBuffer(0, 0)
+            snapshot_arrays(net, 0)
 
 
 class TestMacroSeries:

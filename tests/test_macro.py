@@ -61,13 +61,6 @@ class TestLinkingRate:
             linking_rate(np.zeros((3, 2)), np.zeros(0, dtype=int),
                          np.zeros(0, dtype=int), 1, 1.0)
 
-    def test_subsampled_affinity(self):
-        U, src, dst = toy_edges(seed=6, M=200)
-        rng = np.random.default_rng(0)
-        approx = edge_affinity(U, src, dst, max_edges=150, rng=rng)
-        exact = edge_affinity(U, src, dst)
-        assert approx == pytest.approx(exact, abs=0.05)
-
 
 class TestPredictedNewEdges:
     def test_single_node_zero(self):

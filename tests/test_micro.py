@@ -1,15 +1,16 @@
+"""Event-level model terms, checked on the engine's forward caches
+(:class:`m2dne.micrograd._Side`, :func:`m2dne.micrograd._pair_beta`) and its
+pair scores, and the negative sampler."""
+
 import math
 
 import numpy as np
 import pytest
 
 import _oracles as orc
-from conftest import net_from_events
-from m2dne.graph import HistoryBuffer
-from m2dne.micro import (AttentionParams, NegativeTable, aggregate_neighborhood,
-                         event_probability_full, global_attention, intensity,
-                         intensity_raw, local_attention, micro_loss_full,
-                         sample_negatives, similarity, time_decay)
+from conftest import engine_score, engine_side, one_event_batch, oracle_args
+from m2dne.micro import AttentionParams, NegativeTable
+from m2dne.micrograd import _pair_beta, batch_loss_and_grads
 from m2dne.util import softplus
 
 
@@ -27,96 +28,101 @@ def make_embeddings(V, d, seed=1):
     return np.random.default_rng(seed).normal(0, 0.6, (V, d))
 
 
+def beta(side_l, side_r):
+    """Neighborhood weight of the left side against the right one."""
+    b, _ = _pair_beta(side_l, side_l.btil[:, 0], side_r, side_r.btil[:, 0])
+    return float(b[0])
+
+
 class TestSimilarity:
+    """Base term: with both histories empty the score is -||u_i - u_j||^2."""
+
     def test_identical_is_zero(self):
-        u = np.array([0.3, -1.2, 4.0])
-        assert similarity(u, u) == 0.0
+        U = make_embeddings(3, 3)
+        U[1] = U[0]
+        score = engine_score(0, 1, 1, [], [], U, make_params(3, 3))
+        assert score == pytest.approx(0.0, abs=1e-15)
 
     def test_unit_axes(self):
-        assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == -2.0
+        U = np.array([[1.0, 0.0], [0.0, 1.0]])
+        score = engine_score(0, 1, 1, [], [], U, make_params(2, 2))
+        assert score == pytest.approx(-2.0, abs=1e-12)
 
     def test_symmetry(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            a, b = rng.normal(size=5), rng.normal(size=5)
-            assert similarity(a, b) == similarity(b, a)
-            assert similarity(a, b) <= 0.0
+            U = rng.normal(size=(2, 5))
+            P = make_params(2, 5)
+            ab = engine_score(0, 1, 1, [], [], U, P)
+            assert ab == engine_score(1, 0, 1, [], [], U, P)
+            assert ab <= 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            similarity(np.zeros(3), np.zeros(4))
+            engine_score(0, 1, 1, [], [], np.zeros((2, 3)), make_params(2, 4))
 
 
 class TestTimeDecay:
+    """kappa = exp(-softplus(decay_raw[center]) * (t - t_entry))."""
+
     def test_zero_gap(self):
-        assert time_decay(0.7, 0.0) == 1.0
+        side = engine_side([0], [(1, 5)], make_embeddings(2, 3),
+                           make_params(2, 3), t=5)
+        assert side.kap[0, 0, 0] == 1.0
 
     def test_unit_values(self):
-        assert time_decay(1.0, 1.0) == pytest.approx(0.36787944117144233,
-                                                     abs=1e-15)
+        P = make_params(2, 3)
+        P.decay_raw[0] = math.log(math.e - 1.0)        # softplus -> 1
+        side = engine_side([0], [(1, 4)], make_embeddings(2, 3), P, t=5)
+        assert side.kap[0, 0, 0] == pytest.approx(0.36787944117144233,
+                                                  abs=1e-15)
 
     def test_monotone(self):
-        for delta in (0.1, 1.0, 3.0):
-            assert time_decay(delta, 2.0) < time_decay(delta, 1.0)
-
-    def test_negative_gap_rejected(self):
-        with pytest.raises(ValueError):
-            time_decay(1.0, -0.5)
-
-    def test_nonpositive_rate_rejected(self):
-        with pytest.raises(ValueError):
-            time_decay(0.0, 1.0)
+        U = make_embeddings(3, 3)
+        for raw in (-2.0, 0.0, 3.0):
+            P = make_params(3, 3)
+            P.decay_raw[0] = raw
+            side = engine_side([0], [(1, 1), (2, 2)], U, P, t=3)
+            older, newer = side.kap[0, 0, :2]
+            assert older < newer
 
 
 class TestLocalAttention:
     def test_singleton(self):
-        U = make_embeddings(4, 3)
-        P = make_params(4, 3)
-        w = local_attention(0, [(1, 2)], U, P, t=5)
-        assert w.tolist() == [1.0]
+        side = engine_side([0], [(1, 2)], make_embeddings(4, 3),
+                           make_params(4, 3), t=5)
+        assert side.alpha[0, 0].tolist() == [1.0]
 
     def test_identical_entries_split_evenly(self):
         U = make_embeddings(4, 3)
         U[2] = U[1]
-        P = make_params(4, 3)
-        w = local_attention(0, [(1, 3), (2, 3)], U, P, t=5)
-        assert w == pytest.approx([0.5, 0.5], abs=1e-12)
+        side = engine_side([0], [(1, 3), (2, 3)], U, make_params(4, 3), t=5)
+        assert side.alpha[0, 0] == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_d2_toy_matches_oracle(self):
         U = make_embeddings(6, 2, seed=9)
         P = make_params(6, 2, seed=10)
         hist = [(1, 1), (3, 2), (4, 4)]
-        got = local_attention(0, hist, U, P, t=6)
+        got = engine_side([0], hist, U, P, t=6).alpha[0, 0]
         want = orc.local_weights_oracle(0, hist, U.tolist(),
                                         P.att_vector.tolist(),
                                         P.local_weight.tolist(),
                                         P.decay_raw.tolist(), 6)
         assert got == pytest.approx(want, abs=1e-12)
 
-    def test_empty_history_rejected(self):
-        U = make_embeddings(3, 2)
-        with pytest.raises(ValueError):
-            local_attention(0, [], U, make_params(3, 2), t=2)
-
-    def test_future_entry_rejected(self):
-        U = make_embeddings(3, 2)
-        with pytest.raises(ValueError):
-            local_attention(0, [(1, 5)], U, make_params(3, 2), t=5)
-
 
 class TestAggregateNeighborhood:
     def test_single_neighbor(self):
         U = make_embeddings(4, 3)
         P = make_params(4, 3)
-        got = aggregate_neighborhood(0, [(2, 1)], np.array([1.0]), U, P)
+        got = engine_side([0], [(2, 1)], U, P, t=3).ut[0, 0]
         want = 1.0 / (1.0 + np.exp(-(P.local_weight @ U[2])))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_zero_weight_matrix_gives_half(self):
         U = make_embeddings(4, 3)
         P = make_params(4, 3, zero_w=True)
-        w = local_attention(0, [(1, 1), (2, 2)], U, P, t=4)
-        got = aggregate_neighborhood(0, [(1, 1), (2, 2)], w, U, P)
+        got = engine_side([0], [(1, 1), (2, 2)], U, P, t=4).ut[0, 0]
         assert got == pytest.approx([0.5] * 3, abs=1e-12)
 
 
@@ -127,193 +133,102 @@ class TestGlobalAttention:
         U[3] = U[2]
         P = make_params(6, 3)
         P.decay_raw[1] = P.decay_raw[0]
-        beta = global_attention(0, 1, [(2, 1)], [(3, 1)], U, P, t=3)
-        assert beta == pytest.approx(0.5, abs=1e-12)
+        side_i = engine_side([0], [(2, 1)], U, P, t=3)
+        side_j = engine_side([1], [(3, 1)], U, P, t=3)
+        assert beta(side_i, side_j) == pytest.approx(0.5, abs=1e-12)
 
     def test_swap_sums_to_one(self):
         U = make_embeddings(8, 4)
         P = make_params(8, 4)
-        hi, hj = [(2, 1), (3, 2)], [(4, 2), (5, 3), (6, 1)]
-        b1 = global_attention(0, 1, hi, hj, U, P, t=5)
-        b2 = global_attention(1, 0, hj, hi, U, P, t=5)
-        assert b1 + b2 == pytest.approx(1.0, abs=1e-12)
+        side_i = engine_side([0], [(2, 1), (3, 2)], U, P, t=5)
+        side_j = engine_side([1], [(4, 2), (5, 3), (6, 1)], U, P, t=5)
+        assert beta(side_i, side_j) + beta(side_j, side_i) == \
+            pytest.approx(1.0, abs=1e-12)
 
     def test_requires_both_histories(self):
+        # without both histories there is no softmax: the weight is pinned
+        # to the side that has one
         U = make_embeddings(4, 2)
-        with pytest.raises(ValueError):
-            global_attention(0, 1, [], [(2, 1)], U, make_params(4, 2), t=3)
+        P = make_params(4, 2)
+        empty = engine_side([0], [], U, P, t=3)
+        full = engine_side([1], [(2, 1)], U, P, t=3)
+        assert beta(empty, full) == 0.0
+        assert beta(full, empty) == 1.0
 
 
 class TestIntensity:
     def test_empty_histories_base_only(self):
         U = make_embeddings(4, 3)
-        P = make_params(4, 3)
-        raw = intensity_raw(0, 1, 2, [], [], U, P)
-        assert raw == pytest.approx(similarity(U[0], U[1]), abs=1e-14)
+        raw = engine_score(0, 1, 2, [], [], U, make_params(4, 3))
+        assert raw == pytest.approx(-np.sum((U[0] - U[1]) ** 2), abs=1e-13)
 
     def test_all_equal_embeddings_zero(self):
         U = np.tile(np.array([0.4, -0.2, 0.1]), (5, 1))
-        P = make_params(5, 3)
-        raw = intensity_raw(0, 1, 4, [(2, 1), (3, 2)], [(4, 3)], U, P)
+        raw = engine_score(0, 1, 4, [(2, 1), (3, 2)], [(4, 3)], U,
+                           make_params(5, 3))
         assert raw == pytest.approx(0.0, abs=1e-14)
 
     def test_toy_matches_oracle(self):
         U = make_embeddings(4, 3, seed=21)
         P = make_params(4, 3, seed=22)
         hi, hj = [(2, 1), (3, 3)], [(0, 2), (2, 4)]
-        got = intensity_raw(0, 1, 5, hi, hj, U, P)
-        want = orc.intensity_raw_oracle(0, 1, 5, hi, hj, U.tolist(),
-                                        P.att_vector.tolist(),
-                                        P.local_weight.tolist(),
-                                        P.s_weight.tolist(), P.s_bias,
-                                        P.decay_raw.tolist())
+        got = engine_score(0, 1, 5, hi, hj, U, P)
+        want = orc.intensity_raw_oracle(0, 1, 5, hi, hj, *oracle_args(U, P))
         assert got == pytest.approx(want, abs=1e-10)
 
     def test_unknown_node_rejected(self):
         U = make_embeddings(3, 2)
-        with pytest.raises(ValueError):
-            intensity_raw(0, 7, 2, [], [], U, make_params(3, 2))
+        with pytest.raises(IndexError):
+            engine_score(0, 7, 2, [], [], U, make_params(3, 2))
 
     def test_transfer_values(self):
-        U = np.zeros((2, 2))
+        # the positive pair's loss is softplus(-score) = -log sigmoid(score)
         P = make_params(2, 2)
-        assert intensity(0, 1, 1, [], [], U, P) == 1.0
+        none = np.zeros((1, 0), dtype=np.int64)
+        batch = one_event_batch(0, 1, 1, [], [])
+        loss, _, _ = batch_loss_and_grads(batch, none, none, np.zeros((2, 2)),
+                                          P, want_grads=False)
+        assert loss == pytest.approx(math.log(2.0), abs=1e-15)
         U2 = np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0]])
-        assert intensity(0, 1, 1, [], [], U2, P) == pytest.approx(
-            0.1353352832366127, abs=1e-12)
+        loss, _, _ = batch_loss_and_grads(batch, none, none, U2, P,
+                                          want_grads=False)
+        assert loss == pytest.approx(math.log1p(math.exp(2.0)), abs=1e-12)
 
     def test_positive_for_random_states(self):
         rng = np.random.default_rng(30)
+        none = np.zeros((1, 0), dtype=np.int64)
         for trial in range(200):
             d = int(rng.integers(2, 6))
             U = rng.normal(0, 1.5, (6, d))
             P = make_params(6, d, seed=trial)
             hi = [(2, 1), (3, 2)] if trial % 2 else []
             hj = [(4, 1)] if trial % 3 else []
-            assert intensity(0, 1, 3, hi, hj, U, P) > 0.0
-
-
-class TestEventProbability:
-    def test_mutual_single_history_is_half(self):
-        U = make_embeddings(4, 3, seed=5)
-        P = make_params(4, 3, seed=6)
-        histories = {0: HistoryBuffer(0, 2, ((1, 1),)),
-                     1: HistoryBuffer(1, 2, ((0, 1),))}
-        p = event_probability_full(0, 1, 3, histories, U, P)
-        assert p == pytest.approx(0.5, abs=1e-12)
-
-    def test_both_empty_rejected(self):
-        U = make_embeddings(3, 2)
-        with pytest.raises(ValueError):
-            event_probability_full(0, 1, 2, {}, U, make_params(3, 2))
-
-    def test_four_node_matches_oracle(self):
-        U = make_embeddings(4, 3, seed=7)
-        P = make_params(4, 3, seed=8)
-        histories = {0: HistoryBuffer(0, 2, ((1, 1), (2, 2))),
-                     1: HistoryBuffer(1, 2, ((0, 1), (3, 2))),
-                     2: HistoryBuffer(2, 2, ((0, 2),)),
-                     3: HistoryBuffer(3, 2, ((1, 2),))}
-        got = event_probability_full(0, 1, 4, histories, U, P)
-        hist_lists = {k: list(v.entries) for k, v in histories.items()}
-        want = orc.event_probability_oracle(0, 1, 4, hist_lists, U.tolist(),
-                                            P.att_vector.tolist(),
-                                            P.local_weight.tolist(),
-                                            P.s_weight.tolist(), P.s_bias,
-                                            P.decay_raw.tolist())
-        assert got == pytest.approx(want, abs=1e-10)
-
-
-class TestMicroLossFull:
-    def test_single_scored_event_is_ln2(self):
-        net = net_from_events([(0, 1, 1), (0, 1, 2)])
-        U = make_embeddings(2, 3)
-        P = make_params(2, 3)
-        loss, skipped = micro_loss_full(net, U, P, h=2)
-        assert skipped == 1
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
-
-    def test_all_skipped_is_zero(self):
-        net = net_from_events([(0, 1, 1), (2, 3, 1)])
-        loss, skipped = micro_loss_full(net, make_embeddings(4, 2),
-                                        make_params(4, 2), h=2)
-        assert loss == 0.0
-        assert skipped == 2
-
-    def test_stream_matches_oracle(self):
-        events = [(0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2), (0, 3, 3),
-                  (1, 2, 4), (0, 1, 4), (2, 3, 5)]
-        net = net_from_events(events)
-        U = make_embeddings(4, 3, seed=11)
-        P = make_params(4, 3, seed=12)
-        loss, skipped = micro_loss_full(net, U, P, h=2)
-        want, want_skipped = orc.micro_loss_full_oracle(
-            events, 2, U.tolist(), P.att_vector.tolist(),
-            P.local_weight.tolist(), P.s_weight.tolist(), P.s_bias,
-            P.decay_raw.tolist())
-        assert skipped == want_skipped
-        assert loss == pytest.approx(want, abs=1e-10)
-
-
-class TestFullLossDescent:
-    def test_decreases_along_negative_gradient(self):
-        # central differences give the exact gradient up to O(step^2); one
-        # small move against it must reduce the full-likelihood loss
-        events = [(0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 3), (0, 3, 4)]
-        net = net_from_events(events)
-        U = make_embeddings(4, 3, seed=31)
-        P = make_params(4, 3, seed=32)
-        base, _ = micro_loss_full(net, U, P, h=2)
-        fd = 1e-6
-
-        def loss(U_, P_):
-            return micro_loss_full(net, U_, P_, h=2)[0]
-
-        gU = np.zeros_like(U)
-        for r in range(U.shape[0]):
-            for c in range(U.shape[1]):
-                Up, Um = U.copy(), U.copy()
-                Up[r, c] += fd
-                Um[r, c] -= fd
-                gU[r, c] = (loss(Up, P) - loss(Um, P)) / (2 * fd)
-        g_draw = np.zeros_like(P.decay_raw)
-        for v in range(P.decay_raw.shape[0]):
-            Pp, Pm = P.copy(), P.copy()
-            Pp.decay_raw[v] += fd
-            Pm.decay_raw[v] -= fd
-            g_draw[v] = (loss(U, Pp) - loss(U, Pm)) / (2 * fd)
-
-        lr = 1e-4
-        P2 = P.copy()
-        P2.decay_raw -= lr * g_draw
-        stepped, _ = micro_loss_full(net, U - lr * gU, P2, h=2)
-        assert stepped < base
+            loss, _, _ = batch_loss_and_grads(one_event_batch(0, 1, 3, hi, hj),
+                                              none, none, U, P,
+                                              want_grads=False)
+            assert 0.0 < loss < math.inf
 
 
 class TestNegativeSampling:
     def test_two_nodes_partner_excluded(self):
         rng = np.random.default_rng(0)
-        draws = sample_negatives(np.array([5, 3]), 50, rng, exclude=1)
+        draws = NegativeTable(np.array([5, 3])).sample(50, rng, exclude=1)
         assert set(draws.tolist()) == {0}
 
     def test_unigram_frequency(self):
         rng = np.random.default_rng(1)
-        draws = sample_negatives(np.array([8, 1]), 100_000, rng)
+        draws = NegativeTable(np.array([8, 1])).sample(100_000, rng)
         expected = 8 ** 0.75 / (8 ** 0.75 + 1.0)
         freq = float(np.mean(draws == 0))
         assert abs(freq - expected) < 0.01
 
     def test_output_length(self):
         rng = np.random.default_rng(2)
-        assert sample_negatives(np.array([1, 2, 3]), 7, rng).shape == (7,)
+        assert NegativeTable(np.array([1, 2, 3])).sample(7, rng).shape == (7,)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
             NegativeTable(np.array([4]))
-
-    def test_k_zero_rejected(self):
-        with pytest.raises(ValueError):
-            sample_negatives(np.array([1, 2]), 0, np.random.default_rng(0))
 
     def test_order_equivariance(self):
         # sampling along the first-appearance order commutes with relabeling
@@ -333,5 +248,7 @@ class TestDecayReparameterization:
     def test_effective_decay_positive(self):
         P = make_params(6, 3, seed=13)
         P.decay_raw[:] = np.array([-40.0, -1.0, 0.0, 1.0, 10.0, 40.0])
-        assert np.all(P.decay() > 0.0)
-        assert P.decay(2) == pytest.approx(softplus(0.0), abs=1e-15)
+        side = engine_side(list(range(6)), [(1, 1)], make_embeddings(6, 3), P,
+                           t=2)
+        assert np.all(side.delta > 0.0)
+        assert side.delta[0, 2] == pytest.approx(softplus(0.0), abs=1e-15)

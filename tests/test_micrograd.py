@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import net_from_events
+import _oracles as orc
+from conftest import net_from_events, oracle_args
 from m2dne.graph import snapshot_arrays
-from m2dne.micro import (AttentionParams, NegativeTable, draw_event_negatives,
-                         intensity_raw, micro_loss_sampled_scalar)
-from m2dne.micrograd import EventBatch, batch_loss_and_grads, micro_loss_sampled
+from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
+from m2dne.micrograd import EventBatch, batch_loss_and_grads
 from m2dne.train import (TrainConfig, TrainData, compare_grads, gradient_check,
                          init_state)
 from m2dne.util import substream
@@ -36,23 +36,26 @@ def random_state(net, d, seed):
 
 
 def full_batch(net, h):
-    snaps = snapshot_arrays(net, h)
-    idx = np.arange(len(net))
-    return EventBatch(net.src[idx], net.dst[idx], net.time[idx],
-                      snaps.src_nodes[idx], snaps.src_times[idx],
-                      snaps.src_len[idx], snaps.dst_nodes[idx],
-                      snaps.dst_times[idx], snaps.dst_len[idx])
+    return EventBatch.take(net, snapshot_arrays(net, h), np.arange(len(net)))
 
 
-def scalar_loss(net, batch, neg_src, neg_dst, U, P):
-    events = list(zip(batch.src.tolist(), batch.dst.tolist(),
-                      batch.t.tolist()))
-    snap_s = [[(int(batch.src_hist_nodes[m, k]), int(batch.src_hist_times[m, k]))
-               for k in range(batch.src_len[m])] for m in range(len(batch))]
-    snap_d = [[(int(batch.dst_hist_nodes[m, k]), int(batch.dst_hist_times[m, k]))
-               for k in range(batch.dst_len[m])] for m in range(len(batch))]
-    return micro_loss_sampled_scalar(events, snap_s, snap_d, neg_src, neg_dst,
-                                     U, P)
+def net_events(net):
+    return list(zip(net.src.tolist(), net.dst.tolist(), net.time.tolist()))
+
+
+def oracle_loss(net, h, neg_src, neg_dst, U, P):
+    """Sampled loss of the full event stream, histories included, computed
+    by the oracles alone."""
+    events = net_events(net)
+    return orc.sampled_loss_oracle(events, orc.history_oracle(events, h),
+                                   neg_src.tolist(), neg_dst.tolist(),
+                                   *oracle_args(U, P))
+
+
+def engine_loss(batch, neg_src, neg_dst, U, P):
+    loss, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P,
+                                      want_grads=False)
+    return loss
 
 
 class TestEngineAgainstScalarPath:
@@ -66,9 +69,8 @@ class TestEngineAgainstScalarPath:
         rng = np.random.default_rng(seed)
         neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table,
                                                 k, rng)
-        loss, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P,
-                                          want_grads=False)
-        want = scalar_loss(net, batch, neg_src, neg_dst, U, P)
+        loss = engine_loss(batch, neg_src, neg_dst, U, P)
+        want = oracle_loss(net, 3, neg_src, neg_dst, U, P)
         assert loss == pytest.approx(want, abs=1e-9)
 
     def test_positive_scores_match_intensity_op(self):
@@ -76,16 +78,11 @@ class TestEngineAgainstScalarPath:
         U, P = random_state(net, 3, 17)
         batch = full_batch(net, h=2)
         zero = np.zeros((len(batch), 0), dtype=np.int64)
-        loss, _, _ = batch_loss_and_grads(batch, zero, zero, U, P,
-                                          want_grads=False)
+        loss = engine_loss(batch, zero, zero, U, P)
+        events = net_events(net)
         total = 0.0
-        for m in range(len(batch)):
-            hi = [(int(batch.src_hist_nodes[m, k]), int(batch.src_hist_times[m, k]))
-                  for k in range(batch.src_len[m])]
-            hj = [(int(batch.dst_hist_nodes[m, k]), int(batch.dst_hist_times[m, k]))
-                  for k in range(batch.dst_len[m])]
-            lam = intensity_raw(int(batch.src[m]), int(batch.dst[m]),
-                                int(batch.t[m]), hi, hj, U, P)
+        for (i, j, t), (hi, hj) in zip(events, orc.history_oracle(events, 2)):
+            lam = orc.intensity_raw_oracle(i, j, t, hi, hj, *oracle_args(U, P))
             total += math.log1p(math.exp(-abs(lam))) + max(-lam, 0.0)
         assert loss == pytest.approx(total, abs=1e-9)
 
@@ -107,9 +104,12 @@ class TestSampledLossReplay:
         batch = full_batch(net, h=3)
         table = NegativeTable(net.degrees(),
                               order=net.first_appearance_order())
-        l1 = micro_loss_sampled(batch, table, 4, substream(9, "negatives"), U, P)
-        l2 = micro_loss_sampled(batch, table, 4, substream(9, "negatives"), U, P)
-        assert l1 == l2
+        losses = []
+        for _ in range(2):
+            neg = draw_event_negatives(batch.src, batch.dst, table, 4,
+                                       substream(9, "negatives"))
+            losses.append(engine_loss(batch, *neg, U, P))
+        assert losses[0] == losses[1]
 
     def test_replayed_draws_match_scalar_oracle(self):
         net = random_net(13)
@@ -117,11 +117,11 @@ class TestSampledLossReplay:
         batch = full_batch(net, h=3)
         table = NegativeTable(net.degrees(),
                               order=net.first_appearance_order())
-        loss = micro_loss_sampled(batch, table, 2, substream(3, "negatives"),
-                                  U, P)
+        loss = engine_loss(batch, *draw_event_negatives(
+            batch.src, batch.dst, table, 2, substream(3, "negatives")), U, P)
         neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table, 2,
                                                 substream(3, "negatives"))
-        want = scalar_loss(net, batch, neg_src, neg_dst, U, P)
+        want = oracle_loss(net, 3, neg_src, neg_dst, U, P)
         assert loss == pytest.approx(want, abs=1e-9)
 
     def test_negatives_never_equal_kept_endpoint(self):

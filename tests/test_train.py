@@ -5,7 +5,8 @@ from conftest import net_from_events, two_community_lines
 from m2dne.graph import parse_edge_list
 from m2dne.micro import draw_event_negatives
 from m2dne.macro import fit_params, macro_loss
-from m2dne.train import (TrainConfig, TrainData, fit, init_state, joint_loss,
+from m2dne.micrograd import batch_loss_and_grads
+from m2dne.train import (TrainConfig, TrainData, fit, init_state,
                          load_checkpoint, sample_batch, save_checkpoint, step,
                          _joint_grads)
 from m2dne.util import substream
@@ -156,26 +157,26 @@ class TestStep:
 
 
 class TestJointLoss:
+    @staticmethod
+    def _losses(seed, epsilon):
+        """(joint total, engine event loss, macro loss) on one batch."""
+        net, cfg, state, data, batch = TestStep()._setup(epsilon=epsilon)
+        neg = draw_event_negatives(batch.src, batch.dst, data.table,
+                                   cfg.negatives, substream(seed, "negatives"))
+        total, *_ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
+        micro, _, _ = batch_loss_and_grads(batch, neg[0], neg[1],
+                                           state.embeddings, state.attention,
+                                           want_grads=False)
+        ma = macro_loss(data.series, state.embeddings, data.edge_src,
+                        data.edge_dst, state.macro)
+        return total, micro, ma
+
     def test_epsilon_zero_equals_micro(self):
-        net, cfg, state, data, batch = TestStep()._setup(epsilon=0.0)
-        from m2dne.micrograd import micro_loss_sampled
-        micro = micro_loss_sampled(batch, data.table, cfg.negatives,
-                                   substream(6, "negatives"),
-                                   state.embeddings, state.attention)
-        total = joint_loss(state, batch, data, cfg, substream(6, "negatives"))
+        total, micro, _ = self._losses(6, epsilon=0.0)
         assert total == micro
 
     def test_composition(self):
-        net, cfg, state, data, batch = TestStep()._setup(epsilon=0.4)
-        cfg.epsilon = 0.4
-        from m2dne.micrograd import micro_loss_sampled
-        from m2dne.macro import macro_loss
-        micro = micro_loss_sampled(batch, data.table, cfg.negatives,
-                                   substream(7, "negatives"),
-                                   state.embeddings, state.attention)
-        ma = macro_loss(data.series, state.embeddings, data.edge_src,
-                        data.edge_dst, state.macro)
-        total = joint_loss(state, batch, data, cfg, substream(7, "negatives"))
+        total, micro, ma = self._losses(7, epsilon=0.4)
         assert total == pytest.approx(micro + 0.4 * ma, rel=1e-12)
 
 
@@ -317,6 +318,7 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"dim": 0}, {"history": 0}, {"negatives": -1}, {"epsilon": 1.5},
         {"epsilon": -0.1}, {"batch_size": 0}, {"learning_rate": -1.0},
+        {"epochs": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
