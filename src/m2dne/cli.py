@@ -23,8 +23,9 @@ TRAIN_FIELDS = {
 
 
 def _read_config_file(path) -> dict:
-    """Typed ``key=value`` settings; an unknown key or a value that does not
-    parse fails naming the file, line and key."""
+    """Typed ``key=value`` settings; an unknown key, a value that does not
+    parse or one that TrainConfig rejects fails naming the file, line and
+    key."""
     out = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -42,6 +43,11 @@ def _read_config_file(path) -> dict:
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value {value!r} "
                                  f"for key {key!r}") from None
+            try:
+                TrainConfig(**{name: out[name]})
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: value {value!r} for key "
+                                 f"{key!r} is out of range: {exc}") from None
     return out
 
 

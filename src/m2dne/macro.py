@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MacroSeries
-from .util import sigmoid, softplus
+from .util import scatter_rows, sigmoid, softplus
 
 # stopping rule of fit_params
 _GRAD_TOL = 1e-10
@@ -115,9 +115,13 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
     """
     if len(series.delta_e) == 0:
         return 0.0, np.zeros_like(embeddings), 0.0, 0.0, 0.0
-    diff = embeddings[edge_src] - embeddings[edge_dst]
-    sig = sigmoid(-(diff ** 2).sum(axis=1))
     M = edge_src.shape[0]
+    # rows[:M] holds u_src - u_dst, later the gradient at the source rows;
+    # rows[M:] its negation at the target rows
+    rows = np.empty((2 * M, embeddings.shape[1]))
+    diff = np.take(embeddings, edge_src, axis=0, out=rows[:M])
+    diff -= embeddings[edge_dst]
+    sig = sigmoid(-(diff ** 2).sum(axis=1))
     S = float(sig.mean())
 
     err, J = _residual_jacobian(S, series.n[:-1],
@@ -128,10 +132,10 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
 
     pred = err + series.delta_e
     d_S = float(np.sum(2.0 * err * pred) / S) if S > 0 else 0.0
-    dU = np.zeros_like(embeddings)
-    per_edge = (d_S / M) * (sig * (1.0 - sig))[:, None] * (-2.0) * diff
-    np.add.at(dU, edge_src, per_edge)
-    np.add.at(dU, edge_dst, -per_edge)
+    diff *= ((d_S / M) * (sig * (1.0 - sig)) * (-2.0))[:, None]
+    np.negative(diff, out=rows[M:])
+    dU = scatter_rows(np.concatenate([edge_src, edge_dst]), rows,
+                      embeddings.shape[0])
     return loss, dU, d_zeta_raw, d_gamma, d_theta
 
 

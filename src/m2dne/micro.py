@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 NEGATIVE_EXPONENT = 0.75
+# first rejection-scan window of NegativeTable.sample, in draws
+_FIRST_WINDOW = 64
 
 
 @dataclass
@@ -65,18 +67,46 @@ class NegativeTable:
         if total <= 0:
             raise ValueError("all degrees are zero")
         self.cum = np.cumsum(weights) / total
+        self.mass = np.zeros(degrees.shape[0])
+        self.mass[self.order] = weights / total
 
     def sample(self, k: int, rng: np.random.Generator,
-               exclude: int | None = None) -> np.ndarray:
-        """Draw k node ids, rejecting (and redrawing) the excluded node."""
+               exclude: int | np.ndarray | None = None) -> np.ndarray:
+        """Draw k node ids, rejecting (and redrawing) excluded nodes.
+
+        ``exclude`` is None, one node id, or one id per draw. The ids and the
+        generator state afterwards are those of k successive single draws
+        that each redraw until the node differs from its own exclusion: the
+        uniforms are drawn in one call, and each rejection shifts the
+        remaining uniforms onto the following slots. Raises ValueError if an
+        excluded node carries all of the sampling mass.
+        """
         out = np.empty(k, dtype=np.int64)
-        for m in range(k):
-            while True:
-                pos = int(np.searchsorted(self.cum, rng.random(), side="right"))
-                node = int(self.order[min(pos, len(self.order) - 1)])
-                if node != exclude:
-                    out[m] = node
-                    break
+        if exclude is not None:
+            exclude = np.broadcast_to(np.asarray(exclude, dtype=np.int64), (k,))
+        filled = 0
+        while filled < k:
+            pos = np.searchsorted(self.cum, rng.random(k - filled), side="right")
+            nodes = self.order[np.minimum(pos, len(self.order) - 1)]
+            # scan for the next rejection in a window that doubles while no
+            # draw is rejected, so a rejection costs O(window), not O(k)
+            window = _FIRST_WINDOW
+            while nodes.size:
+                span = min(window, nodes.size)
+                hits = [] if exclude is None else np.flatnonzero(
+                    nodes[:span] == exclude[filled:filled + span])
+                r = int(hits[0]) if len(hits) else span
+                out[filled:filled + r] = nodes[:r]
+                filled += r
+                if r < span:
+                    if self.mass[exclude[filled]] >= 1.0:
+                        raise ValueError(f"excluded node {exclude[filled]} "
+                                         f"carries all of the sampling mass")
+                    r += 1
+                    window = _FIRST_WINDOW
+                else:
+                    window *= 2
+                nodes = nodes[r:]
         return out
 
 
@@ -86,14 +116,11 @@ def draw_event_negatives(batch_src: np.ndarray, batch_dst: np.ndarray,
     """Draw the per-event corruption ids in a fixed, replayable order.
 
     For each event in batch order: k replacements for the source (keeping the
-    target, which is rejected), then k replacements for the target.
+    target, which is rejected), then k replacements for the target. The whole
+    batch is one call of :meth:`NegativeTable.sample`.
     """
     B = batch_src.shape[0]
-    neg_src = np.empty((B, k), dtype=np.int64)
-    neg_dst = np.empty((B, k), dtype=np.int64)
-    if k == 0:
-        return neg_src, neg_dst
-    for b in range(B):
-        neg_src[b] = table.sample(k, rng, exclude=int(batch_dst[b]))
-        neg_dst[b] = table.sample(k, rng, exclude=int(batch_src[b]))
-    return neg_src, neg_dst
+    exclude = np.repeat(np.stack([batch_dst, batch_src], axis=1), k, axis=1)
+    draws = table.sample(2 * B * k, rng, exclude=exclude.reshape(-1))
+    draws = draws.reshape(B, 2, k)
+    return np.ascontiguousarray(draws[:, 0]), np.ascontiguousarray(draws[:, 1])

@@ -10,6 +10,11 @@ true endpoint). Per-entry quantities are (B, C, h) arrays masked on padding;
 the three pair blocks are the positive (col 0 vs col 0), source-corrupted
 (col k vs col 0) and target-corrupted (col 0 vs col k) combinations.
 
+The embeddings gradient is summed on the batch's own slots, one (B, C, d)
+array per center family and one (B, h, d) array per history, and reaches the
+V x d gradient in a single scatter. History-vs-center distances come from
+squared norms and one batched matmul, so no (B, C, h, d) tensor is built.
+
 Everything here is checked against the straight-line reference in
 ``tests/_oracles.py`` and against central finite differences; keep the
 forward caches and backward formulas in sync when touching either.
@@ -23,7 +28,7 @@ import numpy as np
 
 from .graph import SnapshotArrays, TemporalNetwork
 from .micro import AttentionParams
-from .util import sigmoid, softplus
+from .util import scatter_rows, sigmoid, softplus
 
 # |score| above which a pair counts as a range hit; it feeds the stats only.
 RANGE_BOUND = 50.0
@@ -80,9 +85,10 @@ class _Side:
         W = params.local_weight
         self.Uc = embeddings[centers]                     # (B, C, d)
         self.Uh = embeddings[nodes]                       # (B, h, d)
-        self.Wc = self.Uc @ W.T
-        self.Wh = self.Uh @ W.T
-        self.dotc = self.Wc @ a1                          # (B, C)
+        self.sqc = np.einsum("bcd,bcd->bc", self.Uc, self.Uc)
+        self.sqh = np.einsum("bhd,bhd->bh", self.Uh, self.Uh)
+        self.Wh = self.Uh @ W.T                           # (B, h, d)
+        self.dotc = self.Uc @ (W.T @ a1)                  # (B, C)
         self.dotp = self.Wh @ a2                          # (B, h)
         self.raw_c = params.decay_raw[centers]            # (B, C)
         self.delta = softplus(self.raw_c)
@@ -94,12 +100,12 @@ class _Side:
         denom = ex.sum(axis=2, keepdims=True)
         self.alpha = ex / np.where(denom > 0, denom, 1.0)
         self.ak = self.alpha * self.kap
-        self.agg = np.einsum("bch,bhd->bcd", self.alpha, self.Wh)
+        self.agg = self.alpha @ self.Wh                   # (B, C, d)
         self.ut = sigmoid(self.agg)
         self.mdt = self.dt.sum(axis=1) / np.maximum(self.m, 1.0)  # (B,)
         self.kbar = np.exp(-self.delta * self.mdt[:, None])       # (B, C)
-        self.btil = (self.kbar[:, :, None] * self.ut) @ params.s_weight \
-            + params.s_bias                                       # (B, C)
+        self.us = self.ut @ params.s_weight                       # (B, C)
+        self.btil = self.kbar * self.us + params.s_bias
 
         # accumulated by the pair blocks, consumed by _side_backward
         self.d_btil = np.zeros((B, C))
@@ -117,11 +123,21 @@ def _pair_beta(side_l: _Side, btil_l, side_r: _Side, btil_r):
     return np.where(both, sigmoid(btil_l - btil_r), fixed), both
 
 
-def _hist_vs_centers(side: _Side, other_centers_emb):
-    """diff[b, c, p, :] = u_hist[b, p] - u_center_other[b, c]; g = -||diff||^2."""
-    diff = side.Uh[:, None, :, :] - other_centers_emb[:, :, None, :]
-    g = -(diff ** 2).sum(axis=3)
-    return diff, g
+def _hist_vs_centers(side: _Side, other: _Side):
+    """g[b, c, p] = -||u_hist[b, p] - u_center_other[b, c]||^2, expanded as
+    2 a.b - ||a||^2 - ||b||^2."""
+    cross = other.Uc @ side.Uh.transpose(0, 2, 1)         # (B, C, h)
+    return 2.0 * cross - other.sqc[:, :, None] - side.sqh[:, None, :]
+
+
+def _hist_vs_centers_backward(d_g, side: _Side, other: _Side, d_hist, d_other):
+    """Add the embeddings gradient of g onto the history slots of ``side``
+    and the center slots of ``other``."""
+    d_g2 = 2.0 * d_g
+    d_hist += d_g2.transpose(0, 2, 1) @ other.Uc
+    d_hist -= d_g2.sum(axis=1)[:, :, None] * side.Uh
+    d_other += d_g2 @ side.Uh
+    d_other -= d_g2.sum(axis=2)[:, :, None] * other.Uc
 
 
 def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
@@ -148,11 +164,11 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     side_j = _Side(centers_j, batch.dst_hist_nodes, batch.dst_hist_times,
                    batch.dst_len, t, embeddings, params)
 
-    diff_hi, g_hi = _hist_vs_centers(side_i, side_j.Uc)   # (B, C, h[, d])
-    diff_hj, g_hj = _hist_vs_centers(side_j, side_i.Uc)
+    g_hi = _hist_vs_centers(side_i, side_j)               # (B, C, h)
+    g_hj = _hist_vs_centers(side_j, side_i)
 
     # forward: the three pair blocks ---------------------------------------
-    diff0 = embeddings[batch.src] - embeddings[batch.dst]           # (B, d)
+    diff0 = side_i.Uc[:, 0] - side_j.Uc[:, 0]                     # (B, d)
     g0 = -(diff0 ** 2).sum(axis=1)
     A_i0 = np.einsum("bh,bh->b", side_i.ak[:, 0, :], g_hi[:, 0, :])
     A_j0 = np.einsum("bh,bh->b", side_j.ak[:, 0, :], g_hj[:, 0, :])
@@ -160,7 +176,7 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     lam0 = g0 + beta0 * A_i0 + (1.0 - beta0) * A_j0
 
     if K:
-        diffI = embeddings[neg_src] - embeddings[batch.dst][:, None, :]  # (B, K, d)
+        diffI = side_i.Uc[:, 1:] - side_j.Uc[:, :1]                # (B, K, d)
         gI = -(diffI ** 2).sum(axis=2)
         A_iI = np.einsum("bkh,bh->bk", side_i.ak[:, 1:, :], g_hi[:, 0, :])
         A_jI = np.einsum("bh,bkh->bk", side_j.ak[:, 0, :], g_hj[:, 1:, :])
@@ -168,7 +184,7 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
                                   side_j, side_j.btil[:, 0][:, None])
         lamI = gI + betaI * A_iI + (1.0 - betaI) * A_jI
 
-        diffJ = embeddings[batch.src][:, None, :] - embeddings[neg_dst]
+        diffJ = side_i.Uc[:, :1] - side_j.Uc[:, 1:]
         gJ = -(diffJ ** 2).sum(axis=2)
         A_iJ = np.einsum("bh,bkh->bk", side_i.ak[:, 0, :], g_hi[:, 1:, :])
         A_jJ = np.einsum("bkh,bh->bk", side_j.ak[:, 1:, :], g_hj[:, 0, :])
@@ -190,13 +206,18 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         return loss, None, stats
 
     # backward --------------------------------------------------------------
-    dU = np.zeros((V, d))
+    C = K + 1
+    h_i = side_i.nodes.shape[1]
+    h_j = side_j.nodes.shape[1]
+    # embeddings gradient per batch slot: centers i, centers j, histories i, j
+    slots = np.zeros((B, 2 * C + h_i + h_j, d))
+    dUc_i, dUc_j, dUh_i, dUh_j = np.split(slots, [C, 2 * C, 2 * C + h_i],
+                                          axis=1)
     grads = {
         "att_vector": np.zeros(2 * d),
         "local_weight": np.zeros((d, d)),
         "s_weight": np.zeros(d),
         "s_bias": 0.0,
-        "decay_raw": np.zeros(V),
     }
     d_ghi = np.zeros_like(g_hi)
     d_ghj = np.zeros_like(g_hj)
@@ -216,8 +237,8 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     side_j.d_alpha[:, 0, :] += c * side_j.kap[:, 0, :]
     side_j.d_kap[:, 0, :] += c * side_j.alpha[:, 0, :]
     d_ghj[:, 0, :] += dA_j0[:, None] * side_j.ak[:, 0, :]
-    np.add.at(dU, batch.src, dlam0[:, None] * (-2.0) * diff0)
-    np.add.at(dU, batch.dst, dlam0[:, None] * 2.0 * diff0)
+    dUc_i[:, 0] += dlam0[:, None] * (-2.0) * diff0
+    dUc_j[:, 0] += dlam0[:, None] * 2.0 * diff0
 
     if K:
         # source-corrupted block: i columns 1.., j column 0
@@ -235,8 +256,8 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         side_j.d_alpha[:, 0, :] += cJ * side_j.kap[:, 0, :]
         side_j.d_kap[:, 0, :] += cJ * side_j.alpha[:, 0, :]
         d_ghj[:, 1:, :] += dA_jI[:, :, None] * side_j.ak[:, 0, :][:, None, :]
-        np.add.at(dU, neg_src, dlamI[:, :, None] * (-2.0) * diffI)
-        np.add.at(dU, batch.dst, np.einsum("bk,bkd->bd", dlamI, 2.0 * diffI))
+        dUc_i[:, 1:] += dlamI[:, :, None] * (-2.0) * diffI
+        dUc_j[:, 0] += np.einsum("bk,bkd->bd", dlamI, 2.0 * diffI)
 
         # target-corrupted block: i column 0, j columns 1..
         dlamJ = sigmoid(lamJ)
@@ -253,40 +274,47 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         side_j.d_alpha[:, 1:, :] += cJ * side_j.kap[:, 1:, :]
         side_j.d_kap[:, 1:, :] += cJ * side_j.alpha[:, 1:, :]
         d_ghj[:, 0, :] += np.einsum("bk,bkh->bh", dA_jJ, side_j.ak[:, 1:, :])
-        np.add.at(dU, batch.src, np.einsum("bk,bkd->bd", dlamJ, -2.0 * diffJ))
-        np.add.at(dU, neg_dst, dlamJ[:, :, None] * 2.0 * diffJ)
+        dUc_i[:, 0] += np.einsum("bk,bkd->bd", dlamJ, -2.0 * diffJ)
+        dUc_j[:, 1:] += dlamJ[:, :, None] * 2.0 * diffJ
 
-    # history-vs-center distance terms
-    for side, other, d_g, diff in ((side_i, side_j, d_ghi, diff_hi),
-                                   (side_j, side_i, d_ghj, diff_hj)):
-        vec = d_g[:, :, :, None] * diff                      # (B, C, h, d)
-        np.add.at(dU, side.nodes, -2.0 * vec.sum(axis=1))
-        np.add.at(dU, other.centers, 2.0 * vec.sum(axis=2))
+    _hist_vs_centers_backward(d_ghi, side_i, side_j, dUh_i, dUc_j)
+    _hist_vs_centers_backward(d_ghj, side_j, side_i, dUh_j, dUc_i)
+    d_raw_i = _side_backward(side_i, params, dUc_i, dUh_i, grads)
+    d_raw_j = _side_backward(side_j, params, dUc_j, dUh_j, grads)
 
-    _side_backward(side_i, params, dU, grads)
-    _side_backward(side_j, params, dU, grads)
-    grads["embeddings"] = dU
+    rows = np.concatenate([centers_i, centers_j, side_i.nodes, side_j.nodes],
+                          axis=1)
+    grads["embeddings"] = scatter_rows(rows, slots, V)
+    grads["decay_raw"] = np.bincount(
+        np.concatenate([centers_i, centers_j], axis=1).reshape(-1),
+        weights=np.concatenate([d_raw_i, d_raw_j], axis=1).reshape(-1),
+        minlength=V)
     grads["s_bias"] = float(grads["s_bias"])
     return loss, grads, stats
 
 
-def _side_backward(side: _Side, params: AttentionParams, dU, grads):
+def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads):
+    """Backward through one side's attention: adds onto the group gradients
+    and the side's embedding slots, and returns the decay_raw gradient of
+    each center, (B, C).
+
+    The attention scores use W only through a1.W u_c and a2.W u_p, so their
+    share of the W, att_vector and embedding gradients is rank one per slot.
+    """
     d = params.dim
     a1 = params.att_vector[:d]
     a2 = params.att_vector[d:]
     W = params.local_weight
 
     d_btil, d_alpha, d_kap = side.d_btil, side.d_alpha, side.d_kap
-    grads["s_weight"] += np.einsum("bc,bcd->d", d_btil,
-                                   side.kbar[:, :, None] * side.ut)
+    d_btil_k = d_btil * side.kbar
+    grads["s_weight"] += d_btil_k.reshape(-1) @ side.ut.reshape(-1, d)
     grads["s_bias"] += d_btil.sum()
-    d_ut = d_btil[:, :, None] * side.kbar[:, :, None] * params.s_weight
-    d_kbar = d_btil * (side.ut @ params.s_weight)
-    d_delta = d_kbar * side.kbar * (-side.mdt[:, None])
+    d_delta = d_btil * side.us * side.kbar * (-side.mdt[:, None])
 
-    d_agg = d_ut * side.ut * (1.0 - side.ut)
-    d_alpha = d_alpha + np.einsum("bcd,bhd->bch", d_agg, side.Wh)
-    d_Wh = np.einsum("bch,bcd->bhd", side.alpha, d_agg)
+    d_agg = (d_btil_k[:, :, None] * params.s_weight) * side.ut * (1.0 - side.ut)
+    d_alpha = d_alpha + d_agg @ side.Wh.transpose(0, 2, 1)
+    d_Wh = side.alpha.transpose(0, 2, 1) @ d_agg                  # (B, h, d)
 
     s = np.einsum("bch,bch->bc", side.alpha, d_alpha)
     d_at = side.alpha * (d_alpha - s[:, :, None])
@@ -299,13 +327,13 @@ def _side_backward(side: _Side, params: AttentionParams, dU, grads):
     d_delta += np.einsum("bch,bch->bc", d_kap,
                          side.kap * (-side.dt[:, None, :]))
 
-    grads["att_vector"][:d] += np.einsum("bc,bcd->d", d_dotc, side.Wc)
-    grads["att_vector"][d:] += np.einsum("bh,bhd->d", d_dotp, side.Wh)
-    d_Wc = d_dotc[:, :, None] * a1
-    d_Wh = d_Wh + d_dotp[:, :, None] * a2
-
-    grads["local_weight"] += np.einsum("bcr,bcs->rs", d_Wc, side.Uc)
-    grads["local_weight"] += np.einsum("bhr,bhs->rs", d_Wh, side.Uh)
-    np.add.at(dU, side.centers, d_Wc @ W)
-    np.add.at(dU, side.nodes, d_Wh @ W)
-    np.add.at(grads["decay_raw"], side.centers, d_delta * sigmoid(side.raw_c))
+    Uh = side.Uh.reshape(-1, d)
+    uc = d_dotc.reshape(-1) @ side.Uc.reshape(-1, d)    # sum of d_dotc * u_c
+    up = d_dotp.reshape(-1) @ Uh                        # sum of d_dotp * u_p
+    grads["att_vector"][:d] += W @ uc
+    grads["att_vector"][d:] += W @ up
+    grads["local_weight"] += np.outer(a1, uc) + np.outer(a2, up) \
+        + d_Wh.reshape(-1, d).T @ Uh
+    dUc += d_dotc[:, :, None] * (a1 @ W)
+    dUh += d_Wh @ W + d_dotp[:, :, None] * (a2 @ W)
+    return d_delta * sigmoid(side.raw_c)

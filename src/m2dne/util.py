@@ -9,13 +9,13 @@ import numpy as np
 
 
 def sigmoid(x):
-    """Logistic function, stable for large |x|."""
+    """Logistic function, stable for large |x|.
+
+    exp(min(x, 0)) / (1 + exp(-|x|)) is 1 / (1 + e^-x) for x >= 0 and
+    e^x / (1 + e^x) below, without branching on the sign.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.minimum(x, -x)))
     if out.ndim == 0:
         return float(out)
     return out
@@ -37,6 +37,19 @@ def softplus(x):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def scatter_rows(index, rows, count: int) -> np.ndarray:
+    """(count, d) array whose row v is the sum of the rows of ``rows`` whose
+    index is v; ``index`` holds one id per row of ``rows`` (any matching
+    leading shape). One bincount over the flattened entries, summed in order.
+    """
+    index = np.asarray(index, dtype=np.int64).reshape(-1)
+    rows = np.asarray(rows, dtype=np.float64).reshape(index.shape[0], -1)
+    d = rows.shape[1]
+    flat = ((index * d)[:, None] + np.arange(d)).reshape(-1)
+    return np.bincount(flat, weights=rows.reshape(-1),
+                       minlength=count * d).reshape(count, d)
 
 
 def substream(seed: int, name: str) -> np.random.Generator:

@@ -4,6 +4,7 @@ Pure-Python scalar code, deliberately written without the package's helpers
 or vectorization, following the model definitions term by term.
 """
 
+import bisect
 import math
 
 
@@ -132,6 +133,30 @@ def sampled_loss_oracle(events, hists, neg_src, neg_dst, U, att, W, sw, sb,
             loss += _softplus(intensity_raw_oracle(i, j2, t, hist_i, hist_j,
                                                    *args))
     return loss
+
+
+def negative_draws_oracle(cum, order, k, rng, exclude=None):
+    """k draws from a cumulative unigram table, one uniform at a time; a draw
+    equal to the excluded node is redrawn until it differs."""
+    out = []
+    for _ in range(k):
+        while True:
+            pos = min(bisect.bisect_right(cum, rng.random()), len(order) - 1)
+            if order[pos] != exclude:
+                out.append(order[pos])
+                break
+    return out
+
+
+def event_negatives_oracle(src, dst, cum, order, k, rng):
+    """Per event in order: k source replacements that exclude the target,
+    then k target replacements that exclude the source."""
+    cum, order = list(cum), [int(v) for v in order]
+    neg_src, neg_dst = [], []
+    for i, j in zip(src, dst):
+        neg_src.append(negative_draws_oracle(cum, order, k, rng, exclude=j))
+        neg_dst.append(negative_draws_oracle(cum, order, k, rng, exclude=i))
+    return neg_src, neg_dst
 
 
 def linking_rate_oracle(U, edges, t, theta):

@@ -37,21 +37,23 @@ def net_from_events(events, node_count=None, weights=None, weighted=False):
                            weighted=weighted)
 
 
-def _padded(hist):
-    """(1, h) node and time rows plus the length of one history."""
-    h = max(len(hist), 1)
-    nodes = np.zeros((1, h), dtype=np.int64)
-    times = np.zeros((1, h), dtype=np.int64)
-    for k, (p, tp) in enumerate(hist):
-        nodes[0, k], times[0, k] = p, tp
-    return nodes, times, np.array([len(hist)], dtype=np.int64)
+def padded_rows(hists):
+    """(B, h) node and time rows plus the lengths of B histories, lists of
+    (neighbor, time) pairs."""
+    h = max(max(len(hist) for hist in hists), 1)
+    nodes = np.zeros((len(hists), h), dtype=np.int64)
+    times = np.zeros((len(hists), h), dtype=np.int64)
+    for b, hist in enumerate(hists):
+        for k, (p, tp) in enumerate(hist):
+            nodes[b, k], times[b, k] = p, tp
+    return nodes, times, np.array([len(hist) for hist in hists], dtype=np.int64)
 
 
 def one_event_batch(i, j, t, hist_i, hist_j):
     """EventBatch of the event (i, j, t) with the given pre-event histories,
     lists of (neighbor, time) pairs."""
     return EventBatch(np.array([i]), np.array([j]), np.array([t]),
-                      *_padded(hist_i), *_padded(hist_j))
+                      *padded_rows([hist_i]), *padded_rows([hist_j]))
 
 
 def engine_score(i, j, t, hist_i, hist_j, U, P):
@@ -66,7 +68,7 @@ def engine_score(i, j, t, hist_i, hist_j, U, P):
 def engine_side(centers, hist, U, P, t):
     """Engine forward caches of the given attention centers over one history
     at time t (a batch of one row)."""
-    nodes, times, length = _padded(hist)
+    nodes, times, length = padded_rows([hist])
     return _Side(np.array([centers]), nodes, times, length, np.array([t]),
                  U, P)
 

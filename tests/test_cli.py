@@ -98,6 +98,25 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:3:" in err and "'dim'" in err and "'six'" in err
 
+    @pytest.mark.parametrize("line,key,rule", [
+        ("epochs = 0", "epochs", "epochs must be >= 1"),
+        ("dim = 0", "dim", "dim must be >= 1"),
+        ("epsilon = 1.5", "epsilon", "epsilon must be in [0, 1]"),
+        ("batch-size = -2", "batch-size", "batch_size must be >= 1"),
+    ])
+    def test_out_of_range_value_names_file_line_and_key(self, tmp_path,
+                                                         capsys, line, key,
+                                                         rule):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        rc = main(["train", "--edges", TOY_EDGES, "--config", str(cfg),
+                   "--out", str(tmp_path / "c.ckpt"),
+                   "--trace", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err and repr(key) in err and rule in err
+        assert not (tmp_path / "c.ckpt").exists()
+
 
 class TestEvalCommand:
     def test_reconstruct_report_shape(self, tmp_path, capsys):

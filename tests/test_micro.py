@@ -9,7 +9,7 @@ import pytest
 
 import _oracles as orc
 from conftest import engine_score, engine_side, one_event_batch, oracle_args
-from m2dne.micro import AttentionParams, NegativeTable
+from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
 from m2dne.micrograd import _pair_beta, batch_loss_and_grads
 from m2dne.util import softplus
 
@@ -242,6 +242,62 @@ class TestNegativeSampling:
         draws = table.sample(200, np.random.default_rng(5))
         draws_p = table_p.sample(200, np.random.default_rng(5))
         assert np.array_equal(perm[draws], draws_p)
+
+    def test_excluded_node_with_all_mass_fails(self):
+        table = NegativeTable(np.array([5, 0, 0]))
+        with pytest.raises(ValueError, match="node 0 carries all"):
+            table.sample(1, np.random.default_rng(0), exclude=0)
+        with pytest.raises(ValueError, match="node 0 carries all"):
+            table.sample(3, np.random.default_rng(0),
+                         exclude=np.array([1, 0, 2]))
+
+    def test_per_draw_exclusion(self):
+        rng = np.random.default_rng(3)
+        exclude = np.tile([0, 1], 500)
+        draws = NegativeTable(np.array([5, 3])).sample(1000, rng,
+                                                       exclude=exclude)
+        assert np.array_equal(draws, 1 - exclude)
+
+
+class TestEventNegativesOracle:
+    """The batched draws against the one-uniform-at-a-time loop in
+    ``tests/_oracles.py``: same ids, same generator state afterwards."""
+
+    @staticmethod
+    def both(src, dst, table, k, seed):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        neg_src, neg_dst = draw_event_negatives(src, dst, table, k, rng)
+        want_src, want_dst = orc.event_negatives_oracle(
+            src.tolist(), dst.tolist(), table.cum, table.order, k, rng_ref)
+        assert neg_src.shape == neg_dst.shape == (len(src), k)
+        assert neg_src.tolist() == want_src
+        assert neg_dst.tolist() == want_dst
+        assert rng.random() == rng_ref.random()
+        return neg_src, neg_dst
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_batches(self, seed):
+        rng = np.random.default_rng(seed)
+        V = int(rng.integers(2, 30))
+        table = NegativeTable(rng.integers(1, 20, V), order=rng.permutation(V))
+        B, k = int(rng.integers(1, 60)), int(rng.integers(1, 7))
+        src, dst = rng.integers(V, size=(2, B))
+        self.both(src, dst, table, k, seed + 100)
+
+    def test_k_zero(self):
+        table = NegativeTable(np.array([2, 3, 4]))
+        self.both(np.array([0, 1]), np.array([2, 0]), table, 0, 1)
+
+    def test_skewed_table_forces_rejections(self):
+        table = NegativeTable(np.array([1000, 1, 1, 1]),
+                              order=np.array([2, 0, 3, 1]))
+        assert table.mass[0] > 0.9
+        B = 40
+        src = np.tile([1, 2, 3, 0], B // 4)
+        dst = np.where(src == 0, 1, 0)          # every event touches node 0
+        neg_src, neg_dst = self.both(src, dst, table, 5, 7)
+        assert not np.any(neg_src == dst[:, None])
+        assert not np.any(neg_dst == src[:, None])
 
 
 class TestDecayReparameterization:

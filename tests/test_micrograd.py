@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import _oracles as orc
-from conftest import net_from_events, oracle_args
+from conftest import net_from_events, oracle_args, padded_rows
 from m2dne.graph import snapshot_arrays
 from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
 from m2dne.micrograd import EventBatch, batch_loss_and_grads
@@ -170,6 +171,67 @@ class TestGradients:
         assert ok.passed
         bad = compare_grads(analytic, {"w": np.array([1.0, 2.1])}, 1e-4)
         assert not bad.passed
+
+
+class TestDuplicateIndices:
+    def test_repeated_node_gradient_matches_central_differences(self):
+        # node 0 is the source of events 0 and 1, a negative of event 2 and
+        # a history entry of event 3: its gradient sums over many slots
+        batch = EventBatch(
+            np.array([0, 0, 3, 5]), np.array([1, 2, 4, 6]),
+            np.array([5, 5, 6, 6]),
+            *padded_rows([[(2, 3), (3, 4)], [(1, 2)], [(6, 1)],
+                          [(0, 4), (4, 5)]]),
+            *padded_rows([[(0, 4)], [(3, 1), (0, 3)], [], [(0, 2)]]))
+        neg_src = np.array([[4, 6], [5, 3], [0, 5], [2, 1]])
+        neg_dst = np.array([[6, 2], [4, 1], [6, 0], [3, 0]])
+        rng = np.random.default_rng(41)
+        U = rng.normal(0, 0.4, (7, 4))
+        _, P = random_state(net_from_events([(0, 1, 1)], node_count=7), 4, 42)
+        _, grads, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P)
+
+        step = 1e-5
+        numeric = np.zeros_like(U)
+        for pos in np.ndindex(U.shape):
+            orig = U[pos]
+            U[pos] = orig + step
+            up = engine_loss(batch, neg_src, neg_dst, U, P)
+            U[pos] = orig - step
+            down = engine_loss(batch, neg_src, neg_dst, U, P)
+            U[pos] = orig
+            numeric[pos] = (up - down) / (2 * step)
+        report = compare_grads({"embeddings": grads["embeddings"]},
+                               {"embeddings": numeric}, tolerance=1e-4)
+        assert report.passed, report.max_rel_err
+        assert np.abs(grads["embeddings"][0]).max() > 1e-3
+
+
+class TestMemory:
+    def test_peak_stays_below_four_pair_history_tensors(self):
+        # a (B, 1 + K, h, d) float64 tensor is the size of one pair-history
+        # product; the engine never builds one
+        B, K, h, d, V = 128, 8, 16, 32, 400
+        rng = np.random.default_rng(5)
+
+        def history():
+            return (rng.integers(V, size=(B, h)),
+                    np.sort(rng.integers(1, 50, size=(B, h)), axis=1),
+                    rng.integers(0, h + 1, size=B))
+
+        batch = EventBatch(rng.integers(V, size=B), rng.integers(V, size=B),
+                           np.full(B, 60), *history(), *history())
+        U = rng.normal(0, 0.3, (V, d))
+        P = AttentionParams(rng.normal(0, 0.3, 2 * d),
+                            rng.normal(0, 0.3, (d, d)), rng.normal(0, 0.3, d),
+                            0.1, rng.normal(0, 0.3, V))
+        neg_src, neg_dst = rng.integers(V, size=(2, B, K))
+        tracemalloc.start()
+        try:
+            batch_loss_and_grads(batch, neg_src, neg_dst, U, P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * B * (1 + K) * h * d * 8
 
 
 class TestPermutationEquivariance:
