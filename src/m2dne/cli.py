@@ -7,6 +7,7 @@ defaults. Exit codes: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import evaluate as ev
@@ -15,11 +16,9 @@ from .train import (TrainConfig, fit, gradient_check, init_state,
                     load_checkpoint, save_checkpoint)
 from .util import substream
 
-TRAIN_FIELDS = {
-    "dim": int, "history": int, "negatives": int, "epsilon": float,
-    "epochs": int, "batch_size": int, "learning_rate": float, "seed": int,
-    "grad_clip": float,
-}
+# TrainConfig field name -> the type of its default, which parses its value
+TRAIN_FIELDS = {f.name: type(f.default)
+                for f in dataclasses.fields(TrainConfig)}
 
 
 def _read_config_file(path) -> dict:
@@ -70,16 +69,9 @@ def _float_list(text: str):
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file (flags override it)")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--history", type=int, default=None)
-    p.add_argument("--negatives", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float,
-                   default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grad-clip", dest="grad_clip", type=float, default=None)
+    for name, kind in TRAIN_FIELDS.items():
+        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
+                       default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -66,6 +66,18 @@ def _decode_pairs(flat: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
     j = flat - starts[i] + i + 1
     return i.astype(np.int64), j
 
+
+def _node_count(embeddings: np.ndarray, *nets: TemporalNetwork) -> int:
+    """The node count V shared by the embeddings and the networks, which
+    encode node pairs as keys ``min * V + max``."""
+    V = embeddings.shape[0]
+    for net in nets:
+        if net.node_count != V:
+            raise ValueError(f"embeddings have {V} rows but the network has "
+                             f"{net.node_count} nodes")
+    return V
+
+
 def _pair_scores(embeddings: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  workers: int) -> np.ndarray:
     def score(chunk):
@@ -88,16 +100,10 @@ def _auc_rank_sum(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = int(positive.size - n_pos)
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative pairs")
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    pos = 0
-    while pos < scores.size:
-        end = pos
-        while end + 1 < scores.size and sorted_scores[end + 1] == sorted_scores[pos]:
-            end += 1
-        ranks[order[pos:end + 1]] = 0.5 * (pos + end) + 1.0
-        pos = end + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[inverse]
     rank_sum = float(ranks[positive].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -111,7 +117,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     Ties in the ranking break by ascending (min id, max id) so reports are
     reproducible.
     """
-    V = embeddings.shape[0]
+    V = _node_count(embeddings, net)
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
@@ -125,9 +131,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     lo, hi = _decode_pairs(flat, V)
     scores = _pair_scores(embeddings, lo, hi, resolve_workers(workers))
 
-    edges = net.static_edges()
-    positive = np.fromiter(((int(a), int(b)) in edges for a, b in zip(lo, hi)),
-                           dtype=bool, count=lo.shape[0])
+    positive = np.isin(lo * V + hi, net.edge_keys())
 
     order = np.lexsort((hi, lo, -scores))
     metrics = {}
@@ -243,10 +247,12 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
 # ---------------------------------------------------------------------------
 # temporal link prediction
 
-def _sample_non_edges(V: int, count: int, existing: set,
-                      rng: np.random.Generator) -> list[tuple[int, int]]:
+def _sample_non_edges(V: int, count: int, existing: np.ndarray,
+                      rng: np.random.Generator) -> np.ndarray:
+    """``count`` distinct pair keys ``min * V + max`` drawn uniformly, in draw
+    order, none of them among the ``existing`` keys."""
+    taken = set(existing.tolist())
     out = []
-    seen = set()
     attempts = 0
     limit = 1000 * max(count, 1)
     while len(out) < count:
@@ -257,12 +263,12 @@ def _sample_non_edges(V: int, count: int, existing: set,
         b = int(rng.integers(V))
         if a == b:
             continue
-        pair = (min(a, b), max(a, b))
-        if pair in existing or pair in seen:
+        key = min(a, b) * V + max(a, b)
+        if key in taken:
             continue
-        seen.add(pair)
-        out.append(pair)
-    return out
+        taken.add(key)
+        out.append(key)
+    return np.asarray(out, dtype=np.int64)
 
 
 def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
@@ -270,20 +276,17 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
                              folds: int = 5) -> MetricReport:
     """Cross-validated accuracy/F1 of a binary classifier on |u_i - u_j|
     features, held-out edges against uniformly sampled never-linked pairs."""
-    positives = sorted(test_net.static_edges())
+    V = _node_count(embeddings, test_net, full_net)
+    positives = test_net.edge_keys()
     if len(positives) < 2:
         raise ValueError("need at least 2 held-out edges")
     rng = substream(seed, "eval-splits")
-    existing = full_net.static_edges()
-    negatives = _sample_non_edges(embeddings.shape[0], len(positives),
-                                  existing, rng)
+    negatives = _sample_non_edges(V, len(positives), full_net.edge_keys(), rng)
 
-    pairs = positives + negatives
+    keys = np.concatenate([positives, negatives])
     y = np.concatenate([np.ones(len(positives), dtype=np.int64),
                         np.zeros(len(negatives), dtype=np.int64)])
-    idx_a = np.array([p[0] for p in pairs])
-    idx_b = np.array([p[1] for p in pairs])
-    X = np.abs(embeddings[idx_a] - embeddings[idx_b])
+    X = np.abs(embeddings[keys // V] - embeddings[keys % V])
 
     folds = max(2, min(folds, len(positives), len(negatives)))
     fold_of = np.empty(y.shape[0], dtype=np.int64)
@@ -312,15 +315,27 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
 # ---------------------------------------------------------------------------
 # scale prediction and trend forecast
 
-def _future_nodes(n_mode: str, series_full: MacroSeries,
-                  series_train: MacroSeries, horizon: np.ndarray) -> np.ndarray:
-    """Cumulative node counts over the horizon: the observed ones, or a line
-    extrapolated from the training prefix."""
+def _growth_inputs(embeddings: np.ndarray, net_full: TemporalNetwork,
+                   series_full: MacroSeries, train_end: int, t_end: int,
+                   n_mode: str):
+    """(training prefix through ``train_end``, affinity S over its edges,
+    horizon epochs ``train_end + 1 .. t_end``, their cumulative node counts).
+
+    The node counts are the observed ones, or a line extrapolated from the
+    training prefix.
+    """
+    series_train = series_full.prefix(train_end)
+    horizon = np.arange(train_end + 1, t_end + 1, dtype=np.int64)
     if n_mode == "observed":
-        return series_full.n[horizon - 1]
-    if n_mode == "linear":
-        return macro_mod.linear_node_forecast(series_train, horizon)
-    raise ValueError(f"unknown n_mode {n_mode!r}")
+        n_future = series_full.n[horizon - 1]
+    elif n_mode == "linear":
+        n_future = macro_mod.linear_node_forecast(series_train, horizon)
+    else:
+        raise ValueError(f"unknown n_mode {n_mode!r}")
+    mask = net_full.time <= train_end
+    S = macro_mod.edge_affinity(embeddings, net_full.src[mask],
+                                net_full.dst[mask])
+    return series_train, S, horizon, n_future
 
 
 def _count_affine_pairs(embeddings: np.ndarray, chunk: int = 512) -> int:
@@ -354,14 +369,10 @@ def scale_prediction(state: ModelState, net_full: TemporalNetwork,
         raise ValueError("t_next must lie after the training window")
     if t_next > T:
         raise ValueError(f"t_next={t_next} beyond the observed series (T={T})")
-    series_train = series_full.prefix(train_end)
-    mask = net_full.time <= train_end
-    edge_src, edge_dst = net_full.src[mask], net_full.dst[mask]
-    horizon = np.arange(train_end + 1, t_next + 1, dtype=np.int64)
-    n_future = _future_nodes(n_mode, series_full, series_train, horizon)
-    forecast = macro_mod.forecast_scale(state.embeddings, state.macro,
-                                        series_train, edge_src, edge_dst,
-                                        horizon, n_future)
+    series_train, S, horizon, n_future = _growth_inputs(
+        state.embeddings, net_full, series_full, train_end, t_next, n_mode)
+    forecast = macro_mod.forecast_scale(S, state.macro, series_train, horizon,
+                                        n_future)
     predicted = int(np.floor(forecast[-1] + 0.5))
     actual = int(series_full.e[t_next - 1])
     baseline = _count_affine_pairs(state.embeddings)
@@ -391,29 +402,20 @@ def trend_forecast_report(state: ModelState, net_full: TemporalNetwork,
     if train_epochs < 2:
         raise ValueError(f"train_fraction={train_fraction} leaves "
                          f"{train_epochs} < 2 training epochs")
-    series_train = series_full.prefix(train_epochs)
-    mask = net_full.time <= train_epochs
-    edge_src, edge_dst = net_full.src[mask], net_full.dst[mask]
-    horizon = np.arange(train_epochs + 1, T + 1, dtype=np.int64)
-    n_future = _future_nodes(n_mode, series_full, series_train, horizon)
-    params = macro_mod.fit_params(series_train, state.embeddings,
-                                  edge_src, edge_dst)
-    if horizon.size:
-        forecast = macro_mod.forecast_scale(state.embeddings, params,
-                                            series_train, edge_src, edge_dst,
-                                            horizon, n_future)
-        observed = series_full.e[horizon - 1]
-        rmse = float(np.sqrt(np.mean((forecast - observed) ** 2)))
-        rows = [(int(t), float(p), float(o))
-                for t, p, o in zip(horizon, forecast, observed)]
-    else:
-        rmse = 0.0
-        rows = []
+    series_train, S, horizon, n_future = _growth_inputs(
+        state.embeddings, net_full, series_full, train_epochs, T, n_mode)
+    params = macro_mod.fit_params(series_train, S)
+    forecast = macro_mod.forecast_scale(S, params, series_train, horizon,
+                                        n_future)
+    observed = series_full.e[horizon - 1]
+    rmse = float(np.sqrt(np.mean((forecast - observed) ** 2))) \
+        if horizon.size else 0.0
+    rows = [(int(t), float(p), float(o))
+            for t, p, o in zip(horizon, forecast, observed)]
     report = MetricReport(
         task="trend_forecast",
         metrics={"suffix_rmse": rmse, "horizon_epochs": int(horizon.size),
-                 "fit_sse": macro_mod.macro_loss(series_train, state.embeddings,
-                                                 edge_src, edge_dst, params),
+                 "fit_sse": macro_mod.macro_loss(series_train, S, params),
                  "fitted_zeta": params.zeta, "fitted_gamma": params.gamma,
                  "fitted_theta": params.theta},
         config={"task": "trend_forecast", "train_fraction": float(train_fraction),

@@ -51,18 +51,17 @@ class TemporalNetwork:
             object.__setattr__(self, "_id_lookup", lookup)
             return self._id_lookup[raw]
 
-    def static_edges(self) -> set[tuple[int, int]]:
-        """Deduplicated undirected (min, max) node pairs."""
+    def edge_keys(self) -> np.ndarray:
+        """Deduplicated undirected node pairs as sorted int64 keys
+        ``min * node_count + max`` (so sorted by (min, max))."""
         lo = np.minimum(self.src, self.dst)
         hi = np.maximum(self.src, self.dst)
-        return set(zip(lo.tolist(), hi.tolist()))
+        return np.unique(lo * self.node_count + hi)
 
     def degrees(self) -> np.ndarray:
         """Temporal degree: number of events each node participates in."""
-        deg = np.zeros(self.node_count, dtype=np.int64)
-        np.add.at(deg, self.src, 1)
-        np.add.at(deg, self.dst, 1)
-        return deg
+        return (np.bincount(self.src, minlength=self.node_count)
+                + np.bincount(self.dst, minlength=self.node_count))
 
     def first_appearance_order(self) -> np.ndarray:
         """Node ids ordered by first appearance in the event stream.
@@ -70,16 +69,16 @@ class TemporalNetwork:
         The order is preserved under any relabeling of the dense ids, which
         keeps samplers built on it equivariant to id permutations.
         """
-        seen = np.zeros(self.node_count, dtype=bool)
-        order = []
-        for s, d in zip(self.src.tolist(), self.dst.tolist()):
-            if not seen[s]:
-                seen[s] = True
-                order.append(s)
-            if not seen[d]:
-                seen[d] = True
-                order.append(d)
-        return np.asarray(order, dtype=np.int64)
+        return _first_appearances(self)[0]
+
+
+def _first_appearances(net: TemporalNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """(node ids in order of first appearance, index of the event each first
+    appears in), over the stream src_0, dst_0, src_1, dst_1, ..."""
+    stream = np.stack([net.src, net.dst], axis=1).reshape(-1)
+    _, first = np.unique(stream, return_index=True)
+    first.sort()
+    return stream[first].astype(np.int64), first // 2
 
 
 def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
@@ -267,23 +266,9 @@ def compute_macro_series(net: TemporalNetwork) -> MacroSeries:
     if len(net) == 0:
         raise ValueError("empty network")
     T = int(net.time.max())
-    e = np.zeros(T, dtype=np.float64)
-    n = np.zeros(T, dtype=np.float64)
-    seen = np.zeros(net.node_count, dtype=bool)
-    edge_total = 0
-    node_total = 0
-    idx = 0
-    src, dst, time = net.src, net.dst, net.time
-    for t in range(1, T + 1):
-        while idx < len(net) and time[idx] == t:
-            edge_total += 1
-            for v in (src[idx], dst[idx]):
-                if not seen[v]:
-                    seen[v] = True
-                    node_total += 1
-            idx += 1
-        e[t - 1] = edge_total
-        n[t - 1] = node_total
+    e = np.cumsum(np.bincount(net.time, minlength=T + 1)[1:]).astype(np.float64)
+    first_time = net.time[_first_appearances(net)[1]]
+    n = np.cumsum(np.bincount(first_time, minlength=T + 1)[1:]).astype(np.float64)
     return MacroSeries(epochs=np.arange(1, T + 1, dtype=np.int64),
                        n=n, e=e, delta_e=np.diff(e))
 

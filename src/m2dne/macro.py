@@ -6,7 +6,10 @@ The number of new edges arriving after epoch t is modeled as
     n(t) * r(t) * zeta * (n(t) - 1) ** gamma
 
 with the linking rate r(t) = S(U) / t ** theta, where S(U) is the mean
-sigmoid(-||u_i - u_j||^2) over the training-window temporal edges. zeta is
+sigmoid(-||u_i - u_j||^2) over the training-window temporal edges. The
+embeddings U enter only through that scalar, so the fit, the loss and the
+forecast take S, and a caller computes it once per set of embeddings (only
+``macro_loss_and_grads``, which differentiates through S, takes U). zeta is
 kept positive through a softplus reparameterization; the rate numerator is
 computed over training edges only so forecasts never touch held-out data.
 The three growth scalars are fitted by a Levenberg-Marquardt least-squares
@@ -79,13 +82,11 @@ def _predict_series(S: float, n: np.ndarray, t: np.ndarray,
         return n * (S / np.power(t.astype(np.float64), params.theta)) * zeta * base
 
 
-def macro_loss(series: MacroSeries, embeddings: np.ndarray,
-               edge_src: np.ndarray, edge_dst: np.ndarray,
-               params: MacroParams) -> float:
-    """Sum of squared errors between observed and predicted increments."""
+def macro_loss(series: MacroSeries, S: float, params: MacroParams) -> float:
+    """Sum of squared errors between observed and predicted increments at
+    affinity ``S`` (see :func:`edge_affinity`)."""
     if len(series.delta_e) == 0:
         return 0.0
-    S = edge_affinity(embeddings, edge_src, edge_dst)
     pred = _predict_series(S, series.n[:-1], series.epochs[:-1], params)
     return float(np.sum((series.delta_e - pred) ** 2))
 
@@ -139,10 +140,10 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
     return loss, dU, d_zeta_raw, d_gamma, d_theta
 
 
-def fit_params(series: MacroSeries, embeddings: np.ndarray,
-               edge_src: np.ndarray, edge_dst: np.ndarray,
+def fit_params(series: MacroSeries, S: float,
                init: MacroParams | None = None) -> MacroParams:
-    """Fit (zeta, gamma, theta) by Levenberg-Marquardt with frozen embeddings.
+    """Fit (zeta, gamma, theta) by Levenberg-Marquardt at a fixed affinity
+    ``S`` (the embeddings are frozen).
 
     Each iteration solves (J^T J + lam * diag(J^T J)) delta = -J^T r on the
     residuals r = pred - delta_e, starting from ``init`` (default
@@ -155,7 +156,6 @@ def fit_params(series: MacroSeries, embeddings: np.ndarray,
     """
     if len(series.delta_e) == 0:
         raise ValueError("cannot fit on a series without increments")
-    S = edge_affinity(embeddings, edge_src, edge_dst)
     n = series.n[:-1]
     t = series.epochs[:-1].astype(np.float64)
     d_obs = series.delta_e
@@ -204,11 +204,10 @@ def linear_node_forecast(series_train: MacroSeries,
     return np.maximum(pred, series_train.n[-1])
 
 
-def forecast_scale(embeddings: np.ndarray, params: MacroParams,
-                   series_train: MacroSeries, edge_src: np.ndarray,
-                   edge_dst: np.ndarray, horizon: np.ndarray,
-                   n_future: np.ndarray | None) -> np.ndarray:
-    """Cumulative edge-count forecast over the horizon epochs.
+def forecast_scale(S: float, params: MacroParams, series_train: MacroSeries,
+                   horizon: np.ndarray, n_future: np.ndarray | None) -> np.ndarray:
+    """Cumulative edge-count forecast over the horizon epochs at affinity
+    ``S`` over the training edges.
 
     The first step uses the node count and rate of the last training epoch;
     later steps consume ``n_future`` (cumulative node counts aligned with the
@@ -227,16 +226,9 @@ def forecast_scale(embeddings: np.ndarray, params: MacroParams,
     if n_future.shape[0] != horizon.shape[0]:
         raise ValueError("n_future must align with the horizon")
 
-    S = edge_affinity(embeddings, edge_src, edge_dst)
-    zeta = params.zeta
-    out = np.empty(horizon.shape[0], dtype=np.float64)
-    e_cum = float(series_train.e[-1])
-    n_prev = float(series_train.n[-1])
-    t_prev = float(t_last)
-    for m in range(horizon.shape[0]):
-        rate = S / t_prev ** params.theta
-        e_cum += predicted_new_edges(n_prev, rate, zeta, params.gamma)
-        out[m] = e_cum
-        n_prev = float(n_future[m])
-        t_prev = float(horizon[m])
-    return out
+    # step m grows the count from epoch horizon[m] - 1, whose node count is
+    # the last training one for m = 0 and n_future[m - 1] after that
+    n = np.concatenate([series_train.n[-1:], n_future[:-1]])
+    t = np.concatenate([[t_last], horizon[:-1]])
+    new_edges = _predict_series(S, n, t, params)
+    return np.cumsum(np.concatenate([series_train.e[-1:], new_edges]))[1:]

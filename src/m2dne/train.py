@@ -153,8 +153,6 @@ def sample_batch(data: TrainData, batch_size: int,
 @dataclass
 class StepResult:
     micro_loss: float
-    macro_loss: float
-    total_loss: float
     range_hits: int
 
 
@@ -179,36 +177,32 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
     return total, micro, ma, grads, stats
 
 
-# During fit, the three growth scalars are excluded from the per-batch steps
-# and refreshed at epoch boundaries instead (see fit); their full-series
-# gradients are orders of magnitude steeper than the event-level ones, so
-# sharing the configured rate would only produce clip-bounded oscillation.
-_EPOCH_FITTED_GROUPS = {"zeta_raw": 0.0, "gamma": 0.0, "theta": 0.0}
+# The three growth scalars are not stepped: fit re-fits them to the full
+# series at epoch boundaries. Their full-series gradients are orders of
+# magnitude steeper than the event-level ones, so sharing the configured rate
+# would only produce clip-bounded oscillation.
+_STEPPED_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
+                   "s_bias", "decay_raw")
 
 
 def step(state: ModelState, batch: EventBatch, data: TrainData,
-         config: TrainConfig, rng: np.random.Generator,
-         rate_scales: dict | None = None) -> StepResult:
-    """One descent update over every parameter group, in place.
+         config: TrainConfig, rng: np.random.Generator) -> StepResult:
+    """One descent update of the six event-level groups, in place.
 
     Per-group gradients exceeding ``grad_clip`` in L2 norm are rescaled to
     the clip so a single mis-scaled group cannot blow up the state; gradients
-    must be finite or the step aborts naming the offending group.
-    ``rate_scales`` optionally multiplies individual groups' rates (fit uses
-    it to hand the growth scalars to the epoch-boundary refit).
+    must be finite or the step aborts naming the offending group. The growth
+    scalars are left to the epoch-boundary refit in :func:`fit`.
     """
     neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
                                             config.negatives, rng)
-    total, micro, ma, grads, stats = _joint_grads(state, batch, neg_src,
-                                                  neg_dst, data, config)
+    _, micro, _, grads, stats = _joint_grads(state, batch, neg_src, neg_dst,
+                                             data, config)
     lr = config.learning_rate
-    for name in ("embeddings", "att_vector", "local_weight", "s_weight",
-                 "s_bias", "decay_raw", "zeta_raw", "gamma", "theta"):
+    for name in _STEPPED_GROUPS:
         g = np.asarray(grads[name], dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
-        if rate_scales is not None:
-            g = g * rate_scales.get(name, 1.0)
         norm = float(np.linalg.norm(g))
         if config.grad_clip > 0 and norm > config.grad_clip:
             g = g * (config.grad_clip / norm)
@@ -217,8 +211,7 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
             state.set_scalar(name, float(current) - lr * float(g))
         else:
             state.param_groups()[name] -= lr * g
-    return StepResult(micro_loss=micro, macro_loss=ma, total_loss=total,
-                      range_hits=stats["range_hits"])
+    return StepResult(micro_loss=micro, range_hits=stats["range_hits"])
 
 
 @dataclass
@@ -271,33 +264,27 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     neg_rng = substream(config.seed, "negatives")
     steps_per_epoch = max(1, math.ceil(len(net) / config.batch_size))
     trace = LossTrace()
-    frozen_macro = None
-    rate_scales = None
-    if config.epsilon == 0.0:
-        frozen_macro = macro_mod.macro_loss(data.series, state.embeddings,
-                                            data.edge_src, data.edge_dst,
-                                            state.macro)
-    else:
-        rate_scales = _EPOCH_FITTED_GROUPS
-        state.macro = macro_mod.fit_params(data.series, state.embeddings,
-                                           data.edge_src, data.edge_dst,
-                                           init=state.macro)
+
+    def refit() -> float:
+        """Scale loss at the current embeddings, after re-fitting the growth
+        scalars to them when the scale term is in the objective."""
+        S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
+                                    data.edge_dst)
+        if config.epsilon > 0.0:
+            state.macro = macro_mod.fit_params(data.series, S, init=state.macro)
+        return macro_mod.macro_loss(data.series, S, state.macro)
+
+    ma = refit()
     for epoch in range(1, config.epochs + 1):
         micro_sum = 0.0
         for _ in range(steps_per_epoch):
             batch = sample_batch(data, config.batch_size, batch_rng)
-            res = step(state, batch, data, config, neg_rng, rate_scales)
+            res = step(state, batch, data, config, neg_rng)
             micro_sum += res.micro_loss
             trace.range_hits += res.range_hits
         micro_mean = micro_sum / steps_per_epoch
         if config.epsilon > 0.0:
-            state.macro = macro_mod.fit_params(data.series, state.embeddings,
-                                               data.edge_src, data.edge_dst,
-                                               init=state.macro)
-            ma = macro_mod.macro_loss(data.series, state.embeddings,
-                                      data.edge_src, data.edge_dst, state.macro)
-        else:
-            ma = frozen_macro
+            ma = refit()
         trace.append(epoch, micro_mean, ma, micro_mean + config.epsilon * ma)
         if progress:
             print(f"epoch {epoch}/{config.epochs} micro={micro_mean:.4f} "

@@ -159,6 +159,26 @@ def event_negatives_oracle(src, dst, cum, order, k, rng):
     return neg_src, neg_dst
 
 
+def stream_counts_oracle(src, dst, time, node_count):
+    """One pass over the event stream: node ids in order of first appearance,
+    temporal degrees, and cumulative node and event counts per epoch 1..T."""
+    T = max(time)
+    seen, order = set(), []
+    deg = [0] * node_count
+    n, e = [0.0] * T, [0.0] * T
+    for s, d, t in zip(src, dst, time):
+        for v in (s, d):
+            deg[v] += 1
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                for k in range(t - 1, T):
+                    n[k] += 1
+        for k in range(t - 1, T):
+            e[k] += 1
+    return order, deg, n, e
+
+
 def linking_rate_oracle(U, edges, t, theta):
     total = 0.0
     for a, b in edges:
@@ -168,6 +188,21 @@ def linking_rate_oracle(U, edges, t, theta):
 
 def predicted_new_edges_oracle(n, r, zeta, gamma):
     return n * r * zeta * ((n - 1.0) ** gamma)
+
+
+def forecast_oracle(U, edges, e_last, n_last, t_last, n_future, zeta_raw,
+                    gamma, theta):
+    """Cumulative edge counts after epoch t_last: each epoch adds the edges
+    predicted from the node count and epoch it starts from."""
+    zeta = _softplus(zeta_raw)
+    out = []
+    e, n, t = e_last, n_last, t_last
+    for n_next in n_future:
+        r = linking_rate_oracle(U, edges, t, theta)
+        e += predicted_new_edges_oracle(n, r, zeta, gamma)
+        out.append(e)
+        n, t = n_next, t + 1
+    return out
 
 
 def macro_loss_oracle(epochs, n, delta_e, U, edges, zeta_raw, gamma, theta):

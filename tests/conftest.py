@@ -37,6 +37,20 @@ def net_from_events(events, node_count=None, weights=None, weighted=False):
                            weighted=weighted)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` for the test; returns the list that collects the
+    positional arguments of each call."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
 def padded_rows(hists):
     """(B, h) node and time rows plus the lengths of B histories, lists of
     (neighbor, time) pairs."""

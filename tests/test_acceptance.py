@@ -96,14 +96,14 @@ def test_a2_macro_parameter_recovery():
 
         train_epochs = 3 * T // 4
         train = series.prefix(train_epochs)
-        fitted = fit_params(train, U, edge_src, edge_dst)   # from (sp(0), 1, 1)
+        fitted = fit_params(train, S)   # from (sp(0), 1, 1)
         assert abs(fitted.zeta - 0.8) <= 0.1 * 0.8
         assert abs(fitted.gamma - 1.2) <= 0.1 * 1.2
         assert abs(fitted.theta - 1.5) <= 0.1 * 1.5
 
         horizon = np.arange(train_epochs + 1, T + 1, dtype=np.int64)
-        forecast = forecast_scale(U, fitted, train, edge_src, edge_dst,
-                                  horizon, series.n[horizon - 1])
+        forecast = forecast_scale(S, fitted, train, horizon,
+                                  series.n[horizon - 1])
         rmse = float(np.sqrt(np.mean((forecast - series.e[horizon - 1]) ** 2)))
         assert rmse <= 0.01 * float(np.mean(series.delta_e))
         assert time.time() - start < 60.0
@@ -214,7 +214,7 @@ def test_a5_oracle_equivalence():
         series = MacroSeries(epochs=np.arange(1, 5, dtype=np.int64), n=n,
                              e=e, delta_e=delta)
         mp = MacroParams(0.3, 1.2, 0.9)
-        got = macro_loss(series, U, edge_src, edge_dst, mp)
+        got = macro_loss(series, edge_affinity(U, edge_src, edge_dst), mp)
         want = orc.macro_loss_oracle(series.epochs.tolist(), n.tolist(),
                                      delta.tolist(), U.tolist(),
                                      list(zip(edge_src, edge_dst)),

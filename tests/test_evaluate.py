@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import net_from_events
+from conftest import count_calls, net_from_events
 from m2dne.evaluate import (MetricReport, _auc_rank_sum, _pair_scores,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
                             temporal_recommendation, trend_forecast_report,
                             write_forecast_csv)
 from m2dne.graph import LabelTable, compute_macro_series, split_by_time
-from m2dne.macro import MacroParams, macro_loss
+from m2dne import macro as macro_mod
+from m2dne.macro import MacroParams, edge_affinity, macro_loss
 from m2dne.micro import AttentionParams
 from m2dne.train import ModelState
 from m2dne.util import substream
@@ -233,10 +234,11 @@ class TestTemporalLinkPrediction:
 
     def test_negatives_reject_existing_edges(self):
         from m2dne.evaluate import _sample_non_edges
-        existing = {(0, 1), (1, 2), (2, 3)}
+        existing = np.array([0 * 6 + 1, 1 * 6 + 2, 2 * 6 + 3])
         out = _sample_non_edges(6, 8, existing, substream(1, "eval-splits"))
-        assert not (set(out) & existing)
-        assert len(set(out)) == 8
+        assert not (set(out.tolist()) & set(existing.tolist()))
+        assert len(set(out.tolist())) == 8
+        assert np.all(out // 6 < out % 6)
 
     def test_too_few_edges_rejected(self):
         U = np.zeros((4, 2))
@@ -284,6 +286,12 @@ class TestScalePrediction:
         series = compute_macro_series(net)
         assert rep.metrics["predicted_edges"] == int(series.e[15])
 
+    def test_one_affinity_pass_over_training_edges(self, monkeypatch):
+        net, state = growth_law_net()
+        calls = count_calls(monkeypatch, macro_mod, "edge_affinity")
+        scale_prediction(state, net, t_next=20, train_end=16)
+        assert [len(args[1]) for args in calls] == [int(np.sum(net.time <= 16))]
+
     def test_t_next_inside_training_rejected(self):
         net, state = growth_law_net()
         with pytest.raises(ValueError):
@@ -311,8 +319,8 @@ class TestTrendForecast:
         report, _ = trend_forecast_report(state, net, 0.75)
         series = compute_macro_series(net).prefix(report.config["train_epochs"])
         mask = net.time <= report.config["train_epochs"]
-        start_sse = macro_loss(series, state.embeddings, net.src[mask],
-                               net.dst[mask], MacroParams())
+        S = edge_affinity(state.embeddings, net.src[mask], net.dst[mask])
+        start_sse = macro_loss(series, S, MacroParams())
         assert 0.0 <= report.metrics["fit_sse"] < start_sse
         again, _ = trend_forecast_report(state, net, 0.75)
         assert again.to_text() == report.to_text()
@@ -332,6 +340,14 @@ class TestTrendForecast:
         net, state = growth_law_net()
         with pytest.raises(ValueError):
             trend_forecast_report(state, net, 0.01)
+
+    def test_one_affinity_pass_over_training_edges(self, monkeypatch):
+        net, state = growth_law_net()
+        calls = count_calls(monkeypatch, macro_mod, "edge_affinity")
+        report, _ = trend_forecast_report(state, net, 0.75)
+        train_epochs = report.config["train_epochs"]
+        assert [len(args[1]) for args in calls] == \
+            [int(np.sum(net.time <= train_epochs))]
 
 
 class TestMetricReport:

@@ -191,6 +191,31 @@ class TestMacroSeries:
         assert np.all(np.diff(series.n) >= 0)
 
 
+class TestStreamArrays:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_match_stream_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        V = 12
+        events = []
+        for _ in range(60):
+            a = int(rng.integers(V))
+            b = int((a + 1 + rng.integers(V - 1)) % V)
+            events.append((a, b, int(rng.integers(1, 9))))
+        net = net_from_events(events, node_count=V + 3)   # 3 unseen ids
+        for part in (net, *split_by_time(net, net.epoch_count // 2 + 1)):
+            src, dst = part.src.tolist(), part.dst.tolist()
+            order, deg, n, e = orc.stream_counts_oracle(
+                src, dst, part.time.tolist(), part.node_count)
+            assert part.first_appearance_order().tolist() == order
+            assert part.degrees().tolist() == deg
+            series = compute_macro_series(part)
+            assert series.n.tolist() == n
+            assert series.e.tolist() == e
+            pairs = sorted({(min(a, b), max(a, b)) for a, b in zip(src, dst)})
+            assert part.edge_keys().tolist() == \
+                [a * part.node_count + b for a, b in pairs]
+
+
 class TestSplitByTime:
     EVENTS = [(0, 1, 1), (0, 2, 1), (1, 2, 1), (0, 1, 2), (2, 3, 2),
               (3, 4, 3), (0, 4, 3), (1, 4, 3), (2, 4, 4), (0, 1, 4)]

@@ -89,8 +89,7 @@ class TestMacroLoss:
         S = edge_affinity(U, src, dst)
         delta = _predict_series(S, n[:-1], np.arange(1, 4), params)
         series = make_series(n, delta)
-        assert macro_loss(series, U, src, dst, params) == pytest.approx(0.0,
-                                                                        abs=1e-18)
+        assert macro_loss(series, S, params) == pytest.approx(0.0, abs=1e-18)
 
     def test_single_epoch_squared_error(self):
         # predicted increment 1 against observed 3 -> (3 - 1)^2 = 4
@@ -99,7 +98,8 @@ class TestMacroLoss:
         dst = np.array([1, 2])
         params = MacroParams(ZETA_RAW_ONE, 1.0, 1.0)
         series = make_series([2.0, 3.0], [3.0])
-        assert macro_loss(series, U, src, dst, params) == pytest.approx(4.0)
+        S = edge_affinity(U, src, dst)
+        assert macro_loss(series, S, params) == pytest.approx(4.0)
 
     def test_toy_matches_oracle(self):
         U, src, dst = toy_edges(seed=8)
@@ -107,7 +107,7 @@ class TestMacroLoss:
         n = np.array([2.0, 4.0, 7.0, 11.0, 12.0])
         delta = np.array([3.0, 5.0, 4.0, 6.0])
         series = make_series(n, delta)
-        got = macro_loss(series, U, src, dst, params)
+        got = macro_loss(series, edge_affinity(U, src, dst), params)
         want = orc.macro_loss_oracle(series.epochs.tolist(), n.tolist(),
                                      delta.tolist(), U.tolist(),
                                      list(zip(src, dst)), 0.4, 1.3, 0.7)
@@ -120,11 +120,13 @@ class TestMacroLoss:
         delta = np.array([2.0, 4.0, 3.0])
         series = make_series(n, delta)
         loss, dU, dz, dg, dt = macro_loss_and_grads(series, U, src, dst, params)
-        assert loss == pytest.approx(macro_loss(series, U, src, dst, params))
+        assert loss == pytest.approx(
+            macro_loss(series, edge_affinity(U, src, dst), params))
         step = 1e-6
 
         def at(zr=params.zeta_raw, ga=params.gamma, th=params.theta, U_=U):
-            return macro_loss(series, U_, src, dst, MacroParams(zr, ga, th))
+            return macro_loss(series, edge_affinity(U_, src, dst),
+                              MacroParams(zr, ga, th))
 
         num_z = (at(zr=params.zeta_raw + step) - at(zr=params.zeta_raw - step)) / (2 * step)
         num_g = (at(ga=params.gamma + step) - at(ga=params.gamma - step)) / (2 * step)
@@ -148,7 +150,7 @@ class TestFitParams:
         S = edge_affinity(U, src, dst)
         delta = _predict_series(S, n[:-1], np.arange(1, 20), true)
         series = make_series(n, delta)
-        fitted = fit_params(series, U, src, dst)
+        fitted = fit_params(series, S)
         assert fitted.zeta == pytest.approx(true.zeta, rel=0.02)
         assert fitted.gamma == pytest.approx(true.gamma, rel=0.02)
         assert fitted.theta == pytest.approx(true.theta, rel=0.02)
@@ -161,29 +163,28 @@ class TestFitParams:
         delta = _predict_series(S, n[:-1], np.arange(1, 30), true)
         rng = np.random.default_rng(5)
         delta = delta * (1.0 + 0.1 * rng.standard_normal(delta.shape[0]))
-        return U, src, dst, make_series(n, delta)
+        return U, src, dst, S, make_series(n, delta)
 
     def test_fitted_point_is_stationary(self):
-        U, src, dst, series = self._noisy_series()
-        fitted = fit_params(series, U, src, dst)
+        U, src, dst, S, series = self._noisy_series()
+        fitted = fit_params(series, S)
         loss, _, dz, dg, dt = macro_loss_and_grads(series, U, src, dst, fitted)
         assert loss > 1.0    # noisy: the optimum is not an exact fit
         assert math.hypot(dz, dg, dt) <= macro_mod._GRAD_TOL * (1.0 + loss)
 
     def test_fitted_point_is_local_minimum(self):
-        U, src, dst, series = self._noisy_series()
-        fitted = fit_params(series, U, src, dst)
-        best = macro_loss(series, U, src, dst, fitted)
+        _, _, _, S, series = self._noisy_series()
+        fitted = fit_params(series, S)
+        best = macro_loss(series, S, fitted)
         x = np.array([fitted.zeta_raw, fitted.gamma, fitted.theta])
         for k in range(3):
             for h in (-1e-3, 1e-3):
                 probe = x.copy()
                 probe[k] += h
-                assert macro_loss(series, U, src, dst, MacroParams(*probe)) >= best
+                assert macro_loss(series, S, MacroParams(*probe)) >= best
 
     def test_jacobian_matches_central_differences(self):
-        U, src, dst, series = self._noisy_series()
-        S = edge_affinity(U, src, dst)
+        _, _, _, S, series = self._noisy_series()
         n, t = series.n[:-1], series.epochs[:-1].astype(np.float64)
         x = np.array([0.2, 1.1, 0.8])
         _, J = _residual_jacobian(S, n, t, series.delta_e, MacroParams(*x))
@@ -201,23 +202,22 @@ class TestFitParams:
         U, src, dst = toy_edges(seed=13)
         series = make_series(np.ones(6), np.arange(1.0, 6.0))
         start = MacroParams(0.5, 1.3, 0.7)
-        fitted = fit_params(series, U, src, dst, init=start)
+        fitted = fit_params(series, edge_affinity(U, src, dst), init=start)
         assert (fitted.zeta_raw, fitted.gamma, fitted.theta) == \
             (start.zeta_raw, start.gamma, start.theta)
 
     def test_far_start_ends_finite_and_no_worse(self):
-        U, src, dst, series = self._noisy_series()
+        _, _, _, S, series = self._noisy_series()
         start = MacroParams(0.0, 6.0, -3.0)
-        fitted = fit_params(series, U, src, dst, init=start)
+        fitted = fit_params(series, S, init=start)
         x = [fitted.zeta_raw, fitted.gamma, fitted.theta]
         assert all(math.isfinite(v) for v in x)
-        assert macro_loss(series, U, src, dst, fitted) <= \
-            macro_loss(series, U, src, dst, start)
+        assert macro_loss(series, S, fitted) <= macro_loss(series, S, start)
 
     def test_non_finite_start_rejected(self):
-        U, src, dst, series = self._noisy_series()
+        _, _, _, S, series = self._noisy_series()
         with pytest.raises(ValueError):
-            fit_params(series, U, src, dst, init=MacroParams(0.0, 1e4, 1.0))
+            fit_params(series, S, init=MacroParams(0.0, 1e4, 1.0))
 
 
 class TestForecast:
@@ -228,24 +228,35 @@ class TestForecast:
         S = edge_affinity(U, src, dst)
         delta = _predict_series(S, n[:-1], np.arange(1, T), params)
         series = make_series(n, delta, start_e=12.0)
-        return U, src, dst, params, series
+        return S, params, series
 
     def test_empty_horizon(self):
-        U, src, dst, params, series = self._generator_setup()
-        out = forecast_scale(U, params, series, src, dst,
-                             np.zeros(0, dtype=np.int64), None)
+        S, params, series = self._generator_setup()
+        out = forecast_scale(S, params, series, np.zeros(0, dtype=np.int64),
+                             None)
         assert out.shape == (0,)
 
     def test_matches_generator_exactly(self):
-        U, src, dst, params, series = self._generator_setup(T=24)
+        S, params, series = self._generator_setup(T=24)
         train = series.prefix(16)
         horizon = np.arange(17, 25, dtype=np.int64)
-        got = forecast_scale(U, params, train, src, dst, horizon,
-                             series.n[horizon - 1])
+        got = forecast_scale(S, params, train, horizon, series.n[horizon - 1])
         assert np.allclose(got, series.e[horizon - 1], rtol=1e-6)
 
+    def test_matches_oracle(self):
+        U, src, dst = toy_edges(seed=14, V=20, M=50, d=3)
+        params = MacroParams(0.3, 1.2, 0.8)
+        train = make_series([3.0, 5.0, 8.0, 9.0], [2.0, 4.0, 3.0], start_e=4.0)
+        horizon = np.arange(5, 10, dtype=np.int64)
+        n_future = np.array([11.0, 11.0, 14.0, 18.0, 19.0])
+        got = forecast_scale(edge_affinity(U, src, dst), params, train, horizon,
+                             n_future)
+        want = orc.forecast_oracle(U.tolist(), list(zip(src, dst)), 13.0, 9.0,
+                                   4, n_future.tolist(), 0.3, 1.2, 0.8)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-10
+
     def test_more_training_reduces_suffix_error(self):
-        U, src, dst, params, series = self._generator_setup(T=24)
+        S, params, series = self._generator_setup(T=24)
         rng = np.random.default_rng(3)
         noisy_delta = series.delta_e * (1.0 + 0.05 * rng.standard_normal(23))
         noisy = make_series(series.n, noisy_delta, start_e=12.0)
@@ -253,25 +264,25 @@ class TestForecast:
         def suffix_rmse(train_epochs):
             train = noisy.prefix(train_epochs)
             horizon = np.arange(train_epochs + 1, 25, dtype=np.int64)
-            fitted = fit_params(train, U, src, dst)
-            pred = forecast_scale(U, fitted, train, src, dst, horizon,
+            fitted = fit_params(train, S)
+            pred = forecast_scale(S, fitted, train, horizon,
                                   noisy.n[horizon - 1])
             return float(np.sqrt(np.mean((pred - noisy.e[horizon - 1]) ** 2)))
 
         assert suffix_rmse(18) <= suffix_rmse(12)
 
     def test_requires_consecutive_horizon(self):
-        U, src, dst, params, series = self._generator_setup()
+        S, params, series = self._generator_setup()
         train = series.prefix(10)
         with pytest.raises(ValueError):
-            forecast_scale(U, params, train, src, dst,
-                           np.array([12, 13]), np.array([5.0, 6.0]))
+            forecast_scale(S, params, train, np.array([12, 13]),
+                           np.array([5.0, 6.0]))
 
     def test_requires_n_future(self):
-        U, src, dst, params, series = self._generator_setup()
+        S, params, series = self._generator_setup()
         train = series.prefix(10)
         with pytest.raises(ValueError):
-            forecast_scale(U, params, train, src, dst, np.array([11]), None)
+            forecast_scale(S, params, train, np.array([11]), None)
 
     def test_linear_node_forecast(self):
         series = make_series(np.array([2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import net_from_events, two_community_lines
+from conftest import count_calls, net_from_events, two_community_lines
 from m2dne.graph import parse_edge_list
 from m2dne.micro import draw_event_negatives
-from m2dne.macro import fit_params, macro_loss
+from m2dne import macro as macro_mod
+from m2dne.macro import edge_affinity, fit_params, macro_loss
 from m2dne.micrograd import batch_loss_and_grads
 from m2dne.train import (TrainConfig, TrainData, fit, init_state,
                          load_checkpoint, sample_batch, save_checkpoint, step,
                          _joint_grads)
 from m2dne.util import substream
+
+
+GROWTH = ("zeta_raw", "gamma", "theta")
 
 
 def toy_net(seed=0, nodes=10, n_events=60, epochs=8):
@@ -136,7 +140,11 @@ class TestStep:
         _, _, _, grads, _ = _joint_grads(state, batch, neg[0], neg[1], data,
                                          cfg)
         manual = state.copy()
+        growth = (state.macro.zeta_raw, state.macro.gamma, state.macro.theta)
+        assert any(grads[name] != 0.0 for name in GROWTH)
         for name, ref in manual.param_groups().items():
+            if name in GROWTH:
+                continue
             g = np.asarray(grads[name], dtype=np.float64)
             norm = float(np.linalg.norm(g))
             if norm > cfg.grad_clip:
@@ -147,7 +155,13 @@ class TestStep:
                 manual.param_groups()[name][...] = ref - cfg.learning_rate * g
         step(state, batch, data, cfg, substream(3, "negatives"))
         assert np.allclose(state.embeddings, manual.embeddings, atol=1e-15)
-        assert state.macro.theta == pytest.approx(manual.macro.theta, abs=1e-15)
+        assert state.attention.s_bias == pytest.approx(
+            manual.attention.s_bias, abs=1e-15)
+        # the growth scalars are the epoch-boundary refit's, never stepped
+        assert [np.float64(v).tobytes() for v in growth] == \
+            [np.float64(v).tobytes() for v in (state.macro.zeta_raw,
+                                               state.macro.gamma,
+                                               state.macro.theta)]
 
     def test_nonfinite_gradient_names_group(self):
         net, cfg, state, data, batch = self._setup()
@@ -167,8 +181,9 @@ class TestJointLoss:
         micro, _, _ = batch_loss_and_grads(batch, neg[0], neg[1],
                                            state.embeddings, state.attention,
                                            want_grads=False)
-        ma = macro_loss(data.series, state.embeddings, data.edge_src,
-                        data.edge_dst, state.macro)
+        ma = macro_loss(data.series, edge_affinity(state.embeddings,
+                                                   data.edge_src, data.edge_dst),
+                        state.macro)
         return total, micro, ma
 
     def test_epsilon_zero_equals_micro(self):
@@ -250,13 +265,20 @@ class TestFit:
         cfg = TrainConfig(dim=4, epsilon=0.3, epochs=6, batch_size=64, seed=1)
         state, _ = fit(net, cfg)
         data = TrainData(net, cfg.history)
-        best = fit_params(data.series, state.embeddings, data.edge_src,
-                          data.edge_dst)
-        achieved = macro_loss(data.series, state.embeddings, data.edge_src,
-                              data.edge_dst, state.macro)
-        optimal = macro_loss(data.series, state.embeddings, data.edge_src,
-                             data.edge_dst, best)
+        S = edge_affinity(state.embeddings, data.edge_src, data.edge_dst)
+        best = fit_params(data.series, S)
+        achieved = macro_loss(data.series, S, state.macro)
+        optimal = macro_loss(data.series, S, best)
         assert achieved <= 1.05 * optimal + 1e-9
+
+    def test_one_affinity_pass_per_refit(self, monkeypatch):
+        net = toy_net(9, nodes=12, n_events=100, epochs=10)
+        calls = count_calls(monkeypatch, macro_mod, "edge_affinity")
+        fit(net, TrainConfig(dim=4, epsilon=0.3, epochs=3, batch_size=64))
+        assert len(calls) == 4      # the start and each epoch boundary
+        calls.clear()
+        fit(net, TrainConfig(dim=4, epsilon=0.0, epochs=3, batch_size=64))
+        assert len(calls) == 1
 
 
 class TestCheckpoint:
