@@ -203,8 +203,10 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
                             k_list) -> MetricReport:
     """Recall@K / Precision@K of ranking future neighbors for every node with
     held-out events. Candidates are all non-self nodes (historical neighbors
-    are not excluded; noted in the report header)."""
-    V = embeddings.shape[0]
+    are not excluded; noted in the report header).
+
+    Ties in the ranking break by ascending node id."""
+    V = _node_count(embeddings, test_net)
     truth: dict[int, set] = {}
     for s, d in zip(test_net.src.tolist(), test_net.dst.tolist()):
         truth.setdefault(s, set()).add(d)
@@ -217,15 +219,17 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
     recall_sums = {k: 0.0 for k in ks}
     prec_sums = {k: 0.0 for k in ks}
     queries = sorted(truth)
+    top_k = min(max(ks), V - 1)
     for q in queries:
         diff = embeddings - embeddings[q]
-        scores = -np.einsum("nd,nd->n", diff, diff)
-        scores[q] = -np.inf
-        order = np.lexsort((np.arange(V), -scores))
-        if order[-1] == q:
-            ranked = order[:-1]
-        else:
-            ranked = order[order != q]
+        dist = np.einsum("nd,nd->n", diff, diff)
+        dist[q] = np.inf
+        # Only the nodes within the top_k-th smallest distance can rank in
+        # the top top_k; sort that shortlist by (distance, id).
+        kth = np.partition(dist, top_k - 1)[top_k - 1]
+        shortlist = np.flatnonzero(dist <= kth)
+        shortlist = shortlist[shortlist != q]
+        ranked = shortlist[np.lexsort((shortlist, dist[shortlist]))]
         hits = truth[q]
         for k in ks:
             top = ranked[:k]
@@ -341,13 +345,12 @@ def _growth_inputs(embeddings: np.ndarray, net_full: TemporalNetwork,
 def _count_affine_pairs(embeddings: np.ndarray, chunk: int = 512) -> int:
     """Pairs i < j whose inner product is positive (score threshold 0.5)."""
     V = embeddings.shape[0]
+    cols = np.arange(V)
     count = 0
     for start in range(0, V, chunk):
-        rows = embeddings[start:start + chunk]
-        dots = rows @ embeddings.T
-        for r in range(rows.shape[0]):
-            i = start + r
-            count += int(np.sum(dots[r, i + 1:] > 0.0))
+        dots = embeddings[start:start + chunk] @ embeddings.T
+        rows = np.arange(start, start + dots.shape[0])[:, None]
+        count += int(np.count_nonzero((dots > 0.0) & (cols > rows)))
     return count
 
 

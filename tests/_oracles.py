@@ -213,3 +213,28 @@ def macro_loss_oracle(epochs, n, delta_e, U, edges, zeta_raw, gamma, theta):
         pred = predicted_new_edges_oracle(n[k], r, zeta, gamma)
         loss += (delta_e[k] - pred) ** 2
     return loss
+
+
+def recommendation_oracle(U, events, ks):
+    """Recall@K and precision@K, averaged over the nodes with held-out
+    events, of a full sort of every other node by squared distance to the
+    query (ties by ascending id)."""
+    truth = {}
+    for s, d in events:
+        truth.setdefault(s, set()).add(d)
+        truth.setdefault(d, set()).add(s)
+    recall = {k: 0.0 for k in ks}
+    precision = {k: 0.0 for k in ks}
+    for q in sorted(truth):
+        dist = {v: sum((a - b) ** 2 for a, b in zip(U[v], U[q]))
+                for v in range(len(U)) if v != q}
+        ranked = sorted(dist, key=lambda v: (dist[v], v))
+        for k in ks:
+            got = sum(1 for v in ranked[:k] if v in truth[q])
+            recall[k] += got / len(truth[q])
+            precision[k] += got / k
+    out = {}
+    for k in ks:
+        out[f"recall@{k}"] = recall[k] / len(truth)
+        out[f"precision@{k}"] = precision[k] / len(truth)
+    return out

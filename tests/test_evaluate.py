@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import recommendation_oracle
 from conftest import count_calls, net_from_events
-from m2dne.evaluate import (MetricReport, _auc_rank_sum, _pair_scores,
+from m2dne.evaluate import (MetricReport, _auc_rank_sum,
+                            _count_affine_pairs, _pair_scores,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
                             temporal_recommendation, trend_forecast_report,
@@ -201,6 +203,30 @@ class TestTemporalRecommendation:
             assert 0.0 <= value <= 1.0, name
         assert all(a <= b for a, b in zip(recalls, recalls[1:]))
 
+    @pytest.mark.parametrize("ks", [[1, 3, 8, 12], [5, 39, 45]])
+    def test_duplicated_rows_match_full_sort(self, ks):
+        # 40 nodes on 5 integer points: whole groups tie at every cut-off;
+        # the second list's largest K exceeds the V - 1 candidates
+        rng = np.random.default_rng(21)
+        points = rng.integers(-2, 3, size=(5, 3)).astype(np.float64)
+        U = points[rng.integers(0, 5, size=40)]
+        events = []
+        while len(events) < 60:
+            a, b = (int(x) for x in rng.integers(0, 40, size=2))
+            if a != b:
+                events.append((a, b, len(events) % 4 + 1))
+        test_net = net_from_events(events, node_count=40)
+        rep = temporal_recommendation(U, test_net, ks)
+        expected = recommendation_oracle(U.tolist(),
+                                         [(a, b) for a, b, _ in events], ks)
+        assert rep.metrics == expected
+
+    def test_extra_embedding_rows_rejected(self):
+        U = np.zeros((5, 2))
+        test_net = net_from_events([(0, 1, 1), (2, 3, 1)], node_count=4)
+        with pytest.raises(ValueError, match="4 nodes"):
+            temporal_recommendation(U, test_net, [1])
+
 
 class TestTemporalLinkPrediction:
     def test_perfectly_separable_geometry(self):
@@ -304,6 +330,18 @@ class TestScalePrediction:
         rep = scale_prediction(state, net, t_next=3, train_end=2)
         # only (0, 1) has positive inner product
         assert rep.metrics["baseline_predicted_edges"] == 1
+
+    def test_affine_pair_count_matches_double_loop(self):
+        # small integers make every inner product exact, many of them 0
+        U = np.random.default_rng(22).integers(-1, 2, size=(37, 3)) \
+            .astype(np.float64)
+        dots = [[sum(a * b for a, b in zip(U[i], U[j])) for j in range(37)]
+                for i in range(37)]
+        expected = sum(1 for i in range(37) for j in range(i + 1, 37)
+                       if dots[i][j] > 0.0)
+        assert any(dots[i][j] == 0.0 for i in range(37) for j in range(i))
+        for chunk in (1, 8, 37, 512):
+            assert _count_affine_pairs(U, chunk=chunk) == expected
 
 
 class TestTrendForecast:

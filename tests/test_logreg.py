@@ -52,6 +52,64 @@ class TestLogisticRegression:
         assert np.all(proba >= 0.0)
 
 
+def objective(clf, X, y):
+    """The documented objective and its gradient norm over all 2-class
+    weights and biases, at the classifier's current parameters."""
+    onehot = np.eye(clf.n_classes)[y]
+    loss, gw, gb = clf._loss_grads(X, onehot)
+    return loss, float(np.sqrt(np.sum(gw ** 2) + np.sum(gb ** 2)))
+
+
+def overlapping(seed=7, n=400, d=6):
+    """Two classes with overlapping Gaussian features: a finite optimum
+    that the fit must find."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n)
+    X = rng.normal(size=(n, d)) + 0.8 * y[:, None] * rng.normal(size=d)
+    return np.abs(X), y
+
+
+class TestBinaryOptimum:
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_gradient_vanishes(self, seed):
+        X, y = overlapping(seed)
+        clf = LogisticRegression().fit(X, y, 2)
+        loss, gnorm = objective(clf, X, y)
+        assert gnorm <= 1e-8 * (1.0 + loss)
+
+    def test_coordinate_probes_do_not_lower_objective(self):
+        X, y = overlapping()
+        clf = LogisticRegression().fit(X, y, 2)
+        loss, _ = objective(clf, X, y)
+        for params in (clf.weights, clf.bias):
+            for idx in np.ndindex(params.shape):
+                for h in (1e-3, -1e-3):
+                    params[idx] += h
+                    probed, _ = objective(clf, X, y)
+                    params[idx] -= h
+                    assert probed >= loss, (idx, h)
+
+    def test_classes_antisymmetric(self):
+        X, y = overlapping()
+        clf = LogisticRegression().fit(X, y, 2)
+        assert np.array_equal(clf.weights[0], -clf.weights[1])
+        assert clf.bias[0] == -clf.bias[1]
+
+    @pytest.mark.parametrize("duplicate", [False, True])
+    def test_separable_finite_and_repeatable(self, duplicate):
+        X, y = blobs(seed=6)
+        if duplicate:
+            X = np.hstack([X, X])
+        fits = [LogisticRegression().fit(X, y, 2) for _ in range(2)]
+        for clf in fits:
+            assert np.all(np.isfinite(clf.weights))
+            assert np.all(np.isfinite(clf.bias))
+            loss, gnorm = objective(clf, X, y)
+            assert gnorm <= 1e-8 * (1.0 + loss)
+        assert fits[0].weights.tobytes() == fits[1].weights.tobytes()
+        assert fits[0].bias.tobytes() == fits[1].bias.tobytes()
+
+
 class TestF1Scores:
     def test_perfect(self):
         y = np.array([0, 1, 2, 0, 1, 2])
