@@ -78,20 +78,43 @@ def _node_count(embeddings: np.ndarray, *nets: TemporalNetwork) -> int:
     return V
 
 
+def _finite_sq_norms(embeddings: np.ndarray, task: str) -> np.ndarray:
+    """Squared row norms, after checking that every squared distance between
+    rows is finite: ``||u - v||^2 <= 4 max ||u||^2``, kept below the float64
+    maximum with a factor 2 to spare for rounding."""
+    sq = np.einsum("nd,nd->n", embeddings, embeddings)
+    if not np.isfinite(8.0 * sq).all():
+        raise ValueError(f"{task}: embeddings contain inf/NaN or squared "
+                         f"norms that overflow")
+    return sq
+
+
+PAIR_CHUNK = 1024                # pairs scored at a time: 512 KiB at d=64
+
+
 def _pair_scores(embeddings: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  workers: int) -> np.ndarray:
-    def score(chunk):
-        a, b = chunk
-        diff = embeddings[lo[a:b]] - embeddings[hi[a:b]]
-        return -np.einsum("nd,nd->n", diff, diff)
-
+    """``-||u_lo - u_hi||^2`` per pair, scored in chunks of PAIR_CHUNK pairs
+    into one array; workers map over the same chunks, so the bits do not
+    depend on their number."""
     n = lo.shape[0]
-    if workers <= 1 or n < 4 * workers:
-        return score((0, n))
-    bounds = np.linspace(0, n, workers + 1, dtype=np.int64)
-    chunks = list(zip(bounds[:-1], bounds[1:]))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.concatenate(list(pool.map(score, chunks)))
+    scores = np.empty(n, dtype=np.float64)
+
+    def score(a):
+        b = min(a + PAIR_CHUNK, n)
+        diff = embeddings.take(lo[a:b], axis=0)
+        diff -= embeddings.take(hi[a:b], axis=0)
+        np.einsum("nd,nd->n", diff, diff, out=scores[a:b])
+        np.negative(scores[a:b], out=scores[a:b])
+
+    starts = range(0, n, PAIR_CHUNK)
+    if workers <= 1 or n <= PAIR_CHUNK:
+        for a in starts:
+            score(a)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(score, starts))       # re-raises a worker's error
+    return scores
 
 
 def _auc_rank_sum(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -118,6 +141,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     reproducible.
     """
     V = _node_count(embeddings, net)
+    _finite_sq_norms(embeddings, "reconstruction")
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
@@ -129,16 +153,30 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     else:
         flat = np.arange(total, dtype=np.int64)
     lo, hi = _decode_pairs(flat, V)
+    n = lo.shape[0]
+    ks = [int(k) for k in k_list]
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ValueError(f"K={k} exceeds the {n} candidate pairs")
     scores = _pair_scores(embeddings, lo, hi, resolve_workers(workers))
 
-    positive = np.isin(lo * V + hi, net.edge_keys())
+    # The candidate keys lo * V + hi ascend, so each edge finds its pair by
+    # one binary search.
+    keys = lo * V + hi
+    edges = net.edge_keys()
+    at = np.minimum(np.searchsorted(keys, edges), n - 1)
+    positive = np.zeros(n, dtype=bool)
+    positive[at[keys[at] == edges]] = True
 
-    order = np.lexsort((hi, lo, -scores))
+    # Only pairs scoring at least the max(K)-th largest score can rank in
+    # the top max(K); sort that shortlist by (-score, lo, hi).
+    kmax = max(ks, default=1)
+    kth = np.partition(scores, n - kmax)[n - kmax]
+    shortlist = np.flatnonzero(scores >= kth)
+    order = shortlist[np.lexsort((hi[shortlist], lo[shortlist],
+                                  -scores[shortlist]))]
     metrics = {}
-    for k in k_list:
-        k = int(k)
-        if not 1 <= k <= lo.shape[0]:
-            raise ValueError(f"K={k} exceeds the {lo.shape[0]} candidate pairs")
+    for k in ks:
         metrics[f"precision@{k}"] = float(positive[order[:k]].mean())
     metrics["auc"] = _auc_rank_sum(scores, positive)
     return MetricReport(task="reconstruction", metrics=metrics,
@@ -199,44 +237,89 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
 # ---------------------------------------------------------------------------
 # temporal node recommendation
 
+ROW_BLOCK_FLOATS = 1 << 17       # queries ranked at a time: 1 MiB of scores
+
+
+def _rounding_slack(embeddings: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """Delta_a per query row a: a bound on the sum of the rounding errors of
+    ``fl(||b||^2 - 2 a.b)`` (BLAS, in place) and of the einsum distance
+    ``fl(||b - a||^2)``, each taken as an estimate of
+    ``||b - a||^2 - ||a||^2`` (the distance up to a per-query constant), for
+    any row b.
+
+    With u = eps / 2, gamma_n = n u / (1 - n u) and M = max_b ||b||, each
+    error is at most gamma_{d+2} (||a|| + M)^2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1) plus 2d units of underflow, so
+    the sum is at most (d + 2) eps (||a|| + M)^2 + 4d eta, to first order.
+    Delta_a = 4 (d + 4) (eps (||a|| + M)^2 + eta) covers it with a margin
+    for the rounding of Delta_a itself."""
+    d = embeddings.shape[1]
+    norms = np.sqrt(sq)
+    eps = np.finfo(np.float64).eps
+    eta = np.finfo(np.float64).smallest_subnormal
+    return 4.0 * (d + 4) * (eps * (norms + norms.max()) ** 2 + eta)
+
+
 def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
                             k_list) -> MetricReport:
     """Recall@K / Precision@K of ranking future neighbors for every node with
     held-out events. Candidates are all non-self nodes (historical neighbors
     are not excluded; noted in the report header).
 
-    Ties in the ranking break by ascending node id."""
+    Nodes rank by the einsum distance ``||b - a||^2`` to the query a, ties
+    by ascending node id, and only a shortlist is ranked. A BLAS product over
+    a block of queries gives ``r(b) = ||b||^2 - 2 a.b``, which orders nodes
+    as the distance does; with tau the top_k-th smallest r (top_k = max(K)
+    clamped to V - 1), the shortlist holds every b with
+    r(b) <= tau + 2 Delta_a (see :func:`_rounding_slack`). It is exact: the
+    top_k nodes with r <= tau have computed distances at most
+    tau + Delta_a + ||a||^2, so every node that ranks among the top top_k,
+    ties included, has r within tau + 2 Delta_a."""
     V = _node_count(embeddings, test_net)
-    truth: dict[int, set] = {}
-    for s, d in zip(test_net.src.tolist(), test_net.dst.tolist()):
-        truth.setdefault(s, set()).add(d)
-        truth.setdefault(d, set()).add(s)
-    if not truth:
-        raise ValueError("no test events to recommend against")
     ks = [int(k) for k in k_list]
     if any(k < 1 for k in ks):
         raise ValueError("every K must be >= 1")
+    truth = np.unique(np.concatenate([test_net.src * V + test_net.dst,
+                                      test_net.dst * V + test_net.src]))
+    if truth.size == 0:
+        raise ValueError("no test events to recommend against")
+    sq = _finite_sq_norms(embeddings, "recommendation")
+    slack2 = 2.0 * _rounding_slack(embeddings, sq)
+    queries, n_hits = np.unique(truth // V, return_counts=True)
+    top_k = min(max(ks), V - 1)
+    block = max(1, ROW_BLOCK_FLOATS // V)
+    got = {k: np.empty(queries.size, dtype=np.int64) for k in ks}
+    for start in range(0, queries.size, block):
+        qs = queries[start:start + block]
+        rows = np.arange(qs.size)
+        R = embeddings[qs] @ embeddings.T
+        R *= -2.0
+        R += sq
+        R[rows, qs] = np.inf
+        tau = np.partition(R, top_k - 1, axis=1)[:, top_k - 1]
+        keep = np.flatnonzero(R <= (tau + slack2[qs])[:, None])
+        row, cand = np.divmod(keep, V)
+        diff = embeddings[cand] - embeddings[qs[row]]
+        dist = np.einsum("nd,nd->n", diff, diff)
+        # Per query, its shortlist by (distance, id): the first top_k are
+        # the top top_k of all nodes.
+        order = np.lexsort((cand, dist, row))
+        keys = qs[row[order]] * V + cand[order]
+        hit = truth[np.minimum(np.searchsorted(truth, keys),
+                               truth.size - 1)] == keys
+        cum = np.concatenate([[0], np.cumsum(hit)])
+        first = np.searchsorted(row[order], rows)
+        for k in ks:
+            got[k][start:start + qs.size] = (cum[first + min(k, top_k)]
+                                             - cum[first])
     recall_sums = {k: 0.0 for k in ks}
     prec_sums = {k: 0.0 for k in ks}
-    queries = sorted(truth)
-    top_k = min(max(ks), V - 1)
-    for q in queries:
-        diff = embeddings - embeddings[q]
-        dist = np.einsum("nd,nd->n", diff, diff)
-        dist[q] = np.inf
-        # Only the nodes within the top_k-th smallest distance can rank in
-        # the top top_k; sort that shortlist by (distance, id).
-        kth = np.partition(dist, top_k - 1)[top_k - 1]
-        shortlist = np.flatnonzero(dist <= kth)
-        shortlist = shortlist[shortlist != q]
-        ranked = shortlist[np.lexsort((shortlist, dist[shortlist]))]
-        hits = truth[q]
+    for i, count in enumerate(n_hits.tolist()):
         for k in ks:
-            top = ranked[:k]
-            got = sum(1 for cand in top.tolist() if cand in hits)
-            recall_sums[k] += got / len(hits)
-            prec_sums[k] += got / k
-    n_q = len(queries)
+            g = int(got[k][i])
+            recall_sums[k] += g / count
+            prec_sums[k] += g / k
+    n_q = int(queries.size)
     metrics = {}
     for k in ks:
         metrics[f"recall@{k}"] = recall_sums[k] / n_q
@@ -254,25 +337,36 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
 def _sample_non_edges(V: int, count: int, existing: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """``count`` distinct pair keys ``min * V + max`` drawn uniformly, in draw
-    order, none of them among the ``existing`` keys."""
-    taken = set(existing.tolist())
-    out = []
+    order, none of them among the ``existing`` keys.
+
+    Each attempt draws a node a, then a node b, and is rejected when a == b
+    or the key is taken; more than ``1000 * count`` attempts is an error.
+    Attempts are drawn in blocks, and the generator is then rewound and
+    advanced by exactly the attempts used, which leaves it as the one draw
+    at a time would: ``integers(V, size=n)`` yields the values and the state
+    of n single draws."""
+    taken = np.unique(existing)
+    out = np.empty(0, dtype=np.int64)
     attempts = 0
     limit = 1000 * max(count, 1)
-    while len(out) < count:
-        attempts += 1
-        if attempts > limit:
+    while out.size < count:
+        if attempts >= limit:
             raise ValueError("could not sample enough non-edges")
-        a = int(rng.integers(V))
-        b = int(rng.integers(V))
-        if a == b:
-            continue
-        key = min(a, b) * V + max(a, b)
-        if key in taken:
-            continue
-        taken.add(key)
-        out.append(key)
-    return np.asarray(out, dtype=np.int64)
+        need = count - out.size
+        n = min(2 * need + 64, limit - attempts)
+        state = rng.bit_generator.state
+        a, b = rng.integers(V, size=(n, 2)).T
+        keys = np.minimum(a, b) * V + np.maximum(a, b)
+        fresh = (a != b) & ~np.isin(keys, taken) & ~np.isin(keys, out)
+        _, first = np.unique(keys[fresh], return_index=True)
+        accepted = np.flatnonzero(fresh)[np.sort(first)][:need]
+        if accepted.size == need:
+            n = int(accepted[-1]) + 1
+            rng.bit_generator.state = state
+            rng.integers(V, size=(n, 2))
+        attempts += n
+        out = np.concatenate([out, keys[accepted]])
+    return out
 
 
 def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
@@ -281,6 +375,7 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
     """Cross-validated accuracy/F1 of a binary classifier on |u_i - u_j|
     features, held-out edges against uniformly sampled never-linked pairs."""
     V = _node_count(embeddings, test_net, full_net)
+    _finite_sq_norms(embeddings, "link prediction")
     positives = test_net.edge_keys()
     if len(positives) < 2:
         raise ValueError("need at least 2 held-out edges")

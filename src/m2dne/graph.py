@@ -81,6 +81,21 @@ def _first_appearances(net: TemporalNetwork) -> tuple[np.ndarray, np.ndarray]:
     return stream[first].astype(np.int64), first // 2
 
 
+def _numbered_lines(fh):
+    """(line number, line) of a text file opened with
+    ``errors="surrogateescape"``; a line holding bytes that are not UTF-8
+    raises ParseError naming it."""
+    for lineno, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise ParseError(f"line {lineno}: byte 0x{byte:02x} is not "
+                                 f"valid UTF-8") from None
+        yield lineno, line
+
+
 def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
     """Load a timestamped edge list.
 
@@ -90,8 +105,8 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
     """
     rows = []  # (raw_time_value, order, src_tok, dst_tok, time_tok, weight)
     dropped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _numbered_lines(fh):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -314,8 +329,8 @@ def parse_labels(path, net: TemporalNetwork) -> LabelTable:
     class_of = {}
     names = []
     seen_nodes = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in _numbered_lines(fh):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

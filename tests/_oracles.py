@@ -238,3 +238,38 @@ def recommendation_oracle(U, events, ks):
         out[f"recall@{k}"] = recall[k] / len(truth)
         out[f"precision@{k}"] = precision[k] / len(truth)
     return out
+
+
+def reconstruction_precision_oracle(U, edges, ks):
+    """Precision@K of a full sort of every pair i < j by (-score, i, j),
+    score -||u_i - u_j||^2, against the undirected edge set."""
+    linked = {(min(a, b), max(a, b)) for a, b in edges}
+    pairs = [(-sum((x - y) ** 2 for x, y in zip(U[i], U[j])), i, j)
+             for i in range(len(U)) for j in range(i + 1, len(U))]
+    ranked = sorted(pairs, key=lambda p: (-p[0], p[1], p[2]))
+    return {k: sum(1 for _, i, j in ranked[:k] if (i, j) in linked) / k
+            for k in ks}
+
+
+def non_edges_oracle(V, count, existing, rng):
+    """Pair keys min * V + max drawn one node at a time (a, then b), skipping
+    self pairs and keys already taken, until ``count`` are found; more than
+    1000 * count attempts raise ValueError."""
+    taken = set(int(k) for k in existing)
+    out = []
+    attempts = 0
+    limit = 1000 * max(count, 1)
+    while len(out) < count:
+        attempts += 1
+        if attempts > limit:
+            raise ValueError("could not sample enough non-edges")
+        a = int(rng.integers(V))
+        b = int(rng.integers(V))
+        if a == b:
+            continue
+        key = min(a, b) * V + max(a, b)
+        if key in taken:
+            continue
+        taken.add(key)
+        out.append(key)
+    return out

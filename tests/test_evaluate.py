@@ -1,12 +1,16 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _oracles import recommendation_oracle
+from _oracles import (non_edges_oracle, reconstruction_precision_oracle,
+                      recommendation_oracle)
 from conftest import count_calls, net_from_events
-from m2dne.evaluate import (MetricReport, _auc_rank_sum,
-                            _count_affine_pairs, _pair_scores,
+from m2dne import evaluate as evaluate_mod
+from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _auc_rank_sum,
+                            _count_affine_pairs, _decode_pairs, _pair_scores,
+                            _sample_non_edges,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
                             temporal_recommendation, trend_forecast_report,
@@ -119,6 +123,63 @@ class TestReconstruction:
         monkeypatch.setenv("M2DNE_THREADS", "4")
         assert reconstruction_metrics(U, net, [3]).to_text() == base
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_precision_matches_full_sort_with_ties(self, seed):
+        # half-integer points: scores are exact and whole tie groups
+        # straddle most cut-offs K
+        rng = np.random.default_rng(30 + seed)
+        V = 40
+        U = rng.integers(-3, 4, size=(V, 3)) / 2.0
+        events = []
+        while len(events) < 120:
+            a, b = (int(x) for x in rng.integers(0, V, size=2))
+            if a != b:
+                events.append((a, b, len(events) % 6 + 1))
+        net = net_from_events(events, node_count=V)
+        ks = list(range(1, 80))
+        rep = reconstruction_metrics(U, net, ks)
+        want = reconstruction_precision_oracle(
+            U.tolist(), [(a, b) for a, b, _ in events], ks)
+        assert {k: rep.metrics[f"precision@{k}"] for k in ks} == want
+
+    @pytest.mark.parametrize("n", [PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1,
+                                   3 * PAIR_CHUNK + 5])
+    def test_chunked_scores_match_one_pass(self, n):
+        rng = np.random.default_rng(n)
+        U = rng.normal(size=(200, 16)) * np.exp(rng.uniform(-5, 5, (200, 1)))
+        lo, hi = _decode_pairs(np.sort(rng.choice(199 * 100, n,
+                                                  replace=False)), 200)
+        diff = U[lo] - U[hi]
+        want = -np.einsum("nd,nd->n", diff, diff)
+        for workers in (1, 3):
+            got = _pair_scores(U, lo, hi, workers)
+            assert got.tobytes() == want.tobytes()
+
+    def test_workers_do_not_change_chunked_report(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        V = 130                                  # 8385 pairs: three chunks
+        U = rng.integers(-2, 3, size=(V, 4)) / 2.0
+        events = [(int(a), int(b), t % 5 + 1) for t, (a, b) in
+                  enumerate(rng.integers(0, V, size=(400, 2))) if a != b]
+        net = net_from_events(events, node_count=V)
+        monkeypatch.setenv("M2DNE_THREADS", "1")
+        base = reconstruction_metrics(U, net, [1, 50, 700]).to_text()
+        monkeypatch.setenv("M2DNE_THREADS", "3")
+        assert reconstruction_metrics(U, net, [1, 50, 700]).to_text() == base
+
+    def test_pair_scores_memory_bounded(self):
+        V, d = 1500, 64
+        U = np.random.default_rng(5).normal(size=(V, d))
+        lo, hi = _decode_pairs(np.arange(V * (V - 1) // 2, dtype=np.int64), V)
+        tracemalloc.start()
+        try:
+            _pair_scores(U, lo, hi, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the 1,124,250 scores take 9 MB; the chunk temporaries a few more
+        assert peak <= 32 * 2 ** 20
+
 
 class TestNodeClassification:
     def test_linearly_separable_perfect(self):
@@ -227,6 +288,54 @@ class TestTemporalRecommendation:
         with pytest.raises(ValueError, match="4 nodes"):
             temporal_recommendation(U, test_net, [1])
 
+    FAMILIES = {
+        "offset_1e3": lambda rng, V, d: 1e3 + 1e-5 * rng.normal(size=(V, d)),
+        "offset_10": lambda rng, V, d: 10.0 + 1e-3 * rng.normal(size=(V, d)),
+        "offset_100": lambda rng, V, d: 100.0 + 1e-6 * rng.normal(size=(V, d)),
+        "half_grid": lambda rng, V, d: rng.integers(-4, 5, size=(V, d)) / 2.0,
+        "duplicated_x10": lambda rng, V, d: rng.normal(
+            size=(V // 10, d))[rng.permutation(V) % (V // 10)],
+        "norms_e20": lambda rng, V, d: rng.normal(size=(V, d))
+        * np.exp(rng.uniform(-20.0, 20.0, (V, 1))),
+        "scale_1e-160": lambda rng, V, d: 1e-160 * rng.normal(size=(V, d)),
+        "scale_1e-161": lambda rng, V, d: 1e-161 * rng.normal(size=(V, d)),
+        "scale_1e150": lambda rng, V, d: 1e150 * rng.normal(size=(V, d)),
+    }
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("ks", [[1], [10], [3, 50], [85]])
+    def test_filter_matches_full_sort(self, family, ks):
+        # the BLAS filter keeps every node that can rank in the top K, at
+        # scales where it keeps almost none and where it keeps all of them;
+        # at 1e-161 the squared distances are subnormal; K=85 exceeds the
+        # V - 1 candidates
+        V, d = 80, 8
+        rng = np.random.default_rng(sorted(self.FAMILIES).index(family))
+        U = self.FAMILIES[family](rng, V, d)
+        events = []
+        while len(events) < 160:
+            a, b = (int(x) for x in rng.integers(0, V, size=2))
+            if a != b:
+                events.append((a, b, len(events) % 4 + 1))
+        test_net = net_from_events(events, node_count=V)
+        rep = temporal_recommendation(U, test_net, ks)
+        expected = recommendation_oracle(U.tolist(),
+                                         [(a, b) for a, b, _ in events], ks)
+        assert rep.metrics == expected
+
+    def test_query_blocks_do_not_change_report(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        V = 60
+        U = rng.integers(-2, 3, size=(V, 3)) / 2.0
+        events = [(int(a), int(b), 1) for a, b in rng.integers(0, V, (90, 2))
+                  if a != b]
+        test_net = net_from_events(events, node_count=V)
+        base = temporal_recommendation(U, test_net, [1, 7]).to_text()
+        for floats in (1, V, 7 * V + 3):
+            monkeypatch.setattr(evaluate_mod, "ROW_BLOCK_FLOATS", floats)
+            assert temporal_recommendation(U, test_net, [1, 7]).to_text() \
+                == base
+
 
 class TestTemporalLinkPrediction:
     def test_perfectly_separable_geometry(self):
@@ -259,7 +368,6 @@ class TestTemporalLinkPrediction:
         assert abs(rep.metrics["accuracy"] - 0.5) <= 0.05
 
     def test_negatives_reject_existing_edges(self):
-        from m2dne.evaluate import _sample_non_edges
         existing = np.array([0 * 6 + 1, 1 * 6 + 2, 2 * 6 + 3])
         out = _sample_non_edges(6, 8, existing, substream(1, "eval-splits"))
         assert not (set(out.tolist()) & set(existing.tolist()))
@@ -270,6 +378,65 @@ class TestTemporalLinkPrediction:
         U = np.zeros((4, 2))
         net = net_from_events([(0, 1, 1)], node_count=4)
         with pytest.raises(ValueError):
+            temporal_link_prediction(U, net, net, seed=0)
+
+    @pytest.mark.parametrize("V,count,n_existing", [
+        (2000, 700, 3000), (1200, 50, 0), (7, 15, 5), (5, 3, 6),
+        (20, 35, 150)])
+    def test_non_edges_match_one_draw_at_a_time(self, V, count, n_existing):
+        # V=7: 15 of the 16 free pairs, so most late draws are rejected;
+        # V=20: 35 of 40 free pairs, found over several blocks of draws
+        pairs = np.array([a * V + b for a in range(V)
+                          for b in range(a + 1, V)])
+        existing = np.sort(np.random.default_rng(V).choice(
+            pairs, n_existing, replace=False))
+        fast = substream(3, "eval-splits")
+        slow = substream(3, "eval-splits")
+        got = _sample_non_edges(V, count, existing, fast)
+        want = non_edges_oracle(V, count, existing.tolist(), slow)
+        assert got.tolist() == want
+        assert got.dtype == np.int64
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+    def test_non_edge_attempt_limit(self):
+        # every pair of 4 nodes is an edge: 1000 attempts, then an error
+        existing = np.array([a * 4 + b for a in range(4)
+                             for b in range(a + 1, 4)])
+        fast = substream(4, "eval-splits")
+        slow = substream(4, "eval-splits")
+        with pytest.raises(ValueError, match="non-edges"):
+            _sample_non_edges(4, 1, existing, fast)
+        with pytest.raises(ValueError, match="non-edges"):
+            non_edges_oracle(4, 1, existing.tolist(), slow)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+class TestNonFiniteEmbeddings:
+    BAD = {"nan": np.nan, "inf": -np.inf, "overflowing_norm": 1e160}
+
+    def _inputs(self, value):
+        U = np.random.default_rng(0).normal(size=(6, 3))
+        U[4, 1] = value
+        net = net_from_events([(0, 1, 1), (2, 3, 1), (4, 5, 2), (1, 4, 2)],
+                              node_count=6)
+        return U, net
+
+    @pytest.mark.parametrize("value", sorted(BAD))
+    def test_reconstruction(self, value):
+        U, net = self._inputs(self.BAD[value])
+        with pytest.raises(ValueError, match="reconstruction"):
+            reconstruction_metrics(U, net, [1])
+
+    @pytest.mark.parametrize("value", sorted(BAD))
+    def test_recommendation(self, value):
+        U, net = self._inputs(self.BAD[value])
+        with pytest.raises(ValueError, match="recommendation"):
+            temporal_recommendation(U, net, [1])
+
+    @pytest.mark.parametrize("value", sorted(BAD))
+    def test_link_prediction(self, value):
+        U, net = self._inputs(self.BAD[value])
+        with pytest.raises(ValueError, match="link prediction"):
             temporal_link_prediction(U, net, net, seed=0)
 
 

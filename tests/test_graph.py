@@ -284,3 +284,66 @@ class TestParseLabels:
         net = parse_edge_list(tmp_edges("a b 1"))
         with pytest.raises(ParseError, match="duplicate"):
             parse_labels(tmp_edges("a red\na blue\n", "labels"), net)
+
+
+class TestUndecodableBytes:
+    def test_edge_list_names_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"a b 1\r\nc d 2\r\nx\xff\xfey e 3\r\n")
+        with pytest.raises(ParseError, match=r"line 3: byte 0xff"):
+            parse_edge_list(str(path))
+
+    def test_labels_name_line(self, tmp_edges, tmp_path):
+        net = parse_edge_list(tmp_edges("a b 1"))
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(b"a red\nb bl\xc3ue\n")
+        with pytest.raises(ParseError, match=r"line 2: byte 0xc3"):
+            parse_labels(str(path), net)
+
+    def test_utf8_tokens_still_parse(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes("\u00e9 \u6771 1\n".encode("utf-8"))
+        assert parse_edge_list(str(path)).raw_ids == ("\u00e9", "\u6771")
+
+
+def _fuzz_lines():
+    st = pytest.importorskip("hypothesis.strategies")
+    token = st.sampled_from([b"a", b"b", b"c", b"n1", b"\xc3\xa9", b"#x"])
+    stamp = st.sampled_from([b"1", b"2", b"-0", b"1e308", b"1e309", b"-1e309",
+                             b"nan", b"inf", b"0x10", b"1_0", b"", b"\xff"])
+    weight = st.sampled_from([b"", b"2.5", b"0", b"-1", b"nan", b"1e400"])
+    field_line = st.builds(lambda *parts: b" ".join(p for p in parts if p),
+                           token, token, stamp, weight)
+    line = st.one_of(field_line, st.binary(max_size=12))
+    return st.builds(
+        lambda lines, dup, sep: sep.join(lines + lines[:dup]),
+        st.lists(line, max_size=8), st.integers(0, 3),
+        st.sampled_from([b"\n", b"\r\n", b"\r"]))
+
+
+class TestParserFuzz:
+    """Any byte input either parses or raises ParseError."""
+
+    def test_edge_list_and_labels(self, tmp_path):
+        hyp = pytest.importorskip("hypothesis")
+        net = parse_edge_list(self._write(tmp_path, "base", b"a b 1\nc n1 2\n"))
+
+        @hyp.settings(max_examples=300, deadline=None, database=None)
+        @hyp.given(_fuzz_lines())
+        def check(data):
+            path = self._write(tmp_path, "fuzz", data)
+            for parse in (parse_edge_list,
+                          lambda p: parse_edge_list(p, weighted=True),
+                          lambda p: parse_labels(p, net)):
+                try:
+                    parse(path)
+                except ParseError:
+                    pass
+
+        check()
+
+    @staticmethod
+    def _write(tmp_path, name, data):
+        path = tmp_path / name
+        path.write_bytes(data)
+        return str(path)
