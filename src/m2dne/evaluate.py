@@ -91,6 +91,13 @@ def _finite_sq_norms(embeddings: np.ndarray, task: str) -> np.ndarray:
 
 PAIR_CHUNK = 1024                # pairs scored at a time: 512 KiB at d=64
 
+# A full reconstruction pass holds its pair ids, keys, scores and the AUC's
+# ranks at once: about 106 bytes per pair (tracemalloc peak of a full pass at
+# V=2000). Above this many pairs (V > 5793, about 1.7 GiB) a full pass is
+# refused, and sampling is the way to run one.
+FULL_PASS_PAIR_LIMIT = 2 ** 24
+FULL_PASS_BYTES_PER_PAIR = 106
+
 
 def _pair_scores(embeddings: np.ndarray, lo: np.ndarray, hi: np.ndarray,
                  workers: int) -> np.ndarray:
@@ -145,6 +152,12 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
+    if sample_fraction == 1.0 and total > FULL_PASS_PAIR_LIMIT:
+        raise ValueError(
+            f"reconstruction: a full pass over V={V} nodes scores {total} "
+            f"pairs, about {total * FULL_PASS_BYTES_PER_PAIR / 2 ** 30:.1f} "
+            f"GiB, above the limit of {FULL_PASS_PAIR_LIMIT} pairs; sample "
+            f"them with --sample-fraction (sample_fraction) below 1")
     if sample_fraction < 1.0:
         if rng is None:
             raise ValueError("sampling candidate pairs requires an rng")

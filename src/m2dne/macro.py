@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MacroSeries
-from .util import scatter_rows, sigmoid, softplus
+from .util import (Workspace, row_positions, scatter_rows, sigmoid, softplus,
+                   take_rows)
 
 # stopping rule of fit_params
 _GRAD_TOL = 1e-10
@@ -108,21 +109,29 @@ def _residual_jacobian(S: float, n: np.ndarray, t: np.ndarray,
 
 def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
                          edge_src: np.ndarray, edge_dst: np.ndarray,
-                         params: MacroParams):
+                         params: MacroParams, work: Workspace | None = None):
     """Loss plus gradients for (embeddings, zeta_raw, gamma, theta).
 
     The embedding gradient flows through the affinity numerator, which is the
     coupling that lets the scale constraint shape the embedding space.
+
+    ``work`` keeps the (2E, d) row buffer and the scatter positions of the
+    edge endpoints between calls, so it must serve one edge set; None uses a
+    fresh one. The returned gradient never aliases it.
     """
     if len(series.delta_e) == 0:
         return 0.0, np.zeros_like(embeddings), 0.0, 0.0, 0.0
+    if work is None:
+        work = Workspace()
     M = edge_src.shape[0]
+    V, d = embeddings.shape
     # rows[:M] holds u_src - u_dst, later the gradient at the source rows;
-    # rows[M:] its negation at the target rows
-    rows = np.empty((2 * M, embeddings.shape[1]))
-    diff = np.take(embeddings, edge_src, axis=0, out=rows[:M])
-    diff -= embeddings[edge_dst]
-    sig = sigmoid(-(diff ** 2).sum(axis=1))
+    # rows[M:] first u_dst, then the squared diffs, then the negated gradient
+    # at the target rows
+    rows = work.get("macro.rows", (2 * M, d))
+    diff = take_rows(embeddings, edge_src, rows[:M])
+    diff -= take_rows(embeddings, edge_dst, rows[M:])
+    sig = sigmoid(-np.square(diff, out=rows[M:]).sum(axis=1))
     S = float(sig.mean())
 
     err, J = _residual_jacobian(S, series.n[:-1],
@@ -135,8 +144,11 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
     d_S = float(np.sum(2.0 * err * pred) / S) if S > 0 else 0.0
     diff *= ((d_S / M) * (sig * (1.0 - sig)) * (-2.0))[:, None]
     np.negative(diff, out=rows[M:])
-    dU = scatter_rows(np.concatenate([edge_src, edge_dst]), rows,
-                      embeddings.shape[0])
+    positions = work.get(
+        "macro.positions", (2 * M * d,), np.int64,
+        init=lambda out: row_positions(np.concatenate([edge_src, edge_dst]),
+                                       d, out=out))
+    dU = scatter_rows(positions, rows, V)
     return loss, dU, d_zeta_raw, d_gamma, d_theta
 
 

@@ -22,13 +22,15 @@ forward caches and backward formulas in sync when touching either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import SnapshotArrays, TemporalNetwork
 from .micro import AttentionParams
-from .util import scatter_rows, sigmoid, softplus
+from .util import (Workspace, row_positions, scatter_rows, sigmoid, softplus,
+                   take_rows)
 
 # |score| above which a pair counts as a range hit; it feeds the stats only.
 RANGE_BOUND = 50.0
@@ -64,13 +66,62 @@ class EventBatch:
         return int(self.src.shape[0])
 
 
+def _carve(buf: np.ndarray, *shapes) -> list:
+    """Consecutive views of the flat buffer ``buf``, one per shape."""
+    views, at = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(buf[at:at + n].reshape(shape))
+        at += n
+    return views
+
+
+def _scratch_len(B: int, C: int, h_i: int, h_j: int, d: int) -> int:
+    """Entries of the scratch region: the largest of its successive uses, in
+    units of B * d entries (see batch_loss_and_grads)."""
+    K, h = C - 1, max(h_i, h_j)
+    units = max(C,                          # the in-place sigmoid of ut
+                1 + 2 * K + max(K, 1),      # pair-block diffs and a product
+                max(h, C),                  # history-vs-center backward
+                C + h + max(C, 2 * h),      # side backward
+                2 * C + h_i + h_j)          # the scatter's int64 positions
+    return units * B * d
+
+
+def _sigmoid_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """x <- sigmoid(x) with the bits of :func:`util.sigmoid`; ``tmp`` is
+    scratch of x's shape."""
+    np.negative(x, out=tmp)
+    np.minimum(x, tmp, out=tmp)
+    np.exp(tmp, out=tmp)
+    np.add(1.0, tmp, out=tmp)
+    np.minimum(x, 0.0, out=x)
+    np.exp(x, out=x)
+    x /= tmp
+    return x
+
+
 class _Side:
-    """Forward caches for one endpoint family (true + corrupted centers)."""
+    """Forward caches for one endpoint family (true + corrupted centers).
+
+    The (B, C, d), (B, h, d) and (B, C, h) caches live in ``work`` under
+    ``name``; ``scratch`` holds at least B * C * d entries free for the
+    forward pass. Both default to fresh storage.
+    """
 
     def __init__(self, centers, nodes, times, length, t, embeddings,
-                 params: AttentionParams):
+                 params: AttentionParams, work: Workspace | None = None,
+                 name: str = "side", scratch: np.ndarray | None = None):
         B, C = centers.shape
         h = nodes.shape[1]
+        d = params.dim
+        if work is None:
+            work = Workspace()
+        if scratch is None:
+            scratch = np.empty(B * C * d)
+
+        def buf(key, *shape):
+            return work.get(f"{name}.{key}", shape)
 
         self.centers = centers
         self.nodes = nodes
@@ -79,29 +130,35 @@ class _Side:
         self.nonempty = length > 0
         self.dt = (t[:, None] - times).astype(np.float64) * self.mask
 
-        d = params.dim
         a1 = params.att_vector[:d]
         a2 = params.att_vector[d:]
         W = params.local_weight
-        self.Uc = embeddings[centers]                     # (B, C, d)
-        self.Uh = embeddings[nodes]                       # (B, h, d)
+        self.Uc = take_rows(embeddings, centers, buf("Uc", B, C, d))
+        self.Uh = take_rows(embeddings, nodes, buf("Uh", B, h, d))
         self.sqc = np.einsum("bcd,bcd->bc", self.Uc, self.Uc)
         self.sqh = np.einsum("bhd,bhd->bh", self.Uh, self.Uh)
-        self.Wh = self.Uh @ W.T                           # (B, h, d)
+        self.Wh = np.matmul(self.Uh, W.T, out=buf("Wh", B, h, d))
         self.dotc = self.Uc @ (W.T @ a1)                  # (B, C)
         self.dotp = self.Wh @ a2                          # (B, h)
         self.raw_c = params.decay_raw[centers]            # (B, C)
         self.delta = softplus(self.raw_c)
-        self.kap = np.exp(-self.delta[:, :, None] * self.dt[:, None, :]) \
-            * self.mask[:, None, :]                       # (B, C, h)
-        self.pre = self.kap * (self.dotc[:, :, None] + self.dotp[:, None, :])
-        self.at = sigmoid(self.pre)
-        ex = np.exp(self.at) * self.mask[:, None, :]
-        denom = ex.sum(axis=2, keepdims=True)
-        self.alpha = ex / np.where(denom > 0, denom, 1.0)
-        self.ak = self.alpha * self.kap
-        self.agg = self.alpha @ self.Wh                   # (B, C, d)
-        self.ut = sigmoid(self.agg)
+        self.kap = np.multiply(-self.delta[:, :, None], self.dt[:, None, :],
+                               out=buf("kap", B, C, h))
+        np.exp(self.kap, out=self.kap)
+        self.kap *= self.mask[:, None, :]
+        # at = sigmoid(kap * (dotc + dotp)), built in place
+        self.at = np.add(self.dotc[:, :, None], self.dotp[:, None, :],
+                         out=buf("at", B, C, h))
+        self.at *= self.kap
+        _sigmoid_inplace(self.at, np.empty_like(self.at))
+        self.alpha = np.exp(self.at, out=buf("alpha", B, C, h))
+        self.alpha *= self.mask[:, None, :]
+        denom = self.alpha.sum(axis=2, keepdims=True)
+        self.alpha /= np.where(denom > 0, denom, 1.0)
+        self.ak = np.multiply(self.alpha, self.kap, out=buf("ak", B, C, h))
+        # ut = sigmoid(alpha @ Wh); the aggregate itself is not kept
+        self.ut = np.matmul(self.alpha, self.Wh, out=buf("ut", B, C, d))
+        _sigmoid_inplace(self.ut, scratch[:B * C * d].reshape(B, C, d))
         self.mdt = self.dt.sum(axis=1) / np.maximum(self.m, 1.0)  # (B,)
         self.kbar = np.exp(-self.delta * self.mdt[:, None])       # (B, C)
         self.us = self.ut @ params.s_weight                       # (B, C)
@@ -109,8 +166,10 @@ class _Side:
 
         # accumulated by the pair blocks, consumed by _side_backward
         self.d_btil = np.zeros((B, C))
-        self.d_alpha = np.zeros((B, C, h))
-        self.d_kap = np.zeros((B, C, h))
+        self.d_alpha = buf("d_alpha", B, C, h)
+        self.d_alpha.fill(0.0)
+        self.d_kap = buf("d_kap", B, C, h)
+        self.d_kap.fill(0.0)
 
 
 def _pair_beta(side_l: _Side, btil_l, side_r: _Side, btil_r):
@@ -130,62 +189,87 @@ def _hist_vs_centers(side: _Side, other: _Side):
     return 2.0 * cross - other.sqc[:, :, None] - side.sqh[:, None, :]
 
 
-def _hist_vs_centers_backward(d_g, side: _Side, other: _Side, d_hist, d_other):
+def _hist_vs_centers_backward(d_g, side: _Side, other: _Side, d_hist, d_other,
+                              scratch):
     """Add the embeddings gradient of g onto the history slots of ``side``
-    and the center slots of ``other``."""
+    and the center slots of ``other``; ``scratch`` holds at least
+    B * max(h, C) * d free entries."""
+    B, C, h = d_g.shape
+    d = other.Uc.shape[2]
     d_g2 = 2.0 * d_g
-    d_hist += d_g2.transpose(0, 2, 1) @ other.Uc
-    d_hist -= d_g2.sum(axis=1)[:, :, None] * side.Uh
-    d_other += d_g2 @ side.Uh
-    d_other -= d_g2.sum(axis=2)[:, :, None] * other.Uc
+    prod = scratch[:B * h * d].reshape(B, h, d)
+    d_hist += np.matmul(d_g2.transpose(0, 2, 1), other.Uc, out=prod)
+    d_hist -= np.multiply(d_g2.sum(axis=1)[:, :, None], side.Uh, out=prod)
+    prod = scratch[:B * C * d].reshape(B, C, d)
+    d_other += np.matmul(d_g2, side.Uh, out=prod)
+    d_other -= np.multiply(d_g2.sum(axis=2)[:, :, None], other.Uc, out=prod)
 
 
 def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
                          neg_dst: np.ndarray, embeddings: np.ndarray,
-                         params: AttentionParams, want_grads: bool = True):
+                         params: AttentionParams, want_grads: bool = True,
+                         work: Workspace | None = None):
     """Negative-sampling loss of one batch and, optionally, its gradients.
 
     Returns (loss, grads-or-None, stats). ``grads`` maps every parameter
     group name to an array of the group's shape. ``stats["range_hits"]``
     counts pair scores whose magnitude exceeded ``RANGE_BOUND`` (the sampled
     loss itself is evaluated unclamped through a stable log-sigmoid).
+
+    ``work`` holds the working set: both sides' forward caches, the slot
+    buffer and one scratch region, which carries the pair-block diffs, then
+    the backward products, then (as int64) the scatter's positions. Passing
+    the same workspace to every batch of one shape allocates it once; None
+    uses a fresh one. The returned gradients never alias it.
     """
     B = len(batch)
     neg_src = np.asarray(neg_src, dtype=np.int64).reshape(B, -1)
     neg_dst = np.asarray(neg_dst, dtype=np.int64).reshape(B, -1)
     K = neg_src.shape[1]
+    C = K + 1
     V, d = embeddings.shape
+    h_i = batch.src_hist_nodes.shape[1]
+    h_j = batch.dst_hist_nodes.shape[1]
     t = batch.t
+    if work is None:
+        work = Workspace()
+    scratch = work.get("scratch", (_scratch_len(B, C, h_i, h_j, d),))
 
     centers_i = np.concatenate([batch.src[:, None], neg_src], axis=1)
     centers_j = np.concatenate([batch.dst[:, None], neg_dst], axis=1)
     side_i = _Side(centers_i, batch.src_hist_nodes, batch.src_hist_times,
-                   batch.src_len, t, embeddings, params)
+                   batch.src_len, t, embeddings, params, work, "i", scratch)
     side_j = _Side(centers_j, batch.dst_hist_nodes, batch.dst_hist_times,
-                   batch.dst_len, t, embeddings, params)
+                   batch.dst_len, t, embeddings, params, work, "j", scratch)
 
     g_hi = _hist_vs_centers(side_i, side_j)               # (B, C, h)
     g_hj = _hist_vs_centers(side_j, side_i)
 
     # forward: the three pair blocks ---------------------------------------
-    diff0 = side_i.Uc[:, 0] - side_j.Uc[:, 0]                     # (B, d)
-    g0 = -(diff0 ** 2).sum(axis=1)
+    # the diffs stay in the scratch until the pair-block backward is done;
+    # prod (prod0 is its head) takes the products of one line at a time
+    diff0, diffI, diffJ, prod = _carve(scratch, (B, d), (B, K, d), (B, K, d),
+                                       (B * max(K, 1) * d,))
+    prod0 = prod[:B * d].reshape(B, d)
+    prodK = prod[:B * K * d].reshape(B, K, d)
+    np.subtract(side_i.Uc[:, 0], side_j.Uc[:, 0], out=diff0)
+    g0 = -np.square(diff0, out=prod0).sum(axis=1)
     A_i0 = np.einsum("bh,bh->b", side_i.ak[:, 0, :], g_hi[:, 0, :])
     A_j0 = np.einsum("bh,bh->b", side_j.ak[:, 0, :], g_hj[:, 0, :])
     beta0, both0 = _pair_beta(side_i, side_i.btil[:, 0], side_j, side_j.btil[:, 0])
     lam0 = g0 + beta0 * A_i0 + (1.0 - beta0) * A_j0
 
     if K:
-        diffI = side_i.Uc[:, 1:] - side_j.Uc[:, :1]                # (B, K, d)
-        gI = -(diffI ** 2).sum(axis=2)
+        np.subtract(side_i.Uc[:, 1:], side_j.Uc[:, :1], out=diffI)
+        gI = -np.square(diffI, out=prodK).sum(axis=2)
         A_iI = np.einsum("bkh,bh->bk", side_i.ak[:, 1:, :], g_hi[:, 0, :])
         A_jI = np.einsum("bh,bkh->bk", side_j.ak[:, 0, :], g_hj[:, 1:, :])
         betaI, bothI = _pair_beta(side_i, side_i.btil[:, 1:],
                                   side_j, side_j.btil[:, 0][:, None])
         lamI = gI + betaI * A_iI + (1.0 - betaI) * A_jI
 
-        diffJ = side_i.Uc[:, :1] - side_j.Uc[:, 1:]
-        gJ = -(diffJ ** 2).sum(axis=2)
+        np.subtract(side_i.Uc[:, :1], side_j.Uc[:, 1:], out=diffJ)
+        gJ = -np.square(diffJ, out=prodK).sum(axis=2)
         A_iJ = np.einsum("bh,bkh->bk", side_i.ak[:, 0, :], g_hi[:, 1:, :])
         A_jJ = np.einsum("bkh,bh->bk", side_j.ak[:, 1:, :], g_hj[:, 0, :])
         betaJ, bothJ = _pair_beta(side_i, side_i.btil[:, 0][:, None],
@@ -206,11 +290,9 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         return loss, None, stats
 
     # backward --------------------------------------------------------------
-    C = K + 1
-    h_i = side_i.nodes.shape[1]
-    h_j = side_j.nodes.shape[1]
     # embeddings gradient per batch slot: centers i, centers j, histories i, j
-    slots = np.zeros((B, 2 * C + h_i + h_j, d))
+    slots = work.get("slots", (B, 2 * C + h_i + h_j, d))
+    slots.fill(0.0)
     dUc_i, dUc_j, dUh_i, dUh_j = np.split(slots, [C, 2 * C, 2 * C + h_i],
                                           axis=1)
     grads = {
@@ -237,8 +319,8 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     side_j.d_alpha[:, 0, :] += c * side_j.kap[:, 0, :]
     side_j.d_kap[:, 0, :] += c * side_j.alpha[:, 0, :]
     d_ghj[:, 0, :] += dA_j0[:, None] * side_j.ak[:, 0, :]
-    dUc_i[:, 0] += dlam0[:, None] * (-2.0) * diff0
-    dUc_j[:, 0] += dlam0[:, None] * 2.0 * diff0
+    dUc_i[:, 0] += np.multiply(dlam0[:, None] * (-2.0), diff0, out=prod0)
+    dUc_j[:, 0] += np.multiply(dlam0[:, None] * 2.0, diff0, out=prod0)
 
     if K:
         # source-corrupted block: i columns 1.., j column 0
@@ -256,8 +338,10 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         side_j.d_alpha[:, 0, :] += cJ * side_j.kap[:, 0, :]
         side_j.d_kap[:, 0, :] += cJ * side_j.alpha[:, 0, :]
         d_ghj[:, 1:, :] += dA_jI[:, :, None] * side_j.ak[:, 0, :][:, None, :]
-        dUc_i[:, 1:] += dlamI[:, :, None] * (-2.0) * diffI
-        dUc_j[:, 0] += np.einsum("bk,bkd->bd", dlamI, 2.0 * diffI)
+        dUc_i[:, 1:] += np.multiply(dlamI[:, :, None] * (-2.0), diffI,
+                                    out=prodK)
+        dUc_j[:, 0] += np.einsum("bk,bkd->bd", dlamI,
+                                 np.multiply(diffI, 2.0, out=prodK))
 
         # target-corrupted block: i column 0, j columns 1..
         dlamJ = sigmoid(lamJ)
@@ -274,17 +358,21 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         side_j.d_alpha[:, 1:, :] += cJ * side_j.kap[:, 1:, :]
         side_j.d_kap[:, 1:, :] += cJ * side_j.alpha[:, 1:, :]
         d_ghj[:, 0, :] += np.einsum("bk,bkh->bh", dA_jJ, side_j.ak[:, 1:, :])
-        dUc_i[:, 0] += np.einsum("bk,bkd->bd", dlamJ, -2.0 * diffJ)
-        dUc_j[:, 1:] += dlamJ[:, :, None] * 2.0 * diffJ
+        dUc_i[:, 0] += np.einsum("bk,bkd->bd", dlamJ,
+                                 np.multiply(diffJ, -2.0, out=prodK))
+        dUc_j[:, 1:] += np.multiply(dlamJ[:, :, None] * 2.0, diffJ, out=prodK)
 
-    _hist_vs_centers_backward(d_ghi, side_i, side_j, dUh_i, dUc_j)
-    _hist_vs_centers_backward(d_ghj, side_j, side_i, dUh_j, dUc_i)
-    d_raw_i = _side_backward(side_i, params, dUc_i, dUh_i, grads)
-    d_raw_j = _side_backward(side_j, params, dUc_j, dUh_j, grads)
+    # the diffs are dead from here on: the scratch takes backward products
+    _hist_vs_centers_backward(d_ghi, side_i, side_j, dUh_i, dUc_j, scratch)
+    _hist_vs_centers_backward(d_ghj, side_j, side_i, dUh_j, dUc_i, scratch)
+    d_raw_i = _side_backward(side_i, params, dUc_i, dUh_i, grads, scratch)
+    d_raw_j = _side_backward(side_j, params, dUc_j, dUh_j, grads, scratch)
 
+    # and last the scatter's positions, one int64 per slot entry
     rows = np.concatenate([centers_i, centers_j, side_i.nodes, side_j.nodes],
                           axis=1)
-    grads["embeddings"] = scatter_rows(rows, slots, V)
+    positions = row_positions(rows, d, out=scratch[:slots.size].view(np.int64))
+    grads["embeddings"] = scatter_rows(positions, slots, V)
     grads["decay_raw"] = np.bincount(
         np.concatenate([centers_i, centers_j], axis=1).reshape(-1),
         weights=np.concatenate([d_raw_i, d_raw_j], axis=1).reshape(-1),
@@ -293,10 +381,12 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     return loss, grads, stats
 
 
-def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads):
+def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads,
+                   scratch):
     """Backward through one side's attention: adds onto the group gradients
     and the side's embedding slots, and returns the decay_raw gradient of
-    each center, (B, C).
+    each center, (B, C). ``scratch`` holds at least
+    (C + h + max(C, 2h)) * B * d free entries.
 
     The attention scores use W only through a1.W u_c and a2.W u_p, so their
     share of the W, att_vector and embedding gradients is rank one per slot.
@@ -305,6 +395,9 @@ def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads):
     a1 = params.att_vector[:d]
     a2 = params.att_vector[d:]
     W = params.local_weight
+    B, C, h = side.alpha.shape
+    d_agg, d_Wh, rest = _carve(scratch, (B, C, d), (B, h, d),
+                               (B * max(C, 2 * h) * d,))
 
     d_btil, d_alpha, d_kap = side.d_btil, side.d_alpha, side.d_kap
     d_btil_k = d_btil * side.kbar
@@ -312,9 +405,12 @@ def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads):
     grads["s_bias"] += d_btil.sum()
     d_delta = d_btil * side.us * side.kbar * (-side.mdt[:, None])
 
-    d_agg = (d_btil_k[:, :, None] * params.s_weight) * side.ut * (1.0 - side.ut)
+    # d_agg = (d_btil_k * s_weight) * ut * (1 - ut)
+    np.multiply(d_btil_k[:, :, None], params.s_weight, out=d_agg)
+    d_agg *= side.ut
+    d_agg *= np.subtract(1.0, side.ut, out=rest[:B * C * d].reshape(B, C, d))
     d_alpha = d_alpha + d_agg @ side.Wh.transpose(0, 2, 1)
-    d_Wh = side.alpha.transpose(0, 2, 1) @ d_agg                  # (B, h, d)
+    np.matmul(side.alpha.transpose(0, 2, 1), d_agg, out=d_Wh)
 
     s = np.einsum("bch,bch->bc", side.alpha, d_alpha)
     d_at = side.alpha * (d_alpha - s[:, :, None])
@@ -334,6 +430,10 @@ def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads):
     grads["att_vector"][d:] += W @ up
     grads["local_weight"] += np.outer(a1, uc) + np.outer(a2, up) \
         + d_Wh.reshape(-1, d).T @ Uh
-    dUc += d_dotc[:, :, None] * (a1 @ W)
-    dUh += d_Wh @ W + d_dotp[:, :, None] * (a2 @ W)
+    dUc += np.multiply(d_dotc[:, :, None], a1 @ W, out=d_agg)
+    # dUh += d_Wh @ W + d_dotp * (a2 @ W)
+    hist, hist2 = _carve(rest, (B, h, d), (B, h, d))
+    np.matmul(d_Wh, W, out=hist)
+    hist += np.multiply(d_dotp[:, :, None], a2 @ W, out=hist2)
+    dUh += hist
     return d_delta * sigmoid(side.raw_c)

@@ -16,7 +16,7 @@ from . import macro as macro_mod
 from .graph import MacroSeries, TemporalNetwork, compute_macro_series, snapshot_arrays
 from .micro import AttentionParams, NegativeTable, draw_event_negatives
 from .micrograd import EventBatch, batch_loss_and_grads
-from .util import substream
+from .util import Workspace, substream
 
 CHECKPOINT_MAGIC = b"M2DNE\x00"
 CHECKPOINT_VERSION = 1
@@ -125,7 +125,9 @@ def init_state(node_count: int, config: TrainConfig,
 class TrainData:
     """Pre-extracted arrays shared by every step: history snapshots, the
     negative-sampling table, the weight table for batch draws, the growth
-    series and the edge endpoints feeding the rate numerator."""
+    series and the edge endpoints feeding the rate numerator. ``work`` is
+    the step workspace: every step of a fit reuses its buffers, which are
+    allocated by the first step and freed with this object."""
 
     def __init__(self, net: TemporalNetwork, history: int):
         self.net = net
@@ -137,6 +139,7 @@ class TrainData:
         self.edge_dst = net.dst
         cum = np.cumsum(net.weight)
         self.sample_cum = cum / cum[-1]
+        self.work = Workspace()
 
 
 def sample_batch(data: TrainData, batch_size: int,
@@ -159,7 +162,8 @@ class StepResult:
 def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
                  data: TrainData, config: TrainConfig):
     micro, grads, stats = batch_loss_and_grads(
-        batch, neg_src, neg_dst, state.embeddings, state.attention)
+        batch, neg_src, neg_dst, state.embeddings, state.attention,
+        work=data.work)
     grads["zeta_raw"] = 0.0
     grads["gamma"] = 0.0
     grads["theta"] = 0.0
@@ -167,9 +171,10 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
     if config.epsilon > 0.0:
         ma, dU, dz, dg, dt = macro_mod.macro_loss_and_grads(
             data.series, state.embeddings, data.edge_src, data.edge_dst,
-            state.macro)
+            state.macro, work=data.work)
         eps = config.epsilon
-        grads["embeddings"] += eps * dU
+        dU *= eps
+        grads["embeddings"] += dU
         grads["zeta_raw"] = eps * dz
         grads["gamma"] = eps * dg
         grads["theta"] = eps * dt
@@ -204,13 +209,15 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
         norm = float(np.linalg.norm(g))
+        # scaled in place: g * c * lr per entry, as the product lr * (g * c)
         if config.grad_clip > 0 and norm > config.grad_clip:
-            g = g * (config.grad_clip / norm)
+            g *= config.grad_clip / norm
+        g *= lr
         if g.ndim == 0:
             current = state.param_groups()[name]
-            state.set_scalar(name, float(current) - lr * float(g))
+            state.set_scalar(name, float(current) - float(g))
         else:
-            state.param_groups()[name] -= lr * g
+            state.param_groups()[name] -= g
     return StepResult(micro_loss=micro, range_hits=stats["range_hits"])
 
 

@@ -39,16 +39,59 @@ def softplus(x):
     return out
 
 
-def scatter_rows(index, rows, count: int) -> np.ndarray:
-    """(count, d) array whose row v is the sum of the rows of ``rows`` whose
-    index is v; ``index`` holds one id per row of ``rows`` (any matching
-    leading shape). One bincount over the flattened entries, summed in order.
+class Workspace:
+    """Named arrays that outlive one call, so a loop over same-shaped batches
+    allocates its working set once.
+
+    :meth:`get` hands back the array last handed out under ``name`` while
+    the shape and dtype match, else a fresh one (run through ``init`` if
+    given). Contents are whatever the previous user left: a caller writes
+    before it reads, or zeroes what it accumulates into. An array built by
+    ``init`` must depend only on inputs fixed for the workspace's lifetime.
     """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def get(self, name: str, shape, dtype=np.float64, init=None) -> np.ndarray:
+        arr = self._arrays.get(name)
+        if arr is None or arr.shape != shape or arr.dtype != dtype:
+            # drop the old array first so the two never coexist
+            self._arrays.pop(name, None)
+            arr = np.empty(shape, dtype=dtype)
+            if init is not None:
+                init(arr)
+            self._arrays[name] = arr
+        return arr
+
+
+def take_rows(table: np.ndarray, index: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """``table[index]`` written into ``out``. An id outside [-len, len) raises
+    IndexError, as indexing would; np.take's own checking mode would copy
+    the whole result through a temporary first."""
+    n = table.shape[0]
+    if index.size and (index.min() < -n or index.max() >= n):
+        raise IndexError(f"row id out of range for {n} rows")
+    return np.take(table, index, axis=0, out=out, mode="wrap")
+
+
+def row_positions(index: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """Flat positions ``index * d + [0, d)`` of the rows ``index`` names in a
+    (count, d) array, one run of d per id, written into ``out`` (int64, one
+    entry per position)."""
     index = np.asarray(index, dtype=np.int64).reshape(-1)
-    rows = np.asarray(rows, dtype=np.float64).reshape(index.shape[0], -1)
-    d = rows.shape[1]
-    flat = ((index * d)[:, None] + np.arange(d)).reshape(-1)
-    return np.bincount(flat, weights=rows.reshape(-1),
+    np.add((index * d)[:, None], np.arange(d), out=out.reshape(-1, d))
+    return out
+
+
+def scatter_rows(positions: np.ndarray, rows: np.ndarray,
+                 count: int) -> np.ndarray:
+    """(count, d) array whose row v is the sum of the rows of ``rows`` (last
+    axis d) whose id is v, given the ids' :func:`row_positions`. One
+    bincount over the flattened entries, summed in order."""
+    d = rows.shape[-1]
+    return np.bincount(positions, weights=rows.reshape(-1),
                        minlength=count * d).reshape(count, d)
 
 

@@ -8,8 +8,9 @@ from _oracles import (non_edges_oracle, reconstruction_precision_oracle,
                       recommendation_oracle)
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
-from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _auc_rank_sum,
-                            _count_affine_pairs, _decode_pairs, _pair_scores,
+from m2dne.evaluate import (FULL_PASS_PAIR_LIMIT, PAIR_CHUNK, MetricReport,
+                            _auc_rank_sum, _count_affine_pairs, _decode_pairs,
+                            _pair_scores,
                             _sample_non_edges,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
@@ -166,6 +167,23 @@ class TestReconstruction:
         base = reconstruction_metrics(U, net, [1, 50, 700]).to_text()
         monkeypatch.setenv("M2DNE_THREADS", "3")
         assert reconstruction_metrics(U, net, [1, 50, 700]).to_text() == base
+
+    def test_full_pass_above_pair_limit_refused_before_allocating(self):
+        V = 5794                  # V (V - 1) / 2 = 16782321 > 2 ** 24 pairs
+        assert V * (V - 1) // 2 > FULL_PASS_PAIR_LIMIT
+        U = np.zeros((V, 1))
+        net = net_from_events([(0, 1, 1), (2, 3, 2)], node_count=V)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                reconstruction_metrics(U, net, [1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for part in ("V=5794", "16782321 pairs", "1.7 GiB",
+                     "--sample-fraction"):
+            assert part in str(err.value)
+        assert peak < 2 ** 20             # a full pass would take 1.7 GiB
 
     def test_pair_scores_memory_bounded(self):
         V, d = 1500, 64

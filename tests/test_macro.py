@@ -10,7 +10,7 @@ from m2dne.macro import (MacroParams, edge_affinity, fit_params, forecast_scale,
                          linear_node_forecast, linking_rate, macro_loss,
                          macro_loss_and_grads, predicted_new_edges,
                          _predict_series, _residual_jacobian)
-from m2dne.util import softplus
+from m2dne.util import Workspace, softplus
 
 
 def toy_edges(seed=0, V=12, M=30, d=3):
@@ -139,6 +139,26 @@ class TestMacroLoss:
             Um = U.copy(); Um[r, c] -= step
             num = (at(U_=Up) - at(U_=Um)) / (2 * step)
             assert dU[r, c] == pytest.approx(num, rel=1e-4, abs=1e-10)
+
+
+    def test_workspace_reuse_matches_fresh_calls(self):
+        # the row buffer and scatter positions persist between calls on one
+        # edge set; the embeddings change between them, as in a fit
+        U, src, dst = toy_edges(seed=4, V=8, M=20, d=3)
+        U2 = U + 0.1
+        series = make_series([2.0, 3.0, 5.0, 6.0], [2.0, 4.0, 3.0])
+        params = MacroParams(0.2, 1.2, 0.8)
+
+        def as_bytes(result):
+            return [np.float64(v).tobytes() if np.ndim(v) == 0 else v.tobytes()
+                    for v in result]
+
+        fresh = [as_bytes(macro_loss_and_grads(series, emb, src, dst, params))
+                 for emb in (U, U2, U)]
+        work = Workspace()
+        reused = [macro_loss_and_grads(series, emb, src, dst, params,
+                                       work=work) for emb in (U, U2, U)]
+        assert [as_bytes(r) for r in reused] == fresh
 
 
 class TestFitParams:

@@ -11,7 +11,7 @@ from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
 from m2dne.micrograd import EventBatch, batch_loss_and_grads
 from m2dne.train import (TrainConfig, TrainData, compare_grads, gradient_check,
                          init_state)
-from m2dne.util import substream
+from m2dne.util import Workspace, substream
 
 
 def random_net(seed, nodes=10, n_events=80, epochs=12):
@@ -232,6 +232,51 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 4 * B * (1 + K) * h * d * 8
+
+
+def random_batch(rng, B, K, h, V, lengths=None):
+    """A random batch of B events over V nodes, histories of width h (random
+    lengths unless given) and K negatives per endpoint slot."""
+    def history():
+        length = rng.integers(0, h + 1, size=B) if lengths is None \
+            else np.full(B, lengths)
+        return (rng.integers(V, size=(B, h)),
+                np.sort(rng.integers(1, 50, size=(B, h)), axis=1), length)
+
+    batch = EventBatch(rng.integers(V, size=B), rng.integers(V, size=B),
+                       np.full(B, 60), *history(), *history())
+    return batch, *rng.integers(V, size=(2, B, K))
+
+
+def call_bytes(result):
+    """Loss and every gradient group of one engine call, as bytes."""
+    loss, grads, _ = result
+    return [np.float64(loss).tobytes()] + [
+        np.asarray(grads[name]).tobytes() for name in sorted(grads)]
+
+
+class TestWorkspaceReuse:
+    """Calls that share one workspace return the bits of fresh calls: every
+    buffer a call accumulates into is cleared, and no result aliases it."""
+
+    @pytest.mark.parametrize("K,h,lengths", [(3, 4, None), (0, 4, None),
+                                             (3, 1, None), (2, 3, 0)])
+    def test_reuse_matches_fresh_calls(self, K, h, lengths):
+        rng = np.random.default_rng(41)
+        V, d = 30, 6
+        U = rng.normal(0, 0.5, (V, d))
+        P = AttentionParams(rng.normal(0, 0.5, 2 * d),
+                            rng.normal(0, 0.5, (d, d)), rng.normal(0, 0.5, d),
+                            0.2, rng.normal(0, 0.5, V))
+        a = random_batch(rng, 16, K, h, V, lengths)
+        b = random_batch(rng, 16, K, h, V, lengths)
+        fresh = [batch_loss_and_grads(*args, U, P) for args in (a, b, a)]
+        work = Workspace()
+        reused = [batch_loss_and_grads(*args, U, P, work=work)
+                  for args in (a, b, a)]
+        for got, want in zip(reused, fresh):
+            assert call_bytes(got) == call_bytes(want)
+        assert call_bytes(reused[0]) == call_bytes(reused[2])
 
 
 class TestPermutationEquivariance:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,43 @@ class TestStep:
         state.embeddings[0, 0] = np.inf
         with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
             step(state, batch, data, cfg, substream(4, "negatives"))
+
+
+class TestStepMemory:
+    """Steps of one fit share the workspace in ``TrainData``: the first step
+    allocates the working set, later ones only small temporaries. Shape of
+    the fit-micro benchmark workload (V=1200, E=4000, B=512, K=5, h=5,
+    d=64), where a step that allocated everything afresh peaked at
+    31.8 MiB."""
+
+    MiB = 2 ** 20
+
+    def _step_peaks(self, steps):
+        net = toy_net(seed=5, nodes=1200, n_events=4000, epochs=100)
+        cfg = TrainConfig(dim=64, history=5, negatives=5, batch_size=512,
+                          epsilon=0.0)
+        state = init_state(net.node_count, cfg, substream(5, "init"))
+        data = TrainData(net, cfg.history)
+        batch_rng, neg_rng = substream(5, "batch"), substream(5, "negatives")
+        peaks = []
+        for _ in range(steps):
+            batch = sample_batch(data, cfg.batch_size, batch_rng)
+            tracemalloc.start()
+            try:
+                step(state, batch, data, cfg, neg_rng)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        return peaks
+
+    def test_first_step_peak_within_dense_step(self):
+        first, = self._step_peaks(1)
+        assert first <= 32.8 * self.MiB
+
+    def test_later_step_allocates_no_working_set(self):
+        _, second = self._step_peaks(2)
+        assert second <= 4 * self.MiB
 
 
 class TestJointLoss:
