@@ -12,7 +12,6 @@ time-dependent denominator downstream is evaluated at t >= 1.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -205,38 +204,39 @@ def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
     strictly before the event's epoch: same-epoch events enter the buffers
     only once the epoch advances, so an event never conditions on itself or
     on simultaneous events.
+
+    The 2E incidences (node, neighbor, epoch), source before target within
+    an event, are stably sorted by node once, which keeps each node's run in
+    stream order. Keyed by node * (T + 2) + epoch, that array is sorted, so
+    one searchsorted per endpoint finds where the node's entries from earlier
+    epochs end; the history is the last h entries before that point. Raises
+    ValueError if the epochs of ``net`` ever decrease.
     """
     if h < 1:
         raise ValueError("history capacity h must be >= 1")
+    time = np.asarray(net.time, dtype=np.int64)
+    if np.any(time[1:] < time[:-1]):
+        raise ValueError("event epochs must be non-decreasing")
     E = len(net)
+    src = np.asarray(net.src, dtype=np.int64)
+    dst = np.asarray(net.dst, dtype=np.int64)
+    span = int(time.max()) + 2 if E else 2
+    node = np.stack([src, dst], axis=1).reshape(-1)
+    order = np.argsort(node, kind="stable")
+    when = np.repeat(time, 2)[order]
+    keys = node[order] * span + when
+    neighbor = np.stack([dst, src], axis=1).reshape(-1)[order]
+    slot = np.arange(h)
     out = {}
-    for name in ("src", "dst"):
-        out[name + "_nodes"] = np.zeros((E, h), dtype=np.int64)
-        out[name + "_times"] = np.zeros((E, h), dtype=np.int64)
-        out[name + "_len"] = np.zeros(E, dtype=np.int64)
-    buffers: dict[int, deque] = {}
-    pending: list[tuple[int, int, int]] = []
-    current_t = None
-    for m, (s, d, t) in enumerate(zip(net.src.tolist(), net.dst.tolist(),
-                                      net.time.tolist())):
-        if current_t is not None and t != current_t:
-            for ps, pd, pt in pending:
-                for node, other in ((ps, pd), (pd, ps)):
-                    buf = buffers.get(node)
-                    if buf is None:
-                        buf = buffers[node] = deque(maxlen=h)
-                    buf.append((other, pt))
-            pending.clear()
-        current_t = t
-        for name, node in (("src", s), ("dst", d)):
-            buf = buffers.get(node)
-            if buf:
-                k = len(buf)
-                nodes, times = zip(*buf)
-                out[name + "_nodes"][m, :k] = nodes
-                out[name + "_times"][m, :k] = times
-                out[name + "_len"][m] = k
-        pending.append((s, d, t))
+    for name, ends in (("src", src), ("dst", dst)):
+        before = np.searchsorted(keys, ends * span + time)
+        length = np.minimum(before - np.searchsorted(keys, ends * span), h)
+        pos = (before - length)[:, None] + slot
+        valid = slot < length[:, None]
+        pos[~valid] = 0
+        out[name + "_nodes"] = np.where(valid, neighbor[pos], 0)
+        out[name + "_times"] = np.where(valid, when[pos], 0)
+        out[name + "_len"] = length
     for arr in out.values():
         arr.setflags(write=False)
     return SnapshotArrays(h=h, **out)

@@ -14,6 +14,12 @@ kept positive through a softplus reparameterization; the rate numerator is
 computed over training edges only so forecasts never touch held-out data.
 The three growth scalars are fitted by a Levenberg-Marquardt least-squares
 solve on the residuals pred - delta_e (Marquardt 1963).
+
+Between refits the scalars are fixed, so pred is S times a fixed vector q
+and the loss's derivative in S is 2 * (a * S - b), with a = sum q^2 and
+b = sum delta_e * q. ``macro_loss_and_grads`` differentiates through S
+exactly over all E edges; :class:`SampledCoupling` uses the identity to
+estimate the same embedding gradient from 2 * COUPLING_SAMPLE edges.
 """
 
 from __future__ import annotations
@@ -50,12 +56,16 @@ class MacroParams:
 
 
 def edge_affinity(embeddings: np.ndarray, edge_src: np.ndarray,
-                  edge_dst: np.ndarray) -> float:
-    """Mean sigmoid(-squared distance) over the given temporal edges."""
+                  edge_dst: np.ndarray, out: np.ndarray | None = None) -> float:
+    """Mean sigmoid(-squared distance) over the given temporal edges; the
+    per-edge sigmoids are also written into ``out`` when given."""
     if edge_src.shape[0] == 0:
         raise ValueError("empty edge set")
     diff = embeddings[edge_src] - embeddings[edge_dst]
-    return float(np.mean(sigmoid(-(diff ** 2).sum(axis=1))))
+    sig = sigmoid(-(diff ** 2).sum(axis=1))
+    if out is not None:
+        out[...] = sig
+    return float(np.mean(sig))
 
 
 def linking_rate(embeddings: np.ndarray, edge_src: np.ndarray,
@@ -109,29 +119,20 @@ def _residual_jacobian(S: float, n: np.ndarray, t: np.ndarray,
 
 def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
                          edge_src: np.ndarray, edge_dst: np.ndarray,
-                         params: MacroParams, work: Workspace | None = None):
+                         params: MacroParams):
     """Loss plus gradients for (embeddings, zeta_raw, gamma, theta).
 
     The embedding gradient flows through the affinity numerator, which is the
-    coupling that lets the scale constraint shape the embedding space.
-
-    ``work`` keeps the (2E, d) row buffer and the scatter positions of the
-    edge endpoints between calls, so it must serve one edge set; None uses a
-    fresh one. The returned gradient never aliases it.
+    coupling that lets the scale constraint shape the embedding space. This
+    is the exact path, O(E * d) over every edge; :class:`SampledCoupling`
+    estimates the same embedding gradient from a fixed-size edge sample.
     """
     if len(series.delta_e) == 0:
         return 0.0, np.zeros_like(embeddings), 0.0, 0.0, 0.0
-    if work is None:
-        work = Workspace()
     M = edge_src.shape[0]
     V, d = embeddings.shape
-    # rows[:M] holds u_src - u_dst, later the gradient at the source rows;
-    # rows[M:] first u_dst, then the squared diffs, then the negated gradient
-    # at the target rows
-    rows = work.get("macro.rows", (2 * M, d))
-    diff = take_rows(embeddings, edge_src, rows[:M])
-    diff -= take_rows(embeddings, edge_dst, rows[M:])
-    sig = sigmoid(-np.square(diff, out=rows[M:]).sum(axis=1))
+    diff = embeddings[edge_src] - embeddings[edge_dst]
+    sig = sigmoid(-np.square(diff).sum(axis=1))
     S = float(sig.mean())
 
     err, J = _residual_jacobian(S, series.n[:-1],
@@ -142,14 +143,73 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
 
     pred = err + series.delta_e
     d_S = float(np.sum(2.0 * err * pred) / S) if S > 0 else 0.0
-    diff *= ((d_S / M) * (sig * (1.0 - sig)) * (-2.0))[:, None]
-    np.negative(diff, out=rows[M:])
-    positions = work.get(
-        "macro.positions", (2 * M * d,), np.int64,
-        init=lambda out: row_positions(np.concatenate([edge_src, edge_dst]),
-                                       d, out=out))
-    dU = scatter_rows(positions, rows, V)
+    grad = diff * ((d_S / M) * (sig * (1.0 - sig)) * (-2.0))[:, None]
+    positions = row_positions(np.concatenate([edge_src, edge_dst]), d,
+                              out=np.empty(2 * M * d, dtype=np.int64))
+    dU = scatter_rows(positions, np.concatenate([grad, -grad]), V)
     return loss, dU, d_zeta_raw, d_gamma, d_theta
+
+
+# edges per draw of SampledCoupling: each step draws two sets of this many
+COUPLING_SAMPLE = 512
+
+
+class SampledCoupling:
+    """Unbiased estimate of the coupling's embedding gradient at O(M * d) per
+    call, anchored at one growth refit (Johnson & Zhang 2013's snapshot
+    control variate).
+
+    With the growth scalars fixed, pred = S * q where q does not depend on
+    S, so dL/dS = sum 2 * (pred - delta_e) * pred / S = 2 * (a * S - b) with
+    a = sum q^2 and b = sum delta_e * q, both fixed until the next refit.
+    The anchor keeps them and the exact per-edge sigmoids ``sig_ref`` at the
+    refit's embeddings, whose mean is ``S``. :meth:`add_grad` draws two
+    independent sets of M = COUPLING_SAMPLE edges, uniformly with
+    replacement. The first estimates S as S + mean(sigma_e - sig_ref_e), the
+    second dS/dU as the mean of the per-edge gradients; independence makes
+    the product, linear in the S estimate, unbiased for the exact
+    ``macro_loss_and_grads`` embedding gradient at the anchor's scalars.
+    Near the refit point sigma_e - sig_ref_e is small, so the S estimate's
+    spread is far below that of a raw sample mean.
+    """
+
+    def __init__(self, series: MacroSeries, sig_ref: np.ndarray, S: float,
+                 params: MacroParams, rng: np.random.Generator):
+        q = _predict_series(1.0, series.n[:-1], series.epochs[:-1], params)
+        self.sig_ref = sig_ref
+        self.S = float(S)
+        self.a = float(q @ q)
+        self.b = float(series.delta_e @ q)
+        self.rng = rng
+
+    def add_grad(self, embeddings: np.ndarray, edge_src: np.ndarray,
+                 edge_dst: np.ndarray, scale: float, out: np.ndarray,
+                 work: Workspace) -> None:
+        """Add ``scale`` times one draw of the estimate into ``out`` (the
+        (V, d) embedding gradient, C-contiguous), in place. ``work`` holds
+        the (4M, d) rows and the scatter positions between calls."""
+        if not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        M = COUPLING_SAMPLE
+        d = embeddings.shape[1]
+        picked = self.rng.integers(edge_src.shape[0], size=2 * M)
+        src, dst = edge_src[picked], edge_dst[picked]
+        # rows[:2M] holds u_src - u_dst of both sets, later the second set's
+        # gradient at its source rows; rows[2M:] first u_dst, then the
+        # squared diffs, then the negated gradient at the target rows
+        rows = work.get("coupling.rows", (4 * M, d))
+        diff = take_rows(embeddings, src, rows[:2 * M])
+        diff -= take_rows(embeddings, dst, rows[2 * M:])
+        sig = sigmoid(-np.square(diff, out=rows[2 * M:]).sum(axis=1))
+        S_hat = self.S + float(np.mean(sig[:M] - self.sig_ref[picked[:M]]))
+        d_S = 2.0 * (self.a * S_hat - self.b)
+        grad = rows[M:2 * M]
+        grad *= ((scale * d_S / M) * (sig[M:] * (1.0 - sig[M:]))
+                 * (-2.0))[:, None]
+        np.negative(grad, out=rows[2 * M:3 * M])
+        positions = work.get("coupling.positions", (2 * M * d,), np.int64)
+        row_positions(np.concatenate([src[M:], dst[M:]]), d, out=positions)
+        np.add.at(out.reshape(-1), positions, rows[M:3 * M].reshape(-1))
 
 
 def fit_params(series: MacroSeries, S: float,

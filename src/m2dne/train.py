@@ -127,7 +127,9 @@ class TrainData:
     negative-sampling table, the weight table for batch draws, the growth
     series and the edge endpoints feeding the rate numerator. ``work`` is
     the step workspace: every step of a fit reuses its buffers, which are
-    allocated by the first step and freed with this object."""
+    allocated by the first step and freed with this object. ``coupling`` is
+    the latest refit's :class:`~m2dne.macro.SampledCoupling` while ``fit``
+    samples the coupling, else None (steps take the exact path)."""
 
     def __init__(self, net: TemporalNetwork, history: int):
         self.net = net
@@ -140,6 +142,7 @@ class TrainData:
         cum = np.cumsum(net.weight)
         self.sample_cum = cum / cum[-1]
         self.work = Workspace()
+        self.coupling: macro_mod.SampledCoupling | None = None
 
 
 def sample_batch(data: TrainData, batch_size: int,
@@ -171,7 +174,7 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
     if config.epsilon > 0.0:
         ma, dU, dz, dg, dt = macro_mod.macro_loss_and_grads(
             data.series, state.embeddings, data.edge_src, data.edge_dst,
-            state.macro, work=data.work)
+            state.macro)
         eps = config.epsilon
         dU *= eps
         grads["embeddings"] += dU
@@ -194,6 +197,9 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
          config: TrainConfig, rng: np.random.Generator) -> StepResult:
     """One descent update of the six event-level groups, in place.
 
+    The coupling's embedding gradient is exact (``macro_loss_and_grads``,
+    O(E * d)) unless ``data.coupling`` holds a refit anchor; then it is one
+    unbiased draw of :class:`~m2dne.macro.SampledCoupling`, O(M * d).
     Per-group gradients exceeding ``grad_clip`` in L2 norm are rescaled to
     the clip so a single mis-scaled group cannot blow up the state; gradients
     must be finite or the step aborts naming the offending group. The growth
@@ -201,8 +207,15 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     """
     neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
                                             config.negatives, rng)
-    _, micro, _, grads, stats = _joint_grads(state, batch, neg_src, neg_dst,
-                                             data, config)
+    if data.coupling is None:
+        _, micro, _, grads, stats = _joint_grads(state, batch, neg_src,
+                                                 neg_dst, data, config)
+    else:
+        micro, grads, stats = batch_loss_and_grads(
+            batch, neg_src, neg_dst, state.embeddings, state.attention,
+            work=data.work)
+        data.coupling.add_grad(state.embeddings, data.edge_src, data.edge_dst,
+                               config.epsilon, grads["embeddings"], data.work)
     lr = config.learning_rate
     for name in _STEPPED_GROUPS:
         g = np.asarray(grads[name], dtype=np.float64)
@@ -253,6 +266,13 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     full training series at epoch boundaries (their curvature is far too
     steep to share the event-level rate).
 
+    With epsilon > 0 and more than ``macro.COUPLING_SAMPLE`` edges, each
+    refit also anchors a :class:`~m2dne.macro.SampledCoupling` (the exact
+    per-edge sigmoids from its affinity pass), and every step until the
+    next refit samples the coupling from the ``"coupling"`` stream instead
+    of differentiating through all E edges. Smaller networks keep the exact
+    coupling.
+
     The per-epoch trace records the mean batch event loss, the scale loss on
     the full training series, and their epsilon-weighted sum. With
     epsilon = 0 the scale loss is not part of the objective; its column
@@ -269,6 +289,9 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     data = TrainData(net, config.history)
     batch_rng = substream(config.seed, "batch")
     neg_rng = substream(config.seed, "negatives")
+    coupling_rng = substream(config.seed, "coupling")
+    sampled = config.epsilon > 0.0 and len(net) > macro_mod.COUPLING_SAMPLE
+    sig_ref = np.empty(len(net)) if sampled else None
     steps_per_epoch = max(1, math.ceil(len(net) / config.batch_size))
     trace = LossTrace()
 
@@ -276,9 +299,12 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
         """Scale loss at the current embeddings, after re-fitting the growth
         scalars to them when the scale term is in the objective."""
         S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
-                                    data.edge_dst)
+                                    data.edge_dst, out=sig_ref)
         if config.epsilon > 0.0:
             state.macro = macro_mod.fit_params(data.series, S, init=state.macro)
+        if sampled:
+            data.coupling = macro_mod.SampledCoupling(
+                data.series, sig_ref, S, state.macro, coupling_rng)
         return macro_mod.macro_loss(data.series, S, state.macro)
 
     ma = refit()

@@ -1,11 +1,15 @@
 """Independent straight-line reimplementations used as test oracles.
 
 Pure-Python scalar code, deliberately written without the package's helpers
-or vectorization, following the model definitions term by term.
+or vectorization, following the model definitions term by term. The one
+exception is :func:`softmax_newton_oracle`, a dense Newton solve that needs
+NumPy's linear algebra.
 """
 
 import bisect
 import math
+
+import numpy as np
 
 
 def _sigmoid(x):
@@ -273,3 +277,54 @@ def non_edges_oracle(V, count, existing, rng):
         taken.add(key)
         out.append(key)
     return out
+
+
+def softmax_newton_oracle(X, y, n_classes, l2, grad_tol=1e-12, max_iter=100):
+    """(loss, W, b) at the optimum of mean softmax cross-entropy
+    + 0.5 * l2 * ||W||^2 (bias unpenalised), by Newton's method on all
+    C * (D + 1) parameters with a halving line search.
+
+    The Hessian is the mean over samples of kron(diag(p) - p p^T, x x^T)
+    with x = (features, 1), plus l2 on the weight entries. Adding one
+    constant to every bias changes nothing, so it is singular along that
+    direction; the least-squares solve takes the minimum-norm step.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, D = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])
+    onehot = np.eye(n_classes)[np.asarray(y)]
+    ridge = np.tile(np.r_[np.full(D, l2), 0.0], n_classes)
+
+    def loss_grad(theta):
+        Wa = theta.reshape(n_classes, D + 1)
+        z = Xa @ Wa.T
+        z = z - z.max(axis=1, keepdims=True)
+        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+        loss = (-np.sum(onehot * logp) / n
+                + 0.5 * l2 * float(np.sum(Wa[:, :D] ** 2)))
+        p = np.exp(logp)
+        grad = ((p - onehot).T @ Xa / n).reshape(-1) + ridge * theta
+        return float(loss), grad, p
+
+    theta = np.zeros(n_classes * (D + 1))
+    loss, grad, p = loss_grad(theta)
+    for _ in range(max_iter):
+        if np.linalg.norm(grad) <= grad_tol:
+            break
+        cov = (p[:, :, None] * np.eye(n_classes)
+               - p[:, :, None] * p[:, None, :])
+        H = np.einsum("icj,ia,ib->cajb", cov, Xa, Xa).reshape(
+            theta.size, theta.size) / n + np.diag(ridge)
+        delta = np.linalg.lstsq(H, -grad, rcond=None)[0]
+        step = 1.0
+        while step > 1e-12:
+            new = loss_grad(theta + step * delta)
+            if new[0] <= loss:
+                break
+            step *= 0.5
+        else:
+            break
+        theta = theta + step * delta
+        loss, grad, p = new
+    Wa = theta.reshape(n_classes, D + 1)
+    return loss, Wa[:, :D], Wa[:, D]

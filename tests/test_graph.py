@@ -5,9 +5,9 @@ import pytest
 
 import _oracles as orc
 from conftest import net_from_events
-from m2dne.graph import (ParseError, compute_macro_series, parse_edge_list,
-                         parse_labels, snapshot_arrays, split_by_time,
-                         write_edge_list)
+from m2dne.graph import (ParseError, TemporalNetwork, compute_macro_series,
+                         parse_edge_list, parse_labels, snapshot_arrays,
+                         split_by_time, write_edge_list)
 
 
 class TestParseEdgeList:
@@ -150,6 +150,42 @@ class TestHistoryStream:
         want = [(tuple(hs), tuple(hd))
                 for hs, hd in orc.history_oracle(stream, 3)]
         assert history_rows(net, 3) == want
+
+    @pytest.mark.parametrize("h", [1, 2, 5, 9])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_arrays_match_oracle_at_every_capacity(self, h, seed):
+        # dense epochs (many same-epoch events), hubs that exceed every
+        # capacity, nodes that appear once and repeated pairs
+        rng = np.random.default_rng(seed)
+        n = 400
+        a = np.where(rng.random(n) < 0.3, 0, rng.integers(1, 40, n))
+        b = (a + 1 + rng.integers(0, 39, n)) % 40
+        events = list(zip(a.tolist(), b.tolist(),
+                          np.sort(rng.integers(1, 30, n)).tolist()))
+        events += [(40, 41, 30), (40, 41, 30), (41, 40, 31)]
+        net = net_from_events(events, node_count=42)
+        stream = list(zip(net.src.tolist(), net.dst.tolist(),
+                          net.time.tolist()))
+        want = [(tuple(hs), tuple(hd))
+                for hs, hd in orc.history_oracle(stream, h)]
+        assert history_rows(net, h) == want
+        arrays = snapshot_arrays(net, h)
+        for prefix in ("src", "dst"):
+            nodes = getattr(arrays, prefix + "_nodes")
+            times = getattr(arrays, prefix + "_times")
+            assert nodes.shape == times.shape == (len(net), h)
+            assert nodes.dtype == times.dtype == np.int64
+            pad = np.arange(h) >= getattr(arrays, prefix + "_len")[:, None]
+            assert not nodes[pad].any() and not times[pad].any()
+
+    def test_decreasing_epochs_rejected(self):
+        net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 3, 3)])
+        swapped = TemporalNetwork(
+            src=net.src, dst=net.dst, time=net.time[[0, 2, 1]],
+            weight=net.weight, node_count=net.node_count,
+            raw_ids=net.raw_ids, raw_epochs=net.raw_epochs)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            snapshot_arrays(swapped, 2)
 
     def test_capacity_validation(self):
         net = net_from_events([(0, 1, 1)])

@@ -6,10 +6,11 @@ import pytest
 import _oracles as orc
 from m2dne.graph import MacroSeries
 from m2dne import macro as macro_mod
-from m2dne.macro import (MacroParams, edge_affinity, fit_params, forecast_scale,
-                         linear_node_forecast, linking_rate, macro_loss,
-                         macro_loss_and_grads, predicted_new_edges,
-                         _predict_series, _residual_jacobian)
+from m2dne.macro import (MacroParams, SampledCoupling, edge_affinity,
+                         fit_params, forecast_scale, linear_node_forecast,
+                         linking_rate, macro_loss, macro_loss_and_grads,
+                         predicted_new_edges, _predict_series,
+                         _residual_jacobian)
 from m2dne.util import Workspace, softplus
 
 
@@ -141,24 +142,97 @@ class TestMacroLoss:
             assert dU[r, c] == pytest.approx(num, rel=1e-4, abs=1e-10)
 
 
-    def test_workspace_reuse_matches_fresh_calls(self):
-        # the row buffer and scatter positions persist between calls on one
-        # edge set; the embeddings change between them, as in a fit
-        U, src, dst = toy_edges(seed=4, V=8, M=20, d=3)
-        U2 = U + 0.1
+class TestSampledCoupling:
+    """The per-step estimate of the coupling's embedding gradient, at a
+    sample size below the edge count so the estimate is not the full sum."""
+
+    M = 8
+
+    @pytest.fixture
+    def anchored(self, monkeypatch):
+        """(series, edges, anchor embeddings U_ref, params fitted at S(U_ref),
+        anchor factory) on 40 edges of 10 nodes."""
+        monkeypatch.setattr(macro_mod, "COUPLING_SAMPLE", self.M)
+        U_ref, src, dst = toy_edges(seed=0, V=10, M=40, d=3)
+        series = make_series([2.0, 3.0, 5.0, 6.0, 8.0], [2.0, 4.0, 3.0, 5.0])
+        sig_ref = np.empty(len(src))
+        S_ref = edge_affinity(U_ref, src, dst, out=sig_ref)
+        params = fit_params(series, S_ref)
+
+        def anchor(seed):
+            return SampledCoupling(series, sig_ref, S_ref, params,
+                                   np.random.default_rng(seed))
+
+        return series, src, dst, U_ref, params, anchor
+
+    @staticmethod
+    def draws(anchor, U, src, dst, count, scale=1.0):
+        work = Workspace()
+        out = np.zeros((count,) + U.shape)
+        for k in range(count):
+            anchor.add_grad(U, src, dst, scale, out[k], work)
+        return out
+
+    def test_slope_identity(self):
+        # with the growth scalars fixed, dL/dS = sum 2 err pred / S = 2(aS - b)
         series = make_series([2.0, 3.0, 5.0, 6.0], [2.0, 4.0, 3.0])
         params = MacroParams(0.2, 1.2, 0.8)
+        anchor = SampledCoupling(series, np.zeros(1), 0.0, params,
+                                 np.random.default_rng(0))
+        for S in (0.05, 0.4, 0.9):
+            pred = _predict_series(S, series.n[:-1], series.epochs[:-1], params)
+            slope = float(np.sum(2.0 * (pred - series.delta_e) * pred) / S)
+            assert 2.0 * (anchor.a * S - anchor.b) == pytest.approx(slope,
+                                                                    rel=1e-12)
 
-        def as_bytes(result):
-            return [np.float64(v).tobytes() if np.ndim(v) == 0 else v.tobytes()
-                    for v in result]
+    def test_mean_of_draws_is_exact_gradient(self, anchored):
+        series, src, dst, U_ref, params, anchor = anchored
+        U = U_ref + np.random.default_rng(1).normal(0, 0.3, U_ref.shape)
+        _, exact, *_ = macro_loss_and_grads(series, U, src, dst, params)
+        samples = self.draws(anchor(5), U, src, dst, 4000)
+        mean = samples.mean(axis=0)
+        stderr = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
+        # the second bound keeps a bias of half the largest entry at five
+        # standard errors or more; one sample shared by S and dS/dU gives a
+        # largest |z| of about 18 here
+        assert np.max(np.abs(mean - exact) / stderr) < 4.5
+        assert np.max(stderr) < 0.1 * np.max(np.abs(exact))
 
-        fresh = [as_bytes(macro_loss_and_grads(series, emb, src, dst, params))
-                 for emb in (U, U2, U)]
-        work = Workspace()
-        reused = [macro_loss_and_grads(series, emb, src, dst, params,
-                                       work=work) for emb in (U, U2, U)]
-        assert [as_bytes(r) for r in reused] == fresh
+    def test_scale_multiplies_the_draw(self, anchored):
+        _, src, dst, U_ref, _, anchor = anchored
+        U = U_ref + np.random.default_rng(2).normal(0, 0.3, U_ref.shape)
+        once = self.draws(anchor(3), U, src, dst, 5)
+        scaled = self.draws(anchor(3), U, src, dst, 5, scale=0.3)
+        assert np.allclose(scaled, 0.3 * once, rtol=1e-12, atol=0.0)
+
+    def test_draws_at_the_refit_point_carry_no_affinity_noise(self, anchored):
+        # at the refit's own embeddings every sampled sigma_e equals its
+        # sig_ref, so each draw's S estimate is S_ref exactly and, with the
+        # scalars fitted there, dL/dS = 2(a S_ref - b) is at rounding level:
+        # so is every draw. A raw sample mean of sigma_e would leave
+        # 2 a (mean - S_ref) times the gradient sample in each draw.
+        _, src, dst, U_ref, _, anchor = anchored
+        U = U_ref + np.random.default_rng(1).normal(0, 0.3, U_ref.shape)
+        away = self.draws(anchor(7), U, src, dst, 50)
+        at_ref = self.draws(anchor(7), U_ref, src, dst, 50)
+        assert np.max(np.abs(at_ref)) <= 1e-9 * np.max(np.abs(away))
+
+    def test_rejects_a_strided_gradient(self, anchored):
+        _, src, dst, U_ref, _, anchor = anchored
+        out = np.zeros((U_ref.shape[1], U_ref.shape[0])).T
+        with pytest.raises(ValueError, match="contiguous"):
+            anchor(0).add_grad(U_ref, src, dst, 1.0, out, Workspace())
+
+    def test_affinity_writes_the_per_edge_sigmoids(self):
+        U, src, dst = toy_edges(seed=2)
+        sig = np.empty(len(src))
+        S = edge_affinity(U, src, dst, out=sig)
+        assert S == edge_affinity(U, src, dst)
+        assert float(np.mean(sig)) == S
+        want = [orc._sigmoid(-sum((U[a, c] - U[b, c]) ** 2
+                                  for c in range(U.shape[1])))
+                for a, b in zip(src, dst)]
+        assert np.allclose(sig, want, rtol=1e-12, atol=0.0)
 
 
 class TestFitParams:
