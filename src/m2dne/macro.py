@@ -150,7 +150,8 @@ def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
     return loss, dU, d_zeta_raw, d_gamma, d_theta
 
 
-# edges per draw of SampledCoupling: each step draws two sets of this many
+# edges per draw of SampledCoupling: each step draws two sets of this many;
+# train.fit samples only on networks of more than twice as many edges
 COUPLING_SAMPLE = 512
 
 
@@ -163,7 +164,8 @@ class SampledCoupling:
     S, so dL/dS = sum 2 * (pred - delta_e) * pred / S = 2 * (a * S - b) with
     a = sum q^2 and b = sum delta_e * q, both fixed until the next refit.
     The anchor keeps them and the exact per-edge sigmoids ``sig_ref`` at the
-    refit's embeddings, whose mean is ``S``. :meth:`add_grad` draws two
+    refit's embeddings, whose mean is ``S``; ``sig_ref`` is kept, not
+    copied, so the caller must not write to it afterwards. :meth:`add_grad` draws two
     independent sets of M = COUPLING_SAMPLE edges, uniformly with
     replacement. The first estimates S as S + mean(sigma_e - sig_ref_e), the
     second dS/dU as the mean of the per-edge gradients; independence makes
@@ -209,6 +211,8 @@ class SampledCoupling:
         np.negative(grad, out=rows[2 * M:3 * M])
         positions = work.get("coupling.positions", (2 * M * d,), np.int64)
         row_positions(np.concatenate([src[M:], dst[M:]]), d, out=positions)
+        # ufunc.at has a buffered fast path from NumPy 1.25 (the floor in
+        # pyproject.toml); before it, this would be the slow unbuffered loop
         np.add.at(out.reshape(-1), positions, rows[M:3 * M].reshape(-1))
 
 

@@ -164,6 +164,13 @@ class StepResult:
 
 def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
                  data: TrainData, config: TrainConfig):
+    """Event-level loss and gradients plus epsilon times the coupling's.
+
+    The coupling is exact (``macro_loss_and_grads``, O(E * d)) unless
+    ``data.coupling`` holds a refit anchor; then its embedding gradient is
+    one unbiased draw of :class:`~m2dne.macro.SampledCoupling`, O(M * d),
+    and the scale loss and the growth scalars' gradients are left at 0
+    (the refit in :func:`fit` owns both)."""
     micro, grads, stats = batch_loss_and_grads(
         batch, neg_src, neg_dst, state.embeddings, state.attention,
         work=data.work)
@@ -171,17 +178,20 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
     grads["gamma"] = 0.0
     grads["theta"] = 0.0
     ma = 0.0
-    if config.epsilon > 0.0:
+    eps = config.epsilon
+    if eps > 0.0 and data.coupling is not None:
+        data.coupling.add_grad(state.embeddings, data.edge_src, data.edge_dst,
+                               eps, grads["embeddings"], data.work)
+    elif eps > 0.0:
         ma, dU, dz, dg, dt = macro_mod.macro_loss_and_grads(
             data.series, state.embeddings, data.edge_src, data.edge_dst,
             state.macro)
-        eps = config.epsilon
         dU *= eps
         grads["embeddings"] += dU
         grads["zeta_raw"] = eps * dz
         grads["gamma"] = eps * dg
         grads["theta"] = eps * dt
-    total = micro + config.epsilon * ma
+    total = micro + eps * ma
     return total, micro, ma, grads, stats
 
 
@@ -197,9 +207,8 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
          config: TrainConfig, rng: np.random.Generator) -> StepResult:
     """One descent update of the six event-level groups, in place.
 
-    The coupling's embedding gradient is exact (``macro_loss_and_grads``,
-    O(E * d)) unless ``data.coupling`` holds a refit anchor; then it is one
-    unbiased draw of :class:`~m2dne.macro.SampledCoupling`, O(M * d).
+    The coupling's embedding gradient is exact or sampled as
+    :func:`_joint_grads` says.
     Per-group gradients exceeding ``grad_clip`` in L2 norm are rescaled to
     the clip so a single mis-scaled group cannot blow up the state; gradients
     must be finite or the step aborts naming the offending group. The growth
@@ -207,15 +216,8 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     """
     neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
                                             config.negatives, rng)
-    if data.coupling is None:
-        _, micro, _, grads, stats = _joint_grads(state, batch, neg_src,
-                                                 neg_dst, data, config)
-    else:
-        micro, grads, stats = batch_loss_and_grads(
-            batch, neg_src, neg_dst, state.embeddings, state.attention,
-            work=data.work)
-        data.coupling.add_grad(state.embeddings, data.edge_src, data.edge_dst,
-                               config.epsilon, grads["embeddings"], data.work)
+    _, micro, _, grads, stats = _joint_grads(state, batch, neg_src, neg_dst,
+                                             data, config)
     lr = config.learning_rate
     for name in _STEPPED_GROUPS:
         g = np.asarray(grads[name], dtype=np.float64)
@@ -266,12 +268,14 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     full training series at epoch boundaries (their curvature is far too
     steep to share the event-level rate).
 
-    With epsilon > 0 and more than ``macro.COUPLING_SAMPLE`` edges, each
-    refit also anchors a :class:`~m2dne.macro.SampledCoupling` (the exact
-    per-edge sigmoids from its affinity pass), and every step until the
-    next refit samples the coupling from the ``"coupling"`` stream instead
-    of differentiating through all E edges. Smaller networks keep the exact
-    coupling.
+    With epsilon > 0 and more than 2 * ``macro.COUPLING_SAMPLE`` edges,
+    each refit also anchors a :class:`~m2dne.macro.SampledCoupling` (the
+    exact per-edge sigmoids from its affinity pass), and every step until
+    the next refit samples the coupling from the ``"coupling"`` stream
+    instead of differentiating through all E edges. A draw touches
+    2 * COUPLING_SAMPLE edges, so on smaller networks the exact coupling
+    already costs no more edges per step and has no sampling noise; they
+    keep it.
 
     The per-epoch trace records the mean batch event loss, the scale loss on
     the full training series, and their epsilon-weighted sum. With
@@ -290,14 +294,16 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     batch_rng = substream(config.seed, "batch")
     neg_rng = substream(config.seed, "negatives")
     coupling_rng = substream(config.seed, "coupling")
-    sampled = config.epsilon > 0.0 and len(net) > macro_mod.COUPLING_SAMPLE
-    sig_ref = np.empty(len(net)) if sampled else None
+    sampled = (config.epsilon > 0.0
+               and len(net) > 2 * macro_mod.COUPLING_SAMPLE)
     steps_per_epoch = max(1, math.ceil(len(net) / config.batch_size))
     trace = LossTrace()
 
     def refit() -> float:
         """Scale loss at the current embeddings, after re-fitting the growth
         scalars to them when the scale term is in the objective."""
+        # a fresh array per refit: the anchor keeps it
+        sig_ref = np.empty(len(net)) if sampled else None
         S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
                                     data.edge_dst, out=sig_ref)
         if config.epsilon > 0.0:
