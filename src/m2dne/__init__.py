@@ -5,8 +5,7 @@ from .graph import (LabelTable, MacroSeries, ParseError, TemporalNetwork,
                     compute_macro_series, parse_edge_list, parse_labels,
                     snapshot_arrays, split_by_time, write_edge_list)
 from .macro import (MacroParams, edge_affinity, fit_params, forecast_scale,
-                    linear_node_forecast, linking_rate, macro_loss,
-                    predicted_new_edges)
+                    linear_node_forecast, macro_loss)
 from .micro import AttentionParams, NegativeTable
 from .micrograd import EventBatch, batch_loss_and_grads
 from .train import (GradCheckReport, LossTrace, ModelState, TrainConfig,
@@ -21,8 +20,8 @@ __all__ = [
     "ParseError", "TemporalNetwork", "TrainConfig", "TrainData",
     "batch_loss_and_grads", "compute_macro_series", "edge_affinity", "fit",
     "fit_params", "forecast_scale", "gradient_check", "init_state",
-    "linear_node_forecast", "linking_rate", "load_checkpoint", "macro_loss",
-    "parse_edge_list", "parse_labels", "predicted_new_edges", "sample_batch",
+    "linear_node_forecast", "load_checkpoint", "macro_loss",
+    "parse_edge_list", "parse_labels", "sample_batch",
     "save_checkpoint", "snapshot_arrays", "split_by_time", "step",
     "write_edge_list",
 ]

@@ -450,27 +450,13 @@ def _growth_inputs(embeddings: np.ndarray, net_full: TemporalNetwork,
     return series_train, S, horizon, n_future
 
 
-def _count_affine_pairs(embeddings: np.ndarray, chunk: int = 512) -> int:
-    """Pairs i < j whose inner product is positive (score threshold 0.5)."""
-    V = embeddings.shape[0]
-    cols = np.arange(V)
-    count = 0
-    for start in range(0, V, chunk):
-        dots = embeddings[start:start + chunk] @ embeddings.T
-        rows = np.arange(start, start + dots.shape[0])[:, None]
-        count += int(np.count_nonzero((dots > 0.0) & (cols > rows)))
-    return count
-
-
 def scale_prediction(state: ModelState, net_full: TemporalNetwork,
                      t_next: int, train_end: int | None = None,
                      n_mode: str = "observed") -> MetricReport:
     """Cumulative edge count predicted at epoch ``t_next``.
 
     The model path rolls the growth equation forward from ``train_end`` (the
-    last epoch the state was fitted on; defaults to ``t_next`` - 1). A
-    threshold baseline counting positively-scored pairs is reported for
-    comparison with static scoring methods.
+    last epoch the state was fitted on; defaults to ``t_next`` - 1).
     """
     series_full = compute_macro_series(net_full)
     T = int(series_full.epochs[-1])
@@ -486,14 +472,11 @@ def scale_prediction(state: ModelState, net_full: TemporalNetwork,
                                         n_future)
     predicted = int(np.floor(forecast[-1] + 0.5))
     actual = int(series_full.e[t_next - 1])
-    baseline = _count_affine_pairs(state.embeddings)
     return MetricReport(
         task="scale_prediction",
         metrics={"predicted_edges": predicted,
                  "actual_edges": actual,
-                 "absolute_error": abs(predicted - actual),
-                 "baseline_predicted_edges": baseline,
-                 "baseline_absolute_error": abs(baseline - actual)},
+                 "absolute_error": abs(predicted - actual)},
         config={"task": "scale_prediction", "t_next": int(t_next),
                 "train_end": int(train_end), "n_mode": n_mode})
 

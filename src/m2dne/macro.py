@@ -1,5 +1,5 @@
-"""Network-scale growth model: linking rate, new-edge prediction, squared
-error against the observed increments, and cumulative forecasting.
+"""Network-scale growth model: new-edge prediction, squared error against
+the observed increments, the growth fit, and cumulative forecasting.
 
 The number of new edges arriving after epoch t is modeled as
 
@@ -12,14 +12,13 @@ forecast take S, and a caller computes it once per set of embeddings (only
 ``macro_loss_and_grads``, which differentiates through S, takes U). zeta is
 kept positive through a softplus reparameterization; the rate numerator is
 computed over training edges only so forecasts never touch held-out data.
-The three growth scalars are fitted by a Levenberg-Marquardt least-squares
-solve on the residuals pred - delta_e (Marquardt 1963).
 
-Between refits the scalars are fixed, so pred is S times a fixed vector q
-and the loss's derivative in S is 2 * (a * S - b), with a = sum q^2 and
-b = sum delta_e * q. ``macro_loss_and_grads`` differentiates through S
-exactly over all E edges; :class:`SampledCoupling` uses the identity to
-estimate the same embedding gradient from 2 * COUPLING_SAMPLE edges.
+S and zeta enter only as kappa = S * zeta: the prediction is kappa * q with
+q = n (n - 1) ** gamma / t ** theta. ``fit_params`` fits (kappa, gamma,
+theta), which do not depend on S, and returns zeta = kappa / S. Re-anchored
+at S_ref, the scale loss is its fitted minimum plus a * (S(U) - S_ref) ** 2,
+a = zeta^2 * sum q^2: ``macro_loss_and_grads`` differentiates it through S
+exactly over all E edges, :class:`SampledCoupling` from a sample of edges.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import numpy as np
 
 from .graph import MacroSeries
 from .util import (Workspace, row_positions, scatter_rows, sigmoid, softplus,
-                   take_rows)
+                   softplus_inv, take_rows)
 
 # stopping rule of fit_params
 _GRAD_TOL = 1e-10
@@ -68,29 +67,23 @@ def edge_affinity(embeddings: np.ndarray, edge_src: np.ndarray,
     return float(np.mean(sig))
 
 
-def linking_rate(embeddings: np.ndarray, edge_src: np.ndarray,
-                 edge_dst: np.ndarray, t: float, theta: float) -> float:
-    """Embedding-level affinity divided by the temporal fizzling term t**theta."""
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    return edge_affinity(embeddings, edge_src, edge_dst) / float(t) ** theta
+def _growth_basis(n: np.ndarray, t: np.ndarray, gamma: float,
+                  theta: float) -> np.ndarray:
+    """q = n (n - 1) ** gamma / t ** theta, the predicted increments per unit
+    kappa = S * zeta."""
+    return n * np.power(np.maximum(n - 1.0, 0.0), gamma) \
+        / np.power(t.astype(np.float64), theta)
 
 
-def predicted_new_edges(n_t: float, r_t: float, zeta: float, gamma: float) -> float:
-    """Expected new edges after an epoch with n_t nodes and rate r_t."""
-    if n_t < 1:
-        raise ValueError(f"n_t must be >= 1, got {n_t}")
-    return float(n_t * r_t * zeta * np.power(n_t - 1.0, gamma))
+def _log_factors(n: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Columns d log q / d(gamma, theta): log(n - 1) (0 where n <= 1), -log t."""
+    log_n1 = np.where(n > 1.0, np.log(np.maximum(n - 1.0, 1e-300)), 0.0)
+    return np.stack([log_n1, -np.log(t)], axis=1)
 
 
 def _predict_series(S: float, n: np.ndarray, t: np.ndarray,
                     params: MacroParams) -> np.ndarray:
-    # extreme exponents can overflow during line-search probes; the resulting
-    # inf/nan losses are rejected by the caller, so silence the warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        zeta = params.zeta
-        base = np.power(np.maximum(n - 1.0, 0.0), params.gamma)
-        return n * (S / np.power(t.astype(np.float64), params.theta)) * zeta * base
+    return (S * params.zeta) * _growth_basis(n, t, params.gamma, params.theta)
 
 
 def macro_loss(series: MacroSeries, S: float, params: MacroParams) -> float:
@@ -107,13 +100,8 @@ def _residual_jacobian(S: float, n: np.ndarray, t: np.ndarray,
     """Residuals pred - d_obs and their Jacobian with respect to
     (zeta_raw, gamma, theta), one column per parameter."""
     pred = _predict_series(S, n, t, params)
-    # an overflowed prediction gives inf/nan columns; its loss is not finite
-    # either, so the solver rejects that point before using them
-    with np.errstate(over="ignore", invalid="ignore"):
-        log_n1 = np.where(n > 1.0, np.log(np.maximum(n - 1.0, 1e-300)), 0.0)
-        J = np.stack([pred * (float(sigmoid(params.zeta_raw)) / params.zeta),
-                      pred * log_n1,
-                      -pred * np.log(t)], axis=1)
+    J = np.column_stack([pred * (sigmoid(params.zeta_raw) / params.zeta),
+                         pred[:, None] * _log_factors(n, t)])
     return pred - d_obs, J
 
 
@@ -157,31 +145,27 @@ COUPLING_SAMPLE = 512
 
 class SampledCoupling:
     """Unbiased estimate of the coupling's embedding gradient at O(M * d) per
-    call, anchored at one growth refit (Johnson & Zhang 2013's snapshot
-    control variate).
+    call, anchored at one re-anchor of the growth fit (Johnson & Zhang
+    2013's snapshot control variate).
 
-    With the growth scalars fixed, pred = S * q where q does not depend on
-    S, so dL/dS = sum 2 * (pred - delta_e) * pred / S = 2 * (a * S - b) with
-    a = sum q^2 and b = sum delta_e * q, both fixed until the next refit.
-    The anchor keeps them and the exact per-edge sigmoids ``sig_ref`` at the
-    refit's embeddings, whose mean is ``S``; ``sig_ref`` is kept, not
-    copied, so the caller must not write to it afterwards. :meth:`add_grad` draws two
+    The anchor keeps ``a`` and ``S_ref`` of the penalty a * (S - S_ref)^2,
+    whose dL/dS is 2 * a * (S - S_ref), and the exact per-edge sigmoids
+    ``sig_ref`` at its embeddings (mean ``S_ref``; kept, not copied, so the
+    caller must not write to them afterwards). :meth:`add_grad` draws two
     independent sets of M = COUPLING_SAMPLE edges, uniformly with
-    replacement. The first estimates S as S + mean(sigma_e - sig_ref_e), the
-    second dS/dU as the mean of the per-edge gradients; independence makes
-    the product, linear in the S estimate, unbiased for the exact
-    ``macro_loss_and_grads`` embedding gradient at the anchor's scalars.
-    Near the refit point sigma_e - sig_ref_e is small, so the S estimate's
-    spread is far below that of a raw sample mean.
+    replacement: the first estimates S - S_ref as mean(sigma_e - sig_ref_e),
+    the second dS/dU as the mean of the per-edge gradients, so the product
+    is unbiased for the exact ``macro_loss_and_grads`` embedding gradient.
+    Near the anchor sigma_e - sig_ref_e is small, so the estimate's spread
+    is far below that of a raw sample mean; at the anchor it is 0.
     """
 
     def __init__(self, series: MacroSeries, sig_ref: np.ndarray, S: float,
                  params: MacroParams, rng: np.random.Generator):
         q = _predict_series(1.0, series.n[:-1], series.epochs[:-1], params)
         self.sig_ref = sig_ref
-        self.S = float(S)
+        self.S_ref = float(S)
         self.a = float(q @ q)
-        self.b = float(series.delta_e @ q)
         self.rng = rng
 
     def add_grad(self, embeddings: np.ndarray, edge_src: np.ndarray,
@@ -203,8 +187,8 @@ class SampledCoupling:
         diff = take_rows(embeddings, src, rows[:2 * M])
         diff -= take_rows(embeddings, dst, rows[2 * M:])
         sig = sigmoid(-np.square(diff, out=rows[2 * M:]).sum(axis=1))
-        S_hat = self.S + float(np.mean(sig[:M] - self.sig_ref[picked[:M]]))
-        d_S = 2.0 * (self.a * S_hat - self.b)
+        # dL/dS = 2 a (S_hat - S_ref), with the difference estimated directly
+        d_S = 2.0 * self.a * float(np.mean(sig[:M] - self.sig_ref[picked[:M]]))
         grad = rows[M:2 * M]
         grad *= ((scale * d_S / M) * (sig[M:] * (1.0 - sig[M:]))
                  * (-2.0))[:, None]
@@ -216,53 +200,81 @@ class SampledCoupling:
         np.add.at(out.reshape(-1), positions, rows[M:3 * M].reshape(-1))
 
 
-def fit_params(series: MacroSeries, S: float,
-               init: MacroParams | None = None) -> MacroParams:
-    """Fit (zeta, gamma, theta) by Levenberg-Marquardt at a fixed affinity
-    ``S`` (the embeddings are frozen).
+def _projected_loss(x: np.ndarray, n: np.ndarray, t: np.ndarray,
+                    d_obs: np.ndarray, log_factors: np.ndarray):
+    """(loss, g, A, kappa) at (gamma, theta) = x: the loss sum r^2 with
+    r = kappa * q - d_obs at the best kappa, half its gradient, and half its
+    Hessian (kappa eliminated by a Schur complement) where that is positive
+    definite, else the Gauss-Newton J^T J. A probe that overflows q or makes
+    it 0 has a non-finite loss, which the solver rejects: no warnings."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        q = _growth_basis(n, t, x[0], x[1])
+        # kappa absorbs the scale of q, so dividing it out changes nothing
+        # but keeps q . q and the derivatives from overflowing where r does not
+        scale = np.max(q)
+        q = q / scale
+        qq = q @ q
+        kappa = (d_obs @ q) / qq
+        r = kappa * q - d_obs
+        dq = q[:, None] * log_factors
+        p, s = dq.T @ q, dq.T @ r
+        gauss_newton = kappa ** 2 * (dq.T @ dq - np.outer(p, p) / qq)
+        A = gauss_newton + kappa * (dq.T @ (r[:, None] * log_factors)) \
+            - (kappa * (np.outer(p, s) + np.outer(s, p)) + np.outer(s, s)) / qq
+        if not (A[0, 0] > 0.0 and np.linalg.det(A) > 0.0):
+            A = gauss_newton
+        return float(r @ r), kappa * s, A, float(kappa / scale)
 
-    Each iteration solves (J^T J + lam * diag(J^T J)) delta = -J^T r on the
-    residuals r = pred - delta_e, starting from ``init`` (default
-    (softplus(0), 1, 1)). A step is kept only if the loss is finite and
-    lower, after which lam shrinks tenfold; otherwise lam grows tenfold and
-    the step is retried. The solve stops when the gradient norm is at most
-    1e-10 * (1 + loss), when a kept step lowers the loss by a relative 1e-15
-    or less, when lam exceeds 1e16 (no step lowers the loss any more), or
-    after 200 iterations.
+
+def fit_params(series: MacroSeries, S: float) -> MacroParams:
+    """Fit the growth model at a fixed affinity ``S`` (the embeddings are
+    frozen); returns zeta = kappa / S with the fitted (kappa, gamma, theta).
+
+    For fixed (gamma, theta) the best kappa is delta_e . q / q . q, so a
+    Levenberg-Marquardt loop runs on (gamma, theta) alone, from (1, 1)
+    (variable projection, Golub & Pereyra 1973), solving
+    (A + lam * diag(A)) delta = -g (see :func:`_projected_loss`; J^T J alone
+    converges only linearly, as the residuals at the optimum are not 0). A
+    step is kept if the loss is finite and lower, and lam then shrinks
+    tenfold, else grows tenfold. The loop stops when the gradient norm is at
+    most 1e-10 * (1 + loss), when a kept step lowers the loss by a relative
+    1e-15 or less, when lam exceeds 1e16, or after 200 iterations. Raises
+    ValueError when S <= 0, when no increment epoch has n >= 2, when the
+    loss is not finite at the start, or when the fitted kappa is not > 0.
     """
-    if len(series.delta_e) == 0:
-        raise ValueError("cannot fit on a series without increments")
+    if not S > 0.0:
+        raise ValueError(f"edge affinity S = {S} is not positive: every "
+                         "training-edge sigmoid underflowed")
     n = series.n[:-1]
+    if not np.any(n >= 2.0):
+        raise ValueError("no increment epoch has 2 or more nodes, so the "
+                         "growth model predicts no new edges")
     t = series.epochs[:-1].astype(np.float64)
-    d_obs = series.delta_e
-
-    def loss_jac(x):
-        r, J = _residual_jacobian(S, n, t, d_obs, MacroParams(*x))
-        return float(np.sum(r ** 2)), r, J
-
-    x = np.array([init.zeta_raw, init.gamma, init.theta]) if init \
-        else np.array([0.0, 1.0, 1.0])
-    loss, r, J = loss_jac(x)
+    args = (n, t, series.delta_e, _log_factors(n, t))
+    x = np.array([1.0, 1.0])
+    loss, g, A, kappa = _projected_loss(x, *args)
     if not np.isfinite(loss):
         raise ValueError("growth loss is not finite at the start point")
     lam = 1e-3
     for _ in range(_MAX_ITER):
-        A, g = J.T @ J, J.T @ r
         if 2.0 * float(np.linalg.norm(g)) <= _GRAD_TOL * (1.0 + loss) \
                 or lam > _MAX_DAMPING:
             break
         delta = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), -g,
                                 rcond=None)[0]
-        loss_new, r_new, J_new = loss_jac(x + delta)
+        loss_new, g_new, A_new, kappa_new = _projected_loss(x + delta, *args)
         if np.isfinite(loss_new) and loss_new < loss:
             decrease = (loss - loss_new) / loss
-            x, loss, r, J = x + delta, loss_new, r_new, J_new
+            x, loss, g, A, kappa = x + delta, loss_new, g_new, A_new, kappa_new
             lam /= 10.0
             if decrease < _REL_DECREASE_TOL:
                 break
         else:
             lam *= 10.0
-    return MacroParams(*x)
+    if not kappa > 0.0:
+        raise ValueError(f"fitted kappa = S * zeta is {kappa}, not positive: "
+                         "the series has no new edges to fit")
+    return MacroParams(softplus_inv(kappa / S), float(x[0]), float(x[1]))
 
 
 def linear_node_forecast(series_train: MacroSeries,

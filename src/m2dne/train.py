@@ -16,7 +16,7 @@ from . import macro as macro_mod
 from .graph import MacroSeries, TemporalNetwork, compute_macro_series, snapshot_arrays
 from .micro import AttentionParams, NegativeTable, draw_event_negatives
 from .micrograd import EventBatch, batch_loss_and_grads
-from .util import Workspace, substream
+from .util import Workspace, softplus_inv, substream
 
 CHECKPOINT_MAGIC = b"M2DNE\x00"
 CHECKPOINT_VERSION = 1
@@ -195,10 +195,10 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
     return total, micro, ma, grads, stats
 
 
-# The three growth scalars are not stepped: fit re-fits them to the full
-# series at epoch boundaries. Their full-series gradients are orders of
-# magnitude steeper than the event-level ones, so sharing the configured rate
-# would only produce clip-bounded oscillation.
+# The three growth scalars are not stepped: fit fits them to the full series
+# once and re-anchors zeta at epoch boundaries. Their full-series gradients
+# are orders of magnitude steeper than the event-level ones, so sharing the
+# configured rate would only produce clip-bounded oscillation.
 _STEPPED_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
                    "s_bias", "decay_raw")
 
@@ -262,11 +262,11 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     """Train on the full event stream of ``net``.
 
     Runs epochs x ceil(E / batch_size) update steps on the embeddings and
-    attention parameters; the event-level and scale objectives evolve
-    alternately: every batch couples the scale residuals into the embedding
-    gradient, while the three growth scalars themselves are re-fit to the
-    full training series at epoch boundaries (their curvature is far too
-    steep to share the event-level rate).
+    attention parameters; every batch couples the scale loss into the
+    embedding gradient. With epsilon > 0 the growth model is fitted to the
+    full training series once, at the start, and each epoch boundary
+    re-anchors it, zeta = kappa / S at the current affinity: the refit at S,
+    as the fitted (kappa, gamma, theta) do not depend on S.
 
     With epsilon > 0 and more than 2 * ``macro.COUPLING_SAMPLE`` edges,
     each refit also anchors a :class:`~m2dne.macro.SampledCoupling` (the
@@ -278,9 +278,9 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     keep it.
 
     The per-epoch trace records the mean batch event loss, the scale loss on
-    the full training series, and their epsilon-weighted sum. With
-    epsilon = 0 the scale loss is not part of the objective; its column
-    echoes the initial value.
+    the full training series (the fitted minimum, with epsilon > 0), and
+    their epsilon-weighted sum. With epsilon = 0 the scale loss is not part
+    of the objective; its column echoes the initial value.
     """
     if net.epoch_count < 2:
         raise ValueError("training needs a network spanning at least 2 epochs")
@@ -299,15 +299,22 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     steps_per_epoch = max(1, math.ceil(len(net) / config.batch_size))
     trace = LossTrace()
 
+    kappa = None    # S * zeta of the growth fit, made at the first refit
+
     def refit() -> float:
-        """Scale loss at the current embeddings, after re-fitting the growth
-        scalars to them when the scale term is in the objective."""
+        """Scale loss at the current embeddings, after fitting the growth
+        model (first call) or re-anchoring it when the scale term is in the
+        objective."""
+        nonlocal kappa
         # a fresh array per refit: the anchor keeps it
         sig_ref = np.empty(len(net)) if sampled else None
         S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
                                     data.edge_dst, out=sig_ref)
-        if config.epsilon > 0.0:
-            state.macro = macro_mod.fit_params(data.series, S, init=state.macro)
+        if config.epsilon > 0.0 and kappa is None:
+            state.macro = macro_mod.fit_params(data.series, S)
+            kappa = S * state.macro.zeta
+        elif config.epsilon > 0.0:
+            state.macro.zeta_raw = softplus_inv(kappa / S)
         if sampled:
             data.coupling = macro_mod.SampledCoupling(
                 data.series, sig_ref, S, state.macro, coupling_rng)

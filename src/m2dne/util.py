@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import zlib
 
@@ -21,15 +22,6 @@ def sigmoid(x):
     return out
 
 
-def log_sigmoid(x):
-    """log(sigmoid(x)) without overflow: -softplus(-x)."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def softplus(x):
     """log(1 + exp(x)), stable for large |x|."""
     x = np.asarray(x, dtype=np.float64)
@@ -37,6 +29,12 @@ def softplus(x):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def softplus_inv(y: float) -> float:
+    """Inverse of softplus for y > 0: y + log(1 - e^-y), which stays finite
+    for large y, where log(e^y - 1) would overflow."""
+    return y + math.log(-math.expm1(-y))
 
 
 class Workspace:

@@ -129,6 +129,19 @@ def two_community_lines(seed=101, nodes=60, n_events=2000, within=0.9,
     return "\n".join(f"{a} {b} {t}" for (a, b), t in zip(pairs, times))
 
 
+def random_stream_lines(ids=200_000, n_events=4000, epochs=100, seed=1):
+    """Uniformly random endpoints over ``ids`` raw ids (sources drawn first,
+    then targets; self-loops dropped) at sorted uniform epochs. Only the ids
+    that appear become nodes."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(ids, size=n_events)
+    dst = rng.integers(ids, size=n_events)
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    times = np.sort(rng.integers(1, epochs + 1, size=src.shape[0]))
+    return "\n".join(f"{a} {b} {t}" for a, b, t in zip(src, dst, times))
+
+
 @pytest.fixture
 def tmp_edges(tmp_path):
     def write(text, name="edges.tsv"):

@@ -18,8 +18,7 @@ from m2dne.evaluate import (reconstruction_metrics, scale_prediction,
 from m2dne.graph import (MacroSeries, parse_edge_list, snapshot_arrays,
                          split_by_time)
 from m2dne.macro import (MacroParams, edge_affinity, fit_params, forecast_scale,
-                         linking_rate, macro_loss, predicted_new_edges,
-                         _predict_series)
+                         macro_loss, _predict_series)
 from m2dne.micro import AttentionParams
 from m2dne.micrograd import EventBatch, _pair_beta, batch_loss_and_grads
 from m2dne.train import (TrainConfig, fit, gradient_check, init_state,
@@ -199,13 +198,17 @@ def test_a5_oracle_equivalence():
 
         edge_src = np.array([0, 1, 2, 0])
         edge_dst = np.array([1, 2, 3, 3])
-        got = linking_rate(U, edge_src, edge_dst, 4, theta=1.5)
-        want = orc.linking_rate_oracle(U.tolist(),
-                                       list(zip(edge_src, edge_dst)), 4, 1.5)
+        # at n = 2 the prediction is 2 * zeta * r(t)
+        mp = MacroParams(0.3, 1.2, 1.5)
+        S = edge_affinity(U, edge_src, edge_dst)
+        got = _predict_series(S, np.array([2.0]), np.array([4]), mp)[0]
+        want = 2.0 * mp.zeta * orc.linking_rate_oracle(
+            U.tolist(), list(zip(edge_src, edge_dst)), 4, 1.5)
         assert abs(got - want) <= 1e-10
 
-        got = predicted_new_edges(7, 0.31, 1.4, 1.2)
-        want = orc.predicted_new_edges_oracle(7, 0.31, 1.4, 1.2)
+        # at t = 1 the rate is S itself
+        got = _predict_series(0.31, np.array([7.0]), np.array([1]), mp)[0]
+        want = orc.predicted_new_edges_oracle(7, 0.31, mp.zeta, 1.2)
         assert abs(got - want) <= 1e-10
 
         n = np.array([2.0, 3.0, 4.0, 4.0])

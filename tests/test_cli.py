@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import random_stream_lines
 from m2dne.cli import main
 from m2dne.train import load_checkpoint
 
@@ -45,6 +46,16 @@ class TestTrainCommand:
         train(tmp_path)
         after = hashlib.sha256(Path(TOY_EDGES).read_bytes()).hexdigest()
         assert before == after
+
+    def test_random_stream_trains(self, tmp_edges, tmp_path, capsys):
+        # 4000 events over 7844 nodes; fitting the growth model with S and
+        # zeta as separate parameters divided by an underflowed zeta here
+        edges = tmp_edges(random_stream_lines())
+        rc = main(["train", "--edges", edges, "--epochs", "1",
+                   "--batch-size", "64", "--dim", "16",
+                   "--out", str(tmp_path / "r.ckpt"),
+                   "--trace", str(tmp_path / "r.csv")])
+        assert rc == 0, capsys.readouterr().err
 
     def test_bad_path_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--edges", str(tmp_path / "absent.tsv")])

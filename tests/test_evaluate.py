@@ -9,7 +9,7 @@ from _oracles import (non_edges_oracle, reconstruction_precision_oracle,
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
 from m2dne.evaluate import (FULL_PASS_PAIR_LIMIT, PAIR_CHUNK, MetricReport,
-                            _auc_rank_sum, _count_affine_pairs, _decode_pairs,
+                            _auc_rank_sum, _decode_pairs,
                             _pair_scores,
                             _sample_non_edges,
                             node_classification, reconstruction_metrics,
@@ -507,26 +507,6 @@ class TestScalePrediction:
         net, state = growth_law_net()
         with pytest.raises(ValueError):
             scale_prediction(state, net, t_next=10, train_end=16)
-
-    def test_baseline_counts_positive_dot_pairs(self):
-        U = np.array([[1.0, 0.0], [0.9, 0.1], [-1.0, 0.2], [0.0, 0.0]])
-        net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 3, 3)], node_count=4)
-        state = make_state(U)
-        rep = scale_prediction(state, net, t_next=3, train_end=2)
-        # only (0, 1) has positive inner product
-        assert rep.metrics["baseline_predicted_edges"] == 1
-
-    def test_affine_pair_count_matches_double_loop(self):
-        # small integers make every inner product exact, many of them 0
-        U = np.random.default_rng(22).integers(-1, 2, size=(37, 3)) \
-            .astype(np.float64)
-        dots = [[sum(a * b for a, b in zip(U[i], U[j])) for j in range(37)]
-                for i in range(37)]
-        expected = sum(1 for i in range(37) for j in range(i + 1, 37)
-                       if dots[i][j] > 0.0)
-        assert any(dots[i][j] == 0.0 for i in range(37) for j in range(i))
-        for chunk in (1, 8, 37, 512):
-            assert _count_affine_pairs(U, chunk=chunk) == expected
 
 
 class TestTrendForecast:

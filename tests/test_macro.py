@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from m2dne.graph import MacroSeries
+from conftest import random_stream_lines
+from m2dne.graph import MacroSeries, compute_macro_series, parse_edge_list
 from m2dne import macro as macro_mod
 from m2dne.macro import (MacroParams, SampledCoupling, edge_affinity,
                          fit_params, forecast_scale, linear_node_forecast,
-                         linking_rate, macro_loss, macro_loss_and_grads,
-                         predicted_new_edges, _predict_series,
+                         macro_loss, macro_loss_and_grads, _predict_series,
                          _residual_jacobian)
-from m2dne.util import Workspace, softplus
+from m2dne.util import Workspace, softplus, softplus_inv
 
 
 def toy_edges(seed=0, V=12, M=30, d=3):
@@ -31,6 +31,20 @@ def make_series(n, delta, start_e=5.0):
 
 
 ZETA_RAW_ONE = math.log(math.e - 1.0)   # softplus(x) = 1
+
+
+def predict_one(n, S, t, zeta, gamma, theta=1.0):
+    """One epoch's predicted increment, n * (S / t^theta) * zeta *
+    (n - 1)^gamma."""
+    params = MacroParams(softplus_inv(zeta), gamma, theta)
+    return float(_predict_series(S, np.array([float(n)]), np.array([t]),
+                                 params)[0])
+
+
+def linking_rate(U, src, dst, t, theta):
+    """r(t) = S(U) / t^theta, read off the prediction at n = 2 and zeta = 1,
+    where n * zeta * (n - 1)^gamma is 2."""
+    return predict_one(2, edge_affinity(U, src, dst), t, 1.0, 1.0, theta) / 2
 
 
 class TestLinkingRate:
@@ -59,27 +73,28 @@ class TestLinkingRate:
 
     def test_empty_edges_rejected(self):
         with pytest.raises(ValueError):
-            linking_rate(np.zeros((3, 2)), np.zeros(0, dtype=int),
-                         np.zeros(0, dtype=int), 1, 1.0)
+            edge_affinity(np.zeros((3, 2)), np.zeros(0, dtype=int),
+                          np.zeros(0, dtype=int))
 
 
 class TestPredictedNewEdges:
     def test_single_node_zero(self):
-        assert predicted_new_edges(1, 0.4, 2.0, 1.5) == 0.0
+        assert predict_one(1, 0.4, 1, 2.0, 1.5) == 0.0
 
     def test_gamma_zero(self):
-        assert predicted_new_edges(7, 0.3, 2.0, 0.0) == pytest.approx(4.2)
+        assert predict_one(7, 0.3, 1, 2.0, 0.0) == pytest.approx(4.2)
 
     def test_direct_arithmetic(self):
-        assert predicted_new_edges(2, 0.5, 1.0, 1.0) == pytest.approx(1.0)
+        assert predict_one(2, 0.5, 1, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_linear_in_zeta(self):
-        base = predicted_new_edges(9, 0.4, 1.0, 1.3)
-        assert predicted_new_edges(9, 0.4, 3.5, 1.3) == pytest.approx(3.5 * base)
+        base = predict_one(9, 0.4, 3, 1.0, 1.3)
+        assert predict_one(9, 0.4, 3, 3.5, 1.3) == pytest.approx(3.5 * base)
 
-    def test_invalid_n(self):
-        with pytest.raises(ValueError):
-            predicted_new_edges(0, 0.4, 1.0, 1.0)
+    def test_depends_on_affinity_and_zeta_only_through_their_product(self):
+        # the reason the growth fit is on kappa = S * zeta
+        assert predict_one(9, 0.4, 3, 1.5, 1.3) == \
+            pytest.approx(predict_one(9, 0.2, 3, 3.0, 1.3), rel=1e-15)
 
 
 class TestMacroLoss:
@@ -173,18 +188,6 @@ class TestSampledCoupling:
             anchor.add_grad(U, src, dst, scale, out[k], work)
         return out
 
-    def test_slope_identity(self):
-        # with the growth scalars fixed, dL/dS = sum 2 err pred / S = 2(aS - b)
-        series = make_series([2.0, 3.0, 5.0, 6.0], [2.0, 4.0, 3.0])
-        params = MacroParams(0.2, 1.2, 0.8)
-        anchor = SampledCoupling(series, np.zeros(1), 0.0, params,
-                                 np.random.default_rng(0))
-        for S in (0.05, 0.4, 0.9):
-            pred = _predict_series(S, series.n[:-1], series.epochs[:-1], params)
-            slope = float(np.sum(2.0 * (pred - series.delta_e) * pred) / S)
-            assert 2.0 * (anchor.a * S - anchor.b) == pytest.approx(slope,
-                                                                    rel=1e-12)
-
     def test_mean_of_draws_is_exact_gradient(self, anchored):
         series, src, dst, U_ref, params, anchor = anchored
         U = U_ref + np.random.default_rng(1).normal(0, 0.3, U_ref.shape)
@@ -207,15 +210,16 @@ class TestSampledCoupling:
 
     def test_draws_at_the_refit_point_carry_no_affinity_noise(self, anchored):
         # at the refit's own embeddings every sampled sigma_e equals its
-        # sig_ref, so each draw's S estimate is S_ref exactly and, with the
-        # scalars fitted there, dL/dS = 2(a S_ref - b) is at rounding level:
-        # so is every draw. A raw sample mean of sigma_e would leave
-        # 2 a (mean - S_ref) times the gradient sample in each draw.
+        # sig_ref, so each draw's estimate of S - S_ref, and with it
+        # dL/dS = 2 a (S - S_ref), is exactly 0: so is every draw. A raw
+        # sample mean of sigma_e would leave 2 a (mean - S_ref) times the
+        # gradient sample in each draw.
         _, src, dst, U_ref, _, anchor = anchored
         U = U_ref + np.random.default_rng(1).normal(0, 0.3, U_ref.shape)
         away = self.draws(anchor(7), U, src, dst, 50)
         at_ref = self.draws(anchor(7), U_ref, src, dst, 50)
-        assert np.max(np.abs(at_ref)) <= 1e-9 * np.max(np.abs(away))
+        assert np.max(np.abs(away)) > 0.0
+        assert not np.any(at_ref)
 
     def test_rejects_a_strided_gradient(self, anchored):
         _, src, dst, U_ref, _, anchor = anchored
@@ -292,26 +296,62 @@ class TestFitParams:
             assert np.allclose(J[:, k], (rp - rm) / (2 * step), rtol=1e-6,
                                atol=1e-8)
 
-    def test_single_node_series_returns_start(self):
+    def test_projected_derivatives_match_central_differences(self):
+        # the fit's step uses half the gradient and half the Hessian of the
+        # loss with kappa solved out; at these points the Hessian is
+        # positive definite, so it is the exact one
+        _, _, _, _, series = self._noisy_series()
+        n, t = series.n[:-1], series.epochs[:-1].astype(np.float64)
+        args = (n, t, series.delta_e, macro_mod._log_factors(n, t))
+        step = 1e-6
+        for x in ([1.0, 1.0], [0.5, 0.2], [1.3, 0.9]):
+            x = np.array(x)
+            _, g, A, _ = macro_mod._projected_loss(x, *args)
+            for k in range(2):
+                xp, xm = x.copy(), x.copy()
+                xp[k] += step
+                xm[k] -= step
+                lp, gp, _, _ = macro_mod._projected_loss(xp, *args)
+                lm, gm, _, _ = macro_mod._projected_loss(xm, *args)
+                assert g[k] == pytest.approx((lp - lm) / (4 * step), rel=1e-6)
+                assert np.allclose(A[:, k], (gp - gm) / (2 * step),
+                                   rtol=1e-6, atol=0.0)
+
+    def test_single_node_series_rejected(self):
         U, src, dst = toy_edges(seed=13)
         series = make_series(np.ones(6), np.arange(1.0, 6.0))
-        start = MacroParams(0.5, 1.3, 0.7)
-        fitted = fit_params(series, edge_affinity(U, src, dst), init=start)
-        assert (fitted.zeta_raw, fitted.gamma, fitted.theta) == \
-            (start.zeta_raw, start.gamma, start.theta)
+        with pytest.raises(ValueError, match="2 or more nodes"):
+            fit_params(series, edge_affinity(U, src, dst))
 
-    def test_far_start_ends_finite_and_no_worse(self):
-        _, _, _, S, series = self._noisy_series()
-        start = MacroParams(0.0, 6.0, -3.0)
-        fitted = fit_params(series, S, init=start)
-        x = [fitted.zeta_raw, fitted.gamma, fitted.theta]
-        assert all(math.isfinite(v) for v in x)
-        assert macro_loss(series, S, fitted) <= macro_loss(series, S, start)
+    @pytest.mark.parametrize("S", [0.0, -0.25])
+    def test_non_positive_affinity_rejected(self, S):
+        _, _, _, _, series = self._noisy_series()
+        with pytest.raises(ValueError, match="underflowed"):
+            fit_params(series, S)
+
+    def test_series_without_new_edges_rejected(self):
+        series = make_series(3.0 + np.arange(6.0), np.zeros(5))
+        with pytest.raises(ValueError, match="kappa"):
+            fit_params(series, 0.5)
 
     def test_non_finite_start_rejected(self):
+        # q is about 1e2 per epoch at (gamma, theta) = (1, 1), so the squared
+        # residuals of 1e200 increments overflow
         _, _, _, S, series = self._noisy_series()
-        with pytest.raises(ValueError):
-            fit_params(series, S, init=MacroParams(0.0, 1e4, 1.0))
+        huge = make_series(series.n, 1e200 * np.ones_like(series.delta_e))
+        with pytest.raises(ValueError, match="not finite"):
+            fit_params(huge, S)
+
+    def test_fit_is_equivariant_in_the_affinity(self, tmp_edges):
+        # on this stream the S-dependent fit of (zeta, gamma, theta) drove
+        # softplus(zeta_raw) to 0 at S = 0.5 and 0.2 and divided by it
+        net = parse_edge_list(tmp_edges(random_stream_lines()))
+        series = compute_macro_series(net)
+        fits = {S: fit_params(series, S) for S in (0.5, 0.4, 0.3, 0.2)}
+        ref = fits[0.5]
+        for S, fitted in fits.items():
+            assert (fitted.gamma, fitted.theta) == (ref.gamma, ref.theta)
+            assert S * fitted.zeta == pytest.approx(0.5 * ref.zeta, rel=1e-12)
 
 
 class TestForecast:

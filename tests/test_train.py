@@ -9,7 +9,8 @@ from m2dne.evaluate import reconstruction_metrics
 from m2dne.graph import parse_edge_list
 from m2dne.micro import draw_event_negatives
 from m2dne import macro as macro_mod
-from m2dne.macro import edge_affinity, fit_params, macro_loss
+from m2dne.macro import (edge_affinity, fit_params, macro_loss,
+                         _predict_series)
 from m2dne.micrograd import batch_loss_and_grads
 from m2dne.train import (TrainConfig, TrainData, fit, init_state,
                          load_checkpoint, sample_batch, save_checkpoint, step,
@@ -313,13 +314,18 @@ class TestFit:
         assert achieved <= 1.05 * optimal + 1e-9
 
     def test_one_affinity_pass_per_refit(self, monkeypatch):
+        # the growth model is fitted once; the boundaries only re-anchor it
         net = toy_net(9, nodes=12, n_events=100, epochs=10)
         calls = count_calls(monkeypatch, macro_mod, "edge_affinity")
+        fits = count_calls(monkeypatch, macro_mod, "fit_params")
         fit(net, TrainConfig(dim=4, epsilon=0.3, epochs=3, batch_size=64))
         assert len(calls) == 4      # the start and each epoch boundary
+        assert len(fits) == 1
         calls.clear()
+        fits.clear()
         fit(net, TrainConfig(dim=4, epsilon=0.0, epochs=3, batch_size=64))
         assert len(calls) == 1
+        assert not fits
 
 
 class TestSampledCoupling:
@@ -379,6 +385,27 @@ class TestSampledCoupling:
         assert len(anchors) == 3
         for kept, at_refit in anchors:
             assert np.array_equal(kept, at_refit)
+
+    def test_anchor_identity(self, monkeypatch, tmp_edges):
+        # the anchor is the growth fit's optimum at S_ref, where the scale
+        # loss's slope 2 (a S_ref - delta_e . q) is 0: the coupling is the
+        # penalty a (S - S_ref)^2 and needs no b = delta_e . q
+        anchors = []
+        init = macro_mod.SampledCoupling.__init__
+
+        def record(self, series, sig_ref, S, params, rng):
+            init(self, series, sig_ref, S, params, rng)
+            q = _predict_series(1.0, series.n[:-1], series.epochs[:-1],
+                                params)
+            anchors.append((self.a * self.S_ref, float(series.delta_e @ q)))
+
+        monkeypatch.setattr(macro_mod.SampledCoupling, "__init__", record)
+        net = self._net(tmp_edges)
+        assert len(net) > 2 * macro_mod.COUPLING_SAMPLE
+        fit(net, TrainConfig(epochs=2, batch_size=64, **self.CFG))
+        assert len(anchors) == 3
+        for a_S_ref, b in anchors:
+            assert a_S_ref == pytest.approx(b, rel=1e-12)
 
     def test_coupling_off_control(self, monkeypatch, tmp_edges):
         # the growth refit stays on in both runs; only the per-step coupling
