@@ -161,16 +161,24 @@ def cmd_train(args) -> int:
     trace.to_csv(args.trace)
     print(f"trained {config.epochs} epochs on {len(net)} events "
           f"({net.node_count} nodes); final loss {trace.total[-1]:.6g}; "
-          f"checkpoint -> {args.out}; trace -> {args.trace}")
+          f"{trace.range_hits} range hits; checkpoint -> {args.out}; "
+          f"trace -> {args.trace}")
     return 0
 
 
-def cmd_eval(args) -> int:
+def _load_model_and_edges(args):
+    """The checkpoint and edge list of an eval or forecast command; fails
+    when they disagree on the node count."""
     state = load_checkpoint(args.checkpoint)
     net = parse_edge_list(args.edges, weighted=args.weighted)
     if net.node_count != state.node_count:
         raise ValueError(f"checkpoint has {state.node_count} nodes but the "
                          f"edge list has {net.node_count}")
+    return state, net
+
+
+def cmd_eval(args) -> int:
+    state, net = _load_model_and_edges(args)
     if args.task == "reconstruct":
         rng = substream(args.seed, "eval-splits")
         report = ev.reconstruction_metrics(state.embeddings, net, args.k,
@@ -201,8 +209,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
-    state = load_checkpoint(args.checkpoint)
-    net = parse_edge_list(args.edges, weighted=args.weighted)
+    state, net = _load_model_and_edges(args)
     report, rows = ev.trend_forecast_report(state, net, args.train_fraction,
                                             n_mode=args.mode)
     ev.write_forecast_csv(rows, args.out)

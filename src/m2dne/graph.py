@@ -1,6 +1,7 @@
 """Timestamped edge lists, per-node histories and network-scale series.
 
-File format (UTF-8 text, `#` starts a comment line):
+File format (UTF-8 text; a line whose first token starts with `#` is a
+comment):
 
     src <ws> dst <ws> timestamp [<ws> weight]
 
@@ -12,7 +13,10 @@ time-dependent denominator downstream is evaluated at t >= 1.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,13 +46,12 @@ class TemporalNetwork:
     def epoch_count(self) -> int:
         return len(self.raw_epochs)
 
+    @cached_property
+    def _id_lookup(self) -> dict:
+        return dict(zip(self.raw_ids, range(len(self.raw_ids))))
+
     def dense_id(self, raw: str) -> int:
-        try:
-            return self._id_lookup[raw]
-        except AttributeError:
-            lookup = {tok: i for i, tok in enumerate(self.raw_ids)}
-            object.__setattr__(self, "_id_lookup", lookup)
-            return self._id_lookup[raw]
+        return self._id_lookup[raw]
 
     def edge_keys(self) -> np.ndarray:
         """Deduplicated undirected node pairs as sorted int64 keys
@@ -80,19 +83,83 @@ def _first_appearances(net: TemporalNetwork) -> tuple[np.ndarray, np.ndarray]:
     return stream[first].astype(np.int64), first // 2
 
 
-def _numbered_lines(fh):
-    """(line number, line) of a text file opened with
-    ``errors="surrogateescape"``; a line holding bytes that are not UTF-8
-    raises ParseError naming it."""
-    for lineno, line in enumerate(fh, start=1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                byte = ord(line[exc.start]) - 0xDC00
-                raise ParseError(f"line {lineno}: byte 0x{byte:02x} is not "
-                                 f"valid UTF-8") from None
-        yield lineno, line
+# Code points that str.split() treats as whitespace: none lies above U+3000,
+# so every higher code point maps to the final False entry.
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+
+
+class _Records:
+    """The lines of a text file that hold a record, split as ``str.split``
+    splits them, and the errors found in them so far.
+
+    The file is read once as UTF-8 with ``errors="surrogateescape"`` and
+    universal newlines. A record is a line whose first token does not start
+    with ``#``. A byte that is not UTF-8 fails its line, comment or not.
+    """
+
+    def __init__(self, path):
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+            text = fh.read()
+        self.tokens = np.array(text.split(), dtype=object)
+        codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                              dtype="<u4")
+        space = _SPACE[np.minimum(codes, _SPACE.size - 1)]
+        starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+        newlines = np.flatnonzero(codes == ord("\n"))
+        token_line = np.searchsorted(newlines, starts) + 1
+        head = np.flatnonzero(np.diff(token_line, prepend=0))
+        record = codes[starts[head]] != ord("#")
+        self.line = token_line[head][record]
+        self.first = head[record]
+        self.count = np.diff(head, append=token_line.size)[record]
+        self._errors = []
+        bad = np.flatnonzero((codes >= 0xDC80) & (codes <= 0xDCFF))
+        if bad.size:
+            byte = int(codes[bad[0]]) - 0xDC00
+            self._errors.append((int(np.searchsorted(newlines, bad[0])) + 1, 0,
+                                 f"byte 0x{byte:02x} is not valid UTF-8"))
+
+    def field(self, rows, k) -> np.ndarray:
+        """Token k of each record in ``rows``."""
+        return self.tokens[self.first[rows] + k]
+
+    def flag(self, rows, hits, describe) -> None:
+        """Note record ``rows[hits[0]]`` as failing with ``describe(hits[0])``
+        when ``hits`` (ascending indices into ``rows``) is not empty. A line's
+        checks are flagged in the order they run on it."""
+        if len(hits):
+            k = int(hits[0])
+            self._errors.append((int(self.line[rows[k]]), len(self._errors),
+                                 describe(k)))
+
+    def raise_first(self) -> None:
+        """Raise the error of the earliest failing line, if any."""
+        if self._errors:
+            line, _, message = min(self._errors)
+            raise ParseError(f"line {line}: {message}")
+
+
+def _floats(tokens: np.ndarray) -> np.ndarray:
+    """Python ``float`` of each token, up to the first that does not parse:
+    the result is shorter than ``tokens`` exactly when one does not."""
+    toks = tokens.tolist()
+    rest = iter(toks)
+    try:
+        return np.fromiter(map(float, rest), np.float64, len(toks))
+    except ValueError:
+        bad = len(toks) - operator.length_hint(rest) - 1
+        return np.fromiter(map(float, toks[:bad]), np.float64, bad)
+
+
+def _first_appearance_ids(tokens: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """(dense id of each token, the distinct tokens), ids in order of first
+    appearance."""
+    seen = {}
+    first = np.fromiter(map(seen.setdefault, tokens, itertools.count()),
+                        np.int64, tokens.size)
+    rank = np.empty(tokens.size, dtype=np.int64)
+    rank[np.fromiter(seen.values(), np.int64, len(seen))] = np.arange(len(seen))
+    return rank[first], tuple(seen)
 
 
 def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
@@ -100,74 +167,55 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
 
     Self-loops are dropped (counted in ``self_loops_dropped``). Events are
     stably sorted by raw timestamp; dense node ids follow first appearance in
-    the sorted stream.
+    the sorted stream. A malformed file raises ParseError naming its earliest
+    offending line.
     """
-    rows = []  # (raw_time_value, order, src_tok, dst_tok, time_tok, weight)
-    dropped = 0
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in _numbered_lines(fh):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            want = (3, 4) if weighted else (3,)
-            if len(parts) not in want:
-                raise ParseError(f"line {lineno}: expected "
-                                 f"{' or '.join(str(w) for w in want)} fields, "
-                                 f"got {len(parts)}")
-            src_tok, dst_tok, time_tok = parts[0], parts[1], parts[2]
-            try:
-                tval = float(time_tok)
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad timestamp {time_tok!r}") from None
-            if not np.isfinite(tval):
-                raise ParseError(f"line {lineno}: non-finite timestamp {time_tok!r}")
-            w = 1.0
-            if len(parts) == 4:
-                try:
-                    w = float(parts[3])
-                except ValueError:
-                    raise ParseError(f"line {lineno}: bad weight {parts[3]!r}") from None
-                if not np.isfinite(w) or w <= 0:
-                    raise ParseError(f"line {lineno}: weight must be positive, got {parts[3]!r}")
-            if src_tok == dst_tok:
-                dropped += 1
-                continue
-            rows.append((tval, len(rows), src_tok, dst_tok, time_tok, w))
-    if not rows:
+    rec = _Records(path)
+    fields = rec.count
+    ok = (fields == 3) | (weighted & (fields == 4))
+    want = "3 or 4" if weighted else "3"
+    rec.flag(range(fields.size), np.flatnonzero(~ok),
+             lambda k: f"expected {want} fields, got {fields[k]}")
+    rows = np.flatnonzero(ok)
+    stamp = rec.field(rows, 2)
+    tval = _floats(stamp)
+    rec.flag(rows, range(tval.size, rows.size),
+             lambda k: f"bad timestamp {stamp[k]!r}")
+    rec.flag(rows, np.flatnonzero(~np.isfinite(tval)),
+             lambda k: f"non-finite timestamp {stamp[k]!r}")
+    has_weight = fields[rows] == 4
+    wrows = rows[has_weight]
+    wtok = rec.field(wrows, 3)
+    wval = _floats(wtok)
+    rec.flag(wrows, range(wval.size, wrows.size),
+             lambda k: f"bad weight {wtok[k]!r}")
+    rec.flag(wrows, np.flatnonzero(~(np.isfinite(wval) & (wval > 0))),
+             lambda k: f"weight must be positive, got {wtok[k]!r}")
+    rec.raise_first()
+
+    src_tok, dst_tok = rec.field(rows, 0), rec.field(rows, 1)
+    loop = src_tok == dst_tok
+    if loop.all():
         raise ParseError("no events found (empty or comment-only file)")
-
-    rows.sort(key=lambda r: (r[0], r[1]))  # stable in input order at equal times
-
-    epoch_of = {}
-    raw_epochs = []
-    id_of = {}
-    raw_ids = []
-    src = np.empty(len(rows), dtype=np.int64)
-    dst = np.empty(len(rows), dtype=np.int64)
-    time = np.empty(len(rows), dtype=np.int64)
-    weight = np.empty(len(rows), dtype=np.float64)
-    for k, (tval, _, s_tok, d_tok, t_tok, w) in enumerate(rows):
-        ep = epoch_of.get(tval)
-        if ep is None:
-            ep = len(raw_epochs) + 1
-            epoch_of[tval] = ep
-            raw_epochs.append(t_tok)
-        for tok in (s_tok, d_tok):
-            if tok not in id_of:
-                id_of[tok] = len(raw_ids)
-                raw_ids.append(tok)
-        src[k] = id_of[s_tok]
-        dst[k] = id_of[d_tok]
-        time[k] = ep
-        weight[k] = w
-
+    weight = np.ones(rows.size)
+    weight[has_weight] = wval
+    keep = np.flatnonzero(~loop)
+    keep = keep[np.argsort(tval[keep], kind="stable")]
+    tval = tval[keep]
+    new_epoch = np.concatenate(([True], tval[1:] != tval[:-1]))
+    ids, raw_ids = _first_appearance_ids(
+        np.stack([src_tok[keep], dst_tok[keep]], axis=1).reshape(-1))
+    src = ids[0::2].copy()
+    dst = ids[1::2].copy()
+    time = np.cumsum(new_epoch, dtype=np.int64)
+    weight = weight[keep]
     for arr in (src, dst, time, weight):
         arr.setflags(write=False)
     return TemporalNetwork(src=src, dst=dst, time=time, weight=weight,
-                           node_count=len(raw_ids), raw_ids=tuple(raw_ids),
-                           raw_epochs=tuple(raw_epochs), weighted=weighted,
-                           self_loops_dropped=dropped)
+                           node_count=len(raw_ids), raw_ids=raw_ids,
+                           raw_epochs=tuple(stamp[keep][new_epoch]),
+                           weighted=weighted,
+                           self_loops_dropped=int(loop.sum()))
 
 
 def write_edge_list(net: TemporalNetwork, path) -> None:
@@ -207,30 +255,35 @@ def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
 
     The 2E incidences (node, neighbor, epoch), source before target within
     an event, are stably sorted by node once, which keeps each node's run in
-    stream order. Keyed by node * (T + 2) + epoch, that array is sorted, so
-    one searchsorted per endpoint finds where the node's entries from earlier
-    epochs end; the history is the last h entries before that point. Raises
-    ValueError if the epochs of ``net`` ever decrease.
+    stream order and so sorted by (node, epoch). An incidence's entries from
+    earlier epochs of its node end where its (node, epoch) group starts; the
+    history is the last h entries before that point. Raises ValueError if
+    the epochs of ``net`` ever decrease.
     """
     if h < 1:
         raise ValueError("history capacity h must be >= 1")
     time = np.asarray(net.time, dtype=np.int64)
     if np.any(time[1:] < time[:-1]):
         raise ValueError("event epochs must be non-decreasing")
-    E = len(net)
     src = np.asarray(net.src, dtype=np.int64)
     dst = np.asarray(net.dst, dtype=np.int64)
-    span = int(time.max()) + 2 if E else 2
     node = np.stack([src, dst], axis=1).reshape(-1)
     order = np.argsort(node, kind="stable")
     when = np.repeat(time, 2)[order]
-    keys = node[order] * span + when
     neighbor = np.stack([dst, src], axis=1).reshape(-1)[order]
+    new_node = np.diff(node[order], prepend=-1) != 0
+    new_epoch = new_node | (np.diff(when, prepend=0) != 0)
+    rank = np.arange(order.size)
+    node_start = np.maximum.accumulate(np.where(new_node, rank, 0))
+    epoch_start = np.maximum.accumulate(np.where(new_epoch, rank, 0))
+    position = np.empty_like(rank)
+    position[order] = rank
     slot = np.arange(h)
     out = {}
-    for name, ends in (("src", src), ("dst", dst)):
-        before = np.searchsorted(keys, ends * span + time)
-        length = np.minimum(before - np.searchsorted(keys, ends * span), h)
+    for name, side in (("src", 0), ("dst", 1)):
+        at = position[side::2]
+        before = epoch_start[at]
+        length = np.minimum(before - node_start[at], h)
         pos = (before - length)[:, None] + slot
         valid = slot < length[:, None]
         pos[~valid] = 0
@@ -324,34 +377,26 @@ class LabelTable:
 
 
 def parse_labels(path, net: TemporalNetwork) -> LabelTable:
-    """Load `node_raw_id label` lines; label tokens are re-indexed densely."""
-    ids, labels = [], []
-    class_of = {}
-    names = []
-    seen_nodes = set()
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in _numbered_lines(fh):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected 2 fields, got {len(parts)}")
-            node_tok, label_tok = parts
-            try:
-                node = net.dense_id(node_tok)
-            except KeyError:
-                raise ParseError(f"line {lineno}: unknown node id {node_tok!r}") from None
-            if node in seen_nodes:
-                raise ParseError(f"line {lineno}: duplicate label for node {node_tok!r}")
-            seen_nodes.add(node)
-            if label_tok not in class_of:
-                class_of[label_tok] = len(names)
-                names.append(label_tok)
-            ids.append(node)
-            labels.append(class_of[label_tok])
-    if not ids:
+    """Load `node_raw_id label` lines; label tokens are re-indexed densely.
+    A malformed file raises ParseError naming its earliest offending line."""
+    rec = _Records(path)
+    fields = rec.count
+    rec.flag(range(fields.size), np.flatnonzero(fields != 2),
+             lambda k: f"expected 2 fields, got {fields[k]}")
+    rows = np.flatnonzero(fields == 2)
+    node_tok = rec.field(rows, 0)
+    node = np.fromiter(map(net._id_lookup.get, node_tok, itertools.repeat(-1)),
+                       np.int64, rows.size)
+    rec.flag(rows, np.flatnonzero(node < 0),
+             lambda k: f"unknown node id {node_tok[k]!r}")
+    known = np.flatnonzero(node >= 0)
+    dup = np.ones(known.size, dtype=bool)
+    dup[np.unique(node[known], return_index=True)[1]] = False
+    rec.flag(rows[known], np.flatnonzero(dup),
+             lambda k: f"duplicate label for node {node_tok[known[k]]!r}")
+    rec.raise_first()
+    if not rows.size:
         raise ParseError("no labels found")
-    return LabelTable(node_ids=np.asarray(ids, dtype=np.int64),
-                      labels=np.asarray(labels, dtype=np.int64),
-                      n_classes=len(names), class_names=tuple(names))
+    labels, names = _first_appearance_ids(rec.field(rows, 1))
+    return LabelTable(node_ids=node, labels=labels, n_classes=len(names),
+                      class_names=names)

@@ -3,13 +3,17 @@
 Pure-Python scalar code, deliberately written without the package's helpers
 or vectorization, following the model definitions term by term. The one
 exception is :func:`softmax_newton_oracle`, a dense Newton solve that needs
-NumPy's linear algebra.
+NumPy's linear algebra. The line-by-line file parsers at the end build the
+package's result types and raise its ParseError, so their outputs compare
+field by field.
 """
 
 import bisect
 import math
 
 import numpy as np
+
+from m2dne.graph import LabelTable, ParseError, TemporalNetwork
 
 
 def _sigmoid(x):
@@ -328,3 +332,109 @@ def softmax_newton_oracle(X, y, n_classes, l2, grad_tol=1e-12, max_iter=100):
         loss, grad, p = new
     Wa = theta.reshape(n_classes, D + 1)
     return loss, Wa[:, :D], Wa[:, D]
+
+
+def _numbered_lines_oracle(path):
+    """(line number, line) of a UTF-8 text file read with universal newlines;
+    a line holding bytes that are not UTF-8 raises ParseError naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(f"line {lineno}: byte 0x{byte:02x} is "
+                                     f"not valid UTF-8") from None
+            yield lineno, line
+
+
+def parse_edge_list_oracle(path, weighted=False):
+    """One line at a time: validate, drop self-loops, stably sort by the
+    float timestamp, then number epochs and node ids by first appearance."""
+    rows = []  # (raw_time_value, order, src_tok, dst_tok, time_tok, weight)
+    dropped = 0
+    for lineno, line in _numbered_lines_oracle(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        want = (3, 4) if weighted else (3,)
+        if len(parts) not in want:
+            raise ParseError(f"line {lineno}: expected "
+                             f"{' or '.join(str(w) for w in want)} fields, "
+                             f"got {len(parts)}")
+        src_tok, dst_tok, time_tok = parts[0], parts[1], parts[2]
+        try:
+            tval = float(time_tok)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad timestamp {time_tok!r}") from None
+        if not math.isfinite(tval):
+            raise ParseError(f"line {lineno}: non-finite timestamp {time_tok!r}")
+        w = 1.0
+        if len(parts) == 4:
+            try:
+                w = float(parts[3])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad weight {parts[3]!r}") from None
+            if not math.isfinite(w) or w <= 0:
+                raise ParseError(f"line {lineno}: weight must be positive, "
+                                 f"got {parts[3]!r}")
+        if src_tok == dst_tok:
+            dropped += 1
+            continue
+        rows.append((tval, len(rows), src_tok, dst_tok, time_tok, w))
+    if not rows:
+        raise ParseError("no events found (empty or comment-only file)")
+    rows.sort(key=lambda r: (r[0], r[1]))
+    epoch_of, raw_epochs, id_of, raw_ids = {}, [], {}, []
+    src, dst, time, weight = [], [], [], []
+    for tval, _, s_tok, d_tok, t_tok, w in rows:
+        if tval not in epoch_of:
+            epoch_of[tval] = len(raw_epochs) + 1
+            raw_epochs.append(t_tok)
+        for tok in (s_tok, d_tok):
+            if tok not in id_of:
+                id_of[tok] = len(raw_ids)
+                raw_ids.append(tok)
+        src.append(id_of[s_tok])
+        dst.append(id_of[d_tok])
+        time.append(epoch_of[tval])
+        weight.append(w)
+    return TemporalNetwork(src=np.array(src, dtype=np.int64),
+                           dst=np.array(dst, dtype=np.int64),
+                           time=np.array(time, dtype=np.int64),
+                           weight=np.array(weight, dtype=np.float64),
+                           node_count=len(raw_ids), raw_ids=tuple(raw_ids),
+                           raw_epochs=tuple(raw_epochs), weighted=weighted,
+                           self_loops_dropped=dropped)
+
+
+def parse_labels_oracle(path, net):
+    """One line at a time: `node_raw_id label`, classes numbered by first
+    appearance."""
+    id_of = {tok: i for i, tok in enumerate(net.raw_ids)}
+    ids, labels, class_of, names, seen = [], [], {}, [], set()
+    for lineno, line in _numbered_lines_oracle(path):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        parts = stripped.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected 2 fields, got {len(parts)}")
+        node_tok, label_tok = parts
+        if node_tok not in id_of:
+            raise ParseError(f"line {lineno}: unknown node id {node_tok!r}")
+        if id_of[node_tok] in seen:
+            raise ParseError(f"line {lineno}: duplicate label for node {node_tok!r}")
+        if label_tok not in class_of:
+            class_of[label_tok] = len(names)
+            names.append(label_tok)
+        seen.add(id_of[node_tok])
+        ids.append(id_of[node_tok])
+        labels.append(class_of[label_tok])
+    if not ids:
+        raise ParseError("no labels found")
+    return LabelTable(node_ids=np.array(ids, dtype=np.int64),
+                      labels=np.array(labels, dtype=np.int64),
+                      n_classes=len(names), class_names=tuple(names))

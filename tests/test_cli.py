@@ -5,7 +5,8 @@ import pytest
 
 from conftest import random_stream_lines
 from m2dne.cli import main
-from m2dne.train import load_checkpoint
+from m2dne.graph import parse_edge_list
+from m2dne.train import TrainConfig, fit, load_checkpoint
 
 DATA = Path(__file__).parent / "data"
 TOY_EDGES = str(DATA / "toy_edges.tsv")
@@ -56,6 +57,14 @@ class TestTrainCommand:
                    "--out", str(tmp_path / "r.ckpt"),
                    "--trace", str(tmp_path / "r.csv")])
         assert rc == 0, capsys.readouterr().err
+
+    def test_summary_reports_range_hits(self, tmp_path, capsys):
+        train(tmp_path, extra=["--learning-rate", "1"])
+        _, trace = fit(parse_edge_list(TOY_EDGES),
+                       TrainConfig(dim=4, epochs=3, batch_size=64, seed=7,
+                                   learning_rate=1.0))
+        assert trace.range_hits > 0
+        assert f"; {trace.range_hits} range hits;" in capsys.readouterr().out
 
     def test_bad_path_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--edges", str(tmp_path / "absent.tsv")])
@@ -210,6 +219,20 @@ class TestForecastCommand:
         assert rc == 0
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 1 + 6   # 12 epochs, half held out
+
+    def test_node_count_mismatch_fails(self, tmp_path, capsys):
+        ckpt, _ = train(tmp_path)
+        subset = tmp_path / "subset.tsv"
+        subset.write_text("".join(
+            line for line in Path(TOY_EDGES).read_text().splitlines(True)
+            if all(int(tok) < 12 for tok in line.split()[:2])))
+        out = tmp_path / "fc.csv"
+        rc = main(["forecast", "--checkpoint", ckpt, "--edges", str(subset),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "checkpoint has 20 nodes but the edge list has 12" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_mode_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

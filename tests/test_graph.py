@@ -1,4 +1,5 @@
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -342,44 +343,103 @@ class TestUndecodableBytes:
         assert parse_edge_list(str(path)).raw_ids == ("\u00e9", "\u6771")
 
 
+def _assert_parses_as_oracle(path, net):
+    """Each parser gives the oracle's fields, or both raise ParseError with
+    the same message."""
+    def outcome(parse, *args):
+        try:
+            result = parse(path, *args)
+        except ParseError as exc:
+            return "error", str(exc)
+        return "ok", {name: (value.dtype, value.tolist())
+                      if isinstance(value, np.ndarray) else value
+                      for name, value in vars(result).items()
+                      if not name.startswith("_")}
+
+    for weighted in (False, True):
+        assert outcome(parse_edge_list, weighted) == \
+            outcome(orc.parse_edge_list_oracle, weighted)
+    assert outcome(parse_labels, net) == outcome(orc.parse_labels_oracle, net)
+
+
+LABEL_BASE = b"a b 1\nc n1 2\n"
+
+ORACLE_CASES = {
+    "crlf_lone_cr_no_trailing_newline": b"a b 1\r\nb c 2\rc a 3",
+    "unicode_separators": "a\tb\u00a01\nb\u3000c\x1c2\nc\x1cred\n".encode(),
+    "indented_comments_and_hash_in_token":
+        b"  # note\na b#c 1\n\t#x y 2\nb#c blue\n",
+    "only_self_loops": b"a a 1\nb b 2\n",
+    "one_epoch_three_spellings": b"a b 1\nb c 1.0\nc a 1e0\nc n1 2\n",
+    "weighted_lines": b"a b 1 2.5\nb c 2\nc a 3 0.5\n",
+    "field_count_before_bad_byte": b"a b 1\na b\n\xff c 3\n",
+    "bad_byte_on_comment_line": b"a b 1\n# \xfe comment\nb c 2\n",
+    "bad_timestamp_before_bad_weight": b"a b 1 x\nb c y 2\n",
+    "label_duplicate_after_unknown": b"a red\nzz blue\na blue\n",
+    "many_ties_sort_stably": "".join(f"n{k} m{k} {k % 3}\n"
+                                     for k in range(60)).encode(),
+}
+
+
+@pytest.mark.parametrize("data", list(ORACLE_CASES.values()),
+                         ids=list(ORACLE_CASES))
+def test_parsers_match_oracle(tmp_path, data):
+    net = parse_edge_list(_write(tmp_path, "base", LABEL_BASE))
+    _assert_parses_as_oracle(_write(tmp_path, "case", data), net)
+
+
+def test_space_table_matches_str_split():
+    from m2dne.graph import _SPACE
+    assert _SPACE.tolist() == [chr(c).isspace() for c in range(_SPACE.size)]
+    assert not _SPACE[-1]
+    assert not any(chr(c).isspace()
+                   for c in range(_SPACE.size, sys.maxunicode + 1))
+
+
+def _write(tmp_path, name, data):
+    path = tmp_path / name
+    path.write_bytes(data)
+    return str(path)
+
+
 def _fuzz_lines():
     st = pytest.importorskip("hypothesis.strategies")
-    token = st.sampled_from([b"a", b"b", b"c", b"n1", b"\xc3\xa9", b"#x"])
-    stamp = st.sampled_from([b"1", b"2", b"-0", b"1e308", b"1e309", b"-1e309",
-                             b"nan", b"inf", b"0x10", b"1_0", b"", b"\xff"])
-    weight = st.sampled_from([b"", b"2.5", b"0", b"-1", b"nan", b"1e400"])
-    field_line = st.builds(lambda *parts: b" ".join(p for p in parts if p),
-                           token, token, stamp, weight)
-    line = st.one_of(field_line, st.binary(max_size=12))
+    token = st.sampled_from([b"a", b"b", b"c", b"n1", b"\xc3\xa9", b"#x",
+                             b"a#b", b"red"])
+    stamp = st.one_of(
+        st.sampled_from([b"1", b"1.0", b"1e0", b"2", b"-0", b"0", b"1e308"]),
+        st.sampled_from([b"1e309", b"-1e309", b"nan", b"inf", b"0x10",
+                         b"1_0", b""]))
+    weight = st.one_of(st.just(b""), st.sampled_from([b"2.5", b"1e-3"]),
+                       st.sampled_from([b"0", b"-1", b"nan", b"1e400", b"w"]))
+    sep = st.sampled_from([b" ", b"\t", b"  ", "\u00a0".encode(),
+                           "\u3000".encode(), b"\x1c"])
+    indent = st.sampled_from([b"", b" ", b"\t"])
+    field_line = st.builds(
+        lambda lead, gap, *parts: lead + gap.join(p for p in parts if p),
+        indent, sep, token, token, stamp, weight)
+    comment = st.builds(lambda lead, body: lead + b"#" + body, indent,
+                        st.sampled_from([b"", b" note", b"x y", b" \xfe"]))
+    line = st.one_of(field_line, field_line, field_line, field_line, comment,
+                     st.binary(max_size=12))
     return st.builds(
-        lambda lines, dup, sep: sep.join(lines + lines[:dup]),
+        lambda lines, dup, newline, tail: newline.join(lines + lines[:dup])
+        + tail * newline,
         st.lists(line, max_size=8), st.integers(0, 3),
-        st.sampled_from([b"\n", b"\r\n", b"\r"]))
+        st.sampled_from([b"\n", b"\r\n", b"\r"]), st.booleans())
 
 
 class TestParserFuzz:
-    """Any byte input either parses or raises ParseError."""
+    """Any byte input parses as the line-by-line oracle parses it, or raises
+    the same ParseError."""
 
     def test_edge_list_and_labels(self, tmp_path):
         hyp = pytest.importorskip("hypothesis")
-        net = parse_edge_list(self._write(tmp_path, "base", b"a b 1\nc n1 2\n"))
+        net = parse_edge_list(_write(tmp_path, "base", LABEL_BASE))
 
         @hyp.settings(max_examples=300, deadline=None, database=None)
         @hyp.given(_fuzz_lines())
         def check(data):
-            path = self._write(tmp_path, "fuzz", data)
-            for parse in (parse_edge_list,
-                          lambda p: parse_edge_list(p, weighted=True),
-                          lambda p: parse_labels(p, net)):
-                try:
-                    parse(path)
-                except ParseError:
-                    pass
+            _assert_parses_as_oracle(_write(tmp_path, "fuzz", data), net)
 
         check()
-
-    @staticmethod
-    def _write(tmp_path, name, data):
-        path = tmp_path / name
-        path.write_bytes(data)
-        return str(path)
