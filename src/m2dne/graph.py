@@ -93,12 +93,14 @@ class _Records:
     splits them, and the errors found in them so far.
 
     The file is read once as UTF-8 with ``errors="surrogateescape"`` and
-    universal newlines. A record is a line whose first token does not start
-    with ``#``. A byte that is not UTF-8 fails its line, comment or not.
+    universal newlines; a leading byte-order mark is skipped. A record is a
+    line whose first token does not start with ``#``. A byte that is not
+    UTF-8 fails its line, comment or not.
     """
 
     def __init__(self, path):
-        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        with open(path, "r", encoding="utf-8-sig",
+                  errors="surrogateescape") as fh:
             text = fh.read()
         self.tokens = np.array(text.split(), dtype=object)
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
@@ -219,12 +221,13 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
 
 
 def write_edge_list(net: TemporalNetwork, path) -> None:
-    """Serialize back to the text format (raw ids and raw timestamps)."""
+    """Serialize back to the text format (raw ids and raw timestamps; the
+    weights, when kept, as the shortest text that reads back exactly)."""
     with open(path, "w", encoding="utf-8") as fh:
         for s, d, t, w in zip(net.src, net.dst, net.time, net.weight):
             line = f"{net.raw_ids[s]}\t{net.raw_ids[d]}\t{net.raw_epochs[t - 1]}"
             if net.weighted:
-                line += f"\t{w:g}"
+                line += f"\t{float(w)!r}"
             fh.write(line + "\n")
 
 

@@ -95,47 +95,34 @@ def macro_loss(series: MacroSeries, S: float, params: MacroParams) -> float:
     return float(np.sum((series.delta_e - pred) ** 2))
 
 
-def _residual_jacobian(S: float, n: np.ndarray, t: np.ndarray,
-                       d_obs: np.ndarray, params: MacroParams):
-    """Residuals pred - d_obs and their Jacobian with respect to
-    (zeta_raw, gamma, theta), one column per parameter."""
-    pred = _predict_series(S, n, t, params)
-    J = np.column_stack([pred * (sigmoid(params.zeta_raw) / params.zeta),
-                         pred[:, None] * _log_factors(n, t)])
-    return pred - d_obs, J
-
-
 def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
                          edge_src: np.ndarray, edge_dst: np.ndarray,
                          params: MacroParams):
-    """Loss plus gradients for (embeddings, zeta_raw, gamma, theta).
+    """Loss plus its gradient with respect to the embeddings.
 
-    The embedding gradient flows through the affinity numerator, which is the
-    coupling that lets the scale constraint shape the embedding space. This
-    is the exact path, O(E * d) over every edge; :class:`SampledCoupling`
-    estimates the same embedding gradient from a fixed-size edge sample.
+    The gradient flows through the affinity numerator, which is the coupling
+    that lets the scale constraint shape the embedding space; the growth
+    parameters are :func:`fit_params`'s. This is the exact path, O(E * d)
+    over every edge; :class:`SampledCoupling` estimates the same gradient
+    from a fixed-size edge sample.
     """
     if len(series.delta_e) == 0:
-        return 0.0, np.zeros_like(embeddings), 0.0, 0.0, 0.0
+        return 0.0, np.zeros_like(embeddings)
     M = edge_src.shape[0]
     V, d = embeddings.shape
     diff = embeddings[edge_src] - embeddings[edge_dst]
     sig = sigmoid(-np.square(diff).sum(axis=1))
     S = float(sig.mean())
 
-    err, J = _residual_jacobian(S, series.n[:-1],
-                                series.epochs[:-1].astype(np.float64),
-                                series.delta_e, params)
+    pred = _predict_series(S, series.n[:-1], series.epochs[:-1], params)
+    err = pred - series.delta_e
     loss = float(np.sum(err ** 2))
-    d_zeta_raw, d_gamma, d_theta = (float(g) for g in 2.0 * (J.T @ err))
-
-    pred = err + series.delta_e
     d_S = float(np.sum(2.0 * err * pred) / S) if S > 0 else 0.0
     grad = diff * ((d_S / M) * (sig * (1.0 - sig)) * (-2.0))[:, None]
     positions = row_positions(np.concatenate([edge_src, edge_dst]), d,
                               out=np.empty(2 * M * d, dtype=np.int64))
     dU = scatter_rows(positions, np.concatenate([grad, -grad]), V)
-    return loss, dU, d_zeta_raw, d_gamma, d_theta
+    return loss, dU
 
 
 # edges per draw of SampledCoupling: each step draws two sets of this many;

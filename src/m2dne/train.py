@@ -71,7 +71,8 @@ class ModelState:
 
     def param_groups(self) -> dict:
         """Name -> live array, or plain float for the scalar groups (write
-        scalars back through :meth:`set_scalar`)."""
+        ``s_bias`` back through :meth:`set_scalar`; the growth scalars are
+        :func:`~m2dne.macro.fit_params`'s)."""
         return {
             "embeddings": self.embeddings,
             "att_vector": self.attention.att_vector,
@@ -85,16 +86,9 @@ class ModelState:
         }
 
     def set_scalar(self, name: str, value: float) -> None:
-        if name == "s_bias":
-            self.attention.s_bias = float(value)
-        elif name == "zeta_raw":
-            self.macro.zeta_raw = float(value)
-        elif name == "gamma":
-            self.macro.gamma = float(value)
-        elif name == "theta":
-            self.macro.theta = float(value)
-        else:
+        if name != "s_bias":
             raise KeyError(name)
+        self.attention.s_bias = float(value)
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(val))
@@ -164,43 +158,43 @@ class StepResult:
 
 def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
                  data: TrainData, config: TrainConfig):
-    """Event-level loss and gradients plus epsilon times the coupling's.
+    """Event-level loss, and the gradients of the six groups that
+    :func:`step` updates: the event-level ones plus epsilon times the
+    coupling's embedding gradient. The growth scalars are not among them;
+    the refit in :func:`fit` owns them.
 
     The coupling is exact (``macro_loss_and_grads``, O(E * d)) unless
-    ``data.coupling`` holds a refit anchor; then its embedding gradient is
-    one unbiased draw of :class:`~m2dne.macro.SampledCoupling`, O(M * d),
-    and the scale loss and the growth scalars' gradients are left at 0
-    (the refit in :func:`fit` owns both)."""
+    ``data.coupling`` holds a refit anchor; then it is one unbiased draw of
+    :class:`~m2dne.macro.SampledCoupling`, O(M * d)."""
     micro, grads, stats = batch_loss_and_grads(
         batch, neg_src, neg_dst, state.embeddings, state.attention,
         work=data.work)
-    grads["zeta_raw"] = 0.0
-    grads["gamma"] = 0.0
-    grads["theta"] = 0.0
-    ma = 0.0
     eps = config.epsilon
     if eps > 0.0 and data.coupling is not None:
         data.coupling.add_grad(state.embeddings, data.edge_src, data.edge_dst,
                                eps, grads["embeddings"], data.work)
     elif eps > 0.0:
-        ma, dU, dz, dg, dt = macro_mod.macro_loss_and_grads(
+        _, dU = macro_mod.macro_loss_and_grads(
             data.series, state.embeddings, data.edge_src, data.edge_dst,
             state.macro)
         dU *= eps
         grads["embeddings"] += dU
-        grads["zeta_raw"] = eps * dz
-        grads["gamma"] = eps * dg
-        grads["theta"] = eps * dt
-    total = micro + eps * ma
-    return total, micro, ma, grads, stats
+    return micro, grads, stats
 
 
-# The three growth scalars are not stepped: fit fits them to the full series
-# once and re-anchors zeta at epoch boundaries. Their full-series gradients
-# are orders of magnitude steeper than the event-level ones, so sharing the
-# configured rate would only produce clip-bounded oscillation.
-_STEPPED_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
-                   "s_bias", "decay_raw")
+def _joint_loss(state: ModelState, batch: EventBatch, neg_src, neg_dst,
+                data: TrainData, config: TrainConfig) -> float:
+    """The loss whose gradients :func:`_joint_grads` returns on its exact
+    path: the event-level loss plus epsilon times the scale loss."""
+    loss, _, _ = batch_loss_and_grads(
+        batch, neg_src, neg_dst, state.embeddings, state.attention,
+        want_grads=False, work=data.work)
+    if config.epsilon > 0.0:
+        S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
+                                    data.edge_dst)
+        loss += config.epsilon * macro_mod.macro_loss(data.series, S,
+                                                      state.macro)
+    return loss
 
 
 def step(state: ModelState, batch: EventBatch, data: TrainData,
@@ -211,16 +205,15 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     :func:`_joint_grads` says.
     Per-group gradients exceeding ``grad_clip`` in L2 norm are rescaled to
     the clip so a single mis-scaled group cannot blow up the state; gradients
-    must be finite or the step aborts naming the offending group. The growth
-    scalars are left to the epoch-boundary refit in :func:`fit`.
+    must be finite or the step aborts naming the offending group.
     """
     neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
                                             config.negatives, rng)
-    _, micro, _, grads, stats = _joint_grads(state, batch, neg_src, neg_dst,
-                                             data, config)
+    micro, grads, stats = _joint_grads(state, batch, neg_src, neg_dst, data,
+                                       config)
     lr = config.learning_rate
-    for name in _STEPPED_GROUPS:
-        g = np.asarray(grads[name], dtype=np.float64)
+    for name, g in grads.items():
+        g = np.asarray(g, dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
         norm = float(np.linalg.norm(g))
@@ -352,9 +345,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return all(v <= self.tolerance for v in self.max_rel_err.values())
 
-    def worst(self) -> float:
-        return max(self.max_rel_err.values())
-
 
 def compare_grads(analytic: dict, numeric: dict, tolerance: float,
                   floor: float = 1e-3) -> GradCheckReport:
@@ -371,7 +361,9 @@ def compare_grads(analytic: dict, numeric: dict, tolerance: float,
 def gradient_check(state: ModelState, net: TemporalNetwork,
                    config: TrainConfig, tolerance: float = 1e-4,
                    fd_step: float = 1e-5) -> GradCheckReport:
-    """Compare analytic joint-loss gradients against central differences.
+    """Compare the analytic gradients of the groups :func:`step` updates
+    against central differences of the joint loss: the event-level loss plus
+    epsilon times the exact scale loss.
 
     The batch is the full event stream with negatives drawn once from the
     seeded stream, so the loss is a fixed function of the parameters.
@@ -384,17 +376,15 @@ def gradient_check(state: ModelState, net: TemporalNetwork,
                                             config.negatives, neg_rng)
 
     work = state.copy()
-    _, _, _, analytic, _ = _joint_grads(work, batch, neg_src, neg_dst, data,
-                                        config)
+    _, analytic, _ = _joint_grads(work, batch, neg_src, neg_dst, data, config)
 
     def loss_at(st: ModelState) -> float:
-        total, _, _, _, _ = _joint_grads(st, batch, neg_src, neg_dst, data,
-                                         config)
-        return total
+        return _joint_loss(st, batch, neg_src, neg_dst, data, config)
 
     numeric = {}
-    for name, ref in work.param_groups().items():
-        if np.isscalar(ref) or np.ndim(ref) == 0:
+    for name in analytic:
+        ref = work.param_groups()[name]
+        if np.ndim(ref) == 0:
             orig = float(ref)
             work.set_scalar(name, orig + fd_step)
             up = loss_at(work)

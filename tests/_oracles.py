@@ -223,6 +223,22 @@ def macro_loss_oracle(epochs, n, delta_e, U, edges, zeta_raw, gamma, theta):
     return loss
 
 
+def growth_gradient_oracle(epochs, n, delta_e, S, zeta_raw, gamma, theta):
+    """Gradient of the growth loss sum (pred_k - delta_k)^2 at affinity S
+    with respect to (zeta_raw, gamma, theta), where pred_k = S * zeta *
+    n_k (n_k - 1)^gamma / t_k^theta and zeta = softplus(zeta_raw)."""
+    zeta = _softplus(zeta_raw)
+    d_zeta_raw = d_gamma = d_theta = 0.0
+    for k in range(len(delta_e)):
+        n1 = max(n[k] - 1.0, 0.0)
+        pred = S * zeta * n[k] * n1 ** gamma / epochs[k] ** theta
+        weight = 2.0 * (pred - delta_e[k]) * pred
+        d_zeta_raw += weight * _sigmoid(zeta_raw) / zeta
+        d_gamma += weight * (math.log(n1) if n1 > 0.0 else 0.0)
+        d_theta -= weight * math.log(epochs[k])
+    return d_zeta_raw, d_gamma, d_theta
+
+
 def recommendation_oracle(U, events, ks):
     """Recall@K and precision@K, averaged over the nodes with held-out
     events, of a full sort of every other node by squared distance to the
@@ -335,9 +351,10 @@ def softmax_newton_oracle(X, y, n_classes, l2, grad_tol=1e-12, max_iter=100):
 
 
 def _numbered_lines_oracle(path):
-    """(line number, line) of a UTF-8 text file read with universal newlines;
-    a line holding bytes that are not UTF-8 raises ParseError naming it."""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    """(line number, line) of a UTF-8 text file read with universal newlines
+    and a leading byte-order mark skipped; a line holding bytes that are not
+    UTF-8 raises ParseError naming it."""
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:

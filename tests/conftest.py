@@ -10,6 +10,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 from m2dne.graph import TemporalNetwork  # noqa: E402
 from m2dne.micrograd import EventBatch, _Side, batch_loss_and_grads  # noqa: E402
 
+# the parameter groups a training step updates and gradcheck verifies; the
+# growth scalars (zeta_raw, gamma, theta) are the growth fit's
+STEPPED_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
+                  "s_bias", "decay_raw")
+
 
 def net_from_events(events, node_count=None, weights=None, weighted=False):
     """Build a TemporalNetwork directly from (src, dst, time) triples.

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_stream_lines
+from conftest import STEPPED_GROUPS, random_stream_lines
 from m2dne.cli import main
 from m2dne.graph import parse_edge_list
 from m2dne.train import TrainConfig, fit, load_checkpoint
@@ -254,4 +254,8 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--edges", TOY_EDGES, "--dim", "4",
                    "--history", "2", "--negatives", "1", "--seed", "3"])
         assert rc == 0
-        assert "gradcheck PASS" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("gradcheck PASS")
+        names = [line.split("\t")[0] for line in lines[:-1]]
+        assert sorted(names) == sorted(STEPPED_GROUPS)
+        assert not {"zeta_raw", "gamma", "theta"} & set(names)

@@ -69,6 +69,11 @@ class TestParseEdgeList:
         assert net2.dst.tolist() == net.dst.tolist()
         assert net2.time.tolist() == net.time.tolist()
         assert net2.raw_ids == net.raw_ids
+        weights = [2.123456789, 1.0 / 3.0, 1e-300]
+        weighted = parse_edge_list(tmp_edges("".join(
+            f"a b {k} {w!r}\n" for k, w in enumerate(weights))), weighted=True)
+        write_edge_list(weighted, out)
+        assert parse_edge_list(out, weighted=True).weight.tolist() == weights
 
     @pytest.mark.skipif("M2DNE_EUCORE" not in os.environ,
                         reason="set M2DNE_EUCORE to the Eucore edge file")
@@ -378,6 +383,9 @@ ORACLE_CASES = {
     "label_duplicate_after_unknown": b"a red\nzz blue\na blue\n",
     "many_ties_sort_stably": "".join(f"n{k} m{k} {k % 3}\n"
                                      for k in range(60)).encode(),
+    "byte_order_mark_before_token": b"\xef\xbb\xbfa b 1\nb a 2\n",
+    "byte_order_mark_before_comment": b"\xef\xbb\xbf# header\na b 1\n",
+    "byte_order_mark_labels": b"\xef\xbb\xbfa red\nn1 blue\n",
 }
 
 
@@ -423,8 +431,9 @@ def _fuzz_lines():
     line = st.one_of(field_line, field_line, field_line, field_line, comment,
                      st.binary(max_size=12))
     return st.builds(
-        lambda lines, dup, newline, tail: newline.join(lines + lines[:dup])
-        + tail * newline,
+        lambda bom, lines, dup, newline, tail: bom
+        + newline.join(lines + lines[:dup]) + tail * newline,
+        st.sampled_from([b"", b"\xef\xbb\xbf"]),
         st.lists(line, max_size=8), st.integers(0, 3),
         st.sampled_from([b"\n", b"\r\n", b"\r"]), st.booleans())
 

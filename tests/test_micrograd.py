@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import _oracles as orc
-from conftest import net_from_events, oracle_args, padded_rows
+from conftest import (STEPPED_GROUPS, count_calls, net_from_events,
+                      oracle_args, padded_rows)
+from m2dne import macro as macro_mod
 from m2dne.graph import snapshot_arrays
 from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
 from m2dne.micrograd import EventBatch, batch_loss_and_grads
@@ -146,24 +148,32 @@ class TestGradients:
         state.attention.decay_raw += rng.normal(0, 0.4, net.node_count)
         report = gradient_check(state, net, cfg, tolerance=1e-4)
         assert report.passed, report.max_rel_err
+        assert sorted(report.max_rel_err) == sorted(STEPPED_GROUPS)
 
-    def test_epsilon_zero_isolates_macro_groups(self):
+    def test_epsilon_zero_isolates_macro_groups(self, monkeypatch):
+        # with epsilon 0 neither the analytic gradients nor the probed loss
+        # touch the scale loss, and the gradients are the engine's
         net = random_net(22, nodes=8, n_events=30, epochs=6)
         cfg = TrainConfig(dim=3, history=2, negatives=1, epsilon=0.0, seed=4)
         state = init_state(net.node_count, cfg, substream(4, "init"))
+        scale_calls = [count_calls(monkeypatch, macro_mod, name)
+                       for name in ("macro_loss", "macro_loss_and_grads")]
         report = gradient_check(state, net, cfg, tolerance=1e-4)
         assert report.passed
+        assert sorted(report.max_rel_err) == sorted(STEPPED_GROUPS)
         data = TrainData(net, cfg.history)
         from m2dne.train import _joint_grads
         batch = full_batch(net, cfg.history)
         neg_src, neg_dst = draw_event_negatives(
             batch.src, batch.dst, data.table, cfg.negatives,
             substream(4, "negatives"))
-        _, _, _, grads, _ = _joint_grads(state, batch, neg_src, neg_dst, data,
-                                         cfg)
-        assert grads["zeta_raw"] == 0.0
-        assert grads["gamma"] == 0.0
-        assert grads["theta"] == 0.0
+        _, grads, _ = _joint_grads(state, batch, neg_src, neg_dst, data, cfg)
+        _, engine, _ = batch_loss_and_grads(batch, neg_src, neg_dst,
+                                            state.embeddings, state.attention)
+        assert scale_calls == [[], []]
+        assert grads.keys() == engine.keys()
+        for name in STEPPED_GROUPS:
+            assert np.array_equal(grads[name], engine[name]), name
 
     def test_harness_detects_wrong_gradient(self):
         analytic = {"w": np.array([1.0, 2.0])}

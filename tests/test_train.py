@@ -4,21 +4,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import count_calls, net_from_events, two_community_lines
+from conftest import (STEPPED_GROUPS, count_calls, net_from_events,
+                      two_community_lines)
 from m2dne.evaluate import reconstruction_metrics
 from m2dne.graph import parse_edge_list
 from m2dne.micro import draw_event_negatives
 from m2dne import macro as macro_mod
 from m2dne.macro import (edge_affinity, fit_params, macro_loss,
-                         _predict_series)
+                         macro_loss_and_grads, _predict_series)
 from m2dne.micrograd import batch_loss_and_grads
 from m2dne.train import (TrainConfig, TrainData, fit, init_state,
                          load_checkpoint, sample_batch, save_checkpoint, step,
-                         _joint_grads)
+                         _joint_grads, _joint_loss)
 from m2dne.util import substream
-
-
-GROWTH = ("zeta_raw", "gamma", "theta")
 
 
 def toy_net(seed=0, nodes=10, n_events=60, epochs=8):
@@ -133,24 +131,22 @@ class TestStep:
         cfg.learning_rate = 1e-7
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(2, "negatives"))
-        before, *_ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
+        before = _joint_loss(state, batch, neg[0], neg[1], data, cfg)
         step(state, batch, data, cfg, substream(2, "negatives"))
-        after, *_ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
+        after = _joint_loss(state, batch, neg[0], neg[1], data, cfg)
         assert after <= before
 
     def test_single_step_matches_manual_update(self):
         net, cfg, state, data, batch = self._setup()
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(3, "negatives"))
-        _, _, _, grads, _ = _joint_grads(state, batch, neg[0], neg[1], data,
-                                         cfg)
+        _, grads, _ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
         manual = state.copy()
         growth = (state.macro.zeta_raw, state.macro.gamma, state.macro.theta)
-        assert any(grads[name] != 0.0 for name in GROWTH)
-        for name, ref in manual.param_groups().items():
-            if name in GROWTH:
-                continue
-            g = np.asarray(grads[name], dtype=np.float64)
+        assert sorted(grads) == sorted(STEPPED_GROUPS)
+        for name, g in grads.items():
+            ref = manual.param_groups()[name]
+            g = np.asarray(g, dtype=np.float64)
             norm = float(np.linalg.norm(g))
             if norm > cfg.grad_clip:
                 g = g * (cfg.grad_clip / norm)
@@ -214,27 +210,43 @@ class TestStepMemory:
 
 class TestJointLoss:
     @staticmethod
-    def _losses(seed, epsilon):
-        """(joint total, engine event loss, macro loss) on one batch."""
+    def _parts(seed, epsilon):
+        """(_joint_grads' event loss and gradients, the engine's, the exact
+        coupling's embedding gradient, the joint loss and the scale loss) on
+        one batch."""
         net, cfg, state, data, batch = TestStep()._setup(epsilon=epsilon)
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(seed, "negatives"))
-        total, *_ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
-        micro, _, _ = batch_loss_and_grads(batch, neg[0], neg[1],
-                                           state.embeddings, state.attention,
-                                           want_grads=False)
-        ma = macro_loss(data.series, edge_affinity(state.embeddings,
-                                                   data.edge_src, data.edge_dst),
-                        state.macro)
-        return total, micro, ma
+        micro, grads, _ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
+        engine, engine_grads, _ = batch_loss_and_grads(
+            batch, neg[0], neg[1], state.embeddings, state.attention)
+        ma, dU = macro_loss_and_grads(data.series, state.embeddings,
+                                      data.edge_src, data.edge_dst, state.macro)
+        joint = _joint_loss(state, batch, neg[0], neg[1], data, cfg)
+        return micro, grads, engine, engine_grads, dU, joint, ma
 
     def test_epsilon_zero_equals_micro(self):
-        total, micro, _ = self._losses(6, epsilon=0.0)
-        assert total == micro
+        micro, grads, engine, engine_grads, _, joint, _ = self._parts(
+            6, epsilon=0.0)
+        assert micro == engine == joint
+        assert grads.keys() == engine_grads.keys()
+        for name in grads:
+            assert np.array_equal(grads[name], engine_grads[name]), name
 
     def test_composition(self):
-        total, micro, ma = self._losses(7, epsilon=0.4)
-        assert total == pytest.approx(micro + 0.4 * ma, rel=1e-12)
+        # the event-level loss and groups are the engine's; the joint loss
+        # and the embedding gradient add epsilon times the coupling's
+        micro, grads, engine, engine_grads, dU, joint, ma = self._parts(
+            7, epsilon=0.4)
+        assert micro == engine
+        assert joint == pytest.approx(engine + 0.4 * ma, rel=1e-12)
+        assert sorted(grads) == sorted(STEPPED_GROUPS)
+        assert np.max(np.abs(dU)) > 0.0
+        for name in grads:
+            want = engine_grads[name]
+            if name == "embeddings":
+                want = want + 0.4 * dU
+            assert np.array_equal(grads[name], want), name
 
 
 class TestFit:
