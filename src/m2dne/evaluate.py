@@ -223,10 +223,14 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
     """Macro/Micro-F1 of the built-in softmax classifier per training ratio.
 
     Splits are stratified per class (at least one training sample each), drawn
-    from the eval-splits stream of ``seed``.
+    from the eval-splits stream of ``seed``. Every ratio must lie in (0, 1).
     """
     if labels.n_classes < 2:
         raise ValueError("classification needs at least 2 classes")
+    for ratio in train_ratios:
+        if not 0.0 < float(ratio) < 1.0:
+            raise ValueError(f"train ratio {_fmt(float(ratio))} is outside "
+                             "(0, 1)")
     rng = substream(seed, "eval-splits")
     X = embeddings[labels.node_ids]
     y = labels.labels

@@ -6,9 +6,12 @@ the event's histories with the corrupted endpoint substituted everywhere it
 appears (base similarity, attention center, decay rate).
 
 Layout: per endpoint family there are C = 1 + K "centers" (column 0 is the
-true endpoint). Per-entry quantities are (B, C, h) arrays masked on padding;
-the three pair blocks are the positive (col 0 vs col 0), source-corrupted
-(col k vs col 0) and target-corrupted (col 0 vs col k) combinations.
+true endpoint). Per-entry quantities are (B, C, h) arrays masked on padding.
+Each event is one block of P = 1 + 2K pairs, all scored by the same
+intensity: the event (col 0 vs col 0), then K source-corrupted (col k vs
+col 0) and K target-corrupted (col 0 vs col k) pairs. Only the sign of the
+score in the loss softplus(-sign * score) tells them apart, and the backward
+pass folds each pair's terms back onto its two columns.
 
 The embeddings gradient is summed on the batch's own slots, one (B, C, d)
 array per center family and one (B, h, d) array per history, and reaches the
@@ -81,11 +84,21 @@ def _scratch_len(B: int, C: int, h_i: int, h_j: int, d: int) -> int:
     units of B * d entries (see batch_loss_and_grads)."""
     K, h = C - 1, max(h_i, h_j)
     units = max(C,                          # the in-place sigmoid of ut
-                1 + 2 * K + max(K, 1),      # pair-block diffs and a product
+                2 * (1 + 2 * K),            # the pair diffs and a product
                 max(h, C),                  # history-vs-center backward
                 C + h + max(C, 2 * h),      # side backward
                 2 * C + h_i + h_j)          # the scatter's int64 positions
     return units * B * d
+
+
+def _pair_columns(K: int):
+    """Columns and loss signs of one event's P = 1 + 2K pairs: the event
+    (0, 0), then K source-corrupted (k, 0) and K target-corrupted (0, k)
+    pairs, as (ci, cj, sign)."""
+    ks = np.arange(1, K + 1)
+    sign = np.where(np.arange(1 + 2 * K) == 0, 1.0, -1.0)
+    return (np.concatenate([[0], ks, 0 * ks]), np.concatenate([[0], 0 * ks, ks]),
+            sign)
 
 
 def _sigmoid_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -164,13 +177,6 @@ class _Side:
         self.us = self.ut @ params.s_weight                       # (B, C)
         self.btil = self.kbar * self.us + params.s_bias
 
-        # accumulated by the pair blocks, consumed by _side_backward
-        self.d_btil = np.zeros((B, C))
-        self.d_alpha = buf("d_alpha", B, C, h)
-        self.d_alpha.fill(0.0)
-        self.d_kap = buf("d_kap", B, C, h)
-        self.d_kap.fill(0.0)
-
 
 def _pair_beta(side_l: _Side, btil_l, side_r: _Side, btil_r):
     """Neighborhood weight of the left side, with empty-history pinning."""
@@ -217,7 +223,7 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     loss itself is evaluated unclamped through a stable log-sigmoid).
 
     ``work`` holds the working set: both sides' forward caches, the slot
-    buffer and one scratch region, which carries the pair-block diffs, then
+    buffer and one scratch region, which carries the pair diffs, then
     the backward products, then (as int64) the scatter's positions. Passing
     the same workspace to every batch of one shape allocates it once; None
     uses a fresh one. The returned gradients never alias it.
@@ -245,47 +251,26 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     g_hi = _hist_vs_centers(side_i, side_j)               # (B, C, h)
     g_hj = _hist_vs_centers(side_j, side_i)
 
-    # forward: the three pair blocks ---------------------------------------
-    # the diffs stay in the scratch until the pair-block backward is done;
-    # prod (prod0 is its head) takes the products of one line at a time
-    diff0, diffI, diffJ, prod = _carve(scratch, (B, d), (B, K, d), (B, K, d),
-                                       (B * max(K, 1) * d,))
-    prod0 = prod[:B * d].reshape(B, d)
-    prodK = prod[:B * K * d].reshape(B, K, d)
-    np.subtract(side_i.Uc[:, 0], side_j.Uc[:, 0], out=diff0)
-    g0 = -np.square(diff0, out=prod0).sum(axis=1)
-    A_i0 = np.einsum("bh,bh->b", side_i.ak[:, 0, :], g_hi[:, 0, :])
-    A_j0 = np.einsum("bh,bh->b", side_j.ak[:, 0, :], g_hj[:, 0, :])
-    beta0, both0 = _pair_beta(side_i, side_i.btil[:, 0], side_j, side_j.btil[:, 0])
-    lam0 = g0 + beta0 * A_i0 + (1.0 - beta0) * A_j0
-
-    if K:
-        np.subtract(side_i.Uc[:, 1:], side_j.Uc[:, :1], out=diffI)
-        gI = -np.square(diffI, out=prodK).sum(axis=2)
-        A_iI = np.einsum("bkh,bh->bk", side_i.ak[:, 1:, :], g_hi[:, 0, :])
-        A_jI = np.einsum("bh,bkh->bk", side_j.ak[:, 0, :], g_hj[:, 1:, :])
-        betaI, bothI = _pair_beta(side_i, side_i.btil[:, 1:],
-                                  side_j, side_j.btil[:, 0][:, None])
-        lamI = gI + betaI * A_iI + (1.0 - betaI) * A_jI
-
-        np.subtract(side_i.Uc[:, :1], side_j.Uc[:, 1:], out=diffJ)
-        gJ = -np.square(diffJ, out=prodK).sum(axis=2)
-        A_iJ = np.einsum("bh,bkh->bk", side_i.ak[:, 0, :], g_hi[:, 1:, :])
-        A_jJ = np.einsum("bkh,bh->bk", side_j.ak[:, 1:, :], g_hj[:, 0, :])
-        betaJ, bothJ = _pair_beta(side_i, side_i.btil[:, 0][:, None],
-                                  side_j, side_j.btil[:, 1:])
-        lamJ = gJ + betaJ * A_iJ + (1.0 - betaJ) * A_jJ
-    else:
-        lamI = lamJ = np.zeros((B, 0))
-
-    loss = float(np.sum(softplus(-lam0)) + np.sum(softplus(lamI))
-                 + np.sum(softplus(lamJ)))
-    stats = {
-        "pairs": B * (1 + 2 * K),
-        "range_hits": int((np.abs(lam0) > RANGE_BOUND).sum()
-                          + (np.abs(lamI) > RANGE_BOUND).sum()
-                          + (np.abs(lamJ) > RANGE_BOUND).sum()),
-    }
+    # forward: one block of P = 1 + 2K pairs --------------------------------
+    # pair p joins column ci[p] of side i with column cj[p] of side j. The
+    # diffs stay in the scratch until the backward; the columns are in
+    # range, so "clip" gathers into ``out`` without a checking copy.
+    ci, cj, sign = _pair_columns(K)
+    P = ci.size
+    diff, prod = _carve(scratch, (B, P, d), (B, P, d))
+    np.take(side_i.Uc, ci, axis=1, out=diff, mode="clip")
+    diff -= np.take(side_j.Uc, cj, axis=1, out=prod, mode="clip")
+    g = -np.square(diff, out=prod).sum(axis=2)             # (B, P)
+    # A_i: side i's attention-weighted history distance to the j center,
+    # taken for all C x C center pairs and read at each pair's entry
+    A_i = np.matmul(side_i.ak, g_hi.transpose(0, 2, 1))[:, ci, cj]
+    A_j = np.matmul(side_j.ak, g_hj.transpose(0, 2, 1))[:, cj, ci]
+    beta, both = _pair_beta(side_i, side_i.btil[:, ci],
+                            side_j, side_j.btil[:, cj])
+    lam = g + beta * A_i + (1.0 - beta) * A_j
+    loss = float(softplus(-sign * lam).sum())
+    stats = {"pairs": lam.size,
+             "range_hits": int((np.abs(lam) > RANGE_BOUND).sum())}
     if not want_grads:
         return loss, None, stats
 
@@ -301,72 +286,35 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         "s_weight": np.zeros(d),
         "s_bias": 0.0,
     }
-    d_ghi = np.zeros_like(g_hi)
-    d_ghj = np.zeros_like(g_hj)
+    dlam = -sign * sigmoid(-sign * lam)
+    # a per-pair scalar sits at its (ci, cj) entry of a (B, C, C) matrix,
+    # whose sums and products fold it back onto both sides' columns. The
+    # (cj, ci) entries are the same set, so each write replaces the last.
+    pair = np.zeros((B, C, C))
+    pair[:, ci, cj] = dlam * (A_i - A_j) * beta * (1.0 - beta) * both
+    d_btil_i = pair.sum(axis=2)
+    d_btil_j = -pair.sum(axis=1)
+    pair[:, ci, cj] = dlam * beta
+    d_ak_i = pair @ g_hi                                    # (B, C, h)
+    d_ghi = pair.transpose(0, 2, 1) @ side_i.ak
+    pair[:, cj, ci] = dlam * (1.0 - beta)
+    d_ak_j = pair @ g_hj
+    d_ghj = pair.transpose(0, 2, 1) @ side_j.ak
+    # the diffs' terms fold through the 0/1 (C, P) matrix [ci[p] == c]
+    # (cj for side j), one matmul per side, into the head of the dead diffs
+    np.multiply(diff, (-2.0 * dlam)[:, :, None], out=prod)
+    head = scratch[:B * C * d].reshape(B, C, d)
+    cols = np.arange(C)[:, None]
+    dUc_i += np.matmul((cols == ci).astype(np.float64), prod, out=head)
+    dUc_j -= np.matmul((cols == cj).astype(np.float64), prod, out=head)
 
-    # positive block
-    dlam0 = -sigmoid(-lam0)
-    dx0 = dlam0 * (A_i0 - A_j0) * beta0 * (1.0 - beta0) * both0
-    side_i.d_btil[:, 0] += dx0
-    side_j.d_btil[:, 0] -= dx0
-    dA_i0 = dlam0 * beta0
-    dA_j0 = dlam0 * (1.0 - beta0)
-    c = dA_i0[:, None] * g_hi[:, 0, :]
-    side_i.d_alpha[:, 0, :] += c * side_i.kap[:, 0, :]
-    side_i.d_kap[:, 0, :] += c * side_i.alpha[:, 0, :]
-    d_ghi[:, 0, :] += dA_i0[:, None] * side_i.ak[:, 0, :]
-    c = dA_j0[:, None] * g_hj[:, 0, :]
-    side_j.d_alpha[:, 0, :] += c * side_j.kap[:, 0, :]
-    side_j.d_kap[:, 0, :] += c * side_j.alpha[:, 0, :]
-    d_ghj[:, 0, :] += dA_j0[:, None] * side_j.ak[:, 0, :]
-    dUc_i[:, 0] += np.multiply(dlam0[:, None] * (-2.0), diff0, out=prod0)
-    dUc_j[:, 0] += np.multiply(dlam0[:, None] * 2.0, diff0, out=prod0)
-
-    if K:
-        # source-corrupted block: i columns 1.., j column 0
-        dlamI = sigmoid(lamI)
-        dxI = dlamI * (A_iI - A_jI) * betaI * (1.0 - betaI) * bothI
-        side_i.d_btil[:, 1:] += dxI
-        side_j.d_btil[:, 0] -= dxI.sum(axis=1)
-        dA_iI = dlamI * betaI
-        dA_jI = dlamI * (1.0 - betaI)
-        cI = dA_iI[:, :, None] * g_hi[:, 0, :][:, None, :]
-        side_i.d_alpha[:, 1:, :] += cI * side_i.kap[:, 1:, :]
-        side_i.d_kap[:, 1:, :] += cI * side_i.alpha[:, 1:, :]
-        d_ghi[:, 0, :] += np.einsum("bk,bkh->bh", dA_iI, side_i.ak[:, 1:, :])
-        cJ = np.einsum("bk,bkh->bh", dA_jI, g_hj[:, 1:, :])
-        side_j.d_alpha[:, 0, :] += cJ * side_j.kap[:, 0, :]
-        side_j.d_kap[:, 0, :] += cJ * side_j.alpha[:, 0, :]
-        d_ghj[:, 1:, :] += dA_jI[:, :, None] * side_j.ak[:, 0, :][:, None, :]
-        dUc_i[:, 1:] += np.multiply(dlamI[:, :, None] * (-2.0), diffI,
-                                    out=prodK)
-        dUc_j[:, 0] += np.einsum("bk,bkd->bd", dlamI,
-                                 np.multiply(diffI, 2.0, out=prodK))
-
-        # target-corrupted block: i column 0, j columns 1..
-        dlamJ = sigmoid(lamJ)
-        dxJ = dlamJ * (A_iJ - A_jJ) * betaJ * (1.0 - betaJ) * bothJ
-        side_i.d_btil[:, 0] += dxJ.sum(axis=1)
-        side_j.d_btil[:, 1:] -= dxJ
-        dA_iJ = dlamJ * betaJ
-        dA_jJ = dlamJ * (1.0 - betaJ)
-        cI = np.einsum("bk,bkh->bh", dA_iJ, g_hi[:, 1:, :])
-        side_i.d_alpha[:, 0, :] += cI * side_i.kap[:, 0, :]
-        side_i.d_kap[:, 0, :] += cI * side_i.alpha[:, 0, :]
-        d_ghi[:, 1:, :] += dA_iJ[:, :, None] * side_i.ak[:, 0, :][:, None, :]
-        cJ = dA_jJ[:, :, None] * g_hj[:, 0, :][:, None, :]
-        side_j.d_alpha[:, 1:, :] += cJ * side_j.kap[:, 1:, :]
-        side_j.d_kap[:, 1:, :] += cJ * side_j.alpha[:, 1:, :]
-        d_ghj[:, 0, :] += np.einsum("bk,bkh->bh", dA_jJ, side_j.ak[:, 1:, :])
-        dUc_i[:, 0] += np.einsum("bk,bkd->bd", dlamJ,
-                                 np.multiply(diffJ, -2.0, out=prodK))
-        dUc_j[:, 1:] += np.multiply(dlamJ[:, :, None] * 2.0, diffJ, out=prodK)
-
-    # the diffs are dead from here on: the scratch takes backward products
+    # the scratch takes the backward products from here on
     _hist_vs_centers_backward(d_ghi, side_i, side_j, dUh_i, dUc_j, scratch)
     _hist_vs_centers_backward(d_ghj, side_j, side_i, dUh_j, dUc_i, scratch)
-    d_raw_i = _side_backward(side_i, params, dUc_i, dUh_i, grads, scratch)
-    d_raw_j = _side_backward(side_j, params, dUc_j, dUh_j, grads, scratch)
+    d_raw_i = _side_backward(side_i, params, d_btil_i, d_ak_i, dUc_i, dUh_i,
+                             grads, scratch)
+    d_raw_j = _side_backward(side_j, params, d_btil_j, d_ak_j, dUc_j, dUh_j,
+                             grads, scratch)
 
     # and last the scatter's positions, one int64 per slot entry
     rows = np.concatenate([centers_i, centers_j, side_i.nodes, side_j.nodes],
@@ -381,11 +329,12 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     return loss, grads, stats
 
 
-def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads,
-                   scratch):
-    """Backward through one side's attention: adds onto the group gradients
-    and the side's embedding slots, and returns the decay_raw gradient of
-    each center, (B, C). ``scratch`` holds at least
+def _side_backward(side: _Side, params: AttentionParams, d_btil, d_ak, dUc,
+                   dUh, grads, scratch):
+    """Backward through one side's attention, given the loss gradient of its
+    btil (B, C) and ak = alpha * kap (B, C, h): adds onto the group
+    gradients and the side's embedding slots, and returns the decay_raw
+    gradient of each center, (B, C). ``scratch`` holds at least
     (C + h + max(C, 2h)) * B * d free entries.
 
     The attention scores use W only through a1.W u_c and a2.W u_p, so their
@@ -399,7 +348,6 @@ def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads,
     d_agg, d_Wh, rest = _carve(scratch, (B, C, d), (B, h, d),
                                (B * max(C, 2 * h) * d,))
 
-    d_btil, d_alpha, d_kap = side.d_btil, side.d_alpha, side.d_kap
     d_btil_k = d_btil * side.kbar
     grads["s_weight"] += d_btil_k.reshape(-1) @ side.ut.reshape(-1, d)
     grads["s_bias"] += d_btil.sum()
@@ -409,14 +357,15 @@ def _side_backward(side: _Side, params: AttentionParams, dUc, dUh, grads,
     np.multiply(d_btil_k[:, :, None], params.s_weight, out=d_agg)
     d_agg *= side.ut
     d_agg *= np.subtract(1.0, side.ut, out=rest[:B * C * d].reshape(B, C, d))
-    d_alpha = d_alpha + d_agg @ side.Wh.transpose(0, 2, 1)
+    d_alpha = d_ak * side.kap + d_agg @ side.Wh.transpose(0, 2, 1)
     np.matmul(side.alpha.transpose(0, 2, 1), d_agg, out=d_Wh)
 
     s = np.einsum("bch,bch->bc", side.alpha, d_alpha)
     d_at = side.alpha * (d_alpha - s[:, :, None])
     d_pre = d_at * side.at * (1.0 - side.at)
 
-    d_kap = d_kap + d_pre * (side.dotc[:, :, None] + side.dotp[:, None, :])
+    d_kap = d_ak * side.alpha \
+        + d_pre * (side.dotc[:, :, None] + side.dotp[:, None, :])
     d_scal = d_pre * side.kap
     d_dotc = d_scal.sum(axis=2)
     d_dotp = d_scal.sum(axis=1)

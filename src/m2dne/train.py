@@ -47,8 +47,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate)
+                and self.learning_rate >= 0):
+            raise ValueError("learning_rate must be finite and >= 0")
+        if not math.isfinite(self.grad_clip):
+            raise ValueError("grad_clip must be finite")
 
 
 @dataclass

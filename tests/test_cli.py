@@ -123,6 +123,10 @@ class TestConfigFile:
         ("dim = 0", "dim", "dim must be >= 1"),
         ("epsilon = 1.5", "epsilon", "epsilon must be in [0, 1]"),
         ("batch-size = -2", "batch-size", "batch_size must be >= 1"),
+        ("learning-rate = nan", "learning-rate",
+         "learning_rate must be finite and >= 0"),
+        ("grad-clip = nan", "grad-clip", "grad_clip must be finite"),
+        ("grad_clip = inf", "grad_clip", "grad_clip must be finite"),
     ])
     def test_out_of_range_value_names_file_line_and_key(self, tmp_path,
                                                          capsys, line, key,

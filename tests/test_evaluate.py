@@ -217,6 +217,14 @@ class TestNodeClassification:
         with pytest.raises(ValueError):
             node_classification(U, labels, [0.5], seed=0)
 
+    @pytest.mark.parametrize("ratio", [-0.5, 0.0, 1.0, 1.5, float("nan")])
+    def test_ratio_outside_unit_interval_rejected(self, ratio):
+        U = np.random.default_rng(0).normal(size=(8, 3))
+        labels = LabelTable(node_ids=np.arange(8),
+                            labels=np.repeat([0, 1], 4), n_classes=2)
+        with pytest.raises(ValueError, match=f"train ratio {ratio:g} "):
+            node_classification(U, labels, [0.5, ratio], seed=0)
+
     def test_identical_embeddings_majority(self):
         U = np.tile(np.array([0.3, -0.4, 0.2]), (20, 1))
         y = np.array([0] * 14 + [1] * 6)

@@ -139,9 +139,12 @@ class TestSampledLossReplay:
 
 
 class TestGradients:
-    def test_gradient_check_passes(self):
+    # K = 0 is the event alone; K = 5 folds six pairs onto each column 0
+    @pytest.mark.parametrize("negatives", [0, 2, 5])
+    def test_gradient_check_passes(self, negatives):
         net = random_net(21, nodes=8, n_events=40, epochs=8)
-        cfg = TrainConfig(dim=4, history=2, negatives=2, epsilon=0.3, seed=3)
+        cfg = TrainConfig(dim=4, history=2, negatives=negatives, epsilon=0.3,
+                          seed=3)
         state = init_state(net.node_count, cfg, substream(3, "init"))
         rng = np.random.default_rng(40)
         state.embeddings += rng.normal(0, 0.3, state.embeddings.shape)

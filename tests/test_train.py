@@ -501,7 +501,9 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"dim": 0}, {"history": 0}, {"negatives": -1}, {"epsilon": 1.5},
         {"epsilon": -0.1}, {"batch_size": 0}, {"learning_rate": -1.0},
-        {"epochs": 0},
+        {"epochs": 0}, {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")}, {"grad_clip": float("nan")},
+        {"grad_clip": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
