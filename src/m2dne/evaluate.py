@@ -223,14 +223,19 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
     """Macro/Micro-F1 of the built-in softmax classifier per training ratio.
 
     Splits are stratified per class (at least one training sample each), drawn
-    from the eval-splits stream of ``seed``. Every ratio must lie in (0, 1).
+    from the eval-splits stream of ``seed``. Every ratio must lie in (0, 1),
+    and none may repeat: its metrics would overwrite the earlier split's.
     """
     if labels.n_classes < 2:
         raise ValueError("classification needs at least 2 classes")
+    seen = set()
     for ratio in train_ratios:
+        key = _fmt(float(ratio))
         if not 0.0 < float(ratio) < 1.0:
-            raise ValueError(f"train ratio {_fmt(float(ratio))} is outside "
-                             "(0, 1)")
+            raise ValueError(f"train ratio {key} is outside (0, 1)")
+        if key in seen:
+            raise ValueError(f"train ratio {key} is repeated")
+        seen.add(key)
     rng = substream(seed, "eval-splits")
     X = embeddings[labels.node_ids]
     y = labels.labels

@@ -1,5 +1,6 @@
 """Network-scale growth model: new-edge prediction, squared error against
-the observed increments, the growth fit, and cumulative forecasting.
+the observed increments, the growth fit, the coupling of the scale loss into
+the embeddings, and cumulative forecasting.
 
 The number of new edges arriving after epoch t is modeled as
 
@@ -15,10 +16,12 @@ computed over training edges only so forecasts never touch held-out data.
 
 S and zeta enter only as kappa = S * zeta: the prediction is kappa * q with
 q = n (n - 1) ** gamma / t ** theta. ``fit_params`` fits (kappa, gamma,
-theta), which do not depend on S, and returns zeta = kappa / S. Re-anchored
-at S_ref, the scale loss is its fitted minimum plus a * (S(U) - S_ref) ** 2,
-a = zeta^2 * sum q^2: ``macro_loss_and_grads`` differentiates it through S
-exactly over all E edges, :class:`SampledCoupling` from a sample of edges.
+theta), which do not depend on S, and returns zeta = kappa / S. For fixed
+growth parameters the scale loss is a * S^2 - 2 b * S + c, so the whole
+coupling is the scalar dL/dS = 2 (a S - b) times dS/dU: a :class:`Coupling`
+holds (a, b), and ``macro_loss_and_grads`` adds that gradient into a step's,
+exactly over all E edges, or from two samples of edges above
+2 * COUPLING_SAMPLE edges.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MacroSeries
-from .util import (Workspace, row_positions, scatter_rows, sigmoid, softplus,
-                   softplus_inv, take_rows)
+from .util import (Workspace, row_positions, sigmoid, softplus, softplus_inv,
+                   take_rows)
 
 # stopping rule of fit_params
 _GRAD_TOL = 1e-10
@@ -95,96 +98,91 @@ def macro_loss(series: MacroSeries, S: float, params: MacroParams) -> float:
     return float(np.sum((series.delta_e - pred) ** 2))
 
 
-def macro_loss_and_grads(series: MacroSeries, embeddings: np.ndarray,
-                         edge_src: np.ndarray, edge_dst: np.ndarray,
-                         params: MacroParams):
-    """Loss plus its gradient with respect to the embeddings.
-
-    The gradient flows through the affinity numerator, which is the coupling
-    that lets the scale constraint shape the embedding space; the growth
-    parameters are :func:`fit_params`'s. This is the exact path, O(E * d)
-    over every edge; :class:`SampledCoupling` estimates the same gradient
-    from a fixed-size edge sample.
-    """
-    if len(series.delta_e) == 0:
-        return 0.0, np.zeros_like(embeddings)
-    M = edge_src.shape[0]
-    V, d = embeddings.shape
-    diff = embeddings[edge_src] - embeddings[edge_dst]
-    sig = sigmoid(-np.square(diff).sum(axis=1))
-    S = float(sig.mean())
-
-    pred = _predict_series(S, series.n[:-1], series.epochs[:-1], params)
-    err = pred - series.delta_e
-    loss = float(np.sum(err ** 2))
-    d_S = float(np.sum(2.0 * err * pred) / S) if S > 0 else 0.0
-    grad = diff * ((d_S / M) * (sig * (1.0 - sig)) * (-2.0))[:, None]
-    positions = row_positions(np.concatenate([edge_src, edge_dst]), d,
-                              out=np.empty(2 * M * d, dtype=np.int64))
-    dU = scatter_rows(positions, np.concatenate([grad, -grad]), V)
-    return loss, dU
-
-
-# edges per draw of SampledCoupling: each step draws two sets of this many;
-# train.fit samples only on networks of more than twice as many edges
+# edges per draw of a sampled coupling: each step draws two sets of this
+# many, so only a network of more than twice as many edges is sampled
 COUPLING_SAMPLE = 512
 
 
-class SampledCoupling:
-    """Unbiased estimate of the coupling's embedding gradient at O(M * d) per
-    call, anchored at one re-anchor of the growth fit (Johnson & Zhang
-    2013's snapshot control variate).
+@dataclass(frozen=True)
+class Coupling:
+    """The scale loss as a function of the affinity S for fixed growth
+    parameters, a * S^2 - 2 b * S + c, so dL/dS = 2 (a S - b); with
+    ``sig_ref`` and ``rng`` set it is sampled (see
+    :func:`macro_loss_and_grads`). ``sig_ref`` is kept, not copied, so the
+    caller must not write to it afterwards."""
 
-    The anchor keeps ``a`` and ``S_ref`` of the penalty a * (S - S_ref)^2,
-    whose dL/dS is 2 * a * (S - S_ref), and the exact per-edge sigmoids
-    ``sig_ref`` at its embeddings (mean ``S_ref``; kept, not copied, so the
-    caller must not write to them afterwards). :meth:`add_grad` draws two
-    independent sets of M = COUPLING_SAMPLE edges, uniformly with
-    replacement: the first estimates S - S_ref as mean(sigma_e - sig_ref_e),
-    the second dS/dU as the mean of the per-edge gradients, so the product
-    is unbiased for the exact ``macro_loss_and_grads`` embedding gradient.
-    Near the anchor sigma_e - sig_ref_e is small, so the estimate's spread
-    is far below that of a raw sample mean; at the anchor it is 0.
+    a: float
+    b: float
+    sig_ref: np.ndarray | None = None
+    rng: np.random.Generator | None = None
+
+
+def coupling_at(series: MacroSeries, params: MacroParams,
+                sig_ref: np.ndarray | None = None,
+                rng: np.random.Generator | None = None) -> Coupling:
+    """The coupling of the growth fit ``params``: a = zeta^2 * sum q^2 and
+    b = zeta * delta_e . q with q the predictions per unit kappa. Given the
+    per-edge sigmoids ``sig_ref`` (mean S_ref) of the refit that set
+    ``params``, so a S_ref = b, on more than 2 * COUPLING_SAMPLE edges, it
+    is sampled from ``rng``; on fewer, a sample's two draws would touch no
+    fewer edges than the exact pass, and it stays exact."""
+    q = _predict_series(1.0, series.n[:-1], series.epochs[:-1], params)
+    if sig_ref is None or sig_ref.shape[0] <= 2 * COUPLING_SAMPLE:
+        sig_ref = rng = None
+    return Coupling(float(q @ q), float(series.delta_e @ q), sig_ref, rng)
+
+
+def macro_loss_and_grads(coupling: Coupling, embeddings: np.ndarray,
+                         edge_src: np.ndarray, edge_dst: np.ndarray,
+                         scale: float, out: np.ndarray,
+                         work: Workspace) -> float:
+    """Add ``scale`` times the scale loss's embedding gradient into ``out``
+    (the (V, d) embedding gradient, C-contiguous), in place, and return the
+    dL/dS it used. ``work`` holds the gathered rows and the scatter positions
+    between calls.
+
+    Exact, the S term and the dS/dU term both run over all E edges,
+    O(E * d). Sampled, two independent sets of M = COUPLING_SAMPLE edges
+    are drawn uniformly with replacement, O(M * d): the first estimates
+    S - S_ref as mean(sigma_e - sig_ref_e), so dL/dS = 2 a (S - S_ref) at the
+    refit's optimum a S_ref = b (Johnson & Zhang 2013's snapshot control
+    variate), and the second dS/dU, so the product is unbiased for the exact
+    gradient. Near the refit sigma_e - sig_ref_e is small, so the estimate's
+    spread is far below that of a raw sample mean; at the refit it is 0.
     """
-
-    def __init__(self, series: MacroSeries, sig_ref: np.ndarray, S: float,
-                 params: MacroParams, rng: np.random.Generator):
-        q = _predict_series(1.0, series.n[:-1], series.epochs[:-1], params)
-        self.sig_ref = sig_ref
-        self.S_ref = float(S)
-        self.a = float(q @ q)
-        self.rng = rng
-
-    def add_grad(self, embeddings: np.ndarray, edge_src: np.ndarray,
-                 edge_dst: np.ndarray, scale: float, out: np.ndarray,
-                 work: Workspace) -> None:
-        """Add ``scale`` times one draw of the estimate into ``out`` (the
-        (V, d) embedding gradient, C-contiguous), in place. ``work`` holds
-        the (4M, d) rows and the scatter positions between calls."""
-        if not out.flags.c_contiguous:
-            raise ValueError("out must be C-contiguous")
-        M = COUPLING_SAMPLE
-        d = embeddings.shape[1]
-        picked = self.rng.integers(edge_src.shape[0], size=2 * M)
+    if not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    d = embeddings.shape[1]
+    if coupling.sig_ref is None:
+        src, dst, k = edge_src, edge_dst, 0
+    else:
+        k = COUPLING_SAMPLE
+        picked = coupling.rng.integers(edge_src.shape[0], size=2 * k)
         src, dst = edge_src[picked], edge_dst[picked]
-        # rows[:2M] holds u_src - u_dst of both sets, later the second set's
-        # gradient at its source rows; rows[2M:] first u_dst, then the
-        # squared diffs, then the negated gradient at the target rows
-        rows = work.get("coupling.rows", (4 * M, d))
-        diff = take_rows(embeddings, src, rows[:2 * M])
-        diff -= take_rows(embeddings, dst, rows[2 * M:])
-        sig = sigmoid(-np.square(diff, out=rows[2 * M:]).sum(axis=1))
-        # dL/dS = 2 a (S_hat - S_ref), with the difference estimated directly
-        d_S = 2.0 * self.a * float(np.mean(sig[:M] - self.sig_ref[picked[:M]]))
-        grad = rows[M:2 * M]
-        grad *= ((scale * d_S / M) * (sig[M:] * (1.0 - sig[M:]))
-                 * (-2.0))[:, None]
-        np.negative(grad, out=rows[2 * M:3 * M])
-        positions = work.get("coupling.positions", (2 * M * d,), np.int64)
-        row_positions(np.concatenate([src[M:], dst[M:]]), d, out=positions)
-        # ufunc.at has a buffered fast path from NumPy 1.25 (the floor in
-        # pyproject.toml); before it, this would be the slow unbuffered loop
-        np.add.at(out.reshape(-1), positions, rows[M:3 * M].reshape(-1))
+    # edges [k, n) give dS/dU: all of them when exact, the second set when
+    # sampled. rows[:n] holds u_src - u_dst, later the gradient at the source
+    # rows in rows[k:n]; rows[n:] first u_dst, then the squared diffs, then
+    # the negated gradient at the target rows
+    n = src.shape[0]
+    m = n - k
+    rows = work.get("coupling.rows", (2 * n, d))
+    diff = take_rows(embeddings, src, rows[:n])
+    diff -= take_rows(embeddings, dst, rows[n:])
+    sig = sigmoid(-np.square(diff, out=rows[n:]).sum(axis=1))
+    if coupling.sig_ref is None:
+        d_S = 2.0 * (coupling.a * float(np.mean(sig)) - coupling.b)
+    else:
+        d_S = 2.0 * coupling.a * float(np.mean(sig[:k]
+                                               - coupling.sig_ref[picked[:k]]))
+    grad = rows[k:n]
+    grad *= ((scale * d_S / m) * (sig[k:] * (1.0 - sig[k:])) * (-2.0))[:, None]
+    np.negative(grad, out=rows[n:n + m])
+    positions = work.get("coupling.positions", (2 * m * d,), np.int64)
+    row_positions(np.concatenate([src[k:], dst[k:]]), d, out=positions)
+    # ufunc.at has a buffered fast path from NumPy 1.25 (the floor in
+    # pyproject.toml); before it, this would be the slow unbuffered loop
+    np.add.at(out.reshape(-1), positions, rows[k:n + m].reshape(-1))
+    return d_S
 
 
 def _projected_loss(x: np.ndarray, n: np.ndarray, t: np.ndarray,

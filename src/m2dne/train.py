@@ -125,8 +125,8 @@ class TrainData:
     series and the edge endpoints feeding the rate numerator. ``work`` is
     the step workspace: every step of a fit reuses its buffers, which are
     allocated by the first step and freed with this object. ``coupling`` is
-    the latest refit's :class:`~m2dne.macro.SampledCoupling` while ``fit``
-    samples the coupling, else None (steps take the exact path)."""
+    the latest refit's :class:`~m2dne.macro.Coupling` during ``fit`` with
+    epsilon > 0, else None (steps couple exactly at ``state.macro``)."""
 
     def __init__(self, net: TemporalNetwork, history: int):
         self.net = net
@@ -139,7 +139,7 @@ class TrainData:
         cum = np.cumsum(net.weight)
         self.sample_cum = cum / cum[-1]
         self.work = Workspace()
-        self.coupling: macro_mod.SampledCoupling | None = None
+        self.coupling: macro_mod.Coupling | None = None
 
 
 def sample_batch(data: TrainData, batch_size: int,
@@ -166,29 +166,24 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
     coupling's embedding gradient. The growth scalars are not among them;
     the refit in :func:`fit` owns them.
 
-    The coupling is exact (``macro_loss_and_grads``, O(E * d)) unless
-    ``data.coupling`` holds a refit anchor; then it is one unbiased draw of
-    :class:`~m2dne.macro.SampledCoupling`, O(M * d)."""
+    The coupling is ``data.coupling``, or exact at ``state.macro`` when
+    that is None."""
     micro, grads, stats = batch_loss_and_grads(
         batch, neg_src, neg_dst, state.embeddings, state.attention,
         work=data.work)
-    eps = config.epsilon
-    if eps > 0.0 and data.coupling is not None:
-        data.coupling.add_grad(state.embeddings, data.edge_src, data.edge_dst,
-                               eps, grads["embeddings"], data.work)
-    elif eps > 0.0:
-        _, dU = macro_mod.macro_loss_and_grads(
-            data.series, state.embeddings, data.edge_src, data.edge_dst,
-            state.macro)
-        dU *= eps
-        grads["embeddings"] += dU
+    if config.epsilon > 0.0:
+        coupling = (data.coupling
+                    or macro_mod.coupling_at(data.series, state.macro))
+        macro_mod.macro_loss_and_grads(
+            coupling, state.embeddings, data.edge_src, data.edge_dst,
+            config.epsilon, grads["embeddings"], data.work)
     return micro, grads, stats
 
 
 def _joint_loss(state: ModelState, batch: EventBatch, neg_src, neg_dst,
                 data: TrainData, config: TrainConfig) -> float:
-    """The loss whose gradients :func:`_joint_grads` returns on its exact
-    path: the event-level loss plus epsilon times the scale loss."""
+    """The loss whose gradients :func:`_joint_grads` returns with an exact
+    coupling: the event-level loss plus epsilon times the scale loss."""
     loss, _, _ = batch_loss_and_grads(
         batch, neg_src, neg_dst, state.embeddings, state.attention,
         want_grads=False, work=data.work)
@@ -205,10 +200,10 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     """One descent update of the six event-level groups, in place.
 
     The coupling's embedding gradient is exact or sampled as
-    :func:`_joint_grads` says.
-    Per-group gradients exceeding ``grad_clip`` in L2 norm are rescaled to
-    the clip so a single mis-scaled group cannot blow up the state; gradients
-    must be finite or the step aborts naming the offending group.
+    ``data.coupling`` says (see :func:`_joint_grads`). Per-group gradients
+    exceeding ``grad_clip`` in L2 norm are rescaled to the clip so a single
+    mis-scaled group cannot blow up the state; gradients must be finite or
+    the step aborts naming the offending group.
     """
     neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
                                             config.negatives, rng)
@@ -264,14 +259,11 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     re-anchors it, zeta = kappa / S at the current affinity: the refit at S,
     as the fitted (kappa, gamma, theta) do not depend on S.
 
-    With epsilon > 0 and more than 2 * ``macro.COUPLING_SAMPLE`` edges,
-    each refit also anchors a :class:`~m2dne.macro.SampledCoupling` (the
-    exact per-edge sigmoids from its affinity pass), and every step until
-    the next refit samples the coupling from the ``"coupling"`` stream
-    instead of differentiating through all E edges. A draw touches
-    2 * COUPLING_SAMPLE edges, so on smaller networks the exact coupling
-    already costs no more edges per step and has no sampling noise; they
-    keep it.
+    With epsilon > 0 each refit also sets the :class:`~m2dne.macro.Coupling`
+    every step until the next refit uses, with the per-edge sigmoids of its
+    affinity pass; :func:`~m2dne.macro.coupling_at` samples it from the
+    ``"coupling"`` stream on networks of more than
+    2 * ``macro.COUPLING_SAMPLE`` edges, and keeps it exact on smaller ones.
 
     The per-epoch trace records the mean batch event loss, the scale loss on
     the full training series (the fitted minimum, with epsilon > 0), and
@@ -290,8 +282,6 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     batch_rng = substream(config.seed, "batch")
     neg_rng = substream(config.seed, "negatives")
     coupling_rng = substream(config.seed, "coupling")
-    sampled = (config.epsilon > 0.0
-               and len(net) > 2 * macro_mod.COUPLING_SAMPLE)
     steps_per_epoch = max(1, math.ceil(len(net) / config.batch_size))
     trace = LossTrace()
 
@@ -302,18 +292,18 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
         model (first call) or re-anchoring it when the scale term is in the
         objective."""
         nonlocal kappa
-        # a fresh array per refit: the anchor keeps it
-        sig_ref = np.empty(len(net)) if sampled else None
+        # a fresh array per refit: a sampled coupling keeps it
+        sig_ref = np.empty(len(net))
         S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
                                     data.edge_dst, out=sig_ref)
-        if config.epsilon > 0.0 and kappa is None:
-            state.macro = macro_mod.fit_params(data.series, S)
-            kappa = S * state.macro.zeta
-        elif config.epsilon > 0.0:
-            state.macro.zeta_raw = softplus_inv(kappa / S)
-        if sampled:
-            data.coupling = macro_mod.SampledCoupling(
-                data.series, sig_ref, S, state.macro, coupling_rng)
+        if config.epsilon > 0.0:
+            if kappa is None:
+                state.macro = macro_mod.fit_params(data.series, S)
+                kappa = S * state.macro.zeta
+            else:
+                state.macro.zeta_raw = softplus_inv(kappa / S)
+            data.coupling = macro_mod.coupling_at(data.series, state.macro,
+                                                  sig_ref, coupling_rng)
         return macro_mod.macro_loss(data.series, S, state.macro)
 
     ma = refit()

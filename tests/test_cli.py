@@ -168,6 +168,16 @@ class TestEvalCommand:
         out = capsys.readouterr().out
         assert "macro_f1@0.5" in out and "micro_f1@0.5" in out
 
+    def test_classify_repeated_ratio_fails(self, tmp_path, capsys):
+        ckpt, _ = train(tmp_path)
+        capsys.readouterr()
+        rc = main(["eval", "classify", "--checkpoint", ckpt, "--edges",
+                   TOY_EDGES, "--labels", TOY_LABELS, "--ratios", "0.5,0.5"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "train ratio 0.5 is repeated" in captured.err
+        assert "macro_f1" not in captured.out
+
     def test_recommend_and_linkpred_run(self, tmp_path, capsys):
         ckpt, _ = train(tmp_path)
         assert main(["eval", "recommend", "--checkpoint", ckpt, "--edges",

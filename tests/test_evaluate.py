@@ -225,6 +225,15 @@ class TestNodeClassification:
         with pytest.raises(ValueError, match=f"train ratio {ratio:g} "):
             node_classification(U, labels, [0.5, ratio], seed=0)
 
+    def test_repeated_ratio_rejected(self):
+        # each ratio's metrics are keyed by the ratio, so a repeat would
+        # replace the first split's scores with the second's
+        U = np.random.default_rng(0).normal(size=(8, 3))
+        labels = LabelTable(node_ids=np.arange(8),
+                            labels=np.repeat([0, 1], 4), n_classes=2)
+        with pytest.raises(ValueError, match="train ratio 0.5 is repeated"):
+            node_classification(U, labels, [0.5, 0.4, 0.50], seed=0)
+
     def test_identical_embeddings_majority(self):
         U = np.tile(np.array([0.3, -0.4, 0.2]), (20, 1))
         y = np.array([0] * 14 + [1] * 6)
@@ -535,6 +544,31 @@ class TestTrendForecast:
         assert 0.0 <= report.metrics["fit_sse"] < start_sse
         again, _ = trend_forecast_report(state, net, 0.75)
         assert again.to_text() == report.to_text()
+
+    def test_only_the_fitted_zeta_reads_the_embeddings(self):
+        # the growth fit is equivariant in S, so the embeddings move only
+        # zeta = kappa / S; the forecast and its fit read kappa
+        net, state = growth_law_net()
+        mask = net.time <= 15
+        V, d = state.embeddings.shape
+        rng = np.random.default_rng(3)
+        reports = []
+        for U in (rng.normal(0, 0.3, (V, d)), rng.normal(0, 1.0, (V, d)),
+                  np.zeros((V, d))):
+            report, rows = trend_forecast_report(make_state(U), net, 0.75)
+            assert report.config["train_epochs"] == 15
+            S = edge_affinity(U, net.src[mask], net.dst[mask])
+            reports.append((report.metrics, [r[1] for r in rows], S))
+        (first, first_rows, first_S), *others = reports
+        for metrics, rows, S in others:
+            assert S != first_S
+            for name in ("suffix_rmse", "fit_sse", "fitted_gamma",
+                         "fitted_theta"):
+                assert metrics[name] == pytest.approx(first[name],
+                                                      rel=1e-12), name
+            assert rows == pytest.approx(first_rows, rel=1e-12)
+            assert metrics["fitted_zeta"] * S == pytest.approx(
+                first["fitted_zeta"] * first_S, rel=1e-12)
 
     def test_zero_horizon_empty_table(self, tmp_path):
         net, state = growth_law_net()

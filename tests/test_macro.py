@@ -7,9 +7,9 @@ import _oracles as orc
 from conftest import random_stream_lines
 from m2dne.graph import MacroSeries, compute_macro_series, parse_edge_list
 from m2dne import macro as macro_mod
-from m2dne.macro import (MacroParams, SampledCoupling, edge_affinity,
-                         fit_params, forecast_scale, linear_node_forecast,
-                         macro_loss, macro_loss_and_grads, _predict_series)
+from m2dne.macro import (MacroParams, coupling_at, edge_affinity, fit_params,
+                         forecast_scale, linear_node_forecast, macro_loss,
+                         macro_loss_and_grads, _predict_series)
 from m2dne.util import Workspace, softplus, softplus_inv
 
 
@@ -129,15 +129,22 @@ class TestMacroLoss:
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_gradients_match_finite_differences(self):
+        # the exact coupling at growth parameters that are not the fit's,
+        # where dL/dS = 2 (a S - b) is not 0
         U, src, dst = toy_edges(seed=9, V=6, M=12, d=2)
         params = MacroParams(0.2, 1.2, 0.8)
         n = np.array([2.0, 3.0, 5.0, 6.0])
         delta = np.array([2.0, 4.0, 3.0])
         series = make_series(n, delta)
-        loss, dU = macro_loss_and_grads(series, U, src, dst, params)
-        assert loss == pytest.approx(
-            macro_loss(series, edge_affinity(U, src, dst), params))
+        coupling = coupling_at(series, params)
+        assert coupling.sig_ref is None
+        dU = np.zeros_like(U)
+        d_S = macro_loss_and_grads(coupling, U, src, dst, 1.0, dU, Workspace())
         step = 1e-6
+        S = edge_affinity(U, src, dst)
+        num_S = (macro_loss(series, S + step, params)
+                 - macro_loss(series, S - step, params)) / (2 * step)
+        assert d_S == pytest.approx(num_S, rel=1e-4)
 
         def at(U_):
             return macro_loss(series, edge_affinity(U_, src, dst), params)
@@ -150,15 +157,15 @@ class TestMacroLoss:
 
 
 class TestSampledCoupling:
-    """The per-step estimate of the coupling's embedding gradient, at a
-    sample size below the edge count so the estimate is not the full sum."""
+    """The coupling kernel's sampled mode, at a sample size below the edge
+    count so the estimate is not the full sum, against its exact mode."""
 
     M = 8
 
     @pytest.fixture
     def anchored(self, monkeypatch):
-        """(series, edges, anchor embeddings U_ref, params fitted at S(U_ref),
-        anchor factory) on 40 edges of 10 nodes."""
+        """(series, edges, refit embeddings U_ref, params fitted at S(U_ref),
+        sampled-coupling factory) on 40 edges of 10 nodes."""
         monkeypatch.setattr(macro_mod, "COUPLING_SAMPLE", self.M)
         U_ref, src, dst = toy_edges(seed=0, V=10, M=40, d=3)
         series = make_series([2.0, 3.0, 5.0, 6.0, 8.0], [2.0, 4.0, 3.0, 5.0])
@@ -167,8 +174,10 @@ class TestSampledCoupling:
         params = fit_params(series, S_ref)
 
         def anchor(seed):
-            return SampledCoupling(series, sig_ref, S_ref, params,
+            coupling = coupling_at(series, params, sig_ref,
                                    np.random.default_rng(seed))
+            assert coupling.sig_ref is sig_ref
+            return coupling
 
         return series, src, dst, U_ref, params, anchor
 
@@ -177,13 +186,15 @@ class TestSampledCoupling:
         work = Workspace()
         out = np.zeros((count,) + U.shape)
         for k in range(count):
-            anchor.add_grad(U, src, dst, scale, out[k], work)
+            macro_loss_and_grads(anchor, U, src, dst, scale, out[k], work)
         return out
 
     def test_mean_of_draws_is_exact_gradient(self, anchored):
         series, src, dst, U_ref, params, anchor = anchored
         U = U_ref + np.random.default_rng(1).normal(0, 0.3, U_ref.shape)
-        _, exact = macro_loss_and_grads(series, U, src, dst, params)
+        exact = np.zeros_like(U)
+        macro_loss_and_grads(coupling_at(series, params), U, src, dst, 1.0,
+                             exact, Workspace())
         samples = self.draws(anchor(5), U, src, dst, 4000)
         mean = samples.mean(axis=0)
         stderr = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
@@ -217,7 +228,8 @@ class TestSampledCoupling:
         _, src, dst, U_ref, _, anchor = anchored
         out = np.zeros((U_ref.shape[1], U_ref.shape[0])).T
         with pytest.raises(ValueError, match="contiguous"):
-            anchor(0).add_grad(U_ref, src, dst, 1.0, out, Workspace())
+            macro_loss_and_grads(anchor(0), U_ref, src, dst, 1.0, out,
+                                 Workspace())
 
     def test_affinity_writes_the_per_edge_sigmoids(self):
         U, src, dst = toy_edges(seed=2)

@@ -10,13 +10,13 @@ from m2dne.evaluate import reconstruction_metrics
 from m2dne.graph import parse_edge_list
 from m2dne.micro import draw_event_negatives
 from m2dne import macro as macro_mod
-from m2dne.macro import (edge_affinity, fit_params, macro_loss,
+from m2dne.macro import (coupling_at, edge_affinity, fit_params, macro_loss,
                          macro_loss_and_grads, _predict_series)
 from m2dne.micrograd import batch_loss_and_grads
 from m2dne.train import (TrainConfig, TrainData, fit, init_state,
                          load_checkpoint, sample_batch, save_checkpoint, step,
                          _joint_grads, _joint_loss)
-from m2dne.util import substream
+from m2dne.util import Workspace, substream
 
 
 def toy_net(seed=0, nodes=10, n_events=60, epochs=8):
@@ -211,19 +211,23 @@ class TestStepMemory:
 class TestJointLoss:
     @staticmethod
     def _parts(seed, epsilon):
-        """(_joint_grads' event loss and gradients, the engine's, the exact
-        coupling's embedding gradient, the joint loss and the scale loss) on
-        one batch."""
+        """(_joint_grads' event loss and gradients, the engine's, the engine's
+        embedding gradient plus epsilon times the exact coupling's, the joint
+        loss and the scale loss) on one batch."""
         net, cfg, state, data, batch = TestStep()._setup(epsilon=epsilon)
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(seed, "negatives"))
         micro, grads, _ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
         engine, engine_grads, _ = batch_loss_and_grads(
             batch, neg[0], neg[1], state.embeddings, state.attention)
-        ma, dU = macro_loss_and_grads(data.series, state.embeddings,
-                                      data.edge_src, data.edge_dst, state.macro)
+        coupled = engine_grads["embeddings"].copy()
+        macro_loss_and_grads(coupling_at(data.series, state.macro),
+                             state.embeddings, data.edge_src, data.edge_dst,
+                             epsilon, coupled, Workspace())
+        ma = macro_loss(data.series, edge_affinity(
+            state.embeddings, data.edge_src, data.edge_dst), state.macro)
         joint = _joint_loss(state, batch, neg[0], neg[1], data, cfg)
-        return micro, grads, engine, engine_grads, dU, joint, ma
+        return micro, grads, engine, engine_grads, coupled, joint, ma
 
     def test_epsilon_zero_equals_micro(self):
         micro, grads, engine, engine_grads, _, joint, _ = self._parts(
@@ -236,16 +240,14 @@ class TestJointLoss:
     def test_composition(self):
         # the event-level loss and groups are the engine's; the joint loss
         # and the embedding gradient add epsilon times the coupling's
-        micro, grads, engine, engine_grads, dU, joint, ma = self._parts(
+        micro, grads, engine, engine_grads, coupled, joint, ma = self._parts(
             7, epsilon=0.4)
         assert micro == engine
         assert joint == pytest.approx(engine + 0.4 * ma, rel=1e-12)
         assert sorted(grads) == sorted(STEPPED_GROUPS)
-        assert np.max(np.abs(dU)) > 0.0
+        assert not np.array_equal(coupled, engine_grads["embeddings"])
         for name in grads:
-            want = engine_grads[name]
-            if name == "embeddings":
-                want = want + 0.4 * dU
+            want = coupled if name == "embeddings" else engine_grads[name]
             assert np.array_equal(grads[name], want), name
 
 
@@ -343,7 +345,8 @@ class TestFit:
 class TestSampledCoupling:
     """fit samples the coupling when the network has more edges than the two
     draws of macro.COUPLING_SAMPLE edges touch, and differentiates through
-    every edge otherwise."""
+    every edge otherwise; both modes run the one kernel,
+    macro.macro_loss_and_grads, whose first argument is the coupling."""
 
     CFG = dict(dim=8, epsilon=0.3, seed=42)
 
@@ -356,24 +359,20 @@ class TestSampledCoupling:
                                                       tmp_edges):
         net = self._net(tmp_edges)
         assert len(net) > 2 * macro_mod.COUPLING_SAMPLE
-        exact = count_calls(monkeypatch, macro_mod, "macro_loss_and_grads")
-        sampled = count_calls(monkeypatch, macro_mod.SampledCoupling,
-                              "add_grad")
+        calls = count_calls(monkeypatch, macro_mod, "macro_loss_and_grads")
         fit(net, TrainConfig(epochs=2, batch_size=64, **self.CFG))
-        assert len(sampled) == 2 * math.ceil(len(net) / 64)
-        assert not exact
+        assert len(calls) == 2 * math.ceil(len(net) / 64)
+        assert all(args[0].sig_ref is not None for args in calls)
 
     @pytest.mark.parametrize("n_events", [100, 800])
     def test_steps_are_exact_up_to_twice_the_sample_size(
             self, monkeypatch, tmp_edges, n_events):
         net = self._net(tmp_edges, n_events=n_events)
         assert len(net) <= 2 * macro_mod.COUPLING_SAMPLE
-        exact = count_calls(monkeypatch, macro_mod, "macro_loss_and_grads")
-        sampled = count_calls(monkeypatch, macro_mod.SampledCoupling,
-                              "add_grad")
+        calls = count_calls(monkeypatch, macro_mod, "macro_loss_and_grads")
         fit(net, TrainConfig(epochs=2, batch_size=64, **self.CFG))
-        assert len(exact) == 2 * math.ceil(len(net) / 64)
-        assert not sampled
+        assert len(calls) == 2 * math.ceil(len(net) / 64)
+        assert all(args[0].sig_ref is None for args in calls)
 
     def test_sampled_fit_is_deterministic(self, tmp_edges):
         net = self._net(tmp_edges, seed=2)
@@ -383,63 +382,71 @@ class TestSampledCoupling:
         assert a.embeddings.tobytes() == b.embeddings.tobytes()
         assert trace_a.total == trace_b.total
 
+    @staticmethod
+    def _record_couplings(monkeypatch):
+        """Wrap macro.coupling_at; returns the list of (coupling, copy of its
+        sig_ref at the refit) it collects."""
+        couplings = []
+        real = macro_mod.coupling_at
+
+        def record(*args):
+            coupling = real(*args)
+            couplings.append((coupling, coupling.sig_ref.copy()))
+            return coupling
+
+        monkeypatch.setattr(macro_mod, "coupling_at", record)
+        return couplings
+
     def test_anchor_keeps_its_own_sigmoids(self, monkeypatch, tmp_edges):
-        anchors = []
-        init = macro_mod.SampledCoupling.__init__
-
-        def record(self, series, sig_ref, *args):
-            init(self, series, sig_ref, *args)
-            anchors.append((sig_ref, sig_ref.copy()))
-
-        monkeypatch.setattr(macro_mod.SampledCoupling, "__init__", record)
+        couplings = self._record_couplings(monkeypatch)
         fit(self._net(tmp_edges), TrainConfig(epochs=2, batch_size=64,
                                               **self.CFG))
-        assert len(anchors) == 3
-        for kept, at_refit in anchors:
-            assert np.array_equal(kept, at_refit)
+        assert len(couplings) == 3
+        for coupling, at_refit in couplings:
+            assert np.array_equal(coupling.sig_ref, at_refit)
 
     def test_anchor_identity(self, monkeypatch, tmp_edges):
-        # the anchor is the growth fit's optimum at S_ref, where the scale
-        # loss's slope 2 (a S_ref - delta_e . q) is 0: the coupling is the
-        # penalty a (S - S_ref)^2 and needs no b = delta_e . q
-        anchors = []
-        init = macro_mod.SampledCoupling.__init__
-
-        def record(self, series, sig_ref, S, params, rng):
-            init(self, series, sig_ref, S, params, rng)
-            q = _predict_series(1.0, series.n[:-1], series.epochs[:-1],
-                                params)
-            anchors.append((self.a * self.S_ref, float(series.delta_e @ q)))
-
-        monkeypatch.setattr(macro_mod.SampledCoupling, "__init__", record)
+        # each refit is the growth fit's optimum at S_ref = mean(sig_ref),
+        # where the scale loss's slope 2 (a S_ref - b) is 0, so the sampled
+        # dL/dS = 2 a (S - S_ref) needs no b
+        couplings = self._record_couplings(monkeypatch)
         net = self._net(tmp_edges)
         assert len(net) > 2 * macro_mod.COUPLING_SAMPLE
         fit(net, TrainConfig(epochs=2, batch_size=64, **self.CFG))
-        assert len(anchors) == 3
-        for a_S_ref, b in anchors:
-            assert a_S_ref == pytest.approx(b, rel=1e-12)
+        assert len(couplings) == 3
+        for coupling, _ in couplings:
+            assert coupling.a * float(np.mean(coupling.sig_ref)) \
+                == pytest.approx(coupling.b, rel=1e-12)
 
     def test_coupling_off_control(self, monkeypatch, tmp_edges):
         # the growth refit stays on in both runs; only the per-step coupling
-        # is zeroed. Reconstruction AUC after 3 epochs (30 steps) was 0.880
-        # coupled and 0.609 without (0.889/0.635 and 0.884/0.603 on seeds 2
-        # and 3). The exact coupling's edge over none shrinks with the step
-        # count on this network and reverses by about 75 steps.
-        net = self._net(tmp_edges)
-        cfg = TrainConfig(epochs=3, batch_size=128, **self.CFG)
+        # kernel is zeroed. Reconstruction AUC after 3 epochs, coupled against
+        # uncoupled: exact at 800 events and 38 steps, 0.879/0.628 (0.884/
+        # 0.650 and 0.884/0.632 on seeds 2 and 3); sampled at 1200 events and
+        # 30 steps, 0.881/0.609 (0.889/0.635 and 0.884/0.603). The coupling's
+        # edge over none shrinks with the step count on this network and
+        # reverses by about 75 steps.
+        kernel = macro_mod.macro_loss_and_grads
+        for n_events, batch_size, sampled in ((800, 64, False),
+                                              (1200, 128, True)):
+            net = self._net(tmp_edges, n_events=n_events)
+            cfg = TrainConfig(epochs=3, batch_size=batch_size, **self.CFG)
 
-        def auc(state):
-            return reconstruction_metrics(state.embeddings, net,
-                                          (10,)).metrics["auc"]
+            def auc(state):
+                return reconstruction_metrics(state.embeddings, net,
+                                              (10,)).metrics["auc"]
 
-        sampled = count_calls(monkeypatch, macro_mod.SampledCoupling,
-                              "add_grad")
-        coupled, _ = fit(net, cfg)
-        assert sampled
-        monkeypatch.setattr(macro_mod.SampledCoupling, "add_grad",
-                            lambda *args: None)
-        uncoupled, _ = fit(net, cfg)
-        assert auc(coupled) >= auc(uncoupled) + 0.15
+            monkeypatch.setattr(macro_mod, "macro_loss_and_grads", kernel)
+            calls = count_calls(monkeypatch, macro_mod,
+                                "macro_loss_and_grads")
+            coupled, _ = fit(net, cfg)
+            assert calls
+            assert all((args[0].sig_ref is not None) == sampled
+                       for args in calls)
+            monkeypatch.setattr(macro_mod, "macro_loss_and_grads",
+                                lambda *args: 0.0)
+            uncoupled, _ = fit(net, cfg)
+            assert auc(coupled) >= auc(uncoupled) + 0.15, n_events
 
 
 class TestCheckpoint:
