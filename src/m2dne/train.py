@@ -277,6 +277,9 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     else:
         if initial_state.node_count != net.node_count:
             raise ValueError("initial state does not match the network size")
+        if initial_state.dim != config.dim:
+            raise ValueError(f"initial state has dim {initial_state.dim}, "
+                             f"the config {config.dim}")
         state = initial_state.copy()
     data = TrainData(net, config.history)
     batch_rng = substream(config.seed, "batch")

@@ -83,16 +83,6 @@ def row_positions(index: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def scatter_rows(positions: np.ndarray, rows: np.ndarray,
-                 count: int) -> np.ndarray:
-    """(count, d) array whose row v is the sum of the rows of ``rows`` (last
-    axis d) whose id is v, given the ids' :func:`row_positions`. One
-    bincount over the flattened entries, summed in order."""
-    d = rows.shape[-1]
-    return np.bincount(positions, weights=rows.reshape(-1),
-                       minlength=count * d).reshape(count, d)
-
-
 def substream(seed: int, name: str) -> np.random.Generator:
     """Derive an independent generator from one master seed and a stream name.
 

@@ -8,7 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from m2dne.graph import TemporalNetwork  # noqa: E402
-from m2dne.micrograd import EventBatch, _Side, batch_loss_and_grads  # noqa: E402
+from m2dne.micrograd import (EventBatch, _NodeTable, _Side,  # noqa: E402
+                             batch_loss_and_grads)
 
 # the parameter groups a training step updates and gradcheck verifies; the
 # growth scalars (zeta_raw, gamma, theta) are the growth fit's
@@ -88,8 +89,8 @@ def engine_side(centers, hist, U, P, t):
     """Engine forward caches of the given attention centers over one history
     at time t (a batch of one row)."""
     nodes, times, length = padded_rows([hist])
-    return _Side(np.array([centers]), nodes, times, length, np.array([t]),
-                 U, P)
+    table = _NodeTable([np.array([centers]), nodes], U, P)
+    return _Side(table, *table.inverse, times, length, np.array([t]), P)
 
 
 def oracle_args(U, P):

@@ -181,6 +181,18 @@ class TestIntensity:
         with pytest.raises(IndexError):
             engine_score(0, 7, 2, [], [], U, make_params(3, 2))
 
+    # -1 would otherwise wrap to node V - 1
+    @pytest.mark.parametrize("where", ["endpoint", "negative", "history"])
+    @pytest.mark.parametrize("want_grads", [False, True])
+    def test_negative_id_rejected(self, where, want_grads):
+        U, P = make_embeddings(3, 2), make_params(3, 2)
+        batch = one_event_batch(-1 if where == "endpoint" else 0, 1, 3,
+                                [(-1 if where == "history" else 2, 1)], [])
+        neg = np.array([[-1 if where == "negative" else 2]])
+        with pytest.raises(IndexError, match=r"\[0, 3\)"):
+            batch_loss_and_grads(batch, neg, np.array([[0]]), U, P,
+                                 want_grads=want_grads)
+
     def test_transfer_values(self):
         # the positive pair's loss is softplus(-score) = -log sigmoid(score)
         P = make_params(2, 2)

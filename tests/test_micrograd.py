@@ -293,7 +293,11 @@ class TestWorkspaceReuse:
 
 
 class TestPermutationEquivariance:
-    def test_batch_loss_invariant_under_relabeling(self):
+    """Relabeling the nodes reorders the engine's distinct rows; the loss and
+    every gradient group follow the relabeling."""
+
+    @staticmethod
+    def _original_and_relabeled(want_grads):
         net = random_net(31, nodes=9, n_events=50)
         U, P = random_state(net, 4, 32)
         batch = full_batch(net, h=3)
@@ -301,8 +305,8 @@ class TestPermutationEquivariance:
                               order=net.first_appearance_order())
         neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table, 2,
                                                 substream(8, "negatives"))
-        loss, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P,
-                                          want_grads=False)
+        result = batch_loss_and_grads(batch, neg_src, neg_dst, U, P,
+                                      want_grads=want_grads)
 
         rng = np.random.default_rng(33)
         perm = rng.permutation(net.node_count)
@@ -316,7 +320,56 @@ class TestPermutationEquivariance:
                               np.empty_like(P.decay_raw))
         P_p.decay_raw[perm] = P.decay_raw
         batch_p = full_batch(net_p, h=3)
-        loss_p, _, _ = batch_loss_and_grads(batch_p, perm[neg_src],
-                                            perm[neg_dst], U_p, P_p,
-                                            want_grads=False)
+        result_p = batch_loss_and_grads(batch_p, perm[neg_src],
+                                        perm[neg_dst], U_p, P_p,
+                                        want_grads=want_grads)
+        return result, result_p, perm
+
+    def test_batch_loss_invariant_under_relabeling(self):
+        (loss, _, _), (loss_p, _, _), _ = self._original_and_relabeled(False)
         assert loss_p == pytest.approx(loss, rel=1e-12)
+
+    def test_gradients_follow_relabeling(self):
+        (_, grads, _), (_, grads_p, _), perm = \
+            self._original_and_relabeled(True)
+        for name in STEPPED_GROUPS:
+            want = np.asarray(grads[name])
+            got = np.asarray(grads_p[name])
+            if name in ("embeddings", "decay_raw"):
+                got = got[perm]
+            # s_bias enters both sides' btil and cancels in beta, so its
+            # gradient is rounding noise around 0
+            scale = np.abs(grads["att_vector" if name == "s_bias"
+                                 else name]).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale, name
+
+
+class TestAbsentNodes:
+    def test_rows_outside_the_batch_are_zero(self):
+        # the ids of a 20-node batch mapped to the odd nodes of 40: the
+        # even nodes appear in no slot, and the distinct rows keep their order
+        rng = np.random.default_rng(43)
+        V, d = 20, 5
+        batch, neg_src, neg_dst = random_batch(rng, 16, 3, 4, V)
+        U = rng.normal(0, 0.5, (2 * V, d))
+        P = AttentionParams(rng.normal(0, 0.5, 2 * d),
+                            rng.normal(0, 0.5, (d, d)), rng.normal(0, 0.5, d),
+                            0.2, rng.normal(0, 0.5, 2 * V))
+        odd = EventBatch(2 * batch.src + 1, 2 * batch.dst + 1, batch.t,
+                         2 * batch.src_hist_nodes + 1, batch.src_hist_times,
+                         batch.src_len, 2 * batch.dst_hist_nodes + 1,
+                         batch.dst_hist_times, batch.dst_len)
+        _, grads, _ = batch_loss_and_grads(odd, 2 * neg_src + 1,
+                                           2 * neg_dst + 1, U, P)
+        for name in ("embeddings", "decay_raw"):
+            assert np.all(grads[name][0::2] == 0.0), name
+            assert np.any(grads[name][1::2] != 0.0), name
+        P_odd = AttentionParams(P.att_vector, P.local_weight, P.s_weight,
+                                P.s_bias, P.decay_raw[1::2])
+        _, dense, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U[1::2],
+                                           P_odd)
+        for name in STEPPED_GROUPS:
+            got = np.asarray(grads[name])
+            if name in ("embeddings", "decay_raw"):
+                got = got[1::2]
+            assert np.array_equal(got, dense[name]), name

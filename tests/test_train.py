@@ -291,6 +291,13 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(net, TrainConfig(dim=2, epochs=1))
 
+    def test_initial_state_of_another_dim_rejected(self):
+        net = toy_net(3)
+        state = init_state(net.node_count, TrainConfig(dim=8),
+                           substream(3, "init"))
+        with pytest.raises(ValueError, match="dim 8, the config 32"):
+            fit(net, TrainConfig(dim=32, epochs=1), initial_state=state)
+
     def test_equivariant_under_relabeling(self):
         net = toy_net(8, nodes=9, n_events=70, epochs=7)
         cfg = TrainConfig(dim=4, history=2, negatives=2, epochs=3,
