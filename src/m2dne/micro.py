@@ -26,7 +26,9 @@ class AttentionParams:
     att_vector:   length 2d, scores the (transformed center, transformed
                   neighbor) concatenation
     local_weight: d x d shared linear map applied to embeddings
-    s_weight/s_bias: affine layer producing the neighborhood-level score
+    s_weight:     linear layer producing the neighborhood-level score; it
+                  has no bias, since the two endpoints' scores meet only in
+                  a two-way softmax, where a term shared by both cancels
     decay_raw:    per-node pre-activation of the decay rate; the effective
                   rate is softplus(decay_raw) > 0
     """
@@ -34,7 +36,6 @@ class AttentionParams:
     att_vector: np.ndarray
     local_weight: np.ndarray
     s_weight: np.ndarray
-    s_bias: float
     decay_raw: np.ndarray
 
     @property
@@ -43,8 +44,7 @@ class AttentionParams:
 
     def copy(self) -> "AttentionParams":
         return AttentionParams(self.att_vector.copy(), self.local_weight.copy(),
-                               self.s_weight.copy(), float(self.s_bias),
-                               self.decay_raw.copy())
+                               self.s_weight.copy(), self.decay_raw.copy())
 
 
 class NegativeTable:

@@ -216,7 +216,7 @@ class _Side:
         self.mdt = self.dt.sum(axis=1) / np.maximum(self.m, 1.0)  # (B,)
         self.kbar = np.exp(-self.delta * self.mdt[:, None])       # (B, C)
         self.us = self.ut @ params.s_weight                       # (B, C)
-        self.btil = self.kbar * self.us + params.s_bias
+        self.btil = self.kbar * self.us
 
 
 def _pair_beta(side_l: _Side, btil_l, side_r: _Side, btil_r):
@@ -328,7 +328,7 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     slots = work.get("slots", (slots_len,))
     dUc_i, dUc_j, dUh_i, dUh_j = _carve(slots, (B, C, d), (B, C, d),
                                         (B, h_i, d), (B, h_j, d))
-    s_layer = {"s_weight": np.zeros(d), "s_bias": 0.0}
+    d_sw = np.zeros(d)
     dlam = -sign * sigmoid(-sign * lam)
     # the diffs' terms fold onto the columns by slices: side i's column 0
     # takes pairs 0 and K+1..2K, its column k pair k; side j's column 0
@@ -375,9 +375,9 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     dWh_i, dWh_j, rest = _carve(slots, (B, h_i, d), (B, h_j, d),
                                 (2 * B * C * d,))
     raw_i, dotc_i, dotp_i = _side_backward(side_i, table, params, d_btil_i,
-                                           d_ak_i, dWh_i, s_layer, rest)
+                                           d_ak_i, dWh_i, d_sw, rest)
     raw_j, dotc_j, dotp_j = _side_backward(side_j, table, params, d_btil_j,
-                                           d_ak_j, dWh_j, s_layer, rest)
+                                           d_ak_j, dWh_j, d_sw, rest)
 
     # fold onto the distinct rows: per-row coefficients of u (own), a1, a2
     # and decay_raw, and M, everything that reaches u through W
@@ -396,8 +396,7 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
     grads = {
         "att_vector": np.concatenate([W @ (c_a1 @ U), W @ (c_a2 @ U)]),
         "local_weight": M.T @ U,
-        "s_weight": s_layer["s_weight"],
-        "s_bias": float(s_layer["s_bias"]),
+        "s_weight": d_sw,
     }
     G += np.multiply(own[:, None], U, out=tmp)
     G += np.matmul(M, W, out=tmp)
@@ -417,10 +416,10 @@ def _fold(rows: np.ndarray, n: int, *parts) -> np.ndarray:
 
 
 def _side_backward(side: _Side, table: _NodeTable, params: AttentionParams,
-                   d_btil, d_ak, d_Wh, s_layer, scratch):
+                   d_btil, d_ak, d_Wh, d_sw, scratch):
     """Backward through one side's attention, given the loss gradient of its
-    btil (B, C) and ak = alpha * kap (B, C, h). Adds onto the s-layer
-    gradients in ``s_layer``, writes the gradient of each history entry's
+    btil (B, C) and ak = alpha * kap (B, C, h). Adds onto the s_weight
+    gradient ``d_sw`` (d,), writes the gradient of each history entry's
     W u_p into ``d_Wh`` (B, h, d) and returns the gradients of each center's
     decay_raw and a1.W u_c, (B, C), and of each history entry's a2.W u_p,
     (B, h).
@@ -431,8 +430,7 @@ def _side_backward(side: _Side, table: _NodeTable, params: AttentionParams,
     d_agg, tmp = _carve(scratch, (B, C, d), (B, C, d))
 
     d_btil_k = d_btil * side.kbar
-    s_layer["s_weight"] += d_btil_k.reshape(-1) @ side.ut.reshape(-1, d)
-    s_layer["s_bias"] += d_btil.sum()
+    d_sw += d_btil_k.reshape(-1) @ side.ut.reshape(-1, d)
     d_delta = d_btil * side.us * side.kbar * (-side.mdt[:, None])
 
     # d_agg = (d_btil_k * s_weight) * ut * (1 - ut)

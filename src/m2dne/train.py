@@ -24,6 +24,9 @@ CHECKPOINT_VERSION = 1
 
 @dataclass
 class TrainConfig:
+    """Hyper-parameters of :func:`fit`. ``grad_clip`` is :func:`step`'s
+    per-group L2 clip; 0 means no clip."""
+
     dim: int = 128
     history: int = 5
     negatives: int = 5
@@ -50,8 +53,8 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate)
                 and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
-        if not math.isfinite(self.grad_clip):
-            raise ValueError("grad_clip must be finite")
+        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
+            raise ValueError("grad_clip must be finite and >= 0")
 
 
 @dataclass
@@ -73,25 +76,18 @@ class ModelState:
                           self.macro.copy())
 
     def param_groups(self) -> dict:
-        """Name -> live array, or plain float for the scalar groups (write
-        ``s_bias`` back through :meth:`set_scalar`; the growth scalars are
-        :func:`~m2dne.macro.fit_params`'s)."""
+        """Name -> live array, or plain float for the growth scalars
+        (:func:`~m2dne.macro.fit_params`'s)."""
         return {
             "embeddings": self.embeddings,
             "att_vector": self.attention.att_vector,
             "local_weight": self.attention.local_weight,
             "s_weight": self.attention.s_weight,
-            "s_bias": self.attention.s_bias,
             "decay_raw": self.attention.decay_raw,
             "zeta_raw": self.macro.zeta_raw,
             "gamma": self.macro.gamma,
             "theta": self.macro.theta,
         }
-
-    def set_scalar(self, name: str, value: float) -> None:
-        if name != "s_bias":
-            raise KeyError(name)
-        self.attention.s_bias = float(value)
 
     def all_finite(self) -> bool:
         return all(np.all(np.isfinite(val))
@@ -101,7 +97,7 @@ class ModelState:
 def init_state(node_count: int, config: TrainConfig,
                rng: np.random.Generator) -> ModelState:
     """Uniform init: embeddings in +-0.5/d, attention maps at Glorot bounds,
-    zero bias, softplus(0) decay, and (softplus(0), 1, 1) growth parameters.
+    softplus(0) decay, and (softplus(0), 1, 1) growth parameters.
     """
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
@@ -114,7 +110,7 @@ def init_state(node_count: int, config: TrainConfig,
     sw = rng.uniform(-math.sqrt(6.0 / (d + 1)),
                      math.sqrt(6.0 / (d + 1)), size=d)
     attention = AttentionParams(att_vector=att, local_weight=W, s_weight=sw,
-                                s_bias=0.0, decay_raw=np.zeros(node_count))
+                                decay_raw=np.zeros(node_count))
     return ModelState(embeddings=U, attention=attention,
                       macro=macro_mod.MacroParams())
 
@@ -161,10 +157,10 @@ class StepResult:
 
 def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
                  data: TrainData, config: TrainConfig):
-    """Event-level loss, and the gradients of the six groups that
-    :func:`step` updates: the event-level ones plus epsilon times the
-    coupling's embedding gradient. The growth scalars are not among them;
-    the refit in :func:`fit` owns them.
+    """Event-level loss, and the gradients of the five groups that
+    :func:`step` updates, all arrays: the event-level ones plus epsilon
+    times the coupling's embedding gradient. The growth scalars are not
+    among them; the refit in :func:`fit` owns them.
 
     The coupling is ``data.coupling``, or exact at ``state.macro`` when
     that is None."""
@@ -197,13 +193,14 @@ def _joint_loss(state: ModelState, batch: EventBatch, neg_src, neg_dst,
 
 def step(state: ModelState, batch: EventBatch, data: TrainData,
          config: TrainConfig, rng: np.random.Generator) -> StepResult:
-    """One descent update of the six event-level groups, in place.
+    """One descent update of the five event-level groups, all arrays, in
+    place.
 
     The coupling's embedding gradient is exact or sampled as
     ``data.coupling`` says (see :func:`_joint_grads`). Per-group gradients
     exceeding ``grad_clip`` in L2 norm are rescaled to the clip so a single
-    mis-scaled group cannot blow up the state; gradients must be finite or
-    the step aborts naming the offending group.
+    mis-scaled group cannot blow up the state (``grad_clip`` 0: no clip);
+    gradients must be finite or the step aborts naming the offending group.
     """
     neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
                                             config.negatives, rng)
@@ -211,7 +208,6 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
                                        config)
     lr = config.learning_rate
     for name, g in grads.items():
-        g = np.asarray(g, dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
         norm = float(np.linalg.norm(g))
@@ -219,11 +215,7 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
         if config.grad_clip > 0 and norm > config.grad_clip:
             g *= config.grad_clip / norm
         g *= lr
-        if g.ndim == 0:
-            current = state.param_groups()[name]
-            state.set_scalar(name, float(current) - float(g))
-        else:
-            state.param_groups()[name] -= g
+        state.param_groups()[name] -= g
     return StepResult(micro_loss=micro, range_hits=stats["range_hits"])
 
 
@@ -379,29 +371,18 @@ def gradient_check(state: ModelState, net: TemporalNetwork,
 
     numeric = {}
     for name in analytic:
-        ref = work.param_groups()[name]
-        if np.ndim(ref) == 0:
-            orig = float(ref)
-            work.set_scalar(name, orig + fd_step)
+        arr = work.param_groups()[name]
+        flat = arr.reshape(-1)
+        g = np.zeros(flat.shape)
+        for pos in range(flat.shape[0]):
+            orig = flat[pos]
+            flat[pos] = orig + fd_step
             up = loss_at(work)
-            work.set_scalar(name, orig - fd_step)
+            flat[pos] = orig - fd_step
             down = loss_at(work)
-            work.set_scalar(name, orig)
-            numeric[name] = (up - down) / (2 * fd_step)
-        else:
-            arr = ref
-            g = np.zeros_like(arr)
-            flat = arr.reshape(-1)
-            gflat = g.reshape(-1)
-            for pos in range(flat.shape[0]):
-                orig = flat[pos]
-                flat[pos] = orig + fd_step
-                up = loss_at(work)
-                flat[pos] = orig - fd_step
-                down = loss_at(work)
-                flat[pos] = orig
-                gflat[pos] = (up - down) / (2 * fd_step)
-            numeric[name] = g
+            flat[pos] = orig
+            g[pos] = (up - down) / (2 * fd_step)
+        numeric[name] = g.reshape(arr.shape)
     return compare_grads(analytic, numeric, tolerance)
 
 
@@ -410,8 +391,8 @@ def gradient_check(state: ModelState, net: TemporalNetwork,
 
 def save_checkpoint(state: ModelState, path) -> None:
     """Little-endian binary: magic, version, dims, then float64 blocks in
-    declared order (embeddings, att_vector, local_weight, s_weight, s_bias,
-    decay_raw, zeta_raw, gamma, theta)."""
+    declared order (embeddings, att_vector, local_weight, s_weight, one
+    reserved value written 0, decay_raw, zeta_raw, gamma, theta)."""
     V, d = state.embeddings.shape
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -419,7 +400,7 @@ def save_checkpoint(state: ModelState, path) -> None:
         fh.write(struct.pack("<QQ", V, d))
         att = state.attention
         for block in (state.embeddings, att.att_vector, att.local_weight,
-                      att.s_weight, np.float64(att.s_bias), att.decay_raw,
+                      att.s_weight, np.float64(0.0), att.decay_raw,
                       np.float64(state.macro.zeta_raw),
                       np.float64(state.macro.gamma),
                       np.float64(state.macro.theta)):
@@ -427,6 +408,9 @@ def save_checkpoint(state: ModelState, path) -> None:
 
 
 def load_checkpoint(path) -> ModelState:
+    """Read a :func:`save_checkpoint` file. The reserved value (the former
+    s-layer bias, which cancels in the neighborhood softmax) must be finite
+    and is discarded."""
     with open(path, "rb") as fh:
         blob = fh.read()
     head = len(CHECKPOINT_MAGIC)
@@ -436,6 +420,10 @@ def load_checkpoint(path) -> ModelState:
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     V, d = struct.unpack_from("<QQ", blob, head + 4)
+    if V < 2:
+        raise ValueError(f"checkpoint node count {V} is below 2")
+    if d < 1:
+        raise ValueError(f"checkpoint dim {d} is below 1")
     offset = head + 4 + 16
     counts = (V * d, 2 * d, d * d, d, 1, V, 1, 1, 1)
     expected = offset + 8 * sum(counts)
@@ -447,13 +435,11 @@ def load_checkpoint(path) -> ModelState:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
         offset += 8 * count
         blocks.append(arr)
-    emb, att, W, sw, sb, draw, zr, ga, th = blocks
-    attention = AttentionParams(att_vector=att, local_weight=W.reshape(d, d),
-                                s_weight=sw, s_bias=float(sb[0]),
-                                decay_raw=draw)
-    state = ModelState(embeddings=emb.reshape(V, d), attention=attention,
-                       macro=macro_mod.MacroParams(float(zr[0]), float(ga[0]),
-                                                   float(th[0])))
-    if not state.all_finite():
+    if not all(np.all(np.isfinite(block)) for block in blocks):
         raise ValueError("checkpoint contains non-finite parameters")
-    return state
+    emb, att, W, sw, _reserved, draw, zr, ga, th = blocks
+    attention = AttentionParams(att_vector=att, local_weight=W.reshape(d, d),
+                                s_weight=sw, decay_raw=draw)
+    return ModelState(embeddings=emb.reshape(V, d), attention=attention,
+                      macro=macro_mod.MacroParams(float(zr[0]), float(ga[0]),
+                                                  float(th[0])))

@@ -14,7 +14,7 @@ from m2dne.micrograd import (EventBatch, _NodeTable, _Side,  # noqa: E402
 # the parameter groups a training step updates and gradcheck verifies; the
 # growth scalars (zeta_raw, gamma, theta) are the growth fit's
 STEPPED_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
-                  "s_bias", "decay_raw")
+                  "decay_raw")
 
 
 def net_from_events(events, node_count=None, weights=None, weighted=False):
@@ -93,10 +93,12 @@ def engine_side(centers, hist, U, P, t):
     return _Side(table, *table.inverse, times, length, np.array([t]), P)
 
 
-def oracle_args(U, P):
-    """Embeddings and attention parameters as the oracles take them."""
+def oracle_args(U, P, sb=0.0):
+    """Embeddings and attention parameters as the oracles take them. ``sb``
+    is the oracles' s-layer bias, which the engine does not have: it cancels
+    in the neighborhood weight beta."""
     return (U.tolist(), P.att_vector.tolist(), P.local_weight.tolist(),
-            P.s_weight.tolist(), P.s_bias, P.decay_raw.tolist())
+            P.s_weight.tolist(), sb, P.decay_raw.tolist())
 
 
 def two_community_lines(seed=101, nodes=60, n_events=2000, within=0.9,

@@ -136,12 +136,15 @@ def test_a4_attention_invariants():
             d = int(rng.integers(2, 7))
             V = int(rng.integers(5, 12))
             U = rng.normal(0, 1.2, (V, d))
-            params = AttentionParams(
-                att_vector=rng.normal(0, 1.0, 2 * d),
-                local_weight=rng.normal(0, 1.0, (d, d)),
-                s_weight=rng.normal(0, 1.0, d),
-                s_bias=float(rng.normal()),
-                decay_raw=rng.normal(0, 1.0, V))
+            att = rng.normal(0, 1.0, 2 * d)
+            W = rng.normal(0, 1.0, (d, d))
+            sw = rng.normal(0, 1.0, d)
+            # drawn where the s-layer bias was, so the later draws are
+            # unchanged
+            rng.normal()
+            params = AttentionParams(att_vector=att, local_weight=W,
+                                     s_weight=sw,
+                                     decay_raw=rng.normal(0, 1.0, V))
             t = int(rng.integers(3, 20))
             m_i = int(rng.integers(1, 5))
             m_j = int(rng.integers(1, 5))
@@ -170,16 +173,19 @@ def test_a5_oracle_equivalence():
         rng = np.random.default_rng(55)
         V, d = 4, 3
         U = rng.normal(0, 0.7, (V, d))
-        params = AttentionParams(att_vector=rng.normal(0, 0.6, 2 * d),
-                                 local_weight=rng.normal(0, 0.6, (d, d)),
-                                 s_weight=rng.normal(0, 0.6, d),
-                                 s_bias=float(rng.normal()),
+        att = rng.normal(0, 0.6, 2 * d)
+        W = rng.normal(0, 0.6, (d, d))
+        sw = rng.normal(0, 0.6, d)
+        # the oracle's s-layer bias: the engine has none, as it cancels in
+        # the neighborhood weight beta
+        sb = float(rng.normal())
+        params = AttentionParams(att_vector=att, local_weight=W, s_weight=sw,
                                  decay_raw=rng.normal(0, 0.6, V))
         hist_i = [(2, 1), (3, 3)]
         hist_j = [(0, 2), (2, 4)]
         got = engine_score(0, 1, 5, hist_i, hist_j, U, params)
         want = orc.intensity_raw_oracle(0, 1, 5, hist_i, hist_j,
-                                        *oracle_args(U, params))
+                                        *oracle_args(U, params, sb))
         assert abs(got - want) <= 1e-10
 
         events = [(0, 1, 1), (2, 3, 1), (0, 2, 2), (1, 3, 2), (0, 3, 3),
@@ -193,7 +199,7 @@ def test_a5_oracle_equivalence():
                                          want_grads=False)
         want = orc.sampled_loss_oracle(events, orc.history_oracle(events, 2),
                                        neg_src.tolist(), neg_dst.tolist(),
-                                       *oracle_args(U, params))
+                                       *oracle_args(U, params, sb))
         assert abs(got - want) <= 1e-10
 
         edge_src = np.array([0, 1, 2, 0])

@@ -127,6 +127,7 @@ class TestConfigFile:
          "learning_rate must be finite and >= 0"),
         ("grad-clip = nan", "grad-clip", "grad_clip must be finite"),
         ("grad_clip = inf", "grad_clip", "grad_clip must be finite"),
+        ("grad-clip = -1", "grad-clip", "grad_clip must be finite and >= 0"),
     ])
     def test_out_of_range_value_names_file_line_and_key(self, tmp_path,
                                                          capsys, line, key,

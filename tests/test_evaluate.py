@@ -30,8 +30,7 @@ def make_state(U, macro=None):
     V, d = U.shape
     att = AttentionParams(att_vector=np.zeros(2 * d),
                           local_weight=np.zeros((d, d)),
-                          s_weight=np.zeros(d), s_bias=0.0,
-                          decay_raw=np.zeros(V))
+                          s_weight=np.zeros(d), decay_raw=np.zeros(V))
     return ModelState(embeddings=np.asarray(U, dtype=np.float64),
                       attention=att, macro=macro or MacroParams())
 

@@ -16,12 +16,13 @@ from m2dne.util import softplus
 
 def make_params(V, d, seed=0, zero_w=False):
     rng = np.random.default_rng(seed)
-    return AttentionParams(
-        att_vector=rng.normal(0, 0.5, 2 * d),
-        local_weight=np.zeros((d, d)) if zero_w else rng.normal(0, 0.5, (d, d)),
-        s_weight=rng.normal(0, 0.5, d),
-        s_bias=float(rng.normal(0, 0.2)),
-        decay_raw=rng.normal(0, 0.5, V))
+    att = rng.normal(0, 0.5, 2 * d)
+    W = np.zeros((d, d)) if zero_w else rng.normal(0, 0.5, (d, d))
+    sw = rng.normal(0, 0.5, d)
+    # drawn where the s-layer bias was, so the later draws are unchanged
+    rng.normal(0, 0.2)
+    return AttentionParams(att_vector=att, local_weight=W, s_weight=sw,
+                           decay_raw=rng.normal(0, 0.5, V))
 
 
 def make_embeddings(V, d, seed=1):

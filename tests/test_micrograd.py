@@ -30,10 +30,12 @@ def random_net(seed, nodes=10, n_events=80, epochs=12):
 def random_state(net, d, seed):
     rng = np.random.default_rng(seed)
     U = rng.normal(0, 0.5, (net.node_count, d))
-    P = AttentionParams(att_vector=rng.normal(0, 0.5, 2 * d),
-                        local_weight=rng.normal(0, 0.5, (d, d)),
-                        s_weight=rng.normal(0, 0.5, d),
-                        s_bias=float(rng.normal()),
+    att = rng.normal(0, 0.5, 2 * d)
+    W = rng.normal(0, 0.5, (d, d))
+    sw = rng.normal(0, 0.5, d)
+    # drawn where the s-layer bias was, so the later draws are unchanged
+    rng.normal()
+    P = AttentionParams(att_vector=att, local_weight=W, s_weight=sw,
                         decay_raw=rng.normal(0, 0.5, net.node_count))
     return U, P
 
@@ -236,7 +238,7 @@ class TestMemory:
         U = rng.normal(0, 0.3, (V, d))
         P = AttentionParams(rng.normal(0, 0.3, 2 * d),
                             rng.normal(0, 0.3, (d, d)), rng.normal(0, 0.3, d),
-                            0.1, rng.normal(0, 0.3, V))
+                            rng.normal(0, 0.3, V))
         neg_src, neg_dst = rng.integers(V, size=(2, B, K))
         tracemalloc.start()
         try:
@@ -280,7 +282,7 @@ class TestWorkspaceReuse:
         U = rng.normal(0, 0.5, (V, d))
         P = AttentionParams(rng.normal(0, 0.5, 2 * d),
                             rng.normal(0, 0.5, (d, d)), rng.normal(0, 0.5, d),
-                            0.2, rng.normal(0, 0.5, V))
+                            rng.normal(0, 0.5, V))
         a = random_batch(rng, 16, K, h, V, lengths)
         b = random_batch(rng, 16, K, h, V, lengths)
         fresh = [batch_loss_and_grads(*args, U, P) for args in (a, b, a)]
@@ -316,8 +318,7 @@ class TestPermutationEquivariance:
         U_p = np.empty_like(U)
         U_p[perm] = U
         P_p = AttentionParams(P.att_vector.copy(), P.local_weight.copy(),
-                              P.s_weight.copy(), P.s_bias,
-                              np.empty_like(P.decay_raw))
+                              P.s_weight.copy(), np.empty_like(P.decay_raw))
         P_p.decay_raw[perm] = P.decay_raw
         batch_p = full_batch(net_p, h=3)
         result_p = batch_loss_and_grads(batch_p, perm[neg_src],
@@ -337,10 +338,7 @@ class TestPermutationEquivariance:
             got = np.asarray(grads_p[name])
             if name in ("embeddings", "decay_raw"):
                 got = got[perm]
-            # s_bias enters both sides' btil and cancels in beta, so its
-            # gradient is rounding noise around 0
-            scale = np.abs(grads["att_vector" if name == "s_bias"
-                                 else name]).max()
+            scale = np.abs(want).max()
             assert np.abs(got - want).max() <= 1e-12 * scale, name
 
 
@@ -354,7 +352,7 @@ class TestAbsentNodes:
         U = rng.normal(0, 0.5, (2 * V, d))
         P = AttentionParams(rng.normal(0, 0.5, 2 * d),
                             rng.normal(0, 0.5, (d, d)), rng.normal(0, 0.5, d),
-                            0.2, rng.normal(0, 0.5, 2 * V))
+                            rng.normal(0, 0.5, 2 * V))
         odd = EventBatch(2 * batch.src + 1, 2 * batch.dst + 1, batch.t,
                          2 * batch.src_hist_nodes + 1, batch.src_hist_times,
                          batch.src_len, 2 * batch.dst_hist_nodes + 1,
@@ -365,7 +363,7 @@ class TestAbsentNodes:
             assert np.all(grads[name][0::2] == 0.0), name
             assert np.any(grads[name][1::2] != 0.0), name
         P_odd = AttentionParams(P.att_vector, P.local_weight, P.s_weight,
-                                P.s_bias, P.decay_raw[1::2])
+                                P.decay_raw[1::2])
         _, dense, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U[1::2],
                                            P_odd)
         for name in STEPPED_GROUPS:

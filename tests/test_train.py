@@ -1,4 +1,5 @@
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -45,7 +46,6 @@ class TestInitState:
         assert s.embeddings.shape == (12, 8)
         assert np.max(np.abs(s.embeddings)) <= 0.5 / 8
         assert s.attention.att_vector.shape == (16,)
-        assert s.attention.s_bias == 0.0
         assert np.all(s.attention.decay_raw == 0.0)
         assert s.macro.zeta_raw == 0.0
         assert s.macro.gamma == 1.0
@@ -122,9 +122,10 @@ class TestStep:
         cfg.learning_rate = 0.0
         before = state.copy()
         step(state, batch, data, cfg, substream(1, "negatives"))
-        assert np.array_equal(state.embeddings, before.embeddings)
         assert state.macro.gamma == before.macro.gamma
-        assert state.attention.s_bias == before.attention.s_bias
+        for name in STEPPED_GROUPS:
+            assert np.array_equal(state.param_groups()[name],
+                                  before.param_groups()[name]), name
 
     def test_small_rate_does_not_increase_loss(self):
         net, cfg, state, data, batch = self._setup()
@@ -150,14 +151,11 @@ class TestStep:
             norm = float(np.linalg.norm(g))
             if norm > cfg.grad_clip:
                 g = g * (cfg.grad_clip / norm)
-            if np.ndim(ref) == 0:
-                manual.set_scalar(name, float(ref) - cfg.learning_rate * float(g))
-            else:
-                manual.param_groups()[name][...] = ref - cfg.learning_rate * g
+            manual.param_groups()[name][...] = ref - cfg.learning_rate * g
         step(state, batch, data, cfg, substream(3, "negatives"))
-        assert np.allclose(state.embeddings, manual.embeddings, atol=1e-15)
-        assert state.attention.s_bias == pytest.approx(
-            manual.attention.s_bias, abs=1e-15)
+        for name in STEPPED_GROUPS:
+            assert np.allclose(state.param_groups()[name],
+                               manual.param_groups()[name], atol=1e-15), name
         # the growth scalars are the epoch-boundary refit's, never stepped
         assert [np.float64(v).tobytes() for v in growth] == \
             [np.float64(v).tobytes() for v in (state.macro.zeta_raw,
@@ -461,8 +459,19 @@ class TestCheckpoint:
         cfg = TrainConfig(dim=d)
         state = init_state(V, cfg, substream(seed, "init"))
         state.macro.gamma = 1.25
-        state.attention.s_bias = -0.375
         return state
+
+    def _with_reserved(self, tmp_path, name, value):
+        """A saved V = 12, d = 8 state with ``value`` in the reserved slot,
+        the former s-layer bias."""
+        path = tmp_path / name
+        save_checkpoint(self._state(), path)
+        blob = bytearray(path.read_bytes())
+        at = 26 + 8 * (12 * 8 + 2 * 8 + 8 * 8 + 8)
+        assert blob[at:at + 8] == bytes(8)
+        blob[at:at + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(blob))
+        return path
 
     def test_round_trip_bit_exact(self, tmp_path):
         state = self._state()
@@ -474,7 +483,6 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
         assert np.array_equal(loaded.embeddings, state.embeddings)
         assert loaded.macro.gamma == state.macro.gamma
-        assert loaded.attention.s_bias == state.attention.s_bias
 
     def test_documented_size(self, tmp_path):
         state = self._state(V=12, d=8)
@@ -510,6 +518,37 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("value", [-0.375, 7.0, 1e300])
+    def test_reserved_value_is_discarded(self, tmp_path, value):
+        # the bias cancelled in beta, so dropping it is exact
+        zero = tmp_path / "zero.ckpt"
+        save_checkpoint(self._state(), zero)
+        loaded = load_checkpoint(self._with_reserved(tmp_path, "set.ckpt",
+                                                     value))
+        want = load_checkpoint(zero).param_groups()
+        for name, got in loaded.param_groups().items():
+            assert np.array_equal(got, want[name]), name
+        resaved = tmp_path / "resaved.ckpt"
+        save_checkpoint(loaded, resaved)
+        assert resaved.read_bytes() == zero.read_bytes()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_reserved_value_rejected(self, tmp_path, value):
+        path = self._with_reserved(tmp_path, "bad.ckpt", value)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("V,d,match", [(1, 8, "node count 1"),
+                                           (0, 8, "node count 0"),
+                                           (20, 0, "dim 0")])
+    def test_header_out_of_range_rejected(self, tmp_path, V, d, match):
+        # all-zero blocks of the size the header implies
+        path = tmp_path / "hand.ckpt"
+        path.write_bytes(b"M2DNE\x00" + struct.pack("<IQQ", 1, V, d)
+                         + bytes(8 * (V * d + d * d + 3 * d + V + 4)))
+        with pytest.raises(ValueError, match=match):
+            load_checkpoint(path)
+
 
 class TestTrainConfigValidation:
     @pytest.mark.parametrize("kwargs", [
@@ -517,7 +556,7 @@ class TestTrainConfigValidation:
         {"epsilon": -0.1}, {"batch_size": 0}, {"learning_rate": -1.0},
         {"epochs": 0}, {"learning_rate": float("nan")},
         {"learning_rate": float("inf")}, {"grad_clip": float("nan")},
-        {"grad_clip": float("inf")},
+        {"grad_clip": float("inf")}, {"grad_clip": -1.0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
