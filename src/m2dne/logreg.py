@@ -1,15 +1,16 @@
 """Built-in logistic regression (softmax + L2), deterministic bit for bit.
 
 Both fits start from zero weights and minimise mean cross-entropy +
-0.5 * l2 * ||W||^2 with the bias unpenalised.
+0.5 * l2 * ||W||^2 with the bias unpenalised, to the optimum:
 
-- Two classes (link prediction): the exact optimum by Newton's method
-  (IRLS) with an Armijo backtracking line search, stopping when the
-  gradient norm is at most 1e-10 * (1 + loss) or when a step no longer
-  lowers the loss.
-- More classes (node classification): full-batch gradient descent with a
-  multiplicative step adaptation, stopping at an absolute loss change of
-  TOL or after MAX_ITER accepted/rejected proposals.
+- Two classes (link prediction): Newton's method (IRLS) with an Armijo
+  backtracking line search, stopping when the gradient norm is at most
+  1e-10 * (1 + loss) or when a step no longer lowers the loss.
+- More classes (node classification): limited-memory BFGS (Nocedal &
+  Wright, Numerical Optimization, 2nd ed., algorithm 7.4) with memory
+  MEMORY and the same line search, stopping when the gradient norm is at
+  most 1e-6 * (1 + loss), when a step no longer lowers the loss, or after
+  MAX_ITER iterations.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import numpy as np
 from .util import sigmoid, softplus
 
 L2_DEFAULT = 1e-4
-TOL = 1e-6
-MAX_ITER = 500
+MAX_ITER = 500            # L-BFGS iterations
+MEMORY = 10               # (s, y) pairs L-BFGS keeps
 _GRAD_TOL = 1e-10         # Newton stops at ||g|| <= _GRAD_TOL * (1 + loss)
+_LBFGS_GRAD_TOL = 1e-6    # L-BFGS stops at ||g|| <= _LBFGS_GRAD_TOL * (1 + loss)
 _ARMIJO = 1e-4            # sufficient-decrease fraction of the line search
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -32,9 +34,24 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return ez / ez.sum(axis=1, keepdims=True)
 
 
+def _backtrack(f, theta, delta, loss, slope):
+    """Halve the step from 1 until the loss falls by _ARMIJO of the decrease
+    the slope predicts; (step, f(theta + step * delta)), or None once that
+    decrease is below the resolution of the loss (or the slope is not
+    finite): no step lowers it any more."""
+    step = 1.0
+    while _EPS * loss < -slope * step < np.inf:
+        new = f(theta + step * delta)
+        if new[0] < loss and new[0] <= loss + _ARMIJO * step * slope:
+            return step, new
+        step *= 0.5
+    return None
+
+
 def _binary_newton(X: np.ndarray, y: np.ndarray,
-                   l2: float) -> tuple[np.ndarray, float]:
-    """(v, c) minimising mean log-loss of sigmoid(X v + c) + l2/4 ||v||^2.
+                   l2: float) -> tuple[np.ndarray, float, int]:
+    """(v, c, loss evaluations) minimising mean log-loss of
+    sigmoid(X v + c) + l2/4 ||v||^2.
 
     This is the two-class softmax objective in the logit difference
     v = w_1 - w_0, c = b_1 - b_0: at its optimum w_1 = -w_0 = v / 2. The
@@ -45,8 +62,11 @@ def _binary_newton(X: np.ndarray, y: np.ndarray,
     ridge = np.full(D + 1, 0.5 * l2)
     ridge[D] = 0.0                      # bias unpenalised
     yf = y.astype(np.float64)
+    evals = 0
 
     def loss_of(theta):
+        nonlocal evals
+        evals += 1
         z = Xa @ theta
         return (float(np.mean(softplus(z) - yf * z))
                 + 0.5 * float(ridge @ theta ** 2)), z
@@ -58,31 +78,117 @@ def _binary_newton(X: np.ndarray, y: np.ndarray,
         g = Xa.T @ (p - yf) / n + ridge * theta
         if float(np.linalg.norm(g)) <= _GRAD_TOL * (1.0 + loss):
             break
-        w = p * sigmoid(-z)             # p (1 - p) without cancellation
-        H = (Xa.T * w) @ Xa / n + np.diag(ridge)
+        # H = Xa^T diag(w) Xa / n with w = p (1 - p) >= 0 (computed without
+        # cancellation) as one product of Xs with its own transpose, which
+        # NumPy runs as a symmetric rank-k update
+        Xs = Xa * np.sqrt(p * sigmoid(-z))[:, None]
+        H = Xs.T @ Xs / n + np.diag(ridge)
         delta = np.linalg.solve(H, -g)
-        slope = float(g @ delta)
-        step = 1.0
-        # Halve the step until the loss falls by _ARMIJO of the decrease the
-        # slope predicts; stop once that decrease is below the resolution of
-        # the loss (or the slope is not finite): no step lowers it any more.
-        while _EPS * loss < -slope * step < np.inf:
-            new_loss, new_z = loss_of(theta + step * delta)
-            if new_loss < loss and new_loss <= loss + _ARMIJO * step * slope:
-                break
-            step *= 0.5
-        else:
+        found = _backtrack(loss_of, theta, delta, loss, float(g @ delta))
+        if found is None:
             break
-        theta, loss, z = theta + step * delta, new_loss, new_z
-    return theta[:D], float(theta[D])
+        step, (loss, z) = found
+        theta = theta + step * delta
+    return theta[:D], float(theta[D]), evals
+
+
+def _softmax_loss_grad(theta: np.ndarray, X: np.ndarray, Xt: np.ndarray,
+                       flat: np.ndarray, l2: float) -> tuple[float, np.ndarray]:
+    """Objective and gradient at theta = [W | b] (shape (C, D + 1)).
+
+    Class-major: z = W X^T + b has shape (C, n), so the softmax's max and sum
+    run along the samples. ``Xt`` is X^T made contiguous and ``flat`` the
+    flat positions y * n + arange(n) of the label entries of z. The
+    cross-entropy is mean(lse - z[y, i]), read at the label entries only;
+    the gradient comes from P - onehot, formed in place as P[y, i] -= 1.
+    """
+    D, n = Xt.shape
+    W = theta[:, :D]
+    z = W @ Xt
+    z += theta[:, D:]
+    top = z.max(axis=0)
+    picked = z.ravel()[flat]
+    z -= top
+    np.exp(z, out=z)
+    total = z.sum(axis=0)
+    loss = (float(np.mean(np.log(total) + top - picked))
+            + 0.5 * l2 * float(np.sum(W * W)))
+    z /= total
+    z.ravel()[flat] -= 1.0
+    grad = np.empty_like(theta)
+    np.matmul(z, X, out=grad[:, :D])
+    grad[:, D] = z.sum(axis=1)
+    grad /= n
+    grad[:, :D] += l2 * W
+    return loss, grad
+
+
+def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
+    """-H g by the two-loop recursion over the stored (s, y, 1 / s.y),
+    oldest first, with H_0 = (s.y / y.y) I from the newest pair; with no
+    pair, -g / (1 + ||g||)."""
+    if not pairs:
+        return -g / (1.0 + float(np.linalg.norm(g)))
+    q = g.copy()
+    alphas = []
+    for s, yv, rho in reversed(pairs):
+        a = rho * float(np.vdot(s, q))
+        q -= a * yv
+        alphas.append(a)
+    s, yv, rho = pairs[-1]
+    q *= 1.0 / (rho * float(np.vdot(yv, yv)))
+    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
+        q += (a - rho * float(np.vdot(yv, q))) * s
+    return -q
+
+
+def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int,
+                   l2: float) -> tuple[np.ndarray, int]:
+    """([W | b], loss evaluations) at the multiclass optimum by L-BFGS.
+
+    A pair is stored only when s.y > 0, so the implied inverse Hessian stays
+    positive definite and every direction is a descent direction; the loss
+    strictly falls at every kept step.
+    """
+    n, D = X.shape
+    Xt = np.ascontiguousarray(X.T)
+    flat = y * n + np.arange(n)
+    evals = 0
+
+    def f(theta):
+        nonlocal evals
+        evals += 1
+        return _softmax_loss_grad(theta, X, Xt, flat, l2)
+
+    theta = np.zeros((n_classes, D + 1))
+    loss, g = f(theta)
+    pairs: list = []
+    for _ in range(MAX_ITER):
+        if float(np.linalg.norm(g)) <= _LBFGS_GRAD_TOL * (1.0 + loss):
+            break
+        delta = _lbfgs_direction(g, pairs)
+        found = _backtrack(f, theta, delta, loss, float(np.vdot(g, delta)))
+        if found is None:
+            break
+        step, (loss, new_g) = found
+        s = step * delta
+        yv = new_g - g
+        sy = float(np.vdot(s, yv))
+        if sy > 0.0:
+            pairs.append((s, yv, 1.0 / sy))
+            del pairs[:-MEMORY]
+        theta = theta + s
+        g = new_g
+    return theta, evals
 
 
 class LogisticRegression:
     """Softmax regression with bias.
 
     Objective: mean cross-entropy + 0.5 * l2 * ||W||^2 (bias excluded),
-    solved exactly for two classes and by gradient descent otherwise (see
-    the module docstring).
+    solved to its optimum: by Newton's method for two classes and by
+    L-BFGS otherwise (see the module docstring). ``n_evals`` is the number
+    of loss evaluations the last fit took.
     """
 
     def __init__(self, l2: float = L2_DEFAULT):
@@ -90,56 +196,34 @@ class LogisticRegression:
         self.weights: np.ndarray | None = None   # (C, D)
         self.bias: np.ndarray | None = None      # (C,)
         self.n_classes: int = 0
-
-    def _loss_grads(self, X, onehot):
-        z = X @ self.weights.T + self.bias
-        p = _softmax(z)
-        n = X.shape[0]
-        ce = -np.sum(onehot * np.log(np.maximum(p, 1e-300))) / n
-        loss = ce + 0.5 * self.l2 * float(np.sum(self.weights ** 2))
-        diff = (p - onehot) / n
-        gw = diff.T @ X + self.l2 * self.weights
-        gb = diff.sum(axis=0)
-        return loss, gw, gb
+        self.n_evals: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray,
             n_classes: int | None = None) -> "LogisticRegression":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
+        if X.ndim != 2:
+            raise ValueError(f"X must be 2-D, got shape {X.shape}")
+        if y.shape != (X.shape[0],):
+            raise ValueError(f"y must be 1-D with one label per row of X "
+                             f"({X.shape[0]}), got shape {y.shape}")
         if n_classes is None:
-            n_classes = int(y.max()) + 1
+            n_classes = int(y.max()) + 1 if y.size else 0
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
+        bad = (y < 0) | (y >= n_classes)
+        if bad.any():
+            raise ValueError(f"labels must lie in [0, {n_classes}); "
+                             f"got {int(y[bad][0])}")
         self.n_classes = n_classes
         if n_classes == 2:
-            v, c = _binary_newton(X, y, self.l2)
+            v, c, self.n_evals = _binary_newton(X, y, self.l2)
             self.weights = np.stack([-0.5 * v, 0.5 * v])
             self.bias = np.array([-0.5 * c, 0.5 * c])
             return self
-        D = X.shape[1]
-        self.weights = np.zeros((n_classes, D))
-        self.bias = np.zeros(n_classes)
-        onehot = np.zeros((X.shape[0], n_classes))
-        onehot[np.arange(X.shape[0]), y] = 1.0
-
-        loss, gw, gb = self._loss_grads(X, onehot)
-        step = 1.0 / (1.0 + float(np.sqrt(np.sum(gw ** 2) + np.sum(gb ** 2))))
-        for _ in range(MAX_ITER):
-            w_old, b_old = self.weights, self.bias
-            self.weights = w_old - step * gw
-            self.bias = b_old - step * gb
-            new_loss, new_gw, new_gb = self._loss_grads(X, onehot)
-            if np.isfinite(new_loss) and new_loss < loss:
-                if abs(loss - new_loss) <= TOL:
-                    loss, gw, gb = new_loss, new_gw, new_gb
-                    break
-                loss, gw, gb = new_loss, new_gw, new_gb
-                step *= 1.2
-            else:
-                self.weights, self.bias = w_old, b_old
-                step *= 0.5
-                if step < 1e-16:
-                    break
+        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, self.l2)
+        self.weights = theta[:, :-1].copy()
+        self.bias = theta[:, -1].copy()
         return self
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:

@@ -299,6 +299,21 @@ def non_edges_oracle(V, count, existing, rng):
     return out
 
 
+def softmax_objective_oracle(X, y, W, b, l2):
+    """(loss, dW, db) of mean softmax cross-entropy + 0.5 * l2 * ||W||^2
+    (bias unpenalised) at weights W (C, D) and bias b (C,), as the
+    definition reads: sample-major logits, log-softmax, a one-hot."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    onehot = np.eye(W.shape[0])[np.asarray(y)]
+    z = X @ W.T + b
+    z = z - z.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = -np.sum(onehot * logp) / n + 0.5 * l2 * float(np.sum(W ** 2))
+    diff = (np.exp(logp) - onehot) / n
+    return float(loss), diff.T @ X + l2 * W, diff.sum(axis=0)
+
+
 def softmax_newton_oracle(X, y, n_classes, l2, grad_tol=1e-12, max_iter=100):
     """(loss, W, b) at the optimum of mean softmax cross-entropy
     + 0.5 * l2 * ||W||^2 (bias unpenalised), by Newton's method on all
@@ -312,25 +327,21 @@ def softmax_newton_oracle(X, y, n_classes, l2, grad_tol=1e-12, max_iter=100):
     X = np.asarray(X, dtype=np.float64)
     n, D = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
-    onehot = np.eye(n_classes)[np.asarray(y)]
     ridge = np.tile(np.r_[np.full(D, l2), 0.0], n_classes)
 
     def loss_grad(theta):
         Wa = theta.reshape(n_classes, D + 1)
-        z = Xa @ Wa.T
-        z = z - z.max(axis=1, keepdims=True)
-        logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        loss = (-np.sum(onehot * logp) / n
-                + 0.5 * l2 * float(np.sum(Wa[:, :D] ** 2)))
-        p = np.exp(logp)
-        grad = ((p - onehot).T @ Xa / n).reshape(-1) + ridge * theta
-        return float(loss), grad, p
+        loss, dW, db = softmax_objective_oracle(X, y, Wa[:, :D], Wa[:, D], l2)
+        return loss, np.hstack([dW, db[:, None]]).reshape(-1), Wa
 
     theta = np.zeros(n_classes * (D + 1))
-    loss, grad, p = loss_grad(theta)
+    loss, grad, Wa = loss_grad(theta)
     for _ in range(max_iter):
         if np.linalg.norm(grad) <= grad_tol:
             break
+        z = Xa @ Wa.T
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
         cov = (p[:, :, None] * np.eye(n_classes)
                - p[:, :, None] * p[:, None, :])
         H = np.einsum("icj,ia,ib->cajb", cov, Xa, Xa).reshape(
@@ -345,8 +356,7 @@ def softmax_newton_oracle(X, y, n_classes, l2, grad_tol=1e-12, max_iter=100):
         else:
             break
         theta = theta + step * delta
-        loss, grad, p = new
-    Wa = theta.reshape(n_classes, D + 1)
+        loss, grad, Wa = new
     return loss, Wa[:, :D], Wa[:, D]
 
 
