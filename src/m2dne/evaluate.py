@@ -30,6 +30,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _distinct_keys(values, entry: str, key) -> list:
+    """``key`` of each of ``values``, a list that must be non-empty and
+    repeat no key: a repeated entry's metrics would overwrite the earlier
+    one's. ``entry`` names an entry of the list in the errors."""
+    keys = [key(v) for v in values]
+    if not keys:
+        raise ValueError(f"the {entry} list is empty")
+    for at, k in enumerate(keys):
+        if k in keys[:at]:
+            raise ValueError(f"{entry} {k} is repeated")
+    return keys
+
+
 @dataclass
 class MetricReport:
     task: str
@@ -167,7 +180,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
         flat = np.arange(total, dtype=np.int64)
     lo, hi = _decode_pairs(flat, V)
     n = lo.shape[0]
-    ks = [int(k) for k in k_list]
+    ks = _distinct_keys(k_list, "K", int)
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"K={k} exceeds the {n} candidate pairs")
@@ -183,7 +196,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
 
     # Only pairs scoring at least the max(K)-th largest score can rank in
     # the top max(K); sort that shortlist by (-score, lo, hi).
-    kmax = max(ks, default=1)
+    kmax = max(ks)
     kth = np.partition(scores, n - kmax)[n - kmax]
     shortlist = np.flatnonzero(scores >= kth)
     order = shortlist[np.lexsort((hi[shortlist], lo[shortlist],
@@ -196,7 +209,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
                         config={"task": "reconstruction",
                                 "candidates": int(lo.shape[0]),
                                 "sample_fraction": sample_fraction,
-                                "k_list": ",".join(str(int(k)) for k in k_list)})
+                                "k_list": ",".join(map(str, ks))})
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +236,34 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
     """Macro/Micro-F1 of the built-in softmax classifier per training ratio.
 
     Splits are stratified per class (at least one training sample each), drawn
-    from the eval-splits stream of ``seed``. Every ratio must lie in (0, 1),
-    and none may repeat: its metrics would overwrite the earlier split's.
+    from the eval-splits stream of ``seed``. The ratios must be non-empty,
+    lie in (0, 1) and not repeat: a repeat's metrics would overwrite the
+    earlier split's.
     """
     if labels.n_classes < 2:
         raise ValueError("classification needs at least 2 classes")
-    seen = set()
     for ratio in train_ratios:
-        key = _fmt(float(ratio))
         if not 0.0 < float(ratio) < 1.0:
-            raise ValueError(f"train ratio {key} is outside (0, 1)")
-        if key in seen:
-            raise ValueError(f"train ratio {key} is repeated")
-        seen.add(key)
+            raise ValueError(
+                f"train ratio {_fmt(float(ratio))} is outside (0, 1)")
+    keys = _distinct_keys(train_ratios, "train ratio",
+                          lambda ratio: _fmt(float(ratio)))
     rng = substream(seed, "eval-splits")
     X = embeddings[labels.node_ids]
     y = labels.labels
     metrics = {}
-    for ratio in train_ratios:
+    for ratio, key in zip(train_ratios, keys):
         train_idx, test_idx = _stratified_split(y, labels.n_classes,
                                                 float(ratio), rng)
         clf = LogisticRegression().fit(X[train_idx], y[train_idx],
                                        labels.n_classes)
         pred = clf.predict(X[test_idx])
         macro, micro = f1_scores(y[test_idx], pred, labels.n_classes)
-        metrics[f"macro_f1@{_fmt(float(ratio))}"] = macro
-        metrics[f"micro_f1@{_fmt(float(ratio))}"] = micro
+        metrics[f"macro_f1@{key}"] = macro
+        metrics[f"micro_f1@{key}"] = micro
     return MetricReport(task="classification", metrics=metrics,
                         config={"task": "classification", "seed": seed,
-                                "ratios": ",".join(_fmt(float(r)) for r in train_ratios),
+                                "ratios": ",".join(keys),
                                 "classes": labels.n_classes,
                                 "labeled_nodes": len(labels)})
 
@@ -298,7 +310,7 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
     tau + Delta_a + ||a||^2, so every node that ranks among the top top_k,
     ties included, has r within tau + 2 Delta_a."""
     V = _node_count(embeddings, test_net)
-    ks = [int(k) for k in k_list]
+    ks = _distinct_keys(k_list, "K", int)
     if any(k < 1 for k in ks):
         raise ValueError("every K must be >= 1")
     truth = np.unique(np.concatenate([test_net.src * V + test_net.dst,

@@ -89,8 +89,8 @@ def engine_side(centers, hist, U, P, t):
     """Engine forward caches of the given attention centers over one history
     at time t (a batch of one row)."""
     nodes, times, length = padded_rows([hist])
-    table = _NodeTable([np.array([centers]), nodes], U, P)
-    return _Side(table, *table.inverse, times, length, np.array([t]), P)
+    table = _NodeTable(np.array([centers]), nodes, U, P)
+    return _Side(table, times, length, np.array([t]), P)
 
 
 def oracle_args(U, P, sb=0.0):

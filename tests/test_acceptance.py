@@ -161,11 +161,11 @@ def test_a4_attention_invariants():
             # a singleton softmax is exactly 1 by definition
             assert np.all(weights < 1.0) if m_i > 1 else weights[0] == 1.0
 
-            beta, _ = _pair_beta(side_i, side_i.btil[:, 0],
-                                 side_j, side_j.btil[:, 0])
-            beta_swapped, _ = _pair_beta(side_j, side_j.btil[:, 0],
-                                         side_i, side_i.btil[:, 0])
-            assert abs(beta[0] + beta_swapped[0] - 1.0) <= 1e-12
+            btil = np.stack([side_i.btil[:, :1], side_j.btil[:, :1]])
+            nonempty = np.stack([side_i.nonempty, side_j.nonempty])
+            beta, _ = _pair_beta(btil, nonempty)
+            beta_swapped, _ = _pair_beta(btil[::-1], nonempty[::-1])
+            assert abs(beta[0, 0, 0] + beta_swapped[0, 0, 0] - 1.0) <= 1e-12
 
 
 def test_a5_oracle_equivalence():

@@ -179,6 +179,21 @@ class TestEvalCommand:
         assert "train ratio 0.5 is repeated" in captured.err
         assert "macro_f1" not in captured.out
 
+    @pytest.mark.parametrize("task,flags,message", [
+        ("classify", ["--labels", TOY_LABELS, "--ratios", ","],
+         "train ratio list is empty"),
+        ("recommend", ["--split-epoch", "10", "--k", ","], "K list is empty"),
+        ("reconstruct", ["--k", "10,10"], "K 10 is repeated")])
+    def test_bad_list_fails(self, tmp_path, capsys, task, flags, message):
+        ckpt, _ = train(tmp_path)
+        capsys.readouterr()
+        rc = main(["eval", task, "--checkpoint", ckpt, "--edges", TOY_EDGES,
+                   *flags])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_recommend_and_linkpred_run(self, tmp_path, capsys):
         ckpt, _ = train(tmp_path)
         assert main(["eval", "recommend", "--checkpoint", ckpt, "--edges",

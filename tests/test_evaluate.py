@@ -65,6 +65,15 @@ class TestReconstruction:
                               node_count=6)
         return U, net
 
+    @pytest.mark.parametrize("ks,message", [([], "K list is empty"),
+                                            ([3, 1, 3], "K 3 is repeated")])
+    def test_empty_or_repeated_k_rejected(self, ks, message):
+        # a repeated K would print its precision once under a header that
+        # lists it twice
+        U, net = self._toy()
+        with pytest.raises(ValueError, match=message):
+            reconstruction_metrics(U, net, ks)
+
     def test_hand_counted_precision(self):
         U, net = self._toy()
         rep = reconstruction_metrics(U, net, [1, 3])
@@ -233,6 +242,13 @@ class TestNodeClassification:
         with pytest.raises(ValueError, match="train ratio 0.5 is repeated"):
             node_classification(U, labels, [0.5, 0.4, 0.50], seed=0)
 
+    def test_empty_ratio_list_rejected(self):
+        U = np.random.default_rng(0).normal(size=(8, 3))
+        labels = LabelTable(node_ids=np.arange(8),
+                            labels=np.repeat([0, 1], 4), n_classes=2)
+        with pytest.raises(ValueError, match="train ratio list is empty"):
+            node_classification(U, labels, [], seed=0)
+
     def test_identical_embeddings_majority(self):
         U = np.tile(np.array([0.3, -0.4, 0.2]), (20, 1))
         y = np.array([0] * 14 + [1] * 6)
@@ -251,6 +267,14 @@ class TestNodeClassification:
 
 
 class TestTemporalRecommendation:
+    @pytest.mark.parametrize("ks,message", [([], "K list is empty"),
+                                            ([1, 1], "K 1 is repeated")])
+    def test_empty_or_repeated_k_rejected(self, ks, message):
+        U = np.array([[0.0], [0.05], [5.0], [5.05]])
+        test_net = net_from_events([(0, 1, 1), (2, 3, 1)], node_count=4)
+        with pytest.raises(ValueError, match=message):
+            temporal_recommendation(U, test_net, ks)
+
     def test_perfect_single_neighbor_queries(self):
         U = np.array([[0.0], [0.05], [5.0], [5.05]])
         test_net = net_from_events([(0, 1, 1), (2, 3, 1)], node_count=4)

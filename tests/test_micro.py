@@ -31,8 +31,9 @@ def make_embeddings(V, d, seed=1):
 
 def beta(side_l, side_r):
     """Neighborhood weight of the left side against the right one."""
-    b, _ = _pair_beta(side_l, side_l.btil[:, 0], side_r, side_r.btil[:, 0])
-    return float(b[0])
+    w, _ = _pair_beta(np.stack([side_l.btil[:, :1], side_r.btil[:, :1]]),
+                      np.stack([side_l.nonempty, side_r.nonempty]))
+    return float(w[0, 0, 0])
 
 
 class TestSimilarity:

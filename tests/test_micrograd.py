@@ -250,16 +250,18 @@ class TestMemory:
 
 
 def random_batch(rng, B, K, h, V, lengths=None):
-    """A random batch of B events over V nodes, histories of width h (random
-    lengths unless given) and K negatives per endpoint slot."""
-    def history():
-        length = rng.integers(0, h + 1, size=B) if lengths is None \
+    """A random batch of B events over V nodes, histories of width h, or of
+    widths h = (source's, target's), random lengths unless given, and K
+    negatives per endpoint slot."""
+    def history(w):
+        length = rng.integers(0, w + 1, size=B) if lengths is None \
             else np.full(B, lengths)
-        return (rng.integers(V, size=(B, h)),
-                np.sort(rng.integers(1, 50, size=(B, h)), axis=1), length)
+        return (rng.integers(V, size=(B, w)),
+                np.sort(rng.integers(1, 50, size=(B, w)), axis=1), length)
 
+    h_src, h_dst = h if isinstance(h, tuple) else (h, h)
     batch = EventBatch(rng.integers(V, size=B), rng.integers(V, size=B),
-                       np.full(B, 60), *history(), *history())
+                       np.full(B, 60), *history(h_src), *history(h_dst))
     return batch, *rng.integers(V, size=(2, B, K))
 
 
@@ -275,7 +277,8 @@ class TestWorkspaceReuse:
     buffer a call accumulates into is cleared, and no result aliases it."""
 
     @pytest.mark.parametrize("K,h,lengths", [(3, 4, None), (0, 4, None),
-                                             (3, 1, None), (2, 3, 0)])
+                                             (3, 1, None), (2, 3, 0),
+                                             (3, (2, 5), None)])
     def test_reuse_matches_fresh_calls(self, K, h, lengths):
         rng = np.random.default_rng(41)
         V, d = 30, 6
@@ -292,6 +295,44 @@ class TestWorkspaceReuse:
         for got, want in zip(reused, fresh):
             assert call_bytes(got) == call_bytes(want)
         assert call_bytes(reused[0]) == call_bytes(reused[2])
+
+
+def test_unequal_negative_counts_rejected():
+    # the two endpoint families are stacked into one array of centers, which
+    # has no mask to pad a narrower family with
+    rng = np.random.default_rng(49)
+    U, P = random_state(net_from_events([(0, 1, 1)], node_count=12), 3, 50)
+    batch, neg_src, _ = random_batch(rng, 6, 2, 3, 12)
+    with pytest.raises(ValueError):
+        batch_loss_and_grads(batch, neg_src, rng.integers(12, size=(6, 3)),
+                             U, P)
+
+
+class TestEndpointSwap:
+    """The score treats an event's endpoints alike: swapping every event's
+    source and target, their histories and their negatives leaves the loss
+    and the gradients unchanged up to rounding."""
+
+    def test_swap_leaves_loss_and_gradients(self):
+        rng = np.random.default_rng(47)
+        V, d, B, K = 25, 5, 24, 3
+        U, P = random_state(net_from_events([(0, 1, 1)], node_count=V), d, 48)
+        batch, neg_src, neg_dst = random_batch(rng, B, K, (3, 6), V)
+        batch.src_len = rng.integers(1, 4, size=B)
+        batch.dst_len = rng.integers(1, 7, size=B)
+        swapped = EventBatch(batch.dst, batch.src, batch.t,
+                             batch.dst_hist_nodes, batch.dst_hist_times,
+                             batch.dst_len, batch.src_hist_nodes,
+                             batch.src_hist_times, batch.src_len)
+        loss, grads, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P)
+        loss_s, grads_s, _ = batch_loss_and_grads(swapped, neg_dst, neg_src,
+                                                  U, P)
+        assert loss_s == pytest.approx(loss, rel=1e-12)
+        for name in STEPPED_GROUPS:
+            scale = np.abs(grads[name]).max()
+            assert scale > 0.0, name
+            assert np.abs(grads_s[name] - grads[name]).max() <= 1e-12 * scale, \
+                name
 
 
 class TestPermutationEquivariance:
