@@ -59,12 +59,19 @@ def build_train_config(args) -> TrainConfig:
     return TrainConfig(**values)
 
 
+def _tokens(text: str) -> list[str]:
+    """Comma-separated entries; an empty one is a usage error."""
+    if "" in text.split(","):
+        raise argparse.ArgumentTypeError(f"empty entry in {text!r}")
+    return text.split(",")
+
+
 def _int_list(text: str):
-    return [int(tok) for tok in text.split(",") if tok]
+    return [int(tok) for tok in _tokens(text)]
 
 
 def _float_list(text: str):
-    return [float(tok) for tok in text.split(",") if tok]
+    return [float(tok) for tok in _tokens(text)]
 
 
 def _add_train_flags(p: argparse.ArgumentParser) -> None:

@@ -8,7 +8,6 @@ header) and byte-identical across runs for a fixed seed.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +16,7 @@ from . import macro as macro_mod
 from .graph import LabelTable, MacroSeries, TemporalNetwork, compute_macro_series
 from .logreg import LogisticRegression, f1_scores
 from .train import ModelState
-from .util import resolve_workers, substream
+from .util import substream
 
 
 def _fmt(value) -> str:
@@ -103,111 +102,106 @@ def _finite_sq_norms(embeddings: np.ndarray, task: str) -> np.ndarray:
 
 
 PAIR_CHUNK = 1024                # pairs scored at a time: 512 KiB at d=64
-
-# A full reconstruction pass holds its pair ids, keys, scores and the AUC's
-# ranks at once: about 106 bytes per pair (tracemalloc peak of a full pass at
-# V=2000). Above this many pairs (V > 5793, about 1.7 GiB) a full pass is
-# refused, and sampling is the way to run one.
-FULL_PASS_PAIR_LIMIT = 2 ** 24
-FULL_PASS_BYTES_PER_PAIR = 106
+PAIR_BLOCK = 2 ** 16             # candidate pairs streamed at a time
 
 
-def _pair_scores(embeddings: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 workers: int) -> np.ndarray:
+def _pair_scores(embeddings: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
     """``-||u_lo - u_hi||^2`` per pair, scored in chunks of PAIR_CHUNK pairs
-    into one array; workers map over the same chunks, so the bits do not
-    depend on their number."""
-    n = lo.shape[0]
-    scores = np.empty(n, dtype=np.float64)
-
-    def score(a):
-        b = min(a + PAIR_CHUNK, n)
-        diff = embeddings.take(lo[a:b], axis=0)
-        diff -= embeddings.take(hi[a:b], axis=0)
-        np.einsum("nd,nd->n", diff, diff, out=scores[a:b])
-        np.negative(scores[a:b], out=scores[a:b])
-
-    starts = range(0, n, PAIR_CHUNK)
-    if workers <= 1 or n <= PAIR_CHUNK:
-        for a in starts:
-            score(a)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(score, starts))       # re-raises a worker's error
-    return scores
+    into one array."""
+    scores = np.empty(lo.shape[0], dtype=np.float64)
+    for a in range(0, lo.shape[0], PAIR_CHUNK):
+        at = slice(a, a + PAIR_CHUNK)
+        diff = embeddings.take(lo[at], axis=0)
+        diff -= embeddings.take(hi[at], axis=0)
+        np.einsum("nd,nd->n", diff, diff, out=scores[at])
+    return np.negative(scores, out=scores)
 
 
-def _auc_rank_sum(scores: np.ndarray, positive: np.ndarray) -> float:
-    """Mann-Whitney AUC with average ranks on ties."""
-    n_pos = int(positive.sum())
-    n_neg = int(positive.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both positive and negative pairs")
-    _, inverse, counts = np.unique(scores, return_inverse=True,
-                                   return_counts=True)
-    ends = np.cumsum(counts)
-    ranks = (ends - 0.5 * (counts - 1))[inverse]
-    rank_sum = float(ranks[positive].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+def _doubled_wins(pos: np.ndarray, neg: np.ndarray) -> int:
+    """Sum of ``2 [p > n] + [p == n]`` over the pairs of the sorted ``pos``
+    and ``neg``, searching the shorter array into the longer: each pair
+    adds 2 to the sum taken both ways round."""
+    if pos.shape[0] > neg.shape[0]:
+        return 2 * pos.shape[0] * neg.shape[0] - _doubled_wins(neg, pos)
+    return int(np.searchsorted(neg, pos, side="left").sum()
+               + np.searchsorted(neg, pos, side="right").sum())
+
+
+def _keep_best(best, scores, positive, kmax):
+    """The first kmax by -score of the shortlist ``best`` (scores, flags)
+    followed by one block's pairs. Pairs stream in ascending (lo, hi), so
+    a stable sort breaks ties by (lo, hi), and a full shortlist admits
+    only scores above its last."""
+    keep = scores >= (np.partition(scores, -kmax)[-kmax]
+                      if scores.shape[0] > kmax else -np.inf)
+    if best[0].shape[0] == kmax:
+        keep &= scores > best[0][-1]
+    merged = [np.concatenate((old, new[keep]))
+              for old, new in zip(best, (scores, positive))]
+    order = np.argsort(-merged[0], kind="stable")[:kmax]
+    return [part[order] for part in merged]
 
 
 def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
                            k_list, sample_fraction: float = 1.0,
-                           rng: np.random.Generator | None = None,
-                           workers: int | None = None) -> MetricReport:
+                           rng: np.random.Generator | None = None
+                           ) -> MetricReport:
     """Precision@K and AUC of ranking node pairs against the static edges.
 
     Ties in the ranking break by ascending (min id, max id) so reports are
-    reproducible.
+    reproducible. The candidates stream in blocks of PAIR_BLOCK pairs, so
+    memory is O(PAIR_BLOCK + edges + max K) beyond the sampled draw.
     """
     V = _node_count(embeddings, net)
     _finite_sq_norms(embeddings, "reconstruction")
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
-    if sample_fraction == 1.0 and total > FULL_PASS_PAIR_LIMIT:
-        raise ValueError(
-            f"reconstruction: a full pass over V={V} nodes scores {total} "
-            f"pairs, about {total * FULL_PASS_BYTES_PER_PAIR / 2 ** 30:.1f} "
-            f"GiB, above the limit of {FULL_PASS_PAIR_LIMIT} pairs; sample "
-            f"them with --sample-fraction (sample_fraction) below 1")
+    flat, n = None, total
     if sample_fraction < 1.0:
         if rng is None:
             raise ValueError("sampling candidate pairs requires an rng")
-        count = max(1, int(round(sample_fraction * total)))
-        flat = np.sort(rng.choice(total, size=count, replace=False))
-    else:
-        flat = np.arange(total, dtype=np.int64)
-    lo, hi = _decode_pairs(flat, V)
-    n = lo.shape[0]
+        n = max(1, int(round(sample_fraction * total)))
+        flat = np.sort(rng.choice(total, size=n, replace=False))
     ks = _distinct_keys(k_list, "K", int)
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"K={k} exceeds the {n} candidate pairs")
-    scores = _pair_scores(embeddings, lo, hi, resolve_workers(workers))
 
-    # The candidate keys lo * V + hi ascend, so each edge finds its pair by
-    # one binary search.
-    keys = lo * V + hi
+    # The edges among the candidates, as ascending linear indices over the
+    # upper triangle, and their sorted scores.
     edges = net.edge_keys()
-    at = np.minimum(np.searchsorted(keys, edges), n - 1)
-    positive = np.zeros(n, dtype=bool)
-    positive[at[keys[at] == edges]] = True
+    lo, hi = edges // V, edges % V
+    edge_at = lo * (2 * V - lo - 1) // 2 + hi - lo - 1
+    if flat is not None:
+        at = np.minimum(np.searchsorted(flat, edge_at), n - 1)
+        edge_at = edge_at[flat[at] == edge_at]
+    pos = np.sort(_pair_scores(embeddings, *_decode_pairs(edge_at, V)))
+    n_pos, n_neg = pos.shape[0], n - pos.shape[0]
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both positive and negative pairs")
 
-    # Only pairs scoring at least the max(K)-th largest score can rank in
-    # the top max(K); sort that shortlist by (-score, lo, hi).
+    # The AUC is the Mann-Whitney statistic, ties counted half, over the
+    # positive-negative pairs; the wins are kept doubled, as an integer.
     kmax = max(ks)
-    kth = np.partition(scores, n - kmax)[n - kmax]
-    shortlist = np.flatnonzero(scores >= kth)
-    order = shortlist[np.lexsort((hi[shortlist], lo[shortlist],
-                                  -scores[shortlist]))]
-    metrics = {}
-    for k in ks:
-        metrics[f"precision@{k}"] = float(positive[order[:k]].mean())
-    metrics["auc"] = _auc_rank_sum(scores, positive)
+    wins = 0
+    best = [np.empty(0), np.empty(0, dtype=bool)]
+    for a in range(0, n, PAIR_BLOCK):
+        b = min(a + PAIR_BLOCK, n)
+        block = np.arange(a, b, dtype=np.int64) if flat is None else flat[a:b]
+        scores = _pair_scores(embeddings, *_decode_pairs(block, V))
+        positive = np.zeros(b - a, dtype=bool)
+        inside = edge_at[np.searchsorted(edge_at, block[0]):
+                         np.searchsorted(edge_at, block[-1], side="right")]
+        positive[np.searchsorted(block, inside)] = True
+        wins += _doubled_wins(pos, np.sort(scores[~positive]))
+        best = _keep_best(best, scores, positive, kmax)
+    metrics = {f"precision@{k}": float(best[1][:k].mean()) for k in ks}
+    metrics["auc"] = wins / (2 * n_pos * n_neg)
     return MetricReport(task="reconstruction", metrics=metrics,
                         config={"task": "reconstruction",
-                                "candidates": int(lo.shape[0]),
+                                "candidates": n,
                                 "sample_fraction": sample_fraction,
                                 "k_list": ",".join(map(str, ks))})
 

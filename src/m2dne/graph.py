@@ -50,9 +50,6 @@ class TemporalNetwork:
     def _id_lookup(self) -> dict:
         return dict(zip(self.raw_ids, range(len(self.raw_ids))))
 
-    def dense_id(self, raw: str) -> int:
-        return self._id_lookup[raw]
-
     def edge_keys(self) -> np.ndarray:
         """Deduplicated undirected node pairs as sorted int64 keys
         ``min * node_count + max`` (so sorted by (min, max))."""

@@ -94,7 +94,8 @@ def substream(seed: int, name: str) -> np.random.Generator:
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker cap: explicit argument, else M2DNE_THREADS, else 1."""
+    """Worker cap: explicit argument, else M2DNE_THREADS, else 1. No package
+    code reads it; only the benchmark's environment record calls it."""
     if requested is not None:
         return max(1, int(requested))
     env = os.environ.get("M2DNE_THREADS")

@@ -1,11 +1,12 @@
 """Independent straight-line reimplementations used as test oracles.
 
 Pure-Python scalar code, deliberately written without the package's helpers
-or vectorization, following the model definitions term by term. The one
-exception is :func:`softmax_newton_oracle`, a dense Newton solve that needs
-NumPy's linear algebra. The line-by-line file parsers at the end build the
-package's result types and raise its ParseError, so their outputs compare
-field by field.
+or vectorization, following the model definitions term by term. The two
+exceptions are :func:`auc_rank_sum_oracle`, the rank-sum AUC over every
+pair at once, and :func:`softmax_newton_oracle`, a dense Newton solve that
+needs NumPy's linear algebra. The line-by-line file parsers at the end
+build the package's result types and raise its ParseError, so their
+outputs compare field by field.
 """
 
 import bisect
@@ -273,6 +274,19 @@ def reconstruction_precision_oracle(U, edges, ks):
     ranked = sorted(pairs, key=lambda p: (-p[0], p[1], p[2]))
     return {k: sum(1 for _, i, j in ranked[:k] if (i, j) in linked) / k
             for k in ks}
+
+
+def auc_rank_sum_oracle(scores, positive):
+    """Mann-Whitney AUC with average ranks on ties, from one sort of every
+    score."""
+    n_pos = int(positive.sum())
+    n_neg = int(positive.size - n_pos)
+    _, inverse, counts = np.unique(scores, return_inverse=True,
+                                   return_counts=True)
+    ends = np.cumsum(counts)
+    ranks = (ends - 0.5 * (counts - 1))[inverse]
+    rank_sum = float(ranks[positive].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def non_edges_oracle(V, count, existing, rng):

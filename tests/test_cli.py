@@ -179,17 +179,30 @@ class TestEvalCommand:
         assert "train ratio 0.5 is repeated" in captured.err
         assert "macro_f1" not in captured.out
 
-    @pytest.mark.parametrize("task,flags,message", [
-        ("classify", ["--labels", TOY_LABELS, "--ratios", ","],
-         "train ratio list is empty"),
-        ("recommend", ["--split-epoch", "10", "--k", ","], "K list is empty"),
-        ("reconstruct", ["--k", "10,10"], "K 10 is repeated")])
-    def test_bad_list_fails(self, tmp_path, capsys, task, flags, message):
+    @pytest.mark.parametrize("task,flags,code,message", [
+        ("classify", ["--labels", TOY_LABELS, "--ratios", ","], 2,
+         "argument --ratios: empty entry in ','"),
+        ("recommend", ["--split-epoch", "10", "--k", ","], 2,
+         "argument --k: empty entry in ','"),
+        ("reconstruct", ["--k", "10,10"], 1, "K 10 is repeated"),
+        ("reconstruct", ["--k", "2,,5"], 2,
+         "argument --k: empty entry in '2,,5'")],
+        ids=["classify-flags0-train ratio list is empty",
+             "recommend-flags1-K list is empty",
+             "reconstruct-flags2-K 10 is repeated",
+             "reconstruct-flags3-empty K entry"])
+    def test_bad_list_fails(self, tmp_path, capsys, task, flags, code,
+                            message):
+        # an empty entry is a usage error (exit 2) that argparse reports
+        # naming the flag; a repeated one reaches the evaluator (exit 1)
         ckpt, _ = train(tmp_path)
         capsys.readouterr()
-        rc = main(["eval", task, "--checkpoint", ckpt, "--edges", TOY_EDGES,
-                   *flags])
-        assert rc == 1
+        try:
+            rc = main(["eval", task, "--checkpoint", ckpt, "--edges",
+                       TOY_EDGES, *flags])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc == code
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""

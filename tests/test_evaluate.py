@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import (non_edges_oracle, reconstruction_precision_oracle,
-                      recommendation_oracle)
+from _oracles import (auc_rank_sum_oracle, non_edges_oracle,
+                      reconstruction_precision_oracle, recommendation_oracle)
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
-from m2dne.evaluate import (FULL_PASS_PAIR_LIMIT, PAIR_CHUNK, MetricReport,
-                            _auc_rank_sum, _decode_pairs,
+from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
                             _pair_scores,
                             _sample_non_edges,
                             node_classification, reconstruction_metrics,
@@ -38,7 +37,7 @@ def make_state(U, macro=None):
 def proximity(U, pairs):
     """Reconstruction scores of the given (i, j) pairs."""
     lo, hi = (np.array(side) for side in zip(*pairs))
-    return _pair_scores(np.asarray(U, dtype=np.float64), lo, hi, 1).tolist()
+    return _pair_scores(np.asarray(U, dtype=np.float64), lo, hi).tolist()
 
 
 class TestProximity:
@@ -115,22 +114,26 @@ class TestReconstruction:
                                      rng=substream(0, "eval-splits"))
         assert rep.config["candidates"] == 12
 
-    def test_rank_sum_equals_enumeration(self):
+    def test_auc_matches_rank_sum_across_blocks(self, monkeypatch):
+        # half-integer points tie heavily; the edges join low ids only, so
+        # with blocks of 5 pairs most blocks hold no positive
+        monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 5)
         rng = np.random.default_rng(9)
-        scores = rng.integers(0, 5, 400) / 4.0      # heavy ties
-        positive = rng.random(400) < 0.3
+        V = 40
+        U = rng.integers(-2, 3, size=(V, 2)) / 2.0
+        events = [(int(a), int(b), t % 4 + 1) for t, (a, b) in
+                  enumerate(rng.integers(0, 12, size=(30, 2))) if a != b]
+        net = net_from_events(events, node_count=V)
+        lo, hi = np.triu_indices(V, 1)
+        scores = -np.einsum("nd,nd->n", U[lo] - U[hi], U[lo] - U[hi])
+        positive = np.isin(lo * V + hi, net.edge_keys())
+        want = auc_rank_sum_oracle(scores, positive)
+        got = reconstruction_metrics(U, net, [1]).metrics["auc"]
+        assert got == want                  # bit for bit
         pos, neg = scores[positive], scores[~positive]
-        wins = 0.0
-        for sp in pos:
-            wins += float(np.sum(sp > neg)) + 0.5 * float(np.sum(sp == neg))
-        want = wins / (pos.size * neg.size)
-        assert _auc_rank_sum(scores, positive) == pytest.approx(want, abs=1e-12)
-
-    def test_workers_do_not_change_report(self, monkeypatch):
-        U, net = self._toy()
-        base = reconstruction_metrics(U, net, [3]).to_text()
-        monkeypatch.setenv("M2DNE_THREADS", "4")
-        assert reconstruction_metrics(U, net, [3]).to_text() == base
+        wins = sum(float(np.sum(sp > neg)) + 0.5 * float(np.sum(sp == neg))
+                   for sp in pos)
+        assert got == pytest.approx(wins / (pos.size * neg.size), abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_precision_matches_full_sort_with_ties(self, seed):
@@ -160,38 +163,37 @@ class TestReconstruction:
                                                   replace=False)), 200)
         diff = U[lo] - U[hi]
         want = -np.einsum("nd,nd->n", diff, diff)
-        for workers in (1, 3):
-            got = _pair_scores(U, lo, hi, workers)
-            assert got.tobytes() == want.tobytes()
+        assert _pair_scores(U, lo, hi).tobytes() == want.tobytes()
 
-    def test_workers_do_not_change_chunked_report(self, monkeypatch):
-        rng = np.random.default_rng(17)
-        V = 130                                  # 8385 pairs: three chunks
-        U = rng.integers(-2, 3, size=(V, 4)) / 2.0
-        events = [(int(a), int(b), t % 5 + 1) for t, (a, b) in
-                  enumerate(rng.integers(0, V, size=(400, 2))) if a != b]
-        net = net_from_events(events, node_count=V)
-        monkeypatch.setenv("M2DNE_THREADS", "1")
-        base = reconstruction_metrics(U, net, [1, 50, 700]).to_text()
-        monkeypatch.setenv("M2DNE_THREADS", "3")
-        assert reconstruction_metrics(U, net, [1, 50, 700]).to_text() == base
-
-    def test_full_pass_above_pair_limit_refused_before_allocating(self):
-        V = 5794                  # V (V - 1) / 2 = 16782321 > 2 ** 24 pairs
-        assert V * (V - 1) // 2 > FULL_PASS_PAIR_LIMIT
+    def test_full_pass_above_old_pair_limit_streams(self):
+        # 16,782,321 pairs, above the 2 ** 24 a full pass once refused; all
+        # scores tie, so the ranking falls back to the id order
+        V = 5794
         U = np.zeros((V, 1))
         net = net_from_events([(0, 1, 1), (2, 3, 2)], node_count=V)
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError) as err:
-                reconstruction_metrics(U, net, [1])
+            rep = reconstruction_metrics(U, net, [1])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        for part in ("V=5794", "16782321 pairs", "1.7 GiB",
-                     "--sample-fraction"):
-            assert part in str(err.value)
-        assert peak < 2 ** 20             # a full pass would take 1.7 GiB
+        assert rep.metrics == {"precision@1": 1.0, "auc": 0.5}
+        assert peak < 16 * 2 ** 20
+
+    def test_full_pass_memory_bounded(self):
+        V, d = 2000, 64
+        U = np.random.default_rng(6).normal(size=(V, d))
+        events = [(int(a), int(b), t % 9 + 1) for t, (a, b) in enumerate(
+            np.random.default_rng(7).integers(0, V, size=(4000, 2))) if a != b]
+        net = net_from_events(events, node_count=V)
+        tracemalloc.start()
+        try:
+            reconstruction_metrics(U, net, [100, 1000])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # holding the 1,999,000 pairs at once took 202 MiB
+        assert peak < 16 * 2 ** 20
 
     def test_pair_scores_memory_bounded(self):
         V, d = 1500, 64
@@ -199,7 +201,7 @@ class TestReconstruction:
         lo, hi = _decode_pairs(np.arange(V * (V - 1) // 2, dtype=np.int64), V)
         tracemalloc.start()
         try:
-            _pair_scores(U, lo, hi, 1)
+            _pair_scores(U, lo, hi)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

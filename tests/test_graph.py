@@ -22,7 +22,7 @@ class TestParseEdgeList:
     def test_dense_ids_first_appearance(self, tmp_edges):
         net = parse_edge_list(tmp_edges("x y 1\nz x 2"))
         assert net.raw_ids == ("x", "y", "z")
-        assert net.dense_id("z") == 2
+        assert net.raw_ids.index("z") == 2
 
     def test_self_loop_dropped_with_count(self, tmp_edges):
         net = parse_edge_list(tmp_edges("a a 5\na b 5\n"))
@@ -299,7 +299,7 @@ class TestParseLabels:
         table = parse_labels(tmp_edges("a red\nb blue\nc red\n", "labels"), net)
         assert table.n_classes == 2
         assert len(table) == 3
-        assert table.labels[table.node_ids == net.dense_id("c")][0] == 0
+        assert table.labels[table.node_ids == net.raw_ids.index("c")][0] == 0
 
     def test_unknown_node_named(self, tmp_edges):
         net = parse_edge_list(tmp_edges("a b 1"))
