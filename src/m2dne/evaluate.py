@@ -103,6 +103,126 @@ def _finite_sq_norms(embeddings: np.ndarray, task: str) -> np.ndarray:
 
 PAIR_CHUNK = 1024                # pairs scored at a time: 512 KiB at d=64
 PAIR_BLOCK = 2 ** 16             # candidate pairs streamed at a time
+HYPERGEOMETRIC_LIMIT = 10 ** 9   # NumPy's hypergeometric takes counts below it
+
+
+def _hypergeometric(good: int, bad: int, m: int,
+                    rng: np.random.Generator) -> int:
+    """The number of good items in a uniform draw of m distinct items from
+    ``good`` good and ``bad`` bad ones, exactly, at any counts.
+
+    Past NumPy's limit, each item is first kept with probability q (so that
+    about m + 4 sqrt(m) are kept) and the draw taken from the kept ones: given
+    how many are kept, they are a uniform subset, so a uniform m of them are a
+    uniform m of all. A keep that falls short of m is redrawn."""
+    total = good + bad
+    if 2 * m > total:
+        return good - _hypergeometric(good, bad, total - m, rng)
+    if max(good, bad) < HYPERGEOMETRIC_LIMIT:
+        return int(rng.hypergeometric(good, bad, m))
+    # q < 1 (at most 3/4 with 2m <= total), so the counts shrink
+    q = min((m + 4.0 * np.sqrt(m) + 4.0) / total, (total + m) / (2.0 * total))
+    while True:
+        kept_good = int(rng.binomial(good, q))
+        kept_bad = int(rng.binomial(bad, q))
+        if kept_good + kept_bad >= m:
+            return _hypergeometric(kept_good, kept_bad, m, rng)
+
+
+def _ascending_sample(size: int, k: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """k distinct integers drawn uniformly from [0, size), ascending, in
+    O(k) time and memory.
+
+    Past 4k + 16, each integer is kept with probability q (about
+    k + 3 sqrt(k) kept) and a uniform k of the kept ones stay: given how
+    many are kept, they are a uniform subset. A keep that falls short of k
+    is redrawn. The kept integers come out ascending, as running sums of
+    geometric gaps 1 + floor(E / -log(1 - q)) with E standard exponential,
+    which is how NumPy's own geometric sampler inverts, in one vector pass."""
+    if size <= 4 * k + 16:
+        keep = np.zeros(size, dtype=bool)
+        keep[rng.permutation(size)[:k]] = True
+        return np.flatnonzero(keep)
+    q = (k + 3.0 * np.sqrt(k) + 3.0) / size
+    rate = -np.log1p(-q)
+
+    def gaps(count):
+        e = rng.standard_exponential(count)
+        e /= rate
+        gap = e.astype(np.int64)
+        gap += 1
+        return gap
+
+    while True:
+        kept = gaps(int(q * size + 4.0 * np.sqrt(q * size) + 8.0))
+        kept[0] -= 1
+        np.cumsum(kept, out=kept)
+        while kept[-1] < size:
+            kept = np.concatenate((kept,
+                                   kept[-1] + np.cumsum(gaps(kept.shape[0]))))
+        kept = kept[:np.searchsorted(kept, size)]
+        if kept.shape[0] >= k:
+            break
+    return np.delete(kept, _ascending_sample(kept.shape[0], kept.shape[0] - k,
+                                             rng))
+
+
+def _spans(total: int, n: int, edge_at: np.ndarray,
+           rng: np.random.Generator):
+    """(start, size, share, edges, drawn edges) per span of a uniform draw
+    of n distinct indices from [0, total); ``edges`` are the entries of the
+    ascending ``edge_at`` in the span and ``drawn edges`` the drawn ones.
+
+    The population is cut into consecutive spans of PAIR_BLOCK / (n / total)
+    indices. A span's share of the draw is hypergeometric given what the
+    spans before it took; so is the part of the share that falls on its
+    edges, which are a uniform subset of them. Spans with no share are
+    skipped."""
+    span = max(PAIR_BLOCK, -(-PAIR_BLOCK * total // n))
+    start, left = 0, n
+    while left:
+        size = min(span, total - start)
+        k = _hypergeometric(size, total - start - size, left, rng)
+        if k:
+            edges = edge_at[np.searchsorted(edge_at, start):
+                            np.searchsorted(edge_at, start + size)]
+            hits = _hypergeometric(edges.shape[0], size - edges.shape[0], k,
+                                   rng)
+            yield (start, size, k, edges,
+                   edges[_ascending_sample(edges.shape[0], hits, rng)])
+        start += size
+        left -= k
+
+
+def _sampled_pairs(total: int, n: int, edge_at: np.ndarray, seed: int):
+    """(drawn edges, ascending blocks) of the uniform draw of n distinct
+    indices from [0, total) that :func:`_spans` makes from ``seed``.
+
+    The drawn entries of the ascending ``edge_at`` come first, from one run
+    of the spans; the blocks, one of about PAIR_BLOCK indices per span,
+    replay it as they are read. A span's drawn non-edges are a uniform
+    subset of its non-edges, ranked among them and mapped past the edges
+    before them."""
+    def spans():
+        return _spans(total, n, edge_at, np.random.default_rng((seed, 0)))
+
+    def blocks(pairs):
+        for start, size, k, edges, drawn_edges in spans():
+            ranks = _ascending_sample(size - edges.shape[0],
+                                      k - drawn_edges.shape[0], pairs)
+            # edge j precedes non-edge rank r iff edges[j] - start - j <= r
+            passed = np.bincount(np.searchsorted(
+                ranks, edges - start - np.arange(edges.shape[0])),
+                minlength=ranks.shape[0] + 1)
+            drawn = np.cumsum(passed[:-1])
+            drawn += ranks
+            drawn += start
+            yield np.insert(drawn, np.searchsorted(drawn, drawn_edges),
+                            drawn_edges)
+
+    return (np.concatenate([drawn for *_, drawn in spans()]),
+            blocks(np.random.default_rng((seed, 1))))
 
 
 def _pair_scores(embeddings: np.ndarray, lo: np.ndarray,
@@ -150,33 +270,40 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     """Precision@K and AUC of ranking node pairs against the static edges.
 
     Ties in the ranking break by ascending (min id, max id) so reports are
-    reproducible. The candidates stream in blocks of PAIR_BLOCK pairs, so
-    memory is O(PAIR_BLOCK + edges + max K) beyond the sampled draw.
+    reproducible. The candidates, all pairs or a uniform draw of
+    round(sample_fraction * pairs) of them, stream in ascending blocks of
+    about PAIR_BLOCK pairs (see :func:`_spans`), so memory is
+    O(PAIR_BLOCK + edges + max K) at any V and fraction, and a sampled
+    draw of n pairs takes O(n + spans) time. At V = 5794, d = 1, fraction
+    0.1 a pass peaks at 6 MiB (tracemalloc), where a one-shot draw of all
+    16.8M pair indices took 141 MiB.
     """
     V = _node_count(embeddings, net)
     _finite_sq_norms(embeddings, "reconstruction")
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
-    flat, n = None, total
+    n = total
     if sample_fraction < 1.0:
         if rng is None:
             raise ValueError("sampling candidate pairs requires an rng")
         n = max(1, int(round(sample_fraction * total)))
-        flat = np.sort(rng.choice(total, size=n, replace=False))
     ks = _distinct_keys(k_list, "K", int)
     for k in ks:
         if not 1 <= k <= n:
             raise ValueError(f"K={k} exceeds the {n} candidate pairs")
 
     # The edges among the candidates, as ascending linear indices over the
-    # upper triangle, and their sorted scores.
+    # upper triangle, and their sorted scores; a sampled pass draws them
+    # before the blocks it streams.
     edges = net.edge_keys()
     lo, hi = edges // V, edges % V
     edge_at = lo * (2 * V - lo - 1) // 2 + hi - lo - 1
-    if flat is not None:
-        at = np.minimum(np.searchsorted(flat, edge_at), n - 1)
-        edge_at = edge_at[flat[at] == edge_at]
+    blocks = (np.arange(a, min(a + PAIR_BLOCK, total), dtype=np.int64)
+              for a in range(0, total, PAIR_BLOCK))
+    if n < total:
+        edge_at, blocks = _sampled_pairs(total, n, edge_at,
+                                         int(rng.integers(2 ** 63)))
     pos = np.sort(_pair_scores(embeddings, *_decode_pairs(edge_at, V)))
     n_pos, n_neg = pos.shape[0], n - pos.shape[0]
     if n_pos == 0 or n_neg == 0:
@@ -187,11 +314,9 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     kmax = max(ks)
     wins = 0
     best = [np.empty(0), np.empty(0, dtype=bool)]
-    for a in range(0, n, PAIR_BLOCK):
-        b = min(a + PAIR_BLOCK, n)
-        block = np.arange(a, b, dtype=np.int64) if flat is None else flat[a:b]
+    for block in blocks:
         scores = _pair_scores(embeddings, *_decode_pairs(block, V))
-        positive = np.zeros(b - a, dtype=bool)
+        positive = np.zeros(block.shape[0], dtype=bool)
         inside = edge_at[np.searchsorted(edge_at, block[0]):
                          np.searchsorted(edge_at, block[-1], side="right")]
         positive[np.searchsorted(block, inside)] = True
@@ -420,10 +545,13 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
     for cls in (0, 1):
         members = np.where(y == cls)[0]
         fold_of[rng.permutation(members)] = np.arange(members.size) % folds
+    # any two folds share (folds - 2) / folds of their training rows, so
+    # each fit starts from the fold before's optimum
+    clf = LogisticRegression(warm_start=True)
     accs, f1s = [], []
     for f in range(folds):
         test_mask = fold_of == f
-        clf = LogisticRegression().fit(X[~test_mask], y[~test_mask], 2)
+        clf.fit(X[~test_mask], y[~test_mask], 2)
         pred = clf.predict(X[test_mask])
         truth = y[test_mask]
         accs.append(float(np.mean(pred == truth)))

@@ -1,7 +1,8 @@
 """Built-in logistic regression (softmax + L2), deterministic bit for bit.
 
-Both fits start from zero weights and minimise mean cross-entropy +
-0.5 * l2 * ||W||^2 with the bias unpenalised, to the optimum:
+Both fits start from zero weights, or with ``warm_start`` from the previous
+fit's optimum, and minimise mean cross-entropy + 0.5 * l2 * ||W||^2 with the
+bias unpenalised, to the optimum:
 
 - Two classes (link prediction): Newton's method (IRLS) with an Armijo
   backtracking line search, stopping when the gradient norm is at most
@@ -48,10 +49,10 @@ def _backtrack(f, theta, delta, loss, slope):
     return None
 
 
-def _binary_newton(X: np.ndarray, y: np.ndarray,
-                   l2: float) -> tuple[np.ndarray, float, int]:
+def _binary_newton(X: np.ndarray, y: np.ndarray, l2: float,
+                   start: np.ndarray | None) -> tuple[np.ndarray, float, int]:
     """(v, c, loss evaluations) minimising mean log-loss of
-    sigmoid(X v + c) + l2/4 ||v||^2.
+    sigmoid(X v + c) + l2/4 ||v||^2, from [v | c] = ``start`` or zero.
 
     This is the two-class softmax objective in the logit difference
     v = w_1 - w_0, c = b_1 - b_0: at its optimum w_1 = -w_0 = v / 2. The
@@ -71,7 +72,7 @@ def _binary_newton(X: np.ndarray, y: np.ndarray,
         return (float(np.mean(softplus(z) - yf * z))
                 + 0.5 * float(ridge @ theta ** 2)), z
 
-    theta = np.zeros(D + 1)
+    theta = np.zeros(D + 1) if start is None else start
     loss, z = loss_of(theta)
     while True:
         p = sigmoid(z)
@@ -142,9 +143,10 @@ def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
     return -q
 
 
-def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int,
-                   l2: float) -> tuple[np.ndarray, int]:
-    """([W | b], loss evaluations) at the multiclass optimum by L-BFGS.
+def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int, l2: float,
+                   start: np.ndarray | None) -> tuple[np.ndarray, int]:
+    """([W | b], loss evaluations) at the multiclass optimum by L-BFGS,
+    from [W | b] = ``start`` or zero.
 
     A pair is stored only when s.y > 0, so the implied inverse Hessian stays
     positive definite and every direction is a descent direction; the loss
@@ -160,7 +162,7 @@ def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int,
         evals += 1
         return _softmax_loss_grad(theta, X, Xt, flat, l2)
 
-    theta = np.zeros((n_classes, D + 1))
+    theta = np.zeros((n_classes, D + 1)) if start is None else start
     loss, g = f(theta)
     pairs: list = []
     for _ in range(MAX_ITER):
@@ -187,12 +189,15 @@ class LogisticRegression:
 
     Objective: mean cross-entropy + 0.5 * l2 * ||W||^2 (bias excluded),
     solved to its optimum: by Newton's method for two classes and by
-    L-BFGS otherwise (see the module docstring). ``n_evals`` is the number
-    of loss evaluations the last fit took.
+    L-BFGS otherwise (see the module docstring). With ``warm_start``, a fit
+    starts from the previous fit's optimum when that had the same classes
+    and features, as on cross-validation folds that share most rows.
+    ``n_evals`` is the number of loss evaluations the last fit took.
     """
 
-    def __init__(self, l2: float = L2_DEFAULT):
+    def __init__(self, l2: float = L2_DEFAULT, warm_start: bool = False):
         self.l2 = float(l2)
+        self.warm_start = warm_start
         self.weights: np.ndarray | None = None   # (C, D)
         self.bias: np.ndarray | None = None      # (C,)
         self.n_classes: int = 0
@@ -215,13 +220,18 @@ class LogisticRegression:
         if bad.any():
             raise ValueError(f"labels must lie in [0, {n_classes}); "
                              f"got {int(y[bad][0])}")
+        start = None
+        if (self.warm_start and self.weights is not None
+                and self.weights.shape == (n_classes, X.shape[1])):
+            start = np.hstack([self.weights, self.bias[:, None]])
         self.n_classes = n_classes
         if n_classes == 2:
-            v, c, self.n_evals = _binary_newton(X, y, self.l2)
+            v, c, self.n_evals = _binary_newton(
+                X, y, self.l2, None if start is None else start[1] - start[0])
             self.weights = np.stack([-0.5 * v, 0.5 * v])
             self.bias = np.array([-0.5 * c, 0.5 * c])
             return self
-        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, self.l2)
+        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, self.l2, start)
         self.weights = theta[:, :-1].copy()
         self.bias = theta[:, -1].copy()
         return self

@@ -210,7 +210,12 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
-        norm = float(np.linalg.norm(g))
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(g))
+        if not np.isfinite(norm):
+            # the sum of squares overflowed: take the norm of g / max |g|
+            top = float(np.max(np.abs(g)))
+            norm = top * float(np.linalg.norm(g / top))
         # scaled in place: g * c * lr per entry, as the product lr * (g * c)
         if config.grad_clip > 0 and norm > config.grad_clip:
             g *= config.grad_clip / norm

@@ -235,6 +235,24 @@ class TestEvalCommand:
         assert rc == 0
         assert report.read_bytes() == (DATA / "golden_reconstruct.txt").read_bytes()
 
+    @pytest.mark.parametrize("fraction", ["0.1", "0.3", "0.995"])
+    def test_sampled_reconstruct_reproducible(self, tmp_path, capsys,
+                                              fraction):
+        # the toy network has 20 nodes, so 190 pairs
+        ckpt, _ = train(tmp_path)
+        reports = []
+        for seed in ("5", "5", "6"):
+            report = tmp_path / f"r{len(reports)}.txt"
+            rc = main(["eval", "reconstruct", "--checkpoint", ckpt, "--edges",
+                       TOY_EDGES, "--k", "1", "--sample-fraction", fraction,
+                       "--seed", seed, "--out", str(report)])
+            assert rc == 0
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        assert reports[0] != reports[2]
+        header = reports[0].decode().splitlines()[0]
+        assert f" candidates={round(float(fraction) * 190)} " in header
+
     def test_node_count_mismatch_fails(self, tmp_path, capsys):
         ckpt, _ = train(tmp_path)
         other = tmp_path / "other.tsv"

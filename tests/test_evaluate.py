@@ -209,6 +209,155 @@ class TestReconstruction:
         assert peak <= 32 * 2 ** 20
 
 
+def sampled_pairs(total, n, edge_at, seed):
+    """The sampled pass's blocks as a list, and its drawn edges."""
+    drawn_edges, blocks = evaluate_mod._sampled_pairs(total, n, edge_at, seed)
+    return list(blocks), drawn_edges
+
+
+class TestSampledPairs:
+    """The sampled pass draws n = round(f * pairs) distinct pairs uniformly,
+    in ascending blocks. PAIR_BLOCK is shrunk so that small populations
+    split into many spans, and HYPERGEOMETRIC_LIMIT so that the span counts
+    also take the thinning route that populations above 2e9 pairs need."""
+
+    @pytest.mark.parametrize("limit", [10 ** 9, 1])
+    @pytest.mark.parametrize("total,n", [(1, 1), (10, 1), (10, 9), (45, 20),
+                                         (300, 7), (300, 299), (5000, 1234)])
+    def test_exact_count_distinct_ascending(self, monkeypatch, limit, total,
+                                            n):
+        monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 4)
+        monkeypatch.setattr(evaluate_mod, "HYPERGEOMETRIC_LIMIT", limit)
+        edge_at = np.unique(np.random.default_rng(total).integers(
+            0, total, size=max(1, total // 5)))
+        for seed in range(5):
+            blocks, drawn_edges = sampled_pairs(total, n, edge_at, seed)
+            flat = np.concatenate(blocks)
+            assert flat.shape == (n,)
+            assert flat[0] >= 0 and flat[-1] < total
+            assert np.all(np.diff(flat) > 0)
+            # the edges drawn first are exactly the edges among the pairs
+            assert np.array_equal(drawn_edges, np.intersect1d(flat, edge_at))
+
+    @pytest.mark.parametrize("limit", [10 ** 9, 1])
+    @pytest.mark.parametrize("n", [1, 15, 44])
+    def test_inclusion_rate_uniform(self, monkeypatch, limit, n):
+        # V = 10: each of the 45 pairs is drawn in Binomial(T, f) of T
+        # draws; the sum of their squared standardized deviations is about
+        # chi-square with 44 degrees of freedom (mean 44, sd 9.4)
+        monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 4)
+        monkeypatch.setattr(evaluate_mod, "HYPERGEOMETRIC_LIMIT", limit)
+        total, trials = 45, 800
+        edge_at = np.array([0, 1, 2, 9, 20, 33, 44])
+        counts = np.zeros(total)
+        for seed in range(trials):
+            counts[np.concatenate(sampled_pairs(total, n, edge_at,
+                                                seed)[0])] += 1
+        f = n / total
+        stat = float(np.sum((counts - trials * f) ** 2)
+                     / (trials * f * (1 - f)))
+        assert stat < 44 + 5 * math.sqrt(2 * 44)
+
+    @pytest.mark.parametrize("limit", [10 ** 9, 1])
+    def test_every_subset_equally_likely(self, monkeypatch, limit):
+        # V = 5, n = 3: the 120 subsets of the 10 pairs, 20 draws each on
+        # average; chi-square with 119 degrees of freedom (sd 15.4)
+        monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 2)
+        monkeypatch.setattr(evaluate_mod, "HYPERGEOMETRIC_LIMIT", limit)
+        trials = 2400
+        seen = {}
+        for seed in range(trials):
+            key = np.concatenate(sampled_pairs(10, 3, np.array([2, 3, 7]),
+                                               seed)[0]).tobytes()
+            seen[key] = seen.get(key, 0) + 1
+        assert len(seen) == math.comb(10, 3)
+        expected = trials / math.comb(10, 3)
+        stat = sum((c - expected) ** 2 / expected for c in seen.values())
+        assert stat < 119 + 5 * math.sqrt(2 * 119)
+
+    def test_report_reproducible_for_a_fixed_rng(self):
+        rng = np.random.default_rng(3)
+        V = 300
+        U = rng.normal(size=(V, 4))
+        net = net_from_events([(int(a), int(b), t % 5 + 1) for t, (a, b) in
+                               enumerate(rng.integers(0, V, size=(900, 2)))
+                               if a != b], node_count=V)
+        texts = {reconstruction_metrics(
+            U, net, [10, 100], sample_fraction=0.3,
+            rng=substream(seed, "eval-splits")).to_text()
+            for seed in (7, 7, 8)}
+        assert len(texts) == 2
+
+    def test_report_matches_oracle_on_the_drawn_pairs(self, monkeypatch):
+        # blocks of 5 candidates, half-integer points that tie heavily: the
+        # report is the full-sort precision and rank-sum AUC of exactly the
+        # drawn pairs, edges flagged among them
+        monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 5)
+        rng = np.random.default_rng(12)
+        V = 40
+        U = rng.integers(-2, 3, size=(V, 2)) / 2.0
+        events = [(int(a), int(b), t % 4 + 1) for t, (a, b) in
+                  enumerate(rng.integers(0, V, size=(200, 2))) if a != b]
+        net = net_from_events(events, node_count=V)
+        ks = [1, 7, 50, 200]
+        rep = reconstruction_metrics(U, net, ks, sample_fraction=0.4,
+                                     rng=np.random.default_rng(5))
+        lo, hi = np.triu_indices(V, 1)
+        total, n = lo.size, int(round(0.4 * lo.size))
+        keys = net.edge_keys()
+        edge_at = np.flatnonzero(np.isin(lo * V + hi, keys))
+        seed = int(np.random.default_rng(5).integers(2 ** 63))
+        flat = np.concatenate(sampled_pairs(total, n, edge_at, seed)[0])
+        scores = -np.einsum("nd,nd->n", U[lo[flat]] - U[hi[flat]],
+                            U[lo[flat]] - U[hi[flat]])
+        positive = np.isin(flat, edge_at)
+        # flat ascends, so a stable sort by -score breaks ties by (lo, hi)
+        order = np.argsort(-scores, kind="stable")
+        want = {f"precision@{k}": float(positive[order[:k]].mean())
+                for k in ks}
+        want["auc"] = auc_rank_sum_oracle(scores, positive)
+        assert rep.config["candidates"] == n
+        assert rep.metrics == want
+
+    def test_draw_above_two_billion_pairs_bounded(self):
+        # NumPy's hypergeometric refuses counts of 1e9 or more, so the span
+        # counts here take the thinning route
+        total, n = 3 * 10 ** 9, 300_000
+        edge_at = np.arange(0, total, total // 1000)
+        tracemalloc.start()
+        try:
+            count, last = 0, -1
+            for block in evaluate_mod._sampled_pairs(total, n, edge_at, 4)[1]:
+                assert block[0] > last and np.all(np.diff(block) > 0)
+                count, last = count + block.shape[0], block[-1]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == n and last < total
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("V,fraction", [(5794, 0.1), (5794, 0.01),
+                                            (63_300, 1e-4)])
+    def test_sampled_pass_memory_bounded(self, V, fraction):
+        # V = 5794 holds 16,782,321 pairs, whose one-shot draw at fraction
+        # 0.1 peaked at 141 MiB; V = 63,300 holds 2.0e9
+        U = np.zeros((V, 1))
+        events = [(int(a), int(b), t % 9 + 1) for t, (a, b) in enumerate(
+            np.random.default_rng(V).integers(0, V, size=(20000, 2)))
+            if a != b]
+        net = net_from_events(events, node_count=V)
+        tracemalloc.start()
+        try:
+            rep = reconstruction_metrics(U, net, [100], fraction,
+                                         substream(1, "eval-splits"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep.config["candidates"] == round(fraction * V * (V - 1) // 2)
+        assert rep.metrics["auc"] == 0.5
+        assert peak < 16 * 2 ** 20
+
+
 class TestNodeClassification:
     def test_linearly_separable_perfect(self):
         rng = np.random.default_rng(10)

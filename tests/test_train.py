@@ -162,6 +162,23 @@ class TestStep:
                                                state.macro.gamma,
                                                state.macro.theta)]
 
+    def test_clip_survives_an_overflowing_squared_norm(self, monkeypatch):
+        # the entries are finite, but their sum of squares is not: the plain
+        # norm reads inf and the clip once zeroed the whole group
+        from m2dne import train as train_mod
+        net, cfg, state, data, batch = self._setup()
+        name = STEPPED_GROUPS[0]
+        before = state.param_groups()[name].copy()
+        huge = np.full(before.shape, 1e200)
+        monkeypatch.setattr(train_mod, "_joint_grads",
+                            lambda *args: (0.0, {name: huge},
+                                           {"range_hits": 0}))
+        step(state, batch, data, cfg, substream(4, "negatives"))
+        moved = before - state.param_groups()[name]
+        assert np.linalg.norm(moved) == pytest.approx(
+            cfg.learning_rate * cfg.grad_clip, rel=1e-12)
+        assert np.all(moved == moved.flat[0])
+
     def test_nonfinite_gradient_names_group(self):
         net, cfg, state, data, batch = self._setup()
         state.embeddings[0, 0] = np.inf
