@@ -547,7 +547,7 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
         fold_of[rng.permutation(members)] = np.arange(members.size) % folds
     # any two folds share (folds - 2) / folds of their training rows, so
     # each fit starts from the fold before's optimum
-    clf = LogisticRegression(warm_start=True)
+    clf = LogisticRegression()
     accs, f1s = [], []
     for f in range(folds):
         test_mask = fold_of == f

@@ -1,17 +1,18 @@
 """Built-in logistic regression (softmax + L2), deterministic bit for bit.
 
-Both fits start from zero weights, or with ``warm_start`` from the previous
-fit's optimum, and minimise mean cross-entropy + 0.5 * l2 * ||W||^2 with the
-bias unpenalised, to the optimum:
+Both fits minimise mean cross-entropy + 0.5 * l2 * ||W||^2 with the bias
+unpenalised, to the optimum:
 
 - Two classes (link prediction): Newton's method (IRLS) with an Armijo
   backtracking line search, stopping when the gradient norm is at most
-  1e-10 * (1 + loss) or when a step no longer lowers the loss.
+  1e-10 * (1 + loss) or when a step no longer lowers the loss. A refit
+  starts from the previous fit's optimum when that had the same features,
+  else from zero.
 - More classes (node classification): limited-memory BFGS (Nocedal &
-  Wright, Numerical Optimization, 2nd ed., algorithm 7.4) with memory
-  MEMORY and the same line search, stopping when the gradient norm is at
-  most 1e-6 * (1 + loss), when a step no longer lowers the loss, or after
-  MAX_ITER iterations.
+  Wright, Numerical Optimization, 2nd ed., algorithm 7.4) from zero, with
+  memory MEMORY and the same line search, stopping when the gradient norm
+  is at most 1e-6 * (1 + loss), when a step no longer lowers the loss, or
+  after MAX_ITER iterations.
 """
 
 from __future__ import annotations
@@ -143,10 +144,9 @@ def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
     return -q
 
 
-def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int, l2: float,
-                   start: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """([W | b], loss evaluations) at the multiclass optimum by L-BFGS,
-    from [W | b] = ``start`` or zero.
+def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int,
+                   l2: float) -> tuple[np.ndarray, int]:
+    """([W | b], loss evaluations) at the multiclass optimum by L-BFGS.
 
     A pair is stored only when s.y > 0, so the implied inverse Hessian stays
     positive definite and every direction is a descent direction; the loss
@@ -162,7 +162,7 @@ def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int, l2: float,
         evals += 1
         return _softmax_loss_grad(theta, X, Xt, flat, l2)
 
-    theta = np.zeros((n_classes, D + 1)) if start is None else start
+    theta = np.zeros((n_classes, D + 1))
     loss, g = f(theta)
     pairs: list = []
     for _ in range(MAX_ITER):
@@ -189,15 +189,14 @@ class LogisticRegression:
 
     Objective: mean cross-entropy + 0.5 * l2 * ||W||^2 (bias excluded),
     solved to its optimum: by Newton's method for two classes and by
-    L-BFGS otherwise (see the module docstring). With ``warm_start``, a fit
-    starts from the previous fit's optimum when that had the same classes
-    and features, as on cross-validation folds that share most rows.
-    ``n_evals`` is the number of loss evaluations the last fit took.
+    L-BFGS otherwise (see the module docstring). A two-class refit starts
+    from the previous two-class optimum on the same features, as on
+    cross-validation folds that share most rows. ``n_evals`` is the number
+    of loss evaluations the last fit took.
     """
 
-    def __init__(self, l2: float = L2_DEFAULT, warm_start: bool = False):
+    def __init__(self, l2: float = L2_DEFAULT):
         self.l2 = float(l2)
-        self.warm_start = warm_start
         self.weights: np.ndarray | None = None   # (C, D)
         self.bias: np.ndarray | None = None      # (C,)
         self.n_classes: int = 0
@@ -221,17 +220,17 @@ class LogisticRegression:
             raise ValueError(f"labels must lie in [0, {n_classes}); "
                              f"got {int(y[bad][0])}")
         start = None
-        if (self.warm_start and self.weights is not None
-                and self.weights.shape == (n_classes, X.shape[1])):
-            start = np.hstack([self.weights, self.bias[:, None]])
+        if n_classes == 2 and self.weights is not None \
+                and self.weights.shape == (2, X.shape[1]):
+            start = np.append(self.weights[1] - self.weights[0],
+                              self.bias[1] - self.bias[0])
         self.n_classes = n_classes
         if n_classes == 2:
-            v, c, self.n_evals = _binary_newton(
-                X, y, self.l2, None if start is None else start[1] - start[0])
+            v, c, self.n_evals = _binary_newton(X, y, self.l2, start)
             self.weights = np.stack([-0.5 * v, 0.5 * v])
             self.bias = np.array([-0.5 * c, 0.5 * c])
             return self
-        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, self.l2, start)
+        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, self.l2)
         self.weights = theta[:, :-1].copy()
         self.bias = theta[:, -1].copy()
         return self

@@ -212,13 +212,15 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(g))
-        if not np.isfinite(norm):
-            # the sum of squares overflowed: take the norm of g / max |g|
-            top = float(np.max(np.abs(g)))
-            norm = top * float(np.linalg.norm(g / top))
         # scaled in place: g * c * lr per entry, as the product lr * (g * c)
         if config.grad_clip > 0 and norm > config.grad_clip:
-            g *= config.grad_clip / norm
+            if np.isfinite(norm):
+                g *= config.grad_clip / norm
+            else:
+                # the sum of squares overflowed: clip g / max |g|, whose
+                # norm lies in [1, sqrt(g.size)]
+                g /= float(np.max(np.abs(g)))
+                g *= config.grad_clip / float(np.linalg.norm(g))
         g *= lr
         state.param_groups()[name] -= g
     return StepResult(micro_loss=micro, range_hits=stats["range_hits"])

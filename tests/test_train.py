@@ -162,14 +162,17 @@ class TestStep:
                                                state.macro.gamma,
                                                state.macro.theta)]
 
-    def test_clip_survives_an_overflowing_squared_norm(self, monkeypatch):
-        # the entries are finite, but their sum of squares is not: the plain
-        # norm reads inf and the clip once zeroed the whole group
+    @pytest.mark.parametrize("entry", [1e200, 1.5e308])
+    def test_clip_survives_an_overflowing_squared_norm(self, monkeypatch,
+                                                       entry):
+        # the entries are finite, but their sum of squares is not (and at
+        # 1.5e308 nor is the norm itself): the plain norm reads inf and the
+        # clip once zeroed the whole group
         from m2dne import train as train_mod
         net, cfg, state, data, batch = self._setup()
         name = STEPPED_GROUPS[0]
         before = state.param_groups()[name].copy()
-        huge = np.full(before.shape, 1e200)
+        huge = np.full(before.shape, entry)
         monkeypatch.setattr(train_mod, "_joint_grads",
                             lambda *args: (0.0, {name: huge},
                                            {"range_hits": 0}))
