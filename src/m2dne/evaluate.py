@@ -16,7 +16,7 @@ from . import macro as macro_mod
 from .graph import LabelTable, MacroSeries, TemporalNetwork, compute_macro_series
 from .logreg import LogisticRegression, f1_scores
 from .train import ModelState
-from .util import substream
+from .util import PAIR_CHUNK, substream
 
 
 def _fmt(value) -> str:
@@ -70,13 +70,34 @@ class MetricReport:
 # network reconstruction
 
 def _decode_pairs(flat: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
-    """Map linear indices over the upper triangle (i < j) to (i, j)."""
-    row_counts = np.arange(V - 1, 0, -1, dtype=np.int64)
-    ends = np.cumsum(row_counts)
-    i = np.searchsorted(ends, flat, side="right")
-    starts = ends - row_counts
-    j = flat - starts[i] + i + 1
-    return i.astype(np.int64), j
+    """Map int64 linear indices over the upper triangle (i < j) to (i, j),
+    in O(len(flat)) at any V.
+
+    Row i starts at i (2V - 1 - i) / 2, so i = floor((2V - 1 - r) / 2) with
+    r = sqrt((2V - 1)^2 - 8 * index). The radicand is formed exactly in
+    int64 and rounded once, which leaves the root within one row of the
+    truth (below 2^30 nodes); an integer test moves the few that miss."""
+    b = 2 * V - 1
+    root = np.multiply(flat, -8)
+    root += b * b
+    root = np.sqrt(root)
+    np.subtract(b, root, out=root)
+    root *= 0.5
+    i = root.astype(np.int64)
+    j = b - i
+    j *= i
+    j >>= 1
+    np.subtract(flat, j, out=j)
+    j += i                              # the column minus one, if row i holds
+    off = np.flatnonzero((j < i) | (j >= V - 1))
+    if off.shape[0]:
+        oi, of = i[off], flat[off]
+        oi -= (oi * (b - oi) >> 1) > of
+        oi += ((oi + 1) * (b - 1 - oi) >> 1) <= of
+        i[off] = oi
+        j[off] = of - (oi * (b - oi) >> 1) + oi
+    j += 1
+    return i, j
 
 
 def _node_count(embeddings: np.ndarray, *nets: TemporalNetwork) -> int:
@@ -101,7 +122,6 @@ def _finite_sq_norms(embeddings: np.ndarray, task: str) -> np.ndarray:
     return sq
 
 
-PAIR_CHUNK = 1024                # pairs scored at a time: 512 KiB at d=64
 PAIR_BLOCK = 2 ** 16             # candidate pairs streamed at a time
 HYPERGEOMETRIC_LIMIT = 10 ** 9   # NumPy's hypergeometric takes counts below it
 

@@ -68,16 +68,20 @@ class TemporalNetwork:
         The order is preserved under any relabeling of the dense ids, which
         keeps samplers built on it equivariant to id permutations.
         """
-        return _first_appearances(self)[0]
+        return self._first_appearances[0]
 
-
-def _first_appearances(net: TemporalNetwork) -> tuple[np.ndarray, np.ndarray]:
-    """(node ids in order of first appearance, index of the event each first
-    appears in), over the stream src_0, dst_0, src_1, dst_1, ..."""
-    stream = np.stack([net.src, net.dst], axis=1).reshape(-1)
-    _, first = np.unique(stream, return_index=True)
-    first.sort()
-    return stream[first].astype(np.int64), first // 2
+    @cached_property
+    def _first_appearances(self) -> tuple[np.ndarray, np.ndarray]:
+        """(node ids in order of first appearance, index of the event each
+        first appears in), over the stream src_0, dst_0, src_1, dst_1, ...;
+        computed once per network, as read-only arrays."""
+        stream = np.stack([self.src, self.dst], axis=1).reshape(-1)
+        _, first = np.unique(stream, return_index=True)
+        first.sort()
+        out = stream[first].astype(np.int64), first // 2
+        for arr in out:
+            arr.flags.writeable = False
+        return out
 
 
 # Code points that str.split() treats as whitespace: none lies above U+3000,
@@ -335,7 +339,7 @@ def compute_macro_series(net: TemporalNetwork) -> MacroSeries:
         raise ValueError("empty network")
     T = int(net.time.max())
     e = np.cumsum(np.bincount(net.time, minlength=T + 1)[1:]).astype(np.float64)
-    first_time = net.time[_first_appearances(net)[1]]
+    first_time = net.time[net._first_appearances[1]]
     n = np.cumsum(np.bincount(first_time, minlength=T + 1)[1:]).astype(np.float64)
     return MacroSeries(epochs=np.arange(1, T + 1, dtype=np.int64),
                        n=n, e=e, delta_e=np.diff(e))

@@ -5,9 +5,13 @@ unpenalised, to the optimum:
 
 - Two classes (link prediction): Newton's method (IRLS) with an Armijo
   backtracking line search, stopping when the gradient norm is at most
-  1e-10 * (1 + loss) or when a step no longer lowers the loss. A refit
-  starts from the previous fit's optimum when that had the same features,
-  else from zero.
+  1e-10 * (1 + loss) or when a step no longer lowers the loss. The Hessian
+  is built at the first iteration and after any step that cut the gradient
+  norm by less than tenfold; every other step solves with the Hessian kept
+  from before (a chord, or Shamanskii, step: Kelley, Iterative Methods for
+  Linear and Nonlinear Equations, SIAM 1995, ch. 5). A refit starts from
+  the previous fit's optimum when that had the same features, else from
+  zero.
 - More classes (node classification): limited-memory BFGS (Nocedal &
   Wright, Numerical Optimization, 2nd ed., algorithm 7.4) from zero, with
   memory MEMORY and the same line search, stopping when the gradient norm
@@ -50,17 +54,31 @@ def _backtrack(f, theta, delta, loss, slope):
     return None
 
 
+def _hessian(Xa: np.ndarray, p: np.ndarray, z: np.ndarray,
+             ridge: np.ndarray, Xs: np.ndarray) -> np.ndarray:
+    """Xa^T diag(w) Xa / n + diag(ridge) at logits z with p = sigmoid(z).
+
+    w = p (1 - p) >= 0 is computed without cancellation; the weighted rows
+    go into the buffer ``Xs`` (Xa's shape), and the product of Xs with its
+    own transpose runs as a symmetric rank-k update."""
+    np.multiply(Xa, np.sqrt(p * sigmoid(-z))[:, None], out=Xs)
+    return Xs.T @ Xs / Xa.shape[0] + np.diag(ridge)
+
+
 def _binary_newton(X: np.ndarray, y: np.ndarray, l2: float,
                    start: np.ndarray | None) -> tuple[np.ndarray, float, int]:
     """(v, c, loss evaluations) minimising mean log-loss of
     sigmoid(X v + c) + l2/4 ||v||^2, from [v | c] = ``start`` or zero.
 
     This is the two-class softmax objective in the logit difference
-    v = w_1 - w_0, c = b_1 - b_0: at its optimum w_1 = -w_0 = v / 2. The
-    loss strictly falls at every kept step, so the loop ends.
+    v = w_1 - w_0, c = b_1 - b_0: at its optimum w_1 = -w_0 = v / 2. A
+    kept Hessian (see the module docstring) is close to the current one,
+    since every step made with it cut the gradient norm tenfold. The loss
+    strictly falls at every kept step, so the loop ends.
     """
     n, D = X.shape
     Xa = np.hstack([X, np.ones((n, 1))])
+    Xs = np.empty_like(Xa)
     ridge = np.full(D + 1, 0.5 * l2)
     ridge[D] = 0.0                      # bias unpenalised
     yf = y.astype(np.float64)
@@ -75,22 +93,22 @@ def _binary_newton(X: np.ndarray, y: np.ndarray, l2: float,
 
     theta = np.zeros(D + 1) if start is None else start
     loss, z = loss_of(theta)
+    H, last_gnorm = None, 0.0
     while True:
         p = sigmoid(z)
         g = Xa.T @ (p - yf) / n + ridge * theta
-        if float(np.linalg.norm(g)) <= _GRAD_TOL * (1.0 + loss):
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= _GRAD_TOL * (1.0 + loss):
             break
-        # H = Xa^T diag(w) Xa / n with w = p (1 - p) >= 0 (computed without
-        # cancellation) as one product of Xs with its own transpose, which
-        # NumPy runs as a symmetric rank-k update
-        Xs = Xa * np.sqrt(p * sigmoid(-z))[:, None]
-        H = Xs.T @ Xs / n + np.diag(ridge)
+        if H is None or 10.0 * gnorm > last_gnorm:
+            H = _hessian(Xa, p, z, ridge, Xs)
         delta = np.linalg.solve(H, -g)
         found = _backtrack(loss_of, theta, delta, loss, float(g @ delta))
         if found is None:
             break
         step, (loss, z) = found
         theta = theta + step * delta
+        last_gnorm = gnorm
     return theta[:D], float(theta[D]), evals
 
 
@@ -189,10 +207,12 @@ class LogisticRegression:
 
     Objective: mean cross-entropy + 0.5 * l2 * ||W||^2 (bias excluded),
     solved to its optimum: by Newton's method for two classes and by
-    L-BFGS otherwise (see the module docstring). A two-class refit starts
-    from the previous two-class optimum on the same features, as on
-    cross-validation folds that share most rows. ``n_evals`` is the number
-    of loss evaluations the last fit took.
+    L-BFGS otherwise (see the module docstring). The two-class fit builds
+    its Hessian at the first iteration and after any step that cut the
+    gradient norm by less than tenfold, and otherwise solves with the one
+    it kept. A two-class refit starts from the previous two-class optimum
+    on the same features, as on cross-validation folds that share most
+    rows. ``n_evals`` is the number of loss evaluations the last fit took.
     """
 
     def __init__(self, l2: float = L2_DEFAULT):

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import MacroSeries
-from .util import (Workspace, row_positions, sigmoid, softplus, softplus_inv,
-                   take_rows)
+from .util import (PAIR_CHUNK, Workspace, row_positions, sigmoid, softplus,
+                   softplus_inv, take_rows)
 
 # stopping rule of fit_params
 _GRAD_TOL = 1e-10
@@ -60,13 +60,19 @@ class MacroParams:
 def edge_affinity(embeddings: np.ndarray, edge_src: np.ndarray,
                   edge_dst: np.ndarray, out: np.ndarray | None = None) -> float:
     """Mean sigmoid(-squared distance) over the given temporal edges; the
-    per-edge sigmoids are also written into ``out`` when given."""
-    if edge_src.shape[0] == 0:
+    per-edge sigmoids are also written into ``out`` when given. The edges
+    are taken PAIR_CHUNK at a time, so the temporaries stay O(PAIR_CHUNK d)
+    at any edge count."""
+    E = edge_src.shape[0]
+    if E == 0:
         raise ValueError("empty edge set")
-    diff = embeddings[edge_src] - embeddings[edge_dst]
-    sig = sigmoid(-(diff ** 2).sum(axis=1))
-    if out is not None:
-        out[...] = sig
+    sig = np.empty(E) if out is None else out
+    for a in range(0, E, PAIR_CHUNK):
+        at = slice(a, a + PAIR_CHUNK)
+        diff = embeddings.take(edge_src[at], axis=0)
+        diff -= embeddings.take(edge_dst[at], axis=0)
+        diff *= diff
+        sig[at] = sigmoid(-diff.sum(axis=1))
     return float(np.mean(sig))
 
 

@@ -37,6 +37,10 @@ def softplus_inv(y: float) -> float:
     return y + math.log(-math.expm1(-y))
 
 
+# node pairs gathered at a time by the pair kernels: 512 KiB at d=64
+PAIR_CHUNK = 1024
+
+
 class Workspace:
     """Named arrays that outlive one call, so a loop over same-shaped batches
     allocates its working set once.

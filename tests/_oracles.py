@@ -1,12 +1,14 @@
 """Independent straight-line reimplementations used as test oracles.
 
 Pure-Python scalar code, deliberately written without the package's helpers
-or vectorization, following the model definitions term by term. The two
+or vectorization, following the model definitions term by term. The
 exceptions are :func:`auc_rank_sum_oracle`, the rank-sum AUC over every
-pair at once, and :func:`softmax_newton_oracle`, a dense Newton solve that
-needs NumPy's linear algebra. The line-by-line file parsers at the end
-build the package's result types and raise its ParseError, so their
-outputs compare field by field.
+pair at once; :func:`softmax_newton_oracle` and
+:func:`binary_newton_oracle`, dense Newton solves that need NumPy's linear
+algebra; and :func:`edge_affinity_oracle`, the one-shot array form that
+the chunked kernel must match bit for bit. The line-by-line file parsers
+at the end build the package's result types and raise its ParseError, so
+their outputs compare field by field.
 """
 
 import bisect
@@ -372,6 +374,75 @@ def softmax_newton_oracle(X, y, n_classes, l2, grad_tol=1e-12, max_iter=100):
         theta = theta + step * delta
         loss, grad, Wa = new
     return loss, Wa[:, :D], Wa[:, D]
+
+
+def binary_newton_oracle(X, y, l2, start=None):
+    """(v, c, Hessians built) minimising mean log-loss of sigmoid(X v + c)
+    + l2/4 ||v||^2 by plain Newton steps: a fresh Hessian at every
+    iteration, a halving line search with an Armijo fraction of 1e-4, and
+    the two-class fit's stopping rules (gradient norm at most
+    1e-10 * (1 + loss), or a predicted decrease below the loss's
+    resolution), from [v | c] = ``start`` or zero."""
+    X = np.asarray(X, dtype=np.float64)
+    n, D = X.shape
+    Xa = np.hstack([X, np.ones((n, 1))])
+    yf = np.asarray(y, dtype=np.float64)
+    penalty = np.r_[np.full(D, 0.5 * l2), 0.0]
+    eps = float(np.finfo(np.float64).eps)
+
+    def loss_of(theta):
+        z = Xa @ theta
+        return float(np.mean(np.logaddexp(0.0, z) - yf * z)
+                     + 0.5 * np.sum(penalty * theta ** 2))
+
+    theta = np.zeros(D + 1) if start is None else np.array(start, dtype=float)
+    loss, builds = loss_of(theta), 0
+    while True:
+        p = 1.0 / (1.0 + np.exp(-(Xa @ theta)))
+        grad = Xa.T @ (p - yf) / n + penalty * theta
+        if np.linalg.norm(grad) <= 1e-10 * (1.0 + loss):
+            break
+        hess = (Xa * (p * (1.0 - p))[:, None]).T @ Xa / n + np.diag(penalty)
+        builds += 1
+        delta = np.linalg.solve(hess, -grad)
+        slope, step = float(grad @ delta), 1.0
+        while eps * loss < -slope * step:
+            new = loss_of(theta + step * delta)
+            if new < loss and new <= loss + 1e-4 * step * slope:
+                break
+            step *= 0.5
+        else:
+            break
+        theta, loss = theta + step * delta, new
+    return theta[:D], float(theta[D]), builds
+
+
+def edge_affinity_oracle(U, src, dst):
+    """(mean, per-edge values) of sigmoid(-||u_src - u_dst||^2), gathered
+    and reduced in one pass over all edges, with the package's sigmoid
+    formula exp(min(x, 0)) / (1 + exp(-|x|))."""
+    diff = U[src] - U[dst]
+    x = -(diff ** 2).sum(axis=1)
+    sig = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.minimum(x, -x)))
+    return float(np.mean(sig)), sig
+
+
+def triangle_pairs_oracle(indices, V):
+    """(i, j) lists with i < j for linear indices over the upper triangle of
+    a V-node matrix, rows in order: row i holds V - 1 - i pairs, so it
+    starts after the pairs of the rows before it."""
+    starts, total = [], 0
+    for i in range(V - 1):
+        starts.append(total)
+        total += V - 1 - i
+    rows, cols = [], []
+    for index in indices:
+        if not 0 <= index < total:
+            raise IndexError(index)
+        i = bisect.bisect_right(starts, index) - 1
+        rows.append(i)
+        cols.append(i + 1 + index - starts[i])
+    return rows, cols
 
 
 def _numbered_lines_oracle(path):

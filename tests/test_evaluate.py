@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from _oracles import (auc_rank_sum_oracle, non_edges_oracle,
-                      reconstruction_precision_oracle, recommendation_oracle)
+                      reconstruction_precision_oracle, recommendation_oracle,
+                      triangle_pairs_oracle)
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
 from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
@@ -207,6 +208,48 @@ class TestReconstruction:
             tracemalloc.stop()
         # the 1,124,250 scores take 9 MB; the chunk temporaries a few more
         assert peak <= 32 * 2 ** 20
+
+
+class TestDecodePairs:
+    """_decode_pairs inverts the upper-triangle numbering in closed form;
+    the row-table decode in ``tests/_oracles.py`` is the reference."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fuzz_matches_row_table(self, seed):
+        rng = np.random.default_rng(seed)
+        V = int(rng.integers(2, 3000))
+        total = V * (V - 1) // 2
+        rows = rng.integers(0, V - 1, 50)
+        starts = rows * (2 * V - 1 - rows) // 2
+        # random indices plus the first and last index of some rows
+        flat = np.concatenate([rng.integers(0, total, 1000), starts,
+                               starts + V - 2 - rows])
+        i, j = _decode_pairs(flat, V)
+        assert i.dtype == j.dtype == np.int64
+        assert (i.tolist(), j.tolist()) == triangle_pairs_oracle(
+            flat.tolist(), V)
+
+    def test_every_pair_of_small_networks(self):
+        for V in range(2, 40):
+            flat = np.arange(V * (V - 1) // 2)
+            i, j = _decode_pairs(flat, V)
+            assert (i.tolist(), j.tolist()) == triangle_pairs_oracle(
+                flat.tolist(), V), V
+
+    @pytest.mark.parametrize("V", [10 ** 6, 3 * 10 ** 7, 10 ** 9])
+    def test_row_boundaries_at_large_node_counts(self, V):
+        # too many rows for a table; at V = 10**9 the float root lands a row
+        # too far for about half of these indices, and the fix-up moves them
+        rng = np.random.default_rng(V % 97)
+        rows = np.concatenate([np.arange(20), V - 2 - np.arange(20),
+                               rng.integers(0, V - 1, 2000)])
+        starts = rows * (2 * V - 1 - rows) // 2
+        flat = np.unique(np.concatenate([starts, starts - 1, starts + 1,
+                                         starts + V - 2 - rows]))
+        flat = flat[(flat >= 0) & (flat < V * (V - 1) // 2)]
+        i, j = _decode_pairs(flat, V)
+        assert np.all((0 <= i) & (i < j) & (j < V))
+        assert np.array_equal(i * (2 * V - 1 - i) // 2 + j - i - 1, flat)
 
 
 def sampled_pairs(total, n, edge_at, seed):

@@ -1,3 +1,4 @@
+import functools
 import os
 import sys
 
@@ -9,6 +10,7 @@ from conftest import net_from_events
 from m2dne.graph import (ParseError, TemporalNetwork, compute_macro_series,
                          parse_edge_list, parse_labels, snapshot_arrays,
                          split_by_time, write_edge_list)
+from m2dne.train import TrainData
 
 
 class TestParseEdgeList:
@@ -256,6 +258,35 @@ class TestStreamArrays:
             pairs = sorted({(min(a, b), max(a, b)) for a, b in zip(src, dst)})
             assert part.edge_keys().tolist() == \
                 [a * part.node_count + b for a, b in pairs]
+
+
+class TestFirstAppearances:
+    def test_cached_and_read_only(self):
+        net = net_from_events([(0, 1, 1), (2, 1, 2), (3, 0, 2)], node_count=5)
+        order = net.first_appearance_order()
+        assert order is net.first_appearance_order()
+        assert order.tolist() == [0, 1, 2, 3]
+        assert net._first_appearances[1].tolist() == [0, 0, 1, 2]
+        for arr in net._first_appearances:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_train_data_finds_them_once(self, monkeypatch):
+        # the negative table's order and the growth series share one pass
+        real = TemporalNetwork.__dict__["_first_appearances"].func
+        calls = []
+
+        def counted(net):
+            calls.append(net)
+            return real(net)
+
+        prop = functools.cached_property(counted)
+        prop.__set_name__(TemporalNetwork, "_first_appearances")
+        monkeypatch.setattr(TemporalNetwork, "_first_appearances", prop)
+        net = net_from_events([(0, 1, 1), (2, 1, 2), (3, 0, 2), (1, 3, 3)])
+        TrainData(net, 2)
+        compute_macro_series(net)
+        assert len(calls) == 1
 
 
 class TestSplitByTime:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import _oracles as orc
+from conftest import count_calls
 from m2dne import logreg
 from m2dne.logreg import L2_DEFAULT, LogisticRegression, f1_scores
 
@@ -146,6 +147,67 @@ class TestWarmStart:
         cold = LogisticRegression().fit(X, y, 3)
         assert refit.weights.tobytes() == cold.weights.tobytes()
         assert refit.bias.tobytes() == cold.bias.tobytes()
+
+
+def two_class_fit(v, c):
+    """(weights, bias) of the two-class fit whose logit difference is
+    X v + c."""
+    return np.stack([-0.5 * v, 0.5 * v]), np.array([-0.5 * c, 0.5 * c])
+
+
+def duplicated_features(seed=8):
+    X, y = overlapping(seed)
+    return np.hstack([X, X]), y
+
+
+CHORD_CASES = {
+    "overlapping": lambda: overlapping(seed=9),
+    "separable": lambda: blobs(seed=6),
+    "duplicated": duplicated_features,
+}
+
+
+class TestChordNewton:
+    """The two-class fit keeps its Hessian while each step cuts the gradient
+    norm tenfold; plain Newton, a fresh Hessian at every iteration
+    (``tests/_oracles.py``), must reach the same optimum from the same
+    start."""
+
+    @staticmethod
+    def assert_same_optimum(clf, X, y, v, c):
+        W, b = two_class_fit(v, c)
+        ref, _, _ = orc.softmax_objective_oracle(X, y, W, b, clf.l2)
+        loss, _ = objective(clf, X, y)
+        assert abs(loss - ref) <= 1e-12 * (1.0 + ref)
+        assert np.array_equal(clf.predict(X), np.argmax(X @ W.T + b, axis=1))
+
+    @pytest.mark.parametrize("case", sorted(CHORD_CASES))
+    def test_matches_plain_newton(self, case, monkeypatch):
+        builds = count_calls(monkeypatch, logreg, "_hessian")
+        X, y = CHORD_CASES[case]()
+        clf = LogisticRegression().fit(X, y, 2)
+        v, c, ref_builds = orc.binary_newton_oracle(X, y, L2_DEFAULT)
+        self.assert_same_optimum(clf, X, y, v, c)
+        assert 1 <= len(builds) <= ref_builds
+
+    def test_warm_started_folds_build_fewer_hessians(self, monkeypatch):
+        # five cross-validation folds, each fit starting from the optimum of
+        # the fold before, as link prediction runs them
+        builds = count_calls(monkeypatch, logreg, "_hessian")
+        X, y = overlapping(n=500)
+        fold = np.arange(y.size) % 5
+        clf = LogisticRegression()
+        for f in range(5):
+            train = fold != f
+            start = None if f == 0 else np.append(
+                clf.weights[1] - clf.weights[0], clf.bias[1] - clf.bias[0])
+            builds.clear()
+            clf.fit(X[train], y[train], 2)
+            v, c, ref_builds = orc.binary_newton_oracle(
+                X[train], y[train], L2_DEFAULT, start)
+            self.assert_same_optimum(clf, X[train], y[train], v, c)
+            if start is not None:
+                assert len(builds) < ref_builds, f
 
 
 def _not_called(*args, **kwargs):

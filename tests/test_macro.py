@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from m2dne import macro as macro_mod
 from m2dne.macro import (MacroParams, coupling_at, edge_affinity, fit_params,
                          forecast_scale, linear_node_forecast, macro_loss,
                          macro_loss_and_grads, _predict_series)
-from m2dne.util import Workspace, softplus, softplus_inv
+from m2dne.util import PAIR_CHUNK, Workspace, softplus, softplus_inv
 
 
 def toy_edges(seed=0, V=12, M=30, d=3):
@@ -74,6 +75,38 @@ class TestLinkingRate:
         with pytest.raises(ValueError):
             edge_affinity(np.zeros((3, 2)), np.zeros(0, dtype=int),
                           np.zeros(0, dtype=int))
+
+
+class TestEdgeAffinityChunks:
+    """edge_affinity takes the edges PAIR_CHUNK at a time; S and the
+    per-edge sigmoids must be the one-shot pass's bits."""
+
+    @pytest.mark.parametrize("E", [1, PAIR_CHUNK - 1, PAIR_CHUNK,
+                                   PAIR_CHUNK + 1, 3 * PAIR_CHUNK + 5])
+    def test_bits_match_one_pass(self, E):
+        rng = np.random.default_rng(E)
+        U = rng.normal(size=(300, 16)) * np.exp(rng.uniform(-3, 1, (300, 1)))
+        src, dst = rng.integers(0, 300, (2, E))
+        want_S, want_sig = orc.edge_affinity_oracle(U, src, dst)
+        sig = np.full(E, np.nan)
+        assert edge_affinity(U, src, dst, out=sig) == want_S
+        assert sig.tobytes() == want_sig.tobytes()
+        assert edge_affinity(U, src, dst) == want_S
+
+    def test_memory_bounded(self):
+        # a one-shot pass holds three (E, d) arrays, 37 MiB here
+        E, d = 100_000, 16
+        rng = np.random.default_rng(3)
+        U = rng.normal(size=(2000, d))
+        src, dst = rng.integers(0, 2000, (2, E))
+        tracemalloc.start()
+        try:
+            edge_affinity(U, src, dst)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the (E,) sigmoids take 0.8 MB; the chunk temporaries 0.3 MB more
+        assert peak <= 2 * 2 ** 20
 
 
 class TestPredictedNewEdges:
