@@ -111,6 +111,14 @@ def _node_count(embeddings: np.ndarray, *nets: TemporalNetwork) -> int:
     return V
 
 
+def _in_sorted(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` is in the sorted ``table``."""
+    if table.size == 0:
+        return np.zeros(keys.shape, dtype=bool)
+    return table[np.minimum(np.searchsorted(table, keys), table.size - 1)] \
+        == keys
+
+
 def _finite_sq_norms(embeddings: np.ndarray, task: str) -> np.ndarray:
     """Squared row norms, after checking that every squared distance between
     rows is finite: ``||u - v||^2 <= 4 max ||u||^2``, kept below the float64
@@ -410,27 +418,70 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
 # ---------------------------------------------------------------------------
 # temporal node recommendation
 
-ROW_BLOCK_FLOATS = 1 << 17       # queries ranked at a time: 1 MiB of scores
+TILE_QUERIES = 128      # queries scored at a time
+TILE_COLUMNS = 2048     # candidate nodes scored at a time: 1 MiB of scores
 
 
-def _rounding_slack(embeddings: np.ndarray, sq: np.ndarray) -> np.ndarray:
-    """Delta_a per query row a: a bound on the sum of the rounding errors of
-    ``fl(||b||^2 - 2 a.b)`` (BLAS, in place) and of the einsum distance
-    ``fl(||b - a||^2)``, each taken as an estimate of
-    ``||b - a||^2 - ||a||^2`` (the distance up to a per-query constant), for
-    any row b.
+def _float32_filter(embeddings: np.ndarray,
+                    sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, squared row norms, slack) of the float32 filter: the rows are
+    the embeddings times s = 2^k, rounded to float32, with k chosen so that
+    every scaled row norm is below 1, and ``slack[a]`` is beta_a below.
 
-    With u = eps / 2, gamma_n = n u / (1 - n u) and M = max_b ||b||, each
-    error is at most gamma_{d+2} (||a|| + M)^2 (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1) plus 2d units of underflow, so
-    the sum is at most (d + 2) eps (||a|| + M)^2 + 4d eta, to first order.
-    Delta_a = 4 (d + 4) (eps (||a|| + M)^2 + eta) covers it with a margin
-    for the rounding of Delta_a itself."""
-    d = embeddings.shape[1]
-    norms = np.sqrt(sq)
+    For a query a and a node b, let x = s a and y = s b (exact), and let
+    F(b) = fl32(fl32(||y'||^2) + fl32((-2 x') . y')) be the filter value,
+    where x', y' are the float32 rows. It estimates phi(b) = s^2 r(b),
+    r(b) = ||b||^2 - 2 a.b, which orders nodes as the distance to a does.
+    With u = 2^-24 (float32's unit roundoff), t the smallest normal float32,
+    M an upper bound on every ||y|| and N = ||x|| + M (N is in [0.5, 2],
+    as s M is in [0.5, 1)):
+
+    * rounding each scaled entry to float32 moves it by at most
+      u |entry| + t, which covers float32's subnormal range, flushing it to
+      zero, and the float64 scaling's own underflow; so ||x' - x|| and
+      ||y' - y|| are at most w = u N + sqrt(d) t, and
+      ||y'||^2 - 2 x'.y' differs from phi(b) by at most 4 w N + 3 w^2;
+    * the float32 product and the add of ||y'||^2 err by at most
+      gamma_{d+2} (N + 2w)^2 + 6 d t, with gamma_n = n u / (1 - n u)
+      (Higham, Accuracy and Stability of Numerical Algorithms, 3.1) and
+      the second term for products and partial sums that underflow.
+
+    For d below 10^5 the two sum to E_a <= 2 (d + 6) u N^2 + 16 d t. The
+    refine's float64 distance ``fl(||b - a||^2)`` is within Delta_a of
+    r(b) + ||a||^2, with Delta_a = 4 (d + 4) (eps (||a|| + M / s)^2 + eta)
+    (eps and eta float64's epsilon and smallest subnormal; the same bound
+    covers the BLAS form of r). In scaled units that is
+    s^2 Delta_a = 4 (d + 4) (eps N^2 + s^2 eta).
+
+    With tau the top_k-th smallest F, the top_k nodes with F <= tau have
+    scaled distances at most tau + s^2 ||a||^2 + E_a + s^2 Delta_a, so any
+    node that ranks among the top top_k by distance, ties included, has
+    F <= tau + 2 (E_a + s^2 Delta_a). The threshold tau + beta_a is itself
+    rounded to float32, which costs at most u (|tau| + beta_a), with
+    |tau| <= 1.1 N^2. So
+
+        beta_a = (4 (d + 8) u N^2 + 32 d t + 2 s^2 Delta_a) (1 + 4 u),
+
+    rounded to float32, covers all of it; the factor 1 + 4u also covers
+    that rounding, and the float64 roundings in computing beta_a are far
+    below u. The norms come from ``sq``, ``fl(||b||^2)``, made an upper
+    bound with a relative and an absolute term: the latter covers squared
+    norms that underflow, and keeps M above 0."""
+    V, d = embeddings.shape
+    u = 2.0 ** -24
+    t = float(np.finfo(np.float32).tiny)
     eps = np.finfo(np.float64).eps
     eta = np.finfo(np.float64).smallest_subnormal
-    return 4.0 * (d + 4) * (eps * (norms + norms.max()) ** 2 + eta)
+    norms = (np.sqrt(sq) + np.sqrt(d * eta)) * (1.0 + (d + 2) * eps)
+    top = norms.max()
+    k = -int(np.frexp(top)[1])
+    rows = np.empty((V, d), dtype=np.float32)
+    np.ldexp(embeddings, k, out=rows, casting="same_kind")
+    n2 = np.ldexp(norms + top, k) ** 2
+    refine = 4.0 * (d + 4) * (eps * n2 + np.ldexp(eta, 2 * k))
+    slack = (4.0 * (d + 8) * u * n2 + 32.0 * d * t + 2.0 * refine) \
+        * (1.0 + 4.0 * u)
+    return rows, np.einsum("nd,nd->n", rows, rows), slack.astype(np.float32)
 
 
 def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
@@ -440,14 +491,18 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
     are not excluded; noted in the report header).
 
     Nodes rank by the einsum distance ``||b - a||^2`` to the query a, ties
-    by ascending node id, and only a shortlist is ranked. A BLAS product over
-    a block of queries gives ``r(b) = ||b||^2 - 2 a.b``, which orders nodes
-    as the distance does; with tau the top_k-th smallest r (top_k = max(K)
-    clamped to V - 1), the shortlist holds every b with
-    r(b) <= tau + 2 Delta_a (see :func:`_rounding_slack`). It is exact: the
-    top_k nodes with r <= tau have computed distances at most
-    tau + Delta_a + ||a||^2, so every node that ranks among the top top_k,
-    ties included, has r within tau + 2 Delta_a."""
+    by ascending node id, and only a shortlist is ranked. A float32 matrix
+    product scores a tile of queries against a tile of columns (nodes) with
+    F(b), an estimate of ``||b||^2 - 2 a.b`` on embeddings scaled by a power
+    of two (see :func:`_float32_filter`). Each query keeps the top_k smallest
+    F seen so far (top_k = max(K) clamped to V - 1), with tau the largest of
+    them, and a tile adds to its shortlist every column with
+    F <= tau + beta_a. The shortlisted nodes are ranked by their distance,
+    and each query keeps its top top_k by (distance, id) across tiles. It is
+    exact: tau only falls as tiles are added, so every column within
+    beta_a of the final tau is ranked, and those hold every node of the top
+    top_k. Memory is the float32 rows, 4 V d bytes, plus a tile's scores
+    and its shortlist, ranked PAIR_CHUNK nodes at a time."""
     V = _node_count(embeddings, test_net)
     ks = _distinct_keys(k_list, "K", int)
     if any(k < 1 for k in ks):
@@ -457,46 +512,60 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
     if truth.size == 0:
         raise ValueError("no test events to recommend against")
     sq = _finite_sq_norms(embeddings, "recommendation")
-    slack2 = 2.0 * _rounding_slack(embeddings, sq)
+    rows, row_sq, slack = _float32_filter(embeddings, sq)
     queries, n_hits = np.unique(truth // V, return_counts=True)
     top_k = min(max(ks), V - 1)
-    block = max(1, ROW_BLOCK_FLOATS // V)
-    got = {k: np.empty(queries.size, dtype=np.int64) for k in ks}
-    for start in range(0, queries.size, block):
-        qs = queries[start:start + block]
-        rows = np.arange(qs.size)
-        R = embeddings[qs] @ embeddings.T
-        R *= -2.0
-        R += sq
-        R[rows, qs] = np.inf
-        tau = np.partition(R, top_k - 1, axis=1)[:, top_k - 1]
-        keep = np.flatnonzero(R <= (tau + slack2[qs])[:, None])
-        row, cand = np.divmod(keep, V)
-        diff = embeddings[cand] - embeddings[qs[row]]
-        dist = np.einsum("nd,nd->n", diff, diff)
-        # Per query, its shortlist by (distance, id): the first top_k are
-        # the top top_k of all nodes.
-        order = np.lexsort((cand, dist, row))
-        keys = qs[row[order]] * V + cand[order]
-        hit = truth[np.minimum(np.searchsorted(truth, keys),
-                               truth.size - 1)] == keys
-        cum = np.concatenate([[0], np.cumsum(hit)])
-        first = np.searchsorted(row[order], rows)
-        for k in ks:
-            got[k][start:start + qs.size] = (cum[first + min(k, top_k)]
-                                             - cum[first])
-    recall_sums = {k: 0.0 for k in ks}
-    prec_sums = {k: 0.0 for k in ks}
-    for i, count in enumerate(n_hits.tolist()):
-        for k in ks:
-            g = int(got[k][i])
-            recall_sums[k] += g / count
-            prec_sums[k] += g / k
+    ranked = np.empty((queries.size, top_k), dtype=np.int64)
+    limit = np.finfo(np.float32).max
+    rank = np.arange(top_k)
+    scores = np.empty((TILE_QUERIES, min(TILE_COLUMNS, V)), dtype=np.float32)
+    for start in range(0, queries.size, TILE_QUERIES):
+        qs = queries[start:start + TILE_QUERIES]
+        lead = rows[qs] * np.float32(-2.0)
+        here = np.arange(qs.size)
+        best_f = np.full((qs.size, top_k), np.inf, dtype=np.float32)
+        best_dist = np.full((qs.size, top_k), np.inf)
+        best_id = np.full((qs.size, top_k), V)
+        for c0 in range(0, V, TILE_COLUMNS):
+            columns = rows[c0:c0 + TILE_COLUMNS]
+            F = np.matmul(lead, columns.T,
+                          out=scores[:qs.size, :columns.shape[0]])
+            F += row_sq[c0:c0 + TILE_COLUMNS]
+            own = np.flatnonzero((qs >= c0) & (qs < c0 + F.shape[1]))
+            F[own, qs[own] - c0] = np.inf
+            best_f = np.concatenate([best_f, F], axis=1)
+            best_f.partition(top_k - 1, axis=1)
+            best_f = best_f[:, :top_k].copy()
+            # inf until top_k columns are seen: then every column is kept
+            # but the query itself
+            bound = np.minimum(best_f[:, -1] + slack[qs], limit)
+            keep = np.flatnonzero(F <= bound[:, None])
+            if keep.size == 0:
+                continue
+            row, col = np.divmod(keep, F.shape[1])
+            col += c0
+            # Each query's best top_k so far and its new candidates, by
+            # (query, distance, id): a query's top_k lead its group.
+            by = np.concatenate([np.repeat(here, top_k), row])
+            dist = np.concatenate([
+                best_dist.ravel(),
+                np.negative(_pair_scores(embeddings, col, qs[row]))])
+            ids = np.concatenate([best_id.ravel(), col])
+            order = np.lexsort((ids, dist, by))
+            first = here * top_k + np.searchsorted(row, here)
+            pick = order[first[:, None] + rank]
+            best_dist, best_id = dist[pick], ids[pick]
+        ranked[start:start + qs.size] = best_id
+    keys = queries[:, None] * V + ranked
+    got = np.cumsum(_in_sorted(truth, keys), axis=1)
     n_q = int(queries.size)
     metrics = {}
     for k in ks:
-        metrics[f"recall@{k}"] = recall_sums[k] / n_q
-        metrics[f"precision@{k}"] = prec_sums[k] / n_q
+        g = got[:, min(k, top_k) - 1]
+        # cumsum adds in query order, one term at a time; np.sum would pair
+        # the terms and round differently
+        metrics[f"recall@{k}"] = float(np.cumsum(g / n_hits)[-1]) / n_q
+        metrics[f"precision@{k}"] = float(np.cumsum(g / k)[-1]) / n_q
     return MetricReport(task="recommendation", metrics=metrics,
                         config={"task": "recommendation",
                                 "k_list": ",".join(str(k) for k in ks),
@@ -510,7 +579,8 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
 def _sample_non_edges(V: int, count: int, existing: np.ndarray,
                       rng: np.random.Generator) -> np.ndarray:
     """``count`` distinct pair keys ``min * V + max`` drawn uniformly, in draw
-    order, none of them among the ``existing`` keys.
+    order, none of them among the ``existing`` keys (sorted and distinct, as
+    :meth:`TemporalNetwork.edge_keys` returns them).
 
     Each attempt draws a node a, then a node b, and is rejected when a == b
     or the key is taken; more than ``1000 * count`` attempts is an error.
@@ -518,7 +588,6 @@ def _sample_non_edges(V: int, count: int, existing: np.ndarray,
     advanced by exactly the attempts used, which leaves it as the one draw
     at a time would: ``integers(V, size=n)`` yields the values and the state
     of n single draws."""
-    taken = np.unique(existing)
     out = np.empty(0, dtype=np.int64)
     attempts = 0
     limit = 1000 * max(count, 1)
@@ -530,7 +599,9 @@ def _sample_non_edges(V: int, count: int, existing: np.ndarray,
         state = rng.bit_generator.state
         a, b = rng.integers(V, size=(n, 2)).T
         keys = np.minimum(a, b) * V + np.maximum(a, b)
-        fresh = (a != b) & ~np.isin(keys, taken) & ~np.isin(keys, out)
+        fresh = (a != b) & ~_in_sorted(existing, keys)
+        if out.size:
+            fresh &= ~np.isin(keys, out)
         _, first = np.unique(keys[fresh], return_index=True)
         accepted = np.flatnonzero(fresh)[np.sort(first)][:need]
         if accepted.size == need:

@@ -551,7 +551,22 @@ class TestTemporalRecommendation:
         * np.exp(rng.uniform(-20.0, 20.0, (V, 1))),
         "scale_1e-160": lambda rng, V, d: 1e-160 * rng.normal(size=(V, d)),
         "scale_1e-161": lambda rng, V, d: 1e-161 * rng.normal(size=(V, d)),
+        # most squared differences underflow to 0: ties broken by id, that
+        # only the refine's share of the slack keeps
+        "scale_1e-162": lambda rng, V, d: 1e-162 * rng.normal(size=(V, d)),
         "scale_1e150": lambda rng, V, d: 1e150 * rng.normal(size=(V, d)),
+        # rows equal at float32 resolution: the filter keeps them all
+        "equal_f32": lambda rng, V, d: 1.0 + 1e-9 * rng.normal(size=(V, d)),
+        # small rows underflow to zero in float32 once the largest is scaled
+        # below 1
+        "norms_e60": lambda rng, V, d: rng.normal(size=(V, d))
+        * np.exp(rng.uniform(-60.0, 60.0, (V, 1))),
+        # the largest row norm is exactly 2^3, scaled to exactly 1/2
+        "max_norm_pow2": lambda rng, V, d: np.vstack(
+            [np.eye(1, d) * 8.0, rng.uniform(-1.0, 1.0, (V - 1, d))]),
+        "half_zero": lambda rng, V, d: rng.normal(size=(V, d))
+        * (rng.permutation(V) % 2)[:, None],
+        "dim_1": lambda rng, V, d: rng.normal(size=(V, 1)),
     }
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -575,18 +590,64 @@ class TestTemporalRecommendation:
                                          [(a, b) for a, b, _ in events], ks)
         assert rep.metrics == expected
 
-    def test_query_blocks_do_not_change_report(self, monkeypatch):
+    @pytest.mark.parametrize("family", ["half_grid", "norms_e20"])
+    def test_tile_shapes_do_not_change_report(self, family, monkeypatch):
+        # one-by-one tiles, odd shapes that split the queries and columns
+        # unevenly, and tiles wider than V
+        V, d = 60, 3
         rng = np.random.default_rng(22)
-        V = 60
-        U = rng.integers(-2, 3, size=(V, 3)) / 2.0
+        U = self.FAMILIES[family](rng, V, d)
         events = [(int(a), int(b), 1) for a, b in rng.integers(0, V, (90, 2))
                   if a != b]
         test_net = net_from_events(events, node_count=V)
         base = temporal_recommendation(U, test_net, [1, 7]).to_text()
-        for floats in (1, V, 7 * V + 3):
-            monkeypatch.setattr(evaluate_mod, "ROW_BLOCK_FLOATS", floats)
+        for queries, columns in ((1, 1), (3, 7), (5, 13), (2, V + 9)):
+            monkeypatch.setattr(evaluate_mod, "TILE_QUERIES", queries)
+            monkeypatch.setattr(evaluate_mod, "TILE_COLUMNS", columns)
             assert temporal_recommendation(U, test_net, [1, 7]).to_text() \
                 == base
+
+    def test_memory_is_the_float32_rows_plus_a_tile(self):
+        # a float64 copy of the embeddings would be 2 * 4 V d bytes more
+        V, d = 20_000, 64
+        rng = np.random.default_rng(23)
+        U = rng.normal(size=(V, d))
+        events = [(int(a), int(b), 1) for a, b in rng.integers(0, V, (300, 2))
+                  if a != b]
+        test_net = net_from_events(events, node_count=V)
+        # NumPy's lazy imports, made once per process, are not the call's
+        temporal_recommendation(U[:10], net_from_events([(0, 1, 1)], 10), [1])
+        tracemalloc.start()
+        try:
+            temporal_recommendation(U, test_net, [1, 5, 10, 50])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * V * d + 4 * 2 ** 20
+
+    def test_many_column_tiles_match_brute_force(self):
+        # 74 column tiles: each query's top K is carried across them
+        V, d, ks = 150_000, 4, [1, 10]
+        rng = np.random.default_rng(24)
+        U = rng.normal(size=(V, d))
+        ends = rng.choice(V, 32, replace=False)
+        events = [(int(a), int(b), 1) for a, b in ends.reshape(16, 2)]
+        test_net = net_from_events(events, node_count=V)
+        rep = temporal_recommendation(U, test_net, ks)
+        hits = {k: [] for k in ks}
+        ids = np.arange(V)
+        for q in np.sort(ends):
+            diff = U - U[q]
+            dist = np.einsum("nd,nd->n", diff, diff)
+            dist[q] = np.inf
+            ranked = np.lexsort((ids, dist))
+            mate = ends[np.flatnonzero(ends == q)[0] ^ 1]
+            for k in ks:
+                hits[k].append(int(mate in ranked[:k]))
+        for k in ks:
+            assert rep.metrics[f"recall@{k}"] == sum(hits[k]) / 32
+            assert rep.metrics[f"precision@{k}"] \
+                == sum(h / k for h in hits[k]) / 32
 
 
 class TestTemporalLinkPrediction:
