@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -234,19 +234,17 @@ def write_edge_list(net: TemporalNetwork, path) -> None:
 
 @dataclass(frozen=True)
 class SnapshotArrays:
-    """Pre-event histories of every event, padded to capacity h.
+    """Pre-event histories of every event, padded to capacity h, both
+    endpoints stacked as the engine reads them: side 0 is the source's,
+    side 1 the target's.
 
-    Row m holds the state of both endpoints' buffers just before event m.
-    ``*_len`` gives the number of valid leading entries per row.
+    Entry [s, m] holds the state of side s's buffer just before event m;
+    ``length`` gives its number of valid leading entries.
     """
 
-    h: int
-    src_nodes: np.ndarray   # (E, h) int64, padded with 0
-    src_times: np.ndarray   # (E, h) int64
-    src_len: np.ndarray     # (E,)  int64
-    dst_nodes: np.ndarray
-    dst_times: np.ndarray
-    dst_len: np.ndarray
+    nodes: np.ndarray    # (2, E, h) int64, padded with 0
+    times: np.ndarray    # (2, E, h) int64, padded with 0
+    length: np.ndarray   # (2, E) int64
 
 
 def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
@@ -282,21 +280,19 @@ def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
     epoch_start = np.maximum.accumulate(np.where(new_epoch, rank, 0))
     position = np.empty_like(rank)
     position[order] = rank
+    # (2, E): each event's source incidence over its target's
+    at = np.ascontiguousarray(position.reshape(-1, 2).T)
+    before = epoch_start[at]
+    length = np.minimum(before - node_start[at], h)
     slot = np.arange(h)
-    out = {}
-    for name, side in (("src", 0), ("dst", 1)):
-        at = position[side::2]
-        before = epoch_start[at]
-        length = np.minimum(before - node_start[at], h)
-        pos = (before - length)[:, None] + slot
-        valid = slot < length[:, None]
-        pos[~valid] = 0
-        out[name + "_nodes"] = np.where(valid, neighbor[pos], 0)
-        out[name + "_times"] = np.where(valid, when[pos], 0)
-        out[name + "_len"] = length
-    for arr in out.values():
+    pos = (before - length)[..., None] + slot
+    valid = slot < length[..., None]
+    pos[~valid] = 0
+    out = SnapshotArrays(nodes=np.where(valid, neighbor[pos], 0),
+                         times=np.where(valid, when[pos], 0), length=length)
+    for arr in (out.nodes, out.times, out.length):
         arr.setflags(write=False)
-    return SnapshotArrays(h=h, **out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,6 @@ class LabelTable:
     node_ids: np.ndarray   # (N,) int64
     labels: np.ndarray     # (N,) int64 in 0..n_classes-1
     n_classes: int
-    class_names: tuple = field(default_factory=tuple)
 
     def __len__(self) -> int:
         return int(self.node_ids.shape[0])
@@ -402,5 +397,4 @@ def parse_labels(path, net: TemporalNetwork) -> LabelTable:
     if not rows.size:
         raise ParseError("no labels found")
     labels, names = _first_appearance_ids(rec.field(rows, 1))
-    return LabelTable(node_ids=node, labels=labels, n_classes=len(names),
-                      class_names=names)
+    return LabelTable(node_ids=node, labels=labels, n_classes=len(names))

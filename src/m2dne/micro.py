@@ -112,15 +112,15 @@ class NegativeTable:
 
 def draw_event_negatives(batch_src: np.ndarray, batch_dst: np.ndarray,
                          table: NegativeTable, k: int,
-                         rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+                         rng: np.random.Generator) -> np.ndarray:
     """Draw the per-event corruption ids in a fixed, replayable order.
 
     For each event in batch order: k replacements for the source (keeping the
     target, which is rejected), then k replacements for the target. The whole
-    batch is one call of :meth:`NegativeTable.sample`.
+    batch is one call of :meth:`NegativeTable.sample`. Returns (2, B, k), the
+    source's replacements over the target's, as the engine stacks the sides.
     """
     B = batch_src.shape[0]
     exclude = np.repeat(np.stack([batch_dst, batch_src], axis=1), k, axis=1)
     draws = table.sample(2 * B * k, rng, exclude=exclude.reshape(-1))
-    draws = draws.reshape(B, 2, k)
-    return np.ascontiguousarray(draws[:, 0]), np.ascontiguousarray(draws[:, 1])
+    return draws.reshape(B, 2, k).transpose(1, 0, 2)

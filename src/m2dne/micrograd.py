@@ -6,10 +6,12 @@ the event's histories with the corrupted endpoint substituted everywhere it
 appears (base similarity, attention center, decay rate).
 
 Layout: per endpoint family there are C = 1 + K "centers" (column 0 is the
-true endpoint). Both families share every parameter, so the engine stacks
-them into one side of 2B rows, the source family over the target family,
-with the histories padded to one width h. Viewed as (2, B, ...), half 0 is
-the source; a term that crosses the sides reads the other half reversed.
+true endpoint). Both families share every parameter, so the engine runs
+them as one side of 2B rows, the source family over the target family. The
+histories (:class:`EventBatch`) and the negatives
+(:func:`micro.draw_event_negatives`) arrive stacked as (2, B, ...), half 0
+the source's, and are read as (2B, ...) without a copy; a term that crosses
+the sides reads the other half reversed.
 Per-entry quantities are (2B, C, h) arrays masked on padding. Each event is
 one block of P = 1 + 2K pairs, all scored by the same intensity: the event
 (col 0 vs col 0), then K source-corrupted (col k vs col 0) and K
@@ -51,29 +53,25 @@ RANGE_BOUND = 50.0
 
 @dataclass
 class EventBatch:
-    """Array view of sampled events with per-event history snapshots."""
+    """Array view of sampled events with their pre-event histories, the
+    source's stacked over the target's as in :class:`graph.SnapshotArrays`.
+    Entries past ``hist_len`` are masked."""
 
     src: np.ndarray          # (B,)
     dst: np.ndarray          # (B,)
     t: np.ndarray            # (B,)
-    src_hist_nodes: np.ndarray   # (B, h)
-    src_hist_times: np.ndarray   # (B, h)
-    src_len: np.ndarray          # (B,)
-    dst_hist_nodes: np.ndarray
-    dst_hist_times: np.ndarray
-    dst_len: np.ndarray
+    hist_nodes: np.ndarray   # (2, B, h)
+    hist_times: np.ndarray   # (2, B, h)
+    hist_len: np.ndarray     # (2, B)
 
     @classmethod
     def take(cls, net: TemporalNetwork, snapshots: SnapshotArrays,
              idx: np.ndarray) -> "EventBatch":
         """Events ``idx`` of ``net`` with their pre-event history rows."""
         return cls(src=net.src[idx], dst=net.dst[idx], t=net.time[idx],
-                   src_hist_nodes=snapshots.src_nodes[idx],
-                   src_hist_times=snapshots.src_times[idx],
-                   src_len=snapshots.src_len[idx],
-                   dst_hist_nodes=snapshots.dst_nodes[idx],
-                   dst_hist_times=snapshots.dst_times[idx],
-                   dst_len=snapshots.dst_len[idx])
+                   hist_nodes=snapshots.nodes[:, idx],
+                   hist_times=snapshots.times[:, idx],
+                   hist_len=snapshots.length[:, idx])
 
     def __len__(self) -> int:
         return int(self.src.shape[0])
@@ -87,17 +85,6 @@ def _pair_columns(K: int):
     sign = np.where(np.arange(1 + 2 * K) == 0, 1.0, -1.0)
     return np.stack([np.concatenate([[0], ks, 0 * ks]),
                      np.concatenate([[0], 0 * ks, ks])]), sign
-
-
-def _stack_sides(src_rows: np.ndarray, dst_rows: np.ndarray) -> np.ndarray:
-    """Integer source rows (B, w_s) over target rows (B, w_t) as one (2B, w)
-    int64 array, w = max(w_s, w_t); the narrower is padded with zeros, which
-    the lengths mask, as :func:`graph.snapshot_arrays` pads."""
-    w = max(src_rows.shape[1], dst_rows.shape[1])
-    out = np.zeros((2, len(src_rows), w), dtype=np.int64)
-    for half, rows in zip(out, (src_rows, dst_rows)):
-        half[:, :rows.shape[1]] = rows
-    return out.reshape(-1, w)
 
 
 def _halves(rows: np.ndarray) -> np.ndarray:
@@ -255,12 +242,14 @@ def _hist_vs_centers_backward(d_g, side: _Side, d_hist, d_centers, scratch):
     return -d_g2.sum(axis=2), -d_g2.sum(axis=3)[::-1]
 
 
-def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
-                         neg_dst: np.ndarray, embeddings: np.ndarray,
-                         params: AttentionParams, want_grads: bool = True,
+def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
+                         embeddings: np.ndarray, params: AttentionParams,
+                         want_grads: bool = True,
                          work: Workspace | None = None):
     """Negative-sampling loss of one batch and, optionally, its gradients.
 
+    ``negatives`` (2, B, K) holds the corruption ids of the source's slot
+    over the target's, as :func:`micro.draw_event_negatives` draws them.
     Returns (loss, grads-or-None, stats). ``grads`` maps every parameter
     group name to an array of the group's shape. ``stats["range_hits"]``
     counts pair scores whose magnitude exceeded ``RANGE_BOUND`` (the sampled
@@ -281,16 +270,14 @@ def batch_loss_and_grads(batch: EventBatch, neg_src: np.ndarray,
         work = Workspace()
 
     # 2B rows, source family over target family; centers are never padded
-    centers = np.concatenate([
-        np.column_stack([batch.src, np.reshape(neg_src, (B, -1))]),
-        np.column_stack([batch.dst, np.reshape(neg_dst, (B, -1))])])
-    nodes = _stack_sides(batch.src_hist_nodes, batch.dst_hist_nodes)
-    C, h = centers.shape[1], nodes.shape[1]
-    table = _NodeTable(centers, nodes, embeddings, params, work)
-    side = _Side(table,
-                 _stack_sides(batch.src_hist_times, batch.dst_hist_times),
-                 np.concatenate([batch.src_len, batch.dst_len]),
-                 np.tile(batch.t, 2), params, work)
+    centers = np.concatenate([np.stack([batch.src, batch.dst])[:, :, None],
+                              negatives], axis=2).reshape(2 * B, -1)
+    C, h = centers.shape[1], batch.hist_nodes.shape[2]
+    table = _NodeTable(centers, batch.hist_nodes.reshape(2 * B, h),
+                       embeddings, params, work)
+    side = _Side(table, batch.hist_times.reshape(2 * B, h),
+                 batch.hist_len.reshape(2 * B), np.tile(batch.t, 2), params,
+                 work)
     scratch = work.get("scratch", (2 * max(C, h) * B * d,))   # the side's
     Uc = _halves(side.Uc)
     g_h = _hist_vs_centers(side)                          # (2, B, C, h)

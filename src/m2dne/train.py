@@ -117,12 +117,12 @@ def init_state(node_count: int, config: TrainConfig,
 
 class TrainData:
     """Pre-extracted arrays shared by every step: history snapshots, the
-    negative-sampling table, the weight table for batch draws, the growth
-    series and the edge endpoints feeding the rate numerator. ``work`` is
-    the step workspace: every step of a fit reuses its buffers, which are
-    allocated by the first step and freed with this object. ``coupling`` is
-    the latest refit's :class:`~m2dne.macro.Coupling` during ``fit`` with
-    epsilon > 0, else None (steps couple exactly at ``state.macro``)."""
+    negative-sampling table, the weight table for batch draws and the growth
+    series. ``work`` is the step workspace: every step of a fit reuses its
+    buffers, which are allocated by the first step and freed with this
+    object. ``coupling`` is the latest refit's
+    :class:`~m2dne.macro.Coupling` during ``fit`` with epsilon > 0, else
+    None (steps couple exactly at ``state.macro``)."""
 
     def __init__(self, net: TemporalNetwork, history: int):
         self.net = net
@@ -130,8 +130,6 @@ class TrainData:
         self.table = NegativeTable(net.degrees(),
                                    order=net.first_appearance_order())
         self.series: MacroSeries = compute_macro_series(net)
-        self.edge_src = net.src
-        self.edge_dst = net.dst
         cum = np.cumsum(net.weight)
         self.sample_cum = cum / cum[-1]
         self.work = Workspace()
@@ -155,7 +153,7 @@ class StepResult:
     range_hits: int
 
 
-def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
+def _joint_grads(state: ModelState, batch: EventBatch, negatives,
                  data: TrainData, config: TrainConfig):
     """Event-level loss, and the gradients of the five groups that
     :func:`step` updates, all arrays: the event-level ones plus epsilon
@@ -165,27 +163,26 @@ def _joint_grads(state: ModelState, batch: EventBatch, neg_src, neg_dst,
     The coupling is ``data.coupling``, or exact at ``state.macro`` when
     that is None."""
     micro, grads, stats = batch_loss_and_grads(
-        batch, neg_src, neg_dst, state.embeddings, state.attention,
-        work=data.work)
+        batch, negatives, state.embeddings, state.attention, work=data.work)
     if config.epsilon > 0.0:
         coupling = (data.coupling
                     or macro_mod.coupling_at(data.series, state.macro))
         macro_mod.macro_loss_and_grads(
-            coupling, state.embeddings, data.edge_src, data.edge_dst,
+            coupling, state.embeddings, data.net.src, data.net.dst,
             config.epsilon, grads["embeddings"], data.work)
     return micro, grads, stats
 
 
-def _joint_loss(state: ModelState, batch: EventBatch, neg_src, neg_dst,
+def _joint_loss(state: ModelState, batch: EventBatch, negatives,
                 data: TrainData, config: TrainConfig) -> float:
     """The loss whose gradients :func:`_joint_grads` returns with an exact
     coupling: the event-level loss plus epsilon times the scale loss."""
     loss, _, _ = batch_loss_and_grads(
-        batch, neg_src, neg_dst, state.embeddings, state.attention,
+        batch, negatives, state.embeddings, state.attention,
         want_grads=False, work=data.work)
     if config.epsilon > 0.0:
-        S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
-                                    data.edge_dst)
+        S = macro_mod.edge_affinity(state.embeddings, data.net.src,
+                                    data.net.dst)
         loss += config.epsilon * macro_mod.macro_loss(data.series, S,
                                                       state.macro)
     return loss
@@ -202,11 +199,11 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     mis-scaled group cannot blow up the state (``grad_clip`` 0: no clip);
     gradients must be finite or the step aborts naming the offending group.
     """
-    neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
-                                            config.negatives, rng)
-    micro, grads, stats = _joint_grads(state, batch, neg_src, neg_dst, data,
-                                       config)
+    negatives = draw_event_negatives(batch.src, batch.dst, data.table,
+                                     config.negatives, rng)
+    micro, grads, stats = _joint_grads(state, batch, negatives, data, config)
     lr = config.learning_rate
+    groups = state.param_groups()
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
@@ -222,7 +219,7 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
                 g /= float(np.max(np.abs(g)))
                 g *= config.grad_clip / float(np.linalg.norm(g))
         g *= lr
-        state.param_groups()[name] -= g
+        groups[name] -= g
     return StepResult(micro_loss=micro, range_hits=stats["range_hits"])
 
 
@@ -296,8 +293,8 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
         nonlocal kappa
         # a fresh array per refit: a sampled coupling keeps it
         sig_ref = np.empty(len(net))
-        S = macro_mod.edge_affinity(state.embeddings, data.edge_src,
-                                    data.edge_dst, out=sig_ref)
+        S = macro_mod.edge_affinity(state.embeddings, net.src, net.dst,
+                                    out=sig_ref)
         if config.epsilon > 0.0:
             if kappa is None:
                 state.macro = macro_mod.fit_params(data.series, S)
@@ -367,14 +364,14 @@ def gradient_check(state: ModelState, net: TemporalNetwork,
     data = TrainData(net, config.history)
     batch = EventBatch.take(net, data.snapshots, np.arange(len(net)))
     neg_rng = substream(config.seed, "negatives")
-    neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, data.table,
-                                            config.negatives, neg_rng)
+    negatives = draw_event_negatives(batch.src, batch.dst, data.table,
+                                     config.negatives, neg_rng)
 
     work = state.copy()
-    _, analytic, _ = _joint_grads(work, batch, neg_src, neg_dst, data, config)
+    _, analytic, _ = _joint_grads(work, batch, negatives, data, config)
 
     def loss_at(st: ModelState) -> float:
-        return _joint_loss(st, batch, neg_src, neg_dst, data, config)
+        return _joint_loss(st, batch, negatives, data, config)
 
     numeric = {}
     for name in analytic:

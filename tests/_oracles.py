@@ -549,4 +549,4 @@ def parse_labels_oracle(path, net):
         raise ParseError("no labels found")
     return LabelTable(node_ids=np.array(ids, dtype=np.int64),
                       labels=np.array(labels, dtype=np.int64),
-                      n_classes=len(names), class_names=tuple(names))
+                      n_classes=len(names))

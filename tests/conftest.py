@@ -57,10 +57,12 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def padded_rows(hists):
+def padded_rows(hists, h=None):
     """(B, h) node and time rows plus the lengths of B histories, lists of
-    (neighbor, time) pairs."""
-    h = max(max(len(hist) for hist in hists), 1)
+    (neighbor, time) pairs; h defaults to the longest history's length, at
+    least 1."""
+    if h is None:
+        h = max(max(len(hist) for hist in hists), 1)
     nodes = np.zeros((len(hists), h), dtype=np.int64)
     times = np.zeros((len(hists), h), dtype=np.int64)
     for b, hist in enumerate(hists):
@@ -69,19 +71,28 @@ def padded_rows(hists):
     return nodes, times, np.array([len(hist) for hist in hists], dtype=np.int64)
 
 
+def stacked_rows(src_hists, dst_hists):
+    """The histories of B events' sources and targets as EventBatch holds
+    them: (2, B, h) node and time rows and (2, B) lengths, both sides padded
+    to one width, as graph.snapshot_arrays pads."""
+    h = max(max(len(hist) for hist in src_hists + dst_hists), 1)
+    return tuple(map(np.stack, zip(padded_rows(src_hists, h),
+                                   padded_rows(dst_hists, h))))
+
+
 def one_event_batch(i, j, t, hist_i, hist_j):
     """EventBatch of the event (i, j, t) with the given pre-event histories,
     lists of (neighbor, time) pairs."""
     return EventBatch(np.array([i]), np.array([j]), np.array([t]),
-                      *padded_rows([hist_i]), *padded_rows([hist_j]))
+                      *stacked_rows([hist_i], [hist_j]))
 
 
 def engine_score(i, j, t, hist_i, hist_j, U, P):
     """The engine's score of (i, j, t), recovered from its one-event loss
     softplus(-score)."""
-    none = np.zeros((1, 0), dtype=np.int64)
+    none = np.zeros((2, 1, 0), dtype=np.int64)
     loss, _, _ = batch_loss_and_grads(one_event_batch(i, j, t, hist_i, hist_j),
-                                      none, none, U, P, want_grads=False)
+                                      none, U, P, want_grads=False)
     return -math.log(math.expm1(loss))
 
 

@@ -195,8 +195,8 @@ def test_a5_oracle_equivalence():
                                 np.arange(len(net)))
         neg_src = (batch.dst[:, None] + [1, 2]) % V
         neg_dst = (batch.src[:, None] + [1, 3]) % V
-        got, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, params,
-                                         want_grads=False)
+        got, _, _ = batch_loss_and_grads(batch, np.stack([neg_src, neg_dst]),
+                                         U, params, want_grads=False)
         want = orc.sampled_loss_oracle(events, orc.history_oracle(events, 2),
                                        neg_src.tolist(), neg_dst.tolist(),
                                        *oracle_args(U, params, sb))

@@ -94,12 +94,12 @@ def history_rows(net, h):
     of (neighbor, time) pairs."""
     arrays = snapshot_arrays(net, h)
 
-    def entries(prefix, m):
-        k = int(getattr(arrays, prefix + "_len")[m])
-        return tuple(zip(getattr(arrays, prefix + "_nodes")[m, :k].tolist(),
-                         getattr(arrays, prefix + "_times")[m, :k].tolist()))
+    def entries(s, m):
+        k = int(arrays.length[s, m])
+        return tuple(zip(arrays.nodes[s, m, :k].tolist(),
+                         arrays.times[s, m, :k].tolist()))
 
-    return [(entries("src", m), entries("dst", m)) for m in range(len(net))]
+    return [(entries(0, m), entries(1, m)) for m in range(len(net))]
 
 
 class TestHistoryStream:
@@ -178,13 +178,11 @@ class TestHistoryStream:
                 for hs, hd in orc.history_oracle(stream, h)]
         assert history_rows(net, h) == want
         arrays = snapshot_arrays(net, h)
-        for prefix in ("src", "dst"):
-            nodes = getattr(arrays, prefix + "_nodes")
-            times = getattr(arrays, prefix + "_times")
-            assert nodes.shape == times.shape == (len(net), h)
-            assert nodes.dtype == times.dtype == np.int64
-            pad = np.arange(h) >= getattr(arrays, prefix + "_len")[:, None]
-            assert not nodes[pad].any() and not times[pad].any()
+        assert arrays.nodes.shape == arrays.times.shape == (2, len(net), h)
+        assert arrays.length.shape == (2, len(net))
+        assert arrays.nodes.dtype == arrays.times.dtype == np.int64
+        pad = np.arange(h) >= arrays.length[..., None]
+        assert not arrays.nodes[pad].any() and not arrays.times[pad].any()
 
     def test_decreasing_epochs_rejected(self):
         net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 3, 3)])

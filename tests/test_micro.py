@@ -190,27 +190,26 @@ class TestIntensity:
         U, P = make_embeddings(3, 2), make_params(3, 2)
         batch = one_event_batch(-1 if where == "endpoint" else 0, 1, 3,
                                 [(-1 if where == "history" else 2, 1)], [])
-        neg = np.array([[-1 if where == "negative" else 2]])
+        neg = np.array([[[-1 if where == "negative" else 2]], [[0]]])
         with pytest.raises(IndexError, match=r"\[0, 3\)"):
-            batch_loss_and_grads(batch, neg, np.array([[0]]), U, P,
-                                 want_grads=want_grads)
+            batch_loss_and_grads(batch, neg, U, P, want_grads=want_grads)
 
     def test_transfer_values(self):
         # the positive pair's loss is softplus(-score) = -log sigmoid(score)
         P = make_params(2, 2)
-        none = np.zeros((1, 0), dtype=np.int64)
+        none = np.zeros((2, 1, 0), dtype=np.int64)
         batch = one_event_batch(0, 1, 1, [], [])
-        loss, _, _ = batch_loss_and_grads(batch, none, none, np.zeros((2, 2)),
-                                          P, want_grads=False)
+        loss, _, _ = batch_loss_and_grads(batch, none, np.zeros((2, 2)), P,
+                                          want_grads=False)
         assert loss == pytest.approx(math.log(2.0), abs=1e-15)
         U2 = np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0]])
-        loss, _, _ = batch_loss_and_grads(batch, none, none, U2, P,
+        loss, _, _ = batch_loss_and_grads(batch, none, U2, P,
                                           want_grads=False)
         assert loss == pytest.approx(math.log1p(math.exp(2.0)), abs=1e-12)
 
     def test_positive_for_random_states(self):
         rng = np.random.default_rng(30)
-        none = np.zeros((1, 0), dtype=np.int64)
+        none = np.zeros((2, 1, 0), dtype=np.int64)
         for trial in range(200):
             d = int(rng.integers(2, 6))
             U = rng.normal(0, 1.5, (6, d))
@@ -218,8 +217,7 @@ class TestIntensity:
             hi = [(2, 1), (3, 2)] if trial % 2 else []
             hj = [(4, 1)] if trial % 3 else []
             loss, _, _ = batch_loss_and_grads(one_event_batch(0, 1, 3, hi, hj),
-                                              none, none, U, P,
-                                              want_grads=False)
+                                              none, U, P, want_grads=False)
             assert 0.0 < loss < math.inf
 
 
@@ -280,14 +278,14 @@ class TestEventNegativesOracle:
     @staticmethod
     def both(src, dst, table, k, seed):
         rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        neg_src, neg_dst = draw_event_negatives(src, dst, table, k, rng)
+        negatives = draw_event_negatives(src, dst, table, k, rng)
         want_src, want_dst = orc.event_negatives_oracle(
             src.tolist(), dst.tolist(), table.cum, table.order, k, rng_ref)
-        assert neg_src.shape == neg_dst.shape == (len(src), k)
-        assert neg_src.tolist() == want_src
-        assert neg_dst.tolist() == want_dst
+        assert negatives.shape == (2, len(src), k)
+        assert negatives[0].tolist() == want_src
+        assert negatives[1].tolist() == want_dst
         assert rng.random() == rng_ref.random()
-        return neg_src, neg_dst
+        return negatives
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_batches(self, seed):

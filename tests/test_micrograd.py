@@ -6,7 +6,7 @@ import pytest
 
 import _oracles as orc
 from conftest import (STEPPED_GROUPS, count_calls, net_from_events,
-                      oracle_args, padded_rows)
+                      oracle_args, stacked_rows)
 from m2dne import macro as macro_mod
 from m2dne.graph import snapshot_arrays
 from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
@@ -48,17 +48,17 @@ def net_events(net):
     return list(zip(net.src.tolist(), net.dst.tolist(), net.time.tolist()))
 
 
-def oracle_loss(net, h, neg_src, neg_dst, U, P):
+def oracle_loss(net, h, negatives, U, P):
     """Sampled loss of the full event stream, histories included, computed
     by the oracles alone."""
     events = net_events(net)
     return orc.sampled_loss_oracle(events, orc.history_oracle(events, h),
-                                   neg_src.tolist(), neg_dst.tolist(),
-                                   *oracle_args(U, P))
+                                   negatives[0].tolist(),
+                                   negatives[1].tolist(), *oracle_args(U, P))
 
 
-def engine_loss(batch, neg_src, neg_dst, U, P):
-    loss, _, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P,
+def engine_loss(batch, negatives, U, P):
+    loss, _, _ = batch_loss_and_grads(batch, negatives, U, P,
                                       want_grads=False)
     return loss
 
@@ -72,18 +72,17 @@ class TestEngineAgainstScalarPath:
         table = NegativeTable(net.degrees(),
                               order=net.first_appearance_order())
         rng = np.random.default_rng(seed)
-        neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table,
-                                                k, rng)
-        loss = engine_loss(batch, neg_src, neg_dst, U, P)
-        want = oracle_loss(net, 3, neg_src, neg_dst, U, P)
+        negatives = draw_event_negatives(batch.src, batch.dst, table, k, rng)
+        loss = engine_loss(batch, negatives, U, P)
+        want = oracle_loss(net, 3, negatives, U, P)
         assert loss == pytest.approx(want, abs=1e-9)
 
     def test_positive_scores_match_intensity_op(self):
         net = random_net(7)
         U, P = random_state(net, 3, 17)
         batch = full_batch(net, h=2)
-        zero = np.zeros((len(batch), 0), dtype=np.int64)
-        loss = engine_loss(batch, zero, zero, U, P)
+        zero = np.zeros((2, len(batch), 0), dtype=np.int64)
+        loss = engine_loss(batch, zero, U, P)
         events = net_events(net)
         total = 0.0
         for (i, j, t), (hi, hj) in zip(events, orc.history_oracle(events, 2)):
@@ -96,8 +95,8 @@ class TestEngineAgainstScalarPath:
         U = np.zeros((2, 3))
         _, P = random_state(net, 3, 5)
         batch = full_batch(net, h=2)
-        zero = np.zeros((1, 0), dtype=np.int64)
-        loss, _, _ = batch_loss_and_grads(batch, zero, zero, U, P,
+        zero = np.zeros((2, 1, 0), dtype=np.int64)
+        loss, _, _ = batch_loss_and_grads(batch, zero, U, P,
                                           want_grads=False)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -113,7 +112,7 @@ class TestSampledLossReplay:
         for _ in range(2):
             neg = draw_event_negatives(batch.src, batch.dst, table, 4,
                                        substream(9, "negatives"))
-            losses.append(engine_loss(batch, *neg, U, P))
+            losses.append(engine_loss(batch, neg, U, P))
         assert losses[0] == losses[1]
 
     def test_replayed_draws_match_scalar_oracle(self):
@@ -122,11 +121,11 @@ class TestSampledLossReplay:
         batch = full_batch(net, h=3)
         table = NegativeTable(net.degrees(),
                               order=net.first_appearance_order())
-        loss = engine_loss(batch, *draw_event_negatives(
+        loss = engine_loss(batch, draw_event_negatives(
             batch.src, batch.dst, table, 2, substream(3, "negatives")), U, P)
-        neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table, 2,
-                                                substream(3, "negatives"))
-        want = oracle_loss(net, 3, neg_src, neg_dst, U, P)
+        negatives = draw_event_negatives(batch.src, batch.dst, table, 2,
+                                         substream(3, "negatives"))
+        want = oracle_loss(net, 3, negatives, U, P)
         assert loss == pytest.approx(want, abs=1e-9)
 
     def test_negatives_never_equal_kept_endpoint(self):
@@ -134,10 +133,10 @@ class TestSampledLossReplay:
         batch = full_batch(net, h=2)
         table = NegativeTable(net.degrees(),
                               order=net.first_appearance_order())
-        neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table, 5,
-                                                substream(1, "negatives"))
-        assert not np.any(neg_src == batch.dst[:, None])
-        assert not np.any(neg_dst == batch.src[:, None])
+        negatives = draw_event_negatives(batch.src, batch.dst, table, 5,
+                                         substream(1, "negatives"))
+        assert not np.any(negatives[0] == batch.dst[:, None])
+        assert not np.any(negatives[1] == batch.src[:, None])
 
 
 class TestGradients:
@@ -169,11 +168,11 @@ class TestGradients:
         data = TrainData(net, cfg.history)
         from m2dne.train import _joint_grads
         batch = full_batch(net, cfg.history)
-        neg_src, neg_dst = draw_event_negatives(
+        negatives = draw_event_negatives(
             batch.src, batch.dst, data.table, cfg.negatives,
             substream(4, "negatives"))
-        _, grads, _ = _joint_grads(state, batch, neg_src, neg_dst, data, cfg)
-        _, engine, _ = batch_loss_and_grads(batch, neg_src, neg_dst,
+        _, grads, _ = _joint_grads(state, batch, negatives, data, cfg)
+        _, engine, _ = batch_loss_and_grads(batch, negatives,
                                             state.embeddings, state.attention)
         assert scale_calls == [[], []]
         assert grads.keys() == engine.keys()
@@ -195,24 +194,24 @@ class TestDuplicateIndices:
         batch = EventBatch(
             np.array([0, 0, 3, 5]), np.array([1, 2, 4, 6]),
             np.array([5, 5, 6, 6]),
-            *padded_rows([[(2, 3), (3, 4)], [(1, 2)], [(6, 1)],
-                          [(0, 4), (4, 5)]]),
-            *padded_rows([[(0, 4)], [(3, 1), (0, 3)], [], [(0, 2)]]))
-        neg_src = np.array([[4, 6], [5, 3], [0, 5], [2, 1]])
-        neg_dst = np.array([[6, 2], [4, 1], [6, 0], [3, 0]])
+            *stacked_rows([[(2, 3), (3, 4)], [(1, 2)], [(6, 1)],
+                           [(0, 4), (4, 5)]],
+                          [[(0, 4)], [(3, 1), (0, 3)], [], [(0, 2)]]))
+        negatives = np.array([[[4, 6], [5, 3], [0, 5], [2, 1]],
+                              [[6, 2], [4, 1], [6, 0], [3, 0]]])
         rng = np.random.default_rng(41)
         U = rng.normal(0, 0.4, (7, 4))
         _, P = random_state(net_from_events([(0, 1, 1)], node_count=7), 4, 42)
-        _, grads, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P)
+        _, grads, _ = batch_loss_and_grads(batch, negatives, U, P)
 
         step = 1e-5
         numeric = np.zeros_like(U)
         for pos in np.ndindex(U.shape):
             orig = U[pos]
             U[pos] = orig + step
-            up = engine_loss(batch, neg_src, neg_dst, U, P)
+            up = engine_loss(batch, negatives, U, P)
             U[pos] = orig - step
-            down = engine_loss(batch, neg_src, neg_dst, U, P)
+            down = engine_loss(batch, negatives, U, P)
             U[pos] = orig
             numeric[pos] = (up - down) / (2 * step)
         report = compare_grads({"embeddings": grads["embeddings"]},
@@ -234,15 +233,16 @@ class TestMemory:
                     rng.integers(0, h + 1, size=B))
 
         batch = EventBatch(rng.integers(V, size=B), rng.integers(V, size=B),
-                           np.full(B, 60), *history(), *history())
+                           np.full(B, 60),
+                           *map(np.stack, zip(history(), history())))
         U = rng.normal(0, 0.3, (V, d))
         P = AttentionParams(rng.normal(0, 0.3, 2 * d),
                             rng.normal(0, 0.3, (d, d)), rng.normal(0, 0.3, d),
                             rng.normal(0, 0.3, V))
-        neg_src, neg_dst = rng.integers(V, size=(2, B, K))
+        negatives = rng.integers(V, size=(2, B, K))
         tracemalloc.start()
         try:
-            batch_loss_and_grads(batch, neg_src, neg_dst, U, P)
+            batch_loss_and_grads(batch, negatives, U, P)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,19 +250,25 @@ class TestMemory:
 
 
 def random_batch(rng, B, K, h, V, lengths=None):
-    """A random batch of B events over V nodes, histories of width h, or of
-    widths h = (source's, target's), random lengths unless given, and K
-    negatives per endpoint slot."""
+    """A random batch of B events over V nodes and its (2, B, K) negatives,
+    K per endpoint slot. The histories have width h, or widths h =
+    (source's, target's) zero-padded to the wider, as
+    graph.snapshot_arrays pads; their lengths are random unless given."""
+    h_src, h_dst = h if isinstance(h, tuple) else (h, h)
+    width = max(h_src, h_dst)
+
     def history(w):
         length = rng.integers(0, w + 1, size=B) if lengths is None \
             else np.full(B, lengths)
-        return (rng.integers(V, size=(B, w)),
-                np.sort(rng.integers(1, 50, size=(B, w)), axis=1), length)
+        nodes, times = np.zeros((2, B, width), dtype=np.int64)
+        nodes[:, :w] = rng.integers(V, size=(B, w))
+        times[:, :w] = np.sort(rng.integers(1, 50, size=(B, w)), axis=1)
+        return nodes, times, length
 
-    h_src, h_dst = h if isinstance(h, tuple) else (h, h)
     batch = EventBatch(rng.integers(V, size=B), rng.integers(V, size=B),
-                       np.full(B, 60), *history(h_src), *history(h_dst))
-    return batch, *rng.integers(V, size=(2, B, K))
+                       np.full(B, 60),
+                       *map(np.stack, zip(history(h_src), history(h_dst))))
+    return batch, rng.integers(V, size=(2, B, K))
 
 
 def call_bytes(result):
@@ -297,15 +303,48 @@ class TestWorkspaceReuse:
         assert call_bytes(reused[0]) == call_bytes(reused[2])
 
 
+class TestHistoryPadding:
+    """Entries past a history's length are masked: three more columns of
+    arbitrary ids and times on every history (h -> h + 3) leave the loss and
+    every gradient unchanged up to rounding. Not bit for bit at every width:
+    NumPy groups a reduction over the history axis by its length, eight
+    lanes from 8 entries on, and a one-column matmul takes another path."""
+
+    @pytest.mark.parametrize("K,h", [(3, 1), (2, 2), (0, 4), (3, 5),
+                                     (1, (3, 6)), (2, 13)])
+    def test_masked_columns_leave_loss_and_gradients(self, K, h):
+        rng = np.random.default_rng(53)
+        V, d, B = 30, 6, 16
+        U, P = random_state(net_from_events([(0, 1, 1)], node_count=V), d, 54)
+        batch, negatives = random_batch(rng, B, K, h, V)
+        wide = EventBatch(
+            batch.src, batch.dst, batch.t,
+            np.concatenate([batch.hist_nodes,
+                            rng.integers(V, size=(2, B, 3))], axis=2),
+            np.concatenate([batch.hist_times,
+                            rng.integers(1, 99, size=(2, B, 3))], axis=2),
+            batch.hist_len)
+        loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P)
+        loss_w, grads_w, _ = batch_loss_and_grads(wide, negatives, U, P)
+        assert loss_w == pytest.approx(loss, rel=1e-12)
+        assert grads_w.keys() == grads.keys()
+        # at h = 1 one entry takes all the attention: att_vector's gradient
+        # is zero, and so must the padded batch's be
+        for name in STEPPED_GROUPS:
+            scale = np.abs(grads[name]).max()
+            assert np.abs(grads_w[name] - grads[name]).max() <= 1e-12 * scale, \
+                name
+
+
 def test_unequal_negative_counts_rejected():
-    # the two endpoint families are stacked into one array of centers, which
+    # the two endpoint families are one (2, B, K) array of centers, which
     # has no mask to pad a narrower family with
     rng = np.random.default_rng(49)
     U, P = random_state(net_from_events([(0, 1, 1)], node_count=12), 3, 50)
-    batch, neg_src, _ = random_batch(rng, 6, 2, 3, 12)
+    batch, negatives = random_batch(rng, 6, 2, 3, 12)
     with pytest.raises(ValueError):
-        batch_loss_and_grads(batch, neg_src, rng.integers(12, size=(6, 3)),
-                             U, P)
+        batch_loss_and_grads(batch, [negatives[0],
+                                     rng.integers(12, size=(6, 3))], U, P)
 
 
 class TestEndpointSwap:
@@ -317,15 +356,14 @@ class TestEndpointSwap:
         rng = np.random.default_rng(47)
         V, d, B, K = 25, 5, 24, 3
         U, P = random_state(net_from_events([(0, 1, 1)], node_count=V), d, 48)
-        batch, neg_src, neg_dst = random_batch(rng, B, K, (3, 6), V)
-        batch.src_len = rng.integers(1, 4, size=B)
-        batch.dst_len = rng.integers(1, 7, size=B)
+        batch, negatives = random_batch(rng, B, K, (3, 6), V)
+        batch.hist_len = np.stack([rng.integers(1, 4, size=B),
+                                   rng.integers(1, 7, size=B)])
         swapped = EventBatch(batch.dst, batch.src, batch.t,
-                             batch.dst_hist_nodes, batch.dst_hist_times,
-                             batch.dst_len, batch.src_hist_nodes,
-                             batch.src_hist_times, batch.src_len)
-        loss, grads, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U, P)
-        loss_s, grads_s, _ = batch_loss_and_grads(swapped, neg_dst, neg_src,
+                             batch.hist_nodes[::-1], batch.hist_times[::-1],
+                             batch.hist_len[::-1])
+        loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P)
+        loss_s, grads_s, _ = batch_loss_and_grads(swapped, negatives[::-1],
                                                   U, P)
         assert loss_s == pytest.approx(loss, rel=1e-12)
         for name in STEPPED_GROUPS:
@@ -346,9 +384,9 @@ class TestPermutationEquivariance:
         batch = full_batch(net, h=3)
         table = NegativeTable(net.degrees(),
                               order=net.first_appearance_order())
-        neg_src, neg_dst = draw_event_negatives(batch.src, batch.dst, table, 2,
-                                                substream(8, "negatives"))
-        result = batch_loss_and_grads(batch, neg_src, neg_dst, U, P,
+        negatives = draw_event_negatives(batch.src, batch.dst, table, 2,
+                                         substream(8, "negatives"))
+        result = batch_loss_and_grads(batch, negatives, U, P,
                                       want_grads=want_grads)
 
         rng = np.random.default_rng(33)
@@ -362,8 +400,7 @@ class TestPermutationEquivariance:
                               P.s_weight.copy(), np.empty_like(P.decay_raw))
         P_p.decay_raw[perm] = P.decay_raw
         batch_p = full_batch(net_p, h=3)
-        result_p = batch_loss_and_grads(batch_p, perm[neg_src],
-                                        perm[neg_dst], U_p, P_p,
+        result_p = batch_loss_and_grads(batch_p, perm[negatives], U_p, P_p,
                                         want_grads=want_grads)
         return result, result_p, perm
 
@@ -389,24 +426,21 @@ class TestAbsentNodes:
         # even nodes appear in no slot, and the distinct rows keep their order
         rng = np.random.default_rng(43)
         V, d = 20, 5
-        batch, neg_src, neg_dst = random_batch(rng, 16, 3, 4, V)
+        batch, negatives = random_batch(rng, 16, 3, 4, V)
         U = rng.normal(0, 0.5, (2 * V, d))
         P = AttentionParams(rng.normal(0, 0.5, 2 * d),
                             rng.normal(0, 0.5, (d, d)), rng.normal(0, 0.5, d),
                             rng.normal(0, 0.5, 2 * V))
         odd = EventBatch(2 * batch.src + 1, 2 * batch.dst + 1, batch.t,
-                         2 * batch.src_hist_nodes + 1, batch.src_hist_times,
-                         batch.src_len, 2 * batch.dst_hist_nodes + 1,
-                         batch.dst_hist_times, batch.dst_len)
-        _, grads, _ = batch_loss_and_grads(odd, 2 * neg_src + 1,
-                                           2 * neg_dst + 1, U, P)
+                         2 * batch.hist_nodes + 1, batch.hist_times,
+                         batch.hist_len)
+        _, grads, _ = batch_loss_and_grads(odd, 2 * negatives + 1, U, P)
         for name in ("embeddings", "decay_raw"):
             assert np.all(grads[name][0::2] == 0.0), name
             assert np.any(grads[name][1::2] != 0.0), name
         P_odd = AttentionParams(P.att_vector, P.local_weight, P.s_weight,
                                 P.decay_raw[1::2])
-        _, dense, _ = batch_loss_and_grads(batch, neg_src, neg_dst, U[1::2],
-                                           P_odd)
+        _, dense, _ = batch_loss_and_grads(batch, negatives, U[1::2], P_odd)
         for name in STEPPED_GROUPS:
             got = np.asarray(grads[name])
             if name in ("embeddings", "decay_raw"):

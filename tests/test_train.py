@@ -132,16 +132,16 @@ class TestStep:
         cfg.learning_rate = 1e-7
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(2, "negatives"))
-        before = _joint_loss(state, batch, neg[0], neg[1], data, cfg)
+        before = _joint_loss(state, batch, neg, data, cfg)
         step(state, batch, data, cfg, substream(2, "negatives"))
-        after = _joint_loss(state, batch, neg[0], neg[1], data, cfg)
+        after = _joint_loss(state, batch, neg, data, cfg)
         assert after <= before
 
     def test_single_step_matches_manual_update(self):
         net, cfg, state, data, batch = self._setup()
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(3, "negatives"))
-        _, grads, _ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
+        _, grads, _ = _joint_grads(state, batch, neg, data, cfg)
         manual = state.copy()
         growth = (state.macro.zeta_raw, state.macro.gamma, state.macro.theta)
         assert sorted(grads) == sorted(STEPPED_GROUPS)
@@ -235,16 +235,16 @@ class TestJointLoss:
         net, cfg, state, data, batch = TestStep()._setup(epsilon=epsilon)
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(seed, "negatives"))
-        micro, grads, _ = _joint_grads(state, batch, neg[0], neg[1], data, cfg)
+        micro, grads, _ = _joint_grads(state, batch, neg, data, cfg)
         engine, engine_grads, _ = batch_loss_and_grads(
-            batch, neg[0], neg[1], state.embeddings, state.attention)
+            batch, neg, state.embeddings, state.attention)
         coupled = engine_grads["embeddings"].copy()
         macro_loss_and_grads(coupling_at(data.series, state.macro),
-                             state.embeddings, data.edge_src, data.edge_dst,
+                             state.embeddings, net.src, net.dst,
                              epsilon, coupled, Workspace())
         ma = macro_loss(data.series, edge_affinity(
-            state.embeddings, data.edge_src, data.edge_dst), state.macro)
-        joint = _joint_loss(state, batch, neg[0], neg[1], data, cfg)
+            state.embeddings, net.src, net.dst), state.macro)
+        joint = _joint_loss(state, batch, neg, data, cfg)
         return micro, grads, engine, engine_grads, coupled, joint, ma
 
     def test_epsilon_zero_equals_micro(self):
@@ -346,7 +346,7 @@ class TestFit:
         cfg = TrainConfig(dim=4, epsilon=0.3, epochs=6, batch_size=64, seed=1)
         state, _ = fit(net, cfg)
         data = TrainData(net, cfg.history)
-        S = edge_affinity(state.embeddings, data.edge_src, data.edge_dst)
+        S = edge_affinity(state.embeddings, net.src, net.dst)
         best = fit_params(data.series, S)
         achieved = macro_loss(data.series, S, state.macro)
         optimal = macro_loss(data.series, S, best)
