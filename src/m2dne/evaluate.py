@@ -196,61 +196,63 @@ def _ascending_sample(size: int, k: int,
                                              rng))
 
 
-def _spans(total: int, n: int, edge_at: np.ndarray,
-           rng: np.random.Generator):
-    """(start, size, share, edges, drawn edges) per span of a uniform draw
-    of n distinct indices from [0, total); ``edges`` are the entries of the
-    ascending ``edge_at`` in the span and ``drawn edges`` the drawn ones.
-
-    The population is cut into consecutive spans of PAIR_BLOCK / (n / total)
-    indices. A span's share of the draw is hypergeometric given what the
-    spans before it took; so is the part of the share that falls on its
-    edges, which are a uniform subset of them. Spans with no share are
-    skipped."""
-    span = max(PAIR_BLOCK, -(-PAIR_BLOCK * total // n))
-    start, left = 0, n
-    while left:
-        size = min(span, total - start)
-        k = _hypergeometric(size, total - start - size, left, rng)
-        if k:
-            edges = edge_at[np.searchsorted(edge_at, start):
-                            np.searchsorted(edge_at, start + size)]
-            hits = _hypergeometric(edges.shape[0], size - edges.shape[0], k,
-                                   rng)
-            yield (start, size, k, edges,
-                   edges[_ascending_sample(edges.shape[0], hits, rng)])
-        start += size
-        left -= k
+def _edge_index(keys: np.ndarray, V: int):
+    """(lo, hi, linear index over the upper triangle) of the sorted pair
+    keys ``min * V + max``; the index ascends with the keys."""
+    lo, hi = keys // V, keys % V
+    return lo, hi, lo * (2 * V - lo - 1) // 2 + hi - lo - 1
 
 
-def _sampled_pairs(total: int, n: int, edge_at: np.ndarray, seed: int):
-    """(drawn edges, ascending blocks) of the uniform draw of n distinct
-    indices from [0, total) that :func:`_spans` makes from ``seed``.
+def _past_edges(ranks: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    """Linear indices of the non-edges of the given ranks (non-empty,
+    ascending) among all non-edges, where ``gaps[j]`` is the number of
+    non-edges before the j-th edge (its ascending index minus j): non-edge
+    r lies at r + #{j : gaps[j] <= r}. Only the gaps within the ranks'
+    range are searched."""
+    first, last = np.searchsorted(gaps, ranks[[0, -1]], side="right")
+    at = np.searchsorted(gaps[first:last], ranks, side="right")
+    at += ranks
+    at += first
+    return at
 
-    The drawn entries of the ascending ``edge_at`` come first, from one run
-    of the spans; the blocks, one of about PAIR_BLOCK indices per span,
-    replay it as they are read. A span's drawn non-edges are a uniform
-    subset of its non-edges, ranked among them and mapped past the edges
-    before them."""
-    def spans():
-        return _spans(total, n, edge_at, np.random.default_rng((seed, 0)))
 
-    def blocks(pairs):
-        for start, size, k, edges, drawn_edges in spans():
-            ranks = _ascending_sample(size - edges.shape[0],
-                                      k - drawn_edges.shape[0], pairs)
-            # edge j precedes non-edge rank r iff edges[j] - start - j <= r
-            passed = np.bincount(np.searchsorted(
-                ranks, edges - start - np.arange(edges.shape[0])),
-                minlength=ranks.shape[0] + 1)
-            drawn = np.cumsum(passed[:-1])
-            drawn += ranks
-            drawn += start
-            yield np.insert(drawn, np.searchsorted(drawn, drawn_edges),
-                            drawn_edges)
+def _draw_candidates(total: int, n: int, edge_at: np.ndarray,
+                     rng: np.random.Generator | None):
+    """(drawn edges, non-edge blocks) of a uniform draw of n distinct
+    indices from [0, total), or of all of them when n == total: the
+    positions of the drawn edges in the ascending ``edge_at``, and the
+    drawn non-edges' indices in ascending blocks.
 
-    return (np.concatenate([drawn for *_, drawn in spans()]),
-            blocks(np.random.default_rng((seed, 1))))
+    A uniform n-subset holds a hypergeometric share of the edges; given that
+    share, its edges and its non-edges are independent uniform subsets of
+    each. The non-edges, ranked among themselves, are cut into consecutive
+    spans of PAIR_BLOCK / (m / free) ranks for the m non-edges to draw; a
+    span's share is hypergeometric given what the spans before it took, and
+    spans with no share are skipped."""
+    E = edge_at.shape[0]
+    free = total - E
+    drawn = (np.arange(E) if n == total else
+             _ascending_sample(E, _hypergeometric(E, free, n, rng), rng))
+    gaps = edge_at - np.arange(E)
+
+    def blocks(left):
+        span = max(PAIR_BLOCK, -(-PAIR_BLOCK * free // max(left, 1)))
+        start = 0
+        while left:
+            size = min(span, free - start)
+            if left == free - start:
+                ranks = np.arange(start, start + size)
+            else:
+                ranks = _ascending_sample(
+                    size, _hypergeometric(size, free - start - size, left,
+                                          rng), rng)
+                ranks += start
+            if ranks.shape[0]:
+                yield _past_edges(ranks, gaps)
+            start += size
+            left -= ranks.shape[0]
+
+    return drawn, blocks(n - drawn.shape[0])
 
 
 def _pair_scores(embeddings: np.ndarray, lo: np.ndarray,
@@ -276,17 +278,17 @@ def _doubled_wins(pos: np.ndarray, neg: np.ndarray) -> int:
                + np.searchsorted(neg, pos, side="right").sum())
 
 
-def _keep_best(best, scores, positive, kmax):
-    """The first kmax by -score of the shortlist ``best`` (scores, flags)
-    followed by one block's pairs. Pairs stream in ascending (lo, hi), so
-    a stable sort breaks ties by (lo, hi), and a full shortlist admits
-    only scores above its last."""
+def _keep_best(best, scores, index, kmax):
+    """The first kmax by -score of the shortlist ``best`` (scores, indices)
+    followed by one block's non-edges. Blocks stream in ascending index, so
+    a stable sort breaks ties by index, and a full shortlist admits only
+    scores above its last."""
     keep = scores >= (np.partition(scores, -kmax)[-kmax]
                       if scores.shape[0] > kmax else -np.inf)
     if best[0].shape[0] == kmax:
         keep &= scores > best[0][-1]
     merged = [np.concatenate((old, new[keep]))
-              for old, new in zip(best, (scores, positive))]
+              for old, new in zip(best, (scores, index))]
     order = np.argsort(-merged[0], kind="stable")[:kmax]
     return [part[order] for part in merged]
 
@@ -298,13 +300,14 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     """Precision@K and AUC of ranking node pairs against the static edges.
 
     Ties in the ranking break by ascending (min id, max id) so reports are
-    reproducible. The candidates, all pairs or a uniform draw of
-    round(sample_fraction * pairs) of them, stream in ascending blocks of
-    about PAIR_BLOCK pairs (see :func:`_spans`), so memory is
+    reproducible. The candidates are all pairs or a uniform draw of
+    round(sample_fraction * pairs) of them (see :func:`_draw_candidates`).
+    Their edges are scored once and their non-edges stream in ascending
+    blocks of about PAIR_BLOCK pairs, so memory is
     O(PAIR_BLOCK + edges + max K) at any V and fraction, and a sampled
     draw of n pairs takes O(n + spans) time. At V = 5794, d = 1, fraction
-    0.1 a pass peaks at 6 MiB (tracemalloc), where a one-shot draw of all
-    16.8M pair indices took 141 MiB.
+    0.1 and 20k edges a pass peaks at 4.2 MiB (tracemalloc), where a
+    one-shot draw of all 16.8M pair indices took 141 MiB.
     """
     V = _node_count(embeddings, net)
     _finite_sq_norms(embeddings, "reconstruction")
@@ -321,18 +324,11 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
         if not 1 <= k <= n:
             raise ValueError(f"K={k} exceeds the {n} candidate pairs")
 
-    # The edges among the candidates, as ascending linear indices over the
-    # upper triangle, and their sorted scores; a sampled pass draws them
-    # before the blocks it streams.
-    edges = net.edge_keys()
-    lo, hi = edges // V, edges % V
-    edge_at = lo * (2 * V - lo - 1) // 2 + hi - lo - 1
-    blocks = (np.arange(a, min(a + PAIR_BLOCK, total), dtype=np.int64)
-              for a in range(0, total, PAIR_BLOCK))
-    if n < total:
-        edge_at, blocks = _sampled_pairs(total, n, edge_at,
-                                         int(rng.integers(2 ** 63)))
-    pos = np.sort(_pair_scores(embeddings, *_decode_pairs(edge_at, V)))
+    # The drawn edges are scored once; only non-edges stream in blocks.
+    lo, hi, edge_at = _edge_index(net.edge_keys(), V)
+    drawn, blocks = _draw_candidates(total, n, edge_at, rng)
+    pos_scores = _pair_scores(embeddings, lo[drawn], hi[drawn])
+    pos = np.sort(pos_scores)
     n_pos, n_neg = pos.shape[0], n - pos.shape[0]
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative pairs")
@@ -341,16 +337,16 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     # positive-negative pairs; the wins are kept doubled, as an integer.
     kmax = max(ks)
     wins = 0
-    best = [np.empty(0), np.empty(0, dtype=bool)]
-    for block in blocks:
-        scores = _pair_scores(embeddings, *_decode_pairs(block, V))
-        positive = np.zeros(block.shape[0], dtype=bool)
-        inside = edge_at[np.searchsorted(edge_at, block[0]):
-                         np.searchsorted(edge_at, block[-1], side="right")]
-        positive[np.searchsorted(block, inside)] = True
-        wins += _doubled_wins(pos, np.sort(scores[~positive]))
-        best = _keep_best(best, scores, positive, kmax)
-    metrics = {f"precision@{k}": float(best[1][:k].mean()) for k in ks}
+    best = [np.empty(0), np.empty(0, dtype=np.int64)]
+    for at in blocks:
+        scores = _pair_scores(embeddings, *_decode_pairs(at, V))
+        wins += _doubled_wins(pos, np.sort(scores))
+        best = _keep_best(best, scores, at, kmax)
+    # the positives join the non-edges' shortlist, ties by (lo, hi)
+    order = np.lexsort((np.concatenate((best[1], edge_at[drawn])),
+                        -np.concatenate((best[0], pos_scores))))[:kmax]
+    hit = order >= best[0].shape[0]
+    metrics = {f"precision@{k}": float(hit[:k].mean()) for k in ks}
     metrics["auc"] = wins / (2 * n_pos * n_neg)
     return MetricReport(task="reconstruction", metrics=metrics,
                         config={"task": "reconstruction",
@@ -576,41 +572,19 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
 # ---------------------------------------------------------------------------
 # temporal link prediction
 
-def _sample_non_edges(V: int, count: int, existing: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """``count`` distinct pair keys ``min * V + max`` drawn uniformly, in draw
-    order, none of them among the ``existing`` keys (sorted and distinct, as
-    :meth:`TemporalNetwork.edge_keys` returns them).
-
-    Each attempt draws a node a, then a node b, and is rejected when a == b
-    or the key is taken; more than ``1000 * count`` attempts is an error.
-    Attempts are drawn in blocks, and the generator is then rewound and
-    advanced by exactly the attempts used, which leaves it as the one draw
-    at a time would: ``integers(V, size=n)`` yields the values and the state
-    of n single draws."""
-    out = np.empty(0, dtype=np.int64)
-    attempts = 0
-    limit = 1000 * max(count, 1)
-    while out.size < count:
-        if attempts >= limit:
-            raise ValueError("could not sample enough non-edges")
-        need = count - out.size
-        n = min(2 * need + 64, limit - attempts)
-        state = rng.bit_generator.state
-        a, b = rng.integers(V, size=(n, 2)).T
-        keys = np.minimum(a, b) * V + np.maximum(a, b)
-        fresh = (a != b) & ~_in_sorted(existing, keys)
-        if out.size:
-            fresh &= ~np.isin(keys, out)
-        _, first = np.unique(keys[fresh], return_index=True)
-        accepted = np.flatnonzero(fresh)[np.sort(first)][:need]
-        if accepted.size == need:
-            n = int(accepted[-1]) + 1
-            rng.bit_generator.state = state
-            rng.integers(V, size=(n, 2))
-        attempts += n
-        out = np.concatenate([out, keys[accepted]])
-    return out
+def _draw_non_edges(V: int, count: int, keys: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
+    """``count`` distinct pair keys ``min * V + max``, ascending, drawn
+    uniformly from the pairs not among the sorted ``keys``: a uniform
+    subset of the non-edges' ranks, mapped past the edges."""
+    free = V * (V - 1) // 2 - keys.shape[0]
+    if count > free:
+        raise ValueError(f"{count} non-edges requested but only {free} "
+                         f"pairs are not edges")
+    edge_at = _edge_index(keys, V)[2]
+    lo, hi = _decode_pairs(_past_edges(_ascending_sample(free, count, rng),
+                                       edge_at - np.arange(keys.shape[0])), V)
+    return lo * V + hi
 
 
 def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
@@ -624,7 +598,7 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
     if len(positives) < 2:
         raise ValueError("need at least 2 held-out edges")
     rng = substream(seed, "eval-splits")
-    negatives = _sample_non_edges(V, len(positives), full_net.edge_keys(), rng)
+    negatives = _draw_non_edges(V, len(positives), full_net.edge_keys(), rng)
 
     keys = np.concatenate([positives, negatives])
     y = np.concatenate([np.ones(len(positives), dtype=np.int64),

@@ -186,7 +186,6 @@ class _Side:
         self.kap = np.multiply(-self.delta[:, :, None], self.dt[:, None, :],
                                out=buf("kap", B, C, h))
         np.exp(self.kap, out=self.kap)
-        self.kap *= self.mask[:, None, :]
         # at = sigmoid(kap * (dotc + dotp)), built in place
         self.at = np.add(self.dotc[:, :, None], self.dotp[:, None, :],
                          out=buf("at", B, C, h))

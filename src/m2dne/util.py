@@ -46,23 +46,20 @@ class Workspace:
     allocates its working set once.
 
     :meth:`get` hands back the array last handed out under ``name`` while
-    the shape and dtype match, else a fresh one (run through ``init`` if
-    given). Contents are whatever the previous user left: a caller writes
-    before it reads, or zeroes what it accumulates into. An array built by
-    ``init`` must depend only on inputs fixed for the workspace's lifetime.
+    the shape and dtype match, else a fresh one. Contents are whatever the
+    previous user left: a caller writes before it reads, or zeroes what it
+    accumulates into.
     """
 
     def __init__(self):
         self._arrays = {}
 
-    def get(self, name: str, shape, dtype=np.float64, init=None) -> np.ndarray:
+    def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
         arr = self._arrays.get(name)
         if arr is None or arr.shape != shape or arr.dtype != dtype:
             # drop the old array first so the two never coexist
             self._arrays.pop(name, None)
             arr = np.empty(shape, dtype=dtype)
-            if init is not None:
-                init(arr)
             self._arrays[name] = arr
         return arr
 

@@ -291,30 +291,6 @@ def auc_rank_sum_oracle(scores, positive):
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def non_edges_oracle(V, count, existing, rng):
-    """Pair keys min * V + max drawn one node at a time (a, then b), skipping
-    self pairs and keys already taken, until ``count`` are found; more than
-    1000 * count attempts raise ValueError."""
-    taken = set(int(k) for k in existing)
-    out = []
-    attempts = 0
-    limit = 1000 * max(count, 1)
-    while len(out) < count:
-        attempts += 1
-        if attempts > limit:
-            raise ValueError("could not sample enough non-edges")
-        a = int(rng.integers(V))
-        b = int(rng.integers(V))
-        if a == b:
-            continue
-        key = min(a, b) * V + max(a, b)
-        if key in taken:
-            continue
-        taken.add(key)
-        out.append(key)
-    return out
-
-
 def softmax_objective_oracle(X, y, W, b, l2):
     """(loss, dW, db) of mean softmax cross-entropy + 0.5 * l2 * ||W||^2
     (bias unpenalised) at weights W (C, D) and bias b (C,), as the

@@ -4,14 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from _oracles import (auc_rank_sum_oracle, non_edges_oracle,
-                      reconstruction_precision_oracle, recommendation_oracle,
-                      triangle_pairs_oracle)
+from _oracles import (auc_rank_sum_oracle, reconstruction_precision_oracle,
+                      recommendation_oracle, triangle_pairs_oracle)
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
 from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
-                            _pair_scores,
-                            _sample_non_edges,
+                            _draw_non_edges, _pair_scores,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
                             temporal_recommendation, trend_forecast_report,
@@ -137,9 +135,10 @@ class TestReconstruction:
         assert got == pytest.approx(wins / (pos.size * neg.size), abs=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_precision_matches_full_sort_with_ties(self, seed):
+    def test_precision_matches_full_sort_with_ties(self, monkeypatch, seed):
         # half-integer points: scores are exact and whole tie groups
-        # straddle most cut-offs K
+        # straddle most cut-offs K; with blocks of 5 pairs they also
+        # straddle blocks and the final merge with the edges
         rng = np.random.default_rng(30 + seed)
         V = 40
         U = rng.integers(-3, 4, size=(V, 3)) / 2.0
@@ -150,10 +149,12 @@ class TestReconstruction:
                 events.append((a, b, len(events) % 6 + 1))
         net = net_from_events(events, node_count=V)
         ks = list(range(1, 80))
-        rep = reconstruction_metrics(U, net, ks)
         want = reconstruction_precision_oracle(
             U.tolist(), [(a, b) for a, b, _ in events], ks)
-        assert {k: rep.metrics[f"precision@{k}"] for k in ks} == want
+        for block in (5, 2 ** 16):
+            monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", block)
+            rep = reconstruction_metrics(U, net, ks)
+            assert {k: rep.metrics[f"precision@{k}"] for k in ks} == want
 
     @pytest.mark.parametrize("n", [PAIR_CHUNK - 1, PAIR_CHUNK, PAIR_CHUNK + 1,
                                    3 * PAIR_CHUNK + 5])
@@ -253,16 +254,63 @@ class TestDecodePairs:
 
 
 def sampled_pairs(total, n, edge_at, seed):
-    """The sampled pass's blocks as a list, and its drawn edges."""
-    drawn_edges, blocks = evaluate_mod._sampled_pairs(total, n, edge_at, seed)
-    return list(blocks), drawn_edges
+    """A reconstruction pass's draw: its non-edge blocks as a list, and its
+    drawn edges."""
+    drawn, blocks = evaluate_mod._draw_candidates(
+        total, n, edge_at, np.random.default_rng(seed))
+    return list(blocks), edge_at[drawn]
+
+
+def drawn_pairs(total, n, edge_at, seed):
+    """Every pair of a reconstruction pass's draw, ascending."""
+    blocks, drawn_edges = sampled_pairs(total, n, edge_at, seed)
+    return np.sort(np.concatenate([drawn_edges, *blocks]))
+
+
+def link_prediction_negatives(V, count, edge_at, seed):
+    """Link prediction's negatives for the edges ``edge_at``, as positions
+    among the pairs that are not edges."""
+    lo, hi = np.triu_indices(V, 1)
+    keys = lo * V + hi
+    drawn = _draw_non_edges(V, count, keys[edge_at],
+                            np.random.default_rng(seed))
+    free = np.delete(keys, edge_at)
+    at = np.searchsorted(free, drawn)
+    assert np.array_equal(free[at], drawn)
+    return at
+
+
+def inclusion_stat(draws, size, n):
+    """Each of ``size`` items is drawn in Binomial(T, f) of T draws of n;
+    the sum of their squared standardized deviations is about chi-square
+    with size - 1 degrees of freedom."""
+    counts = np.zeros(size)
+    for drawn in draws:
+        counts[drawn] += 1
+    trials, f = len(draws), n / size
+    return float(np.sum((counts - trials * f) ** 2)
+                 / (trials * f * (1 - f)))
+
+
+def subset_stat(draws, size, n):
+    """The chi-square statistic of the n-subsets of ``size`` items drawn,
+    after checking that every subset was drawn."""
+    seen = {}
+    for drawn in draws:
+        key = np.sort(drawn).tobytes()
+        seen[key] = seen.get(key, 0) + 1
+    assert len(seen) == math.comb(size, n)
+    expected = len(draws) / math.comb(size, n)
+    return sum((c - expected) ** 2 / expected for c in seen.values())
 
 
 class TestSampledPairs:
-    """The sampled pass draws n = round(f * pairs) distinct pairs uniformly,
-    in ascending blocks. PAIR_BLOCK is shrunk so that small populations
-    split into many spans, and HYPERGEOMETRIC_LIMIT so that the span counts
-    also take the thinning route that populations above 2e9 pairs need."""
+    """Reconstruction draws n = round(f * pairs) distinct pairs uniformly:
+    its drawn edges, then its non-edges in ascending blocks. Link
+    prediction draws its negatives uniformly from the non-edges through the
+    same rank mapping. PAIR_BLOCK is shrunk so that small populations split
+    into many spans, and HYPERGEOMETRIC_LIMIT so that the span counts also
+    take the thinning route that populations above 2e9 pairs need."""
 
     @pytest.mark.parametrize("limit", [10 ** 9, 1])
     @pytest.mark.parametrize("total,n", [(1, 1), (10, 1), (10, 9), (45, 20),
@@ -275,31 +323,35 @@ class TestSampledPairs:
             0, total, size=max(1, total // 5)))
         for seed in range(5):
             blocks, drawn_edges = sampled_pairs(total, n, edge_at, seed)
-            flat = np.concatenate(blocks)
+            non_edges = np.concatenate([np.empty(0, dtype=np.int64),
+                                        *blocks])
+            assert all(block.shape[0] for block in blocks)
+            assert np.all(np.diff(non_edges) > 0)
+            assert not np.isin(non_edges, edge_at).any()
+            assert np.all(np.diff(drawn_edges) > 0)
+            assert np.isin(drawn_edges, edge_at).all()
+            flat = np.sort(np.concatenate([drawn_edges, non_edges]))
             assert flat.shape == (n,)
             assert flat[0] >= 0 and flat[-1] < total
             assert np.all(np.diff(flat) > 0)
-            # the edges drawn first are exactly the edges among the pairs
-            assert np.array_equal(drawn_edges, np.intersect1d(flat, edge_at))
 
     @pytest.mark.parametrize("limit", [10 ** 9, 1])
     @pytest.mark.parametrize("n", [1, 15, 44])
     def test_inclusion_rate_uniform(self, monkeypatch, limit, n):
-        # V = 10: each of the 45 pairs is drawn in Binomial(T, f) of T
-        # draws; the sum of their squared standardized deviations is about
-        # chi-square with 44 degrees of freedom (mean 44, sd 9.4)
+        # V = 10: chi-square with 44 degrees of freedom (mean 44, sd 9.4)
         monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 4)
         monkeypatch.setattr(evaluate_mod, "HYPERGEOMETRIC_LIMIT", limit)
-        total, trials = 45, 800
         edge_at = np.array([0, 1, 2, 9, 20, 33, 44])
-        counts = np.zeros(total)
-        for seed in range(trials):
-            counts[np.concatenate(sampled_pairs(total, n, edge_at,
-                                                seed)[0])] += 1
-        f = n / total
-        stat = float(np.sum((counts - trials * f) ** 2)
-                     / (trials * f * (1 - f)))
-        assert stat < 44 + 5 * math.sqrt(2 * 44)
+        draws = [drawn_pairs(45, n, edge_at, seed) for seed in range(800)]
+        assert inclusion_stat(draws, 45, n) < 44 + 5 * math.sqrt(2 * 44)
+
+    @pytest.mark.parametrize("n", [1, 15, 37])
+    def test_link_prediction_inclusion_rate_uniform(self, n):
+        # V = 10 with 7 edges: chi-square over the 38 other pairs (sd 8.6)
+        edge_at = np.array([0, 1, 2, 9, 20, 33, 44])
+        draws = [link_prediction_negatives(10, n, edge_at, seed)
+                 for seed in range(800)]
+        assert inclusion_stat(draws, 38, n) < 37 + 5 * math.sqrt(2 * 37)
 
     @pytest.mark.parametrize("limit", [10 ** 9, 1])
     def test_every_subset_equally_likely(self, monkeypatch, limit):
@@ -307,16 +359,17 @@ class TestSampledPairs:
         # average; chi-square with 119 degrees of freedom (sd 15.4)
         monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 2)
         monkeypatch.setattr(evaluate_mod, "HYPERGEOMETRIC_LIMIT", limit)
-        trials = 2400
-        seen = {}
-        for seed in range(trials):
-            key = np.concatenate(sampled_pairs(10, 3, np.array([2, 3, 7]),
-                                               seed)[0]).tobytes()
-            seen[key] = seen.get(key, 0) + 1
-        assert len(seen) == math.comb(10, 3)
-        expected = trials / math.comb(10, 3)
-        stat = sum((c - expected) ** 2 / expected for c in seen.values())
-        assert stat < 119 + 5 * math.sqrt(2 * 119)
+        draws = [drawn_pairs(10, 3, np.array([2, 3, 7]), seed)
+                 for seed in range(2400)]
+        assert subset_stat(draws, 10, 3) < 119 + 5 * math.sqrt(2 * 119)
+
+    def test_link_prediction_every_subset_equally_likely(self):
+        # V = 5 with 3 edges, 3 negatives: the 35 subsets of the 7 other
+        # pairs, about 69 draws each; chi-square with 34 degrees of freedom
+        # (sd 8.2)
+        draws = [link_prediction_negatives(5, 3, np.array([2, 3, 7]), seed)
+                 for seed in range(2400)]
+        assert subset_stat(draws, 7, 3) < 34 + 5 * math.sqrt(2 * 34)
 
     def test_report_reproducible_for_a_fixed_rng(self):
         rng = np.random.default_rng(3)
@@ -349,8 +402,7 @@ class TestSampledPairs:
         total, n = lo.size, int(round(0.4 * lo.size))
         keys = net.edge_keys()
         edge_at = np.flatnonzero(np.isin(lo * V + hi, keys))
-        seed = int(np.random.default_rng(5).integers(2 ** 63))
-        flat = np.concatenate(sampled_pairs(total, n, edge_at, seed)[0])
+        flat = drawn_pairs(total, n, edge_at, 5)
         scores = -np.einsum("nd,nd->n", U[lo[flat]] - U[hi[flat]],
                             U[lo[flat]] - U[hi[flat]])
         positive = np.isin(flat, edge_at)
@@ -369,9 +421,12 @@ class TestSampledPairs:
         edge_at = np.arange(0, total, total // 1000)
         tracemalloc.start()
         try:
-            count, last = 0, -1
-            for block in evaluate_mod._sampled_pairs(total, n, edge_at, 4)[1]:
+            drawn, blocks = evaluate_mod._draw_candidates(
+                total, n, edge_at, np.random.default_rng(4))
+            count, last = drawn.shape[0], -1
+            for block in blocks:
                 assert block[0] > last and np.all(np.diff(block) > 0)
+                assert not np.isin(block, edge_at).any()
                 count, last = count + block.shape[0], block[-1]
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -652,18 +707,18 @@ class TestTemporalRecommendation:
 
 class TestTemporalLinkPrediction:
     def test_perfectly_separable_geometry(self):
-        V = 12
-        U = np.zeros((V, 4))
-        for k in range(V // 2):
-            center = np.zeros(4)
-            center[0] = 10.0 * k          # clusters far apart on a line
-            U[2 * k] = center
-            U[2 * k + 1] = center + 0.01
-        events = [(2 * k, 2 * k + 1, k % 3 + 1) for k in range(V // 2)]
-        net = net_from_events(events, node_count=V)
-        rep = temporal_link_prediction(U, net, net, seed=4)
-        assert rep.metrics["accuracy"] == 1.0
-        assert rep.metrics["f1"] == 1.0
+        # two far clusters of two nodes, an edge inside each: all four
+        # non-edges join the clusters, so every draw of negatives is as far
+        # from the edges as any other
+        U = np.zeros((4, 4))
+        U[1] += 0.01
+        U[2, 0] = 10.0
+        U[3] = U[2] + 0.01
+        net = net_from_events([(0, 1, 1), (2, 3, 2)], node_count=4)
+        for seed in range(10):
+            rep = temporal_link_prediction(U, net, net, seed=seed)
+            assert rep.metrics["accuracy"] == 1.0
+            assert rep.metrics["f1"] == 1.0
 
     def test_no_signal_near_half(self):
         rng = np.random.default_rng(15)
@@ -682,46 +737,35 @@ class TestTemporalLinkPrediction:
 
     def test_negatives_reject_existing_edges(self):
         existing = np.array([0 * 6 + 1, 1 * 6 + 2, 2 * 6 + 3])
-        out = _sample_non_edges(6, 8, existing, substream(1, "eval-splits"))
+        out = _draw_non_edges(6, 8, existing, substream(1, "eval-splits"))
         assert not (set(out.tolist()) & set(existing.tolist()))
         assert len(set(out.tolist())) == 8
         assert np.all(out // 6 < out % 6)
+
+    def test_every_free_pair_when_count_equals_them(self):
+        lo, hi = np.triu_indices(5, 1)
+        keys = lo * 5 + hi
+        free = keys[[1, 4, 8]]
+        existing = np.setdiff1d(keys, free)
+        for seed in range(5):
+            out = _draw_non_edges(5, 3, existing, np.random.default_rng(seed))
+            assert out.tolist() == free.tolist()
+
+    def test_complete_graph_rejected(self):
+        # the six pairs of four nodes are all edges: no negative to draw
+        U = np.random.default_rng(2).normal(size=(4, 3))
+        net = net_from_events([(a, b, a + 1) for a in range(4)
+                               for b in range(a + 1, 4)], node_count=4)
+        with pytest.raises(ValueError) as err:
+            temporal_link_prediction(U, net, net, seed=0)
+        assert str(err.value) == \
+            "6 non-edges requested but only 0 pairs are not edges"
 
     def test_too_few_edges_rejected(self):
         U = np.zeros((4, 2))
         net = net_from_events([(0, 1, 1)], node_count=4)
         with pytest.raises(ValueError):
             temporal_link_prediction(U, net, net, seed=0)
-
-    @pytest.mark.parametrize("V,count,n_existing", [
-        (2000, 700, 3000), (1200, 50, 0), (7, 15, 5), (5, 3, 6),
-        (20, 35, 150)])
-    def test_non_edges_match_one_draw_at_a_time(self, V, count, n_existing):
-        # V=7: 15 of the 16 free pairs, so most late draws are rejected;
-        # V=20: 35 of 40 free pairs, found over several blocks of draws
-        pairs = np.array([a * V + b for a in range(V)
-                          for b in range(a + 1, V)])
-        existing = np.sort(np.random.default_rng(V).choice(
-            pairs, n_existing, replace=False))
-        fast = substream(3, "eval-splits")
-        slow = substream(3, "eval-splits")
-        got = _sample_non_edges(V, count, existing, fast)
-        want = non_edges_oracle(V, count, existing.tolist(), slow)
-        assert got.tolist() == want
-        assert got.dtype == np.int64
-        assert fast.bit_generator.state == slow.bit_generator.state
-
-    def test_non_edge_attempt_limit(self):
-        # every pair of 4 nodes is an edge: 1000 attempts, then an error
-        existing = np.array([a * 4 + b for a in range(4)
-                             for b in range(a + 1, 4)])
-        fast = substream(4, "eval-splits")
-        slow = substream(4, "eval-splits")
-        with pytest.raises(ValueError, match="non-edges"):
-            _sample_non_edges(4, 1, existing, fast)
-        with pytest.raises(ValueError, match="non-edges"):
-            non_edges_oracle(4, 1, existing.tolist(), slow)
-        assert fast.bit_generator.state == slow.bit_generator.state
 
 
 class TestNonFiniteEmbeddings:
