@@ -698,6 +698,8 @@ def trend_forecast_report(state: ModelState, net_full: TemporalNetwork,
     counts for the suffix. The report carries the suffix RMSE and the
     training-prefix sum of squared residuals at the fitted parameters.
     """
+    if not 0.0 < train_fraction <= 1.0:
+        raise ValueError(f"train_fraction={train_fraction} is not in (0, 1]")
     series_full = compute_macro_series(net_full)
     T = len(series_full.epochs)
     train_epochs = int(np.floor(train_fraction * T))

@@ -62,17 +62,19 @@ def edge_affinity(embeddings: np.ndarray, edge_src: np.ndarray,
     """Mean sigmoid(-squared distance) over the given temporal edges; the
     per-edge sigmoids are also written into ``out`` when given. The edges
     are taken PAIR_CHUNK at a time, so the temporaries stay O(PAIR_CHUNK d)
-    at any edge count."""
+    at any edge count. A distance that overflows is inf, whose sigmoid is
+    exactly 0, its limit."""
     E = edge_src.shape[0]
     if E == 0:
         raise ValueError("empty edge set")
     sig = np.empty(E) if out is None else out
     for a in range(0, E, PAIR_CHUNK):
         at = slice(a, a + PAIR_CHUNK)
-        diff = embeddings.take(edge_src[at], axis=0)
-        diff -= embeddings.take(edge_dst[at], axis=0)
-        diff *= diff
-        sig[at] = sigmoid(-diff.sum(axis=1))
+        with np.errstate(over="ignore"):
+            diff = embeddings.take(edge_src[at], axis=0)
+            diff -= embeddings.take(edge_dst[at], axis=0)
+            diff *= diff
+            sig[at] = sigmoid(-diff.sum(axis=1))
     return float(np.mean(sig))
 
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 NEGATIVE_EXPONENT = 0.75
-# first rejection-scan window of NegativeTable.sample, in draws
-_FIRST_WINDOW = 64
 
 
 @dataclass
@@ -88,25 +86,21 @@ class NegativeTable:
         while filled < k:
             pos = np.searchsorted(self.cum, rng.random(k - filled), side="right")
             nodes = self.order[np.minimum(pos, len(self.order) - 1)]
-            # scan for the next rejection in a window that doubles while no
-            # draw is rejected, so a rejection costs O(window), not O(k)
-            window = _FIRST_WINDOW
+            # each pass finds the next rejection among the remaining draws,
+            # which fill the slots from ``filled`` on, and carries on from
+            # the uniform after it
             while nodes.size:
-                span = min(window, nodes.size)
                 hits = [] if exclude is None else np.flatnonzero(
-                    nodes[:span] == exclude[filled:filled + span])
-                r = int(hits[0]) if len(hits) else span
+                    nodes == exclude[filled:filled + nodes.size])
+                r = int(hits[0]) if len(hits) else nodes.size
                 out[filled:filled + r] = nodes[:r]
                 filled += r
-                if r < span:
-                    if self.mass[exclude[filled]] >= 1.0:
-                        raise ValueError(f"excluded node {exclude[filled]} "
-                                         f"carries all of the sampling mass")
-                    r += 1
-                    window = _FIRST_WINDOW
-                else:
-                    window *= 2
-                nodes = nodes[r:]
+                if r == nodes.size:
+                    break
+                if self.mass[exclude[filled]] >= 1.0:
+                    raise ValueError(f"excluded node {exclude[filled]} "
+                                     f"carries all of the sampling mass")
+                nodes = nodes[r + 1:]
         return out
 
 

@@ -92,19 +92,6 @@ def _halves(rows: np.ndarray) -> np.ndarray:
     return rows.reshape(2, rows.shape[0] // 2, *rows.shape[1:])
 
 
-def _sigmoid_inplace(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """x <- sigmoid(x) with the bits of :func:`util.sigmoid`; ``tmp`` is
-    scratch of x's shape."""
-    np.negative(x, out=tmp)
-    np.minimum(x, tmp, out=tmp)
-    np.exp(tmp, out=tmp)
-    np.add(1.0, tmp, out=tmp)
-    np.minimum(x, 0.0, out=x)
-    np.exp(x, out=x)
-    x /= tmp
-    return x
-
-
 class _NodeTable:
     """The batch's distinct node rows and the per-node terms its slots read:
     u, W u, ||u||^2, a1.W u, a2.W u and the decay pre-activation.
@@ -190,7 +177,7 @@ class _Side:
         self.at = np.add(self.dotc[:, :, None], self.dotp[:, None, :],
                          out=buf("at", B, C, h))
         self.at *= self.kap
-        _sigmoid_inplace(self.at, np.empty_like(self.at))
+        sigmoid(self.at, out=self.at)
         self.alpha = np.exp(self.at, out=buf("alpha", B, C, h))
         self.alpha *= self.mask[:, None, :]
         denom = self.alpha.sum(axis=2, keepdims=True)
@@ -201,7 +188,8 @@ class _Side:
         Wh = np.take(table.WU, nodes, axis=0,
                      out=scratch[:B * h * d].reshape(B, h, d), mode="clip")
         self.ut = np.matmul(self.alpha, Wh, out=buf("ut", B, C, d))
-        _sigmoid_inplace(self.ut, scratch[:B * C * d].reshape(B, C, d))
+        sigmoid(self.ut, out=self.ut,
+                scratch=scratch[:B * C * d].reshape(B, C, d))
         self.mdt = self.dt.sum(axis=1) / np.maximum(length, 1.0)  # (B,)
         self.kbar = np.exp(-self.delta * self.mdt[:, None])       # (B, C)
         self.us = self.ut @ params.s_weight                       # (B, C)

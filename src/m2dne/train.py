@@ -16,7 +16,7 @@ from . import macro as macro_mod
 from .graph import MacroSeries, TemporalNetwork, compute_macro_series, snapshot_arrays
 from .micro import AttentionParams, NegativeTable, draw_event_negatives
 from .micrograd import EventBatch, batch_loss_and_grads
-from .util import Workspace, softplus_inv, substream
+from .util import Workspace, substream
 
 CHECKPOINT_MAGIC = b"M2DNE\x00"
 CHECKPOINT_VERSION = 1
@@ -250,10 +250,10 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
 
     Runs epochs x ceil(E / batch_size) update steps on the embeddings and
     attention parameters; every batch couples the scale loss into the
-    embedding gradient. With epsilon > 0 the growth model is fitted to the
-    full training series once, at the start, and each epoch boundary
-    re-anchors it, zeta = kappa / S at the current affinity: the refit at S,
-    as the fitted (kappa, gamma, theta) do not depend on S.
+    embedding gradient. With epsilon > 0 the growth model is refitted to the
+    full training series at the start and at each epoch boundary, at the
+    current affinity S; the fitted (kappa, gamma, theta) do not depend on S,
+    so only zeta = kappa / S moves.
 
     With epsilon > 0 each refit also sets the :class:`~m2dne.macro.Coupling`
     every step until the next refit uses, with the per-edge sigmoids of its
@@ -284,23 +284,15 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     steps_per_epoch = max(1, math.ceil(len(net) / config.batch_size))
     trace = LossTrace()
 
-    kappa = None    # S * zeta of the growth fit, made at the first refit
-
     def refit() -> float:
-        """Scale loss at the current embeddings, after fitting the growth
-        model (first call) or re-anchoring it when the scale term is in the
-        objective."""
-        nonlocal kappa
+        """Scale loss at the current embeddings, after refitting the growth
+        model when the scale term is in the objective."""
         # a fresh array per refit: a sampled coupling keeps it
         sig_ref = np.empty(len(net))
         S = macro_mod.edge_affinity(state.embeddings, net.src, net.dst,
                                     out=sig_ref)
         if config.epsilon > 0.0:
-            if kappa is None:
-                state.macro = macro_mod.fit_params(data.series, S)
-                kappa = S * state.macro.zeta
-            else:
-                state.macro.zeta_raw = softplus_inv(kappa / S)
+            state.macro = macro_mod.fit_params(data.series, S)
             data.coupling = macro_mod.coupling_at(data.series, state.macro,
                                                   sig_ref, coupling_rng)
         return macro_mod.macro_loss(data.series, S, state.macro)

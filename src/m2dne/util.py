@@ -9,17 +9,26 @@ import zlib
 import numpy as np
 
 
-def sigmoid(x):
+def sigmoid(x, out=None, scratch=None):
     """Logistic function, stable for large |x|.
 
     exp(min(x, 0)) / (1 + exp(-|x|)) is 1 / (1 + e^-x) for x >= 0 and
-    e^x / (1 + e^x) below, without branching on the sign.
+    e^x / (1 + e^x) below, without branching on the sign. The result goes
+    into ``out`` when given, which may be ``x`` itself, and the denominator
+    into ``scratch`` (x's shape) when given, so a caller passing both
+    allocates nothing. A 0-d input gives a Python float.
     """
     x = np.asarray(x, dtype=np.float64)
-    out = np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.minimum(x, -x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    den = np.negative(x, out=np.empty_like(x) if scratch is None else scratch)
+    np.minimum(x, den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    res = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    np.exp(res, out=res)
+    res /= den
+    if res.ndim == 0:
+        return float(res)
+    return res
 
 
 def softplus(x):

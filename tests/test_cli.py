@@ -295,6 +295,18 @@ class TestForecastCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("fraction", ["nan", "1.5"])
+    def test_fraction_outside_unit_interval_fails(self, tmp_path, capsys,
+                                                  fraction):
+        ckpt, _ = train(tmp_path)
+        out = tmp_path / "fc.csv"
+        rc = main(["forecast", "--checkpoint", ckpt, "--edges", TOY_EDGES,
+                   "--train-fraction", fraction, "--out", str(out)])
+        assert rc == 1
+        assert f"train_fraction={float(fraction)} is not in (0, 1]" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_mode_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["forecast", "--checkpoint", "x", "--edges", TOY_EDGES,

@@ -908,6 +908,13 @@ class TestTrendForecast:
         with pytest.raises(ValueError):
             trend_forecast_report(state, net, 0.01)
 
+    @pytest.mark.parametrize("fraction", [float("nan"), 1.5, 0.0, -0.5])
+    def test_fraction_outside_unit_interval_rejected(self, fraction):
+        net, state = growth_law_net()
+        with pytest.raises(ValueError, match=rf"train_fraction={fraction} "
+                                             r"is not in \(0, 1\]"):
+            trend_forecast_report(state, net, fraction)
+
     def test_one_affinity_pass_over_training_edges(self, monkeypatch):
         net, state = growth_law_net()
         calls = count_calls(monkeypatch, macro_mod, "edge_affinity")

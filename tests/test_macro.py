@@ -93,6 +93,14 @@ class TestEdgeAffinityChunks:
         assert sig.tobytes() == want_sig.tobytes()
         assert edge_affinity(U, src, dst) == want_S
 
+    def test_overflowing_distance_has_sigmoid_zero(self):
+        # the squared distance overflows to inf, whose sigmoid is its limit
+        # 0, without a warning
+        U = np.array([[1e200, 0.0], [0.0, 0.0]])
+        sig = np.full(1, np.nan)
+        assert edge_affinity(U, np.array([0]), np.array([1]), out=sig) == 0.0
+        assert sig[0] == 0.0
+
     def test_memory_bounded(self):
         # a one-shot pass holds three (E, d) arrays, 37 MiB here
         E, d = 100_000, 16

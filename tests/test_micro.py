@@ -312,6 +312,68 @@ class TestEventNegativesOracle:
         assert not np.any(neg_dst == src[:, None])
 
 
+class TestSamplerScanBoundaries:
+    """Where one pass of NegativeTable.sample's scan ends, against one
+    uniform at a time: a rejection on the first draw, two rejections in a
+    row, and a rejection on the last uniform of a call, which forces a fresh
+    one. Same ids, same generator state afterwards."""
+
+    table = NegativeTable(np.array([10, 1, 1]))
+    seed = 4
+
+    def raw(self, count):
+        """The nodes the stream's first ``count`` uniforms land on."""
+        u = np.random.default_rng(self.seed).random(count)
+        return self.table.order[np.minimum(
+            np.searchsorted(self.table.cum, u, side="right"), 2)].tolist()
+
+    def exclusions(self, k, rejected):
+        """Per-slot exclusions under which one-at-a-time draws reject the
+        uniforms ``rejected`` (stream indices) and accept the others."""
+        exclude, filled = [], 0
+        for i, node in enumerate(self.raw(4 * k)):
+            if filled == k:
+                break
+            if len(exclude) == filled:      # the first uniform at this slot
+                exclude.append(node if i in rejected else (node + 1) % 3)
+            if i in rejected:
+                assert exclude[filled] == node
+            else:
+                assert exclude[filled] != node
+                filled += 1
+        assert filled == k
+        return np.array(exclude)
+
+    def check(self, k, rejected):
+        exclude = self.exclusions(k, rejected)
+        rng = np.random.default_rng(self.seed)
+        ref = np.random.default_rng(self.seed)
+        got = self.table.sample(k, rng, exclude=exclude)
+        want = [orc.negative_draws_oracle(self.table.cum, self.table.order,
+                                          1, ref, exclude=int(e))[0]
+                for e in exclude]
+        assert got.tolist() == want
+        assert rng.random() == ref.random()
+
+    def test_rejection_on_the_first_draw(self):
+        self.check(12, {0})
+
+    def test_two_rejections_in_a_row(self):
+        raw = self.raw(12)
+        i = next(i for i in range(1, 10) if raw[i] == raw[i + 1] != raw[i + 2])
+        self.check(12, {i, i + 1})
+
+    def test_rejection_on_the_last_uniform_of_a_call(self):
+        raw = self.raw(40)
+        k = next(k for k in range(2, 39) if raw[k - 1] != raw[k])
+        self.check(k, {k - 1})
+
+    def test_rejections_through_two_fresh_calls(self):
+        raw = self.raw(40)
+        k = next(k for k in range(2, 38) if raw[k - 1] == raw[k] != raw[k + 1])
+        self.check(k, {k - 1, k})
+
+
 class TestDecayReparameterization:
     def test_effective_decay_positive(self):
         P = make_params(6, 3, seed=13)

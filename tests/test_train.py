@@ -1,6 +1,7 @@
 import math
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from m2dne.train import (TrainConfig, TrainData, fit, init_state,
                          load_checkpoint, sample_batch, save_checkpoint, step,
                          _joint_grads, _joint_loss)
 from m2dne.util import Workspace, substream
+
+DATA = Path(__file__).parent / "data"
 
 
 def toy_net(seed=0, nodes=10, n_events=60, epochs=8):
@@ -353,18 +356,29 @@ class TestFit:
         assert achieved <= 1.05 * optimal + 1e-9
 
     def test_one_affinity_pass_per_refit(self, monkeypatch):
-        # the growth model is fitted once; the boundaries only re-anchor it
+        # the growth model is refitted at the start and each epoch boundary
         net = toy_net(9, nodes=12, n_events=100, epochs=10)
         calls = count_calls(monkeypatch, macro_mod, "edge_affinity")
         fits = count_calls(monkeypatch, macro_mod, "fit_params")
         fit(net, TrainConfig(dim=4, epsilon=0.3, epochs=3, batch_size=64))
         assert len(calls) == 4      # the start and each epoch boundary
-        assert len(fits) == 1
+        assert len(fits) == 4
         calls.clear()
         fits.clear()
         fit(net, TrainConfig(dim=4, epsilon=0.0, epochs=3, batch_size=64))
         assert len(calls) == 1
         assert not fits
+
+
+    @pytest.mark.parametrize("learning_rate", [1e3, 1e300])
+    def test_divergence_names_the_vanished_affinity(self, learning_rate):
+        # the embeddings fly apart until every training-edge sigmoid is 0,
+        # which the first epoch boundary's refit rejects
+        net = parse_edge_list(DATA / "toy_edges.tsv")
+        cfg = TrainConfig(dim=8, epochs=2, epsilon=0.3,
+                          learning_rate=learning_rate)
+        with pytest.raises(ValueError, match="is not positive"):
+            fit(net, cfg)
 
 
 class TestSampledCoupling:

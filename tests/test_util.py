@@ -1,0 +1,54 @@
+"""The stable sigmoid in its four calling forms."""
+
+import numpy as np
+import pytest
+
+from m2dne.util import sigmoid
+
+
+def reference(x):
+    """exp(min(x, 0)) / (1 + exp(min(x, -x))), evaluated in one expression."""
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(np.minimum(x, -x)))
+
+
+def inputs():
+    rng = np.random.default_rng(0)
+    extremes = np.array([745.0, -745.0, 1e308, -1e308, 0.0, -0.0])
+    return np.concatenate([rng.normal(0, 4, 500), rng.normal(0, 240, 500),
+                           extremes]).reshape(2, -1)
+
+
+class TestSigmoid:
+    def test_fresh(self):
+        x = inputs()
+        assert sigmoid(x).tobytes() == reference(x).tobytes()
+        assert np.array_equal(x, inputs())
+
+    def test_out(self):
+        x = inputs()
+        out = np.full_like(x, np.nan)
+        assert sigmoid(x, out=out) is out
+        assert out.tobytes() == reference(x).tobytes()
+        assert np.array_equal(x, inputs())
+
+    def test_in_place(self):
+        x = inputs()
+        assert sigmoid(x, out=x) is x
+        assert x.tobytes() == reference(inputs()).tobytes()
+
+    def test_in_place_with_scratch(self):
+        x = inputs()
+        scratch = np.full_like(x, np.nan)
+        # a strided view, as the engine passes slices of its buffers
+        view = x[:, ::2]
+        want = reference(view.copy())
+        assert sigmoid(view, out=view, scratch=scratch[:, ::2]) is view
+        assert view.tobytes() == want.tobytes()
+        assert x[:, 1::2].tobytes() == inputs()[:, 1::2].tobytes()
+
+    @pytest.mark.parametrize("x", [0.0, 3.5, -745.0, 1e308, np.float64(-2.0),
+                                   np.array(1.25)])
+    def test_scalar_gives_a_float(self, x):
+        got = sigmoid(x)
+        assert type(got) is float
+        assert got == float(reference(np.float64(x)))
