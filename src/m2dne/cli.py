@@ -103,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--edges", required=True)
         p.add_argument("--weighted", action="store_true")
-        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--out", default=None, help="report path (default stdout)")
 
     p_rec = ev_sub.add_parser("reconstruct")
@@ -134,6 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sc.add_argument("--train-end", dest="train_end", type=int, default=None)
     p_sc.add_argument("--n-mode", dest="n_mode",
                       choices=["observed", "linear"], default="observed")
+    for p in (p_rec, p_cls, p_lp):     # the tasks that draw
+        p.add_argument("--seed", type=int, default=42)
 
     p_fc = sub.add_parser("forecast", help="forecast network scale")
     p_fc.add_argument("--checkpoint", required=True)
@@ -205,12 +206,10 @@ def cmd_eval(args) -> int:
         report = ev.temporal_link_prediction(state.embeddings, test_net, net,
                                              args.seed)
         report.config["split_epoch"] = args.split_epoch
-    elif args.task == "scale":
+    else:  # scale; argparse admits no other task
         report = ev.scale_prediction(state, net, args.t_next,
                                      train_end=args.train_end,
                                      n_mode=args.n_mode)
-    else:  # unreachable through argparse
-        raise ValueError(f"unknown eval task {args.task!r}")
     _emit(report, args.out)
     return 0
 

@@ -20,8 +20,6 @@ from .util import PAIR_CHUNK, substream
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, float):
@@ -100,29 +98,24 @@ def _decode_pairs(flat: np.ndarray, V: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _node_count(embeddings: np.ndarray, *nets: TemporalNetwork) -> int:
-    """The node count V shared by the embeddings and the networks, which
-    encode node pairs as keys ``min * V + max``."""
+def _in_sorted(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Whether each of ``keys`` is in the sorted, non-empty ``table``."""
+    return table[np.minimum(np.searchsorted(table, keys), table.size - 1)] \
+        == keys
+
+
+def _checked_embeddings(embeddings: np.ndarray, task: str,
+                        *nets: TemporalNetwork) -> np.ndarray:
+    """Squared row norms, after checking that the embeddings have one row per
+    node of each network (which encode node pairs as keys ``min * V + max``)
+    and that every squared distance between rows is finite:
+    ``||u - v||^2 <= 4 max ||u||^2``, kept below the float64 maximum with a
+    factor 2 to spare for rounding."""
     V = embeddings.shape[0]
     for net in nets:
         if net.node_count != V:
             raise ValueError(f"embeddings have {V} rows but the network has "
                              f"{net.node_count} nodes")
-    return V
-
-
-def _in_sorted(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Whether each of ``keys`` is in the sorted ``table``."""
-    if table.size == 0:
-        return np.zeros(keys.shape, dtype=bool)
-    return table[np.minimum(np.searchsorted(table, keys), table.size - 1)] \
-        == keys
-
-
-def _finite_sq_norms(embeddings: np.ndarray, task: str) -> np.ndarray:
-    """Squared row norms, after checking that every squared distance between
-    rows is finite: ``||u - v||^2 <= 4 max ||u||^2``, kept below the float64
-    maximum with a factor 2 to spare for rounding."""
     sq = np.einsum("nd,nd->n", embeddings, embeddings)
     if not np.isfinite(8.0 * sq).all():
         raise ValueError(f"{task}: embeddings contain inf/NaN or squared "
@@ -309,8 +302,8 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     0.1 and 20k edges a pass peaks at 4.2 MiB (tracemalloc), where a
     one-shot draw of all 16.8M pair indices took 141 MiB.
     """
-    V = _node_count(embeddings, net)
-    _finite_sq_norms(embeddings, "reconstruction")
+    _checked_embeddings(embeddings, "reconstruction", net)
+    V = embeddings.shape[0]
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
@@ -322,7 +315,8 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     ks = _distinct_keys(k_list, "K", int)
     for k in ks:
         if not 1 <= k <= n:
-            raise ValueError(f"K={k} exceeds the {n} candidate pairs")
+            raise ValueError(f"K={k} is below 1" if k < 1 else
+                             f"K={k} exceeds the {n} candidate pairs")
 
     # The drawn edges are scored once; only non-edges stream in blocks.
     lo, hi, edge_at = _edge_index(net.edge_keys(), V)
@@ -383,6 +377,7 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
     lie in (0, 1) and not repeat: a repeat's metrics would overwrite the
     earlier split's.
     """
+    _checked_embeddings(embeddings, "classification")
     if labels.n_classes < 2:
         raise ValueError("classification needs at least 2 classes")
     for ratio in train_ratios:
@@ -499,7 +494,8 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
     beta_a of the final tau is ranked, and those hold every node of the top
     top_k. Memory is the float32 rows, 4 V d bytes, plus a tile's scores
     and its shortlist, ranked PAIR_CHUNK nodes at a time."""
-    V = _node_count(embeddings, test_net)
+    sq = _checked_embeddings(embeddings, "recommendation", test_net)
+    V = embeddings.shape[0]
     ks = _distinct_keys(k_list, "K", int)
     if any(k < 1 for k in ks):
         raise ValueError("every K must be >= 1")
@@ -507,7 +503,6 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
                                       test_net.dst * V + test_net.src]))
     if truth.size == 0:
         raise ValueError("no test events to recommend against")
-    sq = _finite_sq_norms(embeddings, "recommendation")
     rows, row_sq, slack = _float32_filter(embeddings, sq)
     queries, n_hits = np.unique(truth // V, return_counts=True)
     top_k = min(max(ks), V - 1)
@@ -587,13 +582,17 @@ def _draw_non_edges(V: int, count: int, keys: np.ndarray,
     return lo * V + hi
 
 
+LINKPRED_FOLDS = 5
+
+
 def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
-                             full_net: TemporalNetwork, seed: int,
-                             folds: int = 5) -> MetricReport:
+                             full_net: TemporalNetwork,
+                             seed: int) -> MetricReport:
     """Cross-validated accuracy/F1 of a binary classifier on |u_i - u_j|
-    features, held-out edges against uniformly sampled never-linked pairs."""
-    V = _node_count(embeddings, test_net, full_net)
-    _finite_sq_norms(embeddings, "link prediction")
+    features, held-out edges against uniformly sampled never-linked pairs,
+    over LINKPRED_FOLDS folds (fewer when either class has fewer rows)."""
+    _checked_embeddings(embeddings, "link prediction", test_net, full_net)
+    V = embeddings.shape[0]
     positives = test_net.edge_keys()
     if len(positives) < 2:
         raise ValueError("need at least 2 held-out edges")
@@ -605,7 +604,7 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
                         np.zeros(len(negatives), dtype=np.int64)])
     X = np.abs(embeddings[keys // V] - embeddings[keys % V])
 
-    folds = max(2, min(folds, len(positives), len(negatives)))
+    folds = max(2, min(LINKPRED_FOLDS, len(positives), len(negatives)))
     fold_of = np.empty(y.shape[0], dtype=np.int64)
     for cls in (0, 1):
         members = np.where(y == cls)[0]
@@ -671,9 +670,11 @@ def scale_prediction(state: ModelState, net_full: TemporalNetwork,
     if train_end is None:
         train_end = t_next - 1
     if not 1 <= train_end < t_next:
-        raise ValueError("t_next must lie after the training window")
+        raise ValueError(f"train_end={train_end} is below 1" if train_end < 1
+                         else "t_next must lie after the training window")
     if t_next > T:
         raise ValueError(f"t_next={t_next} beyond the observed series (T={T})")
+    _checked_embeddings(state.embeddings, "scale prediction", net_full)
     series_train, S, horizon, n_future = _growth_inputs(
         state.embeddings, net_full, series_full, train_end, t_next, n_mode)
     forecast = macro_mod.forecast_scale(S, state.macro, series_train, horizon,
@@ -706,6 +707,7 @@ def trend_forecast_report(state: ModelState, net_full: TemporalNetwork,
     if train_epochs < 2:
         raise ValueError(f"train_fraction={train_fraction} leaves "
                          f"{train_epochs} < 2 training epochs")
+    _checked_embeddings(state.embeddings, "trend forecast", net_full)
     series_train, S, horizon, n_future = _growth_inputs(
         state.embeddings, net_full, series_full, train_epochs, T, n_mode)
     params = macro_mod.fit_params(series_train, S)

@@ -36,7 +36,6 @@ class TemporalNetwork:
     node_count: int
     raw_ids: tuple            # dense id -> raw token
     raw_epochs: tuple         # epoch-1 -> raw timestamp token
-    weighted: bool = False
     self_loops_dropped: int = 0
 
     def __len__(self) -> int:
@@ -217,19 +216,7 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
     return TemporalNetwork(src=src, dst=dst, time=time, weight=weight,
                            node_count=len(raw_ids), raw_ids=raw_ids,
                            raw_epochs=tuple(stamp[keep][new_epoch]),
-                           weighted=weighted,
                            self_loops_dropped=int(loop.sum()))
-
-
-def write_edge_list(net: TemporalNetwork, path) -> None:
-    """Serialize back to the text format (raw ids and raw timestamps; the
-    weights, when kept, as the shortest text that reads back exactly)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for s, d, t, w in zip(net.src, net.dst, net.time, net.weight):
-            line = f"{net.raw_ids[s]}\t{net.raw_ids[d]}\t{net.raw_epochs[t - 1]}"
-            if net.weighted:
-                line += f"\t{float(w)!r}"
-            fh.write(line + "\n")
 
 
 @dataclass(frozen=True)
@@ -357,8 +344,7 @@ def split_by_time(net: TemporalNetwork, t_split: int):
         return TemporalNetwork(src=net.src[keep], dst=net.dst[keep],
                                time=net.time[keep], weight=net.weight[keep],
                                node_count=net.node_count, raw_ids=net.raw_ids,
-                               raw_epochs=net.raw_epochs, weighted=net.weighted,
-                               self_loops_dropped=0)
+                               raw_epochs=net.raw_epochs, self_loops_dropped=0)
 
     return subset(mask), subset(~mask)
 

@@ -1,7 +1,7 @@
 """Built-in logistic regression (softmax + L2), deterministic bit for bit.
 
-Both fits minimise mean cross-entropy + 0.5 * l2 * ||W||^2 with the bias
-unpenalised, to the optimum:
+Both fits minimise mean cross-entropy + 0.5 * l2 * ||W||^2, l2 = L2_DEFAULT,
+with the bias unpenalised, to the optimum:
 
 - Two classes (link prediction): Newton's method (IRLS) with an Armijo
   backtracking line search, stopping when the gradient norm is at most
@@ -215,8 +215,7 @@ class LogisticRegression:
     rows. ``n_evals`` is the number of loss evaluations the last fit took.
     """
 
-    def __init__(self, l2: float = L2_DEFAULT):
-        self.l2 = float(l2)
+    def __init__(self):
         self.weights: np.ndarray | None = None   # (C, D)
         self.bias: np.ndarray | None = None      # (C,)
         self.n_classes: int = 0
@@ -246,11 +245,11 @@ class LogisticRegression:
                               self.bias[1] - self.bias[0])
         self.n_classes = n_classes
         if n_classes == 2:
-            v, c, self.n_evals = _binary_newton(X, y, self.l2, start)
+            v, c, self.n_evals = _binary_newton(X, y, L2_DEFAULT, start)
             self.weights = np.stack([-0.5 * v, 0.5 * v])
             self.bias = np.array([-0.5 * c, 0.5 * c])
             return self
-        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, self.l2)
+        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, L2_DEFAULT)
         self.weights = theta[:, :-1].copy()
         self.bias = theta[:, -1].copy()
         return self

@@ -219,6 +219,12 @@ def _projected_loss(x: np.ndarray, n: np.ndarray, t: np.ndarray,
         return float(r @ r), kappa * s, A, float(kappa / scale)
 
 
+def _check_affinity(S: float) -> None:
+    if not S > 0.0:
+        raise ValueError(f"edge affinity S = {S} is not positive: every "
+                         "training-edge sigmoid underflowed")
+
+
 def fit_params(series: MacroSeries, S: float) -> MacroParams:
     """Fit the growth model at a fixed affinity ``S`` (the embeddings are
     frozen); returns zeta = kappa / S with the fitted (kappa, gamma, theta).
@@ -235,9 +241,7 @@ def fit_params(series: MacroSeries, S: float) -> MacroParams:
     ValueError when S <= 0, when no increment epoch has n >= 2, when the
     loss is not finite at the start, or when the fitted kappa is not > 0.
     """
-    if not S > 0.0:
-        raise ValueError(f"edge affinity S = {S} is not positive: every "
-                         "training-edge sigmoid underflowed")
+    _check_affinity(S)
     n = series.n[:-1]
     if not np.any(n >= 2.0):
         raise ValueError("no increment epoch has 2 or more nodes, so the "
@@ -286,23 +290,22 @@ def linear_node_forecast(series_train: MacroSeries,
 
 
 def forecast_scale(S: float, params: MacroParams, series_train: MacroSeries,
-                   horizon: np.ndarray, n_future: np.ndarray | None) -> np.ndarray:
+                   horizon: np.ndarray, n_future: np.ndarray) -> np.ndarray:
     """Cumulative edge-count forecast over the horizon epochs at affinity
-    ``S`` over the training edges.
+    ``S`` > 0 over the training edges.
 
     The first step uses the node count and rate of the last training epoch;
     later steps consume ``n_future`` (cumulative node counts aligned with the
     horizon). An empty horizon returns an empty forecast, i.e. the final
     training count stands.
     """
+    _check_affinity(S)
     horizon = np.asarray(horizon, dtype=np.int64)
     if horizon.size == 0:
         return np.zeros(0, dtype=np.float64)
     t_last = int(series_train.epochs[-1])
     if horizon[0] != t_last + 1 or np.any(np.diff(horizon) != 1):
         raise ValueError("horizon must be consecutive epochs right after training")
-    if n_future is None:
-        raise ValueError("n_future is required for a non-empty horizon")
     n_future = np.asarray(n_future, dtype=np.float64)
     if n_future.shape[0] != horizon.shape[0]:
         raise ValueError("n_future must align with the horizon")

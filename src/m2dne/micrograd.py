@@ -99,15 +99,13 @@ class _NodeTable:
     ``centers`` (R, C) and ``nodes`` (R, h) are node ids. ``rows_c`` and
     ``rows_h`` hold the table row of each (same shapes), and ``slot_rows``
     both flat, centers first. An id outside [0, V) raises IndexError before
-    anything is read. The (n, d) tables live in ``work`` (default: fresh).
+    anything is read. The (n, d) tables live in ``work``.
     """
 
     def __init__(self, centers: np.ndarray, nodes: np.ndarray,
                  embeddings: np.ndarray, params: AttentionParams,
-                 work: Workspace | None = None):
+                 work: Workspace):
         V, d = embeddings.shape
-        if work is None:
-            work = Workspace()
         flat = np.concatenate([centers.reshape(-1),
                                nodes.reshape(-1)]).astype(np.int64)
         if flat.min() < 0 or flat.max() >= V:
@@ -137,19 +135,16 @@ class _Side:
     """Forward caches of the table's rows, one endpoint family (true +
     corrupted centers) per row: R = 2B in the engine.
 
-    The (R, C, d), (R, h, d) and (R, C, h) caches live in ``work``
-    (default: fresh), and so does the forward pass's scratch, "scratch" of
-    R * max(C, h) * d entries.
+    The (R, C, d), (R, h, d) and (R, C, h) caches live in ``work``, and so
+    does the forward pass's scratch, "scratch" of R * max(C, h) * d entries.
     """
 
     def __init__(self, table: _NodeTable, times, length, t,
-                 params: AttentionParams, work: Workspace | None = None):
+                 params: AttentionParams, work: Workspace):
         centers, nodes = table.rows_c, table.rows_h
         B, C = centers.shape
         h = nodes.shape[1]
         d = params.dim
-        if work is None:
-            work = Workspace()
         scratch = work.get("scratch", (B * max(C, h) * d,))
 
         def buf(key, *shape):

@@ -20,6 +20,8 @@ from .util import Workspace, substream
 
 CHECKPOINT_MAGIC = b"M2DNE\x00"
 CHECKPOINT_VERSION = 1
+FD_STEP = 1e-5        # gradient_check's central-difference step
+GRAD_FLOOR = 1e-3     # compare_grads' least denominator
 
 
 @dataclass
@@ -330,24 +332,24 @@ class GradCheckReport:
         return all(v <= self.tolerance for v in self.max_rel_err.values())
 
 
-def compare_grads(analytic: dict, numeric: dict, tolerance: float,
-                  floor: float = 1e-3) -> GradCheckReport:
-    """Per-group max of |a - n| / max(|a|, |n|, floor)."""
+def compare_grads(analytic: dict, numeric: dict,
+                  tolerance: float) -> GradCheckReport:
+    """Per-group max of |a - n| / max(|a|, |n|, GRAD_FLOOR)."""
     out = {}
     for name, a in analytic.items():
         a = np.asarray(a, dtype=np.float64)
         n = np.asarray(numeric[name], dtype=np.float64)
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+        denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), GRAD_FLOOR)
         out[name] = float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
     return GradCheckReport(max_rel_err=out, tolerance=tolerance)
 
 
 def gradient_check(state: ModelState, net: TemporalNetwork,
-                   config: TrainConfig, tolerance: float = 1e-4,
-                   fd_step: float = 1e-5) -> GradCheckReport:
+                   config: TrainConfig,
+                   tolerance: float = 1e-4) -> GradCheckReport:
     """Compare the analytic gradients of the groups :func:`step` updates
-    against central differences of the joint loss: the event-level loss plus
-    epsilon times the exact scale loss.
+    against central differences, of step FD_STEP, of the joint loss: the
+    event-level loss plus epsilon times the exact scale loss.
 
     The batch is the full event stream with negatives drawn once from the
     seeded stream, so the loss is a fixed function of the parameters.
@@ -372,12 +374,12 @@ def gradient_check(state: ModelState, net: TemporalNetwork,
         g = np.zeros(flat.shape)
         for pos in range(flat.shape[0]):
             orig = flat[pos]
-            flat[pos] = orig + fd_step
+            flat[pos] = orig + FD_STEP
             up = loss_at(work)
-            flat[pos] = orig - fd_step
+            flat[pos] = orig - FD_STEP
             down = loss_at(work)
             flat[pos] = orig
-            g[pos] = (up - down) / (2 * fd_step)
+            g[pos] = (up - down) / (2 * FD_STEP)
         numeric[name] = g.reshape(arr.shape)
     return compare_grads(analytic, numeric, tolerance)
 

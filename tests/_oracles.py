@@ -494,7 +494,7 @@ def parse_edge_list_oracle(path, weighted=False):
                            time=np.array(time, dtype=np.int64),
                            weight=np.array(weight, dtype=np.float64),
                            node_count=len(raw_ids), raw_ids=tuple(raw_ids),
-                           raw_epochs=tuple(raw_epochs), weighted=weighted,
+                           raw_epochs=tuple(raw_epochs),
                            self_loops_dropped=dropped)
 
 

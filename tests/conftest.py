@@ -10,6 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from m2dne.graph import TemporalNetwork  # noqa: E402
 from m2dne.micrograd import (EventBatch, _NodeTable, _Side,  # noqa: E402
                              batch_loss_and_grads)
+from m2dne.util import Workspace  # noqa: E402
 
 # the parameter groups a training step updates and gradcheck verifies; the
 # growth scalars (zeta_raw, gamma, theta) are the growth fit's
@@ -17,7 +18,7 @@ STEPPED_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
                   "decay_raw")
 
 
-def net_from_events(events, node_count=None, weights=None, weighted=False):
+def net_from_events(events, node_count=None, weights=None):
     """Build a TemporalNetwork directly from (src, dst, time) triples.
 
     Ids are taken literally as dense ids; times are compressed to consecutive
@@ -39,8 +40,7 @@ def net_from_events(events, node_count=None, weights=None, weighted=False):
     return TemporalNetwork(src=src, dst=dst, time=time, weight=w,
                            node_count=node_count,
                            raw_ids=tuple(str(v) for v in range(node_count)),
-                           raw_epochs=tuple(str(rt) for rt in distinct),
-                           weighted=weighted)
+                           raw_epochs=tuple(str(rt) for rt in distinct))
 
 
 def count_calls(monkeypatch, module, name):
@@ -100,8 +100,9 @@ def engine_side(centers, hist, U, P, t):
     """Engine forward caches of the given attention centers over one history
     at time t (a batch of one row)."""
     nodes, times, length = padded_rows([hist])
-    table = _NodeTable(np.array([centers]), nodes, U, P)
-    return _Side(table, times, length, np.array([t]), P)
+    work = Workspace()
+    table = _NodeTable(np.array([centers]), nodes, U, P, work)
+    return _Side(table, times, length, np.array([t]), P, work)
 
 
 def oracle_args(U, P, sb=0.0):

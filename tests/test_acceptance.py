@@ -69,8 +69,7 @@ def test_a1_gradient_correctness():
         state.embeddings += rng.normal(0, 0.3, state.embeddings.shape)
         state.attention.decay_raw += rng.normal(0, 0.4, net.node_count)
         state.macro = MacroParams(0.2, 1.1, 1.3)
-        report = gradient_check(state, net, config, tolerance=1e-4,
-                                fd_step=1e-5)
+        report = gradient_check(state, net, config, tolerance=1e-4)
         assert report.passed, report.max_rel_err
         assert time.time() - start < 60.0
 

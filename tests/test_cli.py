@@ -207,6 +207,31 @@ class TestEvalCommand:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("task,flags,message", [
+        ("reconstruct", ["--k", "0"], "K=0 is below 1"),
+        ("scale", ["--t-next", "12", "--train-end", "0"],
+         "train_end=0 is below 1")])
+    def test_lower_bound_named(self, tmp_path, capsys, task, flags, message):
+        # the message names the bound that failed, not the upper one
+        ckpt, _ = train(tmp_path)
+        capsys.readouterr()
+        rc = main(["eval", task, "--checkpoint", ckpt, "--edges", TOY_EDGES,
+                   *flags])
+        assert rc == 1
+        assert f"error: {message}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize("task,flags", [
+        ("recommend", ["--split-epoch", "10"]), ("scale", ["--t-next", "12"])])
+    def test_seed_rejected_where_nothing_is_drawn(self, tmp_path, capsys, task,
+                                                  flags):
+        ckpt, _ = train(tmp_path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", task, "--checkpoint", ckpt, "--edges", TOY_EDGES,
+                  *flags, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_recommend_and_linkpred_run(self, tmp_path, capsys):
         ckpt, _ = train(tmp_path)
         assert main(["eval", "recommend", "--checkpoint", ckpt, "--edges",

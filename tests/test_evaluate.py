@@ -796,6 +796,24 @@ class TestNonFiniteEmbeddings:
         with pytest.raises(ValueError, match="link prediction"):
             temporal_link_prediction(U, net, net, seed=0)
 
+    @pytest.mark.parametrize("value", sorted(BAD))
+    def test_classification(self, value):
+        # a NaN feature would otherwise classify without an error
+        U, _ = self._inputs(self.BAD[value])
+        labels = LabelTable(node_ids=np.arange(6),
+                            labels=np.array([0, 0, 0, 1, 1, 1]), n_classes=2)
+        with pytest.raises(ValueError, match="classification"):
+            node_classification(U, labels, [0.5], seed=0)
+
+    @pytest.mark.parametrize("value", sorted(BAD))
+    def test_scale_and_forecast(self, value):
+        net, state = growth_law_net()
+        state.embeddings[4, 1] = self.BAD[value]
+        with pytest.raises(ValueError, match="scale prediction"):
+            scale_prediction(state, net, t_next=20, train_end=16)
+        with pytest.raises(ValueError, match="trend forecast"):
+            trend_forecast_report(state, net, 0.75)
+
 
 def growth_law_net(V=30, T=20, warmup=40, theta=0.8, gamma=0.5, seed=15):
     """Event counts per epoch follow the growth equation with affinity 0.5
@@ -846,6 +864,33 @@ class TestScalePrediction:
         net, state = growth_law_net()
         with pytest.raises(ValueError):
             scale_prediction(state, net, t_next=10, train_end=16)
+
+
+class TestGrowthInputsChecked:
+    """Scale prediction and the trend forecast read the embeddings only
+    through the affinity S, which would hide a wrong row count or an S of 0
+    (a forecast of no growth)."""
+
+    def test_extra_embedding_rows_rejected(self):
+        net, state = growth_law_net()
+        state = make_state(np.vstack([state.embeddings, np.zeros((5, 5))]),
+                           state.macro)
+        message = "embeddings have 35 rows but the network has 30 nodes"
+        with pytest.raises(ValueError, match=message):
+            scale_prediction(state, net, t_next=20, train_end=16)
+        with pytest.raises(ValueError, match=message):
+            trend_forecast_report(state, net, 0.75)
+
+    def test_zero_affinity_rejected(self):
+        # every edge joins two rows 2e4 apart in squared distance, whose
+        # sigmoid underflows to 0, yet every norm is finite
+        net, state = growth_law_net()
+        state = make_state(100.0 * np.eye(30), state.macro)
+        message = "edge affinity S = 0.0 is not positive"
+        with pytest.raises(ValueError, match=message):
+            scale_prediction(state, net, t_next=20, train_end=16)
+        with pytest.raises(ValueError, match=message):
+            trend_forecast_report(state, net, 0.75)
 
 
 class TestTrendForecast:

@@ -9,7 +9,7 @@ import _oracles as orc
 from conftest import net_from_events
 from m2dne.graph import (ParseError, TemporalNetwork, compute_macro_series,
                          parse_edge_list, parse_labels, snapshot_arrays,
-                         split_by_time, write_edge_list)
+                         split_by_time)
 from m2dne.train import TrainData
 
 
@@ -61,21 +61,6 @@ class TestParseEdgeList:
     def test_weight_rejected_when_not_weighted(self, tmp_edges):
         with pytest.raises(ParseError, match="line 1"):
             parse_edge_list(tmp_edges("a b 1 2.5\n"))
-
-    def test_roundtrip_preserves_events(self, tmp_edges, tmp_path):
-        net = parse_edge_list(tmp_edges("a b 30\nc a 10\nb c 30\nd a 45\n"))
-        out = tmp_path / "roundtrip.tsv"
-        write_edge_list(net, out)
-        net2 = parse_edge_list(out)
-        assert net2.src.tolist() == net.src.tolist()
-        assert net2.dst.tolist() == net.dst.tolist()
-        assert net2.time.tolist() == net.time.tolist()
-        assert net2.raw_ids == net.raw_ids
-        weights = [2.123456789, 1.0 / 3.0, 1e-300]
-        weighted = parse_edge_list(tmp_edges("".join(
-            f"a b {k} {w!r}\n" for k, w in enumerate(weights))), weighted=True)
-        write_edge_list(weighted, out)
-        assert parse_edge_list(out, weighted=True).weight.tolist() == weights
 
     @pytest.mark.skipif("M2DNE_EUCORE" not in os.environ,
                         reason="set M2DNE_EUCORE to the Eucore edge file")

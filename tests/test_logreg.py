@@ -60,7 +60,7 @@ def objective(clf, X, y):
     biases, at the classifier's current parameters, from the reference in
     ``tests/_oracles.py`` (not from the fit's own kernel)."""
     loss, gw, gb = orc.softmax_objective_oracle(X, y, clf.weights, clf.bias,
-                                                clf.l2)
+                                                L2_DEFAULT)
     return loss, float(np.sqrt(np.sum(gw ** 2) + np.sum(gb ** 2)))
 
 
@@ -176,7 +176,7 @@ class TestChordNewton:
     @staticmethod
     def assert_same_optimum(clf, X, y, v, c):
         W, b = two_class_fit(v, c)
-        ref, _, _ = orc.softmax_objective_oracle(X, y, W, b, clf.l2)
+        ref, _, _ = orc.softmax_objective_oracle(X, y, W, b, L2_DEFAULT)
         loss, _ = objective(clf, X, y)
         assert abs(loss - ref) <= 1e-12 * (1.0 + ref)
         assert np.array_equal(clf.predict(X), np.argmax(X @ W.T + b, axis=1))

@@ -461,12 +461,6 @@ class TestForecast:
             forecast_scale(S, params, train, np.array([12, 13]),
                            np.array([5.0, 6.0]))
 
-    def test_requires_n_future(self):
-        S, params, series = self._generator_setup()
-        train = series.prefix(10)
-        with pytest.raises(ValueError):
-            forecast_scale(S, params, train, np.array([11]), None)
-
     def test_linear_node_forecast(self):
         series = make_series(np.array([2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
                              np.ones(5))

@@ -94,8 +94,7 @@ class TestSampleBatch:
         assert np.all(batch.src == 0) and np.all(batch.dst == 1)
 
     def test_weighted_sampling(self):
-        net = net_from_events([(0, 1, 1), (1, 2, 2)], weights=[9.0, 1.0],
-                              weighted=True)
+        net = net_from_events([(0, 1, 1), (1, 2, 2)], weights=[9.0, 1.0])
         data = TrainData(net, 2)
         batch = sample_batch(data, 50_000, substream(1, "batch"))
         freq = float(np.mean(batch.src == 0))
