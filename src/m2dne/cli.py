@@ -53,7 +53,7 @@ def _read_config_file(path) -> dict:
 def build_train_config(args) -> TrainConfig:
     values = _read_config_file(args.config) if args.config else {}
     for name in TRAIN_FIELDS:
-        flag = getattr(args, name)
+        flag = getattr(args, name, None)
         if flag is not None:
             values[name] = flag
     return TrainConfig(**values)
@@ -74,11 +74,11 @@ def _float_list(text: str):
     return [float(tok) for tok in _tokens(text)]
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_train_flags(p: argparse.ArgumentParser, names) -> None:
     p.add_argument("--config", help="key=value config file (flags override it)")
-    for name, kind in TRAIN_FIELDS.items():
-        p.add_argument("--" + name.replace("_", "-"), dest=name, type=kind,
-                       default=None)
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), dest=name,
+                       type=TRAIN_FIELDS[name], default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", default="model.ckpt")
     p_train.add_argument("--trace", default="trace.csv")
     p_train.add_argument("--progress", action="store_true")
-    _add_train_flags(p_train)
+    _add_train_flags(p_train, TRAIN_FIELDS)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint")
     ev_sub = p_eval.add_subparsers(dest="task", required=True)
@@ -150,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--edges", required=True)
     p_gc.add_argument("--weighted", action="store_true")
     p_gc.add_argument("--tolerance", type=float, default=1e-4)
-    _add_train_flags(p_gc)
+    # the settings gradient_check and its initial state read
+    _add_train_flags(p_gc, ("dim", "history", "negatives", "epsilon", "seed"))
     return parser
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import macro as macro_mod
 from .graph import LabelTable, MacroSeries, TemporalNetwork, compute_macro_series
-from .logreg import LogisticRegression, f1_scores
+from .logreg import LogisticRegression, class_f1, f1_scores
 from .train import ModelState
 from .util import PAIR_CHUNK, substream
 
@@ -357,8 +357,6 @@ def _stratified_split(labels: np.ndarray, n_classes: int, ratio: float,
     train_idx, test_idx = [], []
     for c in range(n_classes):
         idx = np.where(labels == c)[0]
-        if idx.size == 0:
-            continue
         perm = rng.permutation(idx)
         n_train = min(idx.size, max(1, int(round(ratio * idx.size))))
         train_idx.extend(perm[:n_train].tolist())
@@ -619,11 +617,7 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
         pred = clf.predict(X[test_mask])
         truth = y[test_mask]
         accs.append(float(np.mean(pred == truth)))
-        tp = int(np.sum((pred == 1) & (truth == 1)))
-        fp = int(np.sum((pred == 1) & (truth == 0)))
-        fn = int(np.sum((pred == 0) & (truth == 1)))
-        denom = 2 * tp + fp + fn
-        f1s.append(2.0 * tp / denom if denom else 0.0)
+        f1s.append(class_f1(truth, pred, 1))
     return MetricReport(task="link_prediction",
                         metrics={"accuracy": float(np.mean(accs)),
                                  "f1": float(np.mean(f1s))},
@@ -668,6 +662,9 @@ def scale_prediction(state: ModelState, net_full: TemporalNetwork,
     series_full = compute_macro_series(net_full)
     T = int(series_full.epochs[-1])
     if train_end is None:
+        if t_next < 2:
+            raise ValueError(f"t_next={t_next} leaves no training epoch "
+                             f"before it")
         train_end = t_next - 1
     if not 1 <= train_end < t_next:
         raise ValueError(f"train_end={train_end} is below 1" if train_end < 1

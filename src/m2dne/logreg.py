@@ -222,7 +222,7 @@ class LogisticRegression:
         self.n_evals: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray,
-            n_classes: int | None = None) -> "LogisticRegression":
+            n_classes: int) -> "LogisticRegression":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.int64)
         if X.ndim != 2:
@@ -230,8 +230,6 @@ class LogisticRegression:
         if y.shape != (X.shape[0],):
             raise ValueError(f"y must be 1-D with one label per row of X "
                              f"({X.shape[0]}), got shape {y.shape}")
-        if n_classes is None:
-            n_classes = int(y.max()) + 1 if y.size else 0
         if n_classes < 2:
             raise ValueError("need at least 2 classes")
         bad = (y < 0) | (y >= n_classes)
@@ -262,6 +260,15 @@ class LogisticRegression:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
+def class_f1(y_true: np.ndarray, y_pred: np.ndarray, c: int) -> float:
+    """F1 of class ``c``, 0 when undefined (no true or predicted c)."""
+    tp = int(np.sum((y_pred == c) & (y_true == c)))
+    fp = int(np.sum((y_pred == c) & (y_true != c)))
+    fn = int(np.sum((y_pred != c) & (y_true == c)))
+    denom = 2 * tp + fp + fn
+    return 2.0 * tp / denom if denom else 0.0
+
+
 def f1_scores(y_true: np.ndarray, y_pred: np.ndarray,
               n_classes: int) -> tuple[float, float]:
     """(macro_f1, micro_f1) with per-class F1 = 0 when undefined.
@@ -272,13 +279,7 @@ def f1_scores(y_true: np.ndarray, y_pred: np.ndarray,
     y_true = np.asarray(y_true, dtype=np.int64)
     y_pred = np.asarray(y_pred, dtype=np.int64)
     present = sorted(set(y_true.tolist()) | set(y_pred.tolist()))
-    per_class = []
-    for c in present:
-        tp = int(np.sum((y_pred == c) & (y_true == c)))
-        fp = int(np.sum((y_pred == c) & (y_true != c)))
-        fn = int(np.sum((y_pred != c) & (y_true == c)))
-        denom = 2 * tp + fp + fn
-        per_class.append(2.0 * tp / denom if denom else 0.0)
+    per_class = [class_f1(y_true, y_pred, c) for c in present]
     macro = float(np.mean(per_class)) if per_class else 0.0
     micro = float(np.mean(y_true == y_pred)) if y_true.size else 0.0
     return macro, micro

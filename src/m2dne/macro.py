@@ -99,9 +99,7 @@ def _predict_series(S: float, n: np.ndarray, t: np.ndarray,
 
 def macro_loss(series: MacroSeries, S: float, params: MacroParams) -> float:
     """Sum of squared errors between observed and predicted increments at
-    affinity ``S`` (see :func:`edge_affinity`)."""
-    if len(series.delta_e) == 0:
-        return 0.0
+    affinity ``S`` (see :func:`edge_affinity`); 0 for a one-epoch series."""
     pred = _predict_series(S, series.n[:-1], series.epochs[:-1], params)
     return float(np.sum((series.delta_e - pred) ** 2))
 

@@ -49,16 +49,14 @@ class NegativeTable:
     """Unigram sampler over nodes with probability proportional to
     degree ** 0.75, with rejection of one excluded node per draw.
 
-    The cumulative table is laid out in first-appearance order of the event
-    stream so that sampling commutes with any relabeling of node ids.
+    The cumulative table is laid out in ``order`` (training passes the
+    stream's first-appearance order, so sampling commutes with relabeling).
     """
 
-    def __init__(self, degrees: np.ndarray, order: np.ndarray | None = None):
+    def __init__(self, degrees: np.ndarray, order: np.ndarray):
         degrees = np.asarray(degrees, dtype=np.float64)
         if degrees.shape[0] < 2:
             raise ValueError("negative sampling needs at least two nodes")
-        if order is None:
-            order = np.arange(degrees.shape[0], dtype=np.int64)
         self.order = np.asarray(order, dtype=np.int64)
         weights = np.power(np.maximum(degrees[self.order], 0.0), NEGATIVE_EXPONENT)
         total = weights.sum()

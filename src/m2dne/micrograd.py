@@ -226,8 +226,7 @@ def _hist_vs_centers_backward(d_g, side: _Side, d_hist, d_centers, scratch):
 
 def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
                          embeddings: np.ndarray, params: AttentionParams,
-                         want_grads: bool = True,
-                         work: Workspace | None = None):
+                         work: Workspace, want_grads: bool = True):
     """Negative-sampling loss of one batch and, optionally, its gradients.
 
     ``negatives`` (2, B, K) holds the corruption ids of the source's slot
@@ -243,13 +242,11 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     forward temporaries, the pair diffs, the center products, then (as int64)
     the scatter's positions, the centers' and the histories'. Once the slots
     are scattered, the slot buffer takes the side backward's products. One
-    workspace passed to every batch of one shape is allocated once; None
-    uses a fresh one. The returned gradients never alias it.
+    workspace passed to every batch of one shape is allocated once. The
+    returned gradients never alias it.
     """
     B = len(batch)
     V, d = embeddings.shape
-    if work is None:
-        work = Workspace()
 
     # 2B rows, source family over target family; centers are never padded
     centers = np.concatenate([np.stack([batch.src, batch.dst])[:, :, None],

@@ -129,8 +129,7 @@ class TrainData:
     def __init__(self, net: TemporalNetwork, history: int):
         self.net = net
         self.snapshots = snapshot_arrays(net, history)
-        self.table = NegativeTable(net.degrees(),
-                                   order=net.first_appearance_order())
+        self.table = NegativeTable(net.degrees(), net.first_appearance_order())
         self.series: MacroSeries = compute_macro_series(net)
         cum = np.cumsum(net.weight)
         self.sample_cum = cum / cum[-1]
@@ -165,7 +164,7 @@ def _joint_grads(state: ModelState, batch: EventBatch, negatives,
     The coupling is ``data.coupling``, or exact at ``state.macro`` when
     that is None."""
     micro, grads, stats = batch_loss_and_grads(
-        batch, negatives, state.embeddings, state.attention, work=data.work)
+        batch, negatives, state.embeddings, state.attention, data.work)
     if config.epsilon > 0.0:
         coupling = (data.coupling
                     or macro_mod.coupling_at(data.series, state.macro))
@@ -180,8 +179,8 @@ def _joint_loss(state: ModelState, batch: EventBatch, negatives,
     """The loss whose gradients :func:`_joint_grads` returns with an exact
     coupling: the event-level loss plus epsilon times the scale loss."""
     loss, _, _ = batch_loss_and_grads(
-        batch, negatives, state.embeddings, state.attention,
-        want_grads=False, work=data.work)
+        batch, negatives, state.embeddings, state.attention, data.work,
+        want_grads=False)
     if config.epsilon > 0.0:
         S = macro_mod.edge_affinity(state.embeddings, data.net.src,
                                     data.net.dst)

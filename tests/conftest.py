@@ -92,7 +92,8 @@ def engine_score(i, j, t, hist_i, hist_j, U, P):
     softplus(-score)."""
     none = np.zeros((2, 1, 0), dtype=np.int64)
     loss, _, _ = batch_loss_and_grads(one_event_batch(i, j, t, hist_i, hist_j),
-                                      none, U, P, want_grads=False)
+                                      none, U, P, Workspace(),
+                                      want_grads=False)
     return -math.log(math.expm1(loss))
 
 

@@ -23,7 +23,7 @@ from m2dne.micro import AttentionParams
 from m2dne.micrograd import EventBatch, _pair_beta, batch_loss_and_grads
 from m2dne.train import (TrainConfig, fit, gradient_check, init_state,
                          load_checkpoint, save_checkpoint)
-from m2dne.util import substream
+from m2dne.util import Workspace, substream
 
 
 @contextmanager
@@ -195,7 +195,8 @@ def test_a5_oracle_equivalence():
         neg_src = (batch.dst[:, None] + [1, 2]) % V
         neg_dst = (batch.src[:, None] + [1, 3]) % V
         got, _, _ = batch_loss_and_grads(batch, np.stack([neg_src, neg_dst]),
-                                         U, params, want_grads=False)
+                                         U, params, Workspace(),
+                                         want_grads=False)
         want = orc.sampled_loss_oracle(events, orc.history_oracle(events, 2),
                                        neg_src.tolist(), neg_dst.tolist(),
                                        *oracle_args(U, params, sb))

@@ -66,6 +66,14 @@ class TestTrainCommand:
         assert trace.range_hits > 0
         assert f"; {trace.range_hits} range hits;" in capsys.readouterr().out
 
+    def test_progress_prints_one_line_per_epoch(self, tmp_path, capsys):
+        train(tmp_path, extra=["--progress"])
+        _, trace = fit(parse_edge_list(TOY_EDGES),
+                       TrainConfig(dim=4, epochs=3, batch_size=64, seed=7))
+        assert capsys.readouterr().err.splitlines() == [
+            f"epoch {e}/3 micro={mi:.4f} macro={ma:.4f}"
+            for e, mi, ma in zip(trace.epoch, trace.micro, trace.macro)]
+
     def test_bad_path_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--edges", str(tmp_path / "absent.tsv")])
         assert rc == 1
@@ -106,6 +114,17 @@ class TestConfigFile:
         assert rc == 1
         err = capsys.readouterr().err
         assert f"{cfg}:2:" in err and repr(key) in err
+        assert not (tmp_path / "c.ckpt").exists()
+
+    def test_line_without_equals_names_file_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim = 6\nepochs 2\n")
+        rc = main(["train", "--edges", TOY_EDGES, "--config", str(cfg),
+                   "--out", str(tmp_path / "c.ckpt"),
+                   "--trace", str(tmp_path / "t.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {cfg}:2: expected key=value\n"
         assert not (tmp_path / "c.ckpt").exists()
 
     def test_bad_value_names_file_line_and_key(self, tmp_path, capsys):
@@ -210,7 +229,9 @@ class TestEvalCommand:
     @pytest.mark.parametrize("task,flags,message", [
         ("reconstruct", ["--k", "0"], "K=0 is below 1"),
         ("scale", ["--t-next", "12", "--train-end", "0"],
-         "train_end=0 is below 1")])
+         "train_end=0 is below 1"),
+        ("scale", ["--t-next", "1"],
+         "t_next=1 leaves no training epoch before it")])
     def test_lower_bound_named(self, tmp_path, capsys, task, flags, message):
         # the message names the bound that failed, not the upper one
         ckpt, _ = train(tmp_path)
@@ -357,3 +378,37 @@ class TestGradcheckCommand:
         names = [line.split("\t")[0] for line in lines[:-1]]
         assert sorted(names) == sorted(STEPPED_GROUPS)
         assert not {"zeta_raw", "gamma", "theta"} & set(names)
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--batch-size",
+                                      "--learning-rate", "--grad-clip"])
+    def test_unread_training_flag_is_usage_error(self, capsys, flag):
+        # gradient_check reads no epoch count, batch, rate or clip
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--edges", TOY_EDGES, "--dim", "2", flag, "3"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
+
+    def test_help_lists_only_read_flags(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "-h"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for flag in ("--dim", "--history", "--negatives", "--epsilon",
+                     "--seed", "--config", "--tolerance"):
+            assert flag in out, flag
+        for flag in ("--epochs", "--batch-size", "--learning-rate",
+                     "--grad-clip"):
+            assert flag not in out, flag
+
+    def test_config_shared_with_train(self, tmp_path, capsys):
+        # keys only train reads are accepted, and change nothing
+        main(["gradcheck", "--edges", TOY_EDGES, "--dim", "4",
+              "--history", "2", "--negatives", "1", "--seed", "3"])
+        want = capsys.readouterr().out
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("dim = 4\nhistory = 2\nnegatives = 1\nseed = 3\n"
+                       "epochs = 7\nbatch-size = 3\nlearning-rate = 99\n"
+                       "grad-clip = 1\n")
+        rc = main(["gradcheck", "--edges", TOY_EDGES, "--config", str(cfg)])
+        assert rc == 0
+        assert capsys.readouterr().out == want

@@ -107,6 +107,26 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruction_metrics(U, net, [16])
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.5, float("nan")])
+    def test_sample_fraction_outside_unit_interval_rejected(self, fraction):
+        U, net = self._toy()
+        with pytest.raises(ValueError,
+                           match=r"sample_fraction must be in \(0, 1\]"):
+            reconstruction_metrics(U, net, [1], sample_fraction=fraction,
+                                   rng=substream(0, "eval-splits"))
+
+    def test_sampling_without_rng_rejected(self):
+        U, net = self._toy()
+        with pytest.raises(ValueError, match="requires an rng"):
+            reconstruction_metrics(U, net, [1], sample_fraction=0.5)
+
+    def test_complete_graph_rejected(self):
+        # every pair is an edge, so there is no negative pair to rank
+        net = net_from_events([(0, 1, 1), (0, 2, 1), (1, 2, 2)])
+        with pytest.raises(ValueError, match="AUC needs both positive and "
+                                             "negative pairs"):
+            reconstruction_metrics(np.zeros((3, 2)), net, [1])
+
     def test_sampled_candidates(self):
         U, net = self._toy()
         rep = reconstruction_metrics(U, net, [2], sample_fraction=0.8,
@@ -335,6 +355,31 @@ class TestSampledPairs:
             assert flat[0] >= 0 and flat[-1] < total
             assert np.all(np.diff(flat) > 0)
 
+    @pytest.mark.parametrize("size,k", [(1000, 50), (10 ** 6, 300)])
+    def test_short_first_gap_batch_is_extended(self, size, k):
+        # the first batch of exponentials is scaled to 0, so its gaps are
+        # all 1 and it ends at its own length, far below size: the loop
+        # must extend it for any draw to land past that
+        class ShortFirstBatch:
+            def __init__(self):
+                self.rng = np.random.default_rng(size)
+                self.counts = []
+
+            def standard_exponential(self, count):
+                self.counts.append(count)
+                e = self.rng.standard_exponential(count)
+                return 0.0 * e if len(self.counts) == 1 else e
+
+            def __getattr__(self, name):
+                return getattr(self.rng, name)
+
+        rng = ShortFirstBatch()
+        got = evaluate_mod._ascending_sample(size, k, rng)
+        assert got.shape == (k,)
+        assert np.all(np.diff(got) > 0)
+        assert got[0] >= 0 and got[-1] < size
+        assert got[-1] >= rng.counts[0]
+
     @pytest.mark.parametrize("limit", [10 ** 9, 1])
     @pytest.mark.parametrize("n", [1, 15, 44])
     def test_inclusion_rate_uniform(self, monkeypatch, limit, n):
@@ -498,6 +543,16 @@ class TestNodeClassification:
         with pytest.raises(ValueError, match="train ratio list is empty"):
             node_classification(U, labels, [], seed=0)
 
+    def test_ratio_leaving_no_test_node_rejected(self):
+        # every class keeps one training node, so one-node classes leave
+        # none to test
+        U = np.random.default_rng(0).normal(size=(2, 3))
+        labels = LabelTable(node_ids=np.arange(2), labels=np.array([0, 1]),
+                            n_classes=2)
+        with pytest.raises(ValueError,
+                           match="ratio 0.5 leaves an empty test split"):
+            node_classification(U, labels, [0.5], seed=0)
+
     def test_identical_embeddings_majority(self):
         U = np.tile(np.array([0.3, -0.4, 0.2]), (20, 1))
         y = np.array([0] * 14 + [1] * 6)
@@ -517,7 +572,8 @@ class TestNodeClassification:
 
 class TestTemporalRecommendation:
     @pytest.mark.parametrize("ks,message", [([], "K list is empty"),
-                                            ([1, 1], "K 1 is repeated")])
+                                            ([1, 1], "K 1 is repeated"),
+                                            ([2, 0], "every K must be >= 1")])
     def test_empty_or_repeated_k_rejected(self, ks, message):
         U = np.array([[0.0], [0.05], [5.0], [5.05]])
         test_net = net_from_events([(0, 1, 1), (2, 3, 1)], node_count=4)
@@ -864,6 +920,25 @@ class TestScalePrediction:
         net, state = growth_law_net()
         with pytest.raises(ValueError):
             scale_prediction(state, net, t_next=10, train_end=16)
+
+    def test_train_end_defaults_to_the_epoch_before_t_next(self):
+        net, state = growth_law_net()
+        rep = scale_prediction(state, net, t_next=20)
+        assert rep.config["train_end"] == 19
+        assert rep.to_text() == \
+            scale_prediction(state, net, t_next=20, train_end=19).to_text()
+
+    def test_t_next_one_leaves_no_training_epoch(self):
+        net, state = growth_law_net()
+        with pytest.raises(ValueError, match="^t_next=1 leaves no training "
+                                             "epoch before it$"):
+            scale_prediction(state, net, t_next=1)
+
+    def test_t_next_past_the_series_rejected(self):
+        net, state = growth_law_net()
+        with pytest.raises(ValueError, match=r"t_next=21 beyond the observed "
+                                             r"series \(T=20\)"):
+            scale_prediction(state, net, t_next=21, train_end=16)
 
 
 class TestGrowthInputsChecked:

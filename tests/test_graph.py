@@ -7,9 +7,9 @@ import pytest
 
 import _oracles as orc
 from conftest import net_from_events
-from m2dne.graph import (ParseError, TemporalNetwork, compute_macro_series,
-                         parse_edge_list, parse_labels, snapshot_arrays,
-                         split_by_time)
+from m2dne.graph import (MacroSeries, ParseError, TemporalNetwork,
+                         compute_macro_series, parse_edge_list, parse_labels,
+                         snapshot_arrays, split_by_time)
 from m2dne.train import TrainData
 
 
@@ -218,6 +218,36 @@ class TestMacroSeries:
         assert np.all(np.diff(series.n) >= 0)
 
 
+class TestMacroSeriesChecks:
+    @pytest.mark.parametrize("fields,message", [
+        ((np.array([1, 2]), np.array([2.0]), np.array([1.0]), np.zeros(0)),
+         "inconsistent series lengths"),
+        ((np.array([1, 2]), np.array([2.0, 2.0]), np.array([1.0]),
+          np.zeros(0)), "inconsistent series lengths"),
+        ((np.array([1, 2]), np.array([2.0, 2.0]), np.array([1.0, 2.0]),
+          np.zeros(0)), "delta_e length must be len"),
+        ((np.array([1, 2]), np.array([3.0, 2.0]), np.array([1.0, 2.0]),
+          np.array([1.0])), "cumulative counts must be non-decreasing"),
+        ((np.array([1, 2]), np.array([2.0, 2.0]), np.array([2.0, 1.0]),
+          np.array([-1.0])), "cumulative counts must be non-decreasing")])
+    def test_inconsistent_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            MacroSeries(*fields)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_prefix_out_of_range_rejected(self, k):
+        series = compute_macro_series(net_from_events(
+            [(0, 1, 1), (1, 2, 2), (0, 2, 3), (2, 3, 4)]))
+        with pytest.raises(ValueError, match=f"prefix length {k} out of "):
+            series.prefix(k)
+
+    def test_empty_network_rejected(self):
+        net = net_from_events([(0, 1, 1), (1, 2, 2)])
+        _, empty = split_by_time(net, 3)
+        with pytest.raises(ValueError, match="empty network"):
+            compute_macro_series(empty)
+
+
 class TestStreamArrays:
     @pytest.mark.parametrize("seed", range(4))
     def test_match_stream_oracle(self, seed):
@@ -305,6 +335,14 @@ class TestSplitByTime:
         net = net_from_events(self.EVENTS)
         with pytest.raises(ValueError):
             split_by_time(net, net.epoch_count + 2)
+
+    def test_held_out_half_split_before_its_events_rejected(self):
+        # the held-out half keeps the parent's epochs, but none of its
+        # events lies before epoch 3
+        _, test = split_by_time(net_from_events(self.EVENTS), 3)
+        with pytest.raises(ValueError,
+                           match="split would leave an empty training window"):
+            split_by_time(test, 2)
 
 
 class TestParseLabels:

@@ -21,7 +21,7 @@ def blobs(seed=0, n=60, gap=6.0, d=4, classes=2):
 class TestLogisticRegression:
     def test_separable_binary_perfect(self):
         X, y = blobs(seed=1)
-        clf = LogisticRegression().fit(X, y)
+        clf = LogisticRegression().fit(X, y, 2)
         assert np.array_equal(clf.predict(X), y)
 
     def test_separable_multiclass_perfect(self):
@@ -31,16 +31,16 @@ class TestLogisticRegression:
 
     def test_deterministic(self):
         X, y = blobs(seed=3)
-        p1 = LogisticRegression().fit(X, y).predict_proba(X)
-        p2 = LogisticRegression().fit(X, y).predict_proba(X)
+        p1 = LogisticRegression().fit(X, y, 2).predict_proba(X)
+        p2 = LogisticRegression().fit(X, y, 2).predict_proba(X)
         assert np.array_equal(p1, p2)
 
     def test_duplicated_features_deterministic(self):
         # duplicating feature columns must not break determinism of the run
         X, y = blobs(seed=4)
         X2 = np.hstack([X, X])
-        r1 = LogisticRegression().fit(X2, y).predict(X2)
-        r2 = LogisticRegression().fit(X2, y).predict(X2)
+        r1 = LogisticRegression().fit(X2, y, 2).predict(X2)
+        r2 = LogisticRegression().fit(X2, y, 2).predict(X2)
         assert np.array_equal(r1, r2)
 
     def test_single_class_rejected(self):
@@ -316,6 +316,16 @@ class TestMulticlassDescent:
         for seed in range(1, 6):
             X, y = overlapping_classes(seed, spread=1.0)
             assert LogisticRegression().fit(X, y, 4).n_evals <= 250, seed
+
+    def test_badly_scaled_feature_stops_when_no_step_lowers_the_loss(self):
+        # at a feature scale of 1e6 the line search runs out of resolution
+        # before the gradient rule holds, and the fit ends there
+        X = np.random.default_rng(0).normal(size=(30, 1)) * 1e6
+        y = np.arange(30) % 3
+        clf = self._finite_and_repeatable(X, y, 3)
+        loss, grad = kernel(np.hstack([clf.weights, clf.bias[:, None]]),
+                            X, y, L2_DEFAULT)
+        assert np.linalg.norm(grad) > logreg._LBFGS_GRAD_TOL * (1.0 + loss)
 
     @staticmethod
     def _finite_and_repeatable(X, y, n_classes):

@@ -461,6 +461,12 @@ class TestForecast:
             forecast_scale(S, params, train, np.array([12, 13]),
                            np.array([5.0, 6.0]))
 
+    def test_requires_one_node_count_per_horizon_epoch(self):
+        S, params, series = self._generator_setup()
+        with pytest.raises(ValueError, match="n_future must align"):
+            forecast_scale(S, params, series.prefix(10), np.array([11, 12]),
+                           np.array([5.0]))
+
     def test_linear_node_forecast(self):
         series = make_series(np.array([2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
                              np.ones(5))

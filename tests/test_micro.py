@@ -11,7 +11,7 @@ import _oracles as orc
 from conftest import engine_score, engine_side, one_event_batch, oracle_args
 from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
 from m2dne.micrograd import _pair_beta, batch_loss_and_grads
-from m2dne.util import softplus
+from m2dne.util import Workspace, softplus
 
 
 def make_params(V, d, seed=0, zero_w=False):
@@ -192,7 +192,8 @@ class TestIntensity:
                                 [(-1 if where == "history" else 2, 1)], [])
         neg = np.array([[[-1 if where == "negative" else 2]], [[0]]])
         with pytest.raises(IndexError, match=r"\[0, 3\)"):
-            batch_loss_and_grads(batch, neg, U, P, want_grads=want_grads)
+            batch_loss_and_grads(batch, neg, U, P, Workspace(),
+                                 want_grads=want_grads)
 
     def test_transfer_values(self):
         # the positive pair's loss is softplus(-score) = -log sigmoid(score)
@@ -200,10 +201,10 @@ class TestIntensity:
         none = np.zeros((2, 1, 0), dtype=np.int64)
         batch = one_event_batch(0, 1, 1, [], [])
         loss, _, _ = batch_loss_and_grads(batch, none, np.zeros((2, 2)), P,
-                                          want_grads=False)
+                                          Workspace(), want_grads=False)
         assert loss == pytest.approx(math.log(2.0), abs=1e-15)
         U2 = np.array([[0.0, 0.0], [np.sqrt(2.0), 0.0]])
-        loss, _, _ = batch_loss_and_grads(batch, none, U2, P,
+        loss, _, _ = batch_loss_and_grads(batch, none, U2, P, Workspace(),
                                           want_grads=False)
         assert loss == pytest.approx(math.log1p(math.exp(2.0)), abs=1e-12)
 
@@ -217,30 +218,38 @@ class TestIntensity:
             hi = [(2, 1), (3, 2)] if trial % 2 else []
             hj = [(4, 1)] if trial % 3 else []
             loss, _, _ = batch_loss_and_grads(one_event_batch(0, 1, 3, hi, hj),
-                                              none, U, P, want_grads=False)
+                                              none, U, P, Workspace(),
+                                              want_grads=False)
             assert 0.0 < loss < math.inf
 
 
 class TestNegativeSampling:
     def test_two_nodes_partner_excluded(self):
         rng = np.random.default_rng(0)
-        draws = NegativeTable(np.array([5, 3])).sample(50, rng, exclude=1)
+        draws = NegativeTable(np.array([5, 3]), np.arange(2)).sample(
+            50, rng, exclude=1)
         assert set(draws.tolist()) == {0}
 
     def test_unigram_frequency(self):
         rng = np.random.default_rng(1)
-        draws = NegativeTable(np.array([8, 1])).sample(100_000, rng)
+        draws = NegativeTable(np.array([8, 1]), np.arange(2)).sample(
+            100_000, rng)
         expected = 8 ** 0.75 / (8 ** 0.75 + 1.0)
         freq = float(np.mean(draws == 0))
         assert abs(freq - expected) < 0.01
 
     def test_output_length(self):
         rng = np.random.default_rng(2)
-        assert NegativeTable(np.array([1, 2, 3])).sample(7, rng).shape == (7,)
+        assert NegativeTable(np.array([1, 2, 3]),
+                             np.arange(3)).sample(7, rng).shape == (7,)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
-            NegativeTable(np.array([4]))
+            NegativeTable(np.array([4]), np.arange(1))
+
+    def test_all_zero_degrees_rejected(self):
+        with pytest.raises(ValueError, match="all degrees are zero"):
+            NegativeTable(np.zeros(3), np.arange(3))
 
     def test_order_equivariance(self):
         # sampling along the first-appearance order commutes with relabeling
@@ -256,7 +265,7 @@ class TestNegativeSampling:
         assert np.array_equal(perm[draws], draws_p)
 
     def test_excluded_node_with_all_mass_fails(self):
-        table = NegativeTable(np.array([5, 0, 0]))
+        table = NegativeTable(np.array([5, 0, 0]), np.arange(3))
         with pytest.raises(ValueError, match="node 0 carries all"):
             table.sample(1, np.random.default_rng(0), exclude=0)
         with pytest.raises(ValueError, match="node 0 carries all"):
@@ -266,8 +275,8 @@ class TestNegativeSampling:
     def test_per_draw_exclusion(self):
         rng = np.random.default_rng(3)
         exclude = np.tile([0, 1], 500)
-        draws = NegativeTable(np.array([5, 3])).sample(1000, rng,
-                                                       exclude=exclude)
+        draws = NegativeTable(np.array([5, 3]), np.arange(2)).sample(
+            1000, rng, exclude=exclude)
         assert np.array_equal(draws, 1 - exclude)
 
 
@@ -297,7 +306,7 @@ class TestEventNegativesOracle:
         self.both(src, dst, table, k, seed + 100)
 
     def test_k_zero(self):
-        table = NegativeTable(np.array([2, 3, 4]))
+        table = NegativeTable(np.array([2, 3, 4]), np.arange(3))
         self.both(np.array([0, 1]), np.array([2, 0]), table, 0, 1)
 
     def test_skewed_table_forces_rejections(self):
@@ -318,7 +327,7 @@ class TestSamplerScanBoundaries:
     row, and a rejection on the last uniform of a call, which forces a fresh
     one. Same ids, same generator state afterwards."""
 
-    table = NegativeTable(np.array([10, 1, 1]))
+    table = NegativeTable(np.array([10, 1, 1]), np.arange(3))
     seed = 4
 
     def raw(self, count):

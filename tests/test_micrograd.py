@@ -58,7 +58,7 @@ def oracle_loss(net, h, negatives, U, P):
 
 
 def engine_loss(batch, negatives, U, P):
-    loss, _, _ = batch_loss_and_grads(batch, negatives, U, P,
+    loss, _, _ = batch_loss_and_grads(batch, negatives, U, P, Workspace(),
                                       want_grads=False)
     return loss
 
@@ -96,7 +96,7 @@ class TestEngineAgainstScalarPath:
         _, P = random_state(net, 3, 5)
         batch = full_batch(net, h=2)
         zero = np.zeros((2, 1, 0), dtype=np.int64)
-        loss, _, _ = batch_loss_and_grads(batch, zero, U, P,
+        loss, _, _ = batch_loss_and_grads(batch, zero, U, P, Workspace(),
                                           want_grads=False)
         assert loss == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -173,7 +173,8 @@ class TestGradients:
             substream(4, "negatives"))
         _, grads, _ = _joint_grads(state, batch, negatives, data, cfg)
         _, engine, _ = batch_loss_and_grads(batch, negatives,
-                                            state.embeddings, state.attention)
+                                            state.embeddings, state.attention,
+                                            Workspace())
         assert scale_calls == [[], []]
         assert grads.keys() == engine.keys()
         for name in STEPPED_GROUPS:
@@ -202,7 +203,8 @@ class TestDuplicateIndices:
         rng = np.random.default_rng(41)
         U = rng.normal(0, 0.4, (7, 4))
         _, P = random_state(net_from_events([(0, 1, 1)], node_count=7), 4, 42)
-        _, grads, _ = batch_loss_and_grads(batch, negatives, U, P)
+        _, grads, _ = batch_loss_and_grads(batch, negatives, U, P,
+                                           Workspace())
 
         step = 1e-5
         numeric = np.zeros_like(U)
@@ -242,7 +244,7 @@ class TestMemory:
         negatives = rng.integers(V, size=(2, B, K))
         tracemalloc.start()
         try:
-            batch_loss_and_grads(batch, negatives, U, P)
+            batch_loss_and_grads(batch, negatives, U, P, Workspace())
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -294,7 +296,8 @@ class TestWorkspaceReuse:
                             rng.normal(0, 0.5, V))
         a = random_batch(rng, 16, K, h, V, lengths)
         b = random_batch(rng, 16, K, h, V, lengths)
-        fresh = [batch_loss_and_grads(*args, U, P) for args in (a, b, a)]
+        fresh = [batch_loss_and_grads(*args, U, P, Workspace())
+                 for args in (a, b, a)]
         work = Workspace()
         reused = [batch_loss_and_grads(*args, U, P, work=work)
                   for args in (a, b, a)]
@@ -324,8 +327,10 @@ class TestHistoryPadding:
             np.concatenate([batch.hist_times,
                             rng.integers(1, 99, size=(2, B, 3))], axis=2),
             batch.hist_len)
-        loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P)
-        loss_w, grads_w, _ = batch_loss_and_grads(wide, negatives, U, P)
+        loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P,
+                                              Workspace())
+        loss_w, grads_w, _ = batch_loss_and_grads(wide, negatives, U, P,
+                                                  Workspace())
         assert loss_w == pytest.approx(loss, rel=1e-12)
         assert grads_w.keys() == grads.keys()
         # at h = 1 one entry takes all the attention: att_vector's gradient
@@ -344,7 +349,8 @@ def test_unequal_negative_counts_rejected():
     batch, negatives = random_batch(rng, 6, 2, 3, 12)
     with pytest.raises(ValueError):
         batch_loss_and_grads(batch, [negatives[0],
-                                     rng.integers(12, size=(6, 3))], U, P)
+                                     rng.integers(12, size=(6, 3))], U, P,
+                             Workspace())
 
 
 class TestEndpointSwap:
@@ -362,9 +368,10 @@ class TestEndpointSwap:
         swapped = EventBatch(batch.dst, batch.src, batch.t,
                              batch.hist_nodes[::-1], batch.hist_times[::-1],
                              batch.hist_len[::-1])
-        loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P)
+        loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P,
+                                              Workspace())
         loss_s, grads_s, _ = batch_loss_and_grads(swapped, negatives[::-1],
-                                                  U, P)
+                                                  U, P, Workspace())
         assert loss_s == pytest.approx(loss, rel=1e-12)
         for name in STEPPED_GROUPS:
             scale = np.abs(grads[name]).max()
@@ -386,7 +393,7 @@ class TestPermutationEquivariance:
                               order=net.first_appearance_order())
         negatives = draw_event_negatives(batch.src, batch.dst, table, 2,
                                          substream(8, "negatives"))
-        result = batch_loss_and_grads(batch, negatives, U, P,
+        result = batch_loss_and_grads(batch, negatives, U, P, Workspace(),
                                       want_grads=want_grads)
 
         rng = np.random.default_rng(33)
@@ -401,7 +408,7 @@ class TestPermutationEquivariance:
         P_p.decay_raw[perm] = P.decay_raw
         batch_p = full_batch(net_p, h=3)
         result_p = batch_loss_and_grads(batch_p, perm[negatives], U_p, P_p,
-                                        want_grads=want_grads)
+                                        Workspace(), want_grads=want_grads)
         return result, result_p, perm
 
     def test_batch_loss_invariant_under_relabeling(self):
@@ -434,13 +441,15 @@ class TestAbsentNodes:
         odd = EventBatch(2 * batch.src + 1, 2 * batch.dst + 1, batch.t,
                          2 * batch.hist_nodes + 1, batch.hist_times,
                          batch.hist_len)
-        _, grads, _ = batch_loss_and_grads(odd, 2 * negatives + 1, U, P)
+        _, grads, _ = batch_loss_and_grads(odd, 2 * negatives + 1, U, P,
+                                           Workspace())
         for name in ("embeddings", "decay_raw"):
             assert np.all(grads[name][0::2] == 0.0), name
             assert np.any(grads[name][1::2] != 0.0), name
         P_odd = AttentionParams(P.att_vector, P.local_weight, P.s_weight,
                                 P.decay_raw[1::2])
-        _, dense, _ = batch_loss_and_grads(batch, negatives, U[1::2], P_odd)
+        _, dense, _ = batch_loss_and_grads(batch, negatives, U[1::2], P_odd,
+                                           Workspace())
         for name in STEPPED_GROUPS:
             got = np.asarray(grads[name])
             if name in ("embeddings", "decay_raw"):

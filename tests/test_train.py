@@ -100,6 +100,11 @@ class TestSampleBatch:
         freq = float(np.mean(batch.src == 0))
         assert abs(freq - 0.9) < 0.01
 
+    def test_batch_size_below_one_rejected(self):
+        data = TrainData(toy_net(4), 3)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            sample_batch(data, 0, substream(9, "batch"))
+
     def test_fixed_seed_reproduces(self):
         net = toy_net(4)
         data = TrainData(net, 3)
@@ -239,7 +244,7 @@ class TestJointLoss:
                                    cfg.negatives, substream(seed, "negatives"))
         micro, grads, _ = _joint_grads(state, batch, neg, data, cfg)
         engine, engine_grads, _ = batch_loss_and_grads(
-            batch, neg, state.embeddings, state.attention)
+            batch, neg, state.embeddings, state.attention, Workspace())
         coupled = engine_grads["embeddings"].copy()
         macro_loss_and_grads(coupling_at(data.series, state.macro),
                              state.embeddings, net.src, net.dst,
@@ -317,6 +322,25 @@ class TestFit:
                            substream(3, "init"))
         with pytest.raises(ValueError, match="dim 8, the config 32"):
             fit(net, TrainConfig(dim=32, epochs=1), initial_state=state)
+
+    def test_initial_state_of_another_size_rejected(self):
+        net = toy_net(3)
+        state = init_state(net.node_count + 1, TrainConfig(dim=4),
+                           substream(3, "init"))
+        with pytest.raises(ValueError, match="initial state does not match "
+                                             "the network size"):
+            fit(net, TrainConfig(dim=4, epochs=1), initial_state=state)
+
+    def test_non_finite_parameters_after_training_rejected(self):
+        # epsilon = 0 never refits the growth model, so a NaN there passes
+        # every step and only the final check sees it
+        net = toy_net(3)
+        cfg = TrainConfig(dim=4, epochs=1, epsilon=0.0, batch_size=32)
+        state = init_state(net.node_count, cfg, substream(3, "init"))
+        state.macro.gamma = float("nan")
+        with pytest.raises(FloatingPointError,
+                           match="non-finite parameters after training"):
+            fit(net, cfg, initial_state=state)
 
     def test_equivariant_under_relabeling(self):
         net = toy_net(8, nodes=9, n_events=70, epochs=7)

@@ -1,9 +1,9 @@
-"""The stable sigmoid in its four calling forms."""
+"""The stable sigmoid in its four calling forms, and take_rows' bounds."""
 
 import numpy as np
 import pytest
 
-from m2dne.util import sigmoid
+from m2dne.util import sigmoid, take_rows
 
 
 def reference(x):
@@ -52,3 +52,11 @@ class TestSigmoid:
         got = sigmoid(x)
         assert type(got) is float
         assert got == float(reference(np.float64(x)))
+
+
+@pytest.mark.parametrize("index", [[0, 3], [-4]])
+def test_take_rows_rejects_ids_out_of_range(index):
+    # np.take's wrap mode would map them silently onto a row
+    with pytest.raises(IndexError, match="row id out of range for 3 rows"):
+        take_rows(np.arange(6.0).reshape(3, 2), np.array(index),
+                  np.empty((len(index), 2)))
