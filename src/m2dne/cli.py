@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from . import evaluate as ev
@@ -74,6 +75,14 @@ def _float_list(text: str):
     return [float(tok) for tok in _tokens(text)]
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:       # NaN fails too
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def _add_train_flags(p: argparse.ArgumentParser, names) -> None:
     p.add_argument("--config", help="key=value config file (flags override it)")
     for name in names:
@@ -102,7 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     def eval_common(p):
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--edges", required=True)
-        p.add_argument("--weighted", action="store_true")
         p.add_argument("--out", default=None, help="report path (default stdout)")
 
     p_rec = ev_sub.add_parser("reconstruct")
@@ -139,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fc = sub.add_parser("forecast", help="forecast network scale")
     p_fc.add_argument("--checkpoint", required=True)
     p_fc.add_argument("--edges", required=True)
-    p_fc.add_argument("--weighted", action="store_true")
     p_fc.add_argument("--train-fraction", dest="train_fraction", type=float,
                       default=0.75)
     p_fc.add_argument("--mode", choices=["observed", "linear"],
@@ -148,8 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gc = sub.add_parser("gradcheck", help="finite-difference gradient check")
     p_gc.add_argument("--edges", required=True)
-    p_gc.add_argument("--weighted", action="store_true")
-    p_gc.add_argument("--tolerance", type=float, default=1e-4)
+    p_gc.add_argument("--tolerance", type=_tolerance, default=1e-4)
     # the settings gradient_check and its initial state read
     _add_train_flags(p_gc, ("dim", "history", "negatives", "epsilon", "seed"))
     return parser
@@ -177,9 +183,10 @@ def cmd_train(args) -> int:
 
 def _load_model_and_edges(args):
     """The checkpoint and edge list of an eval or forecast command; fails
-    when they disagree on the node count."""
+    when they disagree on the node count. A weight column parses and is
+    ignored."""
     state = load_checkpoint(args.checkpoint)
-    net = parse_edge_list(args.edges, weighted=args.weighted)
+    net = parse_edge_list(args.edges, weighted=True)
     if net.node_count != state.node_count:
         raise ValueError(f"checkpoint has {state.node_count} nodes but the "
                          f"edge list has {net.node_count}")
@@ -227,7 +234,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = build_train_config(args)
-    net = parse_edge_list(args.edges, weighted=args.weighted)
+    net = parse_edge_list(args.edges, weighted=True)   # weights are not read
     state = init_state(net.node_count, config, substream(config.seed, "init"))
     report = gradient_check(state, net, config, tolerance=args.tolerance)
     for name, err in report.max_rel_err.items():

@@ -394,7 +394,7 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
         clf = LogisticRegression().fit(X[train_idx], y[train_idx],
                                        labels.n_classes)
         pred = clf.predict(X[test_idx])
-        macro, micro = f1_scores(y[test_idx], pred, labels.n_classes)
+        macro, micro = f1_scores(y[test_idx], pred)
         metrics[f"macro_f1@{key}"] = macro
         metrics[f"micro_f1@{key}"] = micro
     return MetricReport(task="classification", metrics=metrics,

@@ -27,7 +27,7 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class TemporalNetwork:
-    """Immutable, time-sorted event stream with id and epoch tables."""
+    """Immutable, time-sorted event stream, its id table and epoch count."""
 
     src: np.ndarray           # (E,) dense source ids
     dst: np.ndarray           # (E,) dense target ids
@@ -35,15 +35,11 @@ class TemporalNetwork:
     weight: np.ndarray        # (E,) sampling weights, 1.0 when unweighted
     node_count: int
     raw_ids: tuple            # dense id -> raw token
-    raw_epochs: tuple         # epoch-1 -> raw timestamp token
+    epoch_count: int          # parsed file's distinct timestamps
     self_loops_dropped: int = 0
 
     def __len__(self) -> int:
         return int(self.src.shape[0])
-
-    @property
-    def epoch_count(self) -> int:
-        return len(self.raw_epochs)
 
     @cached_property
     def _id_lookup(self) -> dict:
@@ -215,7 +211,7 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
         arr.setflags(write=False)
     return TemporalNetwork(src=src, dst=dst, time=time, weight=weight,
                            node_count=len(raw_ids), raw_ids=raw_ids,
-                           raw_epochs=tuple(stamp[keep][new_epoch]),
+                           epoch_count=int(time[-1]),
                            self_loops_dropped=int(loop.sum()))
 
 
@@ -230,7 +226,7 @@ class SnapshotArrays:
     """
 
     nodes: np.ndarray    # (2, E, h) int64, padded with 0
-    times: np.ndarray    # (2, E, h) int64, padded with 0
+    ages: np.ndarray     # (2, E, h) int64 t_event - t_neighbor, padded with 0
     length: np.ndarray   # (2, E) int64
 
 
@@ -275,9 +271,12 @@ def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
     pos = (before - length)[..., None] + slot
     valid = slot < length[..., None]
     pos[~valid] = 0
-    out = SnapshotArrays(nodes=np.where(valid, neighbor[pos], 0),
-                         times=np.where(valid, when[pos], 0), length=length)
-    for arr in (out.nodes, out.times, out.length):
+    ages = when[pos]
+    np.subtract(time[:, None], ages, out=ages)
+    ages[~valid] = 0
+    out = SnapshotArrays(nodes=np.where(valid, neighbor[pos], 0), ages=ages,
+                         length=length)
+    for arr in (out.nodes, out.ages, out.length):
         arr.setflags(write=False)
     return out
 
@@ -331,7 +330,7 @@ def compute_macro_series(net: TemporalNetwork) -> MacroSeries:
 def split_by_time(net: TemporalNetwork, t_split: int):
     """Train = events strictly before ``t_split``; test = events at/after it.
 
-    Both halves share the parent's id and epoch tables.
+    Both halves share the parent's id table and epoch count.
     """
     T = net.epoch_count
     if not 1 < t_split <= T + 1:
@@ -344,7 +343,7 @@ def split_by_time(net: TemporalNetwork, t_split: int):
         return TemporalNetwork(src=net.src[keep], dst=net.dst[keep],
                                time=net.time[keep], weight=net.weight[keep],
                                node_count=net.node_count, raw_ids=net.raw_ids,
-                               raw_epochs=net.raw_epochs, self_loops_dropped=0)
+                               epoch_count=net.epoch_count)
 
     return subset(mask), subset(~mask)
 

@@ -218,7 +218,6 @@ class LogisticRegression:
     def __init__(self):
         self.weights: np.ndarray | None = None   # (C, D)
         self.bias: np.ndarray | None = None      # (C,)
-        self.n_classes: int = 0
         self.n_evals: int = 0
 
     def fit(self, X: np.ndarray, y: np.ndarray,
@@ -241,7 +240,6 @@ class LogisticRegression:
                 and self.weights.shape == (2, X.shape[1]):
             start = np.append(self.weights[1] - self.weights[0],
                               self.bias[1] - self.bias[0])
-        self.n_classes = n_classes
         if n_classes == 2:
             v, c, self.n_evals = _binary_newton(X, y, L2_DEFAULT, start)
             self.weights = np.stack([-0.5 * v, 0.5 * v])
@@ -269,8 +267,7 @@ def class_f1(y_true: np.ndarray, y_pred: np.ndarray, c: int) -> float:
     return 2.0 * tp / denom if denom else 0.0
 
 
-def f1_scores(y_true: np.ndarray, y_pred: np.ndarray,
-              n_classes: int) -> tuple[float, float]:
+def f1_scores(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[float, float]:
     """(macro_f1, micro_f1) with per-class F1 = 0 when undefined.
 
     Macro averages over the classes present in the truth or the predictions;

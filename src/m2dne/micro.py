@@ -66,20 +66,19 @@ class NegativeTable:
         self.mass = np.zeros(degrees.shape[0])
         self.mass[self.order] = weights / total
 
-    def sample(self, k: int, rng: np.random.Generator,
-               exclude: int | np.ndarray | None = None) -> np.ndarray:
-        """Draw k node ids, rejecting (and redrawing) excluded nodes.
+    def sample(self, exclude: np.ndarray,
+               rng: np.random.Generator) -> np.ndarray:
+        """Draw one node id per entry of ``exclude``, rejecting (and
+        redrawing) a draw equal to its entry.
 
-        ``exclude`` is None, one node id, or one id per draw. The ids and the
-        generator state afterwards are those of k successive single draws
-        that each redraw until the node differs from its own exclusion: the
-        uniforms are drawn in one call, and each rejection shifts the
-        remaining uniforms onto the following slots. Raises ValueError if an
-        excluded node carries all of the sampling mass.
+        The ids and the generator state afterwards are those of successive
+        single draws that each redraw until the node differs from its own
+        exclusion: the uniforms are drawn in one call, and each rejection
+        shifts the remaining uniforms onto the following slots. Raises
+        ValueError if an excluded node carries all of the sampling mass.
         """
+        k = exclude.size
         out = np.empty(k, dtype=np.int64)
-        if exclude is not None:
-            exclude = np.broadcast_to(np.asarray(exclude, dtype=np.int64), (k,))
         filled = 0
         while filled < k:
             pos = np.searchsorted(self.cum, rng.random(k - filled), side="right")
@@ -88,9 +87,8 @@ class NegativeTable:
             # which fill the slots from ``filled`` on, and carries on from
             # the uniform after it
             while nodes.size:
-                hits = [] if exclude is None else np.flatnonzero(
-                    nodes == exclude[filled:filled + nodes.size])
-                r = int(hits[0]) if len(hits) else nodes.size
+                hits = np.flatnonzero(nodes == exclude[filled:][:nodes.size])
+                r = int(hits[0]) if hits.size else nodes.size
                 out[filled:filled + r] = nodes[:r]
                 filled += r
                 if r == nodes.size:
@@ -114,5 +112,5 @@ def draw_event_negatives(batch_src: np.ndarray, batch_dst: np.ndarray,
     """
     B = batch_src.shape[0]
     exclude = np.repeat(np.stack([batch_dst, batch_src], axis=1), k, axis=1)
-    draws = table.sample(2 * B * k, rng, exclude=exclude.reshape(-1))
+    draws = table.sample(exclude.reshape(-1), rng)
     return draws.reshape(B, 2, k).transpose(1, 0, 2)

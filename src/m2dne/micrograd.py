@@ -55,22 +55,21 @@ RANGE_BOUND = 50.0
 class EventBatch:
     """Array view of sampled events with their pre-event histories, the
     source's stacked over the target's as in :class:`graph.SnapshotArrays`.
-    Entries past ``hist_len`` are masked."""
+    Nodes past ``hist_len`` are masked, and ages there must be 0."""
 
     src: np.ndarray          # (B,)
     dst: np.ndarray          # (B,)
-    t: np.ndarray            # (B,)
     hist_nodes: np.ndarray   # (2, B, h)
-    hist_times: np.ndarray   # (2, B, h)
+    hist_age: np.ndarray     # (2, B, h) t - t_p of each neighbor p
     hist_len: np.ndarray     # (2, B)
 
     @classmethod
     def take(cls, net: TemporalNetwork, snapshots: SnapshotArrays,
              idx: np.ndarray) -> "EventBatch":
         """Events ``idx`` of ``net`` with their pre-event history rows."""
-        return cls(src=net.src[idx], dst=net.dst[idx], t=net.time[idx],
+        return cls(src=net.src[idx], dst=net.dst[idx],
                    hist_nodes=snapshots.nodes[:, idx],
-                   hist_times=snapshots.times[:, idx],
+                   hist_age=snapshots.ages[:, idx],
                    hist_len=snapshots.length[:, idx])
 
     def __len__(self) -> int:
@@ -139,7 +138,7 @@ class _Side:
     does the forward pass's scratch, "scratch" of R * max(C, h) * d entries.
     """
 
-    def __init__(self, table: _NodeTable, times, length, t,
+    def __init__(self, table: _NodeTable, ages, length,
                  params: AttentionParams, work: Workspace):
         centers, nodes = table.rows_c, table.rows_h
         B, C = centers.shape
@@ -152,7 +151,7 @@ class _Side:
 
         self.mask = (np.arange(h)[None, :] < length[:, None]).astype(np.float64)
         self.nonempty = length > 0
-        self.dt = (t[:, None] - times).astype(np.float64) * self.mask
+        self.dt = ages.astype(np.float64)                 # 0 on padding
 
         # table rows are in range, so "clip" gathers without a checking copy
         self.Uc = np.take(table.U, centers, axis=0, out=buf("Uc", B, C, d),
@@ -254,9 +253,8 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     C, h = centers.shape[1], batch.hist_nodes.shape[2]
     table = _NodeTable(centers, batch.hist_nodes.reshape(2 * B, h),
                        embeddings, params, work)
-    side = _Side(table, batch.hist_times.reshape(2 * B, h),
-                 batch.hist_len.reshape(2 * B), np.tile(batch.t, 2), params,
-                 work)
+    side = _Side(table, batch.hist_age.reshape(2 * B, h),
+                 batch.hist_len.reshape(2 * B), params, work)
     scratch = work.get("scratch", (2 * max(C, h) * B * d,))   # the side's
     Uc = _halves(side.Uc)
     g_h = _hist_vs_centers(side)                          # (2, B, C, h)

@@ -267,7 +267,7 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     their epsilon-weighted sum. With epsilon = 0 the scale loss is not part
     of the objective; its column echoes the initial value.
     """
-    if net.epoch_count < 2:
+    if len(net) == 0 or net.time.min() == net.time.max():
         raise ValueError("training needs a network spanning at least 2 epochs")
     if initial_state is None:
         state = init_state(net.node_count, config, substream(config.seed, "init"))
@@ -344,8 +344,7 @@ def compare_grads(analytic: dict, numeric: dict,
 
 
 def gradient_check(state: ModelState, net: TemporalNetwork,
-                   config: TrainConfig,
-                   tolerance: float = 1e-4) -> GradCheckReport:
+                   config: TrainConfig, tolerance: float) -> GradCheckReport:
     """Compare the analytic gradients of the groups :func:`step` updates
     against central differences, of step FD_STEP, of the joint loss: the
     event-level loss plus epsilon times the exact scale loss.

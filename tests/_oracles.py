@@ -146,7 +146,7 @@ def sampled_loss_oracle(events, hists, neg_src, neg_dst, U, att, W, sw, sb,
     return loss
 
 
-def negative_draws_oracle(cum, order, k, rng, exclude=None):
+def negative_draws_oracle(cum, order, k, rng, exclude):
     """k draws from a cumulative unigram table, one uniform at a time; a draw
     equal to the excluded node is redrawn until it differs."""
     out = []
@@ -440,7 +440,7 @@ def _numbered_lines_oracle(path):
 def parse_edge_list_oracle(path, weighted=False):
     """One line at a time: validate, drop self-loops, stably sort by the
     float timestamp, then number epochs and node ids by first appearance."""
-    rows = []  # (raw_time_value, order, src_tok, dst_tok, time_tok, weight)
+    rows = []  # (raw_time_value, order, src_tok, dst_tok, weight)
     dropped = 0
     for lineno, line in _numbered_lines_oracle(path):
         stripped = line.strip()
@@ -471,16 +471,15 @@ def parse_edge_list_oracle(path, weighted=False):
         if src_tok == dst_tok:
             dropped += 1
             continue
-        rows.append((tval, len(rows), src_tok, dst_tok, time_tok, w))
+        rows.append((tval, len(rows), src_tok, dst_tok, w))
     if not rows:
         raise ParseError("no events found (empty or comment-only file)")
     rows.sort(key=lambda r: (r[0], r[1]))
-    epoch_of, raw_epochs, id_of, raw_ids = {}, [], {}, []
+    epoch_of, id_of, raw_ids = {}, {}, []
     src, dst, time, weight = [], [], [], []
-    for tval, _, s_tok, d_tok, t_tok, w in rows:
+    for tval, _, s_tok, d_tok, w in rows:
         if tval not in epoch_of:
-            epoch_of[tval] = len(raw_epochs) + 1
-            raw_epochs.append(t_tok)
+            epoch_of[tval] = len(epoch_of) + 1
         for tok in (s_tok, d_tok):
             if tok not in id_of:
                 id_of[tok] = len(raw_ids)
@@ -494,7 +493,7 @@ def parse_edge_list_oracle(path, weighted=False):
                            time=np.array(time, dtype=np.int64),
                            weight=np.array(weight, dtype=np.float64),
                            node_count=len(raw_ids), raw_ids=tuple(raw_ids),
-                           raw_epochs=tuple(raw_epochs),
+                           epoch_count=len(epoch_of),
                            self_loops_dropped=dropped)
 
 

@@ -40,7 +40,7 @@ def net_from_events(events, node_count=None, weights=None):
     return TemporalNetwork(src=src, dst=dst, time=time, weight=w,
                            node_count=node_count,
                            raw_ids=tuple(str(v) for v in range(node_count)),
-                           raw_epochs=tuple(str(rt) for rt in distinct))
+                           epoch_count=len(distinct))
 
 
 def count_calls(monkeypatch, module, name):
@@ -57,34 +57,36 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-def padded_rows(hists, h=None):
-    """(B, h) node and time rows plus the lengths of B histories, lists of
-    (neighbor, time) pairs; h defaults to the longest history's length, at
-    least 1."""
+def padded_rows(hists, t, h=None):
+    """(B, h) node and age rows plus the lengths of B histories, lists of
+    (neighbor, time) pairs, at event times t (one, or one per history): an
+    entry's age is t - time, 0 on padding. h defaults to the longest
+    history's length, at least 1."""
     if h is None:
         h = max(max(len(hist) for hist in hists), 1)
+    t = np.broadcast_to(t, (len(hists),))
     nodes = np.zeros((len(hists), h), dtype=np.int64)
-    times = np.zeros((len(hists), h), dtype=np.int64)
+    ages = np.zeros((len(hists), h), dtype=np.int64)
     for b, hist in enumerate(hists):
         for k, (p, tp) in enumerate(hist):
-            nodes[b, k], times[b, k] = p, tp
-    return nodes, times, np.array([len(hist) for hist in hists], dtype=np.int64)
+            nodes[b, k], ages[b, k] = p, t[b] - tp
+    return nodes, ages, np.array([len(hist) for hist in hists], dtype=np.int64)
 
 
-def stacked_rows(src_hists, dst_hists):
-    """The histories of B events' sources and targets as EventBatch holds
-    them: (2, B, h) node and time rows and (2, B) lengths, both sides padded
-    to one width, as graph.snapshot_arrays pads."""
+def stacked_rows(src_hists, dst_hists, t):
+    """The histories of B events' sources and targets at event times t as
+    EventBatch holds them: (2, B, h) node and age rows and (2, B) lengths,
+    both sides padded to one width, as graph.snapshot_arrays pads."""
     h = max(max(len(hist) for hist in src_hists + dst_hists), 1)
-    return tuple(map(np.stack, zip(padded_rows(src_hists, h),
-                                   padded_rows(dst_hists, h))))
+    return tuple(map(np.stack, zip(padded_rows(src_hists, t, h),
+                                   padded_rows(dst_hists, t, h))))
 
 
 def one_event_batch(i, j, t, hist_i, hist_j):
     """EventBatch of the event (i, j, t) with the given pre-event histories,
     lists of (neighbor, time) pairs."""
-    return EventBatch(np.array([i]), np.array([j]), np.array([t]),
-                      *stacked_rows([hist_i], [hist_j]))
+    return EventBatch(np.array([i]), np.array([j]),
+                      *stacked_rows([hist_i], [hist_j], t))
 
 
 def engine_score(i, j, t, hist_i, hist_j, U, P):
@@ -100,10 +102,10 @@ def engine_score(i, j, t, hist_i, hist_j, U, P):
 def engine_side(centers, hist, U, P, t):
     """Engine forward caches of the given attention centers over one history
     at time t (a batch of one row)."""
-    nodes, times, length = padded_rows([hist])
+    nodes, ages, length = padded_rows([hist], t)
     work = Workspace()
     table = _NodeTable(np.array([centers]), nodes, U, P, work)
-    return _Side(table, times, length, np.array([t]), P, work)
+    return _Side(table, ages, length, P, work)
 
 
 def oracle_args(U, P, sb=0.0):

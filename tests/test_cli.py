@@ -412,3 +412,90 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--edges", TOY_EDGES, "--config", str(cfg)])
         assert rc == 0
         assert capsys.readouterr().out == want
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    ckpt, _ = train(tmp_path_factory.mktemp("toy"))
+    return ckpt
+
+
+def weighted_toy_copy(tmp_path):
+    """The toy list with a positive 4th column on every line."""
+    lines = Path(TOY_EDGES).read_text().splitlines()
+    path = tmp_path / "weighted.tsv"
+    path.write_text("".join(f"{line}\t{1 + k % 4 * 0.5}\n"
+                            for k, line in enumerate(lines)))
+    return str(path)
+
+
+class TestWeightColumn:
+    """Only train reads the weight column. Every other command parses a
+    4-field line and ignores its weight, so a weighted copy of the toy list
+    gives byte for byte the plain list's output, and none of them takes
+    --weighted."""
+
+    COMMANDS = {
+        "reconstruct": ["eval", "reconstruct", "--k", "5,25",
+                        "--sample-fraction", "0.3", "--seed", "3"],
+        "classify": ["eval", "classify", "--labels", TOY_LABELS,
+                     "--ratios", "0.5"],
+        "recommend": ["eval", "recommend", "--split-epoch", "10",
+                      "--k", "1,5"],
+        "linkpred": ["eval", "linkpred", "--split-epoch", "10"],
+        "scale": ["eval", "scale", "--t-next", "12"],
+        "forecast": ["forecast"],
+        "gradcheck": ["gradcheck", "--dim", "4", "--history", "2",
+                      "--negatives", "1", "--seed", "3"],
+    }
+
+    def args(self, name, edges, ckpt, out):
+        args = [*self.COMMANDS[name], "--edges", edges]
+        if name != "gradcheck":
+            args += ["--checkpoint", ckpt]
+        if name == "forecast":
+            args += ["--out", out]
+        return args
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_weights_change_no_output(self, tmp_path, capsys, toy_checkpoint,
+                                      name):
+        out = tmp_path / "forecast.csv"
+        outputs = []
+        for edges in (TOY_EDGES, weighted_toy_copy(tmp_path)):
+            assert main(self.args(name, edges, toy_checkpoint, str(out))) == 0
+            table = out.read_bytes() if name == "forecast" else b""
+            outputs.append((capsys.readouterr().out, table))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0]
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_weighted_flag_is_usage_error(self, tmp_path, capsys,
+                                          toy_checkpoint, name):
+        args = self.args(name, weighted_toy_copy(tmp_path), toy_checkpoint,
+                         str(tmp_path / "forecast.csv"))
+        with pytest.raises(SystemExit) as exc:
+            main([*args, "--weighted"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --weighted" in capsys.readouterr().err
+
+    def test_train_reads_weights_only_when_asked(self, tmp_path, capsys):
+        edges = weighted_toy_copy(tmp_path)
+        ckpt, trace = str(tmp_path / "w.ckpt"), str(tmp_path / "w.csv")
+        rc = main(["train", "--edges", edges, "--out", ckpt, "--trace", trace,
+                   *FAST])
+        assert rc == 1
+        assert "line 1: expected 3 fields, got 4" in capsys.readouterr().err
+        rc = main(["train", "--edges", edges, "--weighted", "--out", ckpt,
+                   "--trace", trace, *FAST])
+        assert rc == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-4"])
+def test_gradcheck_tolerance_out_of_range_is_usage_error(capsys, value):
+    # a NaN or negative tolerance would fail every group, correct or not
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--edges", TOY_EDGES, "--dim", "2",
+              f"--tolerance={value}"])
+    assert exc.value.code == 2
+    assert "tolerance must be finite and >= 0" in capsys.readouterr().err

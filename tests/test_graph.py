@@ -76,13 +76,13 @@ class TestParseEdgeList:
 
 def history_rows(net, h):
     """Per event, the (src, dst) histories held by snapshot_arrays as tuples
-    of (neighbor, time) pairs."""
+    of (neighbor, time) pairs, each time the event's epoch less the age."""
     arrays = snapshot_arrays(net, h)
 
     def entries(s, m):
         k = int(arrays.length[s, m])
         return tuple(zip(arrays.nodes[s, m, :k].tolist(),
-                         arrays.times[s, m, :k].tolist()))
+                         (net.time[m] - arrays.ages[s, m, :k]).tolist()))
 
     return [(entries(0, m), entries(1, m)) for m in range(len(net))]
 
@@ -163,18 +163,19 @@ class TestHistoryStream:
                 for hs, hd in orc.history_oracle(stream, h)]
         assert history_rows(net, h) == want
         arrays = snapshot_arrays(net, h)
-        assert arrays.nodes.shape == arrays.times.shape == (2, len(net), h)
+        assert arrays.nodes.shape == arrays.ages.shape == (2, len(net), h)
         assert arrays.length.shape == (2, len(net))
-        assert arrays.nodes.dtype == arrays.times.dtype == np.int64
+        assert arrays.nodes.dtype == arrays.ages.dtype == np.int64
         pad = np.arange(h) >= arrays.length[..., None]
-        assert not arrays.nodes[pad].any() and not arrays.times[pad].any()
+        assert not arrays.nodes[pad].any() and not arrays.ages[pad].any()
+        assert (arrays.ages[~pad] >= 1).all()
 
     def test_decreasing_epochs_rejected(self):
         net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 3, 3)])
         swapped = TemporalNetwork(
             src=net.src, dst=net.dst, time=net.time[[0, 2, 1]],
             weight=net.weight, node_count=net.node_count,
-            raw_ids=net.raw_ids, raw_epochs=net.raw_epochs)
+            raw_ids=net.raw_ids, epoch_count=net.epoch_count)
         with pytest.raises(ValueError, match="non-decreasing"):
             snapshot_arrays(swapped, 2)
 

@@ -351,7 +351,7 @@ class TestMulticlassDescent:
 class TestF1Scores:
     def test_perfect(self):
         y = np.array([0, 1, 2, 0, 1, 2])
-        macro, micro = f1_scores(y, y, 3)
+        macro, micro = f1_scores(y, y)
         assert macro == 1.0
         assert micro == 1.0
 
@@ -359,7 +359,7 @@ class TestF1Scores:
         # class 0: tp=2 fp=1 fn=0 -> f1 = 4/5; class 1: tp=1 fp=0 fn=1 -> 2/3
         y_true = np.array([0, 0, 1, 1])
         y_pred = np.array([0, 0, 1, 0])
-        macro, micro = f1_scores(y_true, y_pred, 2)
+        macro, micro = f1_scores(y_true, y_pred)
         assert macro == pytest.approx((0.8 + 2.0 / 3.0) / 2.0)
         assert micro == pytest.approx(0.75)
 
@@ -367,5 +367,5 @@ class TestF1Scores:
         rng = np.random.default_rng(6)
         y_true = rng.integers(0, 4, 50)
         y_pred = rng.integers(0, 4, 50)
-        _, micro = f1_scores(y_true, y_pred, 4)
+        _, micro = f1_scores(y_true, y_pred)
         assert micro == pytest.approx(float(np.mean(y_true == y_pred)))

@@ -227,21 +227,23 @@ class TestNegativeSampling:
     def test_two_nodes_partner_excluded(self):
         rng = np.random.default_rng(0)
         draws = NegativeTable(np.array([5, 3]), np.arange(2)).sample(
-            50, rng, exclude=1)
+            np.ones(50, dtype=np.int64), rng)
         assert set(draws.tolist()) == {0}
 
     def test_unigram_frequency(self):
+        # node 2 is excluded from every draw, so 0 and 1 keep their
+        # degree ** 0.75 odds
         rng = np.random.default_rng(1)
-        draws = NegativeTable(np.array([8, 1]), np.arange(2)).sample(
-            100_000, rng)
+        draws = NegativeTable(np.array([8, 1, 5]), np.arange(3)).sample(
+            np.full(100_000, 2), rng)
         expected = 8 ** 0.75 / (8 ** 0.75 + 1.0)
         freq = float(np.mean(draws == 0))
         assert abs(freq - expected) < 0.01
 
     def test_output_length(self):
         rng = np.random.default_rng(2)
-        assert NegativeTable(np.array([1, 2, 3]),
-                             np.arange(3)).sample(7, rng).shape == (7,)
+        assert NegativeTable(np.array([1, 2, 3]), np.arange(3)).sample(
+            np.zeros(7, dtype=np.int64), rng).shape == (7,)
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
@@ -260,23 +262,23 @@ class TestNegativeSampling:
         deg_p = np.empty_like(deg)
         deg_p[perm] = deg
         table_p = NegativeTable(deg_p, order=perm[order])
-        draws = table.sample(200, np.random.default_rng(5))
-        draws_p = table_p.sample(200, np.random.default_rng(5))
+        exclude = np.random.default_rng(6).integers(4, size=200)
+        draws = table.sample(exclude, np.random.default_rng(5))
+        draws_p = table_p.sample(perm[exclude], np.random.default_rng(5))
         assert np.array_equal(perm[draws], draws_p)
 
     def test_excluded_node_with_all_mass_fails(self):
         table = NegativeTable(np.array([5, 0, 0]), np.arange(3))
         with pytest.raises(ValueError, match="node 0 carries all"):
-            table.sample(1, np.random.default_rng(0), exclude=0)
+            table.sample(np.array([0]), np.random.default_rng(0))
         with pytest.raises(ValueError, match="node 0 carries all"):
-            table.sample(3, np.random.default_rng(0),
-                         exclude=np.array([1, 0, 2]))
+            table.sample(np.array([1, 0, 2]), np.random.default_rng(0))
 
     def test_per_draw_exclusion(self):
         rng = np.random.default_rng(3)
         exclude = np.tile([0, 1], 500)
         draws = NegativeTable(np.array([5, 3]), np.arange(2)).sample(
-            1000, rng, exclude=exclude)
+            exclude, rng)
         assert np.array_equal(draws, 1 - exclude)
 
 
@@ -357,7 +359,7 @@ class TestSamplerScanBoundaries:
         exclude = self.exclusions(k, rejected)
         rng = np.random.default_rng(self.seed)
         ref = np.random.default_rng(self.seed)
-        got = self.table.sample(k, rng, exclude=exclude)
+        got = self.table.sample(exclude, rng)
         want = [orc.negative_draws_oracle(self.table.cum, self.table.order,
                                           1, ref, exclude=int(e))[0]
                 for e in exclude]

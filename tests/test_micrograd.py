@@ -194,10 +194,10 @@ class TestDuplicateIndices:
         # a history entry of event 3: its gradient sums over many slots
         batch = EventBatch(
             np.array([0, 0, 3, 5]), np.array([1, 2, 4, 6]),
-            np.array([5, 5, 6, 6]),
             *stacked_rows([[(2, 3), (3, 4)], [(1, 2)], [(6, 1)],
                            [(0, 4), (4, 5)]],
-                          [[(0, 4)], [(3, 1), (0, 3)], [], [(0, 2)]]))
+                          [[(0, 4)], [(3, 1), (0, 3)], [], [(0, 2)]],
+                          t=np.array([5, 5, 6, 6])))
         negatives = np.array([[[4, 6], [5, 3], [0, 5], [2, 1]],
                               [[6, 2], [4, 1], [6, 0], [3, 0]]])
         rng = np.random.default_rng(41)
@@ -230,12 +230,13 @@ class TestMemory:
         rng = np.random.default_rng(5)
 
         def history():
-            return (rng.integers(V, size=(B, h)),
-                    np.sort(rng.integers(1, 50, size=(B, h)), axis=1),
-                    rng.integers(0, h + 1, size=B))
+            nodes = rng.integers(V, size=(B, h))
+            ages = 60 - np.sort(rng.integers(1, 50, size=(B, h)), axis=1)
+            length = rng.integers(0, h + 1, size=B)
+            return (nodes, np.where(np.arange(h) < length[:, None], ages, 0),
+                    length)
 
         batch = EventBatch(rng.integers(V, size=B), rng.integers(V, size=B),
-                           np.full(B, 60),
                            *map(np.stack, zip(history(), history())))
         U = rng.normal(0, 0.3, (V, d))
         P = AttentionParams(rng.normal(0, 0.3, 2 * d),
@@ -255,20 +256,21 @@ def random_batch(rng, B, K, h, V, lengths=None):
     """A random batch of B events over V nodes and its (2, B, K) negatives,
     K per endpoint slot. The histories have width h, or widths h =
     (source's, target's) zero-padded to the wider, as
-    graph.snapshot_arrays pads; their lengths are random unless given."""
+    graph.snapshot_arrays pads; their lengths are random unless given, and
+    their ages are those of times in [1, 50) at t = 60."""
     h_src, h_dst = h if isinstance(h, tuple) else (h, h)
     width = max(h_src, h_dst)
 
     def history(w):
         length = rng.integers(0, w + 1, size=B) if lengths is None \
             else np.full(B, lengths)
-        nodes, times = np.zeros((2, B, width), dtype=np.int64)
+        nodes, ages = np.zeros((2, B, width), dtype=np.int64)
         nodes[:, :w] = rng.integers(V, size=(B, w))
-        times[:, :w] = np.sort(rng.integers(1, 50, size=(B, w)), axis=1)
-        return nodes, times, length
+        ages[:, :w] = 60 - np.sort(rng.integers(1, 50, size=(B, w)), axis=1)
+        ages[np.arange(width) >= length[:, None]] = 0
+        return nodes, ages, length
 
     batch = EventBatch(rng.integers(V, size=B), rng.integers(V, size=B),
-                       np.full(B, 60),
                        *map(np.stack, zip(history(h_src), history(h_dst))))
     return batch, rng.integers(V, size=(2, B, K))
 
@@ -308,10 +310,11 @@ class TestWorkspaceReuse:
 
 class TestHistoryPadding:
     """Entries past a history's length are masked: three more columns of
-    arbitrary ids and times on every history (h -> h + 3) leave the loss and
-    every gradient unchanged up to rounding. Not bit for bit at every width:
-    NumPy groups a reduction over the history axis by its length, eight
-    lanes from 8 entries on, and a one-column matmul takes another path."""
+    arbitrary ids, aged 0 as graph.snapshot_arrays pads, on every history
+    (h -> h + 3) leave the loss and every gradient unchanged up to
+    rounding. Not bit for bit at every width: NumPy groups a reduction over
+    the history axis by its length, eight lanes from 8 entries on, and a
+    one-column matmul takes another path."""
 
     @pytest.mark.parametrize("K,h", [(3, 1), (2, 2), (0, 4), (3, 5),
                                      (1, (3, 6)), (2, 13)])
@@ -321,11 +324,10 @@ class TestHistoryPadding:
         U, P = random_state(net_from_events([(0, 1, 1)], node_count=V), d, 54)
         batch, negatives = random_batch(rng, B, K, h, V)
         wide = EventBatch(
-            batch.src, batch.dst, batch.t,
+            batch.src, batch.dst,
             np.concatenate([batch.hist_nodes,
                             rng.integers(V, size=(2, B, 3))], axis=2),
-            np.concatenate([batch.hist_times,
-                            rng.integers(1, 99, size=(2, B, 3))], axis=2),
+            np.pad(batch.hist_age, ((0, 0), (0, 0), (0, 3))),
             batch.hist_len)
         loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P,
                                               Workspace())
@@ -365,8 +367,9 @@ class TestEndpointSwap:
         batch, negatives = random_batch(rng, B, K, (3, 6), V)
         batch.hist_len = np.stack([rng.integers(1, 4, size=B),
                                    rng.integers(1, 7, size=B)])
-        swapped = EventBatch(batch.dst, batch.src, batch.t,
-                             batch.hist_nodes[::-1], batch.hist_times[::-1],
+        batch.hist_age[np.arange(6) >= batch.hist_len[..., None]] = 0
+        swapped = EventBatch(batch.dst, batch.src,
+                             batch.hist_nodes[::-1], batch.hist_age[::-1],
                              batch.hist_len[::-1])
         loss, grads, _ = batch_loss_and_grads(batch, negatives, U, P,
                                               Workspace())
@@ -438,8 +441,8 @@ class TestAbsentNodes:
         P = AttentionParams(rng.normal(0, 0.5, 2 * d),
                             rng.normal(0, 0.5, (d, d)), rng.normal(0, 0.5, d),
                             rng.normal(0, 0.5, 2 * V))
-        odd = EventBatch(2 * batch.src + 1, 2 * batch.dst + 1, batch.t,
-                         2 * batch.hist_nodes + 1, batch.hist_times,
+        odd = EventBatch(2 * batch.src + 1, 2 * batch.dst + 1,
+                         2 * batch.hist_nodes + 1, batch.hist_age,
                          batch.hist_len)
         _, grads, _ = batch_loss_and_grads(odd, 2 * negatives + 1, U, P,
                                            Workspace())

@@ -9,7 +9,7 @@ import pytest
 from conftest import (STEPPED_GROUPS, count_calls, net_from_events,
                       two_community_lines)
 from m2dne.evaluate import reconstruction_metrics
-from m2dne.graph import parse_edge_list
+from m2dne.graph import parse_edge_list, split_by_time
 from m2dne.micro import draw_event_negatives
 from m2dne import macro as macro_mod
 from m2dne.macro import (coupling_at, edge_affinity, fit_params, macro_loss,
@@ -69,7 +69,7 @@ class TestInitState:
 
 class TestSampleBatch:
     def test_uniform_frequencies(self):
-        # distinct events so every draw maps to a unique (src, dst, t) key
+        # distinct (src, dst) pairs, so every draw maps to one event
         events = [(k % 6, (k + 1 + k // 6) % 6, k // 6 + 1) for k in range(20)]
         events = [(a, b, t) for a, b, t in events if a != b][:18]
         net = net_from_events(events, node_count=6)
@@ -80,8 +80,7 @@ class TestSampleBatch:
         for _ in range(20):
             batch = sample_batch(data, draws // 20, rng)
             match = (batch.src[:, None] == net.src[None, :]) \
-                & (batch.dst[:, None] == net.dst[None, :]) \
-                & (batch.t[:, None] == net.time[None, :])
+                & (batch.dst[:, None] == net.dst[None, :])
             np.add.at(counts, match.argmax(axis=1), 1)
         p = 1.0 / len(net)
         sigma = np.sqrt(draws * p * (1 - p))
@@ -111,7 +110,8 @@ class TestSampleBatch:
         b1 = sample_batch(data, 32, substream(9, "batch"))
         b2 = sample_batch(data, 32, substream(9, "batch"))
         assert np.array_equal(b1.src, b2.src)
-        assert np.array_equal(b1.t, b2.t)
+        assert np.array_equal(b1.dst, b2.dst)
+        assert np.array_equal(b1.hist_age, b2.hist_age)
 
 
 class TestStep:
@@ -315,6 +315,21 @@ class TestFit:
         net = net_from_events([(0, 1, 1), (1, 2, 1)])
         with pytest.raises(ValueError):
             fit(net, TrainConfig(dim=2, epochs=1))
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_one_epoch_split_half_rejected(self, epsilon):
+        # the half's 9 events all fall in epoch 1, though it keeps the
+        # parent's epoch count of 12
+        half, _ = split_by_time(parse_edge_list(DATA / "toy_edges.tsv"), 2)
+        assert len(half) == 9 and half.epoch_count == 12
+        with pytest.raises(ValueError, match="at least 2 epochs"):
+            fit(half, TrainConfig(dim=2, epochs=1, epsilon=epsilon))
+
+    def test_empty_network_rejected(self):
+        _, empty = split_by_time(net_from_events([(0, 1, 1), (1, 2, 2)]), 3)
+        assert len(empty) == 0
+        with pytest.raises(ValueError, match="at least 2 epochs"):
+            fit(empty, TrainConfig(dim=2, epochs=1))
 
     def test_initial_state_of_another_dim_rejected(self):
         net = toy_net(3)
