@@ -67,16 +67,28 @@ def _tokens(text: str) -> list[str]:
     return text.split(",")
 
 
+def _parsed(text: str, kind, expected: str):
+    """``kind(text)``, with a usage error that names the expected input
+    when it does not parse."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected {expected}, got {text!r}") from None
+
+
 def _int_list(text: str):
-    return [int(tok) for tok in _tokens(text)]
+    return _parsed(text, lambda t: [int(tok) for tok in _tokens(t)],
+                   "comma-separated integers")
 
 
 def _float_list(text: str):
-    return [float(tok) for tok in _tokens(text)]
+    return _parsed(text, lambda t: [float(tok) for tok in _tokens(t)],
+                   "comma-separated numbers")
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
+    value = _parsed(text, float, "a number")
     if not 0 <= value < math.inf:       # NaN fails too
         raise argparse.ArgumentTypeError(
             f"tolerance must be finite and >= 0, got {text!r}")

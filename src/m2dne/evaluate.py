@@ -123,7 +123,64 @@ def _checked_embeddings(embeddings: np.ndarray, task: str,
     return sq
 
 
+# ---------------------------------------------------------------------------
+# distance bounds and matrix-product tiles, shared by reconstruction and
+# recommendation
+
+TILE_QUERIES = 128      # queries scored at a time
+TILE_COLUMNS = 2048     # candidate nodes scored at a time: 1 MiB of scores
+
+
+def _norm_bounds(sq: np.ndarray, d: int) -> np.ndarray:
+    """Upper bounds on the row norms from their computed squares ``sq``,
+    with a relative and an absolute term: the latter covers squared norms
+    that underflow, and keeps every bound above 0."""
+    eps = np.finfo(np.float64).eps
+    eta = np.finfo(np.float64).smallest_subnormal
+    return (np.sqrt(sq) + np.sqrt(d * eta)) * (1.0 + (d + 2) * eps)
+
+
+def _distance_slack(span, d: int, k: int = 0):
+    """Delta = 4 (d + 4) (eps span^2 + eta), in units scaled by 4^k, with
+    eps and eta float64's epsilon and smallest subnormal: for float64 rows
+    a, b of length d with ||a|| + ||b|| <= span, any two of
+
+    * the squared distance D = ||a - b||^2,
+    * its einsum form, fl(sum_k fl(a_k - b_k)^2), as :func:`_pair_scores`
+      sums it, and
+    * its tile form, -fl(fl(2 g - q_a) - q_b), with g the matrix product's
+      a.b and q_a, q_b the einsum squared norms,
+
+    differ by at most Delta.
+
+    Each sum of d products may run in any order, blocked over threads or
+    fused into FMAs. With u = eps / 2 and gamma_n = n u / (1 - n u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 3.1), such a
+    sum errs by at most gamma_d sum_k |x_k y_k| + 0.51 d eta for d below
+    10^13: every op rounds by a factor 1 + delta with |delta| <= u, and each
+    of the d products or fused steps may also underflow by eta / 2, while an
+    add or a subtract that underflows is exact. So, with S = ||a|| + ||b||:
+
+    * the einsum form rounds each difference by a factor 1 + delta and then
+      sums the squares, so it is within E_1 = gamma_{d+2} D + 0.51 d eta of
+      D;
+    * q_a, q_b and g are within gamma_d of ||a||^2, ||b||^2 and a.b relative
+      to ||a||^2, ||b||^2 and ||a|| ||b|| (Cauchy-Schwarz), plus 0.51 d eta
+      each; doubling g is exact and the two subtracts round by factors
+      1 + delta on values below 1.01 S^2, so the tile form is within
+      E_2 = gamma_{d+3} S^2 + 2.1 d eta of D.
+
+    As D <= S^2 and gamma_{d+3} <= 0.51 (d + 3) eps,
+    E_1 + E_2 <= 1.02 (d + 3) eps S^2 + 2.61 d eta, which is below Delta,
+    so any two of the three differ by at most Delta. The roundings in
+    forming Delta itself are far below its margin."""
+    eps = np.finfo(np.float64).eps
+    eta = np.finfo(np.float64).smallest_subnormal
+    return 4.0 * (d + 4) * (eps * np.ldexp(span, k) ** 2 + np.ldexp(eta, 2 * k))
+
+
 PAIR_BLOCK = 2 ** 16             # candidate pairs streamed at a time
+TILE_SHARE = 16                  # tiled: bands 1/min(d, 16) full or more
 HYPERGEOMETRIC_LIMIT = 10 ** 9   # NumPy's hypergeometric takes counts below it
 
 
@@ -248,11 +305,11 @@ def _draw_candidates(total: int, n: int, edge_at: np.ndarray,
     return drawn, blocks(n - drawn.shape[0])
 
 
-def _pair_scores(embeddings: np.ndarray, lo: np.ndarray,
-                 hi: np.ndarray) -> np.ndarray:
+def _pair_scores(embeddings: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """``-||u_lo - u_hi||^2`` per pair, scored in chunks of PAIR_CHUNK pairs
-    into one array."""
-    scores = np.empty(lo.shape[0], dtype=np.float64)
+    into one array, ``out`` when given."""
+    scores = np.empty(lo.shape[0]) if out is None else out
     for a in range(0, lo.shape[0], PAIR_CHUNK):
         at = slice(a, a + PAIR_CHUNK)
         diff = embeddings.take(lo[at], axis=0)
@@ -286,6 +343,160 @@ def _keep_best(best, scores, index, kmax):
     return [part[order] for part in merged]
 
 
+def _score_bound(embeddings: np.ndarray, sq: np.ndarray) -> float:
+    """beta, a bound on |f - s| for every pair, with s its
+    :func:`_pair_scores` score and f its :func:`_tile_scores` score: the
+    :func:`_distance_slack` of twice the largest :func:`_norm_bounds`, or 0
+    when both are exact.
+
+    They are exact when every entry is an integer A times 2^-k, with
+    k <= 537 and |A| < 2^b, 2^(2b) <= 2^51 / d: each difference is then an
+    integer below 2^(b+1) times 2^-k, and each product, squared norm and
+    partial sum of either form an integer below 4 d 2^(2b) <= 2^53 times
+    2^-2k, with 2k <= 1074, so each is a float64 and no op rounds.
+    Half-integer grids and all-zero rows are such inputs, and on them most
+    scores tie."""
+    d = embeddings.shape[1]
+    top = max(float(embeddings.max()), -float(embeddings.min()))
+    grid = 2.0 ** min((51 - (d - 1).bit_length()) // 2
+                      - int(np.frexp(top)[1]), 537)
+
+    def on_grid(rows):
+        return np.array_equal(np.rint(rows * grid) / grid, rows)
+
+    # the first row alone rules out most embeddings
+    if on_grid(embeddings[:1]) and on_grid(embeddings):
+        return 0.0
+    return float(_distance_slack(2.0 * _norm_bounds(sq, d).max(), d))
+
+
+def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
+                 j: np.ndarray, tile: np.ndarray) -> np.ndarray:
+    """Scores within beta of the pair scores (see :func:`_score_bound`) of
+    the (i, j) sorted by i, a band of rows at a time. A band whose pairs
+    fill at least 1 / min(d, TILE_SHARE) of the rows x columns they reach
+    gets the tile form 2 u_i.u_j - ||u_i||^2 - ||u_j||^2, with ``sq`` the
+    squared norms and u_i.u_j read from float64 matrix products written
+    into ``tile``. A sparser one gets its :func:`_pair_scores`: on one
+    thread of a 2-core x86 VM a pair score cost about as much as a tile
+    entry at d = 1, and as 20 to 30 of them at d = 64.
+
+    A band holds ``tile.size`` entries over min(V, TILE_COLUMNS) columns,
+    and is cut into TILE_COLUMNS-wide tiles where its pairs reach more
+    columns than it holds."""
+    V, d = embeddings.shape
+    size = tile.shape[0]
+    rows = max(1, size // min(V, TILE_COLUMNS))
+    f = np.empty(i.shape[0])
+    for r0 in range(int(i[0]), int(i[-1]) + 1, rows):
+        a, b = np.searchsorted(i, (r0, r0 + rows))
+        if a == b:
+            continue
+        r1 = int(i[b - 1]) + 1
+        first, last = int(j[a:b].min()), int(j[a:b].max()) + 1
+        if (b - a) * min(d, TILE_SHARE) < (r1 - r0) * (last - first):
+            _pair_scores(embeddings, i[a:b], j[a:b], out=f[a:b])
+            continue
+        width = (last - first if (r1 - r0) * (last - first) <= size else
+                 TILE_COLUMNS)
+        for c0 in range(first, last, width):
+            c1 = min(c0 + width, last)
+            at = (slice(a, b) if width == last - first else
+                  a + np.flatnonzero((j[a:b] >= c0) & (j[a:b] < c1)))
+            product = np.matmul(
+                embeddings[r0:r1], embeddings[c0:c1].T,
+                out=tile[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0))
+            here = i[at] - r0
+            here *= c1 - c0
+            here += j[at]
+            here -= c0
+            f[at] = product.ravel().take(here)
+        band = f[a:b]
+        band *= 2.0
+        band -= sq.take(i[a:b])
+        band -= sq.take(j[a:b])
+    return f
+
+
+def _block_wins(pos: np.ndarray, ordered: np.ndarray, f: np.ndarray,
+                width: float) -> tuple[int, np.ndarray]:
+    """(doubled wins of the sorted ``pos`` over ``ordered``, the sorted
+    ``f``, as :func:`_doubled_wins` counts them; positions in ``f`` of the
+    values within ``width`` of a positive).
+
+    The shorter array is searched into the longer, and each value's
+    neighbours in the other array tell which positives have a value within
+    their window: every value near a positive is near its nearest positive
+    on that side. Only then is each of ``f`` searched into those windows."""
+    P, n = pos.shape[0], ordered.shape[0]
+    lo, hi = pos - width, pos + width
+    if P > n:
+        left = np.searchsorted(pos, ordered, side="left")
+        right = np.searchsorted(pos, ordered, side="right")
+        wins = 2 * P * n - int(left.sum() + right.sum())
+        tie = right > left
+        below = (left > 0) & (ordered <= hi[np.maximum(left - 1, 0)])
+        above = (right < P) & (ordered >= lo[np.minimum(right, P - 1)])
+        if not width or not (tie | below | above).any():
+            return wins, np.empty(0, dtype=np.int64)
+        hit = np.zeros(P, dtype=bool)
+        hit[left[tie]] = True
+        hit[left[below] - 1] = True
+        hit[right[above]] = True
+    else:
+        left = np.searchsorted(ordered, pos, side="left")
+        right = np.searchsorted(ordered, pos, side="right")
+        wins = int(left.sum() + right.sum())
+        hit = (right > left) \
+            | (left > 0) & (ordered[np.maximum(left - 1, 0)] >= lo) \
+            | (right < n) & (ordered[np.minimum(right, n - 1)] <= hi)
+        if not width or not hit.any():
+            return wins, np.empty(0, dtype=np.int64)
+    lo, hi = lo[hit], hi[hit]
+    # windows holding a value: those with lo <= value, less those below it
+    return wins, np.flatnonzero(np.searchsorted(lo, f, side="right")
+                                > np.searchsorted(hi, f, side="left"))
+
+
+def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
+                 tile: np.ndarray, pos: np.ndarray, at: np.ndarray, best,
+                 kmax: int):
+    """(doubled AUC wins of the sorted edge scores ``pos`` over the
+    ascending block ``at`` of non-edges, the shortlist ``best`` with the
+    block added; see :func:`_keep_best`). Only the pair scores s count,
+    though most pairs get only their tile scores f (:func:`_tile_scores`),
+    within ``beta`` of s:
+
+    * the sorted f count the wins; the non-edges with an f within beta of
+      an edge's score, which f and s might order differently, are counted
+      again with s;
+    * only the non-edges that might join the shortlist get s: with tau the
+      max(K)-th best f of the block, or the shortlist's last score once it
+      is full, any such non-edge has f >= tau - 2 beta.
+
+    The code widens those windows to 2 beta and 3 beta: forming p +- c beta
+    for a score p (|p| <= 4.1 M^2 for M the largest row norm, while
+    beta >= 80 eps M^2) rounds by less than beta / 30. With beta = 0 the
+    tile scores are the pair scores, and no pair is scored again."""
+    V = embeddings.shape[0]
+    f = _tile_scores(embeddings, sq, *_decode_pairs(at, V), tile)
+    ordered = np.sort(f)
+    wins, near = _block_wins(pos, ordered, f, 2.0 * beta)
+    tau = ordered[-kmax] if ordered.shape[0] > kmax else -np.inf
+    del ordered                 # so that it is gone at the shortlist's peak
+    if near.shape[0]:
+        exact = _pair_scores(embeddings, *_decode_pairs(at[near], V))
+        wins += _doubled_wins(pos, np.sort(exact)) \
+            - _doubled_wins(pos, np.sort(f[near]))
+    last = best[0][-1] if best[0].shape[0] == kmax else -np.inf
+    # a full shortlist admits only scores above its last
+    keep = (np.flatnonzero(f > last - 3.0 * beta) if last >= tau else
+            np.flatnonzero(f >= tau - 3.0 * beta))
+    return wins, _keep_best(
+        best, _pair_scores(embeddings, *_decode_pairs(at[keep], V))
+        if beta else f[keep], at[keep], kmax)
+
+
 def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
                            k_list, sample_fraction: float = 1.0,
                            rng: np.random.Generator | None = None
@@ -295,14 +506,22 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     Ties in the ranking break by ascending (min id, max id) so reports are
     reproducible. The candidates are all pairs or a uniform draw of
     round(sample_fraction * pairs) of them (see :func:`_draw_candidates`).
-    Their edges are scored once and their non-edges stream in ascending
-    blocks of about PAIR_BLOCK pairs, so memory is
-    O(PAIR_BLOCK + edges + max K) at any V and fraction, and a sampled
-    draw of n pairs takes O(n + spans) time. At V = 5794, d = 1, fraction
-    0.1 and 20k edges a pass peaks at 4.2 MiB (tracemalloc), where a
-    one-shot draw of all 16.8M pair indices took 141 MiB.
+    Their edges get their pair scores (:func:`_pair_scores`) once, and
+    their non-edges stream in ascending blocks of about PAIR_BLOCK pairs,
+    scored mostly from matrix-product tiles within a bound beta
+    (:func:`_score_bound`) and again one by one only where the bound cannot
+    settle the report (:func:`_score_block`). So the report is the one the
+    pair scores give, at any BLAS thread count.
+
+    Memory is O(PAIR_BLOCK + tile + edges + max K) at any V and fraction.
+    A full pass takes O(V^2 d) time in matrix products; a sampled draw of
+    n pairs takes O(n + spans) time, plus the tiles of the bands of rows
+    it fills to 1 / min(d, TILE_SHARE) or more (see :func:`_tile_scores`).
+    At V = 5794, d = 1, fraction 0.1 and 20k edges a pass peaks at 6.8 MiB
+    (tracemalloc), where a one-shot draw of all 16.8M pair indices took
+    141 MiB.
     """
-    _checked_embeddings(embeddings, "reconstruction", net)
+    sq = _checked_embeddings(embeddings, "reconstruction", net)
     V = embeddings.shape[0]
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
@@ -326,6 +545,8 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     n_pos, n_neg = pos.shape[0], n - pos.shape[0]
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative pairs")
+    beta = _score_bound(embeddings, sq)
+    tile = np.empty(max(TILE_QUERIES * TILE_COLUMNS // 2, TILE_COLUMNS))
 
     # The AUC is the Mann-Whitney statistic, ties counted half, over the
     # positive-negative pairs; the wins are kept doubled, as an integer.
@@ -333,9 +554,9 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     wins = 0
     best = [np.empty(0), np.empty(0, dtype=np.int64)]
     for at in blocks:
-        scores = _pair_scores(embeddings, *_decode_pairs(at, V))
-        wins += _doubled_wins(pos, np.sort(scores))
-        best = _keep_best(best, scores, at, kmax)
+        counted, best = _score_block(embeddings, sq, beta, tile, pos, at,
+                                     best, kmax)
+        wins += counted
     # the positives join the non-edges' shortlist, ties by (lo, hi)
     order = np.lexsort((np.concatenate((best[1], edge_at[drawn])),
                         -np.concatenate((best[0], pos_scores))))[:kmax]
@@ -407,10 +628,6 @@ def node_classification(embeddings: np.ndarray, labels: LabelTable,
 # ---------------------------------------------------------------------------
 # temporal node recommendation
 
-TILE_QUERIES = 128      # queries scored at a time
-TILE_COLUMNS = 2048     # candidate nodes scored at a time: 1 MiB of scores
-
-
 def _float32_filter(embeddings: np.ndarray,
                     sq: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, squared row norms, slack) of the float32 filter: the rows are
@@ -437,10 +654,8 @@ def _float32_filter(embeddings: np.ndarray,
 
     For d below 10^5 the two sum to E_a <= 2 (d + 6) u N^2 + 16 d t. The
     refine's float64 distance ``fl(||b - a||^2)`` is within Delta_a of
-    r(b) + ||a||^2, with Delta_a = 4 (d + 4) (eps (||a|| + M / s)^2 + eta)
-    (eps and eta float64's epsilon and smallest subnormal; the same bound
-    covers the BLAS form of r). In scaled units that is
-    s^2 Delta_a = 4 (d + 4) (eps N^2 + s^2 eta).
+    r(b) + ||a||^2, with Delta_a the :func:`_distance_slack` of the span
+    ||a|| + M / s; in scaled units, s^2 Delta_a = 4 (d + 4) (eps N^2 + s^2 eta).
 
     With tau the top_k-th smallest F, the top_k nodes with F <= tau have
     scaled distances at most tau + s^2 ||a||^2 + E_a + s^2 Delta_a, so any
@@ -453,21 +668,17 @@ def _float32_filter(embeddings: np.ndarray,
 
     rounded to float32, covers all of it; the factor 1 + 4u also covers
     that rounding, and the float64 roundings in computing beta_a are far
-    below u. The norms come from ``sq``, ``fl(||b||^2)``, made an upper
-    bound with a relative and an absolute term: the latter covers squared
-    norms that underflow, and keeps M above 0."""
+    below u. The norms are the :func:`_norm_bounds` of ``sq``."""
     V, d = embeddings.shape
     u = 2.0 ** -24
     t = float(np.finfo(np.float32).tiny)
-    eps = np.finfo(np.float64).eps
-    eta = np.finfo(np.float64).smallest_subnormal
-    norms = (np.sqrt(sq) + np.sqrt(d * eta)) * (1.0 + (d + 2) * eps)
+    norms = _norm_bounds(sq, d)
     top = norms.max()
     k = -int(np.frexp(top)[1])
     rows = np.empty((V, d), dtype=np.float32)
     np.ldexp(embeddings, k, out=rows, casting="same_kind")
     n2 = np.ldexp(norms + top, k) ** 2
-    refine = 4.0 * (d + 4) * (eps * n2 + np.ldexp(eta, 2 * k))
+    refine = _distance_slack(norms + top, d, k)
     slack = (4.0 * (d + 8) * u * n2 + 32.0 * d * t + 2.0 * refine) \
         * (1.0 + 4.0 * u)
     return rows, np.einsum("nd,nd->n", rows, rows), slack.astype(np.float32)

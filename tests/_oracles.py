@@ -267,11 +267,14 @@ def recommendation_oracle(U, events, ks):
     return out
 
 
-def reconstruction_precision_oracle(U, edges, ks):
+def reconstruction_precision_oracle(U, edges, ks, scores=None):
     """Precision@K of a full sort of every pair i < j by (-score, i, j),
-    score -||u_i - u_j||^2, against the undirected edge set."""
+    score -||u_i - u_j||^2 or ``scores[i, j]`` when given (a float sum's
+    last bit depends on its order, and a tie on that bit), against the
+    undirected edge set."""
     linked = {(min(a, b), max(a, b)) for a, b in edges}
-    pairs = [(-sum((x - y) ** 2 for x, y in zip(U[i], U[j])), i, j)
+    pairs = [(-sum((x - y) ** 2 for x, y in zip(U[i], U[j]))
+              if scores is None else scores[i, j], i, j)
              for i in range(len(U)) for j in range(i + 1, len(U))]
     ranked = sorted(pairs, key=lambda p: (-p[0], p[1], p[2]))
     return {k: sum(1 for _, i, j in ranked[:k] if (i, j) in linked) / k

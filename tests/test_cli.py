@@ -499,3 +499,23 @@ def test_gradcheck_tolerance_out_of_range_is_usage_error(capsys, value):
               f"--tolerance={value}"])
     assert exc.value.code == 2
     assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["eval", "reconstruct", "--checkpoint", "m.ckpt", "--edges", TOY_EDGES,
+      "--k", "2,x"],
+     "argument --k: expected comma-separated integers, got '2,x'"),
+    (["eval", "classify", "--checkpoint", "m.ckpt", "--edges", TOY_EDGES,
+      "--labels", TOY_LABELS, "--ratios", "0.5,y"],
+     "argument --ratios: expected comma-separated numbers, got '0.5,y'"),
+    (["gradcheck", "--edges", TOY_EDGES, "--tolerance", "abc"],
+     "argument --tolerance: expected a number, got 'abc'")],
+    ids=["k", "ratios", "tolerance"])
+def test_unparsable_value_is_usage_error(capsys, argv, message):
+    # the message names the expected input, not the parsing function
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "invalid" not in err

@@ -9,7 +9,8 @@ from _oracles import (auc_rank_sum_oracle, reconstruction_precision_oracle,
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
 from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
-                            _draw_non_edges, _pair_scores,
+                            _block_wins, _doubled_wins, _draw_non_edges,
+                            _pair_scores, _score_bound, _tile_scores,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
                             temporal_recommendation, trend_forecast_report,
@@ -229,6 +230,188 @@ class TestReconstruction:
             tracemalloc.stop()
         # the 1,124,250 scores take 9 MB; the chunk temporaries a few more
         assert peak <= 32 * 2 ** 20
+
+
+def adversarial_cases():
+    """A hypothesis strategy of (embeddings, edges, K list, settings) for a
+    full reconstruction pass: half-integer grids, which tie heavily and are
+    scored exactly, or normal rows; rows duplicated (zero distances),
+    scaled by e^+-20 or brought near or into the subnormal range; V and d
+    that no tile divides; K values that split tie groups. The settings
+    shrink PAIR_BLOCK and the tiles, so blocks and tiles split the ties,
+    and move the tile share, so bands go through tiles or pair scores."""
+    st = pytest.importorskip("hypothesis.strategies")
+    scale = {"keep": 1.0, "large": math.exp(20), "small": math.exp(-20),
+             "tiny": 1e-160, "subnormal": 2.0 ** -1040}
+
+    @st.composite
+    def case(draw):
+        V = draw(st.integers(3, 24))
+        d = draw(st.sampled_from([1, 2, 64]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        U = (rng.integers(-3, 4, size=(V, d)) / 2.0 if draw(st.booleans())
+             else rng.normal(size=(V, d)))
+        for v in range(V):
+            how = draw(st.sampled_from(["keep", "keep", "duplicate",
+                                        *scale]))
+            if how == "duplicate":
+                U[v] = U[draw(st.integers(0, V - 1))]
+            else:
+                U[v] *= scale[how]
+        total = V * (V - 1) // 2
+        flat = draw(st.lists(st.integers(0, total - 1), min_size=1,
+                             max_size=min(total - 1, 40), unique=True))
+        lo, hi = np.triu_indices(V, 1)
+        edges = [(int(lo[x]), int(hi[x])) for x in flat]
+        # small K splits the top tie group, the duplicates' zero distances
+        ks = draw(st.lists(st.one_of(st.integers(1, min(total, 6)),
+                                     st.integers(1, total)),
+                           min_size=1, max_size=4, unique=True))
+        settings = {"PAIR_BLOCK": draw(st.sampled_from([3, 7, 2 ** 16])),
+                    "TILE_SHARE": draw(st.sampled_from([0, 16, 10 ** 9]))}
+        settings["TILE_QUERIES"], settings["TILE_COLUMNS"] = draw(
+            st.sampled_from([(1, 4), (2, 5), (4, 3), (128, 2048)]))
+        return U, edges, ks, settings
+
+    return case()
+
+
+def pair_score_report(U, edges, ks, net):
+    """The metrics the pair scores give: the oracles' full-sort precision
+    and rank-sum AUC over every pair's :func:`_pair_scores` score."""
+    V = U.shape[0]
+    lo, hi = np.triu_indices(V, 1)
+    scores = _pair_scores(U, lo, hi)
+    want = {f"precision@{k}": p for k, p in reconstruction_precision_oracle(
+        U.tolist(), edges, ks,
+        dict(zip(zip(lo.tolist(), hi.tolist()), scores.tolist()))).items()}
+    want["auc"] = auc_rank_sum_oracle(
+        scores, np.isin(lo * V + hi, net.edge_keys()))
+    return want
+
+
+class TestTiledScores:
+    """Reconstruction scores non-edges from matrix-product tiles within a
+    bound beta of their pair scores, and scores again only where the bound
+    cannot settle a comparison; its reports are those of the pair scores."""
+
+    def test_full_pass_matches_oracles(self, monkeypatch):
+        hyp = pytest.importorskip("hypothesis")
+
+        @hyp.settings(max_examples=150, deadline=None, database=None)
+        @hyp.given(adversarial_cases())
+        def check(case):
+            U, edges, ks, settings = case
+            for name, value in settings.items():
+                monkeypatch.setattr(evaluate_mod, name, value)
+            net = net_from_events([(a, b, t % 3 + 1)
+                                   for t, (a, b) in enumerate(edges)],
+                                  node_count=U.shape[0])
+            assert reconstruction_metrics(U, net, ks).metrics \
+                == pair_score_report(U, edges, ks, net)
+
+        check()
+
+    def test_bound_covers_other_summation_orders(self, monkeypatch):
+        # the tile scores as this BLAS sums them, and as sums over a
+        # reversed d axis, over blocks of d and exactly rounded ones would
+        hyp = pytest.importorskip("hypothesis")
+
+        @hyp.settings(max_examples=150, deadline=None, database=None)
+        @hyp.given(adversarial_cases())
+        def check(case):
+            U, _, _, settings = case
+            for name, value in settings.items():
+                monkeypatch.setattr(evaluate_mod, name, value)
+            V, d = U.shape
+            lo, hi = np.triu_indices(V, 1)
+            s = _pair_scores(U, lo, hi)
+            beta = _score_bound(U, np.einsum("nd,nd->n", U, U))
+            tile = np.empty(max(evaluate_mod.TILE_QUERIES
+                                * evaluate_mod.TILE_COLUMNS // 2,
+                                evaluate_mod.TILE_COLUMNS))
+            flipped = U[:, ::-1].copy()
+            blocked = sum(U[:, c:c + 7] @ U[:, c:c + 7].T
+                          for c in range(0, d, 7))
+            fsum = np.array([[math.fsum(a * b) for b in U] for a in U])
+            forms = [_tile_scores(U, np.einsum("nd,nd->n", U, U), lo, hi,
+                                  tile),
+                     _tile_scores(flipped,
+                                  np.einsum("nd,nd->n", flipped, flipped),
+                                  lo, hi, tile)]
+            for g in (blocked, fsum):
+                f = 2.0 * g[lo, hi]
+                f -= np.diagonal(g)[lo]
+                f -= np.diagonal(g)[hi]
+                forms.append(f)
+            for f in forms:
+                assert np.all(np.abs(f - s) <= beta)
+
+        check()
+
+    @pytest.mark.parametrize("block", [7, 2 ** 16])
+    @pytest.mark.parametrize("jitter", [0.0, 1e-7])
+    def test_close_pairs_rank_by_pair_score(self, monkeypatch, block,
+                                            jitter):
+        # rows in threes of copies, moved apart by ``jitter``: their 36
+        # pairs score 0, or within 2e-12 of it, while the tile scores of
+        # many are up to 6e-8 off either way; every other one is an edge,
+        # so a shortlist or a win count that trusted the tile order would
+        # rank them wrongly
+        monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", block)
+        rng = np.random.default_rng(21)
+        order = rng.permutation(36)
+        U = np.repeat(rng.normal(size=(12, 64)) * 1e3, 3, axis=0)[order]
+        U += jitter * rng.normal(size=U.shape)
+        group = np.repeat(np.arange(12), 3)[order]
+        V = U.shape[0]
+        lo, hi = np.triu_indices(V, 1)
+        close = np.flatnonzero(group[lo] == group[hi])
+        scores = _pair_scores(U, lo, hi)
+        tiled = _tile_scores(U, np.einsum("nd,nd->n", U, U), lo, hi,
+                             np.empty(2 ** 17))
+        assert np.count_nonzero(tiled[close] != scores[close]) > 10
+        edges = [(int(lo[x]), int(hi[x])) for x in close[::2]]
+        net = net_from_events([(a, b, 1) for a, b in edges], node_count=V)
+        ks = list(range(1, 13))     # fewer than the 18 close non-edges
+        assert reconstruction_metrics(U, net, ks).metrics \
+            == pair_score_report(U, edges, ks, net)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_block_wins_find_every_near_value(self, seed):
+        # quarter-integer scores, so that a window edge is exact; either
+        # array may be the longer one
+        rng = np.random.default_rng(seed)
+        pos = np.sort(rng.integers(0, 40, rng.integers(1, 30)) / 4.0)
+        f = rng.integers(0, 40, rng.integers(1, 30)) / 4.0
+        width = float(rng.choice([0.0, 0.25, 1.0]))
+        wins, near = _block_wins(pos, np.sort(f), f, width)
+        assert wins == _doubled_wins(pos, np.sort(f))
+        assert near.tolist() == [
+            k for k, value in enumerate(f)
+            if width and any(abs(value - p) <= width for p in pos)]
+
+    def test_grid_needs_no_bound_and_others_do(self):
+        grid = np.arange(-6, 6).reshape(4, 3) / 2.0
+        for U in (grid, np.zeros((5, 1)), grid * 2.0 ** -530):
+            assert _score_bound(U, np.einsum("nd,nd->n", U, U)) == 0.0
+        # off the grid, below its 2^-537 spacing or too wide for exact sums
+        for U in (grid / 3.0, grid * 2.0 ** -540, grid + 2.0 ** 24):
+            assert _score_bound(U, np.einsum("nd,nd->n", U, U)) > 0.0
+
+    @pytest.mark.parametrize("d,scored", [(1, 300 * 299 // 2), (16, 2)])
+    def test_tie_heavy_pass_scores_no_pair_twice(self, monkeypatch, d,
+                                                 scored):
+        # all-zero rows: every non-edge ties with the edges, and the grid
+        # makes the tile scores exact, so no pair is scored again; at d = 1
+        # every pair gets one pair score, cheaper there than a tile, and at
+        # d = 16 only the edges do
+        V = 300
+        net = net_from_events([(0, 1, 1), (2, 3, 2)], node_count=V)
+        calls = count_calls(monkeypatch, evaluate_mod, "_pair_scores")
+        rep = reconstruction_metrics(np.zeros((V, d)), net, [1])
+        assert rep.metrics == {"precision@1": 1.0, "auc": 0.5}
+        assert sum(lo.shape[0] for _, lo, _ in calls) == scored
 
 
 class TestDecodePairs:
