@@ -516,7 +516,8 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     Memory is O(PAIR_BLOCK + tile + edges + max K) at any V and fraction.
     A full pass takes O(V^2 d) time in matrix products; a sampled draw of
     n pairs takes O(n + spans) time, plus the tiles of the bands of rows
-    it fills to 1 / min(d, TILE_SHARE) or more (see :func:`_tile_scores`).
+    it fills to 1 / min(d, TILE_SHARE) or more and a check of each band
+    (see :func:`_tile_scores`; V / 64 bands per pass above 2048 nodes).
     At V = 5794, d = 1, fraction 0.1 and 20k edges a pass peaks at 6.8 MiB
     (tracemalloc), where a one-shot draw of all 16.8M pair indices took
     141 MiB.
