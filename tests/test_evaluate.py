@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,6 +380,42 @@ class TestTiledScores:
         ks = list(range(1, 13))     # fewer than the 18 close non-edges
         assert reconstruction_metrics(U, net, ks).metrics \
             == pair_score_report(U, edges, ks, net)
+
+    def test_report_same_at_one_and_two_blas_threads(self, tmp_path):
+        # OpenBLAS splits this pass's 299 x 299 x 64 product over two
+        # threads and sums it in another order, so the tile scores' last
+        # bits change; the report, on 150 close pairs that tie within them,
+        # must not
+        rng = np.random.default_rng(8)
+        order = rng.permutation(300)
+        U = np.repeat(rng.normal(size=(100, 64)) * 1e3, 3, axis=0)[order]
+        U += 1e-7 * rng.normal(size=U.shape)
+        group = np.repeat(np.arange(100), 3)[order]
+        lo, hi = np.triu_indices(300, 1)
+        close = np.flatnonzero(group[lo] == group[hi])
+        np.save(tmp_path / "u.npy", U)
+        np.save(tmp_path / "edges.npy", np.stack((lo, hi), axis=1)[close[::2]])
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from conftest import net_from_events\n"
+            "from m2dne.evaluate import reconstruction_metrics\n"
+            "U = np.load(sys.argv[1])\n"
+            "net = net_from_events([(a, b, 1) for a, b in\n"
+            "                       np.load(sys.argv[2]).tolist()], 300)\n"
+            "print(reconstruction_metrics(U, net, range(1, 60)).to_text())\n")
+        path = os.pathsep.join((str(Path(evaluate_mod.__file__).parents[1]),
+                                str(Path(__file__).parent)))
+        reports = [subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "u.npy"),
+             str(tmp_path / "edges.npy")],
+            env={**os.environ, "PYTHONPATH": path, **dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"), threads)},
+            capture_output=True, text=True, check=True).stdout
+            for threads in ("1", "2")]
+        assert "precision@59" in reports[0]
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("seed", range(20))
     def test_block_wins_find_every_near_value(self, seed):
