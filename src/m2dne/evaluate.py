@@ -658,12 +658,13 @@ def _float32_filter(embeddings: np.ndarray,
     r(b) + ||a||^2, with Delta_a the :func:`_distance_slack` of the span
     ||a|| + M / s; in scaled units, s^2 Delta_a = 4 (d + 4) (eps N^2 + s^2 eta).
 
-    With tau the top_k-th smallest F, the top_k nodes with F <= tau have
-    scaled distances at most tau + s^2 ||a||^2 + E_a + s^2 Delta_a, so any
-    node that ranks among the top top_k by distance, ties included, has
-    F <= tau + 2 (E_a + s^2 Delta_a). The threshold tau + beta_a is itself
-    rounded to float32, which costs at most u (|tau| + beta_a), with
-    |tau| <= 1.1 N^2. So
+    Let tau be the F of one of top_k distinct nodes, the largest of their
+    F, so at least the top_k-th smallest F. Those top_k nodes have F <= tau
+    and so scaled distances at most tau + s^2 ||a||^2 + E_a + s^2 Delta_a,
+    and any node that ranks among the top top_k by distance, ties included,
+    has F <= tau + 2 (E_a + s^2 Delta_a). The threshold tau + beta_a is
+    itself rounded to float32, which costs at most u (|tau| + beta_a), with
+    |tau| <= 1.1 N^2 as tau is an F value. So
 
         beta_a = (4 (d + 8) u N^2 + 32 d t + 2 s^2 Delta_a) (1 + 4 u),
 
@@ -685,6 +686,27 @@ def _float32_filter(embeddings: np.ndarray,
     return rows, np.einsum("nd,nd->n", rows, rows), slack.astype(np.float32)
 
 
+RUNS_PER_K = 4          # a tile's runs of columns per carried minimum
+
+
+def _carry_minima(mins: np.ndarray, F: np.ndarray, run: int,
+                  top_k: int) -> np.ndarray:
+    """The carried minima ``mins`` (queries x carried) joined by the minimum
+    of each run of ``run`` consecutive columns of the columns x queries
+    tile F, the last run possibly shorter; only the top_k smallest are
+    kept, largest last, once there are that many. Each minimum is the F of
+    a distinct column."""
+    whole = F.shape[0] - F.shape[0] % run
+    parts = [mins, F[:whole].reshape(-1, run, F.shape[1]).min(axis=1).T]
+    if whole < F.shape[0]:
+        parts.append(F[whole:].min(axis=0)[:, None])
+    mins = np.concatenate(parts, axis=1)
+    if mins.shape[1] < top_k:
+        return mins
+    mins.partition(top_k - 1, axis=1)
+    return mins[:, :top_k]
+
+
 def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
                             k_list) -> MetricReport:
     """Recall@K / Precision@K of ranking future neighbors for every node with
@@ -693,17 +715,25 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
 
     Nodes rank by the einsum distance ``||b - a||^2`` to the query a, ties
     by ascending node id, and only a shortlist is ranked. A float32 matrix
-    product scores a tile of queries against a tile of columns (nodes) with
+    product scores a tile of columns (nodes) against a tile of queries with
     F(b), an estimate of ``||b||^2 - 2 a.b`` on embeddings scaled by a power
-    of two (see :func:`_float32_filter`). Each query keeps the top_k smallest
-    F seen so far (top_k = max(K) clamped to V - 1), with tau the largest of
-    them, and a tile adds to its shortlist every column with
+    of two (see :func:`_float32_filter`), as columns x queries. With top_k =
+    max(K) clamped to V - 1, the columns fall in runs of
+    min(V, TILE_COLUMNS) // (RUNS_PER_K top_k) (at least 1) consecutive
+    ones, and each query carries the top_k smallest run minima seen so far
+    (:func:`_carry_minima`), with tau the largest of them (inf while fewer
+    are seen). A tile adds to the query's shortlist every column with
     F <= tau + beta_a. The shortlisted nodes are ranked by their distance,
-    and each query keeps its top top_k by (distance, id) across tiles. It is
-    exact: tau only falls as tiles are added, so every column within
-    beta_a of the final tau is ranked, and those hold every node of the top
-    top_k. Memory is the float32 rows, 4 V d bytes, plus a tile's scores
-    and its shortlist, ranked PAIR_CHUNK nodes at a time."""
+    and each query keeps its top top_k by (distance, id) across tiles.
+
+    It is exact. Each run minimum is the F of a distinct column, so tau is
+    the F of one of top_k distinct columns, the largest of theirs, at least
+    the exact top_k-th smallest F, which is all the filter's bound needs.
+    tau only falls as tiles are added, so every column within beta_a of the
+    final tau is ranked, and those hold every node of the top top_k. A run
+    of the query's own column alone has minimum inf, which only loosens
+    tau. Memory is the float32 rows, 4 V d bytes, plus a tile's scores and
+    its shortlist, ranked PAIR_CHUNK nodes at a time."""
     sq = _checked_embeddings(embeddings, "recommendation", test_net)
     V = embeddings.shape[0]
     ks = _distinct_keys(k_list, "K", int)
@@ -719,31 +749,33 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
     ranked = np.empty((queries.size, top_k), dtype=np.int64)
     limit = np.finfo(np.float32).max
     rank = np.arange(top_k)
-    scores = np.empty((TILE_QUERIES, min(TILE_COLUMNS, V)), dtype=np.float32)
+    run = max(1, min(TILE_COLUMNS, V) // (RUNS_PER_K * top_k))
+    scores = np.empty(TILE_QUERIES * min(TILE_COLUMNS, V), dtype=np.float32)
     for start in range(0, queries.size, TILE_QUERIES):
         qs = queries[start:start + TILE_QUERIES]
         lead = rows[qs] * np.float32(-2.0)
         here = np.arange(qs.size)
-        best_f = np.full((qs.size, top_k), np.inf, dtype=np.float32)
+        mins = np.empty((qs.size, 0), dtype=np.float32)
         best_dist = np.full((qs.size, top_k), np.inf)
         best_id = np.full((qs.size, top_k), V)
         for c0 in range(0, V, TILE_COLUMNS):
             columns = rows[c0:c0 + TILE_COLUMNS]
-            F = np.matmul(lead, columns.T,
-                          out=scores[:qs.size, :columns.shape[0]])
-            F += row_sq[c0:c0 + TILE_COLUMNS]
-            own = np.flatnonzero((qs >= c0) & (qs < c0 + F.shape[1]))
-            F[own, qs[own] - c0] = np.inf
-            best_f = np.concatenate([best_f, F], axis=1)
-            best_f.partition(top_k - 1, axis=1)
-            best_f = best_f[:, :top_k].copy()
-            # inf until top_k columns are seen: then every column is kept
-            # but the query itself
-            bound = np.minimum(best_f[:, -1] + slack[qs], limit)
-            keep = np.flatnonzero(F <= bound[:, None])
+            width = columns.shape[0]
+            F = np.matmul(columns, lead.T,
+                          out=scores[:width * qs.size].reshape(width, -1))
+            F += row_sq[c0:c0 + width, None]
+            own = np.flatnonzero((qs >= c0) & (qs < c0 + width))
+            F[qs[own] - c0, own] = np.inf
+            mins = _carry_minima(mins, F, run, top_k)
+            # tau is inf until top_k runs are seen, and every column but the
+            # query's own is kept
+            bound = np.full(qs.size, limit)
+            if mins.shape[1] == top_k:
+                np.minimum(mins[:, -1] + slack[qs], limit, out=bound)
+            keep = np.flatnonzero(F <= bound)
             if keep.size == 0:
                 continue
-            row, col = np.divmod(keep, F.shape[1])
+            col, row = np.divmod(keep, qs.size)
             col += c0
             # Each query's best top_k so far and its new candidates, by
             # (query, distance, id): a query's top_k lead its group.
@@ -753,7 +785,10 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
                 np.negative(_pair_scores(embeddings, col, qs[row]))])
             ids = np.concatenate([best_id.ravel(), col])
             order = np.lexsort((ids, dist, by))
-            first = here * top_k + np.searchsorted(row, here)
+            # the candidates come in column order: a query's group starts
+            # after the candidates of the queries before it
+            first = here * top_k
+            first[1:] += np.cumsum(np.bincount(row, minlength=qs.size))[:-1]
             pick = order[first[:, None] + rank]
             best_dist, best_id = dist[pick], ids[pick]
         ranked[start:start + qs.size] = best_id

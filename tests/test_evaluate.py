@@ -14,7 +14,8 @@ from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
 from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
                             _block_wins, _doubled_wins, _draw_non_edges,
-                            _pair_scores, _score_bound, _tile_scores,
+                            _float32_filter, _pair_scores, _score_bound,
+                            _tile_scores,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
                             temporal_recommendation, trend_forecast_report,
@@ -982,6 +983,121 @@ class TestTemporalRecommendation:
             assert rep.metrics[f"recall@{k}"] == sum(hits[k]) / 32
             assert rep.metrics[f"precision@{k}"] \
                 == sum(h / k for h in hits[k]) / 32
+
+    def test_report_same_at_one_and_two_blas_threads(self, tmp_path):
+        # 600 rows in sixes of near-copies, 1e-4 apart at scale 1e3, about
+        # float32's resolution, and one copy of each six a held-out
+        # neighbour of another: the float32 filter cannot order a query's
+        # five copies, which straddle K = 1, 2 and 3, so the float64 refine
+        # does. OpenBLAS splits each tile's 600 x 128 x 64 float32 product
+        # over two threads. With OpenBLAS 0.3.31 on x86 the split tiles came
+        # out bit-identical to one thread's, so a third run picks the
+        # kernels of another core type (AVX without FMA), whose tiles differ
+        # in their last bits; a BLAS that ignores the setting runs its
+        # default kernels. The report must not change: without beta_a, the
+        # first and third runs' reports differ.
+        rng = np.random.default_rng(9)
+        order = rng.permutation(600)
+        U = np.repeat(rng.normal(size=(100, 64)) * 1e3, 6, axis=0)[order]
+        U += 1e-4 * rng.normal(size=U.shape)
+        members = np.argsort(np.repeat(np.arange(100), 6)[order],
+                             kind="stable").reshape(100, 6)
+        np.save(tmp_path / "u.npy", U)
+        np.save(tmp_path / "edges.npy", members[:, :2])
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from conftest import net_from_events\n"
+            "from m2dne.evaluate import temporal_recommendation\n"
+            "U = np.load(sys.argv[1])\n"
+            "net = net_from_events([(a, b, 1) for a, b in\n"
+            "                       np.load(sys.argv[2]).tolist()], 600)\n"
+            "print(temporal_recommendation(U, net, [1, 2, 3]).to_text())\n")
+        path = os.pathsep.join((str(Path(evaluate_mod.__file__).parents[1]),
+                                str(Path(__file__).parent)))
+        reports = [subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "u.npy"),
+             str(tmp_path / "edges.npy")],
+            env={**os.environ, "PYTHONPATH": path, **dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"), threads), **core},
+            capture_output=True, text=True, check=True).stdout
+            for threads, core in (("1", {}), ("2", {}),
+                                  ("1", {"OPENBLAS_CORETYPE": "Sandybridge"}))]
+        assert "precision@3" in reports[0]
+        assert reports[0] == reports[1] == reports[2]
+
+
+class TestRunMinimumBound:
+    """Recommendation carries each query's top_k smallest run minima across
+    column tiles in place of its top_k smallest F. Each is the F of a
+    distinct column, so tau', the largest, is at least the exact top_k-th
+    smallest F seen so far, and the shortlist can only grow."""
+
+    @pytest.mark.parametrize("V,columns,k,case", [
+        # a run of 4 and a last run of 2
+        (50, 2048, 3, lambda F, run, top_k: F.shape[0] % run == 2),
+        # a last run of 1 that is a query's own column, whose F is inf
+        (49, 2048, 3, lambda F, run, top_k:
+         F.shape[0] % run == 1 and np.isinf(F[-1]).any()),
+        # runs of 10 and a last tile of 5 columns
+        (45, 40, 1, lambda F, run, top_k: F.shape[0] < run),
+        # 7 runs of 1 in a tile, below top_k = 10
+        (40, 7, 10, lambda F, run, top_k: -(-F.shape[0] // run) < top_k)])
+    def test_carried_bound_is_at_least_exact_tau(self, monkeypatch, V,
+                                                  columns, k, case):
+        monkeypatch.setattr(evaluate_mod, "TILE_COLUMNS", columns)
+        rng = np.random.default_rng(V)
+        U = rng.integers(-4, 5, size=(V, 3)) / 2.0     # ties at every K
+        events = [(v, int((v + 1 + r) % V), 1)
+                  for v, r in enumerate(rng.integers(0, V - 1, V))]
+        test_net = net_from_events(events, node_count=V)
+        # (carried count before, tile, run, top_k, carried after) per call
+        seen = []
+        real = evaluate_mod._carry_minima
+
+        def wrapper(mins, F, run, top_k):
+            out = real(mins, F, run, top_k)
+            seen.append((mins.shape[1], F.copy(), run, top_k, out.copy()))
+            return out
+
+        monkeypatch.setattr(evaluate_mod, "_carry_minima", wrapper)
+        rep = temporal_recommendation(U, test_net, [k])
+        assert rep.metrics == recommendation_oracle(
+            U.tolist(), [(a, b) for a, b, _ in events], [k])
+        assert any(case(F, run, top_k) for _, F, run, top_k, _ in seen)
+        for before, F, run, top_k, out in seen:
+            # a query tile's first column tile starts with nothing carried
+            so_far = F if before == 0 else np.concatenate((so_far, F))
+            exact = np.sort(so_far, axis=0)[top_k - 1] \
+                if so_far.shape[0] >= top_k else np.inf
+            if out.shape[1] < top_k:
+                tau = np.full(out.shape[0], np.inf, dtype=np.float32)
+            else:
+                tau = out[:, -1]
+                assert (out <= tau[:, None]).all()
+                assert (so_far == tau).any(axis=0).all()
+            assert (tau >= exact).all()
+
+    def test_refines_at_most_a_quarter_more_than_exact_tau(self,
+                                                           monkeypatch):
+        # the exact tau's shortlist counted from the same float32 rows
+        V, d, K = 2000, 64, 10
+        rng = np.random.default_rng(25)
+        U = rng.normal(size=(V, d))
+        events = [(int(a), int(b), 1) for a, b in rng.integers(0, V, (400, 2))
+                  if a != b]
+        test_net = net_from_events(events, node_count=V)
+        calls = count_calls(monkeypatch, evaluate_mod, "_pair_scores")
+        temporal_recommendation(U, test_net, [K])
+        refined = sum(lo.shape[0] for _, lo, _ in calls)
+        rows, row_sq, slack = _float32_filter(U, np.einsum("nd,nd->n", U, U))
+        qs = np.unique(np.concatenate([test_net.src, test_net.dst]))
+        F = (rows[qs] * np.float32(-2.0)) @ rows.T + row_sq
+        F[np.arange(qs.size), qs] = np.inf
+        tau = np.partition(F, K - 1, axis=1)[:, K - 1]
+        exact = np.count_nonzero(F <= (tau + slack[qs])[:, None])
+        assert refined <= 1.25 * exact
 
 
 class TestTemporalLinkPrediction:
