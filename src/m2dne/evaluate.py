@@ -180,7 +180,7 @@ def _distance_slack(span, d: int, k: int = 0):
 
 
 PAIR_BLOCK = 2 ** 16             # candidate pairs streamed at a time
-TILE_SHARE = 16                  # tiled: bands 1/min(d, 16) full or more
+TILE_SHARE = 16                  # tiled: passes 1/min(d, 16) full or more
 HYPERGEOMETRIC_LIMIT = 10 ** 9   # NumPy's hypergeometric takes counts below it
 
 
@@ -305,11 +305,11 @@ def _draw_candidates(total: int, n: int, edge_at: np.ndarray,
     return drawn, blocks(n - drawn.shape[0])
 
 
-def _pair_scores(embeddings: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                 out: np.ndarray | None = None) -> np.ndarray:
+def _pair_scores(embeddings: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
     """``-||u_lo - u_hi||^2`` per pair, scored in chunks of PAIR_CHUNK pairs
-    into one array, ``out`` when given."""
-    scores = np.empty(lo.shape[0]) if out is None else out
+    into one array."""
+    scores = np.empty(lo.shape[0])
     for a in range(0, lo.shape[0], PAIR_CHUNK):
         at = slice(a, a + PAIR_CHUNK)
         diff = embeddings.take(lo[at], axis=0)
@@ -373,18 +373,14 @@ def _score_bound(embeddings: np.ndarray, sq: np.ndarray) -> float:
 def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
                  j: np.ndarray, tile: np.ndarray) -> np.ndarray:
     """Scores within beta of the pair scores (see :func:`_score_bound`) of
-    the (i, j) sorted by i, a band of rows at a time. A band whose pairs
-    fill at least 1 / min(d, TILE_SHARE) of the rows x columns they reach
-    gets the tile form 2 u_i.u_j - ||u_i||^2 - ||u_j||^2, with ``sq`` the
-    squared norms and u_i.u_j read from float64 matrix products written
-    into ``tile``. A sparser one gets its :func:`_pair_scores`: on one
-    thread of a 2-core x86 VM a pair score cost about as much as a tile
-    entry at d = 1, and as 20 to 30 of them at d = 64.
+    the (i, j) sorted by i, a band of rows at a time: the tile form
+    2 u_i.u_j - ||u_i||^2 - ||u_j||^2, with ``sq`` the squared norms and
+    u_i.u_j read from float64 matrix products written into ``tile``.
 
     A band holds ``tile.size`` entries over min(V, TILE_COLUMNS) columns,
     and is cut into TILE_COLUMNS-wide tiles where its pairs reach more
     columns than it holds."""
-    V, d = embeddings.shape
+    V = embeddings.shape[0]
     size = tile.shape[0]
     rows = max(1, size // min(V, TILE_COLUMNS))
     f = np.empty(i.shape[0])
@@ -394,9 +390,6 @@ def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
             continue
         r1 = int(i[b - 1]) + 1
         first, last = int(j[a:b].min()), int(j[a:b].max()) + 1
-        if (b - a) * min(d, TILE_SHARE) < (r1 - r0) * (last - first):
-            _pair_scores(embeddings, i[a:b], j[a:b], out=f[a:b])
-            continue
         width = (last - first if (r1 - r0) * (last - first) <= size else
                  TILE_COLUMNS)
         for c0 in range(first, last, width):
@@ -459,13 +452,13 @@ def _block_wins(pos: np.ndarray, ordered: np.ndarray, f: np.ndarray,
 
 
 def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
-                 tile: np.ndarray, pos: np.ndarray, at: np.ndarray, best,
-                 kmax: int):
+                 tile: np.ndarray | None, pos: np.ndarray, at: np.ndarray,
+                 best, kmax: int):
     """(doubled AUC wins of the sorted edge scores ``pos`` over the
     ascending block ``at`` of non-edges, the shortlist ``best`` with the
     block added; see :func:`_keep_best`). Only the pair scores s count,
-    though most pairs get only their tile scores f (:func:`_tile_scores`),
-    within ``beta`` of s:
+    though with a ``tile`` most pairs get only their tile scores f
+    (:func:`_tile_scores`), within ``beta`` of s:
 
     * the sorted f count the wins; the non-edges with an f within beta of
       an edge's score, which f and s might order differently, are counted
@@ -477,9 +470,11 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
     The code widens those windows to 2 beta and 3 beta: forming p +- c beta
     for a score p (|p| <= 4.1 M^2 for M the largest row norm, while
     beta >= 80 eps M^2) rounds by less than beta / 30. With beta = 0 the
-    tile scores are the pair scores, and no pair is scored again."""
+    tile scores are the pair scores, and no pair is scored again; with
+    ``tile`` None, f is s and beta must be 0."""
     V = embeddings.shape[0]
-    f = _tile_scores(embeddings, sq, *_decode_pairs(at, V), tile)
+    f = (_pair_scores(embeddings, *_decode_pairs(at, V)) if tile is None else
+         _tile_scores(embeddings, sq, *_decode_pairs(at, V), tile))
     ordered = np.sort(f)
     wins, near = _block_wins(pos, ordered, f, 2.0 * beta)
     tau = ordered[-kmax] if ordered.shape[0] > kmax else -np.inf
@@ -507,20 +502,22 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     reproducible. The candidates are all pairs or a uniform draw of
     round(sample_fraction * pairs) of them (see :func:`_draw_candidates`).
     Their edges get their pair scores (:func:`_pair_scores`) once, and
-    their non-edges stream in ascending blocks of about PAIR_BLOCK pairs,
-    scored mostly from matrix-product tiles within a bound beta
-    (:func:`_score_bound`) and again one by one only where the bound cannot
-    settle the report (:func:`_score_block`). So the report is the one the
-    pair scores give, at any BLAS thread count.
+    their non-edges stream in ascending blocks of about PAIR_BLOCK pairs
+    (:func:`_score_block`), scored one way per pass. If they fill at least
+    1 / min(d, TILE_SHARE) of all pairs, mostly from matrix-product tiles
+    within a bound beta (:func:`_score_bound`), and again one by one only
+    where the bound cannot settle the report; if not, each by one pair
+    score: on one thread of a 2-core x86 VM a pair score cost about as much
+    as a tile entry at d = 1, and as 20 to 30 of them at d = 64. Either way
+    the report is the one the pair scores give, at any BLAS thread count.
 
     Memory is O(PAIR_BLOCK + tile + edges + max K) at any V and fraction.
     A full pass takes O(V^2 d) time in matrix products; a sampled draw of
-    n pairs takes O(n + spans) time, plus the tiles of the bands of rows
-    it fills to 1 / min(d, TILE_SHARE) or more and a check of each band
-    (see :func:`_tile_scores`; V / 64 bands per pass above 2048 nodes).
-    At V = 5794, d = 1, fraction 0.1 and 20k edges a pass peaks at 6.8 MiB
-    (tracemalloc), where a one-shot draw of all 16.8M pair indices took
-    141 MiB.
+    n pairs takes O(n + spans) time, plus the tiles of its bands of rows
+    on the tile route (V / 64 bands per pass above 2048 nodes).
+    At V = 5794, d = 1, fraction 0.1 and 20k edges a pass peaks at 5.8 MiB
+    (tracemalloc, all-zero rows), where a one-shot draw of all 16.8M pair
+    indices took 141 MiB.
     """
     sq = _checked_embeddings(embeddings, "reconstruction", net)
     V = embeddings.shape[0]
@@ -546,8 +543,11 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     n_pos, n_neg = pos.shape[0], n - pos.shape[0]
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative pairs")
-    beta = _score_bound(embeddings, sq)
-    tile = np.empty(max(TILE_QUERIES * TILE_COLUMNS // 2, TILE_COLUMNS))
+    if n_neg * min(embeddings.shape[1], TILE_SHARE) >= total:
+        beta = _score_bound(embeddings, sq)
+        tile = np.empty(max(TILE_QUERIES * TILE_COLUMNS // 2, TILE_COLUMNS))
+    else:
+        beta, tile = 0.0, None
 
     # The AUC is the Mann-Whitney statistic, ties counted half, over the
     # positive-negative pairs; the wins are kept doubled, as an integer.

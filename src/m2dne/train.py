@@ -269,6 +269,12 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     """
     if len(net) == 0 or net.time.min() == net.time.max():
         raise ValueError("training needs a network spanning at least 2 epochs")
+    with np.errstate(over="ignore"):
+        weight_sum = np.cumsum(net.weight)[-1]
+    if not np.isfinite(weight_sum):
+        raise ValueError("the event weights sum past float64's range, so "
+                         "batches cannot be drawn in proportion to them; "
+                         "scale the weights down")
     if initial_state is None:
         state = init_state(net.node_count, config, substream(config.seed, "init"))
     else:

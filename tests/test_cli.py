@@ -490,6 +490,18 @@ class TestWeightColumn:
                    "--trace", trace, *FAST])
         assert rc == 0
 
+    def test_train_rejects_weights_summing_past_float64(self, tmp_path,
+                                                        capsys):
+        edges = tmp_path / "huge.tsv"
+        edges.write_text("a\tb\t1\t1e308\nb\tc\t2\t1e308\n"
+                         "c\ta\t3\t1e308\n")
+        ckpt = tmp_path / "huge.ckpt"
+        rc = main(["train", "--edges", str(edges), "--weighted", "--out",
+                   str(ckpt), "--trace", str(tmp_path / "huge.csv"), *FAST])
+        assert rc == 1
+        assert "weights sum past float64" in capsys.readouterr().err
+        assert not ckpt.exists()
+
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-4"])
 def test_gradcheck_tolerance_out_of_range_is_usage_error(capsys, value):

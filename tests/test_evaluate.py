@@ -455,6 +455,94 @@ class TestTiledScores:
         assert sum(lo.shape[0] for _, lo, _ in calls) == scored
 
 
+def twin_rows(V, d, seed):
+    """V normal rows, off any grid, in pairs of copies in random order:
+    a non-edge to one copy ties an edge to the other."""
+    rng = np.random.default_rng(seed)
+    return np.repeat(rng.normal(size=(V // 2, d)), 2, axis=0)[
+        rng.permutation(V)]
+
+
+def random_edge_net(V, E, seed):
+    rng = np.random.default_rng(seed)
+    lo, hi = np.triu_indices(V, 1)
+    picked = np.sort(rng.choice(lo.shape[0], E, replace=False))
+    edges = [(int(lo[x]), int(hi[x])) for x in picked]
+    return edges, net_from_events([(a, b, t % 3 + 1) for t, (a, b)
+                                   in enumerate(edges)], node_count=V)
+
+
+class TestPassRoute:
+    """A pass scores all its non-edges one way: from tiles under the bound
+    when they fill at least 1 / min(d, TILE_SHARE) of all pairs, else by
+    one pair score each, with no tile, no bound and no second score."""
+
+    def test_sparse_pass_scores_each_candidate_once(self, monkeypatch):
+        V = 400
+        U = twin_rows(V, 8, 31)
+        _, net = random_edge_net(V, 2000, 32)
+        tiles = count_calls(monkeypatch, evaluate_mod, "_tile_scores")
+        bounds = count_calls(monkeypatch, evaluate_mod, "_score_bound")
+        calls = count_calls(monkeypatch, evaluate_mod, "_pair_scores")
+        rep = reconstruction_metrics(U, net, [1, 10, 100], 0.05,
+                                     np.random.default_rng(33))
+        assert tiles == [] and bounds == []
+        assert sum(lo.shape[0] for _, lo, _ in calls) \
+            == rep.config["candidates"]
+        # the first call scores the drawn edges; some drawn non-edges tie one
+        edge_scores = _pair_scores(U, calls[0][1], calls[0][2])
+        assert any(np.isin(_pair_scores(U, lo, hi), edge_scores).any()
+                   for _, lo, hi in calls[1:])
+
+    @pytest.mark.parametrize("extra,tiled", [(1, False), (0, True)])
+    def test_threshold_routes_give_the_pair_score_report(
+            self, monkeypatch, extra, tiled):
+        # d = 2 and 780 pairs: 390 edges leave non-edges at the threshold,
+        # 2 x 390 = 780, and 391 leave them just below it
+        V = 40
+        U = twin_rows(V, 2, 34)
+        edges, net = random_edge_net(V, V * (V - 1) // 4 + extra, 35)
+        monkeypatch.setattr(evaluate_mod, "PAIR_BLOCK", 97)
+        tiles = count_calls(monkeypatch, evaluate_mod, "_tile_scores")
+        ks = [1, 7, 50]
+        assert reconstruction_metrics(U, net, ks).metrics \
+            == pair_score_report(U, edges, ks, net)
+        assert len(tiles) == (-(-(V * (V - 1) // 2 - len(edges)) // 97)
+                              if tiled else 0)
+
+    def test_benchmark_shape_tiles_every_block(self, monkeypatch):
+        # d = 64, fraction 0.1: every block's pairs come from tiles, even
+        # in the last band of rows, where they fill less than 1/16 of it
+        V = 2000
+        U = np.random.default_rng(36).normal(size=(V, 64))
+        _, net = random_edge_net(V, 4000, 37)
+        blocks = count_calls(monkeypatch, evaluate_mod, "_score_block")
+        inside, banded = [], []
+        real_tiles = evaluate_mod._tile_scores
+        real_pairs = evaluate_mod._pair_scores
+
+        def tile_scores(*args):
+            inside.append(True)
+            try:
+                return real_tiles(*args)
+            finally:
+                inside.pop()
+
+        def pair_scores(*args, **kwargs):
+            if inside:
+                banded.append(args[1].shape[0])
+            return real_pairs(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_mod, "_tile_scores", tile_scores)
+        monkeypatch.setattr(evaluate_mod, "_pair_scores", pair_scores)
+        tiles = count_calls(monkeypatch, evaluate_mod, "_tile_scores")
+        reconstruction_metrics(U, net, [100, 1000], 0.1,
+                               np.random.default_rng(38))
+        assert len(blocks) > 1
+        assert len(tiles) == len(blocks)
+        assert banded == []
+
+
 class TestDecodePairs:
     """_decode_pairs inverts the upper-triangle numbering in closed form;
     the row-table decode in ``tests/_oracles.py`` is the reference."""

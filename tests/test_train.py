@@ -418,6 +418,14 @@ class TestFit:
         with pytest.raises(ValueError, match="is not positive"):
             fit(net, cfg)
 
+    def test_weights_summing_past_float64_fail(self):
+        # each weight is finite, but their running sum is inf, which made
+        # every batch draw one event
+        net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 0, 3)],
+                              weights=[1e308, 1e308, 1e308])
+        with pytest.raises(ValueError, match="weights sum past float64"):
+            fit(net, TrainConfig(dim=4, epochs=1))
+
 
 class TestSampledCoupling:
     """fit samples the coupling when the network has more edges than the two
