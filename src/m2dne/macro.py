@@ -82,8 +82,7 @@ def _growth_basis(n: np.ndarray, t: np.ndarray, gamma: float,
                   theta: float) -> np.ndarray:
     """q = n (n - 1) ** gamma / t ** theta, the predicted increments per unit
     kappa = S * zeta."""
-    return n * np.power(np.maximum(n - 1.0, 0.0), gamma) \
-        / np.power(t.astype(np.float64), theta)
+    return n * np.power(np.maximum(n - 1.0, 0.0), gamma) / np.power(t, theta)
 
 
 def _log_factors(n: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -191,30 +190,59 @@ def macro_loss_and_grads(coupling: Coupling, embeddings: np.ndarray,
     return d_S
 
 
-def _projected_loss(x: np.ndarray, n: np.ndarray, t: np.ndarray,
-                    d_obs: np.ndarray, log_factors: np.ndarray):
+def _projected_loss(x, n: np.ndarray, t: np.ndarray, d_obs: np.ndarray,
+                    log_factors: np.ndarray):
     """(loss, g, A, kappa) at (gamma, theta) = x: the loss sum r^2 with
-    r = kappa * q - d_obs at the best kappa, half its gradient, and half its
-    Hessian (kappa eliminated by a Schur complement) where that is positive
-    definite, else the Gauss-Newton J^T J. A probe that overflows q or makes
-    it 0 has a non-finite loss, which the solver rejects: no warnings."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        q = _growth_basis(n, t, x[0], x[1])
-        # kappa absorbs the scale of q, so dividing it out changes nothing
-        # but keeps q . q and the derivatives from overflowing where r does not
-        scale = np.max(q)
-        q = q / scale
-        qq = q @ q
-        kappa = (d_obs @ q) / qq
-        r = kappa * q - d_obs
-        dq = q[:, None] * log_factors
-        p, s = dq.T @ q, dq.T @ r
-        gauss_newton = kappa ** 2 * (dq.T @ dq - np.outer(p, p) / qq)
-        A = gauss_newton + kappa * (dq.T @ (r[:, None] * log_factors)) \
-            - (kappa * (np.outer(p, s) + np.outer(s, p)) + np.outer(s, s)) / qq
-        if not (A[0, 0] > 0.0 and np.linalg.det(A) > 0.0):
-            A = gauss_newton
-        return float(r @ r), kappa * s, A, float(kappa / scale)
+    r = kappa * q - d_obs at the best kappa, half its gradient (g0, g1), and
+    half its Hessian (a00, a01, a10, a11) (kappa eliminated by a Schur
+    complement) where that is positive definite, else the Gauss-Newton
+    J^T J. The length-T products are array operations, the 2 x 2 algebra
+    is on float64 scalars. A probe that overflows q or makes it 0 has a
+    non-finite loss, which the solver rejects; it also warns, so
+    :func:`fit_params` calls this under ``np.errstate``."""
+    q = _growth_basis(n, t, x[0], x[1])
+    # kappa absorbs the scale of q, so dividing it out changes nothing
+    # but keeps q . q and the derivatives from overflowing where r does not
+    scale = q.max()
+    q = q / scale
+    qq = q @ q
+    kappa = (d_obs @ q) / qq
+    r = kappa * q - d_obs
+    dq = q[:, None] * log_factors
+    p0, p1 = (dq.T @ q).flat
+    s0, s1 = (dq.T @ r).flat
+    j00, j01, j10, j11 = (dq.T @ dq).flat
+    h00, h01, h10, h11 = (dq.T @ (r[:, None] * log_factors)).flat
+    k2 = kappa ** 2
+    gauss_newton = (k2 * (j00 - p0 * p0 / qq), k2 * (j01 - p0 * p1 / qq),
+                    k2 * (j10 - p1 * p0 / qq), k2 * (j11 - p1 * p1 / qq))
+    A = (gauss_newton[0] + kappa * h00
+         - (kappa * (p0 * s0 + s0 * p0) + s0 * s0) / qq,
+         gauss_newton[1] + kappa * h01
+         - (kappa * (p0 * s1 + s0 * p1) + s0 * s1) / qq,
+         gauss_newton[2] + kappa * h10
+         - (kappa * (p1 * s0 + s1 * p0) + s1 * s0) / qq,
+         gauss_newton[3] + kappa * h11
+         - (kappa * (p1 * s1 + s1 * p1) + s1 * s1) / qq)
+    if not (A[0] > 0.0 and A[0] * A[3] - A[1] * A[2] > 0.0):
+        A = gauss_newton
+    return float(r @ r), (kappa * s0, kappa * s1), A, float(kappa / scale)
+
+
+def _damped_step(A, g, lam: float):
+    """delta solving (A + lam * diag(A)) delta = -g for the 2 x 2 ``A``
+    (a00, a01, a10, a11) by Cramer's rule, on float64 scalars. Where
+    |det| <= 1e-8 ||M||_F^2 (or either is not finite) the smaller singular
+    value of M may be within lstsq's default cut-off, 2 eps times the
+    larger, so lstsq solves it instead and drops that direction: a series
+    whose node count never grows has no gamma direction at all."""
+    a00, a01, a10, a11 = A
+    m00, m11 = a00 + lam * a00, a11 + lam * a11
+    det = m00 * m11 - a01 * a10
+    if abs(det) > 1e-8 * (m00 * m00 + a01 * a01 + a10 * a10 + m11 * m11):
+        return (a01 * g[1] - m11 * g[0]) / det, (a10 * g[0] - m00 * g[1]) / det
+    M = np.array([[m00, a01], [a10, m11]])
+    return tuple(np.linalg.lstsq(M, -np.array(g), rcond=None)[0])
 
 
 def _check_affinity(S: float) -> None:
@@ -231,10 +259,12 @@ def fit_params(series: MacroSeries, S: float) -> MacroParams:
     Levenberg-Marquardt loop runs on (gamma, theta) alone, from (1, 1)
     (variable projection, Golub & Pereyra 1973), solving
     (A + lam * diag(A)) delta = -g (see :func:`_projected_loss`; J^T J alone
-    converges only linearly, as the residuals at the optimum are not 0). A
-    step is kept if the loss is finite and lower, and lam then shrinks
-    tenfold, else grows tenfold. The loop stops when the gradient norm is at
-    most 1e-10 * (1 + loss), when a kept step lowers the loss by a relative
+    converges only linearly, as the residuals at the optimum are not 0) by
+    Cramer's rule, or by lstsq where that matrix is near singular (see
+    :func:`_damped_step`), all under one ``np.errstate``. A step is kept if
+    the loss is finite and lower, and lam then shrinks tenfold, else grows
+    tenfold. The loop stops when the gradient norm is at most
+    1e-10 * (1 + loss), when a kept step lowers the loss by a relative
     1e-15 or less, when lam exceeds 1e16, or after 200 iterations. Raises
     ValueError when S <= 0, when no increment epoch has n >= 2, when the
     loss is not finite at the start, or when the fitted kappa is not > 0.
@@ -246,26 +276,27 @@ def fit_params(series: MacroSeries, S: float) -> MacroParams:
                          "growth model predicts no new edges")
     t = series.epochs[:-1].astype(np.float64)
     args = (n, t, series.delta_e, _log_factors(n, t))
-    x = np.array([1.0, 1.0])
-    loss, g, A, kappa = _projected_loss(x, *args)
-    if not np.isfinite(loss):
-        raise ValueError("growth loss is not finite at the start point")
-    lam = 1e-3
-    for _ in range(_MAX_ITER):
-        if 2.0 * float(np.linalg.norm(g)) <= _GRAD_TOL * (1.0 + loss) \
-                or lam > _MAX_DAMPING:
-            break
-        delta = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), -g,
-                                rcond=None)[0]
-        loss_new, g_new, A_new, kappa_new = _projected_loss(x + delta, *args)
-        if np.isfinite(loss_new) and loss_new < loss:
-            decrease = (loss - loss_new) / loss
-            x, loss, g, A, kappa = x + delta, loss_new, g_new, A_new, kappa_new
-            lam /= 10.0
-            if decrease < _REL_DECREASE_TOL:
+    x = (1.0, 1.0)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loss, g, A, kappa = _projected_loss(x, *args)
+        if not np.isfinite(loss):
+            raise ValueError("growth loss is not finite at the start point")
+        lam = 1e-3
+        for _ in range(_MAX_ITER):
+            if 2.0 * np.sqrt(g[0] * g[0] + g[1] * g[1]) \
+                    <= _GRAD_TOL * (1.0 + loss) or lam > _MAX_DAMPING:
                 break
-        else:
-            lam *= 10.0
+            delta = _damped_step(A, g, lam)
+            trial = (x[0] + delta[0], x[1] + delta[1])
+            loss_new, g_new, A_new, kappa_new = _projected_loss(trial, *args)
+            if np.isfinite(loss_new) and loss_new < loss:
+                decrease = (loss - loss_new) / loss
+                x, loss, g, A, kappa = trial, loss_new, g_new, A_new, kappa_new
+                lam /= 10.0
+                if decrease < _REL_DECREASE_TOL:
+                    break
+            else:
+                lam *= 10.0
     if not kappa > 0.0:
         raise ValueError(f"fitted kappa = S * zeta is {kappa}, not positive: "
                          "the series has no new edges to fit")

@@ -9,6 +9,7 @@ import math
 import struct
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -119,10 +120,11 @@ def init_state(node_count: int, config: TrainConfig,
 
 class TrainData:
     """Pre-extracted arrays shared by every step: history snapshots, the
-    negative-sampling table, the weight table for batch draws and the growth
-    series. ``work`` is the step workspace: every step of a fit reuses its
-    buffers, which are allocated by the first step and freed with this
-    object. ``coupling`` is the latest refit's
+    negative-sampling table and the growth series, and the weight table for
+    batch draws, built by the first draw (``gradient_check`` draws none and
+    reads no weight). ``work`` is the step workspace: every step of a fit
+    reuses its buffers, which are allocated by the first step and freed with
+    this object. ``coupling`` is the latest refit's
     :class:`~m2dne.macro.Coupling` during ``fit`` with epsilon > 0, else
     None (steps couple exactly at ``state.macro``)."""
 
@@ -131,10 +133,13 @@ class TrainData:
         self.snapshots = snapshot_arrays(net, history)
         self.table = NegativeTable(net.degrees(), net.first_appearance_order())
         self.series: MacroSeries = compute_macro_series(net)
-        cum = np.cumsum(net.weight)
-        self.sample_cum = cum / cum[-1]
         self.work = Workspace()
         self.coupling: macro_mod.Coupling | None = None
+
+    @cached_property
+    def sample_cum(self) -> np.ndarray:
+        cum = np.cumsum(self.net.weight)
+        return cum / cum[-1]
 
 
 def sample_batch(data: TrainData, batch_size: int,

@@ -3,10 +3,10 @@
 Pure-Python scalar code, deliberately written without the package's helpers
 or vectorization, following the model definitions term by term. The
 exceptions are :func:`auc_rank_sum_oracle`, the rank-sum AUC over every
-pair at once; :func:`softmax_newton_oracle` and
-:func:`binary_newton_oracle`, dense Newton solves that need NumPy's linear
-algebra; and :func:`edge_affinity_oracle`, the one-shot array form that
-the chunked kernel must match bit for bit. The line-by-line file parsers
+pair at once; :func:`softmax_newton_oracle`, :func:`binary_newton_oracle`
+and :func:`growth_fit_oracle`, solves that need NumPy's linear algebra;
+and :func:`edge_affinity_oracle`, the one-shot array form that the chunked
+kernel must match bit for bit. The line-by-line file parsers
 at the end build the package's result types and raise its ParseError, so
 their outputs compare field by field.
 """
@@ -240,6 +240,69 @@ def growth_gradient_oracle(epochs, n, delta_e, S, zeta_raw, gamma, theta):
         d_gamma += weight * (math.log(n1) if n1 > 0.0 else 0.0)
         d_theta -= weight * math.log(epochs[k])
     return d_zeta_raw, d_gamma, d_theta
+
+
+def growth_fit_oracle(series, S):
+    """(kappa, gamma, theta, loss) of the growth fit as first written: the
+    projected loss's 2 x 2 algebra on arrays, its positive-definiteness test
+    by ``np.linalg.det`` and every damped step solved by ``np.linalg.lstsq``,
+    with the same start, damping and stopping rules as
+    ``macro.fit_params``, whose ValueError messages it raises."""
+    if not S > 0.0:
+        raise ValueError(f"edge affinity S = {S} is not positive: every "
+                         "training-edge sigmoid underflowed")
+    n = series.n[:-1]
+    if not np.any(n >= 2.0):
+        raise ValueError("no increment epoch has 2 or more nodes, so the "
+                         "growth model predicts no new edges")
+    t = series.epochs[:-1].astype(np.float64)
+    d_obs = series.delta_e
+    log_n1 = np.where(n > 1.0, np.log(np.maximum(n - 1.0, 1e-300)), 0.0)
+    log_factors = np.stack([log_n1, -np.log(t)], axis=1)
+
+    def projected(x):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            q = n * np.power(np.maximum(n - 1.0, 0.0), x[0]) \
+                / np.power(t, x[1])
+            scale = np.max(q)
+            q = q / scale
+            qq = q @ q
+            kappa = (d_obs @ q) / qq
+            r = kappa * q - d_obs
+            dq = q[:, None] * log_factors
+            p, s = dq.T @ q, dq.T @ r
+            gauss_newton = kappa ** 2 * (dq.T @ dq - np.outer(p, p) / qq)
+            A = gauss_newton + kappa * (dq.T @ (r[:, None] * log_factors)) \
+                - (kappa * (np.outer(p, s) + np.outer(s, p))
+                   + np.outer(s, s)) / qq
+            if not (A[0, 0] > 0.0 and np.linalg.det(A) > 0.0):
+                A = gauss_newton
+            return float(r @ r), kappa * s, A, float(kappa / scale)
+
+    x = np.array([1.0, 1.0])
+    loss, g, A, kappa = projected(x)
+    if not np.isfinite(loss):
+        raise ValueError("growth loss is not finite at the start point")
+    lam = 1e-3
+    for _ in range(200):
+        if 2.0 * float(np.linalg.norm(g)) <= 1e-10 * (1.0 + loss) \
+                or lam > 1e16:
+            break
+        delta = np.linalg.lstsq(A + lam * np.diag(np.diag(A)), -g,
+                                rcond=None)[0]
+        loss_new, g_new, A_new, kappa_new = projected(x + delta)
+        if np.isfinite(loss_new) and loss_new < loss:
+            decrease = (loss - loss_new) / loss
+            x, loss, g, A, kappa = x + delta, loss_new, g_new, A_new, kappa_new
+            lam /= 10.0
+            if decrease < 1e-15:
+                break
+        else:
+            lam *= 10.0
+    if not kappa > 0.0:
+        raise ValueError(f"fitted kappa = S * zeta is {kappa}, not positive: "
+                         "the series has no new edges to fit")
+    return kappa, float(x[0]), float(x[1]), loss
 
 
 def recommendation_oracle(U, events, ks):

@@ -15,9 +15,9 @@ from m2dne import macro as macro_mod
 from m2dne.macro import (coupling_at, edge_affinity, fit_params, macro_loss,
                          macro_loss_and_grads, _predict_series)
 from m2dne.micrograd import batch_loss_and_grads
-from m2dne.train import (TrainConfig, TrainData, fit, init_state,
-                         load_checkpoint, sample_batch, save_checkpoint, step,
-                         _joint_grads, _joint_loss)
+from m2dne.train import (TrainConfig, TrainData, fit, gradient_check,
+                         init_state, load_checkpoint, sample_batch,
+                         save_checkpoint, step, _joint_grads, _joint_loss)
 from m2dne.util import Workspace, substream
 
 DATA = Path(__file__).parent / "data"
@@ -425,6 +425,15 @@ class TestFit:
                               weights=[1e308, 1e308, 1e308])
         with pytest.raises(ValueError, match="weights sum past float64"):
             fit(net, TrainConfig(dim=4, epochs=1))
+
+    def test_gradient_check_reads_no_weight(self):
+        # the batch-draw table's cumulative sum overflowed here and warned,
+        # though gradient_check draws no batch
+        net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 0, 3)],
+                              weights=[1e308, 1e308, 1e308])
+        cfg = TrainConfig(dim=4, history=2, negatives=1)
+        state = init_state(net.node_count, cfg, substream(0, "init"))
+        assert gradient_check(state, net, cfg, tolerance=1e-4).passed
 
 
 class TestSampledCoupling:
