@@ -318,16 +318,6 @@ def _pair_scores(embeddings: np.ndarray, lo: np.ndarray,
     return np.negative(scores, out=scores)
 
 
-def _doubled_wins(pos: np.ndarray, neg: np.ndarray) -> int:
-    """Sum of ``2 [p > n] + [p == n]`` over the pairs of the sorted ``pos``
-    and ``neg``, searching the shorter array into the longer: each pair
-    adds 2 to the sum taken both ways round."""
-    if pos.shape[0] > neg.shape[0]:
-        return 2 * pos.shape[0] * neg.shape[0] - _doubled_wins(neg, pos)
-    return int(np.searchsorted(neg, pos, side="left").sum()
-               + np.searchsorted(neg, pos, side="right").sum())
-
-
 def _keep_best(best, scores, index, kmax):
     """The first kmax by -score of the shortlist ``best`` (scores, indices)
     followed by one block's non-edges. Blocks stream in ascending index, so
@@ -343,39 +333,13 @@ def _keep_best(best, scores, index, kmax):
     return [part[order] for part in merged]
 
 
-def _score_bound(embeddings: np.ndarray, sq: np.ndarray) -> float:
-    """beta, a bound on |f - s| for every pair, with s its
-    :func:`_pair_scores` score and f its :func:`_tile_scores` score: the
-    :func:`_distance_slack` of twice the largest :func:`_norm_bounds`, or 0
-    when both are exact.
-
-    They are exact when every entry is an integer A times 2^-k, with
-    k <= 537 and |A| < 2^b, 2^(2b) <= 2^51 / d: each difference is then an
-    integer below 2^(b+1) times 2^-k, and each product, squared norm and
-    partial sum of either form an integer below 4 d 2^(2b) <= 2^53 times
-    2^-2k, with 2k <= 1074, so each is a float64 and no op rounds.
-    Half-integer grids and all-zero rows are such inputs, and on them most
-    scores tie."""
-    d = embeddings.shape[1]
-    top = max(float(embeddings.max()), -float(embeddings.min()))
-    grid = 2.0 ** min((51 - (d - 1).bit_length()) // 2
-                      - int(np.frexp(top)[1]), 537)
-
-    def on_grid(rows):
-        return np.array_equal(np.rint(rows * grid) / grid, rows)
-
-    # the first row alone rules out most embeddings
-    if on_grid(embeddings[:1]) and on_grid(embeddings):
-        return 0.0
-    return float(_distance_slack(2.0 * _norm_bounds(sq, d).max(), d))
-
-
 def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
                  j: np.ndarray, tile: np.ndarray) -> np.ndarray:
-    """Scores within beta of the pair scores (see :func:`_score_bound`) of
-    the (i, j) sorted by i, a band of rows at a time: the tile form
-    2 u_i.u_j - ||u_i||^2 - ||u_j||^2, with ``sq`` the squared norms and
-    u_i.u_j read from float64 matrix products written into ``tile``.
+    """Scores of the (i, j) sorted by i, a band of rows at a time: the tile
+    form 2 u_i.u_j - ||u_i||^2 - ||u_j||^2, with ``sq`` the squared norms
+    and u_i.u_j read from float64 matrix products written into ``tile``.
+    Each is within beta of its pair score, with beta the
+    :func:`_distance_slack` of twice the largest :func:`_norm_bounds`.
 
     A band holds ``tile.size`` entries over min(V, TILE_COLUMNS) columns,
     and is cut into TILE_COLUMNS-wide tiles where its pairs reach more
@@ -414,37 +378,40 @@ def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
 def _block_wins(pos: np.ndarray, ordered: np.ndarray, f: np.ndarray,
                 width: float) -> tuple[int, np.ndarray]:
     """(doubled wins of the sorted ``pos`` over ``ordered``, the sorted
-    ``f``, as :func:`_doubled_wins` counts them; positions in ``f`` of the
-    values within ``width`` of a positive).
+    ``f``: the sum of ``2 [p > v] + [p == v]`` over their pairs; positions
+    in ``f`` of the values within ``width`` of a positive, none at width 0).
 
-    The shorter array is searched into the longer, and each value's
-    neighbours in the other array tell which positives have a value within
-    their window: every value near a positive is near its nearest positive
-    on that side. Only then is each of ``f`` searched into those windows."""
+    The shorter array is searched into the longer: each pair adds 2 to the
+    sum taken both ways round. Each value's neighbours in the other array
+    tell which positives have a value within their window: every value
+    near a positive is near its nearest positive on that side. Only then is
+    each of ``f`` searched into those windows."""
     P, n = pos.shape[0], ordered.shape[0]
-    lo, hi = pos - width, pos + width
     if P > n:
         left = np.searchsorted(pos, ordered, side="left")
         right = np.searchsorted(pos, ordered, side="right")
         wins = 2 * P * n - int(left.sum() + right.sum())
+    else:
+        left = np.searchsorted(ordered, pos, side="left")
+        right = np.searchsorted(ordered, pos, side="right")
+        wins = int(left.sum() + right.sum())
+    if not width:
+        return wins, np.empty(0, dtype=np.int64)
+    lo, hi = pos - width, pos + width
+    if P > n:
         tie = right > left
         below = (left > 0) & (ordered <= hi[np.maximum(left - 1, 0)])
         above = (right < P) & (ordered >= lo[np.minimum(right, P - 1)])
-        if not width or not (tie | below | above).any():
-            return wins, np.empty(0, dtype=np.int64)
         hit = np.zeros(P, dtype=bool)
         hit[left[tie]] = True
         hit[left[below] - 1] = True
         hit[right[above]] = True
     else:
-        left = np.searchsorted(ordered, pos, side="left")
-        right = np.searchsorted(ordered, pos, side="right")
-        wins = int(left.sum() + right.sum())
         hit = (right > left) \
             | (left > 0) & (ordered[np.maximum(left - 1, 0)] >= lo) \
             | (right < n) & (ordered[np.minimum(right, n - 1)] <= hi)
-        if not width or not hit.any():
-            return wins, np.empty(0, dtype=np.int64)
+    if not hit.any():
+        return wins, np.empty(0, dtype=np.int64)
     lo, hi = lo[hit], hi[hit]
     # windows holding a value: those with lo <= value, less those below it
     return wins, np.flatnonzero(np.searchsorted(lo, f, side="right")
@@ -469,9 +436,10 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
 
     The code widens those windows to 2 beta and 3 beta: forming p +- c beta
     for a score p (|p| <= 4.1 M^2 for M the largest row norm, while
-    beta >= 80 eps M^2) rounds by less than beta / 30. With beta = 0 the
-    tile scores are the pair scores, and no pair is scored again; with
-    ``tile`` None, f is s and beta must be 0."""
+    beta >= 80 eps M^2) rounds by less than beta / 30. On tie-heavy rows,
+    such as all-zero ones, most f lie within 2 beta of an edge's score, so
+    most pairs get s as well. With ``tile`` None, f is s, beta must be 0
+    and no pair is scored again."""
     V = embeddings.shape[0]
     f = (_pair_scores(embeddings, *_decode_pairs(at, V)) if tile is None else
          _tile_scores(embeddings, sq, *_decode_pairs(at, V), tile))
@@ -481,8 +449,8 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
     del ordered                 # so that it is gone at the shortlist's peak
     if near.shape[0]:
         exact = _pair_scores(embeddings, *_decode_pairs(at[near], V))
-        wins += _doubled_wins(pos, np.sort(exact)) \
-            - _doubled_wins(pos, np.sort(f[near]))
+        wins += _block_wins(pos, np.sort(exact), exact, 0.0)[0] \
+            - _block_wins(pos, np.sort(f[near]), f[near], 0.0)[0]
     last = best[0][-1] if best[0].shape[0] == kmax else -np.inf
     # a full shortlist admits only scores above its last
     keep = (np.flatnonzero(f > last - 3.0 * beta) if last >= tau else
@@ -505,11 +473,12 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     their non-edges stream in ascending blocks of about PAIR_BLOCK pairs
     (:func:`_score_block`), scored one way per pass. If they fill at least
     1 / min(d, TILE_SHARE) of all pairs, mostly from matrix-product tiles
-    within a bound beta (:func:`_score_bound`), and again one by one only
-    where the bound cannot settle the report; if not, each by one pair
-    score: on one thread of a 2-core x86 VM a pair score cost about as much
-    as a tile entry at d = 1, and as 20 to 30 of them at d = 64. Either way
-    the report is the one the pair scores give, at any BLAS thread count.
+    within a bound beta (:func:`_tile_scores`), and again one by one only
+    where the bound cannot settle the report (on tie-heavy rows, most
+    pairs); if not, each by one pair score: on one thread of a 2-core x86
+    VM a pair score cost about as much as a tile entry at d = 1, and as 20
+    to 30 of them at d = 64. Either way the report is the one the pair
+    scores give, at any BLAS thread count.
 
     Memory is O(PAIR_BLOCK + tile + edges + max K) at any V and fraction.
     A full pass takes O(V^2 d) time in matrix products; a sampled draw of
@@ -520,7 +489,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     indices took 141 MiB.
     """
     sq = _checked_embeddings(embeddings, "reconstruction", net)
-    V = embeddings.shape[0]
+    V, d = embeddings.shape
     total = V * (V - 1) // 2
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
@@ -543,8 +512,8 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     n_pos, n_neg = pos.shape[0], n - pos.shape[0]
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both positive and negative pairs")
-    if n_neg * min(embeddings.shape[1], TILE_SHARE) >= total:
-        beta = _score_bound(embeddings, sq)
+    if n_neg * min(d, TILE_SHARE) >= total:
+        beta = float(_distance_slack(2.0 * _norm_bounds(sq, d).max(), d))
         tile = np.empty(max(TILE_QUERIES * TILE_COLUMNS // 2, TILE_COLUMNS))
     else:
         beta, tile = 0.0, None

@@ -13,8 +13,8 @@ from _oracles import (auc_rank_sum_oracle, reconstruction_precision_oracle,
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
 from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
-                            _block_wins, _doubled_wins, _draw_non_edges,
-                            _float32_filter, _pair_scores, _score_bound,
+                            _block_wins, _distance_slack, _draw_non_edges,
+                            _float32_filter, _norm_bounds, _pair_scores,
                             _tile_scores,
                             node_classification, reconstruction_metrics,
                             scale_prediction, temporal_link_prediction,
@@ -239,12 +239,13 @@ class TestReconstruction:
 
 def adversarial_cases():
     """A hypothesis strategy of (embeddings, edges, K list, settings) for a
-    full reconstruction pass: half-integer grids, which tie heavily and are
-    scored exactly, or normal rows; rows duplicated (zero distances),
-    scaled by e^+-20 or brought near or into the subnormal range; V and d
-    that no tile divides; K values that split tie groups. The settings
-    shrink PAIR_BLOCK and the tiles, so blocks and tiles split the ties,
-    and move the tile share, so bands go through tiles or pair scores."""
+    full reconstruction pass: half-integer grids, which tie heavily, so
+    that most tile scores are scored again, or normal rows; rows duplicated
+    (zero distances), scaled by e^+-20 or brought near or into the
+    subnormal range; V and d that no tile divides; K values that split tie
+    groups. The settings shrink PAIR_BLOCK and the tiles, so blocks and
+    tiles split the ties, and move the tile share, so bands go through
+    tiles or pair scores."""
     st = pytest.importorskip("hypothesis.strategies")
     scale = {"keep": 1.0, "large": math.exp(20), "small": math.exp(-20),
              "tiny": 1e-160, "subnormal": 2.0 ** -1040}
@@ -331,7 +332,8 @@ class TestTiledScores:
             V, d = U.shape
             lo, hi = np.triu_indices(V, 1)
             s = _pair_scores(U, lo, hi)
-            beta = _score_bound(U, np.einsum("nd,nd->n", U, U))
+            beta = _distance_slack(
+                2.0 * _norm_bounds(np.einsum("nd,nd->n", U, U), d).max(), d)
             tile = np.empty(max(evaluate_mod.TILE_QUERIES
                                 * evaluate_mod.TILE_COLUMNS // 2,
                                 evaluate_mod.TILE_COLUMNS))
@@ -427,32 +429,57 @@ class TestTiledScores:
         f = rng.integers(0, 40, rng.integers(1, 30)) / 4.0
         width = float(rng.choice([0.0, 0.25, 1.0]))
         wins, near = _block_wins(pos, np.sort(f), f, width)
-        assert wins == _doubled_wins(pos, np.sort(f))
+        assert wins == sum(2 * (p > value) + (p == value)
+                           for p in pos for value in f)
         assert near.tolist() == [
             k for k, value in enumerate(f)
             if width and any(abs(value - p) <= width for p in pos)]
 
-    def test_grid_needs_no_bound_and_others_do(self):
-        grid = np.arange(-6, 6).reshape(4, 3) / 2.0
-        for U in (grid, np.zeros((5, 1)), grid * 2.0 ** -530):
-            assert _score_bound(U, np.einsum("nd,nd->n", U, U)) == 0.0
-        # off the grid, below its 2^-537 spacing or too wide for exact sums
-        for U in (grid / 3.0, grid * 2.0 ** -540, grid + 2.0 ** 24):
-            assert _score_bound(U, np.einsum("nd,nd->n", U, U)) > 0.0
+    @pytest.mark.parametrize("family", ["zeros", "half_grid"])
+    def test_tie_heavy_tiles_give_the_pair_score_report(self, monkeypatch,
+                                                        family):
+        # all-zero rows, where every non-edge ties with the edges, and a
+        # half-integer grid, where scores fall on few values: most tile
+        # scores lie within beta of an edge's score and are scored again.
+        # Blocks of 997 pairs split the tie groups, and the tiles are kept
+        # small, so that one more array over all 44,850 pairs (350 KiB)
+        # would pass the bound; a pass peaked at 390 KiB (NumPy 2.4).
+        V, d = 300, 16
+        U = (np.zeros((V, d)) if family == "zeros" else
+             np.random.default_rng(40).integers(-4, 5, size=(V, d)) / 2.0)
+        edges, net = random_edge_net(V, 600, 41)
+        ks = [1, 10, 100, 1000]
+        want = pair_score_report(U, edges, ks, net)
+        for name, value in (("PAIR_BLOCK", 997), ("TILE_QUERIES", 8),
+                            ("TILE_COLUMNS", 64)):
+            monkeypatch.setattr(evaluate_mod, name, value)
+        tiled = []
+        real_tiles = evaluate_mod._tile_scores
 
-    @pytest.mark.parametrize("d,scored", [(1, 300 * 299 // 2), (16, 2)])
-    def test_tie_heavy_pass_scores_no_pair_twice(self, monkeypatch, d,
-                                                 scored):
-        # all-zero rows: every non-edge ties with the edges, and the grid
-        # makes the tile scores exact, so no pair is scored again; at d = 1
-        # every pair gets one pair score, cheaper there than a tile, and at
-        # d = 16 only the edges do
+        def tile_scores(*args):
+            tiled.append(args[2].shape[0])
+            return real_tiles(*args)
+
+        monkeypatch.setattr(evaluate_mod, "_tile_scores", tile_scores)
+        tracemalloc.start()
+        try:
+            metrics = reconstruction_metrics(U, net, ks).metrics
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(tiled) == V * (V - 1) // 2 - len(edges)
+        assert metrics == want
+        assert peak < 640 * 2 ** 10
+
+    def test_tie_heavy_pass_scores_no_pair_twice(self, monkeypatch):
+        # all-zero rows at d = 1 take the pair route: every pair gets one
+        # pair score, cheaper there than a tile, and none gets a second
         V = 300
         net = net_from_events([(0, 1, 1), (2, 3, 2)], node_count=V)
         calls = count_calls(monkeypatch, evaluate_mod, "_pair_scores")
-        rep = reconstruction_metrics(np.zeros((V, d)), net, [1])
+        rep = reconstruction_metrics(np.zeros((V, 1)), net, [1])
         assert rep.metrics == {"precision@1": 1.0, "auc": 0.5}
-        assert sum(lo.shape[0] for _, lo, _ in calls) == scored
+        assert sum(lo.shape[0] for _, lo, _ in calls) == V * (V - 1) // 2
 
 
 def twin_rows(V, d, seed):
@@ -482,11 +509,11 @@ class TestPassRoute:
         U = twin_rows(V, 8, 31)
         _, net = random_edge_net(V, 2000, 32)
         tiles = count_calls(monkeypatch, evaluate_mod, "_tile_scores")
-        bounds = count_calls(monkeypatch, evaluate_mod, "_score_bound")
+        slacks = count_calls(monkeypatch, evaluate_mod, "_distance_slack")
         calls = count_calls(monkeypatch, evaluate_mod, "_pair_scores")
         rep = reconstruction_metrics(U, net, [1, 10, 100], 0.05,
                                      np.random.default_rng(33))
-        assert tiles == [] and bounds == []
+        assert tiles == [] and slacks == []
         assert sum(lo.shape[0] for _, lo, _ in calls) \
             == rep.config["candidates"]
         # the first call scores the drawn edges; some drawn non-edges tie one
