@@ -23,12 +23,17 @@ TRAIN_FIELDS = {f.name: type(f.default)
 
 
 def _read_config_file(path) -> dict:
-    """Typed ``key=value`` settings; an unknown key, a value that does not
-    parse or one that TrainConfig rejects fails naming the file, line and
-    key."""
+    """Typed ``key=value`` settings, read as edge lists are; a byte that is
+    not UTF-8, an unknown key, a value that does not parse or one that
+    TrainConfig rejects fails naming the file, line and key."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            bad = [ord(c) - 0xDC00 for c in line if 0xDC80 <= ord(c) <= 0xDCFF]
+            if bad:
+                raise ValueError(f"{path}:{lineno}: byte 0x{bad[0]:02x} is not "
+                                 "valid UTF-8")
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue

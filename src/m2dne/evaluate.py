@@ -342,11 +342,9 @@ def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
     :func:`_distance_slack` of twice the largest :func:`_norm_bounds`.
 
     A band holds ``tile.size`` entries over min(V, TILE_COLUMNS) columns,
-    and is cut into TILE_COLUMNS-wide tiles where its pairs reach more
-    columns than it holds."""
-    V = embeddings.shape[0]
-    size = tile.shape[0]
-    rows = max(1, size // min(V, TILE_COLUMNS))
+    and the columns its pairs reach are cut into tiles of at most
+    TILE_COLUMNS."""
+    rows = max(1, tile.shape[0] // min(embeddings.shape[0], TILE_COLUMNS))
     f = np.empty(i.shape[0])
     for r0 in range(int(i[0]), int(i[-1]) + 1, rows):
         a, b = np.searchsorted(i, (r0, r0 + rows))
@@ -354,11 +352,9 @@ def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
             continue
         r1 = int(i[b - 1]) + 1
         first, last = int(j[a:b].min()), int(j[a:b].max()) + 1
-        width = (last - first if (r1 - r0) * (last - first) <= size else
-                 TILE_COLUMNS)
-        for c0 in range(first, last, width):
-            c1 = min(c0 + width, last)
-            at = (slice(a, b) if width == last - first else
+        for c0 in range(first, last, TILE_COLUMNS):
+            c1 = min(c0 + TILE_COLUMNS, last)
+            at = (slice(a, b) if last - first <= TILE_COLUMNS else
                   a + np.flatnonzero((j[a:b] >= c0) & (j[a:b] < c1)))
             product = np.matmul(
                 embeddings[r0:r1], embeddings[c0:c1].T,
@@ -378,8 +374,9 @@ def _tile_scores(embeddings: np.ndarray, sq: np.ndarray, i: np.ndarray,
 def _block_wins(pos: np.ndarray, ordered: np.ndarray, f: np.ndarray,
                 width: float) -> tuple[int, np.ndarray]:
     """(doubled wins of the sorted ``pos`` over ``ordered``, the sorted
-    ``f``: the sum of ``2 [p > v] + [p == v]`` over their pairs; positions
-    in ``f`` of the values within ``width`` of a positive, none at width 0).
+    ``f``: the sum of ``2 [p > v] + [p == v]`` over their pairs; ascending
+    positions in ``f`` of the values within ``width`` of a positive, none
+    at width 0, which only counts).
 
     The shorter array is searched into the longer: each pair adds 2 to the
     sum taken both ways round. Each value's neighbours in the other array
@@ -425,21 +422,18 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
     ascending block ``at`` of non-edges, the shortlist ``best`` with the
     block added; see :func:`_keep_best`). Only the pair scores s count,
     though with a ``tile`` most pairs get only their tile scores f
-    (:func:`_tile_scores`), within ``beta`` of s:
-
-    * the sorted f count the wins; the non-edges with an f within beta of
-      an edge's score, which f and s might order differently, are counted
-      again with s;
-    * only the non-edges that might join the shortlist get s: with tau the
-      max(K)-th best f of the block, or the shortlist's last score once it
-      is full, any such non-edge has f >= tau - 2 beta.
+    (:func:`_tile_scores`), within ``beta`` of s. The sorted f count the
+    wins; the non-edges f leaves undecided get s in one :func:`_pair_scores`
+    call, written over f: those within beta of an edge's score, which f and
+    s might order differently, have their wins counted again, and those
+    that might join the shortlist have f >= max(tau, last) - 2 beta, for
+    tau the block's max(K)-th best f and last the full shortlist's last.
 
     The code widens those windows to 2 beta and 3 beta: forming p +- c beta
     for a score p (|p| <= 4.1 M^2 for M the largest row norm, while
     beta >= 80 eps M^2) rounds by less than beta / 30. On tie-heavy rows,
     such as all-zero ones, most f lie within 2 beta of an edge's score, so
-    most pairs get s as well. With ``tile`` None, f is s, beta must be 0
-    and no pair is scored again."""
+    most pairs get s, once. With ``tile`` None, f is s and beta must be 0."""
     V = embeddings.shape[0]
     f = (_pair_scores(embeddings, *_decode_pairs(at, V)) if tile is None else
          _tile_scores(embeddings, sq, *_decode_pairs(at, V), tile))
@@ -447,17 +441,18 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
     wins, near = _block_wins(pos, ordered, f, 2.0 * beta)
     tau = ordered[-kmax] if ordered.shape[0] > kmax else -np.inf
     del ordered                 # so that it is gone at the shortlist's peak
-    if near.shape[0]:
-        exact = _pair_scores(embeddings, *_decode_pairs(at[near], V))
-        wins += _block_wins(pos, np.sort(exact), exact, 0.0)[0] \
-            - _block_wins(pos, np.sort(f[near]), f[near], 0.0)[0]
     last = best[0][-1] if best[0].shape[0] == kmax else -np.inf
-    # a full shortlist admits only scores above its last
-    keep = (np.flatnonzero(f > last - 3.0 * beta) if last >= tau else
-            np.flatnonzero(f >= tau - 3.0 * beta))
-    return wins, _keep_best(
-        best, _pair_scores(embeddings, *_decode_pairs(at[keep], V))
-        if beta else f[keep], at[keep], kmax)
+    keep = np.flatnonzero(f >= max(tau, last) - 3.0 * beta)
+    if beta:
+        seen = np.zeros(f.shape[0], dtype=bool)
+        seen[near] = True
+        rescore = np.concatenate((near, keep[~seen[keep]]))
+        scores = _pair_scores(embeddings, *_decode_pairs(at[rescore], V))
+        tiled, exact = f[near], scores[:near.shape[0]]
+        f[rescore] = scores
+        wins += _block_wins(pos, np.sort(exact), exact, 0.0)[0] \
+            - _block_wins(pos, np.sort(tiled), tiled, 0.0)[0]
+    return wins, _keep_best(best, f[keep], at[keep], kmax)
 
 
 def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,

@@ -137,6 +137,31 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"{cfg}:3:" in err and "'dim'" in err and "'six'" in err
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # as in the edge and label files
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfdim = 6\nepochs = 2\n")
+        ckpt = str(tmp_path / "c.ckpt")
+        rc = main(["train", "--edges", TOY_EDGES, "--config", str(cfg),
+                   "--out", ckpt, "--trace", str(tmp_path / "t.csv")])
+        assert rc == 0
+        assert load_checkpoint(ckpt).dim == 6
+
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys,
+                                               command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"dim = 6\n# widths \xff\nepochs = 2\n")
+        outputs = (["--out", str(tmp_path / "c.ckpt"),
+                    "--trace", str(tmp_path / "t.csv")]
+                   if command == "train" else [])
+        rc = main([command, "--edges", TOY_EDGES, "--config", str(cfg),
+                   *outputs])
+        assert rc == 1
+        assert capsys.readouterr().err \
+            == f"error: {cfg}:2: byte 0xff is not valid UTF-8\n"
+        assert not (tmp_path / "c.ckpt").exists()
+
     @pytest.mark.parametrize("line,key,rule", [
         ("epochs = 0", "epochs", "epochs must be >= 1"),
         ("dim = 0", "dim", "dim must be >= 1"),

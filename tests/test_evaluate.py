@@ -440,10 +440,13 @@ class TestTiledScores:
                                                         family):
         # all-zero rows, where every non-edge ties with the edges, and a
         # half-integer grid, where scores fall on few values: most tile
-        # scores lie within beta of an edge's score and are scored again.
-        # Blocks of 997 pairs split the tie groups, and the tiles are kept
-        # small, so that one more array over all 44,850 pairs (350 KiB)
-        # would pass the bound; a pass peaked at 390 KiB (NumPy 2.4).
+        # scores lie within beta of an edge's score and get a pair score,
+        # one per pair at most, however many windows hold it. Blocks of 997
+        # pairs split the tie groups, and the tiles are kept small, so that
+        # one more array over all 44,850 pairs (350 KiB) would pass the
+        # bound; a pass peaked at 390 KiB (NumPy 2.4). A block's last rows
+        # often reach more than 64 columns yet fit a 256-entry tile, and
+        # are cut into 64-column tiles all the same.
         V, d = 300, 16
         U = (np.zeros((V, d)) if family == "zeros" else
              np.random.default_rng(40).integers(-4, 5, size=(V, d)) / 2.0)
@@ -453,14 +456,20 @@ class TestTiledScores:
         for name, value in (("PAIR_BLOCK", 997), ("TILE_QUERIES", 8),
                             ("TILE_COLUMNS", 64)):
             monkeypatch.setattr(evaluate_mod, name, value)
-        tiled = []
+        tiled, scored = [], []
         real_tiles = evaluate_mod._tile_scores
+        real_pairs = evaluate_mod._pair_scores
 
         def tile_scores(*args):
             tiled.append(args[2].shape[0])
             return real_tiles(*args)
 
+        def pair_scores(embeddings, lo, hi):
+            scored.append(lo.shape[0])
+            return real_pairs(embeddings, lo, hi)
+
         monkeypatch.setattr(evaluate_mod, "_tile_scores", tile_scores)
+        monkeypatch.setattr(evaluate_mod, "_pair_scores", pair_scores)
         tracemalloc.start()
         try:
             metrics = reconstruction_metrics(U, net, ks).metrics
@@ -468,6 +477,7 @@ class TestTiledScores:
         finally:
             tracemalloc.stop()
         assert sum(tiled) == V * (V - 1) // 2 - len(edges)
+        assert sum(scored) <= V * (V - 1) // 2
         assert metrics == want
         assert peak < 640 * 2 ** 10
 
@@ -544,7 +554,7 @@ class TestPassRoute:
         U = np.random.default_rng(36).normal(size=(V, 64))
         _, net = random_edge_net(V, 4000, 37)
         blocks = count_calls(monkeypatch, evaluate_mod, "_score_block")
-        inside, banded = [], []
+        inside, banded, scored = [], [], []
         real_tiles = evaluate_mod._tile_scores
         real_pairs = evaluate_mod._pair_scores
 
@@ -556,18 +566,18 @@ class TestPassRoute:
                 inside.pop()
 
         def pair_scores(*args, **kwargs):
-            if inside:
-                banded.append(args[1].shape[0])
+            (banded if inside else scored).append(args[1].shape[0])
             return real_pairs(*args, **kwargs)
 
         monkeypatch.setattr(evaluate_mod, "_tile_scores", tile_scores)
         monkeypatch.setattr(evaluate_mod, "_pair_scores", pair_scores)
         tiles = count_calls(monkeypatch, evaluate_mod, "_tile_scores")
-        reconstruction_metrics(U, net, [100, 1000], 0.1,
-                               np.random.default_rng(38))
+        rep = reconstruction_metrics(U, net, [100, 1000], 0.1,
+                                     np.random.default_rng(38))
         assert len(blocks) > 1
         assert len(tiles) == len(blocks)
         assert banded == []
+        assert sum(scored) <= rep.config["candidates"]
 
 
 class TestDecodePairs:
