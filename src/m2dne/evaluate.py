@@ -258,9 +258,12 @@ def _past_edges(ranks: np.ndarray, gaps: np.ndarray) -> np.ndarray:
     ascending) among all non-edges, where ``gaps[j]`` is the number of
     non-edges before the j-th edge (its ascending index minus j): non-edge
     r lies at r + #{j : gaps[j] <= r}. Only the gaps within the ranks'
-    range are searched."""
+    range are searched, each into the ranks: a gap counts for the ranks
+    from the first one at or above it on, so the counts are the running
+    sum of how many gaps start at each rank."""
     first, last = np.searchsorted(gaps, ranks[[0, -1]], side="right")
-    at = np.searchsorted(gaps[first:last], ranks, side="right")
+    starts = np.searchsorted(ranks, gaps[first:last], side="left")
+    at = np.cumsum(np.bincount(starts, minlength=ranks.shape[0]))
     at += ranks
     at += first
     return at
@@ -443,7 +446,7 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
     del ordered                 # so that it is gone at the shortlist's peak
     last = best[0][-1] if best[0].shape[0] == kmax else -np.inf
     keep = np.flatnonzero(f >= max(tau, last) - 3.0 * beta)
-    if beta:
+    if beta and near.shape[0]:
         seen = np.zeros(f.shape[0], dtype=bool)
         seen[near] = True
         rescore = np.concatenate((near, keep[~seen[keep]]))
@@ -452,6 +455,9 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
         f[rescore] = scores
         wins += _block_wins(pos, np.sort(exact), exact, 0.0)[0] \
             - _block_wins(pos, np.sort(tiled), tiled, 0.0)[0]
+    elif beta:
+        # no f is near an edge's score, so the wins stand
+        f[keep] = _pair_scores(embeddings, *_decode_pairs(at[keep], V))
     return wins, _keep_best(best, f[keep], at[keep], kmax)
 
 
@@ -748,7 +754,15 @@ def temporal_recommendation(embeddings: np.ndarray, test_net: TemporalNetwork,
                 best_dist.ravel(),
                 np.negative(_pair_scores(embeddings, col, qs[row]))])
             ids = np.concatenate([best_id.ravel(), col])
-            order = np.lexsort((ids, dist, by))
+            # two stable sorts, by distance, then by query, order as
+            # lexsort((ids, dist, by)) would: within a query, equal
+            # distances keep their input order, in which its carried
+            # entries come first, with smaller ids than any new candidate,
+            # and its new candidates follow in ascending column order. The
+            # tile-local query index fits int16, which NumPy radix-sorts.
+            order = np.argsort(dist, kind="stable")
+            order = order[np.argsort(by.astype(np.int16)[order],
+                                     kind="stable")]
             # the candidates come in column order: a query's group starts
             # after the candidates of the queries before it
             first = here * top_k
@@ -811,7 +825,9 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
     keys = np.concatenate([positives, negatives])
     y = np.concatenate([np.ones(len(positives), dtype=np.int64),
                         np.zeros(len(negatives), dtype=np.int64)])
-    X = np.abs(embeddings[keys // V] - embeddings[keys % V])
+    X = embeddings.take(keys // V, axis=0)
+    X -= embeddings.take(keys % V, axis=0)
+    np.abs(X, out=X)
 
     folds = max(2, min(LINKPRED_FOLDS, len(positives), len(negatives)))
     fold_of = np.empty(y.shape[0], dtype=np.int64)

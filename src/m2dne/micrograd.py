@@ -32,6 +32,25 @@ third bincount, so M W, M^T U and the attention vector's two products run
 once over the distinct rows. History-vs-center distances come from squared
 norms and one batched matmul, so no (2B, C, h, d) tensor is built.
 
+The working set lives in one :class:`util.Workspace`: the node table's two
+(n, d) arrays, the side's caches (two (2B, C, d), one (2B, h, d) and four
+(2B, C, h)), and a scratch of 2B max(C, h) d entries and the centers' slot
+buffer of 2B C d at the two ends of one array. The histories' per-slot
+vectors have no buffer of their own: they are written over the side's
+history rows once the center products have read those, and the W u
+gradients follow them there. Caches the backward has read for the last
+time take its (2B, C, h) gradients. At B = 512, d = 64, K = 5 and h = 5 the
+workspace is 16.6 MiB, and a call allocates about 2.6 MiB beyond it
+(tracemalloc), the dense gradients included.
+
+The scratch and the slot buffer share one array because glibc's malloc
+keeps as free heap up to twice the largest block it has unmapped, so the
+workspace's largest block decides how much later work in the process has
+to fault its pages in again. As two 3 MiB arrays, in the benchmark's
+fit-micro process, each reconstruction after a fit took about 730 more
+minor page faults and each link prediction about 770 more than with the
+5.5 MiB slot buffer they replace; as one 6 MiB array they take none.
+
 Everything here is checked against the straight-line reference in
 ``tests/_oracles.py`` and against central finite differences; keep the
 forward caches and backward formulas in sync when touching either.
@@ -130,12 +149,19 @@ class _NodeTable:
         self.raw = params.decay_raw[self.ids]
 
 
+def _free_regions(work: Workspace, R: int, C: int, h: int, d: int):
+    """The scratch, R * max(C, h) * d entries, and the centers' slot buffer,
+    R * C * d, as the two ends of one array of ``work``."""
+    free = work.get("free", (R * (max(C, h) + C) * d,))
+    return free[:R * max(C, h) * d], free[R * max(C, h) * d:]
+
+
 class _Side:
     """Forward caches of the table's rows, one endpoint family (true +
     corrupted centers) per row: R = 2B in the engine.
 
     The (R, C, d), (R, h, d) and (R, C, h) caches live in ``work``, and so
-    does the forward pass's scratch, "scratch" of R * max(C, h) * d entries.
+    does the forward pass's scratch (:func:`_free_regions`).
     """
 
     def __init__(self, table: _NodeTable, ages, length,
@@ -144,7 +170,7 @@ class _Side:
         B, C = centers.shape
         h = nodes.shape[1]
         d = params.dim
-        scratch = work.get("scratch", (B * max(C, h) * d,))
+        scratch = _free_regions(work, B, C, h, d)[0]
 
         def buf(key, *shape):
             return work.get(f"side.{key}", shape)
@@ -209,18 +235,21 @@ def _hist_vs_centers(side: _Side):
         - _halves(side.sqh)[:, :, None, :]
 
 
-def _hist_vs_centers_backward(d_g, side: _Side, d_hist, d_centers, scratch):
-    """Embeddings gradient of :func:`_hist_vs_centers`: writes the history
-    slots' vectors into ``d_hist`` (2, B, h, d), adds the center slots' onto
-    ``d_centers`` (2, B, C, d) and returns the coefficients of each slot's
-    own row, (2, B, h) and (2, B, C). ``d_g`` is overwritten, and
-    ``scratch`` holds at least 2 * B * C * d free entries."""
+def _hist_vs_centers_backward(d_g, side: _Side, d_centers, scratch):
+    """Embeddings gradient of :func:`_hist_vs_centers`: adds the center
+    slots' vectors onto ``d_centers`` (2, B, C, d), then writes the history
+    slots' over ``side.Uh``, which the center products read last. Returns
+    those (2, B, h, d) and the coefficients of each slot's own row, (2, B, h)
+    and (2, B, C). ``d_g`` is overwritten, and ``scratch`` holds at least
+    2 * B * C * d free entries."""
     d_g2 = np.multiply(d_g, 2.0, out=d_g)
-    np.matmul(d_g2.transpose(0, 1, 3, 2), _halves(side.Uc)[::-1], out=d_hist)
+    Uh = _halves(side.Uh)
     d_centers += np.matmul(
-        d_g2, _halves(side.Uh),
+        d_g2, Uh,
         out=scratch[:d_centers.size].reshape(d_centers.shape))[::-1]
-    return -d_g2.sum(axis=2), -d_g2.sum(axis=3)[::-1]
+    d_hist = np.matmul(d_g2.transpose(0, 1, 3, 2), _halves(side.Uc)[::-1],
+                       out=Uh)
+    return d_hist, -d_g2.sum(axis=2), -d_g2.sum(axis=3)[::-1]
 
 
 def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
@@ -237,12 +266,13 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     id outside [0, V) raises IndexError.
 
     ``work`` holds the working set: the node table, the side's forward
-    caches, the slot buffer and one scratch region, which carries the side's
-    forward temporaries, the pair diffs, the center products, then (as int64)
-    the scatter's positions, the centers' and the histories'. Once the slots
-    are scattered, the slot buffer takes the side backward's products. One
-    workspace passed to every batch of one shape is allocated once. The
-    returned gradients never alias it.
+    caches, the centers' slot buffer and one scratch region, which carries
+    the side's forward temporaries, the pair diffs, the center products, then
+    (as int64) the scatter's positions, the centers' and the histories'. The
+    histories' slot vectors go over the side's history rows, and once they
+    are scattered the W u gradients go there too, while the slot buffer
+    takes the side backward's products. One workspace passed to every batch
+    of one shape is allocated once. The returned gradients never alias it.
     """
     B = len(batch)
     V, d = embeddings.shape
@@ -255,7 +285,7 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
                        embeddings, params, work)
     side = _Side(table, batch.hist_age.reshape(2 * B, h),
                  batch.hist_len.reshape(2 * B), params, work)
-    scratch = work.get("scratch", (2 * max(C, h) * B * d,))   # the side's
+    scratch, slots = _free_regions(work, 2 * B, C, h, d)    # the side's
     Uc = _halves(side.Uc)
     g_h = _hist_vs_centers(side)                          # (2, B, C, h)
 
@@ -285,11 +315,9 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
         return loss, None, stats
 
     # backward --------------------------------------------------------------
-    # the embeddings gradient's per-slot vectors, in the table's slot order:
-    # centers, then histories, each the source half over the target half
-    slots = work.get("slots", (2 * (C + h) * B * d,))
-    dUc = slots[:2 * B * C * d].reshape(2, B, C, d)
-    dUh = slots[dUc.size:].reshape(2, B, h, d)
+    # the embeddings gradient's per-slot vectors of the centers, the source
+    # half over the target half; the histories' take side.Uh's buffer
+    dUc = slots.reshape(2, B, C, d)
     dlam = -sign * sigmoid(-sign * lam)
     # the diffs' terms fold onto the columns by slices: the source's column
     # 0 takes pairs 0 and K+1..2K, its column k pair k; the target's column
@@ -302,17 +330,18 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
 
     # a per-pair scalar of each half sits at its pair_at entry of the
     # (2, B, C, C) stack, whose sums and products fold it back onto both
-    # halves' columns; each write replaces all entries of the last. The
-    # scratch takes the center products, then the scatter's positions.
+    # halves' columns; each write replaces all entries of the last. side.ak
+    # is read last by the history distances' gradient, and its buffer takes
+    # d_ak. The scratch takes the center products, then the scatter's
+    # positions.
     pair = np.zeros((2, B, C, C))
     pair[pair_at] = dlam * (A - A[::-1]) * w[0] * w[1] * both
     d_btil = pair.sum(axis=3)                               # (2, B, C)
     pair[pair_at] = dlam * w
-    d_ak = pair @ g_h                                       # (2, B, C, h)
-    own_h, own_c = _hist_vs_centers_backward(
-        pair.transpose(0, 1, 3, 2) @ _halves(side.ak), side, dUh, dUc,
-        scratch)
-    del g_h, pair               # freed before the scatter's arrays
+    d_g = pair.transpose(0, 1, 3, 2) @ _halves(side.ak)     # (2, B, h, C)
+    d_ak = np.matmul(pair, g_h, out=_halves(side.ak))       # (2, B, C, h)
+    dUh, own_h, own_c = _hist_vs_centers_backward(d_g, side, dUc, scratch)
+    del g_h, pair, d_g          # freed before the scatter's arrays
     # the scatter's int64 positions fill the scratch twice: the centers',
     # then the histories', which M reuses
     n = table.ids.size
@@ -324,11 +353,12 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     G += np.bincount(positions, weights=dUh.reshape(-1), minlength=n * d)
     G = G.reshape(n, d)
 
-    # the slot buffer now takes the W u gradients and the backward products
-    dWh = slots[:dUh.size].reshape(2 * B, h, d)
+    # the history vectors' buffer now takes the W u gradients, and the slot
+    # buffer the side backward's products
+    dWh = dUh.reshape(2 * B, h, d)
     d_sw, raw, dotc, dotp = _side_backward(
         side, table, params, d_btil.reshape(2 * B, C),
-        d_ak.reshape(2 * B, C, h), dWh, slots[dWh.size:])
+        d_ak.reshape(2 * B, C, h), dWh, slots)
 
     # fold onto the distinct rows: per-row coefficients of u (own), a1, a2
     # and decay_raw, and M, everything that reaches u through W
@@ -372,7 +402,9 @@ def _side_backward(side: _Side, table: _NodeTable, params: AttentionParams,
     history entry's W u_p into ``d_Wh`` (R, h, d) and returns the s_weight
     gradient (d,), the gradients of each center's decay_raw and a1.W u_c,
     (R, C), and of each history entry's a2.W u_p, (R, h).
-    ``scratch`` holds at least R * C * d free entries.
+    ``scratch`` holds at least R * C * d free entries. ``d_ak`` and
+    ``side.at`` are overwritten: their buffers take two of the (R, C, h)
+    temporaries.
     """
     d = params.dim
     R, C, h = side.alpha.shape
@@ -396,11 +428,14 @@ def _side_backward(side: _Side, table: _NodeTable, params: AttentionParams,
     d_alpha -= np.einsum("bch,bch->bc", side.alpha, d_alpha)[:, :, None]
     d_pre = np.multiply(d_alpha, side.alpha, out=d_alpha)
     d_pre *= side.at
-    d_pre *= 1.0 - side.at
-    d_kap = d_pre * (side.dotc[:, :, None] + side.dotp[:, None, :])
-    d_kap += d_ak * side.alpha
-    d_delta += np.einsum("bch,bch->bc", d_kap,
-                         side.kap * (-side.dt[:, None, :]))
+    # at is read last here: its buffer takes 1 - at, then d_kap, and d_ak's
+    # buffer takes kap * -dt after d_ak's last read
+    d_pre *= np.subtract(1.0, side.at, out=side.at)
+    d_kap = np.add(side.dotc[:, :, None], side.dotp[:, None, :], out=side.at)
+    d_kap *= d_pre
+    d_kap += np.multiply(d_ak, side.alpha, out=d_ak)
+    d_delta += np.einsum("bch,bch->bc", d_kap, np.multiply(
+        side.kap, -side.dt[:, None, :], out=d_ak))
     d_scal = np.multiply(d_pre, side.kap, out=d_pre)
     return (d_sw, d_delta * sigmoid(side.raw_c), d_scal.sum(axis=2),
             d_scal.sum(axis=1))

@@ -72,6 +72,11 @@ class Workspace:
             self._arrays[name] = arr
         return arr
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the arrays held."""
+        return sum(arr.nbytes for arr in self._arrays.values())
+
 
 def take_rows(table: np.ndarray, index: np.ndarray,
               out: np.ndarray) -> np.ndarray:

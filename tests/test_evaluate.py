@@ -622,6 +622,40 @@ class TestDecodePairs:
         assert np.array_equal(i * (2 * V - 1 - i) // 2 + j - i - 1, flat)
 
 
+class TestPastEdges:
+    """_past_edges maps ranks among the non-edges to pair indices; the
+    reference deletes the edges from all indices and reads the ranks off."""
+
+    @staticmethod
+    def check(total, edge_at, ranks):
+        ranks = np.asarray(ranks, dtype=np.int64)
+        gaps = edge_at - np.arange(edge_at.shape[0])
+        got = evaluate_mod._past_edges(ranks, gaps)
+        assert got.tolist() == np.delete(np.arange(total), edge_at)[ranks] \
+            .tolist()
+
+    def test_gaps_equal_to_ranks_and_empty_gap_ranges(self):
+        # gaps 0, 3, 3, 6: ranks 0, 3 and 6 equal a gap; 1..2 and 7..8
+        # hold no gap within their range
+        edge_at = np.array([0, 4, 5, 9])
+        for ranks in ([3, 6], [3], [6], [0], [0, 3], [1, 2], [7, 8], [8],
+                      [2, 3], [0, 1, 2, 3, 4, 5, 6, 7, 8]):
+            self.check(13, edge_at, ranks)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_edges_and_ranks(self, seed):
+        rng = np.random.default_rng(seed)
+        total = int(rng.integers(2, 300))
+        edge_at = np.flatnonzero(rng.random(total) < rng.random())
+        free = total - edge_at.shape[0]
+        if free == 0:
+            edge_at = edge_at[1:]
+            free = 1
+        ranks = np.flatnonzero(rng.random(free) < rng.random())
+        self.check(total, edge_at,
+                   ranks if ranks.shape[0] else [rng.integers(free)])
+
+
 def sampled_pairs(total, n, edge_at, seed):
     """A reconstruction pass's draw: its non-edge blocks as a list, and its
     drawn edges."""

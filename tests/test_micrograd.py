@@ -251,6 +251,21 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 4 * B * (1 + K) * h * d * 8
 
+    def test_workspace_of_a_fit_micro_batch(self):
+        # the benchmark's fit-micro shape; the histories' slot vectors share
+        # the side's history rows, so no buffer of 2B h d entries is held
+        # for them (19.1 MiB when one was)
+        rng = np.random.default_rng(6)
+        B, K, h, d, V = 512, 5, 5, 64, 1200
+        batch, negatives = random_batch(rng, B, K, h, V)
+        U = rng.normal(0, 0.3, (V, d))
+        P = AttentionParams(rng.normal(0, 0.3, 2 * d),
+                            rng.normal(0, 0.3, (d, d)), rng.normal(0, 0.3, d),
+                            rng.normal(0, 0.3, V))
+        work = Workspace()
+        batch_loss_and_grads(batch, negatives, U, P, work)
+        assert work.nbytes <= 16.7 * 2 ** 20
+
 
 def random_batch(rng, B, K, h, V, lengths=None):
     """A random batch of B events over V nodes and its (2, B, K) negatives,
