@@ -12,7 +12,8 @@ histories (:class:`EventBatch`) and the negatives
 (:func:`micro.draw_event_negatives`) arrive stacked as (2, B, ...), half 0
 the source's, and are read as (2B, ...) without a copy; a term that crosses
 the sides reads the other half reversed.
-Per-entry quantities are (2B, C, h) arrays masked on padding. Each event is
+Per-entry quantities are (R, C, h) arrays over a block's R side rows (see
+below), masked on padding. Each event is
 one block of P = 1 + 2K pairs, all scored by the same intensity: the event
 (col 0 vs col 0), then K source-corrupted (col k vs col 0) and K
 target-corrupted (col 0 vs col k) pairs. Only the sign of the score in the
@@ -25,31 +26,54 @@ than they number, so the engine works on the distinct rows of a node table
 and the decay pre-activation. The backward pass keeps per slot only the
 vectors that differ from slot to slot (the pair diffs and the
 history-vs-center products) and sums them onto the distinct rows, one
-bincount for the centers and one for the histories; terms proportional to
-a slot's own row fold into one coefficient per row. Everything that reaches
-u through W folds into one (n, d) matrix M = sum(d W u) + c1 a1 + c2 a2, a
-third bincount, so M W, M^T U and the attention vector's two products run
-once over the distinct rows. History-vs-center distances come from squared
-norms and one batched matmul, so no (2B, C, h, d) tensor is built.
+scatter-add for the centers and one for the histories; terms proportional
+to a slot's own row fold into one coefficient per row. Everything that
+reaches u through W folds into one (n, d) matrix M = sum(d W u) + c1 a1 +
+c2 a2, a third scatter-add, so M W, M^T U and the attention vector's two
+products run once over the distinct rows. History-vs-center distances come
+from squared norms and one batched matmul, so no (2B, C, h, d) tensor is
+built.
 
-The working set lives in one :class:`util.Workspace`: the node table's two
-(n, d) arrays, the side's caches (two (2B, C, d), one (2B, h, d) and four
-(2B, C, h)), and a scratch of 2B max(C, h) d entries and the centers' slot
-buffer of 2B C d at the two ends of one array. The histories' per-slot
-vectors have no buffer of their own: they are written over the side's
-history rows once the center products have read those, and the W u
-gradients follow them there. Caches the backward has read for the last
-time take its (2B, C, h) gradients. At B = 512, d = 64, K = 5 and h = 5 the
-workspace is 16.6 MiB, and a call allocates about 2.6 MiB beyond it
-(tracemalloc), the dense gradients included.
+The node table is built once per batch; the per-slot work runs over blocks
+of events. The side's forward pass, the pair block, the history-vs-center
+products and both backward passes take one block at a time, as many events
+as BLOCK_BYTES (4 MiB) of slot buffers hold: 31.6 KB per event at d = 64,
+K = 5 and h = 5, so 132 events, and fit-micro's B = 512 runs as four
+blocks. Each block writes its per-slot scalars (the pair scores and the
+own-row, decay, a1 and a2 coefficients) into batch-wide arrays, whose loss,
+range hits and folds onto the rows are taken once, after the last block;
+it scatters its per-slot vectors into batch-wide (n, d) accumulators, the
+centers', the histories' and M, and adds its s_weight gradient to the
+sum of the blocks before it. So a batch of one block gives the bits of the
+whole batch run at once, and more blocks move the gradients by summation
+order only, in those scatters and that sum; the loss and the range hits
+do not move.
 
-The scratch and the slot buffer share one array because glibc's malloc
-keeps as free heap up to twice the largest block it has unmapped, so the
-workspace's largest block decides how much later work in the process has
-to fault its pages in again. As two 3 MiB arrays, in the benchmark's
-fit-micro process, each reconstruction after a fit took about 730 more
-minor page faults and each link prediction about 770 more than with the
-5.5 MiB slot buffer they replace; as one 6 MiB array they take none.
+The working set is one array of a :class:`util.Workspace`: the node table's
+two (n, d) arrays, sized for n = min(V, 2B (C + h)), one row per slot and
+per node at most, then the buffers of one block, sized for min(B, block)
+events. For the block's R = 2 * events side rows those are the side's
+caches (two (R, C, d), one (R, h, d) and four (R, C, h)), a scratch of
+R max(C, h) d entries and the centers' slot buffer of R C d. The histories'
+per-slot vectors have no buffer of their own: they are written over the
+side's history rows once the center products have read those, and the W u
+gradients follow them there. Caches the backward has read for the last time
+take its (R, C, h) gradients. At fit-micro's shape (V = 1200) the array is
+5.15 MiB, 1.17 MiB of it the table and 3.98 MiB the block (16.6 MiB when
+the per-slot buffers were sized by the batch); a larger batch holds the
+same block and a table of at most 2 V d entries. A call allocates about
+2.7 MiB beyond it (tracemalloc), the accumulators and the dense gradients
+included.
+
+The table and the block share one array because glibc's malloc raises its
+mmap threshold to the largest block it has unmapped and keeps as free heap
+up to twice that, so the workspace's largest array, freed with each fit,
+decides how much later work in the process has to fault its pages in
+again. In the fit-micro benchmark process (12 fits on each of input seeds
+1-3), with one 5.15 MiB array neither the fits after the first nor the
+reconstructions and link predictions after them fault in a page. With the table apart from a
+3.98 MiB block, 1 to 5 of every 11 reconstructions after a fit faulted in
+510-740 pages each, and link predictions up to 1380.
 
 Everything here is checked against the straight-line reference in
 ``tests/_oracles.py`` and against central finite differences; keep the
@@ -58,6 +82,7 @@ forward caches and backward formulas in sync when touching either.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,12 +142,13 @@ class _NodeTable:
     ``centers`` (R, C) and ``nodes`` (R, h) are node ids. ``rows_c`` and
     ``rows_h`` hold the table row of each (same shapes), and ``slot_rows``
     both flat, centers first. An id outside [0, V) raises IndexError before
-    anything is read. The (n, d) tables live in ``work``.
+    anything is read. The two (n, d) tables are written into ``rows``, which
+    holds at least 2 n d free entries.
     """
 
     def __init__(self, centers: np.ndarray, nodes: np.ndarray,
                  embeddings: np.ndarray, params: AttentionParams,
-                 work: Workspace):
+                 rows: np.ndarray):
         V, d = embeddings.shape
         flat = np.concatenate([centers.reshape(-1),
                                nodes.reshape(-1)]).astype(np.int64)
@@ -134,55 +160,76 @@ class _NodeTable:
         self.rows_h = self.slot_rows[centers.size:].reshape(nodes.shape)
 
         n = self.ids.size
-        cap = min(V, flat.size) * d
-
-        def rows(key):
-            return work.get(f"rows.{key}", (cap,))[:n * d].reshape(n, d)
-
         W = params.local_weight
-        self.U = np.take(embeddings, self.ids, axis=0, out=rows("U"),
-                         mode="clip")
-        self.WU = np.matmul(self.U, W.T, out=rows("WU"))
+        self.U = np.take(embeddings, self.ids, axis=0,
+                         out=rows[:n * d].reshape(n, d), mode="clip")
+        self.WU = np.matmul(self.U, W.T,
+                            out=rows[n * d:2 * n * d].reshape(n, d))
         self.sq = np.einsum("nd,nd->n", self.U, self.U)
         self.dotc = self.U @ (W.T @ params.att_vector[:d])    # a1.W u
         self.dotp = self.WU @ params.att_vector[d:]           # a2.W u
         self.raw = params.decay_raw[self.ids]
 
 
-def _free_regions(work: Workspace, R: int, C: int, h: int, d: int):
-    """The scratch, R * max(C, h) * d entries, and the centers' slot buffer,
-    R * C * d, as the two ends of one array of ``work``."""
-    free = work.get("free", (R * (max(C, h) + C) * d,))
-    return free[:R * max(C, h) * d], free[R * max(C, h) * d:]
+# bytes of slot buffers one block of events holds: the engine runs a batch's
+# per-slot work a block at a time, about 130 events at d = 64, K = 5, h = 5
+BLOCK_BYTES = 4 * 2 ** 20
+
+
+def _row_floats(C: int, h: int, d: int) -> int:
+    """Entries of the block array per side row: the caches Uc, ut (C d each)
+    and Uh (h d), four (C, h) caches, the scratch (max(C, h) d) and the
+    centers' slot buffer (C d)."""
+    return (3 * C + h + max(C, h)) * d + 4 * C * h
+
+
+def _blocks(block: np.ndarray, B: int, C: int, h: int, d: int):
+    """Yield the batch's blocks of events in order, each as (slice of events,
+    buffers). A block holds as many events as ``block`` has room for; the
+    buffers of its R = 2 * events side rows are carved from its start."""
+    per_row = _row_floats(C, h, d)
+    size = block.size // (2 * per_row)
+    for start in range(0, B, size):
+        R = 2 * (min(B, start + size) - start)
+        bufs, pos = {}, 0
+        for key, shape in (("Uc", (R, C, d)), ("Uh", (R, h, d)),
+                           ("ut", (R, C, d)), ("kap", (R, C, h)),
+                           ("at", (R, C, h)), ("alpha", (R, C, h)),
+                           ("ak", (R, C, h)),
+                           ("scratch", (R * max(C, h) * d,)),
+                           ("slots", (R * C * d,))):
+            count = math.prod(shape)
+            bufs[key] = block[pos:pos + count].reshape(shape)
+            pos += count
+        yield slice(start, start + R // 2), bufs
 
 
 class _Side:
-    """Forward caches of the table's rows, one endpoint family (true +
-    corrupted centers) per row: R = 2B in the engine.
+    """Forward caches of one block's side rows, one endpoint family (true +
+    corrupted centers) per row: R = 2 * events, the source family over the
+    target family.
 
-    The (R, C, d), (R, h, d) and (R, C, h) caches live in ``work``, and so
-    does the forward pass's scratch (:func:`_free_regions`).
+    ``centers`` (R, C) and ``nodes`` (R, h) are table rows. The (R, C, d),
+    (R, h, d) and (R, C, h) caches live in ``bufs`` (:func:`_blocks`), and
+    so does the forward pass's scratch.
     """
 
-    def __init__(self, table: _NodeTable, ages, length,
-                 params: AttentionParams, work: Workspace):
-        centers, nodes = table.rows_c, table.rows_h
+    def __init__(self, table: _NodeTable, centers, nodes, ages, length,
+                 params: AttentionParams, bufs: dict):
         B, C = centers.shape
         h = nodes.shape[1]
         d = params.dim
-        scratch = _free_regions(work, B, C, h, d)[0]
-
-        def buf(key, *shape):
-            return work.get(f"side.{key}", shape)
+        scratch = bufs["scratch"]
+        self.centers, self.nodes = centers, nodes
 
         self.mask = (np.arange(h)[None, :] < length[:, None]).astype(np.float64)
         self.nonempty = length > 0
         self.dt = ages.astype(np.float64)                 # 0 on padding
 
         # table rows are in range, so "clip" gathers without a checking copy
-        self.Uc = np.take(table.U, centers, axis=0, out=buf("Uc", B, C, d),
+        self.Uc = np.take(table.U, centers, axis=0, out=bufs["Uc"],
                           mode="clip")
-        self.Uh = np.take(table.U, nodes, axis=0, out=buf("Uh", B, h, d),
+        self.Uh = np.take(table.U, nodes, axis=0, out=bufs["Uh"],
                           mode="clip")
         self.sqc = table.sq[centers]                      # (B, C)
         self.sqh = table.sq[nodes]                        # (B, h)
@@ -191,23 +238,23 @@ class _Side:
         self.raw_c = table.raw[centers]                   # (B, C)
         self.delta = softplus(self.raw_c)
         self.kap = np.multiply(-self.delta[:, :, None], self.dt[:, None, :],
-                               out=buf("kap", B, C, h))
+                               out=bufs["kap"])
         np.exp(self.kap, out=self.kap)
         # at = sigmoid(kap * (dotc + dotp)), built in place
         self.at = np.add(self.dotc[:, :, None], self.dotp[:, None, :],
-                         out=buf("at", B, C, h))
+                         out=bufs["at"])
         self.at *= self.kap
         sigmoid(self.at, out=self.at)
-        self.alpha = np.exp(self.at, out=buf("alpha", B, C, h))
+        self.alpha = np.exp(self.at, out=bufs["alpha"])
         self.alpha *= self.mask[:, None, :]
         denom = self.alpha.sum(axis=2, keepdims=True)
         self.alpha /= np.where(denom > 0, denom, 1.0)
-        self.ak = np.multiply(self.alpha, self.kap, out=buf("ak", B, C, h))
+        self.ak = np.multiply(self.alpha, self.kap, out=bufs["ak"])
         # ut = sigmoid(alpha @ W u_p): the W u_p are gathered into the
         # scratch, which then takes the sigmoid's temporary
         Wh = np.take(table.WU, nodes, axis=0,
                      out=scratch[:B * h * d].reshape(B, h, d), mode="clip")
-        self.ut = np.matmul(self.alpha, Wh, out=buf("ut", B, C, d))
+        self.ut = np.matmul(self.alpha, Wh, out=bufs["ut"])
         sigmoid(self.ut, out=self.ut,
                 scratch=scratch[:B * C * d].reshape(B, C, d))
         self.mdt = self.dt.sum(axis=1) / np.maximum(length, 1.0)  # (B,)
@@ -265,108 +312,143 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     loss itself is evaluated unclamped through a stable log-sigmoid). A node
     id outside [0, V) raises IndexError.
 
-    ``work`` holds the working set: the node table, the side's forward
-    caches, the centers' slot buffer and one scratch region, which carries
-    the side's forward temporaries, the pair diffs, the center products, then
-    (as int64) the scatter's positions, the centers' and the histories'. The
-    histories' slot vectors go over the side's history rows, and once they
-    are scattered the W u gradients go there too, while the slot buffer
-    takes the side backward's products. One workspace passed to every batch
-    of one shape is allocated once. The returned gradients never alias it.
+    The node table is built once per batch, and the per-slot work runs over
+    blocks of events (:func:`_blocks`). ``work`` holds one array: the node
+    table, then one block's buffers, the side's forward caches, the centers'
+    slot buffer and one scratch region, which carries the side's forward
+    temporaries, the pair diffs, the center products, then (as int64) the
+    scatter's positions, the centers' and the histories'. The histories'
+    slot vectors go over the side's history rows, and once they are
+    scattered the W u gradients go there too, while the slot buffer takes
+    the side backward's products. One workspace passed to every batch of one
+    shape is allocated once. The returned gradients never alias it.
     """
     B = len(batch)
     V, d = embeddings.shape
 
-    # 2B rows, source family over target family; centers are never padded
+    # source family over target family; centers are never padded
     centers = np.concatenate([np.stack([batch.src, batch.dst])[:, :, None],
-                              negatives], axis=2).reshape(2 * B, -1)
-    C, h = centers.shape[1], batch.hist_nodes.shape[2]
-    table = _NodeTable(centers, batch.hist_nodes.reshape(2 * B, h),
-                       embeddings, params, work)
-    side = _Side(table, batch.hist_age.reshape(2 * B, h),
-                 batch.hist_len.reshape(2 * B), params, work)
-    scratch, slots = _free_regions(work, 2 * B, C, h, d)    # the side's
-    Uc = _halves(side.Uc)
-    g_h = _hist_vs_centers(side)                          # (2, B, C, h)
-
-    # forward: one block of P = 1 + 2K pairs --------------------------------
-    # pair p joins column cols[0, p] of the source half with column
-    # cols[1, p] of the target half: the event (0, 0), then (k, 0) for pairs
-    # 1..K and (0, k) for K+1..2K. The diffs stay in the scratch until the
-    # backward.
+                              negatives], axis=2)
+    C, h = centers.shape[2], batch.hist_nodes.shape[2]
+    # one array holds the node table, at most one row per slot and per node,
+    # then the buffers of one block: as many events as BLOCK_BYTES hold, at
+    # least one and at most B
+    per_row = _row_floats(C, h, d)
+    table_size = 2 * min(V, 2 * B * (C + h)) * d
+    events = min(B, max(1, BLOCK_BYTES // (16 * per_row)))
+    space = work.get("engine", (table_size + 2 * events * per_row,))
+    table = _NodeTable(centers.reshape(2 * B, C),
+                       batch.hist_nodes.reshape(2 * B, h), embeddings, params,
+                       space[:table_size])
+    rows_c, rows_h = _halves(table.rows_c), _halves(table.rows_h)
+    n = table.ids.size
     cols, sign = _pair_columns(C - 1)
-    diff = scratch[:B * sign.size * d].reshape(B, sign.size, d)
-    np.subtract(Uc[0], Uc[1, :, :1], out=diff[:, :C])
-    np.subtract(Uc[0, :, :1], Uc[1, :, 1:], out=diff[:, C:])
-    g = -np.einsum("bpd,bpd->bp", diff, diff)              # (B, P)
-    # entry (s, b, p) of a (2, B, C, C) stack is half s's column of pair p
-    # against the other half's: A is each half's attention-weighted history
-    # distance to the other half's center, taken for all C x C center pairs
-    pair_at = (np.arange(2)[:, None, None], np.arange(B)[:, None],
-               cols[:, None], cols[::-1, None])
-    A = (_halves(side.ak) @ g_h.transpose(0, 1, 3, 2))[pair_at]  # (2, B, P)
-    w, both = _pair_beta(_halves(side.btil)[pair_at[:3]],
-                         _halves(side.nonempty))
-    lam = g + w[0] * A[0] + w[1] * A[1]
+    # the blocks write the per-slot scalars into batch-wide arrays, which
+    # are summed and folded once, and scatter the per-slot vectors into the
+    # centers', the histories' and M's (n, d) accumulators
+    lam = np.empty((B, sign.size))
+    if want_grads:
+        own_c, raw, dotc = np.empty((3, 2, B, C))
+        own_h, dotp = np.empty((2, 2, B, h))
+        G_c, G_h, M = (np.zeros(n * d) for _ in range(3))
+        d_sw = None
+
+    for at, bufs in _blocks(space[table_size:], B, C, h, d):
+        R = 2 * (at.stop - at.start)
+        side = _Side(table, rows_c[:, at].reshape(R, C),
+                     rows_h[:, at].reshape(R, h),
+                     batch.hist_age[:, at].reshape(R, h),
+                     batch.hist_len[:, at].reshape(R), params, bufs)
+        Uc = _halves(side.Uc)
+        scratch, slots = bufs["scratch"], bufs["slots"]
+        g_h = _hist_vs_centers(side)                      # (2, b, C, h)
+
+        # forward: one block of P = 1 + 2K pairs per event ----------------
+        # pair p joins column cols[0, p] of the source half with column
+        # cols[1, p] of the target half: the event (0, 0), then (k, 0) for
+        # pairs 1..K and (0, k) for K+1..2K. The diffs stay in the scratch
+        # until the backward.
+        b = R // 2
+        diff = scratch[:b * sign.size * d].reshape(b, sign.size, d)
+        np.subtract(Uc[0], Uc[1, :, :1], out=diff[:, :C])
+        np.subtract(Uc[0, :, :1], Uc[1, :, 1:], out=diff[:, C:])
+        g = -np.einsum("bpd,bpd->bp", diff, diff)          # (b, P)
+        # entry (s, b, p) of a (2, b, C, C) stack is half s's column of pair
+        # p against the other half's: A is each half's attention-weighted
+        # history distance to the other half's center, taken for all C x C
+        # center pairs
+        pair_at = (np.arange(2)[:, None, None], np.arange(b)[:, None],
+                   cols[:, None], cols[::-1, None])
+        A = (_halves(side.ak) @ g_h.transpose(0, 1, 3, 2))[pair_at]
+        w, both = _pair_beta(_halves(side.btil)[pair_at[:3]],
+                             _halves(side.nonempty))
+        lam[at] = g + w[0] * A[0] + w[1] * A[1]
+        if not want_grads:
+            continue
+
+        # backward ----------------------------------------------------------
+        # the embeddings gradient's per-slot vectors of the centers, the
+        # source half over the target half; the histories' take side.Uh's
+        # buffer
+        dUc = slots.reshape(2, b, C, d)
+        dlam = -sign * sigmoid(-sign * lam[at])
+        # the diffs' terms fold onto the columns by slices: the source's
+        # column 0 takes pairs 0 and K+1..2K, its column k pair k; the
+        # target's column 0 takes pairs 0..K, its column k pair K + k
+        diff *= (-2.0 * dlam)[:, :, None]
+        np.copyto(dUc[0], diff[:, :C])
+        dUc[0, :, 0] += diff[:, C:].sum(axis=1)
+        dUc[1, :, 0] = -diff[:, :C].sum(axis=1)
+        np.negative(diff[:, C:], out=dUc[1, :, 1:])
+
+        # a per-pair scalar of each half sits at its pair_at entry of the
+        # (2, b, C, C) stack, whose sums and products fold it back onto both
+        # halves' columns; each write replaces all entries of the last.
+        # side.ak is read last by the history distances' gradient, and its
+        # buffer takes d_ak. The scratch takes the center products, then the
+        # scatter's positions.
+        pair = np.zeros((2, b, C, C))
+        pair[pair_at] = dlam * (A - A[::-1]) * w[0] * w[1] * both
+        d_btil = pair.sum(axis=3)                           # (2, b, C)
+        pair[pair_at] = dlam * w
+        d_g = pair.transpose(0, 1, 3, 2) @ _halves(side.ak)  # (2, b, C, h)
+        d_ak = np.matmul(pair, g_h, out=_halves(side.ak))   # (2, b, C, h)
+        dUh, own_h[:, at], own_c[:, at] = _hist_vs_centers_backward(
+            d_g, side, dUc, scratch)
+        del g_h, pair, d_g      # freed before the side backward's arrays
+        # the scatter's int64 positions fill the scratch twice: the
+        # centers', then the histories', which M reuses
+        positions = row_positions(side.centers, d,
+                                  out=scratch[:dUc.size].view(np.int64))
+        np.add.at(G_c, positions, dUc.reshape(-1))
+        positions = row_positions(side.nodes, d,
+                                  out=scratch[:dUh.size].view(np.int64))
+        np.add.at(G_h, positions, dUh.reshape(-1))
+
+        # the history vectors' buffer now takes the W u gradients, and the
+        # slot buffer the side backward's products
+        dWh = dUh.reshape(R, h, d)
+        part, *scalars = _side_backward(
+            side, table, params, d_btil.reshape(R, C),
+            d_ak.reshape(R, C, h), dWh, slots)
+        raw[:, at], dotc[:, at], dotp[:, at] = map(_halves, scalars)
+        np.add.at(M, positions, dWh.reshape(-1))
+        d_sw = part if d_sw is None else d_sw + part
+
     loss = float(softplus(-sign * lam).sum())
     stats = {"pairs": lam.size,
              "range_hits": int((np.abs(lam) > RANGE_BOUND).sum())}
     if not want_grads:
         return loss, None, stats
 
-    # backward --------------------------------------------------------------
-    # the embeddings gradient's per-slot vectors of the centers, the source
-    # half over the target half; the histories' take side.Uh's buffer
-    dUc = slots.reshape(2, B, C, d)
-    dlam = -sign * sigmoid(-sign * lam)
-    # the diffs' terms fold onto the columns by slices: the source's column
-    # 0 takes pairs 0 and K+1..2K, its column k pair k; the target's column
-    # 0 takes pairs 0..K, its column k pair K + k
-    diff *= (-2.0 * dlam)[:, :, None]
-    np.copyto(dUc[0], diff[:, :C])
-    dUc[0, :, 0] += diff[:, C:].sum(axis=1)
-    dUc[1, :, 0] = -diff[:, :C].sum(axis=1)
-    np.negative(diff[:, C:], out=dUc[1, :, 1:])
-
-    # a per-pair scalar of each half sits at its pair_at entry of the
-    # (2, B, C, C) stack, whose sums and products fold it back onto both
-    # halves' columns; each write replaces all entries of the last. side.ak
-    # is read last by the history distances' gradient, and its buffer takes
-    # d_ak. The scratch takes the center products, then the scatter's
-    # positions.
-    pair = np.zeros((2, B, C, C))
-    pair[pair_at] = dlam * (A - A[::-1]) * w[0] * w[1] * both
-    d_btil = pair.sum(axis=3)                               # (2, B, C)
-    pair[pair_at] = dlam * w
-    d_g = pair.transpose(0, 1, 3, 2) @ _halves(side.ak)     # (2, B, h, C)
-    d_ak = np.matmul(pair, g_h, out=_halves(side.ak))       # (2, B, C, h)
-    dUh, own_h, own_c = _hist_vs_centers_backward(d_g, side, dUc, scratch)
-    del g_h, pair, d_g          # freed before the scatter's arrays
-    # the scatter's int64 positions fill the scratch twice: the centers',
-    # then the histories', which M reuses
-    n = table.ids.size
-    positions = row_positions(table.rows_c, d,
-                              out=scratch[:dUc.size].view(np.int64))
-    G = np.bincount(positions, weights=dUc.reshape(-1), minlength=n * d)
-    positions = row_positions(table.rows_h, d,
-                              out=scratch[:dUh.size].view(np.int64))
-    G += np.bincount(positions, weights=dUh.reshape(-1), minlength=n * d)
-    G = G.reshape(n, d)
-
-    # the history vectors' buffer now takes the W u gradients, and the slot
-    # buffer the side backward's products
-    dWh = dUh.reshape(2 * B, h, d)
-    d_sw, raw, dotc, dotp = _side_backward(
-        side, table, params, d_btil.reshape(2 * B, C),
-        d_ak.reshape(2 * B, C, h), dWh, slots)
-
     # fold onto the distinct rows: per-row coefficients of u (own), a1, a2
     # and decay_raw, and M, everything that reaches u through W
     own = _fold(table.slot_rows, n, own_c, own_h)
     c_a1 = _fold(table.rows_c, n, dotc)
     c_a2 = _fold(table.rows_h, n, dotp)
-    M = np.bincount(positions, weights=dWh.reshape(-1),
-                    minlength=n * d).reshape(n, d)
+    G, M = G_c.reshape(n, d), M.reshape(n, d)
+    G += G_h.reshape(n, d)
+    del G_h
     # the table's W u rows are read by now; their buffer is the temporary
     U, tmp = table.U, table.WU
     a1, a2 = params.att_vector[:d], params.att_vector[d:]
@@ -419,7 +501,7 @@ def _side_backward(side: _Side, table: _NodeTable, params: AttentionParams,
     d_agg *= d_btil_k[:, :, None]
     d_agg *= params.s_weight
     # the W u_p are gathered into d_Wh, read, then overwritten
-    Wh = np.take(table.WU, table.rows_h, axis=0, out=d_Wh, mode="clip")
+    Wh = np.take(table.WU, side.nodes, axis=0, out=d_Wh, mode="clip")
     d_alpha = np.matmul(d_agg, Wh.transpose(0, 2, 1))
     np.matmul(side.alpha.transpose(0, 2, 1), d_agg, out=d_Wh)
     # d_alpha becomes d_pre, then d_scal, in place: the (R, C, h) gradients

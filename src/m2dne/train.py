@@ -211,10 +211,12 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     lr = config.learning_rate
     groups = state.param_groups()
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in group {name!r}")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(g))
+        # a non-finite entry makes the norm inf or nan; so does a sum of
+        # squares that overflows, which the clip below handles
+        if not np.isfinite(norm) and not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in group {name!r}")
         # scaled in place: g * c * lr per entry, as the product lr * (g * c)
         if config.grad_clip > 0 and norm > config.grad_clip:
             if np.isfinite(norm):

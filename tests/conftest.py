@@ -9,7 +9,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from m2dne.graph import TemporalNetwork  # noqa: E402
 from m2dne.micrograd import (EventBatch, _NodeTable, _Side,  # noqa: E402
-                             batch_loss_and_grads)
+                             _blocks, _row_floats, batch_loss_and_grads)
 from m2dne.util import Workspace  # noqa: E402
 
 # the parameter groups a training step updates and gradcheck verifies; the
@@ -103,9 +103,13 @@ def engine_side(centers, hist, U, P, t):
     """Engine forward caches of the given attention centers over one history
     at time t (a batch of one row)."""
     nodes, ages, length = padded_rows([hist], t)
-    work = Workspace()
-    table = _NodeTable(np.array([centers]), nodes, U, P, work)
-    return _Side(table, ages, length, P, work)
+    C, h, d = len(centers), nodes.shape[1], U.shape[1]
+    table = _NodeTable(np.array([centers]), nodes, U, P,
+                       np.empty(2 * (C + h) * d))
+    # a one-event block's buffers hold two rows; the side takes the first
+    _, bufs = next(_blocks(np.empty(2 * _row_floats(C, h, d)), 1, C, h, d))
+    bufs = {key: buf[:1] if buf.ndim > 1 else buf for key, buf in bufs.items()}
+    return _Side(table, table.rows_c, table.rows_h, ages, length, P, bufs)
 
 
 def oracle_args(U, P, sb=0.0):

@@ -8,6 +8,7 @@ import _oracles as orc
 from conftest import (STEPPED_GROUPS, count_calls, net_from_events,
                       oracle_args, stacked_rows)
 from m2dne import macro as macro_mod
+from m2dne import micrograd
 from m2dne.graph import snapshot_arrays
 from m2dne.micro import AttentionParams, NegativeTable, draw_event_negatives
 from m2dne.micrograd import EventBatch, batch_loss_and_grads
@@ -251,12 +252,9 @@ class TestMemory:
             tracemalloc.stop()
         assert peak < 4 * B * (1 + K) * h * d * 8
 
-    def test_workspace_of_a_fit_micro_batch(self):
-        # the benchmark's fit-micro shape; the histories' slot vectors share
-        # the side's history rows, so no buffer of 2B h d entries is held
-        # for them (19.1 MiB when one was)
+    @staticmethod
+    def _workspace(B, K=5, h=5, d=64, V=1200):
         rng = np.random.default_rng(6)
-        B, K, h, d, V = 512, 5, 5, 64, 1200
         batch, negatives = random_batch(rng, B, K, h, V)
         U = rng.normal(0, 0.3, (V, d))
         P = AttentionParams(rng.normal(0, 0.3, 2 * d),
@@ -264,7 +262,103 @@ class TestMemory:
                             rng.normal(0, 0.3, V))
         work = Workspace()
         batch_loss_and_grads(batch, negatives, U, P, work)
-        assert work.nbytes <= 16.7 * 2 ** 20
+        return work
+
+    def test_workspace_of_a_fit_micro_batch(self):
+        # the benchmark's fit-micro shape: one array of the node table's two
+        # (V, d) regions, 1.17 MiB, and one block of 132 events, 3.98 MiB
+        # (16.6 MiB when the per-slot buffers were sized by the batch)
+        work = self._workspace(512)
+        assert work.nbytes <= 5.16 * 2 ** 20
+
+    def test_whole_stream_batch_holds_one_block(self):
+        # gradient_check's shape on the fit-micro input passes all 4000
+        # events as one batch: the workspace is the node table and one block,
+        # as for a batch of 512 (121.8 MiB when it was sized by the batch)
+        C, h, d, V = 6, 5, 64, 1200
+        per_event = 16 * micrograd._row_floats(C, h, d)
+        block = micrograd.BLOCK_BYTES // per_event * per_event
+        work = self._workspace(4000)
+        assert work.nbytes == 2 * V * d * 8 + block
+        assert work.nbytes == self._workspace(512).nbytes
+
+
+def set_block_events(monkeypatch, events, C, h, d):
+    """Budget the engine's blocks to ``events`` events of C centers, history
+    width h and dimension d."""
+    monkeypatch.setattr(micrograd, "BLOCK_BYTES",
+                        16 * events * micrograd._row_floats(C, h, d))
+
+
+@pytest.fixture
+def one_event_blocks(monkeypatch):
+    """Every engine call runs one event per block."""
+    monkeypatch.setattr(micrograd, "BLOCK_BYTES", 1)
+
+
+class TestBlocks:
+    """A batch runs over blocks of events: per-event scores do not depend on
+    the block, so the loss and the range hits are bit-equal at every block
+    size; the gradients' scatters and the s_weight sum take the blocks in
+    turn, so they move by summation order only."""
+
+    @staticmethod
+    def _inputs(K=3, h=4):
+        rng = np.random.default_rng(57)
+        V, d, B = 30, 6, 16
+        U, P = random_state(net_from_events([(0, 1, 1)], node_count=V), d, 58)
+        U *= 5.0                        # some scores pass RANGE_BOUND
+        return (*random_batch(rng, B, K, h, V), U, P)
+
+    @pytest.mark.parametrize("events", [1, 3, 5, 16])
+    def test_blocks_match_one_block(self, monkeypatch, events):
+        batch, negatives, U, P = self._inputs()
+        want_loss, want, want_stats = batch_loss_and_grads(
+            batch, negatives, U, P, Workspace())
+        assert 0 < want_stats["range_hits"] < want_stats["pairs"]
+        set_block_events(monkeypatch, events, 4, 4, 6)
+        sides = count_calls(monkeypatch, micrograd, "_hist_vs_centers")
+        loss, grads, stats = batch_loss_and_grads(batch, negatives, U, P,
+                                                  Workspace())
+        # 16 events in blocks of `events`, the last one ragged
+        assert [2 * min(events, 16 - a) for a in range(0, 16, events)] == \
+            [args[0].Uc.shape[0] for args in sides]
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert stats == want_stats
+        assert grads.keys() == want.keys()
+        for name in STEPPED_GROUPS:
+            scale = np.abs(want[name]).max()
+            assert scale > 0.0, name
+            assert np.abs(grads[name] - want[name]).max() <= 1e-12 * scale, \
+                name
+
+    def test_loss_only_matches_across_blocks(self, monkeypatch):
+        batch, negatives, U, P = self._inputs()
+        want = batch_loss_and_grads(batch, negatives, U, P, Workspace(),
+                                    want_grads=False)
+        set_block_events(monkeypatch, 3, 4, 4, 6)
+        got = batch_loss_and_grads(batch, negatives, U, P, Workspace(),
+                                   want_grads=False)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1:] == want[1:]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_gradient_check_over_blocks(self, monkeypatch, epsilon):
+        # gradient_check passes the 40-event stream as one batch, here run
+        # as blocks of 7 events (the last one 5)
+        net = random_net(21, nodes=8, n_events=40, epochs=8)
+        cfg = TrainConfig(dim=4, history=2, negatives=2, epsilon=epsilon,
+                          seed=3)
+        state = init_state(net.node_count, cfg, substream(3, "init"))
+        rng = np.random.default_rng(40)
+        state.embeddings += rng.normal(0, 0.3, state.embeddings.shape)
+        state.attention.decay_raw += rng.normal(0, 0.4, net.node_count)
+        set_block_events(monkeypatch, 7, 3, 2, 4)
+        sides = count_calls(monkeypatch, micrograd, "_hist_vs_centers")
+        report = gradient_check(state, net, cfg, tolerance=1e-4)
+        assert report.passed, report.max_rel_err
+        assert [args[0].Uc.shape[0] for args in sides[:6]] == \
+            [14] * 5 + [10]
 
 
 def random_batch(rng, B, K, h, V, lengths=None):
@@ -473,3 +567,20 @@ class TestAbsentNodes:
             if name in ("embeddings", "decay_raw"):
                 got = got[1::2]
             assert np.array_equal(got, dense[name]), name
+
+
+# the scalar-path, workspace-reuse and relabeling checks, with every batch
+# run one event per block
+@pytest.mark.usefixtures("one_event_blocks")
+class TestEngineAgainstScalarPathOneEventBlocks(TestEngineAgainstScalarPath):
+    pass
+
+
+@pytest.mark.usefixtures("one_event_blocks")
+class TestWorkspaceReuseOneEventBlocks(TestWorkspaceReuse):
+    pass
+
+
+@pytest.mark.usefixtures("one_event_blocks")
+class TestPermutationEquivarianceOneEventBlocks(TestPermutationEquivariance):
+    pass

@@ -190,9 +190,27 @@ class TestStep:
         assert np.all(moved == moved.flat[0])
 
     def test_nonfinite_gradient_names_group(self):
+        # an infinite embedding makes every group's gradient nan; the first
+        # group stepped is named
         net, cfg, state, data, batch = self._setup()
         state.embeddings[0, 0] = np.inf
-        with np.errstate(all="ignore"), pytest.raises(FloatingPointError):
+        with np.errstate(all="ignore"), pytest.raises(
+                FloatingPointError, match="group 'att_vector'"):
+            step(state, batch, data, cfg, substream(4, "negatives"))
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_names_its_group(self, monkeypatch, entry):
+        # the norm of a group with one such entry is not finite, and its
+        # entries are scanned; a finite group before it is stepped as usual
+        from m2dne import train as train_mod
+        net, cfg, state, data, batch = self._setup()
+        bad = np.zeros(state.embeddings.shape)
+        bad[1, 2] = entry
+        monkeypatch.setattr(
+            train_mod, "_joint_grads",
+            lambda *args: (0.0, {"s_weight": np.ones(cfg.dim),
+                                 "embeddings": bad}, {"range_hits": 0}))
+        with pytest.raises(FloatingPointError, match="group 'embeddings'"):
             step(state, batch, data, cfg, substream(4, "negatives"))
 
 
