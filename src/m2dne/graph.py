@@ -217,33 +217,46 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
 
 @dataclass(frozen=True)
 class SnapshotArrays:
-    """Pre-event histories of every event, padded to capacity h, both
-    endpoints stacked as the engine reads them: side 0 is the source's,
-    side 1 the target's.
+    """Pre-event histories of every event as one incidence index: the 2E
+    incidences (node, neighbor, epoch), source before target within an
+    event, stably sorted by node. Side s's history of event m (side 0 the
+    source's) is the ``length[s, m]`` entries before ``end[s, m]``;
+    :meth:`take` gathers a batch's padded rows."""
 
-    Entry [s, m] holds the state of side s's buffer just before event m;
-    ``length`` gives its number of valid leading entries.
-    """
+    neighbor: np.ndarray   # (2E,) int64, sorted by node
+    when: np.ndarray       # (2E,) int64 epochs, in the same order
+    end: np.ndarray        # (2, E) int64, one past each history's last entry
+    length: np.ndarray     # (2, E) int64, at most h
+    h: int
 
-    nodes: np.ndarray    # (2, E, h) int64, padded with 0
-    ages: np.ndarray     # (2, E, h) int64 t_event - t_neighbor, padded with 0
-    length: np.ndarray   # (2, E) int64
+    def take(self, idx: np.ndarray):
+        """(nodes, ages, length) of events ``idx``, both sides stacked as the
+        engine reads them: (2, B, h) neighbor ids, oldest first, and their
+        ages t_event - t_neighbor, each padded with 0 past its (2, B)
+        length."""
+        end, length = self.end[:, idx], self.length[:, idx]
+        slot = np.arange(self.h)
+        pos = (end - length)[..., None] + slot
+        valid = slot < length[..., None]
+        pos[~valid] = 0
+        ages = self.when[pos]
+        # a history ends where its node's entries of the event's own epoch
+        # begin, so the entry at ``end`` carries the event's epoch
+        np.subtract(self.when[end][..., None], ages, out=ages)
+        ages[~valid] = 0
+        return np.where(valid, self.neighbor[pos], 0), ages, length
 
 
 def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
-    """Pre-event histories of every event, in stream order.
+    """The history index of ``net`` at capacity h.
 
     A history holds the h most recent neighbors, oldest first, from events
     strictly before the event's epoch: same-epoch events enter the buffers
     only once the epoch advances, so an event never conditions on itself or
-    on simultaneous events.
-
-    The 2E incidences (node, neighbor, epoch), source before target within
-    an event, are stably sorted by node once, which keeps each node's run in
-    stream order and so sorted by (node, epoch). An incidence's entries from
-    earlier epochs of its node end where its (node, epoch) group starts; the
-    history is the last h entries before that point. Raises ValueError if
-    the epochs of ``net`` ever decrease.
+    on simultaneous events. Each node's run of the sorted incidences is in
+    stream order, so an incidence's earlier-epoch entries end where its
+    (node, epoch) group starts. Raises ValueError if the epochs of ``net``
+    ever decrease.
     """
     if h < 1:
         raise ValueError("history capacity h must be >= 1")
@@ -265,18 +278,10 @@ def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
     position[order] = rank
     # (2, E): each event's source incidence over its target's
     at = np.ascontiguousarray(position.reshape(-1, 2).T)
-    before = epoch_start[at]
-    length = np.minimum(before - node_start[at], h)
-    slot = np.arange(h)
-    pos = (before - length)[..., None] + slot
-    valid = slot < length[..., None]
-    pos[~valid] = 0
-    ages = when[pos]
-    np.subtract(time[:, None], ages, out=ages)
-    ages[~valid] = 0
-    out = SnapshotArrays(nodes=np.where(valid, neighbor[pos], 0), ages=ages,
-                         length=length)
-    for arr in (out.nodes, out.ages, out.length):
+    end = epoch_start[at]
+    out = SnapshotArrays(neighbor=neighbor, when=when, end=end,
+                         length=np.minimum(end - node_start[at], h), h=h)
+    for arr in (out.neighbor, out.when, out.end, out.length):
         arr.setflags(write=False)
     return out
 

@@ -98,8 +98,9 @@ RANGE_BOUND = 50.0
 @dataclass
 class EventBatch:
     """Array view of sampled events with their pre-event histories, the
-    source's stacked over the target's as in :class:`graph.SnapshotArrays`.
-    Nodes past ``hist_len`` are masked, and ages there must be 0."""
+    source's stacked over the target's and padded to the capacity h, as
+    :meth:`graph.SnapshotArrays.take` gathers them. Nodes past ``hist_len``
+    are masked, and ages there must be 0."""
 
     src: np.ndarray          # (B,)
     dst: np.ndarray          # (B,)
@@ -110,11 +111,9 @@ class EventBatch:
     @classmethod
     def take(cls, net: TemporalNetwork, snapshots: SnapshotArrays,
              idx: np.ndarray) -> "EventBatch":
-        """Events ``idx`` of ``net`` with their pre-event history rows."""
-        return cls(src=net.src[idx], dst=net.dst[idx],
-                   hist_nodes=snapshots.nodes[:, idx],
-                   hist_age=snapshots.ages[:, idx],
-                   hist_len=snapshots.length[:, idx])
+        """Events ``idx`` of ``net`` with their pre-event histories, gathered
+        from ``snapshots`` (the index of ``net``)."""
+        return cls(net.src[idx], net.dst[idx], *snapshots.take(idx))
 
     def __len__(self) -> int:
         return int(self.src.shape[0])

@@ -119,14 +119,14 @@ def init_state(node_count: int, config: TrainConfig,
 
 
 class TrainData:
-    """Pre-extracted arrays shared by every step: history snapshots, the
+    """Pre-extracted arrays shared by every step: the history index, the
     negative-sampling table and the growth series, and the weight table for
-    batch draws, built by the first draw (``gradient_check`` draws none and
-    reads no weight). ``work`` is the step workspace: every step of a fit
-    reuses its buffers, which are allocated by the first step and freed with
-    this object. ``coupling`` is the latest refit's
-    :class:`~m2dne.macro.Coupling` during ``fit`` with epsilon > 0, else
-    None (steps couple exactly at ``state.macro``)."""
+    batch draws, built by the first draw, which fails on weights whose sum
+    overflows (``gradient_check`` draws none and reads no weight). ``work``
+    is the step workspace: every step of a fit reuses its buffers, which are
+    allocated by the first step and freed with this object. ``coupling`` is
+    the latest refit's :class:`~m2dne.macro.Coupling` during ``fit`` with
+    epsilon > 0, else None (steps couple exactly at ``state.macro``)."""
 
     def __init__(self, net: TemporalNetwork, history: int):
         self.net = net
@@ -138,14 +138,19 @@ class TrainData:
 
     @cached_property
     def sample_cum(self) -> np.ndarray:
-        cum = np.cumsum(self.net.weight)
+        with np.errstate(over="ignore"):
+            cum = np.cumsum(self.net.weight)
+        if not np.isfinite(cum[-1]):
+            raise ValueError("the event weights sum past float64's range, so "
+                             "batches cannot be drawn in proportion to them; "
+                             "scale the weights down")
         return cum / cum[-1]
 
 
 def sample_batch(data: TrainData, batch_size: int,
                  rng: np.random.Generator) -> EventBatch:
     """Draw events with replacement, proportional to their weights, paired
-    with their pre-event history snapshots."""
+    with their pre-event histories."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     idx = np.searchsorted(data.sample_cum, rng.random(batch_size), side="right")
@@ -203,20 +208,23 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     ``data.coupling`` says (see :func:`_joint_grads`). Per-group gradients
     exceeding ``grad_clip`` in L2 norm are rescaled to the clip so a single
     mis-scaled group cannot blow up the state (``grad_clip`` 0: no clip);
-    gradients must be finite or the step aborts naming the offending group.
+    gradients must be finite or the step aborts naming the offending group,
+    before it updates any group.
     """
     negatives = draw_event_negatives(batch.src, batch.dst, data.table,
                                      config.negatives, rng)
     micro, grads, stats = _joint_grads(state, batch, negatives, data, config)
+    with np.errstate(over="ignore"):
+        norms = {name: float(np.linalg.norm(g)) for name, g in grads.items()}
+    for name, g in grads.items():
+        # a non-finite entry makes the norm inf or nan; so does a sum of
+        # squares that overflows, which the clip below handles
+        if not np.isfinite(norms[name]) and not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient in group {name!r}")
     lr = config.learning_rate
     groups = state.param_groups()
     for name, g in grads.items():
-        with np.errstate(over="ignore"):
-            norm = float(np.linalg.norm(g))
-        # a non-finite entry makes the norm inf or nan; so does a sum of
-        # squares that overflows, which the clip below handles
-        if not np.isfinite(norm) and not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient in group {name!r}")
+        norm = norms[name]
         # scaled in place: g * c * lr per entry, as the product lr * (g * c)
         if config.grad_clip > 0 and norm > config.grad_clip:
             if np.isfinite(norm):
@@ -276,12 +284,6 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     """
     if len(net) == 0 or net.time.min() == net.time.max():
         raise ValueError("training needs a network spanning at least 2 epochs")
-    with np.errstate(over="ignore"):
-        weight_sum = np.cumsum(net.weight)[-1]
-    if not np.isfinite(weight_sum):
-        raise ValueError("the event weights sum past float64's range, so "
-                         "batches cannot be drawn in proportion to them; "
-                         "scale the weights down")
     if initial_state is None:
         state = init_state(net.node_count, config, substream(config.seed, "init"))
     else:

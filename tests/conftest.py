@@ -76,7 +76,7 @@ def padded_rows(hists, t, h=None):
 def stacked_rows(src_hists, dst_hists, t):
     """The histories of B events' sources and targets at event times t as
     EventBatch holds them: (2, B, h) node and age rows and (2, B) lengths,
-    both sides padded to one width, as graph.snapshot_arrays pads."""
+    both sides padded to one width, as graph.SnapshotArrays.take pads."""
     h = max(max(len(hist) for hist in src_hists + dst_hists), 1)
     return tuple(map(np.stack, zip(padded_rows(src_hists, t, h),
                                    padded_rows(dst_hists, t, h))))

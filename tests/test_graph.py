@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import sys
@@ -74,17 +75,39 @@ class TestParseEdgeList:
         assert len(train) + len(test) == len(net)
 
 
-def history_rows(net, h):
-    """Per event, the (src, dst) histories held by snapshot_arrays as tuples
-    of (neighbor, time) pairs, each time the event's epoch less the age."""
-    arrays = snapshot_arrays(net, h)
+def history_rows(net, h, idx=None):
+    """Per event of ``idx`` (every event, in stream order, by default), the
+    (src, dst) histories that snapshot_arrays' gather returns, as tuples of
+    (neighbor, time) pairs, each time the event's epoch less the age."""
+    idx = np.arange(len(net)) if idx is None else idx
+    nodes, ages, length = snapshot_arrays(net, h).take(idx)
 
-    def entries(s, m):
-        k = int(arrays.length[s, m])
-        return tuple(zip(arrays.nodes[s, m, :k].tolist(),
-                         (net.time[m] - arrays.ages[s, m, :k]).tolist()))
+    def entries(s, b):
+        k = int(length[s, b])
+        return tuple(zip(nodes[s, b, :k].tolist(),
+                         (net.time[idx[b]] - ages[s, b, :k]).tolist()))
 
-    return [(entries(0, m), entries(1, m)) for m in range(len(net))]
+    return [(entries(0, b), entries(1, b)) for b in range(len(idx))]
+
+
+def dense_stream(seed, n=400):
+    """A network with dense epochs (many same-epoch events), hubs that exceed
+    every capacity, nodes that appear once and repeated pairs."""
+    rng = np.random.default_rng(seed)
+    a = np.where(rng.random(n) < 0.3, 0, rng.integers(1, 40, n))
+    b = (a + 1 + rng.integers(0, 39, n)) % 40
+    events = list(zip(a.tolist(), b.tolist(),
+                      np.sort(rng.integers(1, 30, n)).tolist()))
+    events += [(40, 41, 30), (40, 41, 30), (41, 40, 31)]
+    return net_from_events(events, node_count=42)
+
+
+def oracle_rows(net, h):
+    """history_oracle's histories of every event, as history_rows gives
+    them."""
+    stream = list(zip(net.src.tolist(), net.dst.tolist(), net.time.tolist()))
+    return [(tuple(hs), tuple(hd))
+            for hs, hd in orc.history_oracle(stream, h)]
 
 
 class TestHistoryStream:
@@ -138,37 +161,52 @@ class TestHistoryStream:
                       np.sort(rng.integers(1, 25, 150)))]
         events = [(a, b, t) for a, b, t in events if a != b]
         net = net_from_events(events, node_count=12)
-        stream = list(zip(net.src.tolist(), net.dst.tolist(),
-                          net.time.tolist()))
-        want = [(tuple(hs), tuple(hd))
-                for hs, hd in orc.history_oracle(stream, 3)]
-        assert history_rows(net, 3) == want
+        assert history_rows(net, 3) == oracle_rows(net, 3)
 
     @pytest.mark.parametrize("h", [1, 2, 5, 9])
     @pytest.mark.parametrize("seed", [3, 4])
     def test_arrays_match_oracle_at_every_capacity(self, h, seed):
-        # dense epochs (many same-epoch events), hubs that exceed every
-        # capacity, nodes that appear once and repeated pairs
+        net = dense_stream(seed)
+        assert history_rows(net, h) == oracle_rows(net, h)
+        nodes, ages, length = snapshot_arrays(net, h).take(
+            np.arange(len(net)))
+        assert nodes.shape == ages.shape == (2, len(net), h)
+        assert length.shape == (2, len(net))
+        assert nodes.dtype == ages.dtype == length.dtype == np.int64
+        pad = np.arange(h) >= length[..., None]
+        assert not nodes[pad].any() and not ages[pad].any()
+        assert (ages[~pad] >= 1).all()
+
+    @pytest.mark.parametrize("h", [1, 3, 5])
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_batches_drawn_with_replacement_match_oracle(self, h, seed):
+        # unsorted ids with repeats, as sample_batch draws them
+        net = dense_stream(seed)
+        want = oracle_rows(net, h)
         rng = np.random.default_rng(seed)
-        n = 400
-        a = np.where(rng.random(n) < 0.3, 0, rng.integers(1, 40, n))
-        b = (a + 1 + rng.integers(0, 39, n)) % 40
-        events = list(zip(a.tolist(), b.tolist(),
-                          np.sort(rng.integers(1, 30, n)).tolist()))
-        events += [(40, 41, 30), (40, 41, 30), (41, 40, 31)]
-        net = net_from_events(events, node_count=42)
-        stream = list(zip(net.src.tolist(), net.dst.tolist(),
-                          net.time.tolist()))
-        want = [(tuple(hs), tuple(hd))
-                for hs, hd in orc.history_oracle(stream, h)]
-        assert history_rows(net, h) == want
-        arrays = snapshot_arrays(net, h)
-        assert arrays.nodes.shape == arrays.ages.shape == (2, len(net), h)
-        assert arrays.length.shape == (2, len(net))
-        assert arrays.nodes.dtype == arrays.ages.dtype == np.int64
-        pad = np.arange(h) >= arrays.length[..., None]
-        assert not arrays.nodes[pad].any() and not arrays.ages[pad].any()
-        assert (arrays.ages[~pad] >= 1).all()
+        for size in (1, 7, 64, 512):
+            idx = rng.integers(0, len(net), size)
+            assert history_rows(net, h, idx) == [want[m] for m in idx]
+            nodes, ages, length = snapshot_arrays(net, h).take(idx)
+            assert nodes.shape == ages.shape == (2, size, h)
+            pad = np.arange(h) >= length[..., None]
+            assert not nodes[pad].any() and not ages[pad].any()
+
+    def test_index_size_does_not_depend_on_capacity(self):
+        # the index holds four int64 entries per incidence whatever h, and
+        # nothing in it can be written
+        net = dense_stream(7)
+        sizes = []
+        for h in (1, 9):
+            index = snapshot_arrays(net, h)
+            stored = [getattr(index, f.name)
+                      for f in dataclasses.fields(index)
+                      if isinstance(getattr(index, f.name), np.ndarray)]
+            sizes.append(sum(arr.nbytes for arr in stored))
+            for arr in stored:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr.flat[0] = 0
+        assert sizes == [4 * 2 * len(net) * 8] * 2
 
     def test_decreasing_epochs_rejected(self):
         net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 3, 3)])

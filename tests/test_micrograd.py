@@ -365,7 +365,7 @@ def random_batch(rng, B, K, h, V, lengths=None):
     """A random batch of B events over V nodes and its (2, B, K) negatives,
     K per endpoint slot. The histories have width h, or widths h =
     (source's, target's) zero-padded to the wider, as
-    graph.snapshot_arrays pads; their lengths are random unless given, and
+    graph.SnapshotArrays.take pads; their lengths are random unless given, and
     their ages are those of times in [1, 50) at t = 60."""
     h_src, h_dst = h if isinstance(h, tuple) else (h, h)
     width = max(h_src, h_dst)
@@ -419,7 +419,7 @@ class TestWorkspaceReuse:
 
 class TestHistoryPadding:
     """Entries past a history's length are masked: three more columns of
-    arbitrary ids, aged 0 as graph.snapshot_arrays pads, on every history
+    arbitrary ids, aged 0 as graph.SnapshotArrays.take pads, on every history
     (h -> h + 3) leave the loss and every gradient unchanged up to
     rounding. Not bit for bit at every width: NumPy groups a reduction over
     the history axis by its length, eight lanes from 8 entries on, and a

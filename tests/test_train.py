@@ -201,7 +201,8 @@ class TestStep:
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_names_its_group(self, monkeypatch, entry):
         # the norm of a group with one such entry is not finite, and its
-        # entries are scanned; a finite group before it is stepped as usual
+        # entries are scanned; every group is checked before any is stepped,
+        # so a finite group before it keeps its bits
         from m2dne import train as train_mod
         net, cfg, state, data, batch = self._setup()
         bad = np.zeros(state.embeddings.shape)
@@ -210,8 +211,15 @@ class TestStep:
             train_mod, "_joint_grads",
             lambda *args: (0.0, {"s_weight": np.ones(cfg.dim),
                                  "embeddings": bad}, {"range_hits": 0}))
+
+        def bits():
+            return {name: np.asarray(val).tobytes()
+                    for name, val in state.param_groups().items()}
+
+        before = bits()
         with pytest.raises(FloatingPointError, match="group 'embeddings'"):
             step(state, batch, data, cfg, substream(4, "negatives"))
+        assert bits() == before
 
 
 class TestStepMemory:
