@@ -265,22 +265,29 @@ def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
         raise ValueError("event epochs must be non-decreasing")
     src = np.asarray(net.src, dtype=np.int64)
     dst = np.asarray(net.dst, dtype=np.int64)
+    # 2E-entry temporaries are dropped after their last read. A history ends
+    # where its (node, epoch) group starts and holds at most h of its run
     node = np.stack([src, dst], axis=1).reshape(-1)
     order = np.argsort(node, kind="stable")
-    when = np.repeat(time, 2)[order]
     neighbor = np.stack([dst, src], axis=1).reshape(-1)[order]
     new_node = np.diff(node[order], prepend=-1) != 0
+    when = np.repeat(time, 2)[order]
     new_epoch = new_node | (np.diff(when, prepend=0) != 0)
     rank = np.arange(order.size)
-    node_start = np.maximum.accumulate(np.where(new_node, rank, 0))
-    epoch_start = np.maximum.accumulate(np.where(new_epoch, rank, 0))
     position = np.empty_like(rank)
     position[order] = rank
+    del node, order
     # (2, E): each event's source incidence over its target's
     at = np.ascontiguousarray(position.reshape(-1, 2).T)
-    end = epoch_start[at]
+    del position
+    end = np.where(new_epoch, rank, 0)
+    end = np.maximum.accumulate(end, out=end)[at]
+    length = np.where(new_node, rank, 0)
+    del rank
+    length = np.maximum.accumulate(length, out=length)[at]
+    np.subtract(end, length, out=length)
     out = SnapshotArrays(neighbor=neighbor, when=when, end=end,
-                         length=np.minimum(end - node_start[at], h), h=h)
+                         length=np.minimum(length, h, out=length), h=h)
     for arr in (out.neighbor, out.when, out.end, out.length):
         arr.setflags(write=False)
     return out

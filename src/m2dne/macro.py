@@ -143,8 +143,8 @@ def macro_loss_and_grads(coupling: Coupling, embeddings: np.ndarray,
                          work: Workspace) -> float:
     """Add ``scale`` times the scale loss's embedding gradient into ``out``
     (the (V, d) embedding gradient, C-contiguous), in place, and return the
-    dL/dS it used. ``work`` holds the gathered rows and the scatter positions
-    between calls.
+    dL/dS it used. A prefix of ``work``'s array, which a training step's
+    event-level engine has used before, holds the rows and the positions.
 
     Exact, the S term and the dS/dU term both run over all E edges,
     O(E * d). Sampled, two independent sets of M = COUPLING_SAMPLE edges
@@ -170,7 +170,8 @@ def macro_loss_and_grads(coupling: Coupling, embeddings: np.ndarray,
     # the negated gradient at the target rows
     n = src.shape[0]
     m = n - k
-    rows = work.get("coupling.rows", (2 * n, d))
+    space = work.take(2 * (n + m) * d)
+    rows = space[:2 * n * d].reshape(2 * n, d)
     diff = take_rows(embeddings, src, rows[:n])
     diff -= take_rows(embeddings, dst, rows[n:])
     sig = sigmoid(-np.square(diff, out=rows[n:]).sum(axis=1))
@@ -182,8 +183,8 @@ def macro_loss_and_grads(coupling: Coupling, embeddings: np.ndarray,
     grad = rows[k:n]
     grad *= ((scale * d_S / m) * (sig[k:] * (1.0 - sig[k:])) * (-2.0))[:, None]
     np.negative(grad, out=rows[n:n + m])
-    positions = work.get("coupling.positions", (2 * m * d,), np.int64)
-    row_positions(np.concatenate([src[k:], dst[k:]]), d, out=positions)
+    positions = row_positions(np.concatenate([src[k:], dst[k:]]), d,
+                              out=space[2 * n * d:].view(np.int64))
     # ufunc.at has a buffered fast path from NumPy 1.25 (the floor in
     # pyproject.toml); before it, this would be the slow unbuffered loop
     np.add.at(out.reshape(-1), positions, rows[k:n + m].reshape(-1))

@@ -49,31 +49,22 @@ whole batch run at once, and more blocks move the gradients by summation
 order only, in those scatters and that sum; the loss and the range hits
 do not move.
 
-The working set is one array of a :class:`util.Workspace`: the node table's
-two (n, d) arrays, sized for n = min(V, 2B (C + h)), one row per slot and
-per node at most, then the buffers of one block, sized for min(B, block)
-events. For the block's R = 2 * events side rows those are the side's
-caches (two (R, C, d), one (R, h, d) and four (R, C, h)), a scratch of
-R max(C, h) d entries and the centers' slot buffer of R C d. The histories'
-per-slot vectors have no buffer of their own: they are written over the
-side's history rows once the center products have read those, and the W u
-gradients follow them there. Caches the backward has read for the last time
-take its (R, C, h) gradients. At fit-micro's shape (V = 1200) the array is
+The working set is a prefix of a :class:`util.Workspace`'s one array: the
+node table's two (n, d) arrays, sized for n = min(V, 2B (C + h)), one row
+per slot and per node at most, then the buffers of one block, sized for
+min(B, block) events. For the block's R = 2 * events side rows those are
+the side's caches (two (R, C, d), one (R, h, d) and four (R, C, h)), a
+scratch of R max(C, h) d entries and the centers' slot buffer of R C d.
+The histories' per-slot vectors have no buffer of their own: they are
+written over the side's history rows once the center products have read
+those, and the W u gradients follow them there, while the slot buffer takes
+the side backward's products. Caches the backward has read for the last
+time take its (R, C, h) gradients. At fit-micro's shape (V = 1200) the array is
 5.15 MiB, 1.17 MiB of it the table and 3.98 MiB the block (16.6 MiB when
 the per-slot buffers were sized by the batch); a larger batch holds the
 same block and a table of at most 2 V d entries. A call allocates about
-2.7 MiB beyond it (tracemalloc), the accumulators and the dense gradients
+2.6 MiB beyond it (tracemalloc), the accumulators and the dense gradients
 included.
-
-The table and the block share one array because glibc's malloc raises its
-mmap threshold to the largest block it has unmapped and keeps as free heap
-up to twice that, so the workspace's largest array, freed with each fit,
-decides how much later work in the process has to fault its pages in
-again. In the fit-micro benchmark process (12 fits on each of input seeds
-1-3), with one 5.15 MiB array neither the fits after the first nor the
-reconstructions and link predictions after them fault in a page. With the table apart from a
-3.98 MiB block, 1 to 5 of every 11 reconstructions after a fit faulted in
-510-740 pages each, and link predictions up to 1380.
 
 Everything here is checked against the straight-line reference in
 ``tests/_oracles.py`` and against central finite differences; keep the
@@ -312,15 +303,11 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     id outside [0, V) raises IndexError.
 
     The node table is built once per batch, and the per-slot work runs over
-    blocks of events (:func:`_blocks`). ``work`` holds one array: the node
-    table, then one block's buffers, the side's forward caches, the centers'
-    slot buffer and one scratch region, which carries the side's forward
-    temporaries, the pair diffs, the center products, then (as int64) the
-    scatter's positions, the centers' and the histories'. The histories'
-    slot vectors go over the side's history rows, and once they are
-    scattered the W u gradients go there too, while the slot buffer takes
-    the side backward's products. One workspace passed to every batch of one
-    shape is allocated once. The returned gradients never alias it.
+    blocks of events (:func:`_blocks`), in a prefix of ``work``'s array laid
+    out as the module docstring says. The block's scratch carries the side's
+    forward temporaries, the pair diffs, the center products, then (as
+    int64) the scatter's positions, the centers' and the histories'. The
+    returned gradients never alias the array.
     """
     B = len(batch)
     V, d = embeddings.shape
@@ -335,7 +322,7 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     per_row = _row_floats(C, h, d)
     table_size = 2 * min(V, 2 * B * (C + h)) * d
     events = min(B, max(1, BLOCK_BYTES // (16 * per_row)))
-    space = work.get("engine", (table_size + 2 * events * per_row,))
+    space = work.take(table_size + 2 * events * per_row)
     table = _NodeTable(centers.reshape(2 * B, C),
                        batch.hist_nodes.reshape(2 * B, h), embeddings, params,
                        space[:table_size])

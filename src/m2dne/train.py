@@ -123,9 +123,9 @@ class TrainData:
     negative-sampling table and the growth series, and the weight table for
     batch draws, built by the first draw, which fails on weights whose sum
     overflows (``gradient_check`` draws none and reads no weight). ``work``
-    is the step workspace: every step of a fit reuses its buffers, which are
-    allocated by the first step and freed with this object. ``coupling`` is
-    the latest refit's :class:`~m2dne.macro.Coupling` during ``fit`` with
+    is the step workspace, whose one array every step of a fit reuses for
+    the engine and then the coupling, freed with this object. ``coupling``
+    is the latest refit's :class:`~m2dne.macro.Coupling` during ``fit`` with
     epsilon > 0, else None (steps couple exactly at ``state.macro``)."""
 
     def __init__(self, net: TemporalNetwork, history: int):

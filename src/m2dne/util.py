@@ -51,31 +51,36 @@ PAIR_CHUNK = 1024
 
 
 class Workspace:
-    """Named arrays that outlive one call, so a loop over same-shaped batches
-    allocates its working set once.
+    """One float64 array that outlives a call, so a loop over same-shaped
+    batches allocates its working set once.
 
-    :meth:`get` hands back the array last handed out under ``name`` while
-    the shape and dtype match, else a fresh one. Contents are whatever the
-    previous user left: a caller writes before it reads, or zeroes what it
-    accumulates into.
+    :meth:`take` returns the array's first ``count`` entries and replaces
+    the array only when it holds fewer. Contents are whatever the previous
+    user left: a caller writes before it reads, or zeroes what it
+    accumulates into. Callers carve buffers of any shape from the prefix,
+    int64 ones as views, and callers that run in turn, as a training step's
+    engine and then its coupling do, share it: it holds the larger need.
+
+    One array, because glibc's malloc raises its mmap threshold to the
+    largest block it has unmapped and keeps up to twice that as free heap,
+    so the largest array, freed with each fit, decides how much later work
+    in the process faults its pages in again: in the fit-micro benchmark
+    process, with the engine's node table apart from its block, later
+    reconstructions faulted in up to 740 pages each, with one at most 13.
     """
 
     def __init__(self):
-        self._arrays = {}
+        self._array = np.empty(0)
 
-    def get(self, name: str, shape, dtype=np.float64) -> np.ndarray:
-        arr = self._arrays.get(name)
-        if arr is None or arr.shape != shape or arr.dtype != dtype:
-            # drop the old array first so the two never coexist
-            self._arrays.pop(name, None)
-            arr = np.empty(shape, dtype=dtype)
-            self._arrays[name] = arr
-        return arr
+    def take(self, count: int) -> np.ndarray:
+        if self._array.size < count:
+            self._array = None      # freed before its successor exists
+            self._array = np.empty(count)
+        return self._array[:count]
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the arrays held."""
-        return sum(arr.nbytes for arr in self._arrays.values())
+        return self._array.nbytes
 
 
 def take_rows(table: np.ndarray, index: np.ndarray,

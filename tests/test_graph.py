@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,6 +208,26 @@ class TestHistoryStream:
                 with pytest.raises(ValueError, match="read-only"):
                     arr.flat[0] = 0
         assert sizes == [4 * 2 * len(net) * 8] * 2
+
+    def test_build_peak_within_twice_the_index(self):
+        # each 2E-entry temporary is dropped after its last read; holding
+        # them all at once peaked at 3.06 times the index
+        rng = np.random.default_rng(8)
+        E, V = 20_000, 4_000
+        a = rng.integers(V, size=E)
+        b = (a + 1 + rng.integers(V - 1, size=E)) % V
+        net = net_from_events(list(zip(
+            a.tolist(), b.tolist(),
+            np.sort(rng.integers(1, 1001, E)).tolist())), node_count=V)
+        tracemalloc.start()
+        try:
+            index = snapshot_arrays(net, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = sum(arr.nbytes for arr in (index.neighbor, index.when,
+                                            index.end, index.length))
+        assert peak <= 2 * stored
 
     def test_decreasing_epochs_rejected(self):
         net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 3, 3)])

@@ -12,6 +12,7 @@ from m2dne.evaluate import reconstruction_metrics
 from m2dne.graph import parse_edge_list, split_by_time
 from m2dne.micro import draw_event_negatives
 from m2dne import macro as macro_mod
+from m2dne import train as train_mod
 from m2dne.macro import (coupling_at, edge_affinity, fit_params, macro_loss,
                          macro_loss_and_grads, _predict_series)
 from m2dne.micrograd import batch_loss_and_grads
@@ -257,6 +258,77 @@ class TestStepMemory:
     def test_later_step_allocates_no_working_set(self):
         _, second = self._step_peaks(2)
         assert second <= 4 * self.MiB
+
+
+class TestOneWorkspaceArray:
+    """A step's event-level engine and then its macro coupling carve their
+    buffers from the one array of ``TrainData.work``, so a coupled step
+    holds the larger of their two needs, not their sum."""
+
+    @staticmethod
+    def _nbytes_after_step(net, epsilon, dim, batch_size, sampled=False):
+        cfg = TrainConfig(dim=dim, history=5, negatives=5,
+                          batch_size=batch_size, epsilon=epsilon)
+        state = init_state(net.node_count, cfg, substream(8, "init"))
+        data = TrainData(net, cfg.history)
+        if sampled:
+            sig_ref = np.empty(len(net))
+            S = edge_affinity(state.embeddings, net.src, net.dst, out=sig_ref)
+            state.macro = fit_params(data.series, S)
+            data.coupling = coupling_at(data.series, state.macro, sig_ref,
+                                        substream(8, "coupling"))
+            assert data.coupling.sig_ref is not None
+        batch = sample_batch(data, cfg.batch_size, substream(8, "batch"))
+        step(state, batch, data, cfg, substream(8, "negatives"))
+        return data.work.nbytes
+
+    def test_sampled_coupling_fits_in_the_engine_array(self):
+        # fit-joint's shape: the engine's array is 3.30 MiB, the sampled
+        # coupling needs 1.5 MiB of it
+        net = toy_net(seed=9, nodes=2000, n_events=4000, epochs=100)
+        assert len(net) > 2 * macro_mod.COUPLING_SAMPLE
+        coupled = self._nbytes_after_step(net, 0.3, 64, 64, sampled=True)
+        assert coupled == self._nbytes_after_step(net, 0.0, 64, 64)
+        assert coupled >= 2 * (2 + 1) * macro_mod.COUPLING_SAMPLE * 64 * 8
+
+    def test_exact_coupling_needs_more_than_the_engine(self):
+        # all E rows and positions of both endpoints: 4 E d entries
+        net = toy_net(seed=9, nodes=60, n_events=800, epochs=12)
+        need = 4 * len(net) * 8 * 8
+        assert self._nbytes_after_step(net, 0.0, 8, 16) < need
+        assert self._nbytes_after_step(net, 0.3, 8, 16) == need
+
+    def test_shared_array_matches_fresh_arrays(self, monkeypatch, tmp_path,
+                                               tmp_edges):
+        net = parse_edge_list(tmp_edges(two_community_lines(
+            seed=1, nodes=60, n_events=1200, epochs=12)))
+        assert len(net) > 2 * macro_mod.COUPLING_SAMPLE
+        cfg = TrainConfig(dim=8, epsilon=0.3, seed=42, epochs=2,
+                          batch_size=64)
+
+        def checkpoint_bytes(name):
+            state, _ = fit(net, cfg)
+            save_checkpoint(state, tmp_path / name)
+            return (tmp_path / name).read_bytes()
+
+        shared = checkpoint_bytes("shared.ckpt")
+        fresh = []
+
+        def with_fresh_workspace(module, name):
+            real = getattr(module, name)
+
+            def call(*args, **kwargs):
+                fresh.append(name)
+                return real(*args[:-1], Workspace(), **kwargs)
+            monkeypatch.setattr(module, name, call)
+
+        with_fresh_workspace(train_mod, "batch_loss_and_grads")
+        with_fresh_workspace(macro_mod, "macro_loss_and_grads")
+        assert checkpoint_bytes("fresh.ckpt") == shared
+        steps = 2 * math.ceil(len(net) / 64)
+        assert sorted(set(fresh)) == ["batch_loss_and_grads",
+                                      "macro_loss_and_grads"]
+        assert len(fresh) == 2 * steps
 
 
 class TestJointLoss:

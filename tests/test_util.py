@@ -1,9 +1,10 @@
-"""The stable sigmoid in its four calling forms, and take_rows' bounds."""
+"""The stable sigmoid in its four calling forms, take_rows' bounds and the
+workspace's one array."""
 
 import numpy as np
 import pytest
 
-from m2dne.util import sigmoid, take_rows
+from m2dne.util import Workspace, sigmoid, take_rows
 
 
 def reference(x):
@@ -60,3 +61,25 @@ def test_take_rows_rejects_ids_out_of_range(index):
     with pytest.raises(IndexError, match="row id out of range for 3 rows"):
         take_rows(np.arange(6.0).reshape(3, 2), np.array(index),
                   np.empty((len(index), 2)))
+
+
+class TestWorkspace:
+    def test_take_returns_a_prefix_of_the_held_array(self):
+        work = Workspace()
+        first = work.take(100)
+        first[:] = np.arange(100)
+        again = work.take(40)
+        assert again.shape == (40,) and again.dtype == np.float64
+        assert np.shares_memory(first, again)
+        assert np.array_equal(again, np.arange(40))
+        assert work.nbytes == 100 * 8
+
+    def test_take_grows_when_asked_for_more(self):
+        work = Workspace()
+        assert work.nbytes == 0
+        small = work.take(10)
+        large = work.take(30)
+        assert large.shape == (30,)
+        assert not np.shares_memory(small, large)
+        assert work.nbytes == 30 * 8
+        assert np.shares_memory(work.take(30), large)
