@@ -166,8 +166,9 @@ def macro_loss_and_grads(coupling: Coupling, embeddings: np.ndarray,
         src, dst = edge_src[picked], edge_dst[picked]
     # edges [k, n) give dS/dU: all of them when exact, the second set when
     # sampled. rows[:n] holds u_src - u_dst, later the gradient at the source
-    # rows in rows[k:n]; rows[n:] first u_dst, then the squared diffs, then
-    # the negated gradient at the target rows
+    # rows in rows[k:n], which the target rows take negated; rows[n:] first
+    # u_dst, then the squared diffs. The positions of the source rows come
+    # before the target rows'
     n = src.shape[0]
     m = n - k
     space = work.take(2 * (n + m) * d)
@@ -182,12 +183,14 @@ def macro_loss_and_grads(coupling: Coupling, embeddings: np.ndarray,
                                                - coupling.sig_ref[picked[:k]]))
     grad = rows[k:n]
     grad *= ((scale * d_S / m) * (sig[k:] * (1.0 - sig[k:])) * (-2.0))[:, None]
-    np.negative(grad, out=rows[n:n + m])
-    positions = row_positions(np.concatenate([src[k:], dst[k:]]), d,
-                              out=space[2 * n * d:].view(np.int64))
+    positions = space[2 * n * d:].view(np.int64).reshape(2, m * d)
     # ufunc.at has a buffered fast path from NumPy 1.25 (the floor in
-    # pyproject.toml); before it, this would be the slow unbuffered loop
-    np.add.at(out.reshape(-1), positions, rows[k:n + m].reshape(-1))
+    # pyproject.toml); before it, these would be the slow unbuffered loop
+    flat = out.reshape(-1)
+    np.add.at(flat, row_positions(src[k:], d, out=positions[0]),
+              grad.reshape(-1))
+    np.subtract.at(flat, row_positions(dst[k:], d, out=positions[1]),
+                   grad.reshape(-1))
     return d_S
 
 

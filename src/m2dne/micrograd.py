@@ -73,6 +73,7 @@ forward caches and backward formulas in sync when touching either.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,14 +111,18 @@ class EventBatch:
         return int(self.src.shape[0])
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_columns(K: int):
     """Columns, (2, P) with the source's over the target's, and loss signs of
     one event's P = 1 + 2K pairs: the event (0, 0), then K source-corrupted
-    (k, 0) and K target-corrupted (0, k) pairs."""
+    (k, 0) and K target-corrupted (0, k) pairs. Cached per K, so both
+    arrays are read-only."""
     ks = np.arange(1, K + 1)
     sign = np.where(np.arange(1 + 2 * K) == 0, 1.0, -1.0)
-    return np.stack([np.concatenate([[0], ks, 0 * ks]),
-                     np.concatenate([[0], 0 * ks, ks])]), sign
+    cols = np.stack([np.concatenate([[0], ks, 0 * ks]),
+                     np.concatenate([[0], 0 * ks, ks])])
+    cols.flags.writeable = sign.flags.writeable = False
+    return cols, sign
 
 
 def _halves(rows: np.ndarray) -> np.ndarray:
@@ -439,14 +444,16 @@ def batch_loss_and_grads(batch: EventBatch, negatives: np.ndarray,
     U, tmp = table.U, table.WU
     a1, a2 = params.att_vector[:d], params.att_vector[d:]
     W = params.local_weight
-    M += np.multiply(c_a1[:, None], a1, out=tmp)
-    M += np.multiply(c_a2[:, None], a2, out=tmp)
+    # einsum writes the outer products straight into tmp; a broadcasting
+    # multiply would stage them through ufunc buffers
+    M += np.einsum("n,d->nd", c_a1, a1, out=tmp)
+    M += np.einsum("n,d->nd", c_a2, a2, out=tmp)
     grads = {
         "att_vector": np.concatenate([W @ (c_a1 @ U), W @ (c_a2 @ U)]),
         "local_weight": M.T @ U,
         "s_weight": d_sw,
     }
-    G += np.multiply(own[:, None], U, out=tmp)
+    G += np.einsum("nd,n->nd", U, own, out=tmp)
     G += np.matmul(M, W, out=tmp)
     del M                       # freed before the dense gradient
     grads["embeddings"] = np.zeros((V, d))
