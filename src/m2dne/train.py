@@ -1,4 +1,4 @@
-"""Joint training loop: mini-batch gradient descent over the event-level loss
+"""Joint training loop: mini-batch descent over the event-level loss
 plus the epsilon-weighted network-scale constraint, with checkpointing and a
 finite-difference gradient verifier.
 """
@@ -27,8 +27,11 @@ GRAD_FLOOR = 1e-3     # compare_grads' least denominator
 
 @dataclass
 class TrainConfig:
-    """Hyper-parameters of :func:`fit`. ``grad_clip`` is :func:`step`'s
-    per-group L2 clip; 0 means no clip."""
+    """Hyper-parameters of :func:`fit`. ``learning_rate`` is :func:`step`'s
+    rate for every group: the embeddings' row-wise Adagrad and the attention
+    groups' SGD. ``grad_clip`` is the per-group L2 clip of the four
+    attention groups only, the embeddings are never clipped; 0 means no
+    clip."""
 
     dim: int = 128
     history: int = 5
@@ -124,7 +127,9 @@ class TrainData:
     batch draws, built by the first draw, which fails on weights whose sum
     overflows (``gradient_check`` draws none and reads no weight). ``work``
     is the step workspace, whose one array every step of a fit reuses for
-    the engine and then the coupling, freed with this object. ``coupling``
+    the engine and then the coupling, freed with this object, and
+    ``adagrad`` the embeddings' per-row Adagrad accumulators, zero at the
+    start of every fit (see :func:`step`). ``coupling``
     is the latest refit's :class:`~m2dne.macro.Coupling` during ``fit`` with
     epsilon > 0, else None (steps couple exactly at ``state.macro``)."""
 
@@ -134,6 +139,7 @@ class TrainData:
         self.table = NegativeTable(net.degrees(), net.first_appearance_order())
         self.series: MacroSeries = compute_macro_series(net)
         self.work = Workspace()
+        self.adagrad = np.zeros(net.node_count)
         self.coupling: macro_mod.Coupling | None = None
 
     @cached_property
@@ -205,38 +211,84 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     place.
 
     The coupling's embedding gradient is exact or sampled as
-    ``data.coupling`` says (see :func:`_joint_grads`). Per-group gradients
-    exceeding ``grad_clip`` in L2 norm are rescaled to the clip so a single
-    mis-scaled group cannot blow up the state (``grad_clip`` 0: no clip);
-    gradients must be finite or the step aborts naming the offending group,
-    before it updates any group.
+    ``data.coupling`` says (see :func:`_joint_grads`). The embeddings take
+    row-wise Adagrad (Duchi, Hazan & Singer 2011): row v adds the mean of
+    its squared gradient entries to its accumulator G_v in ``data.adagrad``
+    and moves by learning_rate * g_v / sqrt(G_v + 1e-10), unclipped (see
+    :func:`_adagrad_scale`). The four attention groups take plain SGD at the
+    same rate, each rescaled to ``grad_clip`` in L2 norm when it exceeds it
+    so a single mis-scaled group cannot blow up the state (``grad_clip`` 0:
+    no clip). Gradients must be finite or the step aborts naming the
+    offending group, before it updates any group.
     """
     negatives = draw_event_negatives(batch.src, batch.dst, data.table,
                                      config.negatives, rng)
     micro, grads, stats = _joint_grads(state, batch, negatives, data, config)
+    # the embeddings' row sums of squares, the other groups' L2 norms
     with np.errstate(over="ignore"):
-        norms = {name: float(np.linalg.norm(g)) for name, g in grads.items()}
+        sizes = {name: (np.einsum("vd,vd->v", g, g) if name == "embeddings"
+                        else float(np.linalg.norm(g)))
+                 for name, g in grads.items()}
     for name, g in grads.items():
-        # a non-finite entry makes the norm inf or nan; so does a sum of
-        # squares that overflows, which the clip below handles
-        if not np.isfinite(norms[name]) and not np.all(np.isfinite(g)):
+        # a non-finite entry makes its size inf or nan; so does a sum of
+        # squares that overflows, which the update below handles
+        if not np.all(np.isfinite(sizes[name])) and not np.all(np.isfinite(g)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
     lr = config.learning_rate
     groups = state.param_groups()
     for name, g in grads.items():
-        norm = norms[name]
-        # scaled in place: g * c * lr per entry, as the product lr * (g * c)
-        if config.grad_clip > 0 and norm > config.grad_clip:
-            if np.isfinite(norm):
-                g *= config.grad_clip / norm
-            else:
-                # the sum of squares overflowed: clip g / max |g|, whose
-                # norm lies in [1, sqrt(g.size)]
-                g /= float(np.max(np.abs(g)))
-                g *= config.grad_clip / float(np.linalg.norm(g))
-        g *= lr
+        if name == "embeddings":
+            _adagrad_scale(g, sizes[name], data.adagrad, lr)
+        else:
+            _clip_scale(g, sizes[name], config.grad_clip, lr)
         groups[name] -= g
     return StepResult(micro_loss=micro, range_hits=stats["range_hits"])
+
+
+def _adagrad_scale(g: np.ndarray, sq: np.ndarray, acc: np.ndarray,
+                   lr: float) -> None:
+    """Turn the finite (V, d) embeddings gradient ``g``, whose row sums of
+    squares are ``sq``, into row-wise Adagrad's step, in place: G_v +=
+    sq_v / d in ``acc``, then g_v *= lr / sqrt(G_v + 1e-10), one factor per
+    row.
+
+    A row whose sum of squares overflowed is divided by its largest |g|,
+    t_v, first, and its factor becomes lr / sqrt((G_v + 1e-10) / t_v^2 +
+    mean((g_v / t_v)^2)), so it still takes its finite Adagrad step. Its
+    accumulator becomes inf, as does one that overflows later, so the row
+    takes zero steps from then on, the limit of lr / sqrt(G_v)."""
+    d = g.shape[1]
+    over = np.flatnonzero(np.isinf(sq))
+    if over.size:
+        top = np.max(np.abs(g[over]), axis=1)
+        scaled = g[over] / top[:, None]
+        # top > 1 here, so dividing by it twice neither overflows nor turns
+        # an inf accumulator into a nan
+        over_factor = lr / np.sqrt(
+            (acc[over] + 1e-10) / top / top
+            + np.einsum("vd,vd->v", scaled, scaled) / d)
+        g[over] = scaled
+    with np.errstate(over="ignore"):
+        acc += sq / d
+    factor = lr / np.sqrt(acc + 1e-10)
+    if over.size:
+        factor[over] = over_factor
+    g *= factor[:, None]
+
+
+def _clip_scale(g: np.ndarray, norm: float, clip: float, lr: float) -> None:
+    """Turn the finite gradient ``g`` of L2 norm ``norm`` into a clipped SGD
+    step, in place: g * c * lr per entry, as the product lr * (g * c), with
+    c = clip / norm where the norm exceeds the clip (0: no clip), else 1."""
+    if clip > 0 and norm > clip:
+        if np.isfinite(norm):
+            g *= clip / norm
+        else:
+            # the sum of squares overflowed: clip g / max |g|, whose norm
+            # lies in [1, sqrt(g.size)]
+            g /= float(np.max(np.abs(g)))
+            g *= clip / float(np.linalg.norm(g))
+    g *= lr
 
 
 @dataclass
@@ -276,6 +328,10 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     affinity pass; :func:`~m2dne.macro.coupling_at` samples it from the
     ``"coupling"`` stream on networks of more than
     2 * ``macro.COUPLING_SAMPLE`` edges, and keeps it exact on smaller ones.
+
+    The embeddings' Adagrad accumulators start at zero in every fit, with
+    ``initial_state`` too: a checkpoint does not store them, so a fit resumed
+    from one restarts them.
 
     The per-epoch trace records the mean batch event loss, the scale loss on
     the full training series (the fitted minimum, with epsilon > 0), and

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -16,6 +17,22 @@ from m2dne.util import Workspace  # noqa: E402
 # growth scalars (zeta_raw, gamma, theta) are the growth fit's
 STEPPED_GROUPS = ("embeddings", "att_vector", "local_weight", "s_weight",
                   "decay_raw")
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    """bench/run.py imported with the environment it pins restored after;
+    the benchmark's other modules import from ``bench/`` too."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    saved = dict(os.environ)
+    try:
+        import run
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+    return run
 
 
 def net_from_events(events, node_count=None, weights=None):

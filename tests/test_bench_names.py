@@ -2,28 +2,9 @@
 callers look up (``bench/run.py::install_tracing``). Renaming or deleting one
 of them breaks the benchmark; this catches it without running a workload."""
 
-import os
 import types
-from pathlib import Path
-
-import pytest
 
 from m2dne import evaluate, graph, logreg, macro, micro, train, util
-
-BENCH = Path(__file__).resolve().parent.parent / "bench"
-
-
-@pytest.fixture
-def bench_run(monkeypatch):
-    """bench/run.py imported with the environment it pins restored after."""
-    monkeypatch.syspath_prepend(str(BENCH))
-    saved = dict(os.environ)
-    try:
-        import run
-    finally:
-        os.environ.clear()
-        os.environ.update(saved)
-    return run
 
 
 def namespaces():

@@ -59,10 +59,13 @@ class TestTrainCommand:
         assert rc == 0, capsys.readouterr().err
 
     def test_summary_reports_range_hits(self, tmp_path, capsys):
-        train(tmp_path, extra=["--learning-rate", "1"])
+        # Adagrad moves an embedding row by at most rate * sqrt(dim) per
+        # step, so the toy's scores pass RANGE_BOUND at rate 2 (282 hits),
+        # not at rate 1
+        train(tmp_path, extra=["--learning-rate", "2"])
         _, trace = fit(parse_edge_list(TOY_EDGES),
                        TrainConfig(dim=4, epochs=3, batch_size=64, seed=7,
-                                   learning_rate=1.0))
+                                   learning_rate=2.0))
         assert trace.range_hits > 0
         assert f"; {trace.range_hits} range hits;" in capsys.readouterr().out
 

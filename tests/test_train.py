@@ -146,6 +146,8 @@ class TestStep:
         assert after <= before
 
     def test_single_step_matches_manual_update(self):
+        # row-wise Adagrad on the embeddings from zero accumulators, clipped
+        # SGD on the four attention groups
         net, cfg, state, data, batch = self._setup()
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(3, "negatives"))
@@ -153,39 +155,70 @@ class TestStep:
         manual = state.copy()
         growth = (state.macro.zeta_raw, state.macro.gamma, state.macro.theta)
         assert sorted(grads) == sorted(STEPPED_GROUPS)
+        assert not data.adagrad.any()
         for name, g in grads.items():
             ref = manual.param_groups()[name]
             g = np.asarray(g, dtype=np.float64)
-            norm = float(np.linalg.norm(g))
-            if norm > cfg.grad_clip:
-                g = g * (cfg.grad_clip / norm)
+            if name == "embeddings":
+                acc = np.mean(g * g, axis=1)
+                g = g / np.sqrt(acc + 1e-10)[:, None]
+            else:
+                norm = float(np.linalg.norm(g))
+                if norm > cfg.grad_clip:
+                    g = g * (cfg.grad_clip / norm)
             manual.param_groups()[name][...] = ref - cfg.learning_rate * g
         step(state, batch, data, cfg, substream(3, "negatives"))
         for name in STEPPED_GROUPS:
             assert np.allclose(state.param_groups()[name],
                                manual.param_groups()[name], atol=1e-15), name
+        assert np.allclose(data.adagrad, acc, rtol=1e-15, atol=0.0)
         # the growth scalars are the epoch-boundary refit's, never stepped
         assert [np.float64(v).tobytes() for v in growth] == \
             [np.float64(v).tobytes() for v in (state.macro.zeta_raw,
                                                state.macro.gamma,
                                                state.macro.theta)]
 
+    @staticmethod
+    def _huge_gradient(monkeypatch, name, shape, entry):
+        from m2dne import train as train_mod
+        huge = np.full(shape, entry)
+        monkeypatch.setattr(train_mod, "_joint_grads",
+                            lambda *args: (0.0, {name: huge.copy()},
+                                           {"range_hits": 0}))
+
+    @pytest.mark.parametrize("entry", [1e200, 1.5e308])
+    def test_adagrad_survives_an_overflowing_squared_norm(self, monkeypatch,
+                                                          entry):
+        # the entries are finite, but each row's sum of squares is not:
+        # the first step still moves every entry by the rate, as Adagrad's
+        # g / sqrt(mean g^2) is 1 on a constant row; the accumulator then
+        # reads inf, so the next step moves nothing, and neither warns
+        net, cfg, state, data, batch = self._setup()
+        before = state.embeddings.copy()
+        self._huge_gradient(monkeypatch, "embeddings", before.shape, entry)
+        step(state, batch, data, cfg, substream(4, "negatives"))
+        moved = before - state.embeddings
+        assert np.all(np.isfinite(state.embeddings))
+        assert moved == pytest.approx(
+            np.full(moved.shape, cfg.learning_rate), rel=1e-12)
+        assert np.all(np.isinf(data.adagrad))
+        after_first = state.embeddings.copy()
+        step(state, batch, data, cfg, substream(5, "negatives"))
+        assert np.array_equal(state.embeddings, after_first)
+
     @pytest.mark.parametrize("entry", [1e200, 1.5e308])
     def test_clip_survives_an_overflowing_squared_norm(self, monkeypatch,
                                                        entry):
-        # the entries are finite, but their sum of squares is not (and at
-        # 1.5e308 nor is the norm itself): the plain norm reads inf and the
-        # clip once zeroed the whole group
-        from m2dne import train as train_mod
+        # the entries of a clipped attention group are finite, but their sum
+        # of squares is not (and at 1.5e308 nor is the norm itself): the
+        # plain norm reads inf and the clip once zeroed the whole group; the
+        # group starts at 0, so its entries' moves carry no rounding
         net, cfg, state, data, batch = self._setup()
-        name = STEPPED_GROUPS[0]
-        before = state.param_groups()[name].copy()
-        huge = np.full(before.shape, entry)
-        monkeypatch.setattr(train_mod, "_joint_grads",
-                            lambda *args: (0.0, {name: huge},
-                                           {"range_hits": 0}))
+        state.attention.local_weight[...] = 0.0
+        before = state.attention.local_weight.copy()
+        self._huge_gradient(monkeypatch, "local_weight", before.shape, entry)
         step(state, batch, data, cfg, substream(4, "negatives"))
-        moved = before - state.param_groups()[name]
+        moved = before - state.attention.local_weight
         assert np.linalg.norm(moved) == pytest.approx(
             cfg.learning_rate * cfg.grad_clip, rel=1e-12)
         assert np.all(moved == moved.flat[0])
