@@ -27,11 +27,8 @@ GRAD_FLOOR = 1e-3     # compare_grads' least denominator
 
 @dataclass
 class TrainConfig:
-    """Hyper-parameters of :func:`fit`. ``learning_rate`` is :func:`step`'s
-    rate for every group: the embeddings' row-wise Adagrad and the attention
-    groups' SGD. ``grad_clip`` is the per-group L2 clip of the four
-    attention groups only, the embeddings are never clipped; 0 means no
-    clip."""
+    """Hyper-parameters of :func:`fit`. ``learning_rate`` is the Adagrad
+    rate of :func:`step`, the same for every group it updates."""
 
     dim: int = 128
     history: int = 5
@@ -41,7 +38,6 @@ class TrainConfig:
     batch_size: int = 512
     learning_rate: float = 0.01
     seed: int = 42
-    grad_clip: float = 30.0
 
     def __post_init__(self):
         if self.dim < 1:
@@ -59,8 +55,6 @@ class TrainConfig:
         if not (math.isfinite(self.learning_rate)
                 and self.learning_rate >= 0):
             raise ValueError("learning_rate must be finite and >= 0")
-        if not (math.isfinite(self.grad_clip) and self.grad_clip >= 0):
-            raise ValueError("grad_clip must be finite and >= 0")
 
 
 @dataclass
@@ -128,10 +122,11 @@ class TrainData:
     overflows (``gradient_check`` draws none and reads no weight). ``work``
     is the step workspace, whose one array every step of a fit reuses for
     the engine and then the coupling, freed with this object, and
-    ``adagrad`` the embeddings' per-row Adagrad accumulators, zero at the
-    start of every fit (see :func:`step`). ``coupling``
-    is the latest refit's :class:`~m2dne.macro.Coupling` during ``fit`` with
-    epsilon > 0, else None (steps couple exactly at ``state.macro``)."""
+    ``adagrad`` maps each group :func:`step` updates to its Adagrad
+    accumulators, one per leading index, which the first step of every fit
+    creates zeroed. ``coupling`` is the latest refit's
+    :class:`~m2dne.macro.Coupling` during ``fit`` with epsilon > 0, else
+    None (steps couple exactly at ``state.macro``)."""
 
     def __init__(self, net: TemporalNetwork, history: int):
         self.net = net
@@ -139,7 +134,7 @@ class TrainData:
         self.table = NegativeTable(net.degrees(), net.first_appearance_order())
         self.series: MacroSeries = compute_macro_series(net)
         self.work = Workspace()
-        self.adagrad = np.zeros(net.node_count)
+        self.adagrad: dict[str, np.ndarray] = {}
         self.coupling: macro_mod.Coupling | None = None
 
     @cached_property
@@ -211,53 +206,51 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
     place.
 
     The coupling's embedding gradient is exact or sampled as
-    ``data.coupling`` says (see :func:`_joint_grads`). The embeddings take
-    row-wise Adagrad (Duchi, Hazan & Singer 2011): row v adds the mean of
-    its squared gradient entries to its accumulator G_v in ``data.adagrad``
-    and moves by learning_rate * g_v / sqrt(G_v + 1e-10), unclipped (see
-    :func:`_adagrad_scale`). The four attention groups take plain SGD at the
-    same rate, each rescaled to ``grad_clip`` in L2 norm when it exceeds it
-    so a single mis-scaled group cannot blow up the state (``grad_clip`` 0:
-    no clip). Gradients must be finite or the step aborts naming the
-    offending group, before it updates any group.
+    ``data.coupling`` says (see :func:`_joint_grads`). Every group takes
+    Adagrad (Duchi, Hazan & Singer 2011) by leading index: its gradient is
+    viewed as rows g_v = g[v], a node's row of the embeddings, a row of
+    ``local_weight``, an entry of ``att_vector``, ``s_weight`` or
+    ``decay_raw``. Row v adds the mean of its squared entries to its
+    accumulator G_v in ``data.adagrad`` and moves by
+    learning_rate * g_v / sqrt(G_v + 1e-10) (see :func:`_adagrad_scale`),
+    so its first step from a zero accumulator is at most learning_rate *
+    sqrt(width) in L2. Gradients must be finite or the step aborts naming
+    the offending group, before it updates any group.
     """
     negatives = draw_event_negatives(batch.src, batch.dst, data.table,
                                      config.negatives, rng)
     micro, grads, stats = _joint_grads(state, batch, negatives, data, config)
-    # the embeddings' row sums of squares, the other groups' L2 norms
+    rows = {name: g.reshape(g.shape[0], -1) for name, g in grads.items()}
     with np.errstate(over="ignore"):
-        sizes = {name: (np.einsum("vd,vd->v", g, g) if name == "embeddings"
-                        else float(np.linalg.norm(g)))
-                 for name, g in grads.items()}
-    for name, g in grads.items():
-        # a non-finite entry makes its size inf or nan; so does a sum of
-        # squares that overflows, which the update below handles
-        if not np.all(np.isfinite(sizes[name])) and not np.all(np.isfinite(g)):
+        sq = {name: np.einsum("vd,vd->v", r, r) for name, r in rows.items()}
+    for name, r in rows.items():
+        # a non-finite entry makes its row's sum of squares inf or nan; so
+        # does a sum that overflows, which _adagrad_scale handles
+        if not np.all(np.isfinite(sq[name])) and not np.all(np.isfinite(r)):
             raise FloatingPointError(f"non-finite gradient in group {name!r}")
-    lr = config.learning_rate
     groups = state.param_groups()
-    for name, g in grads.items():
-        if name == "embeddings":
-            _adagrad_scale(g, sizes[name], data.adagrad, lr)
-        else:
-            _clip_scale(g, sizes[name], config.grad_clip, lr)
-        groups[name] -= g
+    for name, r in rows.items():
+        if name not in data.adagrad:
+            data.adagrad[name] = np.zeros(len(r))
+        _adagrad_scale(r, sq[name], data.adagrad[name], config.learning_rate)
+        # r, not g: the reshape that made r may have copied g
+        groups[name] -= r.reshape(groups[name].shape)
     return StepResult(micro_loss=micro, range_hits=stats["range_hits"])
 
 
 def _adagrad_scale(g: np.ndarray, sq: np.ndarray, acc: np.ndarray,
                    lr: float) -> None:
-    """Turn the finite (V, d) embeddings gradient ``g``, whose row sums of
-    squares are ``sq``, into row-wise Adagrad's step, in place: G_v +=
-    sq_v / d in ``acc``, then g_v *= lr / sqrt(G_v + 1e-10), one factor per
-    row.
+    """Turn the finite (n, w) gradient rows ``g``, whose sums of squares
+    are ``sq``, into Adagrad's step, in place: G_v += sq_v / w in ``acc``,
+    then g_v *= lr / sqrt(G_v + 1e-10), one factor per row. ``sq`` is
+    overwritten, so that the factor is the one per-row temporary.
 
     A row whose sum of squares overflowed is divided by its largest |g|,
     t_v, first, and its factor becomes lr / sqrt((G_v + 1e-10) / t_v^2 +
     mean((g_v / t_v)^2)), so it still takes its finite Adagrad step. Its
     accumulator becomes inf, as does one that overflows later, so the row
     takes zero steps from then on, the limit of lr / sqrt(G_v)."""
-    d = g.shape[1]
+    w = g.shape[1]
     over = np.flatnonzero(np.isinf(sq))
     if over.size:
         top = np.max(np.abs(g[over]), axis=1)
@@ -266,29 +259,15 @@ def _adagrad_scale(g: np.ndarray, sq: np.ndarray, acc: np.ndarray,
         # an inf accumulator into a nan
         over_factor = lr / np.sqrt(
             (acc[over] + 1e-10) / top / top
-            + np.einsum("vd,vd->v", scaled, scaled) / d)
+            + np.einsum("vd,vd->v", scaled, scaled) / w)
         g[over] = scaled
     with np.errstate(over="ignore"):
-        acc += sq / d
-    factor = lr / np.sqrt(acc + 1e-10)
+        acc += np.divide(sq, w, out=sq)
+    factor = np.add(acc, 1e-10)
+    np.divide(lr, np.sqrt(factor, out=factor), out=factor)
     if over.size:
         factor[over] = over_factor
     g *= factor[:, None]
-
-
-def _clip_scale(g: np.ndarray, norm: float, clip: float, lr: float) -> None:
-    """Turn the finite gradient ``g`` of L2 norm ``norm`` into a clipped SGD
-    step, in place: g * c * lr per entry, as the product lr * (g * c), with
-    c = clip / norm where the norm exceeds the clip (0: no clip), else 1."""
-    if clip > 0 and norm > clip:
-        if np.isfinite(norm):
-            g *= clip / norm
-        else:
-            # the sum of squares overflowed: clip g / max |g|, whose norm
-            # lies in [1, sqrt(g.size)]
-            g /= float(np.max(np.abs(g)))
-            g *= clip / float(np.linalg.norm(g))
-    g *= lr
 
 
 @dataclass
@@ -329,9 +308,9 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     ``"coupling"`` stream on networks of more than
     2 * ``macro.COUPLING_SAMPLE`` edges, and keeps it exact on smaller ones.
 
-    The embeddings' Adagrad accumulators start at zero in every fit, with
-    ``initial_state`` too: a checkpoint does not store them, so a fit resumed
-    from one restarts them.
+    The Adagrad accumulators of all five groups start at zero in every fit,
+    with ``initial_state`` too: a checkpoint does not store them, so a fit
+    resumed from one restarts them.
 
     The per-epoch trace records the mean batch event loss, the scale loss on
     the full training series (the fitted minimum, with epsilon > 0), and

@@ -106,6 +106,8 @@ class TestConfigFile:
     @pytest.mark.parametrize("line,key", [
         ("learnig_rate = 9", "learnig_rate"),
         ("deterministic = true", "deterministic"),
+        # the former gradient clip's key
+        ("grad-clip = 1", "grad-clip"),
     ])
     def test_unknown_key_names_file_line_and_key(self, tmp_path, capsys,
                                                  line, key):
@@ -172,9 +174,6 @@ class TestConfigFile:
         ("batch-size = -2", "batch-size", "batch_size must be >= 1"),
         ("learning-rate = nan", "learning-rate",
          "learning_rate must be finite and >= 0"),
-        ("grad-clip = nan", "grad-clip", "grad_clip must be finite"),
-        ("grad_clip = inf", "grad_clip", "grad_clip must be finite"),
-        ("grad-clip = -1", "grad-clip", "grad_clip must be finite and >= 0"),
     ])
     def test_out_of_range_value_names_file_line_and_key(self, tmp_path,
                                                          capsys, line, key,
@@ -410,7 +409,8 @@ class TestGradcheckCommand:
     @pytest.mark.parametrize("flag", ["--epochs", "--batch-size",
                                       "--learning-rate", "--grad-clip"])
     def test_unread_training_flag_is_usage_error(self, capsys, flag):
-        # gradient_check reads no epoch count, batch, rate or clip
+        # gradient_check reads no epoch count, batch or rate, and
+        # --grad-clip, the former gradient clip's flag, belongs to no command
         with pytest.raises(SystemExit) as exc:
             main(["gradcheck", "--edges", TOY_EDGES, "--dim", "2", flag, "3"])
         assert exc.value.code == 2
@@ -424,8 +424,7 @@ class TestGradcheckCommand:
         for flag in ("--dim", "--history", "--negatives", "--epsilon",
                      "--seed", "--config", "--tolerance"):
             assert flag in out, flag
-        for flag in ("--epochs", "--batch-size", "--learning-rate",
-                     "--grad-clip"):
+        for flag in ("--epochs", "--batch-size", "--learning-rate"):
             assert flag not in out, flag
 
     def test_config_shared_with_train(self, tmp_path, capsys):
@@ -435,8 +434,7 @@ class TestGradcheckCommand:
         want = capsys.readouterr().out
         cfg = tmp_path / "run.cfg"
         cfg.write_text("dim = 4\nhistory = 2\nnegatives = 1\nseed = 3\n"
-                       "epochs = 7\nbatch-size = 3\nlearning-rate = 99\n"
-                       "grad-clip = 1\n")
+                       "epochs = 7\nbatch-size = 3\nlearning-rate = 99\n")
         rc = main(["gradcheck", "--edges", TOY_EDGES, "--config", str(cfg)])
         assert rc == 0
         assert capsys.readouterr().out == want

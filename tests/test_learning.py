@@ -3,14 +3,17 @@
 B = 64, at epsilon 0 and 0.3) places the training edges closer than random
 non-edges, by ``bench/run.py::edge_auc``.
 
-Measured after one epoch at rate 0.2, input seeds 1-3 (x86, NumPy 2.4):
+Measured after one epoch at rate 0.2, input seeds 1-3 (x86, NumPy 2.4),
+under clipped SGD on every group, Adagrad on the embeddings' rows with
+clipped SGD on the attention groups, and Adagrad by leading index on every
+group, the rule ``train.step`` runs:
 
-    input           clipped SGD on every group   row-wise Adagrad on the rows
-    epsilon = 0     0.275 0.200 0.346            0.748 0.724 0.804
-    epsilon = 0.3   0.228 0.187 0.263            0.873 0.889 0.914
+    input           clipped SGD           Adagrad on rows       Adagrad on all
+    epsilon = 0     0.275 0.200 0.346     0.748 0.724 0.804     0.749 0.728 0.804
+    epsilon = 0.3   0.228 0.187 0.263     0.873 0.889 0.914     0.872 0.888 0.914
 
 Under clipped SGD the embeddings sit below chance, so THRESHOLD lies
-between the two rules on every seed.
+between that rule and both Adagrad rules on every seed.
 """
 
 import pytest

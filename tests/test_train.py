@@ -146,8 +146,9 @@ class TestStep:
         assert after <= before
 
     def test_single_step_matches_manual_update(self):
-        # row-wise Adagrad on the embeddings from zero accumulators, clipped
-        # SGD on the four attention groups
+        # Adagrad by leading index on every group, from zero accumulators:
+        # node rows of the embeddings, rows of local_weight, entries of the
+        # other three groups
         net, cfg, state, data, batch = self._setup()
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(3, "negatives"))
@@ -155,73 +156,59 @@ class TestStep:
         manual = state.copy()
         growth = (state.macro.zeta_raw, state.macro.gamma, state.macro.theta)
         assert sorted(grads) == sorted(STEPPED_GROUPS)
-        assert not data.adagrad.any()
+        assert data.adagrad == {}
+        accs = {}
         for name, g in grads.items():
             ref = manual.param_groups()[name]
-            g = np.asarray(g, dtype=np.float64)
-            if name == "embeddings":
-                acc = np.mean(g * g, axis=1)
-                g = g / np.sqrt(acc + 1e-10)[:, None]
-            else:
-                norm = float(np.linalg.norm(g))
-                if norm > cfg.grad_clip:
-                    g = g * (cfg.grad_clip / norm)
-            manual.param_groups()[name][...] = ref - cfg.learning_rate * g
+            rows = np.asarray(g, dtype=np.float64).reshape(len(g), -1)
+            accs[name] = np.mean(rows * rows, axis=1)
+            rows = rows / np.sqrt(accs[name] + 1e-10)[:, None]
+            manual.param_groups()[name][...] = \
+                ref - cfg.learning_rate * rows.reshape(ref.shape)
         step(state, batch, data, cfg, substream(3, "negatives"))
         for name in STEPPED_GROUPS:
             assert np.allclose(state.param_groups()[name],
                                manual.param_groups()[name], atol=1e-15), name
-        assert np.allclose(data.adagrad, acc, rtol=1e-15, atol=0.0)
+        assert sorted(data.adagrad) == sorted(STEPPED_GROUPS)
+        for name, acc in accs.items():
+            assert np.allclose(data.adagrad[name], acc, rtol=1e-15,
+                               atol=0.0), name
         # the growth scalars are the epoch-boundary refit's, never stepped
         assert [np.float64(v).tobytes() for v in growth] == \
             [np.float64(v).tobytes() for v in (state.macro.zeta_raw,
                                                state.macro.gamma,
                                                state.macro.theta)]
 
-    @staticmethod
-    def _huge_gradient(monkeypatch, name, shape, entry):
-        from m2dne import train as train_mod
-        huge = np.full(shape, entry)
-        monkeypatch.setattr(train_mod, "_joint_grads",
-                            lambda *args: (0.0, {name: huge.copy()},
-                                           {"range_hits": 0}))
-
     @pytest.mark.parametrize("entry", [1e200, 1.5e308])
     def test_adagrad_survives_an_overflowing_squared_norm(self, monkeypatch,
                                                           entry):
-        # the entries are finite, but each row's sum of squares is not:
-        # the first step still moves every entry by the rate, as Adagrad's
-        # g / sqrt(mean g^2) is 1 on a constant row; the accumulator then
-        # reads inf, so the next step moves nothing, and neither warns
+        # the entries are finite, but each leading index's sum of squares is
+        # not, for node rows of the embeddings, rows of local_weight and
+        # entries of decay_raw: the first step still moves every entry by
+        # the rate, as Adagrad's g / sqrt(mean g^2) is 1 on a constant row;
+        # the accumulators then read inf, so the next step moves nothing,
+        # and neither warns
         net, cfg, state, data, batch = self._setup()
-        before = state.embeddings.copy()
-        self._huge_gradient(monkeypatch, "embeddings", before.shape, entry)
+        names = ("embeddings", "local_weight", "decay_raw")
+        before = {name: state.param_groups()[name].copy() for name in names}
+        monkeypatch.setattr(
+            train_mod, "_joint_grads",
+            lambda *args: (0.0, {name: np.full(before[name].shape, entry)
+                                 for name in names}, {"range_hits": 0}))
         step(state, batch, data, cfg, substream(4, "negatives"))
-        moved = before - state.embeddings
-        assert np.all(np.isfinite(state.embeddings))
-        assert moved == pytest.approx(
-            np.full(moved.shape, cfg.learning_rate), rel=1e-12)
-        assert np.all(np.isinf(data.adagrad))
-        after_first = state.embeddings.copy()
+        after_first = {}
+        for name in names:
+            after_first[name] = state.param_groups()[name].copy()
+            moved = before[name] - after_first[name]
+            assert np.all(np.isfinite(after_first[name])), name
+            assert moved == pytest.approx(
+                np.full(moved.shape, cfg.learning_rate), rel=1e-12), name
+            assert data.adagrad[name].shape == (len(before[name]),), name
+            assert np.all(np.isinf(data.adagrad[name])), name
         step(state, batch, data, cfg, substream(5, "negatives"))
-        assert np.array_equal(state.embeddings, after_first)
-
-    @pytest.mark.parametrize("entry", [1e200, 1.5e308])
-    def test_clip_survives_an_overflowing_squared_norm(self, monkeypatch,
-                                                       entry):
-        # the entries of a clipped attention group are finite, but their sum
-        # of squares is not (and at 1.5e308 nor is the norm itself): the
-        # plain norm reads inf and the clip once zeroed the whole group; the
-        # group starts at 0, so its entries' moves carry no rounding
-        net, cfg, state, data, batch = self._setup()
-        state.attention.local_weight[...] = 0.0
-        before = state.attention.local_weight.copy()
-        self._huge_gradient(monkeypatch, "local_weight", before.shape, entry)
-        step(state, batch, data, cfg, substream(4, "negatives"))
-        moved = before - state.attention.local_weight
-        assert np.linalg.norm(moved) == pytest.approx(
-            cfg.learning_rate * cfg.grad_clip, rel=1e-12)
-        assert np.all(moved == moved.flat[0])
+        for name in names:
+            assert np.array_equal(state.param_groups()[name],
+                                  after_first[name]), name
 
     def test_nonfinite_gradient_names_group(self):
         # an infinite embedding makes every group's gradient nan; the first
@@ -549,6 +536,30 @@ class TestFit:
         with pytest.raises(ValueError, match="is not positive"):
             fit(net, cfg)
 
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_rate_one_moves_by_at_most_the_rate(self, dim):
+        # the toy's B = 512 covers its 120 events, so an epoch is one step,
+        # and a fit resumed from a state restarts its accumulators at zero:
+        # after one epoch at rate 1, where the attention gradients are
+        # large, the next step moves an entry of att_vector, s_weight or
+        # decay_raw by at most the rate, and a row of the embeddings or
+        # local_weight by at most rate * sqrt(width) in L2
+        net = parse_edge_list(DATA / "toy_edges.tsv")
+        cfg = TrainConfig(dim=dim, epochs=1, learning_rate=1.0, seed=7)
+        warm, _ = fit(net, cfg)
+        state, _ = fit(net, cfg, initial_state=warm)
+        for name in STEPPED_GROUPS:
+            moved = warm.param_groups()[name] - state.param_groups()[name]
+            rows = moved.reshape(len(moved), -1)
+            bound = cfg.learning_rate * math.sqrt(rows.shape[1])
+            assert np.all(np.linalg.norm(rows, axis=1)
+                          <= bound * (1 + 1e-12)), name
+            assert np.any(rows), name
+        state, trace = fit(net, TrainConfig(dim=dim, epochs=8,
+                                            learning_rate=1.0, seed=7))
+        assert state.all_finite()
+        assert np.all(np.isfinite(trace.total))
+
     def test_weights_summing_past_float64_fail(self):
         # each weight is finite, but their running sum is inf, which made
         # every batch draw one event
@@ -775,8 +786,7 @@ class TestTrainConfigValidation:
         {"dim": 0}, {"history": 0}, {"negatives": -1}, {"epsilon": 1.5},
         {"epsilon": -0.1}, {"batch_size": 0}, {"learning_rate": -1.0},
         {"epochs": 0}, {"learning_rate": float("nan")},
-        {"learning_rate": float("inf")}, {"grad_clip": float("nan")},
-        {"grad_clip": float("inf")}, {"grad_clip": -1.0},
+        {"learning_rate": float("inf")},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
