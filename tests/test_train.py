@@ -210,6 +210,31 @@ class TestStep:
             assert np.array_equal(state.param_groups()[name],
                                   after_first[name]), name
 
+    @pytest.mark.parametrize("entry", [1e200, 1.5e308])
+    def test_clip_survives_an_overflowing_squared_norm(self, monkeypatch,
+                                                       entry):
+        # the entries of an attention group are finite, but their sum of
+        # squares is not (and at 1.5e308 nor is the norm itself): a group
+        # norm clip once zeroed the whole group; with no clip, each row is
+        # scaled by its own Adagrad factor and no group norm bounds the
+        # move; the group starts at 0, so its entries' moves carry no
+        # rounding and are all one value, the rate
+        net, cfg, state, data, batch = self._setup()
+        state.attention.local_weight[...] = 0.0
+        before = state.attention.local_weight.copy()
+        monkeypatch.setattr(
+            train_mod, "_joint_grads",
+            lambda *args: (0.0, {"local_weight": np.full(before.shape,
+                                                         entry)},
+                           {"range_hits": 0}))
+        step(state, batch, data, cfg, substream(4, "negatives"))
+        moved = before - state.attention.local_weight
+        assert np.all(np.isfinite(moved))
+        assert np.all(moved == moved.flat[0])
+        assert moved.flat[0] == pytest.approx(cfg.learning_rate, rel=1e-12)
+        assert np.linalg.norm(moved) == pytest.approx(
+            cfg.learning_rate * np.sqrt(before.size), rel=1e-12)
+
     def test_nonfinite_gradient_names_group(self):
         # an infinite embedding makes every group's gradient nan; the first
         # group stepped is named
