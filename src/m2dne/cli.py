@@ -188,7 +188,13 @@ def _emit(report: ev.MetricReport, out_path) -> None:
 def cmd_train(args) -> int:
     config = build_train_config(args)
     net = parse_edge_list(args.edges, weighted=args.weighted)
-    state, trace = fit(net, config, progress=args.progress)
+
+    def progress(epoch, _state, so_far):
+        print(f"epoch {epoch}/{config.epochs} micro={so_far.micro[-1]:.4f} "
+              f"macro={so_far.macro[-1]:.4f}", file=sys.stderr)
+
+    state, trace = fit(net, config,
+                       on_epoch=progress if args.progress else None)
     save_checkpoint(state, args.out)
     trace.to_csv(args.trace)
     print(f"trained {config.epochs} epochs on {len(net)} events "

@@ -5,9 +5,9 @@ finite-difference gradient verifier.
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -291,8 +291,9 @@ class LossTrace:
                 fh.write("%d,%.12g,%.12g,%.12g\n" % row)
 
 
-def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
-        initial_state: ModelState | None = None) -> tuple[ModelState, LossTrace]:
+def fit(net: TemporalNetwork, config: TrainConfig,
+        initial_state: ModelState | None = None,
+        on_epoch=None) -> tuple[ModelState, LossTrace]:
     """Train on the full event stream of ``net``.
 
     Runs epochs x ceil(E / batch_size) update steps on the embeddings and
@@ -316,6 +317,15 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
     the full training series (the fitted minimum, with epsilon > 0), and
     their epsilon-weighted sum. With epsilon = 0 the scale loss is not part
     of the objective; its column echoes the initial value.
+
+    ``on_epoch``, if given, is called as ``on_epoch(epoch, state, trace)``
+    at the end of each epoch, after its refit (with epsilon > 0) and its
+    trace row, with epoch = 1..epochs, a copy of the state and a deep copy
+    of the trace so far, whose last row is that epoch's. Being copies, they
+    leave training unchanged whatever the callback does with them, and it
+    cannot reach the state and trace that ``fit`` returns. The copies cost
+    V·d floats per epoch, made only when a callback is given. The callback
+    runs inside ``fit``, so its time is the caller's to exclude.
     """
     if len(net) == 0 or net.time.min() == net.time.max():
         raise ValueError("training needs a network spanning at least 2 epochs")
@@ -360,9 +370,8 @@ def fit(net: TemporalNetwork, config: TrainConfig, progress: bool = False,
         if config.epsilon > 0.0:
             ma = refit()
         trace.append(epoch, micro_mean, ma, micro_mean + config.epsilon * ma)
-        if progress:
-            print(f"epoch {epoch}/{config.epochs} micro={micro_mean:.4f} "
-                  f"macro={ma:.4f}", file=sys.stderr)
+        if on_epoch is not None:
+            on_epoch(epoch, state.copy(), copy.deepcopy(trace))
     if not state.all_finite():
         raise FloatingPointError("non-finite parameters after training")
     return state, trace

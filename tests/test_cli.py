@@ -70,12 +70,14 @@ class TestTrainCommand:
         assert f"; {trace.range_hits} range hits;" in capsys.readouterr().out
 
     def test_progress_prints_one_line_per_epoch(self, tmp_path, capsys):
-        train(tmp_path, extra=["--progress"])
+        shown = train(tmp_path, "shown", extra=["--progress"])
         _, trace = fit(parse_edge_list(TOY_EDGES),
                        TrainConfig(dim=4, epochs=3, batch_size=64, seed=7))
         assert capsys.readouterr().err.splitlines() == [
             f"epoch {e}/3 micro={mi:.4f} macro={ma:.4f}"
             for e, mi, ma in zip(trace.epoch, trace.micro, trace.macro)]
+        assert ([Path(p).read_bytes() for p in shown]
+                == [Path(p).read_bytes() for p in train(tmp_path, "quiet")])
 
     def test_bad_path_runtime_error(self, tmp_path, capsys):
         rc = main(["train", "--edges", str(tmp_path / "absent.tsv")])
@@ -307,6 +309,26 @@ class TestEvalCommand:
                    str(report)])
         assert rc == 0
         assert report.read_bytes() == (DATA / "golden_reconstruct.txt").read_bytes()
+
+    def test_golden_report_of_a_fit_that_learns(self, bench_run, tmp_path,
+                                                capsys):
+        # the toy fit above barely moves (AUC 0.494); one epoch at rate 0.2
+        # on the benchmark's tiny fit-joint input (100 nodes, 600 events)
+        # learns: precision@10 0.9, AUC 0.886
+        edges = str(bench_run.write_inputs(bench_run.TINY["fit-joint"].shape,
+                                           1, tmp_path)["edges"])
+        ckpt = str(tmp_path / "l.ckpt")
+        rc = main(["train", "--edges", edges, "--dim", "8", "--batch-size",
+                   "64", "--epsilon", "0.3", "--epochs", "1",
+                   "--learning-rate", "0.2", "--out", ckpt,
+                   "--trace", str(tmp_path / "l.csv")])
+        assert rc == 0
+        report = tmp_path / "report.txt"
+        rc = main(["eval", "reconstruct", "--checkpoint", ckpt, "--edges",
+                   edges, "--k", "10,100", "--out", str(report)])
+        assert rc == 0
+        assert (report.read_bytes()
+                == (DATA / "golden_learned_reconstruct.txt").read_bytes())
 
     @pytest.mark.parametrize("fraction", ["0.1", "0.3", "0.995"])
     def test_sampled_reconstruct_reproducible(self, tmp_path, capsys,

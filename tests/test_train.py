@@ -15,7 +15,7 @@ from m2dne import macro as macro_mod
 from m2dne import train as train_mod
 from m2dne.macro import (coupling_at, edge_affinity, fit_params, macro_loss,
                          macro_loss_and_grads, _predict_series)
-from m2dne.micrograd import batch_loss_and_grads
+from m2dne.micrograd import EventBatch, batch_loss_and_grads
 from m2dne.train import (TrainConfig, TrainData, fit, gradient_check,
                          init_state, load_checkpoint, sample_batch,
                          save_checkpoint, step, _joint_grads, _joint_loss)
@@ -549,6 +549,43 @@ class TestFit:
         fit(net, TrainConfig(dim=4, epsilon=0.0, epochs=3, batch_size=64))
         assert len(calls) == 1
         assert not fits
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.3])
+    def test_on_epoch_sees_copies_and_changes_no_byte(self, tmp_path,
+                                                      epsilon):
+        # the callback scores its copy over every event, then wipes it and
+        # its trace; neither reaches the fit
+        net = parse_edge_list(DATA / "toy_edges.tsv")
+        cfg = TrainConfig(dim=8, epochs=3, batch_size=64, epsilon=epsilon)
+        data = TrainData(net, cfg.history)
+        batch = EventBatch.take(net, data.snapshots, np.arange(len(net)))
+        neg_rng = np.random.default_rng(5)
+        seen = []
+
+        def on_epoch(epoch, state, trace):
+            negatives = draw_event_negatives(batch.src, batch.dst, data.table,
+                                             cfg.negatives, neg_rng)
+            loss, _, _ = batch_loss_and_grads(
+                batch, negatives, state.embeddings, state.attention,
+                Workspace(), want_grads=False)
+            assert math.isfinite(loss)
+            seen.append((epoch, len(trace.epoch)))
+            for arr in state.param_groups().values():
+                if isinstance(arr, np.ndarray):
+                    arr[...] = 0.0
+            for column in (trace.epoch, trace.micro, trace.macro,
+                           trace.total):
+                column.clear()
+
+        outputs = []
+        for name, callback in (("plain", None), ("hooked", on_epoch)):
+            state, trace = fit(net, cfg, on_epoch=callback)
+            save_checkpoint(state, tmp_path / f"{name}.ckpt")
+            trace.to_csv(tmp_path / f"{name}.csv")
+            outputs.append([(tmp_path / f"{name}.{ext}").read_bytes()
+                            for ext in ("ckpt", "csv")])
+        assert outputs[0] == outputs[1]
+        assert seen == [(1, 1), (2, 2), (3, 3)]
 
 
     @pytest.mark.parametrize("learning_rate", [1e3, 1e300])
