@@ -71,12 +71,43 @@ class TemporalNetwork:
         first appears in), over the stream src_0, dst_0, src_1, dst_1, ...;
         computed once per network, as read-only arrays."""
         stream = np.stack([self.src, self.dst], axis=1).reshape(-1)
-        _, first = np.unique(stream, return_index=True)
-        first.sort()
+        # one extra slot takes the mark of every node the stream never names
+        mark = np.zeros(stream.size + 1, dtype=bool)
+        mark[_first_positions(stream, self.node_count)] = True
+        first = np.flatnonzero(mark[:-1])
         out = stream[first].astype(np.int64), first // 2
         for arr in out:
             arr.flags.writeable = False
         return out
+
+
+def _first_positions(keys: np.ndarray, size: int) -> np.ndarray:
+    """Index of the first entry of each value 0..size-1 in ``keys``, or
+    ``keys.size`` for a value that ``keys`` does not hold. A key outside
+    0..size-1 raises (ValueError if negative, IndexError if too large)."""
+    if keys.min(initial=0) < 0:
+        raise ValueError("keys must be non-negative")
+    first = np.full(size, keys.size)
+    np.minimum.at(first, keys, np.arange(keys.size))
+    return first
+
+
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation ``np.argsort(keys, kind="stable")`` gives, for
+    non-negative integer keys: a least-significant-digit radix sort, one
+    stable argsort of each 16-bit digit (which NumPy radix-sorts) for as many
+    digits as ``keys.max()`` has."""
+    if keys.min(initial=0) < 0:
+        raise ValueError("keys must be non-negative")
+    top = int(keys.max(initial=0))
+    # the cast to uint16 keeps a key's low 16 bits
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while top >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
 
 
 # Code points that str.split() treats as whitespace: none lies above U+3000,
@@ -101,7 +132,7 @@ class _Records:
         self.tokens = np.array(text.split(), dtype=object)
         codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
                               dtype="<u4")
-        space = _SPACE[np.minimum(codes, _SPACE.size - 1)]
+        space = _SPACE.take(np.minimum(codes, _SPACE.size - 1))
         starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
         newlines = np.flatnonzero(codes == ord("\n"))
         token_line = np.searchsorted(newlines, starts) + 1
@@ -268,7 +299,7 @@ def snapshot_arrays(net: TemporalNetwork, h: int) -> SnapshotArrays:
     # 2E-entry temporaries are dropped after their last read. A history ends
     # where its (node, epoch) group starts and holds at most h of its run
     node = np.stack([src, dst], axis=1).reshape(-1)
-    order = np.argsort(node, kind="stable")
+    order = _stable_order(node)
     neighbor = np.stack([dst, src], axis=1).reshape(-1)[order]
     new_node = np.diff(node[order], prepend=-1) != 0
     when = np.repeat(time, 2)[order]
@@ -386,8 +417,8 @@ def parse_labels(path, net: TemporalNetwork) -> LabelTable:
     rec.flag(rows, np.flatnonzero(node < 0),
              lambda k: f"unknown node id {node_tok[k]!r}")
     known = np.flatnonzero(node >= 0)
-    dup = np.ones(known.size, dtype=bool)
-    dup[np.unique(node[known], return_index=True)[1]] = False
+    named = node[known]
+    dup = _first_positions(named, net.node_count)[named] != np.arange(known.size)
     rec.flag(rows[known], np.flatnonzero(dup),
              lambda k: f"duplicate label for node {node_tok[known[k]]!r}")
     rec.raise_first()

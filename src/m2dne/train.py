@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -465,34 +466,40 @@ def save_checkpoint(state: ModelState, path) -> None:
 def load_checkpoint(path) -> ModelState:
     """Read a :func:`save_checkpoint` file. The reserved value (the former
     s-layer bias, which cancels in the neighborhood softmax) must be finite
-    and is discarded."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    and is discarded. The file's size is checked against its header before
+    anything is allocated, and the parameters are read into one array whose
+    blocks the returned state holds as views."""
     head = len(CHECKPOINT_MAGIC)
-    if blob[:head] != CHECKPOINT_MAGIC:
-        raise ValueError("not a checkpoint file (bad magic)")
-    (version,) = struct.unpack_from("<I", blob, head)
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    V, d = struct.unpack_from("<QQ", blob, head + 4)
-    if V < 2:
-        raise ValueError(f"checkpoint node count {V} is below 2")
-    if d < 1:
-        raise ValueError(f"checkpoint dim {d} is below 1")
     offset = head + 4 + 16
-    counts = (V * d, 2 * d, d * d, d, 1, V, 1, 1, 1)
-    expected = offset + 8 * sum(counts)
-    if len(blob) != expected:
-        raise ValueError(f"truncated or oversized checkpoint: "
-                         f"{len(blob)} bytes, expected {expected}")
-    blocks = []
-    for count in counts:
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).copy()
-        offset += 8 * count
-        blocks.append(arr)
-    if not all(np.all(np.isfinite(block)) for block in blocks):
+    with open(path, "rb") as fh:
+        header = fh.read(offset)
+        if header[:head] != CHECKPOINT_MAGIC:
+            raise ValueError("not a checkpoint file (bad magic)")
+        if len(header) < offset:
+            raise ValueError(f"truncated or oversized checkpoint: "
+                             f"{len(header)} bytes, expected at least {offset}")
+        (version,) = struct.unpack_from("<I", header, head)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        V, d = struct.unpack_from("<QQ", header, head + 4)
+        if V < 2:
+            raise ValueError(f"checkpoint node count {V} is below 2")
+        if d < 1:
+            raise ValueError(f"checkpoint dim {d} is below 1")
+        counts = (V * d, 2 * d, d * d, d, 1, V, 1, 1, 1)
+        expected = offset + 8 * sum(counts)
+        size = os.fstat(fh.fileno()).st_size
+        if size == expected:
+            params = np.empty(sum(counts), dtype="<f8")
+            # a file cut since fstat reads short
+            size = offset + fh.readinto(params)
+        if size != expected:
+            raise ValueError(f"truncated or oversized checkpoint: "
+                             f"{size} bytes, expected {expected}")
+    if not np.isfinite(params).all():
         raise ValueError("checkpoint contains non-finite parameters")
-    emb, att, W, sw, _reserved, draw, zr, ga, th = blocks
+    emb, att, W, sw, _reserved, draw, zr, ga, th = np.split(
+        params, np.cumsum(counts[:-1]))
     attention = AttentionParams(att_vector=att, local_weight=W.reshape(d, d),
                                 s_weight=sw, decay_raw=draw)
     return ModelState(embeddings=emb.reshape(V, d), attention=attention,

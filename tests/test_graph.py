@@ -10,8 +10,8 @@ import pytest
 import _oracles as orc
 from conftest import net_from_events
 from m2dne.graph import (MacroSeries, ParseError, TemporalNetwork,
-                         compute_macro_series, parse_edge_list, parse_labels,
-                         snapshot_arrays, split_by_time)
+                         _stable_order, compute_macro_series, parse_edge_list,
+                         parse_labels, snapshot_arrays, split_by_time)
 from m2dne.train import TrainData
 
 
@@ -344,6 +344,15 @@ class TestFirstAppearances:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
 
+    @pytest.mark.parametrize("bad,error", [(-1, ValueError),
+                                           (5, IndexError)])
+    def test_ids_outside_the_table_fail_loudly(self, bad, error):
+        # counted into a node_count-sized table, an id outside it must not
+        # land in another node's slot
+        net = net_from_events([(0, 1, 1), (bad, 2, 2)], node_count=3)
+        with pytest.raises(error):
+            net.first_appearance_order()
+
     def test_train_data_finds_them_once(self, monkeypatch):
         # the negative table's order and the growth series share one pass
         real = TemporalNetwork.__dict__["_first_appearances"].func
@@ -360,6 +369,54 @@ class TestFirstAppearances:
         TrainData(net, 2)
         compute_macro_series(net)
         assert len(calls) == 1
+
+
+class TestRadixOrder:
+    @pytest.mark.parametrize("top", [0, 2**16 - 1, 2**16, 2**16 + 1,
+                                     2**32 + 5])
+    def test_matches_stable_argsort(self, top):
+        # few distinct keys, so each is tied many times; top % 2**16 has the
+        # low digit of top
+        rng = np.random.default_rng(top % 97)
+        pool = np.append(rng.integers(top + 1, size=20), [top, top % 2**16])
+        keys = rng.choice(pool, size=3000)
+        keys[0] = top
+        got = _stable_order(keys)
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+    @pytest.mark.parametrize("keys", [[], [7], [2**40]])
+    def test_short_arrays(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        assert np.array_equal(_stable_order(keys),
+                              np.argsort(keys, kind="stable"))
+
+    def test_negative_keys_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _stable_order(np.array([3, -1, 2]))
+
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_ids_past_one_digit_match_oracles(self, h):
+        # 60 ids, half at or past 2**16, whose low 16 bits repeat those of
+        # the ids below it
+        rng = np.random.default_rng(11)
+        low = rng.choice(4000, size=30, replace=False)
+        ids = np.concatenate([low, low + 2**16])
+        a, b = rng.choice(ids, size=(2, 400))
+        keep = a != b
+        events = list(zip(a[keep].tolist(), b[keep].tolist(),
+                          np.sort(rng.integers(1, 40, keep.sum())).tolist()))
+        net = net_from_events(events, node_count=70_000)
+        assert net.src.max() >= 2**16 and net.dst.max() >= 2**16
+        for part in (net, *split_by_time(net, 20)):
+            assert history_rows(part, h) == oracle_rows(part, h)
+            order, *_ = orc.stream_counts_oracle(
+                part.src.tolist(), part.dst.tolist(), part.time.tolist(),
+                part.node_count)
+            assert part.first_appearance_order().tolist() == order
+            pairs = list(zip(part.src.tolist(), part.dst.tolist()))
+            assert part._first_appearances[1].tolist() == [
+                next(m for m, pair in enumerate(pairs) if v in pair)
+                for v in order]
 
 
 class TestSplitByTime:

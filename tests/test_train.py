@@ -802,6 +802,36 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("cut", [
+        lambda blob: blob[:-9], lambda blob: blob + b"\0",
+        lambda blob: blob[:8], lambda blob: blob[:20],
+        lambda blob: blob[:10] + struct.pack("<QQ", 2**40, 8)],
+        ids=["body-cut", "byte-appended", "header-cut-8", "header-cut-20",
+             "header-claims-2**40-rows"])
+    def test_wrong_size_names_the_byte_count(self, tmp_path, cut):
+        # a header cut short or claiming 2**40 rows is rejected before any
+        # parameter is read
+        path = tmp_path / "cut.ckpt"
+        save_checkpoint(self._state(), path)
+        path.write_bytes(cut(path.read_bytes()))
+        size = path.stat().st_size
+        with pytest.raises(ValueError, match=f"^truncated or oversized "
+                                             f"checkpoint: {size} bytes, "):
+            load_checkpoint(path)
+
+    def test_load_holds_the_parameters_once(self, tmp_path):
+        path = tmp_path / "big.ckpt"
+        save_checkpoint(self._state(V=16_384, d=64), path)
+        params = path.stat().st_size - 26
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.embeddings.shape == (16_384, 64)
+        assert peak < 1.25 * params
+
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "ver.ckpt"
         save_checkpoint(self._state(), path)
