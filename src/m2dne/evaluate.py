@@ -446,7 +446,7 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
     del ordered                 # so that it is gone at the shortlist's peak
     last = best[0][-1] if best[0].shape[0] == kmax else -np.inf
     keep = np.flatnonzero(f >= max(tau, last) - 3.0 * beta)
-    if beta and near.shape[0]:
+    if beta:
         seen = np.zeros(f.shape[0], dtype=bool)
         seen[near] = True
         rescore = np.concatenate((near, keep[~seen[keep]]))
@@ -455,9 +455,6 @@ def _score_block(embeddings: np.ndarray, sq: np.ndarray, beta: float,
         f[rescore] = scores
         wins += _block_wins(pos, np.sort(exact), exact, 0.0)[0] \
             - _block_wins(pos, np.sort(tiled), tiled, 0.0)[0]
-    elif beta:
-        # no f is near an edge's score, so the wins stand
-        f[keep] = _pair_scores(embeddings, *_decode_pairs(at[keep], V))
     return wins, _keep_best(best, f[keep], at[keep], kmax)
 
 
@@ -486,8 +483,7 @@ def reconstruction_metrics(embeddings: np.ndarray, net: TemporalNetwork,
     n pairs takes O(n + spans) time, plus the tiles of its bands of rows
     on the tile route (V / 64 bands per pass above 2048 nodes).
     At V = 5794, d = 1, fraction 0.1 and 20k edges a pass peaks at 5.8 MiB
-    (tracemalloc, all-zero rows), where a one-shot draw of all 16.8M pair
-    indices took 141 MiB.
+    (tracemalloc, all-zero rows).
     """
     sq = _checked_embeddings(embeddings, "reconstruction", net)
     V, d = embeddings.shape

@@ -53,9 +53,6 @@ class MacroParams:
     def zeta(self) -> float:
         return float(softplus(self.zeta_raw))
 
-    def copy(self) -> "MacroParams":
-        return MacroParams(float(self.zeta_raw), float(self.gamma), float(self.theta))
-
 
 def edge_affinity(embeddings: np.ndarray, edge_src: np.ndarray,
                   edge_dst: np.ndarray, out: np.ndarray | None = None) -> float:

@@ -40,10 +40,6 @@ class AttentionParams:
     def dim(self) -> int:
         return int(self.local_weight.shape[0])
 
-    def copy(self) -> "AttentionParams":
-        return AttentionParams(self.att_vector.copy(), self.local_weight.copy(),
-                               self.s_weight.copy(), self.decay_raw.copy())
-
 
 class NegativeTable:
     """Unigram sampler over nodes with probability proportional to

@@ -60,11 +60,10 @@ written over the side's history rows once the center products have read
 those, and the W u gradients follow them there, while the slot buffer takes
 the side backward's products. Caches the backward has read for the last
 time take its (R, C, h) gradients. At fit-micro's shape (V = 1200) the array is
-5.15 MiB, 1.17 MiB of it the table and 3.98 MiB the block (16.6 MiB when
-the per-slot buffers were sized by the batch); a larger batch holds the
-same block and a table of at most 2 V d entries. A call allocates about
-2.6 MiB beyond it (tracemalloc), the accumulators and the dense gradients
-included.
+5.15 MiB, 1.17 MiB of it the table and 3.98 MiB the block; a larger batch
+holds the same block and a table of at most 2 V d entries. A call allocates
+about 2.6 MiB beyond it (tracemalloc), the accumulators and the dense
+gradients included.
 
 Everything here is checked against the straight-line reference in
 ``tests/_oracles.py`` and against central finite differences; keep the

@@ -72,10 +72,6 @@ class ModelState:
     def dim(self) -> int:
         return int(self.embeddings.shape[1])
 
-    def copy(self) -> "ModelState":
-        return ModelState(self.embeddings.copy(), self.attention.copy(),
-                          self.macro.copy())
-
     def param_groups(self) -> dict:
         """Name -> live array, or plain float for the growth scalars
         (:func:`~m2dne.macro.fit_params`'s)."""
@@ -321,8 +317,8 @@ def fit(net: TemporalNetwork, config: TrainConfig,
 
     ``on_epoch``, if given, is called as ``on_epoch(epoch, state, trace)``
     at the end of each epoch, after its refit (with epsilon > 0) and its
-    trace row, with epoch = 1..epochs, a copy of the state and a deep copy
-    of the trace so far, whose last row is that epoch's. Being copies, they
+    trace row, with epoch = 1..epochs and deep copies of the state and of
+    the trace so far, whose last row is that epoch's. Being copies, they
     leave training unchanged whatever the callback does with them, and it
     cannot reach the state and trace that ``fit`` returns. The copies cost
     V·d floats per epoch, made only when a callback is given. The callback
@@ -338,7 +334,7 @@ def fit(net: TemporalNetwork, config: TrainConfig,
         if initial_state.dim != config.dim:
             raise ValueError(f"initial state has dim {initial_state.dim}, "
                              f"the config {config.dim}")
-        state = initial_state.copy()
+        state = copy.deepcopy(initial_state)
     data = TrainData(net, config.history)
     batch_rng = substream(config.seed, "batch")
     neg_rng = substream(config.seed, "negatives")
@@ -372,7 +368,7 @@ def fit(net: TemporalNetwork, config: TrainConfig,
             ma = refit()
         trace.append(epoch, micro_mean, ma, micro_mean + config.epsilon * ma)
         if on_epoch is not None:
-            on_epoch(epoch, state.copy(), copy.deepcopy(trace))
+            on_epoch(epoch, copy.deepcopy(state), copy.deepcopy(trace))
     if not state.all_finite():
         raise FloatingPointError("non-finite parameters after training")
     return state, trace
@@ -419,7 +415,7 @@ def gradient_check(state: ModelState, net: TemporalNetwork,
     negatives = draw_event_negatives(batch.src, batch.dst, data.table,
                                      config.negatives, neg_rng)
 
-    work = state.copy()
+    work = copy.deepcopy(state)
     _, analytic, _ = _joint_grads(work, batch, negatives, data, config)
 
     def loss_at(st: ModelState) -> float:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import os
 import zlib
 
 import numpy as np
@@ -113,15 +112,7 @@ def substream(seed: int, name: str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, tag]))
 
 
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker cap: explicit argument, else M2DNE_THREADS, else 1. No package
-    code reads it; only the benchmark's environment record calls it."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get("M2DNE_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
+def resolve_workers() -> int:
+    """Worker count, always 1: the package runs on one thread. Only the
+    benchmark's environment record calls it."""
     return 1

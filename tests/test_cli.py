@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from conftest import STEPPED_GROUPS, random_stream_lines
+from m2dne import cli as cli_mod
 from m2dne.cli import main
 from m2dne.graph import parse_edge_list
 from m2dne.train import TrainConfig, fit, load_checkpoint
@@ -449,6 +450,14 @@ class TestGradcheckCommand:
         for flag in ("--epochs", "--batch-size", "--learning-rate"):
             assert flag not in out, flag
 
+    def test_finite_tolerance_is_read(self, capsys):
+        # the default is 1e-4; the line echoes the tolerance the groups met
+        rc = main(["gradcheck", "--edges", TOY_EDGES, "--dim", "8",
+                   "--history", "3", "--negatives", "2", "--tolerance", "1e-3"])
+        assert rc == 0
+        assert capsys.readouterr().out.splitlines()[-1] \
+            == "gradcheck PASS (tolerance 0.001)"
+
     def test_config_shared_with_train(self, tmp_path, capsys):
         # keys only train reads are accepted, and change nothing
         main(["gradcheck", "--edges", TOY_EDGES, "--dim", "4",
@@ -559,6 +568,17 @@ def test_gradcheck_tolerance_out_of_range_is_usage_error(capsys, value):
               f"--tolerance={value}"])
     assert exc.value.code == 2
     assert "tolerance must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_broken_pipe_exits_1_without_a_message(monkeypatch, capsys):
+    # output piped into a reader that exits early, such as `head`: exit 1,
+    # and no error message
+    def closed_pipe(args):
+        raise BrokenPipeError
+
+    monkeypatch.setattr(cli_mod, "cmd_gradcheck", closed_pipe)
+    assert main(["gradcheck", "--edges", TOY_EDGES]) == 1
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -481,6 +481,25 @@ class TestTiledScores:
         assert metrics == want
         assert peak < 640 * 2 ** 10
 
+    def test_band_with_no_candidate_is_skipped(self, monkeypatch):
+        # node 5 links to every higher id, so its row holds no non-edge: with
+        # bands of one row, the pass meets a band with no pair to score
+        V, d = 20, 8
+        U = np.random.default_rng(50).normal(size=(V, d))
+        edges = sorted({(5, j) for j in range(6, V)}
+                       | {(0, 3), (2, 9), (7, 12), (11, 18)})
+        net = net_from_events([(a, b, t % 3 + 1) for t, (a, b)
+                               in enumerate(edges)], node_count=V)
+        ks = [1, 5, 20]
+        want = pair_score_report(U, edges, ks, net)
+        monkeypatch.setattr(evaluate_mod, "TILE_QUERIES", 1)
+        monkeypatch.setattr(evaluate_mod, "TILE_COLUMNS", V)
+        calls = count_calls(monkeypatch, evaluate_mod, "_tile_scores")
+        assert reconstruction_metrics(U, net, ks).metrics == want
+        (_, _, i, _, tile), = calls
+        assert tile.shape[0] // V == 1          # bands of one row
+        assert i[0] < 5 < i[-1] and 5 not in i
+
     def test_tie_heavy_pass_scores_no_pair_twice(self, monkeypatch):
         # all-zero rows at d = 1 take the pair route: every pair gets one
         # pair score, cheaper there than a tile, and none gets a second

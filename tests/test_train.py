@@ -1,3 +1,4 @@
+import copy
 import math
 import struct
 import tracemalloc
@@ -128,7 +129,7 @@ class TestStep:
     def test_zero_rate_leaves_state_unchanged(self):
         net, cfg, state, data, batch = self._setup()
         cfg.learning_rate = 0.0
-        before = state.copy()
+        before = copy.deepcopy(state)
         step(state, batch, data, cfg, substream(1, "negatives"))
         assert state.macro.gamma == before.macro.gamma
         for name in STEPPED_GROUPS:
@@ -153,7 +154,7 @@ class TestStep:
         neg = draw_event_negatives(batch.src, batch.dst, data.table,
                                    cfg.negatives, substream(3, "negatives"))
         _, grads, _ = _joint_grads(state, batch, neg, data, cfg)
-        manual = state.copy()
+        manual = copy.deepcopy(state)
         growth = (state.macro.zeta_raw, state.macro.gamma, state.macro.theta)
         assert sorted(grads) == sorted(STEPPED_GROUPS)
         assert data.adagrad == {}
@@ -511,7 +512,7 @@ class TestFit:
         events_p = [(int(perm[s]), int(perm[d]), int(t))
                     for s, d, t in zip(net.src, net.dst, net.time)]
         net_p = net_from_events(events_p, node_count=net.node_count)
-        state0_p = state0.copy()
+        state0_p = copy.deepcopy(state0)
         state0_p.embeddings[perm] = state0.embeddings
         state0_p.attention.decay_raw[perm] = state0.attention.decay_raw
         final_p, _ = fit(net_p, cfg, initial_state=state0_p)
