@@ -14,7 +14,8 @@ import numpy as np
 
 from . import macro as macro_mod
 from .graph import LabelTable, MacroSeries, TemporalNetwork, compute_macro_series
-from .logreg import LogisticRegression, class_f1, f1_scores
+from .logreg import (L2_DEFAULT, LogisticRegression, _binary_newton,
+                     class_f1, f1_scores)
 from .train import ModelState
 from .util import PAIR_CHUNK, substream
 
@@ -804,12 +805,32 @@ def _draw_non_edges(V: int, count: int, keys: np.ndarray,
 LINKPRED_FOLDS = 5
 
 
+def _pair_design(embeddings: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """(d + 1, n) design of the pair keys ``min * V + max``: column k holds
+    |u_i - u_j| of the k-th pair over a last entry 1, gathered from a
+    transposed copy of the embeddings."""
+    V, d = embeddings.shape
+    Ut = np.ascontiguousarray(embeddings.T)
+    design = np.empty((d + 1, keys.shape[0]))
+    design[:d] = Ut.take(keys // V, axis=1)
+    design[:d] -= Ut.take(keys % V, axis=1)
+    np.abs(design[:d], out=design[:d])
+    design[d] = 1.0
+    return design
+
+
 def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
                              full_net: TemporalNetwork,
                              seed: int) -> MetricReport:
     """Cross-validated accuracy/F1 of a binary classifier on |u_i - u_j|
     features, held-out edges against uniformly sampled never-linked pairs,
-    over LINKPRED_FOLDS folds (fewer when either class has fewer rows)."""
+    over LINKPRED_FOLDS folds (fewer when either class has fewer rows).
+
+    Each fold solves LogisticRegression's two-class objective with its
+    Newton routine. Any two folds share (folds - 2) / folds of their
+    training rows, so each fit starts from the fold before's optimum and
+    solves with its last Hessian until a step fails to cut the gradient
+    norm tenfold."""
     _checked_embeddings(embeddings, "link prediction", test_net, full_net)
     V = embeddings.shape[0]
     positives = test_net.edge_keys()
@@ -821,24 +842,33 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
     keys = np.concatenate([positives, negatives])
     y = np.concatenate([np.ones(len(positives), dtype=np.int64),
                         np.zeros(len(negatives), dtype=np.int64)])
-    X = embeddings.take(keys // V, axis=0)
-    X -= embeddings.take(keys % V, axis=0)
-    np.abs(X, out=X)
-
     folds = max(2, min(LINKPRED_FOLDS, len(positives), len(negatives)))
     fold_of = np.empty(y.shape[0], dtype=np.int64)
     for cls in (0, 1):
         members = np.where(y == cls)[0]
         fold_of[rng.permutation(members)] = np.arange(members.size) % folds
-    # any two folds share (folds - 2) / folds of their training rows, so
-    # each fit starts from the fold before's optimum
-    clf = LogisticRegression()
+    # rows in fold order: a fold's test rows are one slice and its training
+    # rows the two around it, copied into buffers that every fold reuses
+    order = np.argsort(fold_of, kind="stable")
+    y = y[order]
+    yf = y.astype(np.float64)
+    design = _pair_design(embeddings, keys[order])
+    n, D1 = y.shape[0], design.shape[0]
+    sizes = np.bincount(fold_of, minlength=folds)
+    ends = np.cumsum(sizes)
+    most = D1 * (n - int(sizes.min()))
+    train, weighted = np.empty(most), np.empty(most)
+    theta, H = np.zeros(D1), None
     accs, f1s = [], []
-    for f in range(folds):
-        test_mask = fold_of == f
-        clf.fit(X[~test_mask], y[~test_mask], 2)
-        pred = clf.predict(X[test_mask])
-        truth = y[test_mask]
+    for lo, hi in zip((ends - sizes).tolist(), ends.tolist()):
+        m = n - (hi - lo)
+        Xt = train[:D1 * m].reshape(D1, m)
+        np.concatenate([design[:, :lo], design[:, hi:]], axis=1, out=Xt)
+        theta, H, _ = _binary_newton(
+            Xt, np.concatenate([yf[:lo], yf[hi:]]), L2_DEFAULT, theta, H,
+            weighted[:D1 * m].reshape(D1, m))
+        pred = (theta @ design[:, lo:hi] > 0.0).astype(np.int64)
+        truth = y[lo:hi]
         accs.append(float(np.mean(pred == truth)))
         f1s.append(class_f1(truth, pred, 1))
     return MetricReport(task="link_prediction",

@@ -9,9 +9,10 @@ with the bias unpenalised, to the optimum:
   is built at the first iteration and after any step that cut the gradient
   norm by less than tenfold; every other step solves with the Hessian kept
   from before (a chord, or Shamanskii, step: Kelley, Iterative Methods for
-  Linear and Nonlinear Equations, SIAM 1995, ch. 5). A refit starts from
-  the previous fit's optimum when that had the same features, else from
-  zero.
+  Linear and Nonlinear Equations, SIAM 1995, ch. 5). Every fit starts
+  from zero; link prediction's cross-validation calls the same routine
+  directly and starts each fold from the fold before's optimum and last
+  Hessian.
 - More classes (node classification): limited-memory BFGS (Nocedal &
   Wright, Numerical Optimization, 2nd ed., algorithm 7.4) from zero, with
   memory MEMORY and the same line search, stopping when the gradient norm
@@ -54,54 +55,56 @@ def _backtrack(f, theta, delta, loss, slope):
     return None
 
 
-def _hessian(Xa: np.ndarray, p: np.ndarray, z: np.ndarray,
+def _hessian(Xt: np.ndarray, p: np.ndarray, z: np.ndarray,
              ridge: np.ndarray, Xs: np.ndarray) -> np.ndarray:
-    """Xa^T diag(w) Xa / n + diag(ridge) at logits z with p = sigmoid(z).
+    """Xt diag(w) Xt^T / n + diag(ridge) at logits z with p = sigmoid(z).
 
-    w = p (1 - p) >= 0 is computed without cancellation; the weighted rows
-    go into the buffer ``Xs`` (Xa's shape), and the product of Xs with its
-    own transpose runs as a symmetric rank-k update."""
-    np.multiply(Xa, np.sqrt(p * sigmoid(-z))[:, None], out=Xs)
-    return Xs.T @ Xs / Xa.shape[0] + np.diag(ridge)
+    w = p (1 - p) >= 0 is computed without cancellation; each row of Xt is
+    scaled by sqrt(w) into the buffer ``Xs`` (Xt's shape), and the product
+    of Xs with its own transpose runs as a symmetric rank-k update."""
+    np.multiply(Xt, np.sqrt(p * sigmoid(-z)), out=Xs)
+    return Xs @ Xs.T / Xt.shape[1] + np.diag(ridge)
 
 
-def _binary_newton(X: np.ndarray, y: np.ndarray, l2: float,
-                   start: np.ndarray | None) -> tuple[np.ndarray, float, int]:
-    """(v, c, loss evaluations) minimising mean log-loss of
-    sigmoid(X v + c) + l2/4 ||v||^2, from [v | c] = ``start`` or zero.
+def _binary_newton(Xt: np.ndarray, y: np.ndarray, l2: float,
+                   theta: np.ndarray, H: np.ndarray | None,
+                   Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """(theta, H, loss evaluations) with theta = [v | c] minimising mean
+    log-loss of sigmoid(v.x + c) + l2/4 ||v||^2 over the columns
+    [x | 1] of the (D + 1, n) design ``Xt`` (its last row ones) and the
+    float 0/1 labels ``y``, from ``theta``; H is the last Hessian built.
 
     This is the two-class softmax objective in the logit difference
     v = w_1 - w_0, c = b_1 - b_0: at its optimum w_1 = -w_0 = v / 2. A
     kept Hessian (see the module docstring) is close to the current one,
-    since every step made with it cut the gradient norm tenfold. The loss
-    strictly falls at every kept step, so the loop ends.
+    since every step made with it cut the gradient norm tenfold. A given
+    ``H``, the last Hessian of a fit on rows this one mostly shares, counts
+    as kept; with None the first iteration builds one. ``Xs`` is a buffer
+    of Xt's shape for the Hessian's weighted copy. The loss strictly falls
+    at every kept step, so the loop ends.
     """
-    n, D = X.shape
-    Xa = np.hstack([X, np.ones((n, 1))])
-    Xs = np.empty_like(Xa)
-    ridge = np.full(D + 1, 0.5 * l2)
-    ridge[D] = 0.0                      # bias unpenalised
-    yf = y.astype(np.float64)
+    D1, n = Xt.shape
+    ridge = np.full(D1, 0.5 * l2)
+    ridge[-1] = 0.0                     # bias unpenalised
     evals = 0
 
     def loss_of(theta):
         nonlocal evals
         evals += 1
-        z = Xa @ theta
-        return (float(np.mean(softplus(z) - yf * z))
+        z = theta @ Xt
+        return (float(np.mean(softplus(z) - y * z))
                 + 0.5 * float(ridge @ theta ** 2)), z
 
-    theta = np.zeros(D + 1) if start is None else start
     loss, z = loss_of(theta)
-    H, last_gnorm = None, 0.0
+    last_gnorm = np.inf
     while True:
         p = sigmoid(z)
-        g = Xa.T @ (p - yf) / n + ridge * theta
+        g = Xt @ (p - y) / n + ridge * theta
         gnorm = float(np.linalg.norm(g))
         if gnorm <= _GRAD_TOL * (1.0 + loss):
             break
         if H is None or 10.0 * gnorm > last_gnorm:
-            H = _hessian(Xa, p, z, ridge, Xs)
+            H = _hessian(Xt, p, z, ridge, Xs)
         delta = np.linalg.solve(H, -g)
         found = _backtrack(loss_of, theta, delta, loss, float(g @ delta))
         if found is None:
@@ -109,7 +112,7 @@ def _binary_newton(X: np.ndarray, y: np.ndarray, l2: float,
         step, (loss, z) = found
         theta = theta + step * delta
         last_gnorm = gnorm
-    return theta[:D], float(theta[D]), evals
+    return theta, H, evals
 
 
 def _softmax_loss_grad(theta: np.ndarray, X: np.ndarray, Xt: np.ndarray,
@@ -207,12 +210,11 @@ class LogisticRegression:
 
     Objective: mean cross-entropy + 0.5 * l2 * ||W||^2 (bias excluded),
     solved to its optimum: by Newton's method for two classes and by
-    L-BFGS otherwise (see the module docstring). The two-class fit builds
-    its Hessian at the first iteration and after any step that cut the
-    gradient norm by less than tenfold, and otherwise solves with the one
-    it kept. A two-class refit starts from the previous two-class optimum
-    on the same features, as on cross-validation folds that share most
-    rows. ``n_evals`` is the number of loss evaluations the last fit took.
+    L-BFGS otherwise (see the module docstring), from zero at every fit.
+    The two-class fit builds its Hessian at the first iteration and after
+    any step that cut the gradient norm by less than tenfold, and otherwise
+    solves with the one it kept. ``n_evals`` is the number of loss
+    evaluations the last fit took.
     """
 
     def __init__(self):
@@ -235,13 +237,12 @@ class LogisticRegression:
         if bad.any():
             raise ValueError(f"labels must lie in [0, {n_classes}); "
                              f"got {int(y[bad][0])}")
-        start = None
-        if n_classes == 2 and self.weights is not None \
-                and self.weights.shape == (2, X.shape[1]):
-            start = np.append(self.weights[1] - self.weights[0],
-                              self.bias[1] - self.bias[0])
         if n_classes == 2:
-            v, c, self.n_evals = _binary_newton(X, y, L2_DEFAULT, start)
+            Xt = np.vstack([X.T, np.ones(X.shape[0])])
+            theta, _, self.n_evals = _binary_newton(
+                Xt, y.astype(np.float64), L2_DEFAULT, np.zeros(Xt.shape[0]),
+                None, np.empty_like(Xt))
+            v, c = theta[:-1], theta[-1]
             self.weights = np.stack([-0.5 * v, 0.5 * v])
             self.bias = np.array([-0.5 * c, 0.5 * c])
             return self

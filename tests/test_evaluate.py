@@ -12,6 +12,7 @@ from _oracles import (auc_rank_sum_oracle, reconstruction_precision_oracle,
                       recommendation_oracle, triangle_pairs_oracle)
 from conftest import count_calls, net_from_events
 from m2dne import evaluate as evaluate_mod
+from m2dne import logreg
 from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
                             _block_wins, _distance_slack, _draw_non_edges,
                             _float32_filter, _norm_bounds, _pair_scores,
@@ -21,11 +22,13 @@ from m2dne.evaluate import (PAIR_CHUNK, MetricReport, _decode_pairs,
                             temporal_recommendation, trend_forecast_report,
                             write_forecast_csv)
 from m2dne.graph import LabelTable, compute_macro_series, split_by_time
+from m2dne.logreg import LogisticRegression, class_f1
 from m2dne import macro as macro_mod
 from m2dne.macro import MacroParams, edge_affinity, macro_loss
 from m2dne.micro import AttentionParams
 from m2dne.train import ModelState
 from m2dne.util import substream
+from test_logreg import objective, two_class_fit
 
 ZETA_RAW_ONE = math.log(math.e - 1.0)
 
@@ -1278,7 +1281,125 @@ class TestRunMinimumBound:
         assert refined <= 1.25 * exact
 
 
+def linkpred_input(seed, V, d, edges):
+    """Gaussian embeddings of V nodes in d dimensions and a network of
+    ``edges`` distinct pairs, each drawn pair kept with probability
+    exp(-||u_i - u_j||^2 / d): near pairs link more often, so the classes
+    overlap but differ."""
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(V, d))
+    lo, hi = np.sort(rng.integers(V, size=(20 * edges, 2)), axis=1).T
+    near = np.exp(-np.sum((U[lo] - U[hi]) ** 2, axis=1) / d)
+    keep = (lo < hi) & (rng.random(lo.size) < near)
+    lo, hi = lo[keep], hi[keep]
+    first = np.sort(np.unique(lo * V + hi, return_index=True)[1])[:edges]
+    assert first.size == edges
+    net = net_from_events([(a, b, k % 5 + 1) for k, (a, b) in
+                           enumerate(zip(lo[first].tolist(),
+                                         hi[first].tolist()))], node_count=V)
+    return U, net
+
+
 class TestTemporalLinkPrediction:
+    def test_folds_carry_optimum_and_hessian(self, monkeypatch):
+        # each fold's fit starts from the fold before's optimum and last
+        # Hessian; it must still end at its own rows' optimum, predict as a
+        # cold fit of those rows does, and take fewer loss evaluations
+        U, net = linkpred_input(seed=3, V=150, d=8, edges=400)
+        fits = []
+        real = evaluate_mod._binary_newton
+
+        def spy(Xt, y, l2, theta, H, Xs):
+            given = theta.copy(), H
+            out = real(Xt, y, l2, theta, H, Xs)
+            fits.append((Xt.copy(), y.copy(), given, out))
+            return out
+
+        monkeypatch.setattr(evaluate_mod, "_binary_newton", spy)
+        builds = count_calls(monkeypatch, logreg, "_hessian")
+        rep = temporal_link_prediction(U, net, net, seed=4)
+        # measured: 6 Hessians, against 9 when each fold built its own
+        assert len(builds) == 6
+        assert rep.config["folds"] == len(fits) == 5
+        # each row trains in all folds but its own
+        n = sum(len(y) for _, y, _, _ in fits) // (len(fits) - 1)
+        assert n == 800
+        sizes = [n - len(y) for _, y, _, _ in fits]
+        # the design is in fold order: fold 0's test rows lead fold 1's
+        # training rows and fold 0's training rows are all the others
+        design = np.hstack([fits[1][0][:, :sizes[0]], fits[0][0]])
+        labels = np.concatenate([fits[1][1][:sizes[0]], fits[0][1]])
+        assert np.all(design[-1] == 1.0)
+        ends = np.cumsum(sizes)
+        accs, f1s = [], []
+        for f, ((Xt, y, (start, H), (theta, _, evals)), hi) in enumerate(
+                zip(fits, ends)):
+            lo = hi - sizes[f]
+            assert np.array_equal(Xt, np.delete(design, np.s_[lo:hi], 1))
+            assert np.array_equal(y, np.delete(labels, np.s_[lo:hi]))
+            if f:
+                assert np.array_equal(start, fits[f - 1][3][0])
+                assert H is fits[f - 1][3][1]
+            X, y = Xt[:-1].T, y.astype(np.int64)
+            clf = LogisticRegression()
+            clf.weights, clf.bias = two_class_fit(theta[:-1], theta[-1])
+            loss, gnorm = objective(clf, X, y)
+            # the fit stops at ||g|| <= 1e-10 * (1 + loss) or where no step
+            # lowers the loss any more: chord steps that each cut the
+            # gradient just over tenfold reach that point first, as fold 0,
+            # a fit from zero, does here at ||g|| = 6e-9
+            assert gnorm <= 1e-8 * (1.0 + loss), f
+            cold = LogisticRegression().fit(X, y, 2)
+            assert abs(loss - objective(cold, X, y)[0]) \
+                <= 1e-12 * (1.0 + loss), f
+            test = design[:-1, lo:hi].T
+            pred = cold.predict(test)
+            assert np.array_equal(clf.predict(test), pred), f
+            if f:
+                assert evals < cold.n_evals, f
+            truth = labels[lo:hi].astype(np.int64)
+            accs.append(float(np.mean(pred == truth)))
+            f1s.append(class_f1(truth, pred, 1))
+        assert rep.metrics == {"accuracy": float(np.mean(accs)),
+                               "f1": float(np.mean(f1s))}
+        assert 0.55 <= rep.metrics["accuracy"] < 1.0
+
+    def test_report_same_at_one_and_two_blas_threads(self, tmp_path):
+        # 2400 rows at d = 64: each fold trains on 1920 columns of 65 rows,
+        # and a later fold solves with the Hessian the fold before built, so
+        # its path depends on the last bits of that rank-k product and of
+        # the gradient's. With OpenBLAS 0.3.31 on x86 two threads gave
+        # one thread's bits, so a third run picks the kernels of another
+        # core type (AVX without FMA), whose products differ in their last
+        # bits, and so do all five folds' optima; a BLAS that ignores the
+        # setting runs its default kernels.
+        U, net = linkpred_input(seed=5, V=400, d=64, edges=1200)
+        np.save(tmp_path / "u.npy", U)
+        np.save(tmp_path / "edges.npy",
+                np.stack([net.src, net.dst, net.time], axis=1))
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from conftest import net_from_events\n"
+            "from m2dne.evaluate import temporal_link_prediction\n"
+            "U = np.load(sys.argv[1])\n"
+            "net = net_from_events(np.load(sys.argv[2]).tolist(), 400)\n"
+            "for seed in (42, 43):\n"
+            "    print(temporal_link_prediction(U, net, net, seed).to_text())\n")
+        path = os.pathsep.join((str(Path(evaluate_mod.__file__).parents[1]),
+                                str(Path(__file__).parent)))
+        reports = [subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "u.npy"),
+             str(tmp_path / "edges.npy")],
+            env={**os.environ, "PYTHONPATH": path, **dict.fromkeys(
+                ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"), threads), **core},
+            capture_output=True, text=True, check=True).stdout
+            for threads, core in (("1", {}), ("2", {}),
+                                  ("1", {"OPENBLAS_CORETYPE": "Sandybridge"}))]
+        assert reports[0].count("positives=1200 folds=5") == 2
+        assert reports[0] == reports[1] == reports[2]
+
     def test_perfectly_separable_geometry(self):
         # two far clusters of two nodes, an edge inside each: all four
         # non-edges join the clusters, so every draw of negatives is as far

@@ -115,23 +115,10 @@ class TestBinaryOptimum:
 
 
 class TestWarmStart:
-    def test_second_fold_starts_from_the_first_optimum(self):
-        # two training sets that share 3/5 of the rows, as any two of five
-        # cross-validation folds do
-        X, y = overlapping(n=500)
-        fold = np.arange(y.size) % 5
-        first, second = fold != 0, fold != 1
-        warm = LogisticRegression()
-        warm.fit(X[first], y[first], 2)
-        warm.fit(X[second], y[second], 2)
-        cold = LogisticRegression().fit(X[second], y[second], 2)
-        loss, gnorm = objective(warm, X[second], y[second])
-        assert gnorm <= 1e-8 * (1.0 + loss)
-        # both fits meet the gradient rule: their losses agree closely
-        assert loss == pytest.approx(objective(cold, X[second],
-                                               y[second])[0], abs=1e-8)
-        assert np.array_equal(warm.predict(X), cold.predict(X))
-        assert warm.n_evals < cold.n_evals
+    """Every fit starts from zero, whatever the object fitted before; link
+    prediction's folds carry their optimum and Hessian through
+    ``logreg._binary_newton`` itself (``TestChordNewton`` and
+    ``test_evaluate.py``'s ``TestTemporalLinkPrediction``)."""
 
     def test_other_features_start_from_zero(self):
         X, y = overlapping()
@@ -140,6 +127,16 @@ class TestWarmStart:
         cold = LogisticRegression().fit(X, y, 2)
         assert warm.weights.tobytes() == cold.weights.tobytes()
         assert warm.bias.tobytes() == cold.bias.tobytes()
+
+    def test_two_class_refit_starts_from_zero(self):
+        X, y = overlapping(n=500)
+        fold = np.arange(y.size) % 5
+        refit = LogisticRegression().fit(X[fold != 0], y[fold != 0], 2)
+        refit.fit(X[fold != 1], y[fold != 1], 2)
+        cold = LogisticRegression().fit(X[fold != 1], y[fold != 1], 2)
+        assert refit.weights.tobytes() == cold.weights.tobytes()
+        assert refit.bias.tobytes() == cold.bias.tobytes()
+        assert refit.n_evals == cold.n_evals
 
     def test_multiclass_refit_starts_from_zero(self):
         X, y = blobs(seed=4, n=300, gap=0.8, d=4, classes=3)
@@ -191,18 +188,22 @@ class TestChordNewton:
         assert 1 <= len(builds) <= ref_builds
 
     def test_warm_started_folds_build_fewer_hessians(self, monkeypatch):
-        # five cross-validation folds, each fit starting from the optimum of
-        # the fold before, as link prediction runs them
+        # five cross-validation folds, each fit starting from the optimum and
+        # the last Hessian of the fold before, as link prediction runs them
         builds = count_calls(monkeypatch, logreg, "_hessian")
         X, y = overlapping(n=500)
         fold = np.arange(y.size) % 5
-        clf = LogisticRegression()
+        theta, H = np.zeros(X.shape[1] + 1), None
         for f in range(5):
             train = fold != f
-            start = None if f == 0 else np.append(
-                clf.weights[1] - clf.weights[0], clf.bias[1] - clf.bias[0])
+            start = None if f == 0 else theta
             builds.clear()
-            clf.fit(X[train], y[train], 2)
+            Xt = np.vstack([X[train].T, np.ones(int(train.sum()))])
+            theta, H, _ = logreg._binary_newton(
+                Xt, y[train].astype(np.float64), L2_DEFAULT, theta, H,
+                np.empty_like(Xt))
+            clf = LogisticRegression()
+            clf.weights, clf.bias = two_class_fit(theta[:-1], theta[-1])
             v, c, ref_builds = orc.binary_newton_oracle(
                 X[train], y[train], L2_DEFAULT, start)
             self.assert_same_optimum(clf, X[train], y[train], v, c)
