@@ -258,7 +258,7 @@ def cmd_forecast(args) -> int:
 def cmd_gradcheck(args) -> int:
     config = build_train_config(args)
     net = parse_edge_list(args.edges, weighted=True)   # weights are not read
-    state = init_state(net.node_count, config, substream(config.seed, "init"))
+    state = init_state(net.node_count, config)
     report = gradient_check(state, net, config, tolerance=args.tolerance)
     for name, err in report.max_rel_err.items():
         flag = "ok" if err <= args.tolerance else "FAIL"

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import macro as macro_mod
 from .graph import LabelTable, MacroSeries, TemporalNetwork, compute_macro_series
-from .logreg import (L2_DEFAULT, LogisticRegression, _binary_newton,
-                     class_f1, f1_scores)
+from .logreg import LogisticRegression, _binary_newton, class_f1, f1_scores
 from .train import ModelState
 from .util import PAIR_CHUNK, substream
 
@@ -865,7 +864,7 @@ def temporal_link_prediction(embeddings: np.ndarray, test_net: TemporalNetwork,
         Xt = train[:D1 * m].reshape(D1, m)
         np.concatenate([design[:, :lo], design[:, hi:]], axis=1, out=Xt)
         theta, H, _ = _binary_newton(
-            Xt, np.concatenate([yf[:lo], yf[hi:]]), L2_DEFAULT, theta, H,
+            Xt, np.concatenate([yf[:lo], yf[hi:]]), theta, H,
             weighted[:D1 * m].reshape(D1, m))
         pred = (theta @ design[:, lo:hi] > 0.0).astype(np.int64)
         truth = y[lo:hi]
@@ -885,23 +884,23 @@ def _growth_inputs(embeddings: np.ndarray, net_full: TemporalNetwork,
                    series_full: MacroSeries, train_end: int, t_end: int,
                    n_mode: str):
     """(training prefix through ``train_end``, affinity S over its edges,
-    horizon epochs ``train_end + 1 .. t_end``, their cumulative node counts).
+    cumulative node counts of epochs ``train_end + 1 .. t_end``).
 
     The node counts are the observed ones, or a line extrapolated from the
     training prefix.
     """
     series_train = series_full.prefix(train_end)
-    horizon = np.arange(train_end + 1, t_end + 1, dtype=np.int64)
     if n_mode == "observed":
-        n_future = series_full.n[horizon - 1]
+        n_future = series_full.n[train_end:t_end]
     elif n_mode == "linear":
-        n_future = macro_mod.linear_node_forecast(series_train, horizon)
+        n_future = macro_mod.linear_node_forecast(series_train,
+                                                  t_end - train_end)
     else:
         raise ValueError(f"unknown n_mode {n_mode!r}")
     mask = net_full.time <= train_end
     S = macro_mod.edge_affinity(embeddings, net_full.src[mask],
                                 net_full.dst[mask])
-    return series_train, S, horizon, n_future
+    return series_train, S, n_future
 
 
 def scale_prediction(state: ModelState, net_full: TemporalNetwork,
@@ -925,10 +924,9 @@ def scale_prediction(state: ModelState, net_full: TemporalNetwork,
     if t_next > T:
         raise ValueError(f"t_next={t_next} beyond the observed series (T={T})")
     _checked_embeddings(state.embeddings, "scale prediction", net_full)
-    series_train, S, horizon, n_future = _growth_inputs(
+    series_train, S, n_future = _growth_inputs(
         state.embeddings, net_full, series_full, train_end, t_next, n_mode)
-    forecast = macro_mod.forecast_scale(S, state.macro, series_train, horizon,
-                                        n_future)
+    forecast = macro_mod.forecast_scale(S, state.macro, series_train, n_future)
     predicted = int(np.floor(forecast[-1] + 0.5))
     actual = int(series_full.e[t_next - 1])
     return MetricReport(
@@ -958,19 +956,18 @@ def trend_forecast_report(state: ModelState, net_full: TemporalNetwork,
         raise ValueError(f"train_fraction={train_fraction} leaves "
                          f"{train_epochs} < 2 training epochs")
     _checked_embeddings(state.embeddings, "trend forecast", net_full)
-    series_train, S, horizon, n_future = _growth_inputs(
+    series_train, S, n_future = _growth_inputs(
         state.embeddings, net_full, series_full, train_epochs, T, n_mode)
     params = macro_mod.fit_params(series_train, S)
-    forecast = macro_mod.forecast_scale(S, params, series_train, horizon,
-                                        n_future)
-    observed = series_full.e[horizon - 1]
+    forecast = macro_mod.forecast_scale(S, params, series_train, n_future)
+    observed = series_full.e[train_epochs:]
     rmse = float(np.sqrt(np.mean((forecast - observed) ** 2))) \
-        if horizon.size else 0.0
-    rows = [(int(t), float(p), float(o))
-            for t, p, o in zip(horizon, forecast, observed)]
+        if forecast.size else 0.0
+    rows = list(zip(range(train_epochs + 1, T + 1), forecast.tolist(),
+                    observed.tolist()))
     report = MetricReport(
         task="trend_forecast",
-        metrics={"suffix_rmse": rmse, "horizon_epochs": int(horizon.size),
+        metrics={"suffix_rmse": rmse, "horizon_epochs": T - train_epochs,
                  "fit_sse": macro_mod.macro_loss(series_train, S, params),
                  "fitted_zeta": params.zeta, "fitted_gamma": params.gamma,
                  "fitted_theta": params.theta},

@@ -1,7 +1,7 @@
 """Built-in logistic regression (softmax + L2), deterministic bit for bit.
 
-Both fits minimise mean cross-entropy + 0.5 * l2 * ||W||^2, l2 = L2_DEFAULT,
-with the bias unpenalised, to the optimum:
+Both fits minimise mean cross-entropy + 0.5 * L2_DEFAULT * ||W||^2, with
+the bias unpenalised:
 
 - Two classes (link prediction): Newton's method (IRLS) with an Armijo
   backtracking line search, stopping when the gradient norm is at most
@@ -9,7 +9,10 @@ with the bias unpenalised, to the optimum:
   is built at the first iteration and after any step that cut the gradient
   norm by less than tenfold; every other step solves with the Hessian kept
   from before (a chord, or Shamanskii, step: Kelley, Iterative Methods for
-  Linear and Nonlinear Equations, SIAM 1995, ch. 5). Every fit starts
+  Linear and Nonlinear Equations, SIAM 1995, ch. 5). A run of chord steps
+  can end at the second stop above the gradient rule: fold 0 of link
+  prediction's fold test ends at ||g|| = 5.95e-9 against 1.6e-10, which
+  is why the tests check the optimum at 1e-8 * (1 + loss). Every fit starts
   from zero; link prediction's cross-validation calls the same routine
   directly and starts each fold from the fold before's optimum and last
   Hessian.
@@ -66,11 +69,11 @@ def _hessian(Xt: np.ndarray, p: np.ndarray, z: np.ndarray,
     return Xs @ Xs.T / Xt.shape[1] + np.diag(ridge)
 
 
-def _binary_newton(Xt: np.ndarray, y: np.ndarray, l2: float,
-                   theta: np.ndarray, H: np.ndarray | None,
+def _binary_newton(Xt: np.ndarray, y: np.ndarray, theta: np.ndarray,
+                   H: np.ndarray | None,
                    Xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """(theta, H, loss evaluations) with theta = [v | c] minimising mean
-    log-loss of sigmoid(v.x + c) + l2/4 ||v||^2 over the columns
+    log-loss of sigmoid(v.x + c) + L2_DEFAULT/4 ||v||^2 over the columns
     [x | 1] of the (D + 1, n) design ``Xt`` (its last row ones) and the
     float 0/1 labels ``y``, from ``theta``; H is the last Hessian built.
 
@@ -84,7 +87,7 @@ def _binary_newton(Xt: np.ndarray, y: np.ndarray, l2: float,
     at every kept step, so the loop ends.
     """
     D1, n = Xt.shape
-    ridge = np.full(D1, 0.5 * l2)
+    ridge = np.full(D1, 0.5 * L2_DEFAULT)
     ridge[-1] = 0.0                     # bias unpenalised
     evals = 0
 
@@ -116,7 +119,7 @@ def _binary_newton(Xt: np.ndarray, y: np.ndarray, l2: float,
 
 
 def _softmax_loss_grad(theta: np.ndarray, X: np.ndarray, Xt: np.ndarray,
-                       flat: np.ndarray, l2: float) -> tuple[float, np.ndarray]:
+                       flat: np.ndarray) -> tuple[float, np.ndarray]:
     """Objective and gradient at theta = [W | b] (shape (C, D + 1)).
 
     Class-major: z = W X^T + b has shape (C, n), so the softmax's max and sum
@@ -135,14 +138,14 @@ def _softmax_loss_grad(theta: np.ndarray, X: np.ndarray, Xt: np.ndarray,
     np.exp(z, out=z)
     total = z.sum(axis=0)
     loss = (float(np.mean(np.log(total) + top - picked))
-            + 0.5 * l2 * float(np.sum(W * W)))
+            + 0.5 * L2_DEFAULT * float(np.sum(W * W)))
     z /= total
     z.ravel()[flat] -= 1.0
     grad = np.empty_like(theta)
     np.matmul(z, X, out=grad[:, :D])
     grad[:, D] = z.sum(axis=1)
     grad /= n
-    grad[:, :D] += l2 * W
+    grad[:, :D] += L2_DEFAULT * W
     return loss, grad
 
 
@@ -165,8 +168,8 @@ def _lbfgs_direction(g: np.ndarray, pairs: list) -> np.ndarray:
     return -q
 
 
-def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int,
-                   l2: float) -> tuple[np.ndarray, int]:
+def _softmax_lbfgs(X: np.ndarray, y: np.ndarray,
+                   n_classes: int) -> tuple[np.ndarray, int]:
     """([W | b], loss evaluations) at the multiclass optimum by L-BFGS.
 
     A pair is stored only when s.y > 0, so the implied inverse Hessian stays
@@ -181,7 +184,7 @@ def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int,
     def f(theta):
         nonlocal evals
         evals += 1
-        return _softmax_loss_grad(theta, X, Xt, flat, l2)
+        return _softmax_loss_grad(theta, X, Xt, flat)
 
     theta = np.zeros((n_classes, D + 1))
     loss, g = f(theta)
@@ -208,9 +211,10 @@ def _softmax_lbfgs(X: np.ndarray, y: np.ndarray, n_classes: int,
 class LogisticRegression:
     """Softmax regression with bias.
 
-    Objective: mean cross-entropy + 0.5 * l2 * ||W||^2 (bias excluded),
-    solved to its optimum: by Newton's method for two classes and by
-    L-BFGS otherwise (see the module docstring), from zero at every fit.
+    Objective: mean cross-entropy + 0.5 * L2_DEFAULT * ||W||^2 (bias
+    excluded), minimised by Newton's method for two classes and by L-BFGS
+    otherwise, with the stopping rules of the module docstring, from zero
+    at every fit.
     The two-class fit builds its Hessian at the first iteration and after
     any step that cut the gradient norm by less than tenfold, and otherwise
     solves with the one it kept. ``n_evals`` is the number of loss
@@ -240,13 +244,13 @@ class LogisticRegression:
         if n_classes == 2:
             Xt = np.vstack([X.T, np.ones(X.shape[0])])
             theta, _, self.n_evals = _binary_newton(
-                Xt, y.astype(np.float64), L2_DEFAULT, np.zeros(Xt.shape[0]),
-                None, np.empty_like(Xt))
+                Xt, y.astype(np.float64), np.zeros(Xt.shape[0]), None,
+                np.empty_like(Xt))
             v, c = theta[:-1], theta[-1]
             self.weights = np.stack([-0.5 * v, 0.5 * v])
             self.bias = np.array([-0.5 * c, 0.5 * c])
             return self
-        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes, L2_DEFAULT)
+        theta, self.n_evals = _softmax_lbfgs(X, y, n_classes)
         self.weights = theta[:, :-1].copy()
         self.bias = theta[:, -1].copy()
         return self

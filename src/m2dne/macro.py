@@ -304,10 +304,10 @@ def fit_params(series: MacroSeries, S: float) -> MacroParams:
     return MacroParams(softplus_inv(kappa / S), float(x[0]), float(x[1]))
 
 
-def linear_node_forecast(series_train: MacroSeries,
-                         horizon: np.ndarray) -> np.ndarray:
-    """Extrapolate cumulative node counts by a least-squares line over the
-    last quarter of training epochs (at least two points)."""
+def linear_node_forecast(series_train: MacroSeries, count: int) -> np.ndarray:
+    """Cumulative node counts of the ``count`` epochs after ``series_train``,
+    extrapolated by a least-squares line over the last quarter of training
+    epochs (at least two points)."""
     T = len(series_train.epochs)
     if T < 4:
         raise ValueError("linear extrapolation needs at least 4 training epochs")
@@ -315,34 +315,25 @@ def linear_node_forecast(series_train: MacroSeries,
     xs = series_train.epochs[-k:].astype(np.float64)
     ys = series_train.n[-k:]
     slope, intercept = np.polyfit(xs, ys, 1)
-    pred = intercept + slope * np.asarray(horizon, dtype=np.float64)
-    return np.maximum(pred, series_train.n[-1])
+    future = series_train.epochs[-1] + np.arange(1, count + 1, dtype=np.float64)
+    return np.maximum(intercept + slope * future, series_train.n[-1])
 
 
 def forecast_scale(S: float, params: MacroParams, series_train: MacroSeries,
-                   horizon: np.ndarray, n_future: np.ndarray) -> np.ndarray:
-    """Cumulative edge-count forecast over the horizon epochs at affinity
-    ``S`` > 0 over the training edges.
+                   n_future: np.ndarray) -> np.ndarray:
+    """Cumulative edge-count forecast over the ``len(n_future)`` epochs right
+    after ``series_train``, at affinity ``S`` > 0 over the training edges.
 
-    The first step uses the node count and rate of the last training epoch;
-    later steps consume ``n_future`` (cumulative node counts aligned with the
-    horizon). An empty horizon returns an empty forecast, i.e. the final
-    training count stands.
+    ``n_future`` holds those epochs' cumulative node counts. The first step
+    uses the node count and rate of the last training epoch. An empty
+    ``n_future`` returns an empty forecast, i.e. the final training count
+    stands.
     """
     _check_affinity(S)
-    horizon = np.asarray(horizon, dtype=np.int64)
-    if horizon.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    t_last = int(series_train.epochs[-1])
-    if horizon[0] != t_last + 1 or np.any(np.diff(horizon) != 1):
-        raise ValueError("horizon must be consecutive epochs right after training")
-    n_future = np.asarray(n_future, dtype=np.float64)
-    if n_future.shape[0] != horizon.shape[0]:
-        raise ValueError("n_future must align with the horizon")
-
-    # step m grows the count from epoch horizon[m] - 1, whose node count is
-    # the last training one for m = 0 and n_future[m - 1] after that
-    n = np.concatenate([series_train.n[-1:], n_future[:-1]])
-    t = np.concatenate([[t_last], horizon[:-1]])
+    m = len(n_future)
+    # step m grows the count from the last training epoch + m, whose node
+    # count is the last training one for m = 0 and n_future[m - 1] after that
+    n = np.concatenate([series_train.n[-1:], n_future])[:m]
+    t = series_train.epochs[-1] + np.arange(m)
     new_edges = _predict_series(S, n, t, params)
     return np.cumsum(np.concatenate([series_train.e[-1:], new_edges]))[1:]

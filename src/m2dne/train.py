@@ -91,14 +91,15 @@ class ModelState:
                    for val in self.param_groups().values())
 
 
-def init_state(node_count: int, config: TrainConfig,
-               rng: np.random.Generator) -> ModelState:
-    """Uniform init: embeddings in +-0.5/d, attention maps at Glorot bounds,
-    softplus(0) decay, and (softplus(0), 1, 1) growth parameters.
+def init_state(node_count: int, config: TrainConfig) -> ModelState:
+    """Uniform init from the config seed's ``"init"`` stream: embeddings in
+    +-0.5/d, attention maps at Glorot bounds, softplus(0) decay, and
+    (softplus(0), 1, 1) growth parameters.
     """
     if node_count < 2:
         raise ValueError("need at least 2 nodes")
     d = config.dim
+    rng = substream(config.seed, "init")
     U = rng.uniform(-0.5 / d, 0.5 / d, size=(node_count, d))
     att = rng.uniform(-math.sqrt(6.0 / (2 * d + 1)),
                       math.sqrt(6.0 / (2 * d + 1)), size=2 * d)
@@ -156,12 +157,6 @@ def sample_batch(data: TrainData, batch_size: int,
     return EventBatch.take(data.net, data.snapshots, idx)
 
 
-@dataclass
-class StepResult:
-    micro_loss: float
-    range_hits: int
-
-
 def _joint_grads(state: ModelState, batch: EventBatch, negatives,
                  data: TrainData, config: TrainConfig):
     """Event-level loss, and the gradients of the five groups that
@@ -198,9 +193,9 @@ def _joint_loss(state: ModelState, batch: EventBatch, negatives,
 
 
 def step(state: ModelState, batch: EventBatch, data: TrainData,
-         config: TrainConfig, rng: np.random.Generator) -> StepResult:
+         config: TrainConfig, rng: np.random.Generator) -> tuple[float, int]:
     """One descent update of the five event-level groups, all arrays, in
-    place.
+    place; returns the batch's event-level loss and its range hits.
 
     The coupling's embedding gradient is exact or sampled as
     ``data.coupling`` says (see :func:`_joint_grads`). Every group takes
@@ -232,7 +227,7 @@ def step(state: ModelState, batch: EventBatch, data: TrainData,
         _adagrad_scale(r, sq[name], data.adagrad[name], config.learning_rate)
         # r, not g: the reshape that made r may have copied g
         groups[name] -= r.reshape(groups[name].shape)
-    return StepResult(micro_loss=micro, range_hits=stats["range_hits"])
+    return micro, stats["range_hits"]
 
 
 def _adagrad_scale(g: np.ndarray, sq: np.ndarray, acc: np.ndarray,
@@ -327,7 +322,7 @@ def fit(net: TemporalNetwork, config: TrainConfig,
     if len(net) == 0 or net.time.min() == net.time.max():
         raise ValueError("training needs a network spanning at least 2 epochs")
     if initial_state is None:
-        state = init_state(net.node_count, config, substream(config.seed, "init"))
+        state = init_state(net.node_count, config)
     else:
         if initial_state.node_count != net.node_count:
             raise ValueError("initial state does not match the network size")
@@ -360,9 +355,9 @@ def fit(net: TemporalNetwork, config: TrainConfig,
         micro_sum = 0.0
         for _ in range(steps_per_epoch):
             batch = sample_batch(data, config.batch_size, batch_rng)
-            res = step(state, batch, data, config, neg_rng)
-            micro_sum += res.micro_loss
-            trace.range_hits += res.range_hits
+            micro, hits = step(state, batch, data, config, neg_rng)
+            micro_sum += micro
+            trace.range_hits += hits
         micro_mean = micro_sum / steps_per_epoch
         if config.epsilon > 0.0:
             ma = refit()

@@ -15,7 +15,7 @@ def sigmoid(x, out=None, scratch=None):
     e^x / (1 + e^x) below, without branching on the sign. The result goes
     into ``out`` when given, which may be ``x`` itself, and the denominator
     into ``scratch`` (x's shape) when given, so a caller passing both
-    allocates nothing. A 0-d input gives a Python float.
+    allocates nothing.
     """
     x = np.asarray(x, dtype=np.float64)
     den = np.negative(x, out=np.empty_like(x) if scratch is None else scratch)
@@ -25,18 +25,13 @@ def sigmoid(x, out=None, scratch=None):
     res = np.minimum(x, 0.0, out=np.empty_like(x) if out is None else out)
     np.exp(res, out=res)
     res /= den
-    if res.ndim == 0:
-        return float(res)
     return res
 
 
 def softplus(x):
     """log(1 + exp(x)), stable for large |x|."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 def softplus_inv(y: float) -> float:

@@ -23,7 +23,7 @@ from m2dne.micro import AttentionParams
 from m2dne.micrograd import EventBatch, _pair_beta, batch_loss_and_grads
 from m2dne.train import (TrainConfig, fit, gradient_check, init_state,
                          load_checkpoint, save_checkpoint)
-from m2dne.util import Workspace, substream
+from m2dne.util import Workspace
 
 
 @contextmanager
@@ -64,7 +64,7 @@ def test_a1_gradient_correctness():
         net = seeded_toy_net(17, nodes=12, n_events=60, epochs=8)
         config = TrainConfig(dim=8, history=3, negatives=2, epsilon=0.3,
                              seed=17)
-        state = init_state(net.node_count, config, substream(17, "init"))
+        state = init_state(net.node_count, config)
         rng = np.random.default_rng(18)
         state.embeddings += rng.normal(0, 0.3, state.embeddings.shape)
         state.attention.decay_raw += rng.normal(0, 0.4, net.node_count)
@@ -99,10 +99,8 @@ def test_a2_macro_parameter_recovery():
         assert abs(fitted.gamma - 1.2) <= 0.1 * 1.2
         assert abs(fitted.theta - 1.5) <= 0.1 * 1.5
 
-        horizon = np.arange(train_epochs + 1, T + 1, dtype=np.int64)
-        forecast = forecast_scale(S, fitted, train, horizon,
-                                  series.n[horizon - 1])
-        rmse = float(np.sqrt(np.mean((forecast - series.e[horizon - 1]) ** 2)))
+        forecast = forecast_scale(S, fitted, train, series.n[train_epochs:])
+        rmse = float(np.sqrt(np.mean((forecast - series.e[train_epochs:]) ** 2)))
         assert rmse <= 0.01 * float(np.mean(series.delta_e))
         assert time.time() - start < 60.0
 
@@ -302,8 +300,7 @@ def test_a8_trend_forecast_improves_with_training_fraction():
                 events.append((a, int((a + 1 + rng.integers(V - 1)) % V), tau))
         net = net_from_events(events, node_count=V)
 
-        state = init_state(V, TrainConfig(dim=8, seed=31),
-                           substream(31, "init"))
+        state = init_state(V, TrainConfig(dim=8, seed=31))
         report_half, _ = trend_forecast_report(state, net, 0.5)
         report_threeq, _ = trend_forecast_report(state, net, 0.75)
         assert report_threeq.metrics["suffix_rmse"] <= \

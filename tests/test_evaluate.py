@@ -1309,9 +1309,9 @@ class TestTemporalLinkPrediction:
         fits = []
         real = evaluate_mod._binary_newton
 
-        def spy(Xt, y, l2, theta, H, Xs):
+        def spy(Xt, y, theta, H, Xs):
             given = theta.copy(), H
-            out = real(Xt, y, l2, theta, H, Xs)
+            out = real(Xt, y, theta, H, Xs)
             fits.append((Xt.copy(), y.copy(), given, out))
             return out
 

@@ -200,8 +200,7 @@ class TestChordNewton:
             builds.clear()
             Xt = np.vstack([X[train].T, np.ones(int(train.sum()))])
             theta, H, _ = logreg._binary_newton(
-                Xt, y[train].astype(np.float64), L2_DEFAULT, theta, H,
-                np.empty_like(Xt))
+                Xt, y[train].astype(np.float64), theta, H, np.empty_like(Xt))
             clf = LogisticRegression()
             clf.weights, clf.bias = two_class_fit(theta[:-1], theta[-1])
             v, c, ref_builds = orc.binary_newton_oracle(
@@ -256,19 +255,25 @@ def overlapping_classes(seed, n=240, d=8, classes=4, spread=0.5):
     return rng.normal(size=(n, d)) + centers[y], y
 
 
-def kernel(theta, X, y, l2):
+def kernel(theta, X, y):
     """The multiclass fit's loss-and-gradient kernel at theta = [W | b]."""
     n = X.shape[0]
     return logreg._softmax_loss_grad(theta, X, np.ascontiguousarray(X.T),
-                                     y * n + np.arange(n), l2)
+                                     y * n + np.arange(n))
 
 
 class TestSoftmaxKernel:
+    # at l2 = 0.3, through the constant the kernel reads, so that the
+    # penalty's share of the loss and gradient is not lost in the tolerance
+    @pytest.fixture(autouse=True)
+    def _l2(self, monkeypatch):
+        monkeypatch.setattr(logreg, "L2_DEFAULT", 0.3)
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_matches_reference(self, seed):
         X, y = overlapping_classes(seed, spread=1.0)
         theta = np.random.default_rng(seed).normal(size=(4, X.shape[1] + 1))
-        loss, grad = kernel(theta, X, y, 0.3)
+        loss, grad = kernel(theta, X, y)
         ref_loss, ref_gw, ref_gb = orc.softmax_objective_oracle(
             X, y, theta[:, :-1], theta[:, -1], 0.3)
         assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
@@ -278,13 +283,13 @@ class TestSoftmaxKernel:
     def test_matches_central_differences(self):
         X, y = overlapping_classes(4, spread=1.0)
         theta = np.random.default_rng(4).normal(size=(4, X.shape[1] + 1))
-        _, grad = kernel(theta, X, y, 0.3)
+        _, grad = kernel(theta, X, y)
         h = 1e-6
         for idx in np.ndindex(theta.shape):
             up, down = theta.copy(), theta.copy()
             up[idx] += h
             down[idx] -= h
-            fd = (kernel(up, X, y, 0.3)[0] - kernel(down, X, y, 0.3)[0]) / (2 * h)
+            fd = (kernel(up, X, y)[0] - kernel(down, X, y)[0]) / (2 * h)
             assert fd == pytest.approx(grad[idx], rel=0, abs=1e-7), idx
 
 
@@ -318,14 +323,44 @@ class TestMulticlassDescent:
             X, y = overlapping_classes(seed, spread=1.0)
             assert LogisticRegression().fit(X, y, 4).n_evals <= 250, seed
 
+    def test_step_without_curvature_stores_no_pair(self, monkeypatch):
+        # the spy hands back the first gradient once more at the first
+        # step's trial, so that step's y is 0 and s.y = 0: its pair must not
+        # be stored, and every later direction must still descend
+        X, y = overlapping_classes(1, spread=1.0)
+        real_kernel = logreg._softmax_loss_grad
+        real_direction = logreg._lbfgs_direction
+        grads, directions = [], []
+
+        def kernel_spy(*args):
+            loss, grad = real_kernel(*args)
+            grads.append(grad)
+            return loss, grads[0].copy() if len(grads) == 2 else grad
+
+        def direction_spy(g, pairs):
+            delta = real_direction(g, pairs)
+            directions.append((g.copy(), len(pairs), delta))
+            return delta
+
+        monkeypatch.setattr(logreg, "_softmax_loss_grad", kernel_spy)
+        monkeypatch.setattr(logreg, "_lbfgs_direction", direction_spy)
+        clf = LogisticRegression().fit(X, y, 4)
+        # the faked trial was taken: the second direction starts from the
+        # first gradient, still with no pair, and the third has one
+        assert [n for _, n, _ in directions[:3]] == [0, 0, 1]
+        assert np.array_equal(directions[1][0], directions[0][0])
+        for g, _, delta in directions:
+            assert np.vdot(g, delta) < 0.0
+        # from zero, every class has probability 1/4: the loss is log 4
+        assert objective(clf, X, y)[0] < np.log(4.0)
+
     def test_badly_scaled_feature_stops_when_no_step_lowers_the_loss(self):
         # at a feature scale of 1e6 the line search runs out of resolution
         # before the gradient rule holds, and the fit ends there
         X = np.random.default_rng(0).normal(size=(30, 1)) * 1e6
         y = np.arange(30) % 3
         clf = self._finite_and_repeatable(X, y, 3)
-        loss, grad = kernel(np.hstack([clf.weights, clf.bias[:, None]]),
-                            X, y, L2_DEFAULT)
+        loss, grad = kernel(np.hstack([clf.weights, clf.bias[:, None]]), X, y)
         assert np.linalg.norm(grad) > logreg._LBFGS_GRAD_TOL * (1.0 + loss)
 
     @staticmethod

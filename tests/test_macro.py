@@ -558,24 +558,20 @@ class TestForecast:
 
     def test_empty_horizon(self):
         S, params, series = self._generator_setup()
-        out = forecast_scale(S, params, series, np.zeros(0, dtype=np.int64),
-                             None)
+        out = forecast_scale(S, params, series, np.zeros(0))
         assert out.shape == (0,)
 
     def test_matches_generator_exactly(self):
         S, params, series = self._generator_setup(T=24)
-        train = series.prefix(16)
-        horizon = np.arange(17, 25, dtype=np.int64)
-        got = forecast_scale(S, params, train, horizon, series.n[horizon - 1])
-        assert np.allclose(got, series.e[horizon - 1], rtol=1e-6)
+        got = forecast_scale(S, params, series.prefix(16), series.n[16:])
+        assert np.allclose(got, series.e[16:], rtol=1e-6)
 
     def test_matches_oracle(self):
         U, src, dst = toy_edges(seed=14, V=20, M=50, d=3)
         params = MacroParams(0.3, 1.2, 0.8)
         train = make_series([3.0, 5.0, 8.0, 9.0], [2.0, 4.0, 3.0], start_e=4.0)
-        horizon = np.arange(5, 10, dtype=np.int64)
         n_future = np.array([11.0, 11.0, 14.0, 18.0, 19.0])
-        got = forecast_scale(edge_affinity(U, src, dst), params, train, horizon,
+        got = forecast_scale(edge_affinity(U, src, dst), params, train,
                              n_future)
         want = orc.forecast_oracle(U.tolist(), list(zip(src, dst)), 13.0, 9.0,
                                    4, n_future.tolist(), 0.3, 1.2, 0.8)
@@ -589,37 +585,22 @@ class TestForecast:
 
         def suffix_rmse(train_epochs):
             train = noisy.prefix(train_epochs)
-            horizon = np.arange(train_epochs + 1, 25, dtype=np.int64)
             fitted = fit_params(train, S)
-            pred = forecast_scale(S, fitted, train, horizon,
-                                  noisy.n[horizon - 1])
-            return float(np.sqrt(np.mean((pred - noisy.e[horizon - 1]) ** 2)))
+            pred = forecast_scale(S, fitted, train, noisy.n[train_epochs:])
+            return float(np.sqrt(np.mean((pred - noisy.e[train_epochs:]) ** 2)))
 
         assert suffix_rmse(18) <= suffix_rmse(12)
-
-    def test_requires_consecutive_horizon(self):
-        S, params, series = self._generator_setup()
-        train = series.prefix(10)
-        with pytest.raises(ValueError):
-            forecast_scale(S, params, train, np.array([12, 13]),
-                           np.array([5.0, 6.0]))
-
-    def test_requires_one_node_count_per_horizon_epoch(self):
-        S, params, series = self._generator_setup()
-        with pytest.raises(ValueError, match="n_future must align"):
-            forecast_scale(S, params, series.prefix(10), np.array([11, 12]),
-                           np.array([5.0]))
 
     def test_linear_node_forecast(self):
         series = make_series(np.array([2.0, 4.0, 6.0, 8.0, 10.0, 12.0]),
                              np.ones(5))
-        pred = linear_node_forecast(series, np.array([7, 8]))
+        pred = linear_node_forecast(series, 2)
         assert pred == pytest.approx([14.0, 16.0])
 
     def test_linear_needs_enough_epochs(self):
         series = make_series(np.array([2.0, 3.0]), np.array([1.0]))
         with pytest.raises(ValueError):
-            linear_node_forecast(series, np.array([3]))
+            linear_node_forecast(series, 1)
 
 
 class TestMacroParams:

@@ -147,7 +147,7 @@ class TestGradients:
         net = random_net(21, nodes=8, n_events=40, epochs=8)
         cfg = TrainConfig(dim=4, history=2, negatives=negatives, epsilon=0.3,
                           seed=3)
-        state = init_state(net.node_count, cfg, substream(3, "init"))
+        state = init_state(net.node_count, cfg)
         rng = np.random.default_rng(40)
         state.embeddings += rng.normal(0, 0.3, state.embeddings.shape)
         state.attention.decay_raw += rng.normal(0, 0.4, net.node_count)
@@ -160,7 +160,7 @@ class TestGradients:
         # touch the scale loss, and the gradients are the engine's
         net = random_net(22, nodes=8, n_events=30, epochs=6)
         cfg = TrainConfig(dim=3, history=2, negatives=1, epsilon=0.0, seed=4)
-        state = init_state(net.node_count, cfg, substream(4, "init"))
+        state = init_state(net.node_count, cfg)
         scale_calls = [count_calls(monkeypatch, macro_mod, name)
                        for name in ("macro_loss", "macro_loss_and_grads")]
         report = gradient_check(state, net, cfg, tolerance=1e-4)
@@ -349,7 +349,7 @@ class TestBlocks:
         net = random_net(21, nodes=8, n_events=40, epochs=8)
         cfg = TrainConfig(dim=4, history=2, negatives=2, epsilon=epsilon,
                           seed=3)
-        state = init_state(net.node_count, cfg, substream(3, "init"))
+        state = init_state(net.node_count, cfg)
         rng = np.random.default_rng(40)
         state.embeddings += rng.normal(0, 0.3, state.embeddings.shape)
         state.attention.decay_raw += rng.normal(0, 0.4, net.node_count)

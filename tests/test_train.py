@@ -38,16 +38,15 @@ def toy_net(seed=0, nodes=10, n_events=60, epochs=8):
 
 class TestInitState:
     def test_same_seed_bit_identical(self):
-        cfg = TrainConfig(dim=8)
-        s1 = init_state(12, cfg, substream(7, "init"))
-        s2 = init_state(12, cfg, substream(7, "init"))
+        cfg = TrainConfig(dim=8, seed=7)
+        s1 = init_state(12, cfg)
+        s2 = init_state(12, cfg)
         assert np.array_equal(s1.embeddings, s2.embeddings)
         assert np.array_equal(s1.attention.att_vector, s2.attention.att_vector)
         assert np.array_equal(s1.attention.local_weight, s2.attention.local_weight)
 
     def test_shapes_and_bounds(self):
-        cfg = TrainConfig(dim=8)
-        s = init_state(12, cfg, substream(1, "init"))
+        s = init_state(12, TrainConfig(dim=8, seed=1))
         assert s.embeddings.shape == (12, 8)
         assert np.max(np.abs(s.embeddings)) <= 0.5 / 8
         assert s.attention.att_vector.shape == (16,)
@@ -57,8 +56,7 @@ class TestInitState:
         assert s.macro.theta == 1.0
 
     def test_mean_within_three_sigma(self):
-        cfg = TrainConfig(dim=10)
-        s = init_state(1000, cfg, substream(2, "init"))
+        s = init_state(1000, TrainConfig(dim=10, seed=2))
         entries = s.embeddings.ravel()
         bound = 0.5 / 10
         sigma_mean = bound / np.sqrt(3.0) / np.sqrt(entries.size)
@@ -66,7 +64,7 @@ class TestInitState:
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
-            init_state(1, TrainConfig(dim=4), substream(0, "init"))
+            init_state(1, TrainConfig(dim=4))
 
 
 class TestSampleBatch:
@@ -121,7 +119,7 @@ class TestStep:
         net = toy_net(seed)
         cfg = TrainConfig(dim=4, history=2, negatives=2, epsilon=epsilon,
                           seed=seed, learning_rate=0.01)
-        state = init_state(net.node_count, cfg, substream(seed, "init"))
+        state = init_state(net.node_count, cfg)
         data = TrainData(net, cfg.history)
         batch = sample_batch(data, 32, substream(seed, "batch"))
         return net, cfg, state, data, batch
@@ -281,8 +279,8 @@ class TestStepMemory:
     def _step_peaks(self, steps):
         net = toy_net(seed=5, nodes=1200, n_events=4000, epochs=100)
         cfg = TrainConfig(dim=64, history=5, negatives=5, batch_size=512,
-                          epsilon=0.0)
-        state = init_state(net.node_count, cfg, substream(5, "init"))
+                          epsilon=0.0, seed=5)
+        state = init_state(net.node_count, cfg)
         data = TrainData(net, cfg.history)
         batch_rng, neg_rng = substream(5, "batch"), substream(5, "negatives")
         peaks = []
@@ -314,8 +312,8 @@ class TestOneWorkspaceArray:
     @staticmethod
     def _nbytes_after_step(net, epsilon, dim, batch_size, sampled=False):
         cfg = TrainConfig(dim=dim, history=5, negatives=5,
-                          batch_size=batch_size, epsilon=epsilon)
-        state = init_state(net.node_count, cfg, substream(8, "init"))
+                          batch_size=batch_size, epsilon=epsilon, seed=8)
+        state = init_state(net.node_count, cfg)
         data = TrainData(net, cfg.history)
         if sampled:
             sig_ref = np.empty(len(net))
@@ -477,15 +475,13 @@ class TestFit:
 
     def test_initial_state_of_another_dim_rejected(self):
         net = toy_net(3)
-        state = init_state(net.node_count, TrainConfig(dim=8),
-                           substream(3, "init"))
+        state = init_state(net.node_count, TrainConfig(dim=8, seed=3))
         with pytest.raises(ValueError, match="dim 8, the config 32"):
             fit(net, TrainConfig(dim=32, epochs=1), initial_state=state)
 
     def test_initial_state_of_another_size_rejected(self):
         net = toy_net(3)
-        state = init_state(net.node_count + 1, TrainConfig(dim=4),
-                           substream(3, "init"))
+        state = init_state(net.node_count + 1, TrainConfig(dim=4, seed=3))
         with pytest.raises(ValueError, match="initial state does not match "
                                              "the network size"):
             fit(net, TrainConfig(dim=4, epochs=1), initial_state=state)
@@ -494,8 +490,8 @@ class TestFit:
         # epsilon = 0 never refits the growth model, so a NaN there passes
         # every step and only the final check sees it
         net = toy_net(3)
-        cfg = TrainConfig(dim=4, epochs=1, epsilon=0.0, batch_size=32)
-        state = init_state(net.node_count, cfg, substream(3, "init"))
+        cfg = TrainConfig(dim=4, epochs=1, epsilon=0.0, batch_size=32, seed=3)
+        state = init_state(net.node_count, cfg)
         state.macro.gamma = float("nan")
         with pytest.raises(FloatingPointError,
                            match="non-finite parameters after training"):
@@ -505,7 +501,7 @@ class TestFit:
         net = toy_net(8, nodes=9, n_events=70, epochs=7)
         cfg = TrainConfig(dim=4, history=2, negatives=2, epochs=3,
                           batch_size=32, seed=13)
-        state0 = init_state(net.node_count, cfg, substream(13, "init"))
+        state0 = init_state(net.node_count, cfg)
         final, _ = fit(net, cfg, initial_state=state0)
 
         perm = np.random.default_rng(99).permutation(net.node_count)
@@ -636,8 +632,8 @@ class TestFit:
         # though gradient_check draws no batch
         net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 0, 3)],
                               weights=[1e308, 1e308, 1e308])
-        cfg = TrainConfig(dim=4, history=2, negatives=1)
-        state = init_state(net.node_count, cfg, substream(0, "init"))
+        cfg = TrainConfig(dim=4, history=2, negatives=1, seed=0)
+        state = init_state(net.node_count, cfg)
         assert gradient_check(state, net, cfg, tolerance=1e-4).passed
 
 
@@ -750,8 +746,7 @@ class TestSampledCoupling:
 
 class TestCheckpoint:
     def _state(self, V=12, d=8, seed=3):
-        cfg = TrainConfig(dim=d)
-        state = init_state(V, cfg, substream(seed, "init"))
+        state = init_state(V, TrainConfig(dim=d, seed=seed))
         state.macro.gamma = 1.25
         return state
 
