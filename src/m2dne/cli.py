@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit embeddings on an edge list")
     p_train.add_argument("--edges", required=True)
-    p_train.add_argument("--weighted", action="store_true")
     p_train.add_argument("--out", default="model.ckpt")
     p_train.add_argument("--trace", default="trace.csv")
     p_train.add_argument("--progress", action="store_true")
@@ -187,7 +186,7 @@ def _emit(report: ev.MetricReport, out_path) -> None:
 
 def cmd_train(args) -> int:
     config = build_train_config(args)
-    net = parse_edge_list(args.edges, weighted=args.weighted)
+    net = parse_edge_list(args.edges)
 
     def progress(epoch, _state, so_far):
         print(f"epoch {epoch}/{config.epochs} micro={so_far.micro[-1]:.4f} "
@@ -206,10 +205,9 @@ def cmd_train(args) -> int:
 
 def _load_model_and_edges(args):
     """The checkpoint and edge list of an eval or forecast command; fails
-    when they disagree on the node count. A weight column parses and is
-    ignored."""
+    when they disagree on the node count."""
     state = load_checkpoint(args.checkpoint)
-    net = parse_edge_list(args.edges, weighted=True)
+    net = parse_edge_list(args.edges)
     if net.node_count != state.node_count:
         raise ValueError(f"checkpoint has {state.node_count} nodes but the "
                          f"edge list has {net.node_count}")
@@ -257,7 +255,7 @@ def cmd_forecast(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     config = build_train_config(args)
-    net = parse_edge_list(args.edges, weighted=True)   # weights are not read
+    net = parse_edge_list(args.edges)
     state = init_state(net.node_count, config)
     report = gradient_check(state, net, config, tolerance=args.tolerance)
     for name, err in report.max_rel_err.items():

@@ -3,12 +3,14 @@
 File format (UTF-8 text; a line whose first token starts with `#` is a
 comment):
 
-    src <ws> dst <ws> timestamp [<ws> weight]
+    src <ws> dst <ws> timestamp
 
-Raw node ids are arbitrary tokens, mapped to dense integers in order of first
-appearance in the time-sorted stream. Raw timestamps are compressed to
-consecutive integer epochs 1..T over the distinct raw values, so every
-time-dependent denominator downstream is evaluated at t >= 1.
+Every other line holds exactly these three fields and is one event; a
+line with any other field count is an error. Raw node ids are arbitrary
+tokens, mapped to dense integers in order of first appearance in the
+time-sorted stream. Raw timestamps are compressed to consecutive integer
+epochs 1..T over the distinct raw values, so every time-dependent
+denominator downstream is evaluated at t >= 1.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ class TemporalNetwork:
     src: np.ndarray           # (E,) dense source ids
     dst: np.ndarray           # (E,) dense target ids
     time: np.ndarray          # (E,) epoch indices, 1-based, non-decreasing
-    weight: np.ndarray        # (E,) sampling weights, 1.0 when unweighted
     node_count: int
     raw_ids: tuple            # dense id -> raw token
     epoch_count: int          # parsed file's distinct timestamps
@@ -191,7 +192,7 @@ def _first_appearance_ids(tokens: np.ndarray) -> tuple[np.ndarray, tuple]:
     return rank[first], tuple(seen)
 
 
-def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
+def parse_edge_list(path) -> TemporalNetwork:
     """Load a timestamped edge list.
 
     Self-loops are dropped (counted in ``self_loops_dropped``). Events are
@@ -201,33 +202,21 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
     """
     rec = _Records(path)
     fields = rec.count
-    ok = (fields == 3) | (weighted & (fields == 4))
-    want = "3 or 4" if weighted else "3"
-    rec.flag(range(fields.size), np.flatnonzero(~ok),
-             lambda k: f"expected {want} fields, got {fields[k]}")
-    rows = np.flatnonzero(ok)
+    rec.flag(range(fields.size), np.flatnonzero(fields != 3),
+             lambda k: f"expected 3 fields, got {fields[k]}")
+    rows = np.flatnonzero(fields == 3)
     stamp = rec.field(rows, 2)
     tval = _floats(stamp)
     rec.flag(rows, range(tval.size, rows.size),
              lambda k: f"bad timestamp {stamp[k]!r}")
     rec.flag(rows, np.flatnonzero(~np.isfinite(tval)),
              lambda k: f"non-finite timestamp {stamp[k]!r}")
-    has_weight = fields[rows] == 4
-    wrows = rows[has_weight]
-    wtok = rec.field(wrows, 3)
-    wval = _floats(wtok)
-    rec.flag(wrows, range(wval.size, wrows.size),
-             lambda k: f"bad weight {wtok[k]!r}")
-    rec.flag(wrows, np.flatnonzero(~(np.isfinite(wval) & (wval > 0))),
-             lambda k: f"weight must be positive, got {wtok[k]!r}")
     rec.raise_first()
 
     src_tok, dst_tok = rec.field(rows, 0), rec.field(rows, 1)
     loop = src_tok == dst_tok
     if loop.all():
         raise ParseError("no events found (empty or comment-only file)")
-    weight = np.ones(rows.size)
-    weight[has_weight] = wval
     keep = np.flatnonzero(~loop)
     keep = keep[np.argsort(tval[keep], kind="stable")]
     tval = tval[keep]
@@ -237,10 +226,9 @@ def parse_edge_list(path, weighted: bool = False) -> TemporalNetwork:
     src = ids[0::2].copy()
     dst = ids[1::2].copy()
     time = np.cumsum(new_epoch, dtype=np.int64)
-    weight = weight[keep]
-    for arr in (src, dst, time, weight):
+    for arr in (src, dst, time):
         arr.setflags(write=False)
-    return TemporalNetwork(src=src, dst=dst, time=time, weight=weight,
+    return TemporalNetwork(src=src, dst=dst, time=time,
                            node_count=len(raw_ids), raw_ids=raw_ids,
                            epoch_count=int(time[-1]),
                            self_loops_dropped=int(loop.sum()))
@@ -384,7 +372,7 @@ def split_by_time(net: TemporalNetwork, t_split: int):
 
     def subset(keep):
         return TemporalNetwork(src=net.src[keep], dst=net.dst[keep],
-                               time=net.time[keep], weight=net.weight[keep],
+                               time=net.time[keep],
                                node_count=net.node_count, raw_ids=net.raw_ids,
                                epoch_count=net.epoch_count)
 

@@ -115,12 +115,11 @@ def init_state(node_count: int, config: TrainConfig) -> ModelState:
 
 class TrainData:
     """Pre-extracted arrays shared by every step: the history index, the
-    negative-sampling table and the growth series, and the weight table for
-    batch draws, built by the first draw, which fails on weights whose sum
-    overflows (``gradient_check`` draws none and reads no weight). ``work``
-    is the step workspace, whose one array every step of a fit reuses for
-    the engine and then the coupling, freed with this object, and
-    ``adagrad`` maps each group :func:`step` updates to its Adagrad
+    negative-sampling table and the growth series, and the uniform table
+    for batch draws, built by the first draw (``gradient_check`` draws
+    none). ``work`` is the step workspace, whose one array every step of a
+    fit reuses for the engine and then the coupling, freed with this object,
+    and ``adagrad`` maps each group :func:`step` updates to its Adagrad
     accumulators, one per leading index, which the first step of every fit
     creates zeroed. ``coupling`` is the latest refit's
     :class:`~m2dne.macro.Coupling` during ``fit`` with epsilon > 0, else
@@ -137,23 +136,18 @@ class TrainData:
 
     @cached_property
     def sample_cum(self) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            cum = np.cumsum(self.net.weight)
-        if not np.isfinite(cum[-1]):
-            raise ValueError("the event weights sum past float64's range, so "
-                             "batches cannot be drawn in proportion to them; "
-                             "scale the weights down")
-        return cum / cum[-1]
+        E = len(self.net)
+        return np.arange(1, E + 1) / E
 
 
 def sample_batch(data: TrainData, batch_size: int,
                  rng: np.random.Generator) -> EventBatch:
-    """Draw events with replacement, proportional to their weights, paired
-    with their pre-event histories."""
+    """Draw events uniformly with replacement, paired with their pre-event
+    histories."""
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    # the table ends at E / E = 1.0 and rng.random() < 1, so idx < E
     idx = np.searchsorted(data.sample_cum, rng.random(batch_size), side="right")
-    idx = np.minimum(idx, len(data.net) - 1)
     return EventBatch.take(data.net, data.snapshots, idx)
 
 

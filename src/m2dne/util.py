@@ -100,8 +100,9 @@ def row_positions(index: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
 def substream(seed: int, name: str) -> np.random.Generator:
     """Derive an independent generator from one master seed and a stream name.
 
-    Each consumer (init / batch / negatives / eval-splits) pulls from its own
-    named stream, so adding a consumer never perturbs the draws of another.
+    Each consumer (init / batch / negatives / coupling / eval-splits) pulls
+    from its own named stream, so adding a consumer never perturbs the
+    draws of another.
     """
     tag = zlib.crc32(name.encode("utf-8"))
     return np.random.default_rng(np.random.SeedSequence([int(seed) & 0xFFFFFFFF, tag]))

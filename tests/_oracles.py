@@ -503,21 +503,18 @@ def _numbered_lines_oracle(path):
             yield lineno, line
 
 
-def parse_edge_list_oracle(path, weighted=False):
+def parse_edge_list_oracle(path):
     """One line at a time: validate, drop self-loops, stably sort by the
     float timestamp, then number epochs and node ids by first appearance."""
-    rows = []  # (raw_time_value, order, src_tok, dst_tok, weight)
+    rows = []  # (raw_time_value, order, src_tok, dst_tok)
     dropped = 0
     for lineno, line in _numbered_lines_oracle(path):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         parts = stripped.split()
-        want = (3, 4) if weighted else (3,)
-        if len(parts) not in want:
-            raise ParseError(f"line {lineno}: expected "
-                             f"{' or '.join(str(w) for w in want)} fields, "
-                             f"got {len(parts)}")
+        if len(parts) != 3:
+            raise ParseError(f"line {lineno}: expected 3 fields, got {len(parts)}")
         src_tok, dst_tok, time_tok = parts[0], parts[1], parts[2]
         try:
             tval = float(time_tok)
@@ -525,25 +522,16 @@ def parse_edge_list_oracle(path, weighted=False):
             raise ParseError(f"line {lineno}: bad timestamp {time_tok!r}") from None
         if not math.isfinite(tval):
             raise ParseError(f"line {lineno}: non-finite timestamp {time_tok!r}")
-        w = 1.0
-        if len(parts) == 4:
-            try:
-                w = float(parts[3])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad weight {parts[3]!r}") from None
-            if not math.isfinite(w) or w <= 0:
-                raise ParseError(f"line {lineno}: weight must be positive, "
-                                 f"got {parts[3]!r}")
         if src_tok == dst_tok:
             dropped += 1
             continue
-        rows.append((tval, len(rows), src_tok, dst_tok, w))
+        rows.append((tval, len(rows), src_tok, dst_tok))
     if not rows:
         raise ParseError("no events found (empty or comment-only file)")
     rows.sort(key=lambda r: (r[0], r[1]))
     epoch_of, id_of, raw_ids = {}, {}, []
-    src, dst, time, weight = [], [], [], []
-    for tval, _, s_tok, d_tok, w in rows:
+    src, dst, time = [], [], []
+    for tval, _, s_tok, d_tok in rows:
         if tval not in epoch_of:
             epoch_of[tval] = len(epoch_of) + 1
         for tok in (s_tok, d_tok):
@@ -553,11 +541,9 @@ def parse_edge_list_oracle(path, weighted=False):
         src.append(id_of[s_tok])
         dst.append(id_of[d_tok])
         time.append(epoch_of[tval])
-        weight.append(w)
     return TemporalNetwork(src=np.array(src, dtype=np.int64),
                            dst=np.array(dst, dtype=np.int64),
                            time=np.array(time, dtype=np.int64),
-                           weight=np.array(weight, dtype=np.float64),
                            node_count=len(raw_ids), raw_ids=tuple(raw_ids),
                            epoch_count=len(epoch_of),
                            self_loops_dropped=dropped)

@@ -47,26 +47,22 @@ def bench_run(monkeypatch):
     return run
 
 
-def net_from_events(events, node_count=None, weights=None):
+def net_from_events(events, node_count=None):
     """Build a TemporalNetwork directly from (src, dst, time) triples.
 
     Ids are taken literally as dense ids; times are compressed to consecutive
     epochs starting at 1, preserving order.
     """
-    events = sorted(enumerate(events), key=lambda kv: (kv[1][2], kv[0]))
-    src = np.array([e[1][0] for e in events], dtype=np.int64)
-    dst = np.array([e[1][1] for e in events], dtype=np.int64)
-    raw_t = [e[1][2] for e in events]
+    events = sorted(events, key=lambda e: e[2])      # stable
+    src = np.array([e[0] for e in events], dtype=np.int64)
+    dst = np.array([e[1] for e in events], dtype=np.int64)
+    raw_t = [e[2] for e in events]
     distinct = sorted(set(raw_t))
     epoch_of = {rt: k + 1 for k, rt in enumerate(distinct)}
     time = np.array([epoch_of[rt] for rt in raw_t], dtype=np.int64)
     if node_count is None:
         node_count = int(max(src.max(), dst.max())) + 1
-    if weights is None:
-        w = np.ones(len(events))
-    else:
-        w = np.asarray([weights[e[0]] for e in events], dtype=np.float64)
-    return TemporalNetwork(src=src, dst=dst, time=time, weight=w,
+    return TemporalNetwork(src=src, dst=dst, time=time,
                            node_count=node_count,
                            raw_ids=tuple(str(v) for v in range(node_count)),
                            epoch_count=len(distinct))

@@ -487,12 +487,11 @@ def weighted_toy_copy(tmp_path):
 
 
 class TestWeightColumn:
-    """Only train reads the weight column. Every other command parses a
-    4-field line and ignores its weight, so a weighted copy of the toy list
-    gives byte for byte the plain list's output, and none of them takes
-    --weighted."""
+    """Events carry no weight: every command rejects a 4-field line as it
+    rejects any other field count, and none takes --weighted."""
 
     COMMANDS = {
+        "train": ["train", *FAST],
         "reconstruct": ["eval", "reconstruct", "--k", "5,25",
                         "--sample-fraction", "0.3", "--seed", "3"],
         "classify": ["eval", "classify", "--labels", TOY_LABELS,
@@ -506,58 +505,33 @@ class TestWeightColumn:
                       "--negatives", "1", "--seed", "3"],
     }
 
-    def args(self, name, edges, ckpt, out):
-        args = [*self.COMMANDS[name], "--edges", edges]
-        if name != "gradcheck":
+    def args(self, name, ckpt, tmp_path):
+        """The command on the weighted toy copy; what it would write goes
+        under ``tmp_path``."""
+        args = [*self.COMMANDS[name], "--edges", weighted_toy_copy(tmp_path)]
+        if name == "train":
+            args += ["--out", str(tmp_path / "w.ckpt"),
+                     "--trace", str(tmp_path / "w.csv")]
+        elif name != "gradcheck":
             args += ["--checkpoint", ckpt]
         if name == "forecast":
-            args += ["--out", out]
+            args += ["--out", str(tmp_path / "forecast.csv")]
         return args
 
     @pytest.mark.parametrize("name", list(COMMANDS))
-    def test_weights_change_no_output(self, tmp_path, capsys, toy_checkpoint,
-                                      name):
-        out = tmp_path / "forecast.csv"
-        outputs = []
-        for edges in (TOY_EDGES, weighted_toy_copy(tmp_path)):
-            assert main(self.args(name, edges, toy_checkpoint, str(out))) == 0
-            table = out.read_bytes() if name == "forecast" else b""
-            outputs.append((capsys.readouterr().out, table))
-        assert outputs[0] == outputs[1]
-        assert outputs[0][0]
+    def test_four_fields_rejected(self, tmp_path, capsys, toy_checkpoint,
+                                  name):
+        assert main(self.args(name, toy_checkpoint, tmp_path)) == 1
+        assert "line 1: expected 3 fields, got 4" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["weighted.tsv"]
 
     @pytest.mark.parametrize("name", list(COMMANDS))
     def test_weighted_flag_is_usage_error(self, tmp_path, capsys,
                                           toy_checkpoint, name):
-        args = self.args(name, weighted_toy_copy(tmp_path), toy_checkpoint,
-                         str(tmp_path / "forecast.csv"))
         with pytest.raises(SystemExit) as exc:
-            main([*args, "--weighted"])
+            main([*self.args(name, toy_checkpoint, tmp_path), "--weighted"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --weighted" in capsys.readouterr().err
-
-    def test_train_reads_weights_only_when_asked(self, tmp_path, capsys):
-        edges = weighted_toy_copy(tmp_path)
-        ckpt, trace = str(tmp_path / "w.ckpt"), str(tmp_path / "w.csv")
-        rc = main(["train", "--edges", edges, "--out", ckpt, "--trace", trace,
-                   *FAST])
-        assert rc == 1
-        assert "line 1: expected 3 fields, got 4" in capsys.readouterr().err
-        rc = main(["train", "--edges", edges, "--weighted", "--out", ckpt,
-                   "--trace", trace, *FAST])
-        assert rc == 0
-
-    def test_train_rejects_weights_summing_past_float64(self, tmp_path,
-                                                        capsys):
-        edges = tmp_path / "huge.tsv"
-        edges.write_text("a\tb\t1\t1e308\nb\tc\t2\t1e308\n"
-                         "c\ta\t3\t1e308\n")
-        ckpt = tmp_path / "huge.ckpt"
-        rc = main(["train", "--edges", str(edges), "--weighted", "--out",
-                   str(ckpt), "--trace", str(tmp_path / "huge.csv"), *FAST])
-        assert rc == 1
-        assert "weights sum past float64" in capsys.readouterr().err
-        assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1e-4"])

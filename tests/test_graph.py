@@ -56,10 +56,6 @@ class TestParseEdgeList:
         with pytest.raises(ParseError, match="no events"):
             parse_edge_list(tmp_edges("# nothing\n"))
 
-    def test_weighted(self, tmp_edges):
-        net = parse_edge_list(tmp_edges("a b 1 2.5\na c 2\n"), weighted=True)
-        assert net.weight.tolist() == [2.5, 1.0]
-
     def test_weight_rejected_when_not_weighted(self, tmp_edges):
         with pytest.raises(ParseError, match="line 1"):
             parse_edge_list(tmp_edges("a b 1 2.5\n"))
@@ -233,8 +229,8 @@ class TestHistoryStream:
         net = net_from_events([(0, 1, 1), (1, 2, 2), (2, 3, 3)])
         swapped = TemporalNetwork(
             src=net.src, dst=net.dst, time=net.time[[0, 2, 1]],
-            weight=net.weight, node_count=net.node_count,
-            raw_ids=net.raw_ids, epoch_count=net.epoch_count)
+            node_count=net.node_count, raw_ids=net.raw_ids,
+            epoch_count=net.epoch_count)
         with pytest.raises(ValueError, match="non-decreasing"):
             snapshot_arrays(swapped, 2)
 
@@ -530,9 +526,7 @@ def _assert_parses_as_oracle(path, net):
                       for name, value in vars(result).items()
                       if not name.startswith("_")}
 
-    for weighted in (False, True):
-        assert outcome(parse_edge_list, weighted) == \
-            outcome(orc.parse_edge_list_oracle, weighted)
+    assert outcome(parse_edge_list) == outcome(orc.parse_edge_list_oracle)
     assert outcome(parse_labels, net) == outcome(orc.parse_labels_oracle, net)
 
 
